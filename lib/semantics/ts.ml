@@ -28,9 +28,12 @@
 open Detcor_kernel
 open Detcor_obs
 
-(* Engine metrics.  Every update is gated by [Obs.on ()] — one ref read
-   and a branch — so construction with observability disabled matches the
-   uninstrumented engine (the E11 bench claim). *)
+(* Engine metrics.  Per-state and per-query updates are gated by
+   [Obs.on ()] — one ref read and a branch — so construction with
+   observability disabled matches the uninstrumented engine (the E11 bench
+   claim).  The per-build totals (builds, states, edges) are bumped once
+   per build, unconditionally: the run ledger reports them even when
+   nothing else is recorded. *)
 let m_states = Metrics.counter "engine.states_visited"
 
 (* Live twin of [m_states]: advanced during construction rather than in
@@ -58,6 +61,12 @@ let live_flush () =
   end
 let m_edges = Metrics.counter "engine.edges"
 let m_builds = Metrics.counter "engine.builds"
+
+let count_build ~states ~edges =
+  Metrics.incr m_builds;
+  Metrics.incr ~by:states m_states;
+  Metrics.incr ~by:edges m_edges
+
 let m_pred_hits = Metrics.counter "engine.pred_cache.hits"
 let m_pred_misses = Metrics.counter "engine.pred_cache.misses"
 let m_enabled_hits = Metrics.counter "engine.enabled_cache.hits"
@@ -228,11 +237,7 @@ let restore_edges b snap =
 let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
-  if Obs.on () then begin
-    Metrics.incr m_builds;
-    Metrics.incr ~by:n m_states;
-    Metrics.incr ~by:b.elen m_edges
-  end;
+  count_build ~states:n ~edges:b.elen;
   {
     program;
     states = Array.sub b.states_buf 0 n;
@@ -808,11 +813,8 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
   Detcor_robust.Checkpoint.complete phase
     (if track then !latest else "");
   if Obs.on () || Progress.armed () then live_flush ();
-  if Obs.on () then begin
-    Metrics.incr m_builds;
-    Metrics.incr ~by:(Shard_store.num_states store) m_states;
-    Metrics.incr ~by:(Shard_store.num_edges store) m_edges
-  end;
+  count_build ~states:(Shard_store.num_states store)
+    ~edges:(Shard_store.num_edges store);
   {
     program;
     states = [||];

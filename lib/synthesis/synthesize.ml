@@ -41,17 +41,18 @@
    bans and forced moves.  Final verification remains the soundness gate
    for all three.
 
-   Like {!Ts}, the synthesizer has two interchangeable paths.  When the
-   explored [p [] F] system was built by the packed engine, [ms] is a
-   bitset-seeded backward fixpoint over the reverse fault-edge CSR,
-   detection guards are per-action bitsets consulted by state index (the
-   semantic closure remains only as the fallback for states outside the
-   explored product), invariant recomputation is a counter-based deadlock
-   pruning worklist, and recovery layering ranks states in [int] arrays
-   with a frontier queue whose candidate scans can fan out over OCaml
-   domains ([?workers]).  The reference path is the seed implementation,
-   kept as the differential oracle; both produce extensionally identical
-   programs, invariants and reports. *)
+   Each phase has one implementation, over the {!Ts} API by state index,
+   whichever engine built the explored system: [ms] is a bitset-seeded
+   backward fixpoint over the reverse fault-edge CSR, detection guards are
+   per-action bitsets consulted by state index (the semantic closure
+   remains only as the fallback for states outside the explored product),
+   invariant recomputation is a counter-based deadlock pruning worklist,
+   and recovery layering ranks states in [int] arrays with a frontier
+   queue whose candidate scans can fan out over OCaml domains
+   ([?workers]).  [?engine] only chooses the {!Ts} builder, so the
+   reference builder stays a differential oracle for the whole pipeline:
+   synthesis over reference-, packed- and sharded-built systems yields
+   identical programs, invariants and reports. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -111,82 +112,15 @@ let surface_exhaustion f =
          })
 
 (* ------------------------------------------------------------------ *)
-(* Engine dispatch                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Work crossover for [Auto] dispatch, the synthesis analogue of
-   {!Detcor_sim.Syndrome}'s [auto_min_work]: packing pays a fixed cost
-   for layout compilation, bitset allocation and CSR reversal that tiny
-   instances never amortize.  Below this much estimated work (product
-   space of [p [] F] times its action count) an [Auto] request stays on
-   the reference path. *)
-let auto_min_work = 4096
-
-let resolve_engine engine p faults =
-  match engine with
-  | Ts.Reference | Ts.Packed | Ts.Sharded -> engine
-  | Ts.Auto ->
-    let space =
-      List.fold_left
-        (fun acc (_, d) ->
-          if acc >= auto_min_work then acc else acc * Domain.size d)
-        1
-        (Fault.composed_vars p faults)
-    in
-    let actions =
-      List.length (Program.actions p) + List.length (Fault.actions faults)
-    in
-    if space < auto_min_work && space * actions < auto_min_work then
-      Ts.Reference
-    else Ts.Auto
-
-(* ------------------------------------------------------------------ *)
 (* ms / mt                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [ms ts_pf ~fault_ids ~sspec]: the states from which the fault actions
-   alone can reach a safety violation — the backward fixpoint over fault
-   edges seeded with the bad states and the sources of bad fault
-   transitions. *)
-let compute_ms ts_pf ~fault_ids ~sspec =
-  Obs.span "synth.compute_ms" @@ fun () ->
-  let n = Ts.num_states ts_pf in
-  let is_fault = Array.make (Ts.num_actions ts_pf) false in
-  List.iter (fun i -> is_fault.(i) <- true) fault_ids;
-  let in_ms = Array.make n false in
-  let fault_preds = Array.make n [] in
-  let queue = Queue.create () in
-  let add i =
-    if not in_ms.(i) then begin
-      in_ms.(i) <- true;
-      Queue.add i queue
-    end
-  in
-  Ts.iter_edges ts_pf (fun i aid j ->
-      if is_fault.(aid) then begin
-        fault_preds.(j) <- i :: fault_preds.(j);
-        if Safety.bad_transition sspec (Ts.state ts_pf i) (Ts.state ts_pf j)
-        then add i
-      end);
-  for i = 0 to n - 1 do
-    if Safety.bad_state sspec (Ts.state ts_pf i) then add i
-  done;
-  let processed = ref 0 in
-  Progress.with_phase "synth.ms"
-    (fun () -> [ ("iterations", !processed); ("queue", Queue.length queue) ])
-    (fun () ->
-      while not (Queue.is_empty queue) do
-        Detcor_robust.Budget.tick ();
-        let j = Queue.pop queue in
-        incr processed;
-        List.iter add fault_preds.(j)
-      done);
-  in_ms
-
-(* Packed [ms]: identical fixpoint, but membership lives in a bitset and
-   predecessor iteration runs over the reverse fault-edge CSR instead of
-   per-state predecessor lists. *)
-let compute_ms_packed ts_pf ~fault_ids ~sspec ~bad =
+(* [ms]: the states from which the fault actions alone can reach a safety
+   violation — the backward fixpoint over fault edges seeded with the bad
+   states and the sources of bad fault transitions.  Membership lives in a
+   bitset and predecessor iteration runs over the reverse fault-edge
+   CSR. *)
+let compute_ms ts_pf ~fault_ids ~sspec ~bad =
   Obs.span "synth.compute_ms" @@ fun () ->
   let n = Ts.num_states ts_pf in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.ms" in
@@ -251,7 +185,7 @@ let compute_ms_packed ts_pf ~fault_ids ~sspec ~bad =
 
 (* [mt]: a transition a safe program must never take — already a bad
    transition, or into a bad state, or into [ms].  [in_ms_at] answers ms
-   membership by state index, whatever the representation. *)
+   membership by state index. *)
 let make_mt ts_pf ~in_ms_at ~sspec s s' =
   Safety.bad_transition sspec s s'
   || Safety.bad_state sspec s'
@@ -264,25 +198,14 @@ let make_mt ts_pf ~in_ms_at ~sspec s s' =
 
 (* The detection guard added to action [ac]: executing [ac] here neither
    violates safety nor lands in [ms].  This is the weakest detection
-   predicate of [ac] for the [mt]-extended safety specification. *)
-let detection_guard ts_pf ~in_ms_at ~sspec ac =
-  Pred.make
-    (Fmt.str "wdp(%s)" (Action.name ac))
-    (fun st ->
-      (not (Safety.bad_state sspec st))
-      && (match Ts.index_of ts_pf st with
-         | Some i -> not (in_ms_at i)
-         | None -> true)
-      && List.for_all
-           (fun st' -> not (make_mt ts_pf ~in_ms_at ~sspec st st'))
-           (Action.execute ac st))
+   predicate of [ac] for the [mt]-extended safety specification.
 
-(* Packed detection guards: one edge sweep marks, per program action, the
-   states from which some [ac]-step is an mt transition; each guard is
-   then a single bitset probe.  States outside the explored product (the
-   packed engine explored it exhaustively, so only states over a different
-   variable set) fall back to the semantic formula above. *)
-let detection_guards_packed ts_pf ~sspec ~bad ~ms p =
+   One edge sweep marks, per program action, the states from which some
+   [ac]-step is an mt transition; each guard is then a single bitset
+   probe.  States outside the explored system (it covers the whole product
+   space, so only states over a different variable set, or out-of-domain
+   states no step reaches) fall back to the semantic formula. *)
+let detection_guards ts_pf ~sspec ~bad ~ms p =
   let n = Ts.num_states ts_pf in
   let acts = Program.actions p in
   let pos_of = Array.make (Ts.num_actions ts_pf) (-1) in
@@ -341,32 +264,16 @@ let restrict_with guards p =
    drop states that the restriction newly deadlocked (states that could
    move in [p] but cannot in the restricted program within the shrinking
    set).  The candidate is the original invariant minus [ms] for plain
-   recomputation, or the whole ms-complement for the weakening search. *)
-let recompute_invariant ~candidate p restricted =
-  let module SS = Set.Make (State) in
-  let initial = List.filter candidate (Program.states p) in
-  let rec fix set =
-    let keep st =
-      let originally_live = not (Program.deadlocked p st) in
-      if not originally_live then true
-      else
-        List.exists
-          (fun (_, st') -> SS.mem st' set)
-          (Program.successors restricted st)
-    in
-    let set' = SS.filter keep set in
-    if SS.cardinal set' = SS.cardinal set then set else fix set'
-  in
-  let final = fix (SS.of_list initial) in
-  SS.elements final
+   recomputation, or the whole ms-complement for the weakening search.
 
-(* Packed recomputation: the same greatest fixpoint, as a deadlock-pruning
-   worklist.  Candidate states stream through the program's layout in rank
-   (= [State.compare]) order; each live state counts its restricted
-   successors inside the candidate set, and dies when the count reaches
-   zero.  Per-occurrence reverse lists make each pruning step O(in-degree)
+   The greatest fixpoint runs as a deadlock-pruning worklist.  Candidate
+   states stream through the program's layout in rank (= [State.compare])
+   order; each live state counts its restricted successors inside the
+   candidate set, and dies when the count reaches zero.  A successor that
+   escapes the declared domains has no rank, so it never counts.
+   Per-occurrence reverse lists make each pruning step O(in-degree)
    instead of a whole-set rescan. *)
-let recompute_invariant_packed ~candidate ~layout p restricted =
+let recompute_invariant ~candidate ~layout p restricted =
   let acc = ref [] in
   Layout.iter_scratch layout (fun sc ->
       let st = State.scratch_view sc in
@@ -439,11 +346,13 @@ let recompute_invariant_packed ~candidate ~layout p restricted =
   !out
 
 (* The fail-safe front end shared by [add_failsafe] and [add_masking]:
-   ms, the restricted program, and the recomputed invariant — packed when
-   the composed system was built packed (and the program's own layout
-   compiles), reference otherwise.  Returns the index-level ms oracle for
-   the masking path's recovery restriction, and whether the invariant had
-   to be weakened.
+   ms, the restricted program, and the recomputed invariant.  Returns the
+   index-level ms oracle for the masking path's recovery restriction, and
+   whether the invariant had to be weakened.
+
+   The program's own layout always compiles here: [Ts.full] of [p [] F]
+   succeeded, so the product space of [p] (a projection of it) fits the
+   limit, and declared domains are never empty.
 
    When the recomputation kill-cascades to the empty set, the
    invariant-weakening search reseeds the same greatest fixpoint from the
@@ -456,74 +365,45 @@ let recompute_invariant_packed ~candidate ~layout p restricted =
    verification of the synthesized program remains the soundness gate. *)
 let failsafe_core ts_pf ~sspec ~fault_ids p ~invariant =
   let layout =
-    if Ts.engine_of ts_pf = Ts.Packed then Layout.of_program p else None
+    match Layout.of_program p with
+    | Some layout -> layout
+    | None ->
+      Detcor_robust.Error.internal "Synthesize: no layout for %s"
+        (Program.name p)
   in
-  match layout with
-  | Some layout ->
-    let n = Ts.num_states ts_pf in
-    let bad =
-      Bitset.of_fn n (fun i -> Safety.bad_state sspec (Ts.state ts_pf i))
-    in
-    let ms = compute_ms_packed ts_pf ~fault_ids ~sspec ~bad in
-    let in_ms_at = Bitset.get ms in
-    let not_ms st =
-      match Ts.index_of ts_pf st with
-      | Some i -> not (in_ms_at i)
-      | None -> true
-    in
-    let guards = detection_guards_packed ts_pf ~sspec ~bad ~ms p in
-    let restricted, added = restrict_with guards p in
-    let inv_states =
-      recompute_invariant_packed
-        ~candidate:(fun st -> Pred.holds invariant st && not_ms st)
-        ~layout p restricted
-    in
-    let inv_states, weakened =
-      if inv_states <> [] then (inv_states, false)
-      else
-        ( recompute_invariant_packed
-            ~candidate:(fun st ->
-              (not (Safety.bad_state sspec st)) && not_ms st)
-            ~layout p restricted,
-          true )
-    in
-    (restricted, added, inv_states, in_ms_at, weakened)
-  | None ->
-    let in_ms = compute_ms ts_pf ~fault_ids ~sspec in
-    let in_ms_at i = in_ms.(i) in
-    let not_ms st =
-      match Ts.index_of ts_pf st with
-      | Some i -> not (in_ms_at i)
-      | None -> true
-    in
-    let guards =
-      List.map
-        (fun ac -> (ac, detection_guard ts_pf ~in_ms_at ~sspec ac))
-        (Program.actions p)
-    in
-    let restricted, added = restrict_with guards p in
-    let inv_states =
-      recompute_invariant
-        ~candidate:(fun st -> Pred.holds invariant st && not_ms st)
-        p restricted
-    in
-    let inv_states, weakened =
-      if inv_states <> [] then (inv_states, false)
-      else
-        ( recompute_invariant
-            ~candidate:(fun st ->
-              (not (Safety.bad_state sspec st)) && not_ms st)
-            p restricted,
-          true )
-    in
-    (restricted, added, inv_states, in_ms_at, weakened)
+  let n = Ts.num_states ts_pf in
+  let bad =
+    Bitset.of_fn n (fun i -> Safety.bad_state sspec (Ts.state ts_pf i))
+  in
+  let ms = compute_ms ts_pf ~fault_ids ~sspec ~bad in
+  let in_ms_at = Bitset.get ms in
+  let not_ms st =
+    match Ts.index_of ts_pf st with
+    | Some i -> not (in_ms_at i)
+    | None -> true
+  in
+  let guards = detection_guards ts_pf ~sspec ~bad ~ms p in
+  let restricted, added = restrict_with guards p in
+  let inv_states =
+    recompute_invariant
+      ~candidate:(fun st -> Pred.holds invariant st && not_ms st)
+      ~layout p restricted
+  in
+  let inv_states, weakened =
+    if inv_states <> [] then (inv_states, false)
+    else
+      ( recompute_invariant
+          ~candidate:(fun st -> (not (Safety.bad_state sspec st)) && not_ms st)
+          ~layout p restricted,
+        true )
+  in
+  (restricted, added, inv_states, in_ms_at, weakened)
 
 let add_failsafe ?limit ?(engine = Ts.Auto) ?(workers = 1) p ~spec ~invariant
     ~faults =
   Obs.span "synth.add_failsafe" ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
-  let engine = resolve_engine engine p faults in
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
   let composed = Fault.compose p faults in
   let ts_pf = Ts.full ?limit ~engine ~workers composed in
@@ -674,8 +554,8 @@ type recovery = {
          reads it to turn cycle witnesses into edge bans *)
 }
 
-(* [synthesize_recovery ~allowed ~target states]: rank the given states by
-   backward BFS from the target set over allowed candidate steps, then
+(* [synthesize_recovery ~allowed ~target p ts_span]: rank the span states
+   by backward BFS from the target set over allowed candidate steps, then
    build the recovery action "move one layer closer".  Returns the states
    that cannot reach the target (minimal first) and whether the anti-undo
    veto rejected any otherwise-qualifying candidate.
@@ -691,175 +571,21 @@ type recovery = {
    last resort kept acyclic by the repair loop's bans.  Those moves start
    inside the target region, i.e. in fault-free behavior, so they must
    satisfy [repair_allowed] (defaults to [allowed]) even where ranked
-   recovery is unrestricted. *)
-let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
-    ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ?rank0
-    ~allowed ~target p states =
-  Obs.span "synth.recovery" ~attrs:[ Attr.int "states" (List.length states) ]
-  @@ fun () ->
-  let rank0 = match rank0 with Some r -> r | None -> target in
-  let rank = Hashtbl.create 256 in
-  let key st = State.to_string st in
-  let rank0_states = List.filter (Pred.holds rank0) states in
-  List.iter (fun st -> Hashtbl.replace rank (key st) 0) rank0_states;
-  let state_set = Hashtbl.create 256 in
-  List.iter (fun st -> Hashtbl.replace state_set (key st) st) states;
-  (* The program's own in-span steps, for the anti-undo veto: [s -> t] is
-     undone when [t -> s] is a program transition.  Every layering source
-     and target is a span state, so the semantic successor set coincides
-     with the span's program edges. *)
-  let undo_fired = ref false in
-  let succ_keys = Hashtbl.create (if use_undo then 256 else 1) in
-  if use_undo then
-    List.iter
-      (fun st ->
-        Detcor_robust.Budget.tick ();
-        Hashtbl.replace succ_keys (key st)
-          (List.map (fun (_, st') -> key st') (Program.successors p st)))
-      states;
-  let undone k k' =
-    use_undo
-    &&
-    match Hashtbl.find_opt succ_keys k' with
-    | Some ks -> List.mem k ks
-    | None -> false
-  in
-  (* Candidate steps do not depend on the level: generate each state's
-     in-set neighbor list (with its keys) once, not once per level. *)
-  let neighbor_lists = Hashtbl.create 256 in
-  List.iter
-    (fun st ->
-      Detcor_robust.Budget.tick ();
-      Hashtbl.replace neighbor_lists (key st)
-        (List.filter_map
-           (fun st' ->
-             let k' = key st' in
-             if Hashtbl.mem state_set k' then Some (k', st') else None)
-           (neighbors ~step_vars p st)))
-    states;
-  (* Backward BFS: repeatedly find unranked states with a one-step move to
-     a ranked state. *)
-  let table = Hashtbl.create 64 in
-  let changed = ref true in
-  let level = ref 0 in
-  while !changed do
-    changed := false;
-    incr level;
-    let additions = ref [] in
-    Hashtbl.iter
-      (fun k st ->
-        Detcor_robust.Budget.tick ();
-        if not (Hashtbl.mem rank k) then begin
-          let candidate =
-            List.find_opt
-              (fun (k', st') ->
-                (match Hashtbl.find_opt rank k' with
-                | Some r -> r < !level
-                | None -> false)
-                && allowed st st'
-                && (not (banned st st'))
-                &&
-                if undone k k' then begin
-                  undo_fired := true;
-                  false
-                end
-                else true)
-              (Hashtbl.find neighbor_lists k)
-          in
-          match candidate with
-          | Some (_, st') -> additions := (k, st') :: !additions
-          | None -> ()
-        end)
-      state_set;
-    List.iter
-      (fun (k, st') ->
-        Hashtbl.replace rank k !level;
-        Hashtbl.replace table k st';
-        changed := true)
-      !additions
-  done;
-  (* Deadlock-target repair (see the function comment).  Both passes make
-     per-state decisions that depend only on the precomputed [stalled]
-     set, so the iteration order is immaterial and the packed layering
-     reaches the same moves. *)
-  let repair_allowed =
-    match repair_allowed with Some f -> f | None -> allowed
-  in
-  let stalled = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun k st ->
-      if
-        Hashtbl.find_opt rank k = Some 0
-        && (not (Hashtbl.mem table k))
-        && (forced st || Program.deadlocked p st)
-      then Hashtbl.replace stalled k st)
-    state_set;
-  let repair_pass ~relax =
-    Hashtbl.iter
-      (fun k st ->
-        if not (Hashtbl.mem table k) then begin
-          Detcor_robust.Budget.tick ();
-          let pick =
-            List.find_opt
-              (fun (k', st') ->
-                (* Destinations must satisfy the real target (not merely
-                   rank 0): a repaired move starts inside the target
-                   region, and a step to a self-convergent state outside
-                   it would break the invariant's closure. *)
-                Pred.holds target st'
-                && (relax || not (Hashtbl.mem stalled k'))
-                && repair_allowed st st'
-                && (not (banned st st'))
-                &&
-                if undone k k' then begin
-                  undo_fired := true;
-                  false
-                end
-                else true)
-              (Hashtbl.find neighbor_lists k)
-          in
-          match pick with
-          | Some (_, st') -> Hashtbl.replace table k st'
-          | None -> ()
-        end)
-      stalled
-  in
-  repair_pass ~relax:false;
-  repair_pass ~relax:true;
-  let unrecoverable =
-    Hashtbl.fold
-      (fun k st acc -> if Hashtbl.mem rank k then acc else st :: acc)
-      state_set []
-    |> List.sort State.compare
-  in
-  let guard =
-    Pred.make "needs-recovery" (fun st -> Hashtbl.mem table (key st))
-  in
-  let action =
-    Action.deterministic "recovery" guard (fun st ->
-        match Hashtbl.find_opt table (key st) with
-        | Some st' -> st'
-        | None -> st)
-  in
-  let move_to st = Hashtbl.find_opt table (key st) in
-  ({ moves = Hashtbl.length table; action; move_to }, unrecoverable, !undo_fired)
+   recovery is unrestricted.
 
-(* Packed layering over the explored span system: ranks and chosen moves
-   live in [int] arrays indexed by span state, neighbor lists are resolved
-   to index arrays once (memoized), and each level scans only the frontier
-   — the unranked neighbors of the states ranked at the previous level —
-   instead of rescanning the whole span.  The candidate relation is
-   symmetric on span states (a one- or two-variable change backwards is
-   one forwards), so a state's scan outcome can only change when one of
-   its neighbors acquires a rank, which is exactly when the frontier
-   re-queues it; the ranks and chosen moves therefore coincide with the
-   reference layering.  The veto structure ([banned], anti-undo, the
-   repair passes) mirrors the reference layering exactly — including
-   which candidates each veto is consulted for, so the undo-fired signal
-   agrees too.  [workers] > 1 fans the per-candidate scans out over OCaml
-   domains; ranks are only written between phases, so the result is
-   identical to the sequential scan. *)
-let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
+   Ranks and chosen moves live in [int] arrays indexed by span state,
+   neighbor lists are resolved to index arrays once (memoized), and each
+   level scans only the frontier — the unranked neighbors of the states
+   ranked at the previous level — instead of rescanning the whole span.
+   The candidate relation is symmetric on in-domain span states (a one-
+   or two-variable change backwards is one forwards), so a state's scan
+   outcome can only change when one of its neighbors acquires a rank,
+   which is exactly when the frontier re-queues it; the ranks and chosen
+   moves therefore coincide with those of a full rescan per level.
+   [workers] > 1 fans the per-candidate scans out over OCaml domains;
+   ranks are only written between phases, so the result is identical to
+   the sequential scan. *)
+let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ?rank0
     ~workers ~fault_ids ~allowed ~target p ts_span =
   Obs.span "synth.recovery"
@@ -874,7 +600,7 @@ let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let undo_fired = Atomic.make false in
   (* Program (non-fault) span edges, keyed [src * n + dst]: the span is
      closed under the composed program, so these are exactly the
-     program's successor pairs the reference layering computes. *)
+     program's successor pairs. *)
   let undo_tbl =
     if not use_undo then Hashtbl.create 1
     else begin
@@ -902,6 +628,22 @@ let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let neighbors_of i =
     fill_neighbors i;
     match neigh.(i) with Some a -> a | None -> assert false
+  in
+  (* Symmetry fails at span states holding a value outside [p]'s declared
+     domains (only a system built without a layout has them): they see
+     in-domain neighbors that cannot see them back, so no frontier would
+     queue them.  Every level rescans them instead, as a full rescan
+     would. *)
+  let one_way =
+    let decls = Program.var_decls p in
+    let escaped st =
+      List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
+    in
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if escaped (Ts.state ts_span i) then acc := i :: !acc
+    done;
+    !acc
   in
   (* Chunked fan-out used for both neighbor generation and candidate
      scans.  Distinct iterations touch distinct array slots, so the only
@@ -993,16 +735,14 @@ let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
      let front = Array.of_list !frontier in
      parallel_iter front fill_neighbors;
      let candidates = ref [] in
-     Array.iter
-       (fun j ->
-         Array.iter
-           (fun i ->
-             if rank.(i) = unranked && queued.(i) <> lvl then begin
-               queued.(i) <- lvl;
-               candidates := i :: !candidates
-             end)
-           (neighbors_of j))
-       front;
+     let enqueue i =
+       if rank.(i) = unranked && queued.(i) <> lvl then begin
+         queued.(i) <- lvl;
+         candidates := i :: !candidates
+       end
+     in
+     Array.iter (fun j -> Array.iter enqueue (neighbors_of j)) front;
+     List.iter enqueue one_way;
      let cands = Array.of_list !candidates in
      let chosen = Array.make (Array.length cands) (-1) in
      let scan_slot k =
@@ -1038,10 +778,12 @@ let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
      frontier := !newly
    done);
   Detcor_robust.Checkpoint.complete phase (Marshal.to_string (rank, move) []);
-  (* Deadlock-target repair, mirroring the reference layering: the
-     completed checkpoint holds the pure ranking, and the repair reruns
-     deterministically on resume. *)
-  let repair_allowed_ix =
+  (* Deadlock-target repair (see the function comment).  Both passes make
+     per-state decisions that depend only on the precomputed [stalled]
+     set, so the iteration order is immaterial.  The completed checkpoint
+     holds the pure ranking, and the repair reruns deterministically on
+     resume. *)
+  let repair_allowed =
     match repair_allowed with Some f -> f | None -> allowed
   in
   let stalled = Array.make n false in
@@ -1063,13 +805,14 @@ let synthesize_recovery_packed ?(step_vars = 1) ?(banned = fun _ _ -> false)
           if t >= len then -1
           else
             let j = nb.(t) in
-            (* Destinations must satisfy the real target, mirroring the
-               reference repair pass: rank 0 also holds self-convergent
-               states outside the invariant's closure. *)
+            (* Destinations must satisfy the real target (not merely
+               rank 0): a repaired move starts inside the target region,
+               and a step to a self-convergent state outside it would
+               break the invariant's closure. *)
             if
               Bitset.get target_bits j
               && (relax || not stalled.(j))
-              && repair_allowed_ix i j
+              && repair_allowed i j
               && not (banned_ix i j)
             then
               if undone i j then begin
@@ -1242,7 +985,6 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
-  let engine = resolve_engine engine p faults in
   let init = Tolerance.init_states ?limit ~engine p ~invariant in
   if init = [] then Error Empty_invariant
   else begin
@@ -1262,7 +1004,8 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
        may violate safety on the way back), but repaired moves start from
        target states — fault-free behavior — so they must respect the
        safety specification. *)
-    let repair_ok s t =
+    let repair_allowed i j =
+      let s = Ts.state ts_span i and t = Ts.state ts_span j in
       (not (Safety.bad_state sspec t))
       && not (Safety.bad_transition sspec s t)
     in
@@ -1271,26 +1014,14 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
         (Ts.states ts_span)
     in
     let rank0 = gated_rank0 ~target:invariant needs in
-    let synth =
-      if Ts.engine_of ts_span = Ts.Packed then begin
-        let fault_ids =
-          Ts.action_ids_of_names ts_span (Fault.action_names faults)
-        in
-        let repair_ok_ix i j =
-          repair_ok (Ts.state ts_span i) (Ts.state ts_span j)
-        in
-        fun ~use_undo ~step_vars ->
-          synthesize_recovery_packed ~step_vars ~banned ~use_undo ~forced
-            ~repair_allowed:repair_ok_ix ~rank0 ~workers ~fault_ids
-            ~allowed:(fun _ _ -> true)
-            ~target:invariant p ts_span
-      end
-      else
-        fun ~use_undo ~step_vars ->
-          synthesize_recovery ~step_vars ~banned ~use_undo ~forced
-            ~repair_allowed:repair_ok ~rank0
-            ~allowed:(fun _ _ -> true)
-            ~target:invariant p (Ts.states ts_span)
+    let fault_ids =
+      Ts.action_ids_of_names ts_span (Fault.action_names faults)
+    in
+    let synth ~use_undo ~step_vars =
+      synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~repair_allowed
+        ~rank0 ~workers ~fault_ids
+        ~allowed:(fun _ _ -> true)
+        ~target:invariant p ts_span
     in
     let build recovery =
       Program.add_actions p [ recovery.action ]
@@ -1328,7 +1059,6 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
   Obs.span "synth.add_masking" ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
-  let engine = resolve_engine engine p faults in
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
   let composed = Fault.compose p faults in
   let ts_pf = Ts.full ?limit ~engine ~workers composed in
@@ -1362,42 +1092,32 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
         (Ts.states ts_span)
     in
     let rank0 = gated_rank0 ~target needs in
-    let synth =
-      if Ts.engine_of ts_span = Ts.Packed then begin
-        (* Resolve ms/bad for every span state up front; an allowed step
-           then costs two bitset probes and one bad-transition check. *)
-        let nspan = Ts.num_states ts_span in
-        let bad_span =
-          Bitset.of_fn nspan (fun i ->
-              Safety.bad_state sspec (Ts.state ts_span i))
-        in
-        let ms_span =
-          Bitset.of_fn nspan (fun i ->
-              match Ts.index_of ts_pf (Ts.state ts_span i) with
-              | Some gi -> in_ms_at gi
-              | None -> false)
-        in
-        let allowed i j =
-          (not (Bitset.get bad_span j))
-          && (not (Bitset.get ms_span j))
-          && not
-               (Safety.bad_transition sspec (Ts.state ts_span i)
-                  (Ts.state ts_span j))
-        in
-        let span_fault_ids =
-          Ts.action_ids_of_names ts_span (Fault.action_names faults)
-        in
-        fun ~use_undo ~step_vars ->
-          synthesize_recovery_packed ~step_vars ~banned ~use_undo ~forced
-            ~rank0 ~workers ~fault_ids:span_fault_ids ~allowed ~target
-            restricted ts_span
-      end
-      else begin
-        let allowed s s' = not (make_mt ts_pf ~in_ms_at ~sspec s s') in
-        fun ~use_undo ~step_vars ->
-          synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~allowed
-            ~rank0 ~target restricted (Ts.states ts_span)
-      end
+    (* Resolve ms/bad for every span state up front; an allowed step
+       (one avoiding [mt]) then costs two bitset probes and one
+       bad-transition check. *)
+    let nspan = Ts.num_states ts_span in
+    let bad_span =
+      Bitset.of_fn nspan (fun i -> Safety.bad_state sspec (Ts.state ts_span i))
+    in
+    let ms_span =
+      Bitset.of_fn nspan (fun i ->
+          match Ts.index_of ts_pf (Ts.state ts_span i) with
+          | Some gi -> in_ms_at gi
+          | None -> false)
+    in
+    let allowed i j =
+      (not (Bitset.get bad_span j))
+      && (not (Bitset.get ms_span j))
+      && not
+           (Safety.bad_transition sspec (Ts.state ts_span i)
+              (Ts.state ts_span j))
+    in
+    let span_fault_ids =
+      Ts.action_ids_of_names ts_span (Fault.action_names faults)
+    in
+    let synth ~use_undo ~step_vars =
+      synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~rank0
+        ~workers ~fault_ids:span_fault_ids ~allowed ~target restricted ts_span
     in
     let build recovery =
       Program.add_actions restricted [ recovery.action ]

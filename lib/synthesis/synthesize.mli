@@ -20,16 +20,13 @@
     into layering edge bans and forced moves.  Final verification remains
     the soundness gate.
 
-    The synthesizer mirrors {!Detcor_semantics.Ts}'s engine split: when
-    the explored system was built by the packed engine, the [ms]/[mt]
-    fixpoints, detection guards, invariant recomputation and recovery
-    layering all run on integer state indices (bitsets, reverse-CSR
-    adjacency, frontier queues, optional domain-parallel scans); the seed
-    closure-based path remains as the [Reference] oracle.  Both paths
-    synthesize extensionally identical programs and reports.  [Auto]
-    dispatch additionally applies a work crossover ({!auto_min_work}):
-    instances too small to amortize layout compilation stay on the
-    reference path. *)
+    Each phase has one implementation: the [ms]/[mt] fixpoints, detection
+    guards, invariant recomputation and recovery layering run on integer
+    state indices (bitsets, reverse-CSR adjacency, frontier queues,
+    optional domain-parallel scans) over the {!Detcor_semantics.Ts} API,
+    whichever engine built the explored system.  [?engine] only chooses
+    that builder, so synthesis over the reference, packed and sharded
+    builders yields identical programs and reports. *)
 
 open Detcor_kernel
 open Detcor_spec
@@ -61,11 +58,6 @@ type result = {
           program was reached (0: first layering verified) *)
 }
 
-(** Minimum estimated work (product space of [p [] F] times action count)
-    below which [Auto] dispatch stays on the reference path, the synthesis
-    analogue of {!Detcor_sim.Syndrome}'s work crossover. *)
-val auto_min_work : int
-
 (** Candidate recovery steps from a state: the states differing from it
     in at most [step_vars] (1 or 2) of [p]'s declared variables, within
     their declared domains, deduplicated and excluding the state itself.
@@ -74,10 +66,10 @@ val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
 
 (** Strengthen every action with its weakest detection predicate for the
     [ms/mt]-extended safety specification; recompute the invariant.
-    [engine] selects the synthesis path exactly as it selects the
-    {!Detcor_semantics.Ts} engine (default [Auto]); [workers] > 1
-    additionally fans packed exploration and recovery scans out over that
-    many OCaml domains. *)
+    [engine] chooses the {!Detcor_semantics.Ts} builder of every explored
+    system (default [Auto]); the synthesis algorithm is the same for all
+    of them.  [workers] > 1 fans exploration and recovery scans out over
+    that many OCaml domains. *)
 val add_failsafe :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->

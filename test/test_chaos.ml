@@ -228,6 +228,14 @@ let suite =
         (chaos_workload "synthesize"
            [ "synthesize"; ring5; "--tolerance"; "nonmasking" ]
            ~max_delay:0.4);
+      (* Over reference-built systems synthesis checkpoints the same
+         synth.ms / synth.recovery phases; only Ts construction itself
+         restarts from scratch on resume. *)
+      Alcotest.test_case "reference-engine synthesize survives SIGKILL" `Slow
+        (chaos_workload "synthesize (reference)"
+           [ "synthesize"; ring5; "--tolerance"; "nonmasking"; "--engine";
+             "reference" ]
+           ~max_delay:0.6);
       Alcotest.test_case "simulate survives SIGKILL" `Slow
         (chaos_workload "simulate"
            [ "simulate"; ring5; "--runs"; "500"; "--seed"; "7" ]

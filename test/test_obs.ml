@@ -65,12 +65,23 @@ let test_span_exception () =
   in
   Alcotest.(check int) "End emitted despite the exception" 1 (List.length ends)
 
+(* Disabled, only the once-per-build totals move (the run ledger reads
+   them); every per-state and per-query counter stays put. *)
 let test_disabled_is_inert () =
-  let before = Metrics.counter_value_by_name "engine.builds" in
+  let gated =
+    [ "engine.states"; "engine.pred_cache.hits"; "engine.pred_cache.misses" ]
+  in
+  let values () = List.map Metrics.counter_value_by_name gated in
+  let before = values () in
+  let builds = Metrics.counter_value_by_name "engine.builds" in
   Alcotest.(check bool) "recording off by default" false (Obs.on ());
   Obs.span "not-recorded" (fun () -> Obs.event "nothing");
-  ignore (Ts.full Detcor_systems.Memory.masking);
-  Alcotest.(check int) "no metrics move while disabled" before
+  let ts = Ts.full Detcor_systems.Memory.masking in
+  ignore (Ts.holds_at ts Detcor_systems.Memory.s 0);
+  ignore (Ts.holds_at ts Detcor_systems.Memory.s 0);
+  Alcotest.(check (list int)) "no gated metrics move while disabled" before
+    (values ());
+  Alcotest.(check int) "the build is still counted" (builds + 1)
     (Metrics.counter_value_by_name "engine.builds")
 
 (* ------------------------------------------------------------------ *)

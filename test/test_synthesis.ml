@@ -381,6 +381,55 @@ let test_budget_trip () =
       (r.Detcor_robust.Error.kind = Detcor_robust.Error.States)
   | r -> Alcotest.failf "expected Exhausted, got %s" (outcome_tag r)
 
+(* A fault that writes outside the program's declared domain: [Ts] cannot
+   pack the fault span, so [Auto] falls back to the reference builder and
+   synthesis runs its index-based phases over that system.  The escaped
+   state x=9 sees x=0 as a one-variable neighbor, but no in-domain state
+   sees x=9 back, so recovery layering must still rank it.  The pinned
+   figures are those of the list-based synthesis this system used to
+   take. *)
+let test_domain_escape_pinned () =
+  let getx st = Value.as_int (State.get st "x") in
+  let x_is n = Pred.make (Fmt.str "x=%d" n) (fun st -> getx st = n) in
+  let p =
+    Program.make ~name:"escape"
+      ~vars:[ ("x", Domain.range 0 2); ("y", Domain.boolean) ]
+      ~actions:
+        [
+          Action.deterministic "flip" (x_is 1) (fun st ->
+              State.set st "y" (Value.bool (not (Value.as_bool (State.get st "y")))));
+        ]
+  in
+  let spec = Spec.make ~name:"never1" ~safety:(Safety.never (x_is 1)) () in
+  let faults =
+    Fault.make "blowup"
+      [
+        Action.deterministic "F:escape" (x_is 0) (fun st ->
+            State.set st "x" (Value.int 9));
+        Action.deterministic "F:two" (x_is 0) (fun st ->
+            State.set st "x" (Value.int 2));
+      ]
+  in
+  let summary = function
+    | Ok (r : Synthesize.result) ->
+      Fmt.str "ok inv=%d span=%d recovery=%d detectors=%d"
+        r.report.Tolerance.invariant_size r.report.Tolerance.span_size
+        r.recovery_states
+        (List.length r.added_detectors)
+    | Error f -> Fmt.str "%a" Synthesize.pp_failure f
+  in
+  Alcotest.(check bool) "Auto falls back to the reference builder" true
+    (Detcor_semantics.Ts.fallback_reason
+       (Detcor_semantics.Ts.full (Fault.compose p faults))
+    <> None);
+  let check label expected r = Alcotest.(check string) label expected (summary r) in
+  check "fail-safe" "ok inv=2 span=6 recovery=0 detectors=1"
+    (Synthesize.add_failsafe p ~spec ~invariant:(x_is 0) ~faults);
+  check "nonmasking" "ok inv=2 span=6 recovery=6 detectors=0"
+    (Synthesize.add_nonmasking p ~spec ~invariant:(x_is 0) ~faults);
+  check "masking" "ok inv=2 span=6 recovery=6 detectors=1"
+    (Synthesize.add_masking p ~spec ~invariant:(x_is 0) ~faults)
+
 let suite =
   ( "synthesis (E7)",
     [
@@ -403,5 +452,7 @@ let suite =
       Alcotest.test_case "verification failed" `Quick
         test_failure_verification;
       Alcotest.test_case "budget trip undecided" `Quick test_budget_trip;
+      Alcotest.test_case "domain-escaping program pinned" `Quick
+        test_domain_escape_pinned;
       Alcotest.test_case "crippled ring" `Slow test_ring_nonmasking_synthesis;
     ] )

@@ -1,17 +1,21 @@
-(* Differential tests: packed synthesis against the reference path.
+(* Engine differential for synthesis: one algorithm over every builder.
 
+   Synthesis has a single implementation of each phase, running over the
+   {!Ts} API; [?engine] only picks the builder of the systems it explores.
    Random fault-intolerant programs (four variables, seeded decision-table
    guards, deterministic / nondeterministic / corrupting actions), random
    sparse safety specifications (bad states, sometimes bad transitions),
    random invariants and random variable-corruption faults drive the three
-   transformations of {!Synthesize} on both engines.  The two paths must
-   agree exactly: same outcome constructor, extensionally identical
-   synthesized programs (compared as fully built reference systems),
-   identical recomputed (possibly weakened, under the same name)
-   invariants, recovery-state counts, repair-iteration counts and
-   verification reports, and — on failures — the same minimal
-   unrecoverable state or report.  Together the properties run 300 random
-   programs per test execution. *)
+   transformations of {!Synthesize} over reference-, packed- and
+   sharded-built systems (the sharded engine with K=1 and with K=4
+   shards).  Every builder must yield exactly the reference builder's
+   outcome: same outcome constructor, extensionally identical synthesized
+   programs (compared as fully built reference systems), identical
+   recomputed (possibly weakened, under the same name) invariants,
+   recovery-state counts, repair-iteration counts and verification
+   reports, and — on failures — the same minimal unrecoverable state or
+   report.  Together the properties run 300 random instances per test
+   execution, each over all four builders, plus a worker-count check. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -160,8 +164,8 @@ let report_str r = Fmt.str "%a" Tolerance.pp_report r
    as fully built reference systems (states, edges, action names), the
    invariants on the program's product space, and the reports as rendered
    text (subject, span and invariant sizes, per-obligation outcomes). *)
-let same_outcome p r_ref r_pk =
-  match (r_ref, r_pk) with
+let same_outcome p r_ref r =
+  match (r_ref, r) with
   | Ok (a : Synthesize.result), Ok (b : Synthesize.result) ->
     let ts_a = Ts.full ~engine:Ts.Reference a.program in
     let ts_b = Ts.full ~engine:Ts.Reference b.program in
@@ -186,61 +190,54 @@ let outcome_tag = function
   | Ok _ -> "ok"
   | Error f -> Fmt.str "%a" Synthesize.pp_failure f
 
-let agree p r_ref r_pk =
-  if same_outcome p r_ref r_pk then true
+let agree ~label p r_ref r =
+  if same_outcome p r_ref r then true
   else
-    QCheck.Test.fail_reportf "engines disagree: reference=%s packed=%s"
-      (outcome_tag r_ref) (outcome_tag r_pk)
+    QCheck.Test.fail_reportf "builders disagree: reference=%s %s=%s"
+      (outcome_tag r_ref) label (outcome_tag r)
+
+(* Run [synth] once per builder and compare each outcome with the
+   reference builder's. *)
+let across_engines p synth =
+  let r_ref = synth Ts.Reference in
+  let sharded k =
+    Test_engine_sharded.with_shards ~shards:k (fun () -> synth Ts.Sharded)
+  in
+  agree ~label:"packed" p r_ref (synth Ts.Packed)
+  && agree ~label:"sharded K=1" p r_ref (sharded 1)
+  && agree ~label:"sharded K=4" p r_ref (sharded 4)
 
 let prop_failsafe =
-  Util.qtest ~count:100 "add_failsafe: packed = reference" instance_arb
-    (fun inst ->
+  Util.qtest ~count:100 "add_failsafe: reference = packed = sharded"
+    instance_arb (fun inst ->
       let p = build_program inst in
       let spec = build_spec inst in
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
-      let r_ref =
-        Synthesize.add_failsafe ~engine:Ts.Reference p ~spec ~invariant
-          ~faults
-      in
-      let r_pk =
-        Synthesize.add_failsafe ~engine:Ts.Packed p ~spec ~invariant ~faults
-      in
-      agree p r_ref r_pk)
+      across_engines p (fun engine ->
+          Synthesize.add_failsafe ~engine p ~spec ~invariant ~faults))
 
 let prop_nonmasking =
-  Util.qtest ~count:100 "add_nonmasking: packed = reference" instance_arb
-    (fun inst ->
+  Util.qtest ~count:100 "add_nonmasking: reference = packed = sharded"
+    instance_arb (fun inst ->
       let p = build_program inst in
       let spec = build_spec inst in
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
-      let r_ref =
-        Synthesize.add_nonmasking ~engine:Ts.Reference
-          ~step_vars:inst.step_vars p ~spec ~invariant ~faults
-      in
-      let r_pk =
-        Synthesize.add_nonmasking ~engine:Ts.Packed ~step_vars:inst.step_vars
-          p ~spec ~invariant ~faults
-      in
-      agree p r_ref r_pk)
+      across_engines p (fun engine ->
+          Synthesize.add_nonmasking ~engine ~step_vars:inst.step_vars p ~spec
+            ~invariant ~faults))
 
 let prop_masking =
-  Util.qtest ~count:100 "add_masking: packed = reference" instance_arb
-    (fun inst ->
+  Util.qtest ~count:100 "add_masking: reference = packed = sharded"
+    instance_arb (fun inst ->
       let p = build_program inst in
       let spec = build_spec inst in
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
-      let r_ref =
-        Synthesize.add_masking ~engine:Ts.Reference ~step_vars:inst.step_vars
-          p ~spec ~invariant ~faults
-      in
-      let r_pk =
-        Synthesize.add_masking ~engine:Ts.Packed ~step_vars:inst.step_vars p
-          ~spec ~invariant ~faults
-      in
-      agree p r_ref r_pk)
+      across_engines p (fun engine ->
+          Synthesize.add_masking ~engine ~step_vars:inst.step_vars p ~spec
+            ~invariant ~faults))
 
 (* Parallel layering must not change the result: same synthesized system,
    same report, whatever the worker count. *)
@@ -259,7 +256,7 @@ let prop_workers =
         Synthesize.add_masking ~engine:Ts.Packed ~workers:4
           ~step_vars:inst.step_vars p ~spec ~invariant ~faults
       in
-      agree p seq par)
+      agree ~label:"workers=4" p seq par)
 
 let suite =
   ( "synthesis differential",

@@ -484,6 +484,36 @@ let test_telemetry_cli_clean () =
   check_contains (read_file out) "telemetry on http://127.0.0.1:";
   check_ledger ledger ~sub:"verify" ~verdict:"holds" ~exit_code:0
 
+(* The ledger's [states] field must not depend on any other flag: a
+   --ledger-only verify records the states it explored, and the figure
+   equals the engine counter a --metrics snapshot of the same command
+   reports. *)
+let test_ledger_states () =
+  let dc = Filename.concat corpus "ring5.dc" in
+  let ledger_states args =
+    with_temp ".jsonl" @@ fun ledger ->
+    with_temp ".out" @@ fun out ->
+    let code = run_dcheck ([ "verify"; dc; "--ledger"; ledger ] @ args) ~out in
+    Alcotest.(check bool) "verify reaches a verdict" true (code = 0 || code = 1);
+    match Ledger.load ~path:ledger with
+    | [ e ], 0 -> e.Ledger.states
+    | es, _ -> Alcotest.failf "expected 1 ledger entry, found %d" (List.length es)
+  in
+  let alone = ledger_states [] in
+  Alcotest.(check bool) "--ledger alone records states > 0" true (alone > 0);
+  with_temp ".json" @@ fun metrics ->
+  let with_metrics = ledger_states [ "--metrics"; metrics ] in
+  let visited =
+    match Jsonx.of_string (read_file metrics) with
+    | Error e -> Alcotest.failf "--metrics snapshot unparseable: %s" e
+    | Ok j ->
+      Option.bind (Jsonx.member "counters" j) (Jsonx.member "engine.states_visited")
+      |> Fun.flip Option.bind Jsonx.to_int
+      |> Option.value ~default:(-1)
+  in
+  Alcotest.(check int) "ledger states = engine.states_visited" visited alone;
+  Alcotest.(check int) "same figure with --metrics armed" visited with_metrics
+
 let test_report_cli () =
   with_temp ".jsonl" @@ fun ledger ->
   with_temp ".out" @@ fun out ->
@@ -532,4 +562,6 @@ let suite =
         test_telemetry_cli_clean;
       Alcotest.test_case "dcheck report summarizes the ledger" `Quick
         test_report_cli;
+      Alcotest.test_case "ledger states without other flags" `Quick
+        test_ledger_states;
     ] )
