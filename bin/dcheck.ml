@@ -694,22 +694,30 @@ let verify_cmd =
       | Some t -> [ t ]
       | None -> [ Spec.Failsafe; Spec.Nonmasking; Spec.Masking ]
     in
+    (* One session for every class: the invariant sweep, the fault span
+       and the systems over it are built once and shared. *)
+    let session =
+      Tolerance.session ~limit ~workers ~engine e.program ~spec:e.spec
+        ~invariant:e.invariant ~faults:e.faults
+    in
     let explain_failures report =
       if explain then begin
-        (* Witnesses are found on the composed p [] F system over the
-           fault span: it contains every state either checker explored. *)
-        let span =
-          Tolerance.fault_span ~limit ~workers ~engine e.program
-            ~faults:e.faults ~from:e.invariant
-        in
+        (* Witnesses are found on the session's composed p [] F system over
+           the fault span: it contains every state either checker
+           explored. *)
+        let ts_pf = Tolerance.span_system session in
         List.iter
           (fun (item : Tolerance.item) ->
-            match item.outcome with
-            | Detcor_semantics.Check.Holds | Detcor_semantics.Check.Unknown _
-              ->
+            match (item.outcome, ts_pf) with
+            | Detcor_semantics.Check.Holds, _
+            | Detcor_semantics.Check.Unknown _, _ ->
               ()
-            | Detcor_semantics.Check.Fails v -> (
-              match Detcor_semantics.Explain.violation span.ts_pf v with
+            | Detcor_semantics.Check.Fails _, None ->
+              Fmt.pr "witness for %S: (fault span not explored: budget \
+                      exhausted)@.@."
+                item.label
+            | Detcor_semantics.Check.Fails v, Some ts_pf -> (
+              match Detcor_semantics.Explain.violation ts_pf v with
               | Some w ->
                 Fmt.pr "witness for %S:@.%a@.@." item.label
                   Detcor_semantics.Explain.pp w
@@ -724,10 +732,7 @@ let verify_cmd =
     let unknown = ref false in
     List.iter
       (fun tol ->
-        let report =
-          Tolerance.check ~limit ~workers ~engine e.program ~spec:e.spec
-            ~invariant:e.invariant ~faults:e.faults ~tol
-        in
+        let report = Tolerance.report session tol in
         Fmt.pr "%a@.@." Tolerance.pp_report report;
         if Tolerance.failures report <> [] then begin
           fails := true;
@@ -1202,15 +1207,14 @@ let profile_cmd =
       | Some t -> [ t ]
       | None -> [ Spec.Failsafe; Spec.Nonmasking; Spec.Masking ]
     in
-    let reports = ref [] in
-    List.iter
-      (fun tol ->
-        let report =
-          Tolerance.check ~limit e.program ~spec:e.spec ~invariant:e.invariant
-            ~faults:e.faults ~tol
-        in
-        reports := (tol, report) :: !reports)
-      classes;
+    (* The same one-session pipeline as [verify]. *)
+    let session =
+      Tolerance.session ~limit e.program ~spec:e.spec ~invariant:e.invariant
+        ~faults:e.faults
+    in
+    let reports =
+      List.map (fun tol -> (tol, Tolerance.report session tol)) classes
+    in
     Fmt.pr "profile of %s (%s)@.@." path (Program.name e.program);
     Fmt.pr "%a@.@." Profile.pp_table (records ());
     Fmt.pr "engine counters:@.";
@@ -1231,7 +1235,7 @@ let profile_cmd =
           (if Tolerance.verdict report then "holds"
            else if Tolerance.failures report <> [] then "FAILS"
            else "UNKNOWN"))
-      (List.rev !reports);
+      reports;
     0
   in
   Cmd.v

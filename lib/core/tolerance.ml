@@ -142,16 +142,20 @@ let fault_span ?limit ?engine ?workers p ~faults ~from =
   if Obs.on () then Obs.annotate [ Attr.int "span_states" (List.length states) ];
   { pred; states; ts_pf }
 
-(* [fault_span_from_states] avoids re-enumerating the product space when the
-   initial states are already known. *)
-let fault_span_from_states ?limit ?engine ?workers p ~faults ~init =
+(* The explored p [] F system from known initial states: the one span
+   build behind both [fault_span_from_states] and a verification session,
+   which avoids re-enumerating the product space. *)
+let explore_span ?limit ?engine ?workers p ~faults ~init =
   Obs.span "tolerance.fault_span" @@ fun () ->
   let composed = Fault.compose p faults in
-  let ts_pf = Ts.build ?limit ?engine ?workers composed ~from:init in
+  let ts = Ts.build ?limit ?engine ?workers composed ~from:init in
+  if Obs.on () then Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
+  ts
+
+let fault_span_from_states ?limit ?engine ?workers p ~faults ~init =
+  let ts_pf = explore_span ?limit ?engine ?workers p ~faults ~init in
   let states = Ts.states ts_pf in
-  let pred = Pred.of_states ~name:"span" states in
-  if Obs.on () then Obs.annotate [ Attr.int "span_states" (List.length states) ];
-  { pred; states; ts_pf }
+  { pred = Pred.of_states ~name:"span" states; states; ts_pf }
 
 (* ------------------------------------------------------------------ *)
 (* "p refines SPEC from S" — correctness in the absence of faults.     *)
@@ -217,22 +221,59 @@ let liveness_under_faults ~ts_pf ~ts_p liveness =
     (List.map (leads_to_under_faults ~ts_pf ~ts_p) (Liveness.obligations liveness))
 
 (* ------------------------------------------------------------------ *)
-(* The three tolerance checkers.                                       *)
+(* The invariant states.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults ~tol =
-  Obs.span "tolerance.check"
-    ~attrs:
-      [
-        Attr.str "program" (Program.name p);
-        Attr.str "tolerance" (Fmt.str "%a" Spec.pp_tolerance tol);
-      ]
-  @@ fun () ->
+(* The invariant states of the product space.  The reference engine keeps
+   the seed behaviour (materialize the product list, then filter); the
+   packed engines stream the enumeration through the program's layout. *)
+let init_states ?limit ?(engine = Ts.Auto) p ~invariant =
+  ignore limit;
+  Obs.span "tolerance.init_states" @@ fun () ->
+  let reference () = List.filter (Pred.holds invariant) (Program.states p) in
+  match engine with
+  | Ts.Reference -> reference ()
+  | Ts.Packed | Ts.Auto | Ts.Sharded -> (
+    match Layout.of_program p with
+    | Some layout ->
+      let acc = ref [] in
+      Layout.iter_scratch layout (fun sc ->
+          if Pred.holds invariant (State.scratch_view sc) then
+            acc := State.scratch_copy sc :: !acc);
+      List.rev !acc
+    | None ->
+      if engine = Ts.Auto then reference ()
+      else raise Layout.Unrepresentable)
+
+(* ------------------------------------------------------------------ *)
+(* Verification sessions: the three tolerance checkers.                *)
+(* ------------------------------------------------------------------ *)
+
+(* The F-span depends only on p, F and S; the three classes differ only in
+   which obligations they check over it.  A session builds each shared
+   structure at most once, on first demand, and decides each obligation at
+   most once: a class whose report includes an obligation another class
+   already decided reuses that item. *)
+type session = {
+  subject : string;
+  invariant_states : (State.t list, item) result Lazy.t;
+      (* [Error]: the sweep itself ran out, and this item is every report *)
+  base : (item * int) Lazy.t; (* "p refines SPEC from S", |p from S| *)
+  span_ts : Ts.t option Lazy.t;
+  safety : item Lazy.t;
+  convergence : item Lazy.t;
+  recovery : item Lazy.t;
+  liveness : item Lazy.t;
+}
+
+let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
   (* Exhaustion of the ambient budget (or of the exploration limit) inside
-     any obligation is recorded here; that obligation — and every later one
-     whose shared structures could not be built — reports [Unknown] instead
-     of aborting the whole check.  With a generous budget nothing trips, no
-     extra work runs, and the report is identical to the pre-budget one. *)
+     any obligation is recorded in this one cell, shared by every class;
+     that obligation — and every later one whose shared structures could
+     not be built — reports [Unknown] instead of aborting the check, while
+     obligations decided before the trip keep their verdicts.  With a
+     generous budget nothing trips, no extra work runs, and each report is
+     identical to the pre-budget one. *)
   let exhausted = ref None in
   let record e =
     match resource_of_exn e with
@@ -257,163 +298,174 @@ let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults
       with e -> (match record e with Some _ -> None | None -> raise e))
   in
   let unknown () = Check.Unknown (Option.get !exhausted) in
-  let base_ts = ref None in
-  let base_item =
-    timed "p refines SPEC from S" (fun () ->
-        guard (fun () ->
-            let ts, o =
-              refines_from_states ?limit ?engine ?workers p ~spec ~init
-                ~invariant
-            in
-            base_ts := Some ts;
-            o))
+  let invariant_states =
+    match init with
+    | Some init -> Lazy.from_val (Ok init)
+    | None ->
+      lazy
+        (match init_states ?limit ?engine p ~invariant with
+        | init -> Ok init
+        | exception e -> (
+          (* Exhaustion while enumerating the invariant itself still yields
+             well-formed reports: one Unknown obligation, never an
+             exception. *)
+          match record e with
+          | Some r ->
+            let outcome = Check.Unknown r in
+            count_unknown outcome;
+            Error { label = "enumerate invariant states"; outcome }
+          | None -> raise e))
   in
-  (* The span (forward closure of S under p [] F).  Only the explored
-     system is built eagerly; the span *state list* — linear in span
-     size, and needed only by the nonmasking obligations — is
-     materialized on first demand, so a failsafe or masking check of a
+  (* Every structure below is forced only once the sweep succeeded. *)
+  let init () = Result.get_ok (Lazy.force invariant_states) in
+  let base =
+    lazy
+      (let size = ref 0 in
+       let item =
+         timed "p refines SPEC from S" (fun () ->
+             guard (fun () ->
+                 let ts, o =
+                   refines_from_states ?limit ?engine ?workers p ~spec
+                     ~init:(init ()) ~invariant
+                 in
+                 size := Ts.num_states ts;
+                 o))
+       in
+       (item, !size))
+  in
+  (* The span (forward closure of S under p [] F).  Its state list —
+     linear in span size, and needed only to build systems of p alone over
+     the span — is materialized on first demand, so a failsafe check of a
      billion-state span never holds the states as a list. *)
   let span_ts =
-    structure (fun () ->
-        Obs.span "tolerance.fault_span" @@ fun () ->
-        let ts =
-          Ts.build ?limit ?engine ?workers (Fault.compose p faults) ~from:init
-        in
-        if Obs.on () then
-          Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
-        ts)
+    lazy
+      (structure (fun () ->
+           explore_span ?limit ?engine ?workers p ~faults ~init:(init ())))
   in
-  let span_states_memo = ref None in
-  let span_states () =
-    match !span_states_memo with
-    | Some states -> states
-    | None ->
-      let states =
-        match span_ts with None -> [] | Some ts -> Ts.states ts
-      in
-      span_states_memo := Some states;
-      states
+  let span_states =
+    lazy (match Lazy.force span_ts with None -> [] | Some ts -> Ts.states ts)
   in
   (* p alone, over the whole span: used for liveness after the faults
      stop.  Built on demand — the failsafe obligations never need it. *)
-  let ts_p_span_memo = ref None in
-  let ts_p_span () =
-    match !ts_p_span_memo with
-    | Some r -> r
-    | None ->
-      let r =
-        match span_ts with
-        | None -> None
-        | Some _ ->
-          structure (fun () ->
-              Ts.build ?limit ?engine ?workers p ~from:(span_states ()))
-      in
-      ts_p_span_memo := Some r;
-      r
+  let ts_p_span =
+    lazy
+      (match Lazy.force span_ts with
+      | None -> None
+      | Some _ ->
+        structure (fun () ->
+            Ts.build ?limit ?engine ?workers p ~from:(Lazy.force span_states)))
   in
   let sspec = Spec.smallest_safety_containing spec in
-  let safety_item () =
-    timed "p[]F refines SSPEC from span" (fun () ->
-        match span_ts with
-        | None -> unknown ()
-        | Some ts_pf -> guard (fun () -> Spec.refines ts_pf sspec))
+  let safety =
+    lazy
+      (timed "p[]F refines SSPEC from span" (fun () ->
+           match Lazy.force span_ts with
+           | None -> unknown ()
+           | Some ts_pf -> guard (fun () -> Spec.refines ts_pf sspec)))
   in
   (* Nonmasking: a suffix of every computation is in SPEC.  The paper's
      route (Theorem 4.3): converge to a recovery predicate R (default: the
      invariant S) from which SPEC is refined. *)
-  let recover = match recover with Some r -> r | None -> invariant in
-  let convergence_item () =
-    timed
-      (Fmt.str "p converges from span to %s" (Pred.name recover))
-      (fun () ->
-        match ts_p_span () with
-        | None -> unknown ()
-        | Some ts -> guard (fun () -> Check.eventually ts recover))
+  let recover = Option.value recover ~default:invariant in
+  let convergence =
+    lazy
+      (timed
+         (Fmt.str "p converges from span to %s" (Pred.name recover))
+         (fun () ->
+           match Lazy.force ts_p_span with
+           | None -> unknown ()
+           | Some ts -> guard (fun () -> Check.eventually ts recover)))
   in
-  let recover_item () =
-    timed
-      (Fmt.str "p refines SPEC from %s" (Pred.name recover))
-      (fun () ->
-        match span_ts with
-        | None -> unknown ()
-        | Some _ ->
-          guard (fun () ->
-              let ts_rec =
-                Ts.build ?limit ?engine ?workers p
-                  ~from:(List.filter (Pred.holds recover) (span_states ()))
-              in
-              Check.all
-                [ Check.closed ts_rec recover; Spec.refines ts_rec spec ]))
+  let recovery =
+    lazy
+      (timed
+         (Fmt.str "p refines SPEC from %s" (Pred.name recover))
+         (fun () ->
+           match Lazy.force span_ts with
+           | None -> unknown ()
+           | Some _ ->
+             guard (fun () ->
+                 let ts_rec =
+                   Ts.build ?limit ?engine ?workers p
+                     ~from:
+                       (List.filter (Pred.holds recover)
+                          (Lazy.force span_states))
+                 in
+                 Check.all
+                   [ Check.closed ts_rec recover; Spec.refines ts_rec spec ])))
   in
   (* Masking: computations of p [] F from the span are in SPEC — safety on
      the full p [] F graph, liveness under the finitely-many-faults
      semantics (Assumption 2). *)
-  let liveness_item () =
-    timed "liveness of SPEC on p[]F from span" (fun () ->
-        match (span_ts, ts_p_span ()) with
-        | Some ts_pf, Some ts_p ->
-          guard (fun () ->
-              liveness_under_faults ~ts_pf ~ts_p (Spec.liveness spec))
-        | _ -> unknown ())
-  in
-  (* Each class computes exactly its own obligations, in report order —
-     an unused obligation is never evaluated, so e.g. a failsafe check
-     never runs the convergence analysis it would not report. *)
-  let items =
-    match tol with
-    | Spec.Failsafe -> [ base_item; safety_item () ]
-    | Spec.Nonmasking -> [ base_item; convergence_item (); recover_item () ]
-    | Spec.Masking -> [ base_item; safety_item (); liveness_item () ]
+  let liveness =
+    lazy
+      (timed "liveness of SPEC on p[]F from span" (fun () ->
+           match (Lazy.force span_ts, Lazy.force ts_p_span) with
+           | Some ts_pf, Some ts_p ->
+             guard (fun () ->
+                 liveness_under_faults ~ts_pf ~ts_p (Spec.liveness spec))
+           | _ -> unknown ()))
   in
   {
     subject = Program.name p;
-    tol;
-    span_size = (match span_ts with Some ts -> Ts.num_states ts | None -> 0);
-    invariant_size =
-      (match !base_ts with Some ts -> Ts.num_states ts | None -> 0);
-    items;
+    invariant_states;
+    base;
+    span_ts;
+    safety;
+    convergence;
+    recovery;
+    liveness;
   }
 
-(* The invariant states of the product space.  The reference engine keeps
-   the seed behaviour (materialize the product list, then filter); the
-   packed engines stream the enumeration through the program's layout. *)
-let init_states ?limit ?(engine = Ts.Auto) p ~invariant =
-  ignore limit;
-  let reference () = List.filter (Pred.holds invariant) (Program.states p) in
-  match engine with
-  | Ts.Reference -> reference ()
-  | Ts.Packed | Ts.Auto | Ts.Sharded -> (
-    match Layout.of_program p with
-    | Some layout ->
-      let acc = ref [] in
-      Layout.iter_scratch layout (fun sc ->
-          if Pred.holds invariant (State.scratch_view sc) then
-            acc := State.scratch_copy sc :: !acc);
-      List.rev !acc
-    | None ->
-      if engine = Ts.Auto then reference ()
-      else raise Layout.Unrepresentable)
+let report s tol =
+  Obs.span "tolerance.check"
+    ~attrs:
+      [
+        Attr.str "program" s.subject;
+        Attr.str "tolerance" (Fmt.str "%a" Spec.pp_tolerance tol);
+      ]
+  @@ fun () ->
+  match Lazy.force s.invariant_states with
+  | Error item ->
+    { subject = s.subject; tol; span_size = 0; invariant_size = 0;
+      items = [ item ] }
+  | Ok _ ->
+    (* Each class forces exactly its own obligations, in report order — an
+       unused obligation is never evaluated, so e.g. a failsafe report
+       never runs the convergence analysis it would not show. *)
+    let base, invariant_size = Lazy.force s.base in
+    let rest =
+      List.map Lazy.force
+        (match tol with
+        | Spec.Failsafe -> [ s.safety ]
+        | Spec.Nonmasking -> [ s.convergence; s.recovery ]
+        | Spec.Masking -> [ s.safety; s.liveness ])
+    in
+    {
+      subject = s.subject;
+      tol;
+      span_size =
+        (match Lazy.force s.span_ts with
+        | Some ts -> Ts.num_states ts
+        | None -> 0);
+      invariant_size;
+      items = base :: rest;
+    }
+
+let span_system s =
+  match Lazy.force s.invariant_states with
+  | Error _ -> None
+  | Ok _ -> Lazy.force s.span_ts
+
+let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults ~tol =
+  report
+    (session ?limit ?engine ?workers ?recover ~init p ~spec ~invariant ~faults)
+    tol
 
 let check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol =
-  match init_states ?limit ?engine p ~invariant with
-  | init ->
-    check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init
-      ~faults ~tol
-  | exception e -> (
-    (* Exhaustion while enumerating the invariant itself still yields a
-       well-formed report: one Unknown obligation, never an exception. *)
-    match resource_of_exn e with
-    | Some r ->
-      let outcome = Check.Unknown r in
-      count_unknown outcome;
-      {
-        subject = Program.name p;
-        tol;
-        span_size = 0;
-        invariant_size = 0;
-        items = [ { label = "enumerate invariant states"; outcome } ];
-      }
-    | None -> raise e)
+  report
+    (session ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults)
+    tol
 
 let is_failsafe ?limit ?engine ?workers p ~spec ~invariant ~faults =
   check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Failsafe
@@ -425,10 +477,10 @@ let is_nonmasking ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
 let is_masking ?limit ?engine ?workers p ~spec ~invariant ~faults =
   check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Masking
 
-(* Classify: the reports for all three classes, masking first. *)
+(* Classify: the reports for all three classes, masking first, over one
+   shared session. *)
 let classify ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
+  let s = session ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults in
   List.map
-    (fun tol ->
-      (tol,
-       check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol))
+    (fun tol -> (tol, report s tol))
     [ Spec.Masking; Spec.Failsafe; Spec.Nonmasking ]

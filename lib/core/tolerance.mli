@@ -91,7 +91,8 @@ val refines_from_states :
 
 (** The product-space states satisfying the invariant.  With the packed
     engine the product is streamed through the program's {!Layout} instead
-    of materialized as a list. *)
+    of materialized as a list.  Recorded as the [tolerance.init_states]
+    span. *)
 val init_states :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -109,6 +110,55 @@ val leads_to_under_faults :
 val liveness_under_faults :
   ts_pf:Ts.t -> ts_p:Ts.t -> Liveness.t -> Check.outcome
 
+(** {2 Verification sessions}
+
+    The F-span of S under [p [] F] depends only on [p], F and S; the
+    fail-safe, nonmasking and masking classes differ only in which
+    obligations they check over it.  A session shares that work across
+    classes: it builds the invariant states, [p] from S, the span system
+    and its state list, and [p] over the span at most once each, when a
+    report first needs them, and it decides each obligation at most once.
+
+    Budget semantics.  One exhaustion cell serves every class.  When the
+    ambient {!Detcor_robust.Budget} (or [limit]) runs out, the obligation
+    being decided and every later undecided one report [Unknown] with the
+    same resource, in this report and in every later one; obligations
+    decided before the trip keep their verdicts.  A later class therefore
+    reuses a verdict instead of tripping again.  Because shared systems
+    are built and counted once, a state budget that used to be exhausted
+    by repeated builds may now leave later classes with a verdict where
+    independent {!check} calls report [Unknown]. *)
+
+type session
+
+(** [session p ~spec ~invariant ~faults] prepares a lazily evaluated
+    verification of [p]; nothing is explored until the first {!report}.
+    [init], when given, are the invariant states (skipping the
+    product-space sweep); [recover] is as for {!check}. *)
+val session :
+  ?limit:int ->
+  ?engine:Ts.engine ->
+  ?workers:int ->
+  ?recover:Pred.t ->
+  ?init:State.t list ->
+  Program.t ->
+  spec:Spec.t ->
+  invariant:Pred.t ->
+  faults:Fault.t ->
+  session
+
+(** The report for one class, checking its obligations in report order and
+    reusing every structure and verdict earlier reports of the session
+    already computed.  Byte-identical (under {!pp_report}) to an
+    independent {!check} of the same class when no budget trips. *)
+val report : session -> Spec.tolerance -> report
+
+(** The session's explored [p [] F] system over the fault span, built now
+    if no report needed it yet; [None] when exploring it (or the
+    invariant) ran out of budget.  Numbered exactly as
+    [(fault_span p ~faults ~from:invariant).ts_pf]. *)
+val span_system : session -> Ts.t option
+
 (** Full tolerance check for a given class.  [recover] (nonmasking only,
     default: the invariant) is the predicate computations converge to and
     refine SPEC from — the R of Theorem 4.3. *)
@@ -124,7 +174,8 @@ val check :
   tol:Spec.tolerance ->
   report
 
-(** As {!check}, with explicit initial states. *)
+(** As {!check}, with explicit initial states.  {!check}, {!check_with},
+    the [is_*] checkers and {!classify} are wrappers over {!session}. *)
 val check_with :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -157,7 +208,7 @@ val is_masking :
   ?workers:int ->
   Program.t -> spec:Spec.t -> invariant:Pred.t -> faults:Fault.t -> report
 
-(** Reports for all three classes, masking first. *)
+(** Reports for all three classes, masking first, from one session. *)
 val classify :
   ?limit:int ->
   ?engine:Ts.engine ->

@@ -8,6 +8,7 @@ open Detcor_semantics
 open Detcor_spec
 open Detcor_core
 open Detcor_systems
+open Detcor_obs
 
 let verdict p tol =
   Tolerance.verdict
@@ -328,6 +329,226 @@ let test_fault_composition () =
   Alcotest.(check (list string)) "action names" [ "F:page-fault" ]
     (Fault.action_names Memory.page_fault)
 
+(* ------------------------------------------------------------------ *)
+(* Verification sessions: one span, three classes.                     *)
+(* ------------------------------------------------------------------ *)
+
+let all_classes = [ Spec.Failsafe; Spec.Nonmasking; Spec.Masking ]
+
+let report_str r = Fmt.str "%a" Tolerance.pp_report r
+
+(* One session's reports, class by class, against independent checks. *)
+let session_matches_checks p ~spec ~invariant ~faults =
+  let s = Tolerance.session p ~spec ~invariant ~faults in
+  List.for_all
+    (fun tol ->
+      String.equal
+        (report_str (Tolerance.report s tol))
+        (report_str (Tolerance.check p ~spec ~invariant ~faults ~tol)))
+    all_classes
+
+let corpus = "../examples/dc"
+
+let load name = Detcor_lang.Elaborate.load_file (Filename.concat corpus name)
+
+let test_session_corpus () =
+  let files =
+    Sys.readdir corpus |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".dc")
+    |> List.sort String.compare
+  in
+  Alcotest.(check bool) "corpus found" true (List.length files >= 9);
+  List.iter
+    (fun file ->
+      let e = load file in
+      let s =
+        Tolerance.session e.program ~spec:e.spec ~invariant:e.invariant
+          ~faults:e.faults
+      in
+      List.iter
+        (fun tol ->
+          Alcotest.(check string)
+            (Fmt.str "%s %a" file Spec.pp_tolerance tol)
+            (report_str
+               (Tolerance.check e.program ~spec:e.spec ~invariant:e.invariant
+                  ~faults:e.faults ~tol))
+            (report_str (Tolerance.report s tol)))
+        all_classes)
+    files
+
+let prop_session_random =
+  Util.qtest ~count:200 "one session reports like three independent checks"
+    Test_random.program_arb (fun rp ->
+      let p = Test_random.build rp in
+      session_matches_checks p ~spec:(Test_random.spec_of rp)
+        ~invariant:(Test_random.invariant_of rp p)
+        ~faults:(Test_random.fault_of rp))
+
+(* Three independent checks build 9 systems on byz4; a session shares p
+   from S, the span and p over the span, leaving one build per
+   structure. *)
+let test_session_builds () =
+  let e = load "byz4.dc" in
+  let builds () = Metrics.counter_value_by_name "engine.builds" in
+  let before = builds () in
+  let s =
+    Tolerance.session e.program ~spec:e.spec ~invariant:e.invariant
+      ~faults:e.faults
+  in
+  List.iter (fun tol -> ignore (Tolerance.report s tol)) all_classes;
+  let grown = builds () - before in
+  Alcotest.(check bool)
+    (Fmt.str "all-class byz4 session builds %d systems (at most 4)" grown)
+    true (grown <= 4)
+
+(* A state budget that trips while the first class explores the span:
+   the verdict decided before the trip stands, and every class reports
+   Unknown with that one resource instead of tripping again. *)
+let test_session_budget () =
+  let e = load "tmr.dc" in
+  let full =
+    Tolerance.check e.program ~spec:e.spec ~invariant:e.invariant
+      ~faults:e.faults ~tol:Spec.Failsafe
+  in
+  let max_states = full.invariant_size + (full.span_size / 2) in
+  let reports =
+    Detcor_robust.Budget.with_budget
+      (Detcor_robust.Budget.make ~max_states ())
+      (fun () ->
+        let s =
+          Tolerance.session e.program ~spec:e.spec ~invariant:e.invariant
+            ~faults:e.faults
+        in
+        List.map (Tolerance.report s) all_classes)
+  in
+  let resource r =
+    match Tolerance.first_unknown r with
+    | Some res ->
+      Fmt.str "%s %d/%d"
+        (Detcor_robust.Error.resource_kind_name res.kind)
+        res.spent res.budget
+    | None -> "none"
+  in
+  let first = resource (List.hd reports) in
+  Alcotest.(check bool) "first class is undecided" true (first <> "none");
+  List.iter
+    (fun (r : Tolerance.report) ->
+      Alcotest.(check string)
+        (Fmt.str "%a: same resource" Spec.pp_tolerance r.tol)
+        first (resource r);
+      Alcotest.(check bool)
+        (Fmt.str "%a: base verdict kept" Spec.pp_tolerance r.tol)
+        true
+        (Check.holds (List.hd r.items).outcome);
+      Alcotest.(check int)
+        (Fmt.str "%a: later obligations unknown" Spec.pp_tolerance r.tol)
+        (List.length r.items - 1)
+        (List.length (Tolerance.unknowns r)))
+    reports
+
+(* The spawned CLI: --explain finds its witnesses on the session's span,
+   and the output is pinned to the bytes of independent per-class
+   checks. *)
+let dcheck_stdout args =
+  let out = Filename.temp_file "detcor_verify" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Fmt.str "../bin/dcheck.exe %s >%s 2>/dev/null"
+             (String.concat " " (List.map Filename.quote args))
+             (Filename.quote out))
+      in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
+let explain_memory_intolerant =
+  {|memory_intolerant: fail-safe tolerance (invariant 3 states, span 6 states)
+  p refines SPEC from S                                holds
+  p[]F refines SSPEC from span                         fails: bad transition [data=bot present=false] -[read]-> [data=bad present=false]
+=> VERDICT: FAILS
+
+witness for "p[]F refines SSPEC from span":
+takes a bad transition:
+[data=bot present=true]
+-[page]-> [data=bot present=false]
+-[read]-> [data=bad present=false] ...
+
+memory_intolerant: nonmasking tolerance (invariant 3 states, span 6 states)
+  p refines SPEC from S                                holds
+  p converges from span to invariant                   fails: fair cycle through {[data=bad present=false]}
+  p refines SPEC from invariant                        holds
+=> VERDICT: FAILS
+
+witness for "p converges from span to invariant":
+reaches a fair cycle it can follow forever:
+[data=bad present=true]
+-[page]-> [data=bad present=false] ...
+loop: {[data=bad present=false]}
+
+memory_intolerant: masking tolerance (invariant 3 states, span 6 states)
+  p refines SPEC from S                                holds
+  p[]F refines SSPEC from span                         fails: bad transition [data=bot present=false] -[read]-> [data=bad present=false]
+  liveness of SPEC on p[]F from span                   fails: fair cycle through {[data=bad present=false]}
+=> VERDICT: FAILS
+
+witness for "p[]F refines SSPEC from span":
+takes a bad transition:
+[data=bot present=true]
+-[page]-> [data=bot present=false]
+-[read]-> [data=bad present=false] ...
+
+witness for "liveness of SPEC on p[]F from span":
+reaches a fair cycle it can follow forever:
+[data=bad present=true]
+-[page]-> [data=bad present=false] ...
+loop: {[data=bad present=false]}
+
+|}
+
+let explain_tmr =
+  {|tmr: fail-safe tolerance (invariant 4 states, span 20 states)
+  p refines SPEC from S                                holds
+  p[]F refines SSPEC from span                         holds
+=> VERDICT: holds
+
+tmr: nonmasking tolerance (invariant 4 states, span 20 states)
+  p refines SPEC from S                                holds
+  p converges from span to invariant                   fails: deadlock at [faulted=true out=v0 x=0 y=0 z=0]
+  p refines SPEC from invariant                        holds
+=> VERDICT: FAILS
+
+witness for "p converges from span to invariant":
+reaches a deadlock:
+[faulted=false out=v0 x=0 y=0 z=0]
+-[fx]-> [faulted=true out=v0 x=0 y=0 z=0] ...
+
+tmr: masking tolerance (invariant 4 states, span 20 states)
+  p refines SPEC from S                                holds
+  p[]F refines SSPEC from span                         holds
+  liveness of SPEC on p[]F from span                   holds
+=> VERDICT: holds
+
+|}
+
+let test_session_cli () =
+  List.iter
+    (fun (file, want) ->
+      let code, out =
+        dcheck_stdout [ "verify"; "--explain"; Filename.concat corpus file ]
+      in
+      Alcotest.(check int) (file ^ " --explain exits 1") 1 code;
+      Alcotest.(check string) (file ^ " --explain output") want out)
+    [
+      ("memory_intolerant.dc", explain_memory_intolerant);
+      ("tmr.dc", explain_tmr);
+    ];
+  let code, _ =
+    dcheck_stdout
+      [ "verify"; "--timeout"; "0.01"; Filename.concat corpus "ring5.dc" ]
+  in
+  Alcotest.(check int) "exhausted --timeout exits 3" 3 code
+
 let suite =
   ( "core (memory access, Figures 1-3)",
     [
@@ -362,4 +583,11 @@ let suite =
       Alcotest.test_case "broken detector rejected" `Quick test_broken_detector;
       Alcotest.test_case "broken corrector rejected" `Quick test_broken_corrector;
       Alcotest.test_case "fault composition" `Quick test_fault_composition;
+      Alcotest.test_case "session matches checks on the corpus" `Quick
+        test_session_corpus;
+      prop_session_random;
+      Alcotest.test_case "session shares builds" `Quick test_session_builds;
+      Alcotest.test_case "session budget semantics" `Quick test_session_budget;
+      Alcotest.test_case "verify --explain on the session span" `Quick
+        test_session_cli;
     ] )
