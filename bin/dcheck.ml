@@ -130,6 +130,18 @@ let with_errors ~path k =
     Fmt.epr "dcheck: state budget exhausted (exploration exceeded --limit %d)@."
       n;
     3
+  | Detcor_semantics.Layout.Unrepresentable ->
+    (* Only the strict engines raise this: [auto] falls back instead. *)
+    let module Layout = Detcor_semantics.Layout in
+    let why =
+      match Layout.escape_reason () with
+      | Some e -> Fmt.str "%a" Layout.pp_escape e
+      | None -> "the product space overflows the packed rank range"
+    in
+    Fmt.epr "dcheck: the chosen engine needs a layout, but %s (use --engine \
+             auto|reference)@."
+      why;
+    2
   | Value.Type_error m ->
     Fmt.epr "dcheck: type error: %s@." m;
     2

@@ -227,8 +227,7 @@ let liveness_under_faults ~ts_pf ~ts_p liveness =
 (* The invariant states of the product space.  The reference engine keeps
    the seed behaviour (materialize the product list, then filter); the
    packed engines stream the enumeration through the program's layout. *)
-let init_states ?limit ?(engine = Ts.Auto) p ~invariant =
-  ignore limit;
+let init_states ?(engine = Ts.Auto) p ~invariant =
   Obs.span "tolerance.init_states" @@ fun () ->
   let reference () = List.filter (Pred.holds invariant) (Program.states p) in
   match engine with
@@ -303,7 +302,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
     | Some init -> Lazy.from_val (Ok init)
     | None ->
       lazy
-        (match init_states ?limit ?engine p ~invariant with
+        (match init_states ?engine p ~invariant with
         | init -> Ok init
         | exception e -> (
           (* Exhaustion while enumerating the invariant itself still yields

@@ -94,7 +94,6 @@ val refines_from_states :
     of materialized as a list.  Recorded as the [tolerance.init_states]
     span. *)
 val init_states :
-  ?limit:int ->
   ?engine:Ts.engine ->
   Program.t ->
   invariant:Pred.t ->

@@ -124,17 +124,17 @@ let read_file ~path =
   if not (String.equal (String.sub contents 0 8) magic) then
     fail "not a detcor snapshot (bad magic)";
   (* The checksum is parsed as [Int64]: hex literals cover the full
-     unsigned range there, while a set top bit overflows OCaml's int. *)
-  let len =
-    match int_of_string_opt ("0x" ^ String.sub contents 8 16) with
-    | Some v -> v
-    | None -> fail "unreadable header field"
+     unsigned range there, while a set top bit overflows OCaml's int.
+     A field must read back in the exact form [write_file] prints, so a
+     flipped letter case is damage too, not an equal value. *)
+  let field off parse print =
+    let text = String.sub contents off 16 in
+    match parse ("0x" ^ text) with
+    | Some v when String.equal (print v) text -> v
+    | _ -> fail "unreadable header field"
   in
-  let sum =
-    match Int64.of_string_opt ("0x" ^ String.sub contents 24 16) with
-    | Some v -> v
-    | None -> fail "unreadable header field"
-  in
+  let len = field 8 int_of_string_opt (Printf.sprintf "%016x") in
+  let sum = field 24 Int64.of_string_opt (Printf.sprintf "%016Lx") in
   if String.length contents <> header_len + len then
     fail "truncated payload (%d of %d bytes)"
       (String.length contents - header_len)

@@ -1,29 +1,35 @@
 (* Explicit-state transition systems.
 
    A transition system is the semantic graph of a program: nodes are states,
-   edges are (action, successor) pairs.  It is built either from a set of
-   initial states (forward reachability) or over the full product space.
-   All decision procedures of the library (closure, convergence, leads-to,
-   fairness, safety) run on this structure.
+   edges are (action, successor) pairs.  All decision procedures of the
+   library (closure, convergence, leads-to, fairness, safety) run on it.
 
-   Two engines build the same structure:
+   Every construction — [build] from explicit states, [of_pred] from the
+   product states satisfying a predicate, [full] over the whole product —
+   runs one pipeline:
 
-   - [Packed] (the default via [Auto]): a [Layout] compiles the program's
-     variables and domains to integer indices once, states are interned by
-     their packed rank (a single int), edges land in CSR (compressed sparse
-     row) arrays, and predicate / guard evaluations are cached in per-system
-     bitsets so [holds_at] and [enabled] answer in O(1) after one sweep.
-     Frontier expansion can fan out over OCaml 5 domains ([?workers]) with
-     a deterministic in-order merge, so the numbering is independent of the
-     worker count.
-   - [Reference]: the seed list-based path — map-keyed interning and direct
-     predicate evaluation on every query.  It is kept both as the fallback
-     for programs whose actions step outside their declared domains (where
-     no layout applies) and as the oracle for differential testing.
+   - one dispatcher ([construct]) picks the store for the requested engine
+     and owns the [Auto] fallback;
+   - one seed enumerator ([seed_ranks]) yields the seeds as ascending,
+     duplicate-free [Layout] ranks (rank order is [State.compare] order);
+   - one successor kernel ([successors]) yields (action, successor, rank)
+     for a source state of known rank, in action order;
+   - the results land in a flat store (CSR arrays, states interned by rank;
+     the full product skips interning, a state's index being its rank) or
+     in the shard store ([Shard_store]: hash-partitioned arenas that spill
+     to disk).  Wide frontiers of the flat store fan out over OCaml 5
+     domains through one chunk runner whose in-order merge keeps the
+     numbering independent of the worker count.
 
-   Both engines explore initial states in [State.compare] order and expand
-   states in id order, so they produce identical state numbering, edge
-   arrays and initials. *)
+   Predicate and guard sweeps over either store are cached in per-system
+   bitsets, so [holds_at] and [enabled] answer in O(1) after one sweep.
+
+   [build_reference], the seed list-based path (map-keyed interning,
+   evaluation on every query), stays as the fallback for programs whose
+   actions step outside their declared domains and as the oracle of the
+   differential tests.  Every engine numbers seeds in [State.compare] order
+   and expands states in id order, so all produce identical state
+   numbering, edge arrays and initials. *)
 
 open Detcor_kernel
 open Detcor_obs
@@ -234,26 +240,34 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
-  let n = b.count in
-  if Obs.on () || Progress.armed () then live_flush ();
-  count_build ~states:n ~edges:b.elen;
+let make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard
+    (states, row_ptr, edge_action, edge_target) =
   {
     program;
-    states = Array.sub b.states_buf 0 n;
+    states;
     actions;
-    row_ptr = Array.sub b.rows 0 (n + 1);
-    edge_action = Array.sub b.ea 0 b.elen;
-    edge_target = Array.sub b.et 0 b.elen;
+    row_ptr;
+    edge_action;
+    edge_target;
     initials;
     lookup;
     layout;
     cached;
-    shard = None;
+    shard;
     pred_cache = Hashtbl.create 16;
     enabled_cache = Array.make (Array.length actions) None;
     fallback_reason = None;
   }
+
+let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
+  let n = b.count in
+  if Obs.on () || Progress.armed () then live_flush ();
+  count_build ~states:n ~edges:b.elen;
+  make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard:None
+    ( Array.sub b.states_buf 0 n,
+      Array.sub b.rows 0 (n + 1),
+      Array.sub b.ea 0 b.elen,
+      Array.sub b.et 0 b.elen )
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -297,110 +311,139 @@ let build_reference ~limit program ~from =
     ~layout:None ~cached:false
 
 (* ------------------------------------------------------------------ *)
-(* Packed engine: rank-interned states, optional parallel frontier.    *)
+(* The construction pipeline: seeds, successor kernel, chunk runner.   *)
 (* ------------------------------------------------------------------ *)
 
-(* Successors of [st] under all actions, with packed ranks, in the same
-   deterministic order as the sequential loop.  Pure: safe to run from
-   worker domains. *)
-let successors_packed layout actions st =
-  Detcor_robust.Budget.tick ();
-  let acc = ref [] in
-  Array.iteri
-    (fun aid ac ->
-      List.iter
-        (fun st' -> acc := (aid, st', Layout.pack layout st') :: !acc)
-        (Action.execute ac st))
-    actions;
-  List.rev !acc
+(* What a construction starts from: explicit states ([build]), the
+   product states satisfying a predicate ([of_pred]), or the whole
+   product ([full]). *)
+type seeds = States of State.t list | Satisfying of Pred.t | Everything
 
-(* Expand the frontier slice [lo, hi) in parallel: split it into [workers]
-   chunks, compute successor lists in worker domains, and merge them back
-   in id order so the numbering matches the sequential engine exactly.
+(* The seeds as ascending, duplicate-free ranks.  Rank order is
+   [State.compare] order (the [Layout] invariant), so seeds are numbered
+   exactly as the reference engine numbers them.  Explicit seeds keep
+   their states, aligned with the ranks, so the flat store interns the
+   caller's states instead of decoding copies.
+   @raise Layout.Unrepresentable if an explicit state escapes the layout. *)
+let seed_ranks layout = function
+  | States from ->
+    let ranked =
+      List.map (fun st -> (Layout.pack layout st, st)) from
+      |> List.sort_uniq (fun (r, _) (r', _) -> Int.compare r r')
+    in
+    ( Array.of_list (List.map fst ranked),
+      Some (Array.of_list (List.map snd ranked)) )
+  | Satisfying pred ->
+    let buf = ref [] and rank = ref 0 in
+    Layout.iter_scratch layout (fun sc ->
+        if Pred.holds pred (State.scratch_view sc) then buf := !rank :: !buf;
+        incr rank);
+    (Array.of_list (List.rev !buf), None)
+  | Everything -> (Array.init (Layout.space layout) Fun.id, None)
+
+(* The reference engine's seed list: the same set, unranked. *)
+let seed_states program = function
+  | States from -> from
+  | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
+  | Everything -> Program.states program
+
+(* A fresh state of the given rank, decoded through the scratch [sc]. *)
+let state_of_rank layout sc rank =
+  Layout.unpack_into layout sc rank;
+  State.scratch_copy sc
+
+(* [f aid st' rank'] for each statement outcome [st'] of action [aid];
+   top-level, so the kernel allocates no closure per action. *)
+let rec emit layout ~rank st aid f = function
+  | [] -> ()
+  | st' :: rest ->
+    f aid st' (Layout.pack_from layout ~src_rank:rank st st');
+    emit layout ~rank st aid f rest
+
+(* The successor kernel: [f aid st' rank'] for every successor [st'] of
+   [st] (of rank [rank]), in action order and then statement order — the
+   edge order of every engine.  No closure or allocation of its own per
+   edge; pure apart from [f], so it runs on worker domains too. *)
+let successors layout actions ~rank st f =
+  Detcor_robust.Budget.tick ();
+  for aid = 0 to Array.length actions - 1 do
+    emit layout ~rank st aid f (Action.execute actions.(aid) st)
+  done
+
+(* Run [f w] for w = 0..n-1 on fresh domains; join them in order. *)
+let spawn_join n f =
+  List.init n (fun w ->
+      Stdlib.Domain.spawn (fun () -> try Ok (f w) with e -> Error e))
+  |> List.map Stdlib.Domain.join
+
+(* The parallel chunk runner: [expand] the states [lo, hi) on [workers]
+   domains, one contiguous chunk each, and [merge] the per-state results
+   back on this domain in id order, so the numbering never depends on
+   the worker count.
 
    A worker that dies with anything other than a tripped budget (the
    deliberate cancellation path) is degraded, not fatal: its chunk is
-   recomputed sequentially on this domain at the point its results would
-   have merged, so ordering — and therefore the numbering — is unchanged.
-   Returns the number of lost workers so the caller can shrink the pool. *)
-let expand_parallel layout actions b index ~lo ~hi ~workers =
-  let len = hi - lo in
-  let chunk = (len + workers - 1) / workers in
-  let slices =
-    List.init workers (fun w ->
-        let start = lo + (w * chunk) in
-        let stop = min hi (start + chunk) in
-        if start >= stop then [||]
-        else Array.init (stop - start) (fun k -> b.states_buf.(start + k)))
+   recomputed here at the point its results would have merged, so
+   ordering — and therefore the numbering — is unchanged.  Returns the
+   number of lost workers so the caller can shrink the pool. *)
+let run_chunks ~workers ~lo ~hi ~expand ~merge =
+  let chunk = (hi - lo + workers - 1) / workers in
+  let bounds w = (lo + (w * chunk), min hi (lo + ((w + 1) * chunk))) in
+  let expand_chunk w =
+    let start, stop = bounds w in
+    Array.init (max 0 (stop - start)) (fun k -> expand (start + k))
   in
-  let domains =
-    List.map
-      (fun slice ->
-        Stdlib.Domain.spawn (fun () ->
-            try
-              Detcor_robust.Failpoint.hit "engine.worker";
-              let succs = Array.map (successors_packed layout actions) slice in
-              (* Incremented from the worker domain: the counters must be
-                 atomic under parallel exploration (tested). *)
-              if Obs.on () then
-                Metrics.incr ~by:(Array.length slice) m_par_expanded;
-              Ok succs
-            with e -> Error e))
-      slices
+  let results =
+    spawn_join workers (fun w ->
+        Detcor_robust.Failpoint.hit "engine.worker";
+        let per_state = expand_chunk w in
+        (* Incremented from the worker domain: the counters must be
+           atomic under parallel exploration (tested). *)
+        if Obs.on () then
+          Metrics.incr ~by:(Array.length per_state) m_par_expanded;
+        per_state)
   in
   if Obs.on () then
-    List.iter
-      (fun slice ->
-        let len = Array.length slice in
-        if len > 0 then Metrics.observe h_worker_chunk len)
-      slices;
-  let results = List.map Stdlib.Domain.join domains in
-  let merge i succs =
-    Detcor_robust.Budget.tick ();
-    List.iter
-      (fun (aid, st', rank) ->
-        let j =
-          match Hashtbl.find_opt index rank with
-          | Some j -> j
-          | None ->
-            let j = add_state b st' in
-            Hashtbl.add index rank j;
-            j
-        in
-        push_edge b aid j)
-      succs;
-    close_row b i
-  in
+    for w = 0 to workers - 1 do
+      let start, stop = bounds w in
+      if stop > start then Metrics.observe h_worker_chunk (stop - start)
+    done;
   let cursor = ref lo in
-  let consume per_state =
-    Array.iter
-      (fun succs ->
-        merge !cursor succs;
+  let consume =
+    Array.iter (fun r ->
+        Detcor_robust.Budget.tick ();
+        merge !cursor r;
         incr cursor)
-      per_state
   in
-  let retried = ref 0 in
+  let lost = ref 0 in
   List.iteri
-    (fun w result ->
-      match result with
+    (fun w -> function
       | Ok per_state -> consume per_state
-      | Error
-          (Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Resource _)
-           as e) ->
-        raise e
+      | Error (Detcor_robust.Error.(Detcor_error (Resource _)) as e) -> raise e
       | Error e ->
-        incr retried;
+        incr lost;
         Metrics.incr m_worker_retries;
         if Obs.on () then
           Obs.event "ts.worker_retry" ~level:Attr.Warn
             ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-        consume
-          (Array.map (successors_packed layout actions) (List.nth slices w)))
+        consume (expand_chunk w))
     results;
-  !retried
+  !lost
 
-let explore_packed ~workers layout program ~actions ~b ~index ~initials =
-  let intern_code st rank =
+(* Parallel expansion pays off only on frontiers this wide. *)
+let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
+
+(* ------------------------------------------------------------------ *)
+(* Flat store: rank-interned BFS and the identity-rank full product.   *)
+(* ------------------------------------------------------------------ *)
+
+(* Breadth-first exploration from the seed ranks, interning states by
+   rank in a hashtable, expanding frontiers in id order. *)
+let build_packed ~limit ~workers layout program (seeds, seed_states) =
+  let actions = Array.of_list (Program.actions program) in
+  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let b = new_builder ~limit in
+  let intern st rank =
     match Hashtbl.find_opt index rank with
     | Some i -> i
     | None ->
@@ -408,18 +451,22 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
       Hashtbl.add index rank i;
       i
   in
+  let sc = Layout.scratch layout in
+  let intern_rank rank = ignore (intern (state_of_rank layout sc rank) rank) in
+  (match seed_states with
+  | Some states ->
+    Array.iteri (fun i rank -> ignore (intern states.(i) rank)) seeds
+  | None -> Array.iter intern_rank seeds);
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.bfs" in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
   | Some (Detcor_robust.Checkpoint.Done data) ->
     let snap : build_snap = Marshal.from_string data 0 in
     (* Re-intern in id order: the snapshot's rank sequence is the
-       discovery order, so ids land exactly where they were.  States
-       the caller already interned (initials) occupy the prefix. *)
+       discovery order, so ids land exactly where they were.  The seeds
+       already occupy the prefix. *)
     Array.iteri
-      (fun i rank ->
-        if i >= b.count then
-          ignore (intern_code (Layout.unpack layout rank) rank))
+      (fun i rank -> if i >= b.count then intern_rank rank)
       snap.s_ranks;
     restore_edges b snap
   | None -> ());
@@ -430,9 +477,20 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
       []
   in
   Detcor_robust.Checkpoint.set_capture phase capture;
+  let expand i =
+    let st = b.states_buf.(i) in
+    let acc = ref [] in
+    successors layout actions ~rank:(Layout.pack layout st) st (fun aid st' r ->
+        acc := (aid, st', r) :: !acc);
+    List.rev !acc
+  in
+  let merge i succs =
+    List.iter (fun (aid, st', r) -> push_edge b aid (intern st' r)) succs;
+    close_row b i
+  in
+  let on_edge aid st' r = push_edge b aid (intern st' r) in
   (* A lost worker shrinks the pool for the rest of the build. *)
   let eff_workers = ref workers in
-  let cursor = ref b.expanded in
   let level = ref 0 in
   Progress.with_phase "engine.bfs"
     (fun () ->
@@ -442,85 +500,38 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
         ("workers", !eff_workers);
       ])
     (fun () ->
-      while !cursor < b.count do
-        let lo = !cursor in
-        let hi = b.count in
+      while b.expanded < b.count do
+        let lo = b.expanded and hi = b.count in
         if Obs.on () then begin
           Metrics.observe h_frontier (hi - lo);
           Obs.event "ts.frontier" ~level:Attr.Debug
             ~attrs:[ Attr.int "depth" !level; Attr.int "width" (hi - lo) ];
           incr level
         end;
-        if !eff_workers > 1 && hi - lo >= max 2 (!eff_workers * 8) then begin
-          let lost =
-            expand_parallel layout actions b index ~lo ~hi ~workers:!eff_workers
-          in
-          if lost > 0 then eff_workers := max 1 (!eff_workers - lost)
+        if parallel ~workers:!eff_workers (hi - lo) then begin
+          let lost = run_chunks ~workers:!eff_workers ~lo ~hi ~expand ~merge in
+          eff_workers := max 1 (!eff_workers - lost)
         end
         else
           for i = lo to hi - 1 do
-            Detcor_robust.Budget.tick ();
             let st = b.states_buf.(i) in
-            Array.iteri
-              (fun aid ac ->
-                List.iter
-                  (fun st' ->
-                    push_edge b aid (intern_code st' (Layout.pack layout st')))
-                  (Action.execute ac st))
-              actions;
+            successors layout actions ~rank:(Layout.pack layout st) st on_edge;
             close_row b i
-          done;
-        cursor := hi
+          done
       done);
   Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions ~initials
+  finish b ~program ~actions
+    ~initials:(List.init (Array.length seeds) Fun.id)
     ~lookup:(fun st ->
       match Layout.pack_opt layout st with
       | None -> None
       | Some rank -> Hashtbl.find_opt index rank)
     ~layout:(Some layout) ~cached:true
 
-let build_packed ~limit ~workers layout program ~from =
-  let actions = Array.of_list (Program.actions program) in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let b = new_builder ~limit in
-  (* Sorting by rank is sorting by State.compare (Layout invariant), so the
-     initial numbering matches the reference engine. *)
-  let ranked = List.map (fun st -> (Layout.pack layout st, st)) from in
-  let ranked =
-    List.sort_uniq (fun (r1, _) (r2, _) -> Int.compare r1 r2) ranked
-  in
-  let initials =
-    List.map
-      (fun (rank, st) ->
-        match Hashtbl.find_opt index rank with
-        | Some i -> i
-        | None ->
-          let i = add_state b st in
-          Hashtbl.add index rank i;
-          i)
-      ranked
-  in
-  explore_packed ~workers layout program ~actions ~b ~index ~initials
-
 (* Packed [full]: every product state is present, so a state's index IS
    its rank — no interning table at all.  States are materialized in rank
-   order (= State.compare order = the reference numbering) and successors
-   resolve to indices with one [Layout.pack].  With [workers], the
-   execute+pack phase fans out over rank chunks; the merge is a plain
-   append in id order, so the result is engine-independent. *)
-let successor_ranks layout actions ~rank st =
-  Detcor_robust.Budget.tick ();
-  let acc = ref [] in
-  Array.iteri
-    (fun aid ac ->
-      List.iter
-        (fun st' ->
-          acc := (aid, Layout.pack_from layout ~src_rank:rank st st') :: !acc)
-        (Action.execute ac st))
-    actions;
-  List.rev !acc
-
+   order (= State.compare order = the reference numbering) and each
+   successor's rank is its index. *)
 let full_packed ~limit ~workers layout program =
   let actions = Array.of_list (Program.actions program) in
   let b = new_builder ~limit in
@@ -549,90 +560,33 @@ let full_packed ~limit ~workers layout program =
   let base = b.expanded in
   Progress.with_phase "engine.full"
     (fun () -> [ ("expanded", b.expanded); ("states", n) ])
-  @@ fun () ->
-  if workers > 1 && n - base >= max 2 (workers * 8) then begin
-    let chunk = (n - base + workers - 1) / workers in
-    let bounds w = (base + (w * chunk), min n (base + ((w + 1) * chunk))) in
-    let expand_chunk w =
-      let lo, hi = bounds w in
-      Array.init (max 0 (hi - lo)) (fun k ->
-          successor_ranks layout actions ~rank:(lo + k) b.states_buf.(lo + k))
-    in
-    let domains =
-      List.init workers (fun w ->
-          Stdlib.Domain.spawn (fun () ->
-              try
-                Detcor_robust.Failpoint.hit "engine.worker";
-                let succs = expand_chunk w in
-                if Obs.on () then
-                  Metrics.incr ~by:(Array.length succs) m_par_expanded;
-                Ok succs
-              with e -> Error e))
-    in
-    let results = List.map Stdlib.Domain.join domains in
-    let cursor = ref base in
-    let consume per_state =
-      Array.iter
-        (fun succs ->
-          Detcor_robust.Budget.tick ();
-          List.iter (fun (aid, rank) -> push_edge b aid rank) succs;
-          close_row b !cursor;
-          incr cursor)
-        per_state
-    in
-    List.iteri
-      (fun w result ->
-        match result with
-        | Ok per_state -> consume per_state
-        | Error
-            (Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Resource _)
-             as e) ->
-          raise e
-        | Error e ->
-          (* Lost worker: recompute its chunk here, in merge position. *)
-          Metrics.incr m_worker_retries;
-          if Obs.on () then
-            Obs.event "ts.worker_retry" ~level:Attr.Warn
-              ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-          consume (expand_chunk w))
-      results
-  end
-  else
-    for i = base to n - 1 do
-      Detcor_robust.Budget.tick ();
-      let st = b.states_buf.(i) in
-      Array.iteri
-        (fun aid ac ->
-          List.iter
-            (fun st' ->
-              push_edge b aid (Layout.pack_from layout ~src_rank:i st st'))
-            (Action.execute ac st))
-        actions;
-      close_row b i
-    done;
+    (fun () ->
+      if parallel ~workers (n - base) then
+        ignore
+          (run_chunks ~workers ~lo:base ~hi:n
+             ~expand:(fun i ->
+               let acc = ref [] in
+               successors layout actions ~rank:i b.states_buf.(i)
+                 (fun aid _ r -> acc := (aid, r) :: !acc);
+               List.rev !acc)
+             ~merge:(fun i succs ->
+               List.iter (fun (aid, r) -> push_edge b aid r) succs;
+               close_row b i))
+      else begin
+        let on_edge aid _ r = push_edge b aid r in
+        for i = base to n - 1 do
+          successors layout actions ~rank:i b.states_buf.(i) on_edge;
+          close_row b i
+        done
+      end);
   Detcor_robust.Checkpoint.complete phase (capture ());
   finish b ~program ~actions
     ~initials:(List.init n Fun.id)
     ~lookup:(fun st -> Layout.pack_opt layout st)
     ~layout:(Some layout) ~cached:true
 
-(* Packed [of_pred]: stream the product space in rank order (which is
-   State.compare order), interning matches on the fly — no intermediate
-   lists and no sorting, unlike the reference path. *)
-let of_pred_packed ~limit ~workers layout program ~from =
-  let actions = Array.of_list (Program.actions program) in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let b = new_builder ~limit in
-  let rank = ref 0 in
-  Layout.iter_scratch layout (fun sc ->
-      if Pred.holds from (State.scratch_view sc) then
-        Hashtbl.add index !rank (add_state b (State.scratch_copy sc));
-      incr rank);
-  let initials = List.init b.count Fun.id in
-  explore_packed ~workers layout program ~actions ~b ~index ~initials
-
 (* ------------------------------------------------------------------ *)
-(* Sharded engine: hash-partitioned, disk-spillable arenas.            *)
+(* Shard store: hash-partitioned, disk-spillable arenas.               *)
 (* ------------------------------------------------------------------ *)
 
 (* Process-wide parameters for the sharded engine — threaded here rather
@@ -650,10 +604,10 @@ let shard_defaults () = !shard_params
 let shard_window = 32_768
 
 (* BFS over the shard store.  The exploration order is identical to the
-   packed engine's — seeds interned in ascending rank order, frontier
+   flat BFS's — seeds interned in ascending rank order, frontier
    sources expanded in gid order, successors merged in (source,
    position) order — so the numbering, edge arrays and initials are
-   byte-identical where both engines can run.  What changes is
+   byte-identical where both stores can run.  What changes is
    residency: state and CSR arenas live in per-shard segments that
    spill to checksummed files under the configured directory once the
    resident bytes exceed the arena budget.
@@ -665,7 +619,7 @@ let shard_window = 32_768
    the store there and replays the lost level deterministically.  Spill
    files written by the interrupted run are content-identical and are
    reused, never rewritten. *)
-let build_sharded ~limit ~workers layout program ~seed_ranks =
+let build_sharded ~limit ~workers layout program ~seeds =
   let actions = Array.of_list (Program.actions program) in
   let shards, spill_dir, budget_mb = !shard_params in
   let k = min shards Shard_store.max_shards in
@@ -694,10 +648,9 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
         Shard_store.create ~on_intern ~k ~layout ~limit ~spill_dir
           ~arena_budget ~fingerprint ()
       in
-      Array.iter (fun r -> ignore (Shard_store.intern store r)) seed_ranks;
+      Array.iter (fun r -> ignore (Shard_store.intern store r)) seeds;
       store
   in
-  let initials = List.init (Array.length seed_ranks) Fun.id in
   (* Barrier snapshots cost a full manifest walk; only maintain them
      when a checkpoint session wants captures. *)
   let track = Detcor_robust.Checkpoint.active () in
@@ -705,70 +658,42 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
   Detcor_robust.Checkpoint.set_capture phase (fun () -> !latest);
   let frontier_width = ref 0 in
   let level = ref 0 in
-  (* Expand sources [lo, wend) into the outbox.  Pure appends: each
-     (producer, owner) lane is written by exactly one caller. *)
-  let expand_range ob lo wend =
+  (* Expand the sources in [lo, hi) whose producer shard is [part] modulo
+     [stride] into the outbox.  Pure appends: each (producer, owner) lane
+     is written by exactly one caller. *)
+  let expand_sources ob ~lo ~hi ~stride ~part =
     let sc = Layout.scratch layout in
-    for gid = lo to wend - 1 do
-      Detcor_robust.Budget.tick ();
-      let rank = Shard_store.rank_of store gid in
-      Layout.unpack_into layout sc rank;
-      let st = State.scratch_copy sc in
-      let producer = Shard_store.shard_of store gid in
-      let pos = ref 0 in
-      Array.iteri
-        (fun aid ac ->
-          List.iter
-            (fun st' ->
-              let rank' = Layout.pack_from layout ~src_rank:rank st st' in
-              Shard_store.Outbox.put ob ~producer ~gid ~pos:!pos ~aid
-                ~rank:rank';
-              incr pos)
-            (Action.execute ac st))
-        actions
+    let gid = ref 0 and producer = ref 0 and pos = ref 0 in
+    let on_edge aid _ rank =
+      Shard_store.Outbox.put ob ~producer:!producer ~gid:!gid ~pos:!pos ~aid
+        ~rank;
+      incr pos
+    in
+    for g = lo to hi - 1 do
+      let p = Shard_store.shard_of store g in
+      if p mod stride = part then begin
+        let rank = Shard_store.rank_of store g in
+        gid := g;
+        producer := p;
+        pos := 0;
+        successors layout actions ~rank (state_of_rank layout sc rank) on_edge
+      end
     done
   in
-  (* Parallel variant: one domain per producer-shard group.  Frontier
+  (* Parallel windows: one domain per producer-shard group.  Frontier
      segments are resident until sealed, so worker reads never fault a
      reload; lanes stay single-writer because each producer shard is
      expanded by exactly one domain.  Worker failures propagate (a
-     half-written lane is not recoverable the way a packed chunk is). *)
-  let expand_parallel_sharded ob lo wend ~workers =
-    let w = min workers k in
-    let domains =
-      List.init w (fun d ->
-          Stdlib.Domain.spawn (fun () ->
-              try
-                let sc = Layout.scratch layout in
-                for gid = lo to wend - 1 do
-                  let producer = Shard_store.shard_of store gid in
-                  if producer mod w = d then begin
-                    Detcor_robust.Budget.tick ();
-                    let rank = Shard_store.rank_of store gid in
-                    Layout.unpack_into layout sc rank;
-                    let st = State.scratch_copy sc in
-                    let pos = ref 0 in
-                    Array.iteri
-                      (fun aid ac ->
-                        List.iter
-                          (fun st' ->
-                            let rank' =
-                              Layout.pack_from layout ~src_rank:rank st st'
-                            in
-                            Shard_store.Outbox.put ob ~producer ~gid ~pos:!pos
-                              ~aid ~rank:rank';
-                            incr pos)
-                          (Action.execute ac st))
-                      actions
-                  end
-                done;
-                if Obs.on () then
-                  Metrics.incr ~by:(wend - lo) m_par_expanded;
-                Ok ()
-              with e -> Error e))
-    in
-    let results = List.map Stdlib.Domain.join domains in
-    List.iter (function Ok () -> () | Error e -> raise e) results
+     half-written lane is not recoverable the way a flat chunk is). *)
+  let expand_window ob lo hi =
+    if parallel ~workers (hi - lo) then begin
+      let w = min workers k in
+      spawn_join w (fun part ->
+          expand_sources ob ~lo ~hi ~stride:w ~part;
+          if Obs.on () then Metrics.incr ~by:(hi - lo) m_par_expanded)
+      |> List.iter (function Ok () -> () | Error e -> raise e)
+    end
+    else expand_sources ob ~lo ~hi ~stride:1 ~part:0
   in
   let ob = Shard_store.Outbox.create store in
   (try
@@ -799,9 +724,7 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
              let w = ref lo in
              while !w < hi do
                let wend = min hi (!w + shard_window) in
-               if workers > 1 && wend - !w >= max 2 (workers * 8) then
-                 expand_parallel_sharded ob !w wend ~workers
-               else expand_range ob !w wend;
+               expand_window ob !w wend;
                Shard_store.merge store ob ~lo:!w ~hi:wend;
                w := wend
              done;
@@ -815,176 +738,14 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
   if Obs.on () || Progress.armed () then live_flush ();
   count_build ~states:(Shard_store.num_states store)
     ~edges:(Shard_store.num_edges store);
-  {
-    program;
-    states = [||];
-    actions;
-    row_ptr = [| 0 |];
-    edge_action = [||];
-    edge_target = [||];
-    initials;
-    lookup =
-      (fun st ->
-        match Layout.pack_opt layout st with
-        | None -> None
-        | Some rank -> Shard_store.find store rank);
-    layout = Some layout;
-    cached = true;
-    shard = Some store;
-    pred_cache = Hashtbl.create 16;
-    enabled_cache = Array.make (Array.length actions) None;
-    fallback_reason = None;
-  }
-
-(* Seed rank sets for the three construction surfaces.  Sorting by rank
-   is sorting by [State.compare] (the [Layout] invariant), so initials
-   match the other engines. *)
-let sharded_of_states layout from =
-  let ranks = List.map (Layout.pack layout) from in
-  Array.of_list (List.sort_uniq Int.compare ranks)
-
-let sharded_of_pred layout from =
-  let buf = ref [] in
-  let rank = ref 0 in
-  Layout.iter_scratch layout (fun sc ->
-      if Pred.holds from (State.scratch_view sc) then buf := !rank :: !buf;
-      incr rank);
-  Array.of_list (List.rev !buf)
-
-let sharded_all_ranks layout =
-  Array.init (Layout.space layout) Fun.id
-
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let default_engine = Auto
-
-let engine_name = function
-  | Auto -> "auto"
-  | Packed -> "packed"
-  | Reference -> "reference"
-  | Sharded -> "sharded"
-
-let overflow_reason = "product space size overflows the packed rank range"
-
-let escape_message () =
-  match Layout.escape_reason () with
-  | Some e -> Fmt.str "%a" Layout.pp_escape e
-  | None -> "a state escaped the declared layout"
-
-(* Record an Auto→Reference fallback on the built system and in Obs. *)
-let fell_back reason ts =
-  ts.fallback_reason <- Some reason;
-  if Obs.on () then begin
-    Metrics.incr m_fallbacks;
-    Obs.event "ts.fallback" ~level:Attr.Warn
-      ~attrs:[ Attr.str "reason" reason ]
-  end;
-  ts
-
-(* Wrap a construction entry point in a span annotated, on completion,
-   with the size of what was built. *)
-let build_span op program engine f =
-  Obs.span "ts.build"
-    ~attrs:
-      [
-        Attr.str "op" op;
-        Attr.str "program" (Program.name program);
-        Attr.str "engine" (engine_name engine);
-      ]
-    (fun () ->
-      let ts = f () in
-      if Obs.on () then begin
-        let states, edges =
-          match ts.shard with
-          | Some store ->
-            (Shard_store.num_states store, Shard_store.num_edges store)
-          | None -> (Array.length ts.states, ts.row_ptr.(Array.length ts.states))
-        in
-        Obs.annotate
-          [
-            Attr.int "states" states;
-            Attr.int "edges" edges;
-            Attr.bool "packed" (ts.layout <> None);
-          ]
-      end;
-      ts)
-
-let build ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  build_span "build" program engine (fun () ->
-      match engine with
-      | Reference -> build_reference ~limit program ~from
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_of_states layout from))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else fell_back overflow_reason (build_reference ~limit program ~from)
-        | Some layout -> (
-          try build_packed ~limit ~workers layout program ~from with
-          | Layout.Unrepresentable when engine = Auto ->
-            (* Some state steps outside the declared domains: the layout
-               does not apply, fall back to the seed path. *)
-            fell_back (escape_message ())
-              (build_reference ~limit program ~from))))
-
-let full ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program =
-  if Program.space_size program > limit then raise (Too_large limit);
-  build_span "full" program engine (fun () ->
-      match engine with
-      | Reference ->
-        build_reference ~limit program ~from:(Program.states program)
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_all_ranks layout))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else
-            fell_back overflow_reason
-              (build_reference ~limit program ~from:(Program.states program))
-        | Some layout -> (
-          try full_packed ~limit ~workers layout program
-          with Layout.Unrepresentable when engine = Auto ->
-            fell_back (escape_message ())
-              (build_reference ~limit program ~from:(Program.states program)))))
-
-let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  build_span "of_pred" program engine (fun () ->
-      let reference () =
-        build_reference ~limit program
-          ~from:(List.filter (Pred.holds from) (Program.states program))
-      in
-      match engine with
-      | Reference -> reference ()
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_of_pred layout from))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else fell_back overflow_reason (reference ())
-        | Some layout -> (
-          try of_pred_packed ~limit ~workers layout program ~from with
-          | Layout.Unrepresentable when engine = Auto ->
-            fell_back (escape_message ()) (reference ()))))
+  make_system ~program ~actions
+    ~initials:(List.init (Array.length seeds) Fun.id)
+    ~lookup:(fun st ->
+      match Layout.pack_opt layout st with
+      | None -> None
+      | Some rank -> Shard_store.find store rank)
+    ~layout:(Some layout) ~cached:true ~shard:(Some store)
+    ([||], [| 0 |], [||], [||])
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
@@ -1110,6 +871,95 @@ let fold_edges ts f init =
   !acc
 
 (* ------------------------------------------------------------------ *)
+(* The dispatcher.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let default_engine = Auto
+
+let engine_name = function
+  | Auto -> "auto"
+  | Packed -> "packed"
+  | Reference -> "reference"
+  | Sharded -> "sharded"
+
+let overflow_reason = "product space size overflows the packed rank range"
+
+let escape_message () =
+  match Layout.escape_reason () with
+  | Some e -> Fmt.str "%a" Layout.pp_escape e
+  | None -> "a state escaped the declared layout"
+
+(* Record an Auto→Reference fallback on the built system and in Obs. *)
+let fell_back reason ts =
+  ts.fallback_reason <- Some reason;
+  if Obs.on () then begin
+    Metrics.incr m_fallbacks;
+    Obs.event "ts.fallback" ~level:Attr.Warn
+      ~attrs:[ Attr.str "reason" reason ]
+  end;
+  ts
+
+(* Every construction: pick the store for [engine], seed it, and annotate
+   the [ts.build] span, on completion, with the size of what was built.
+   [Auto] runs the flat store and falls back to the reference engine when
+   the product overflows the rank range or a state steps outside the
+   declared domains; [Packed] and [Sharded] raise instead. *)
+let construct op ~limit ~engine ~workers program seeds =
+  Obs.span "ts.build"
+    ~attrs:
+      [
+        Attr.str "op" op;
+        Attr.str "program" (Program.name program);
+        Attr.str "engine" (engine_name engine);
+      ]
+  @@ fun () ->
+  let reference () =
+    build_reference ~limit program ~from:(seed_states program seeds)
+  in
+  let flat layout =
+    match seeds with
+    | Everything -> full_packed ~limit ~workers layout program
+    | _ -> build_packed ~limit ~workers layout program (seed_ranks layout seeds)
+  in
+  let ts =
+    match engine with
+    | Reference -> reference ()
+    | Auto | Packed | Sharded -> (
+      match (engine, Layout.of_program program) with
+      | Auto, None -> fell_back overflow_reason (reference ())
+      | _, None -> raise Layout.Unrepresentable
+      | Sharded, Some layout ->
+        build_sharded ~limit ~workers layout program
+          ~seeds:(fst (seed_ranks layout seeds))
+      | Packed, Some layout -> flat layout
+      | _, Some layout -> (
+        try flat layout
+        with Layout.Unrepresentable ->
+          fell_back (escape_message ()) (reference ())))
+  in
+  if Obs.on () then
+    Obs.annotate
+      [
+        Attr.int "states" (num_states ts);
+        Attr.int "edges" (num_edges ts);
+        Attr.bool "packed" (ts.layout <> None);
+      ];
+  ts
+
+let build ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
+    program ~from =
+  construct "build" ~limit ~engine ~workers program (States from)
+
+let full ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
+    program =
+  if Program.space_size program > limit then raise (Too_large limit);
+  construct "full" ~limit ~engine ~workers program Everything
+
+let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
+    program ~from =
+  construct "of_pred" ~limit ~engine ~workers program (Satisfying from)
+
+(* ------------------------------------------------------------------ *)
 (* Reverse adjacency.                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1158,33 +1008,31 @@ let iter_in rev j f =
 (* Cached predicate and guard queries.                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One sweep of [pred] over every state, in id order.  On a shard store
+   ranks decode into a scratch buffer: no state allocation per visit,
+   spilled segments stream through. *)
+let sweep ts pred =
+  let bits = Bitset.create (num_states ts) in
+  (match ts.shard with
+  | Some store ->
+    let layout = Option.get ts.layout in
+    let sc = Layout.scratch layout in
+    Shard_store.iter_ranks store (fun gid rank ->
+        Layout.unpack_into layout sc rank;
+        if Pred.holds pred (State.scratch_view sc) then Bitset.set bits gid)
+  | None ->
+    Array.iteri
+      (fun i st -> if Pred.holds pred st then Bitset.set bits i)
+      ts.states);
+  bits
+
 (* [pred_bitset ts pred]: the bitset of states satisfying [pred].  On a
-   packed system the sweep runs once per predicate instance and is cached;
-   on a reference system a fresh bitset is computed on every call (the
-   reference engine preserves the seed path's evaluate-on-query behavior
-   for [holds_at]). *)
+   packed or sharded system the sweep runs once per predicate instance and
+   is cached; on a reference system a fresh bitset is computed on every
+   call (the reference engine preserves the seed path's evaluate-on-query
+   behavior for [holds_at]). *)
 let pred_bitset ts pred =
-  let compute () =
-    match ts.shard with
-    | Some store ->
-      (* One gid-order sweep decoding ranks into a scratch buffer: no
-         state allocation per visit, spilled segments stream through. *)
-      let layout = Option.get ts.layout in
-      let sc = Layout.scratch layout in
-      let bits = Bitset.create (Shard_store.num_states store) in
-      Shard_store.iter_ranks store (fun gid rank ->
-          Layout.unpack_into layout sc rank;
-          if Pred.holds pred (State.scratch_view sc) then Bitset.set bits gid);
-      bits
-    | None ->
-      let n = num_states ts in
-      let bits = Bitset.create n in
-      for i = 0 to n - 1 do
-        if Pred.holds pred ts.states.(i) then Bitset.set bits i
-      done;
-      bits
-  in
-  if not ts.cached then compute ()
+  if not ts.cached then sweep ts pred
   else
     let key = Pred.id pred in
     match Hashtbl.find_opt ts.pred_cache key with
@@ -1193,7 +1041,7 @@ let pred_bitset ts pred =
       bits
     | None ->
       if Obs.on () then Metrics.incr m_pred_misses;
-      let bits = compute () in
+      let bits = sweep ts pred in
       Hashtbl.add ts.pred_cache key bits;
       bits
 
@@ -1201,27 +1049,10 @@ let holds_at ts pred i =
   if ts.cached then Bitset.get (pred_bitset ts pred) i
   else Pred.holds pred ts.states.(i)
 
+(* [enabled_bitset ts aid]: the [pred_bitset] of action [aid]'s guard,
+   cached per action id. *)
 let enabled_bitset ts aid =
-  let compute () =
-    let guard = Action.guard ts.actions.(aid) in
-    match ts.shard with
-    | Some store ->
-      let layout = Option.get ts.layout in
-      let sc = Layout.scratch layout in
-      let bits = Bitset.create (Shard_store.num_states store) in
-      Shard_store.iter_ranks store (fun gid rank ->
-          Layout.unpack_into layout sc rank;
-          if Pred.holds guard (State.scratch_view sc) then Bitset.set bits gid);
-      bits
-    | None ->
-      let n = num_states ts in
-      let bits = Bitset.create n in
-      for i = 0 to n - 1 do
-        if Pred.holds guard ts.states.(i) then Bitset.set bits i
-      done;
-      bits
-  in
-  if not ts.cached then compute ()
+  if not ts.cached then sweep ts (Action.guard ts.actions.(aid))
   else
     match ts.enabled_cache.(aid) with
     | Some bits ->
@@ -1229,7 +1060,7 @@ let enabled_bitset ts aid =
       bits
     | None ->
       if Obs.on () then Metrics.incr m_enabled_misses;
-      let bits = compute () in
+      let bits = sweep ts (Action.guard ts.actions.(aid)) in
       ts.enabled_cache.(aid) <- Some bits;
       bits
 
@@ -1268,3 +1099,4 @@ let satisfying ts pred =
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)
     (num_edges ts) (num_actions ts)
+

@@ -985,7 +985,7 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
-  let init = Tolerance.init_states ?limit ~engine p ~invariant in
+  let init = Tolerance.init_states ~engine p ~invariant in
   if init = [] then Error Empty_invariant
   else begin
     let sspec = Spec.safety (Spec.smallest_safety_containing spec) in

@@ -9,8 +9,9 @@
    End-to-end: a ring5 fault-span build interrupted twice by a state
    budget and resumed from its snapshot converges to a system
    structurally identical to the uninterrupted build, and a build whose
-   worker domains are all killed by an armed failpoint degrades to
-   sequential recomputation with the same result. *)
+   worker domains are all killed by an armed failpoint (a fault-span BFS,
+   a full-product build) degrades to sequential recomputation with the
+   same result. *)
 
 module Checkpoint = Detcor_robust.Checkpoint
 module Error = Detcor_robust.Error
@@ -228,22 +229,29 @@ let test_interrupted_resume () =
 (* Worker-failure degradation.                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Both users of the parallel chunk runner: the BFS of a fault span and
+   the full-product build. *)
 let test_worker_degradation () =
-  let sequential = ring5_span () in
-  let before = Metrics.counter_value_by_name "robust.worker_retries" in
-  Failpoint.seed 7;
-  Failpoint.set "engine.worker" 1.0;
-  let parallel =
-    Fun.protect ~finally:Failpoint.clear @@ fun () ->
-    let e = Lazy.force ring5 in
-    (Tolerance.fault_span ~workers:4 e.program ~faults:e.faults
-       ~from:e.invariant)
-      .ts_pf
+  let e = Lazy.force ring5 in
+  let degraded label ~sequential build =
+    let before = Metrics.counter_value_by_name "robust.worker_retries" in
+    Failpoint.seed 7;
+    Failpoint.set "engine.worker" 1.0;
+    let parallel = Fun.protect ~finally:Failpoint.clear build in
+    Alcotest.(check bool)
+      (label ^ ": degraded build identical")
+      true
+      (Util.ts_equal sequential parallel);
+    Alcotest.(check bool) (label ^ ": retries recorded") true
+      (Metrics.counter_value_by_name "robust.worker_retries" > before)
   in
-  Alcotest.(check bool) "degraded build identical" true
-    (Util.ts_equal sequential parallel);
-  Alcotest.(check bool) "retries recorded" true
-    (Metrics.counter_value_by_name "robust.worker_retries" > before)
+  degraded "fault span" ~sequential:(ring5_span ()) (fun () ->
+      (Tolerance.fault_span ~workers:4 e.program ~faults:e.faults
+         ~from:e.invariant)
+        .ts_pf);
+  degraded "full product"
+    ~sequential:(Ts.full ~workers:1 e.program)
+    (fun () -> Ts.full ~workers:4 e.program)
 
 (* ------------------------------------------------------------------ *)
 (* Serve result-cache keying.                                          *)

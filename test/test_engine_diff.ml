@@ -1,4 +1,4 @@
-(* Differential tests: the packed engine against the seed list-based path.
+(* Differential tests: every engine against the seed list-based path.
 
    A generator of random guarded-command programs (five variables with
    mixed boolean / integer / symbolic domains, random guards from seeded
@@ -6,9 +6,11 @@
    optional action that escapes its declared domain to exercise the
    reference fallback) drives three properties:
 
-   - both engines produce identical state arrays, edge relations and
-     initial states, whether built from explicit states or from a predicate
-     over the product space;
+   - every engine (auto, strict packed, sharded with 1 and 4 shards), each
+     with 1 and 3 workers, produces the reference engine's state arrays,
+     edge relations and initial states, whether built from explicit states
+     ([build]), from a predicate over the product space ([of_pred]) or
+     over the whole product ([full]);
    - [Check] and [Graph] procedures report identical outcomes on both;
    - [index_of] on the packed system inverts the numbering.
 
@@ -153,8 +155,14 @@ let state_gen =
       (pair bool bool)
       (triple (int_range 0 2) (int_range 0 3) (oneofl [ "p"; "q"; "bot" ])))
 
+(* A third of the seed lists are wide enough (24+ states) for a first
+   frontier that fans out over 3 workers. *)
 let with_inits_gen =
-  QCheck.Gen.(pair program_gen (list_size (int_range 1 5) state_gen))
+  QCheck.Gen.(
+    pair program_gen
+      (list_size
+         (frequency [ (2, int_range 1 5); (1, int_range 24 48) ])
+         state_gen))
 
 let with_inits_arb =
   QCheck.make
@@ -164,6 +172,30 @@ let with_inits_arb =
 
 (* Structural equality of two built systems, including numbering. *)
 let equal_system = Util.ts_equal
+
+(* [engines_agree ~reference make]: [make ~engine ~workers] builds
+   [reference] under auto, strict packed, and sharded with K = 1 and
+   K = 4, each with 1 and 3 workers.  The strict engines may refuse the
+   program (Layout.Unrepresentable) only where auto fell back to the
+   reference engine. *)
+let engines_agree ~reference make =
+  let auto = make ~engine:Ts.Auto ~workers:1 in
+  let strict build =
+    match build () with
+    | ts -> equal_system reference ts
+    | exception Layout.Unrepresentable ->
+      Ts.engine_of auto = Ts.Reference && Ts.fallback_reason auto <> None
+  in
+  List.for_all
+    (fun workers ->
+      equal_system reference (make ~engine:Ts.Auto ~workers)
+      && strict (fun () -> make ~engine:Ts.Packed ~workers)
+      && List.for_all
+           (fun shards ->
+             Util.with_shards ~shards (fun () ->
+                 strict (fun () -> make ~engine:Ts.Sharded ~workers)))
+           [ 1; 4 ])
+    [ 1; 3 ]
 
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 
@@ -179,7 +211,8 @@ let prop_build_identical =
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let packed = Ts.build ~engine:Ts.Auto p ~from in
-      equal_system reference packed
+      engines_agree ~reference (fun ~engine ~workers ->
+          Ts.build ~engine ~workers p ~from)
       && List.for_all
            (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
            (List.init (Ts.num_states reference) Fun.id))
@@ -190,13 +223,15 @@ let prop_of_pred_identical =
       ~print:(fun (rp, s) -> Fmt.str "%s from P%d" (print_program rp) s)
       QCheck.Gen.(pair program_gen (int_range 0 (1 lsl 20)))
   in
+  (* The product-space surfaces: [of_pred] and [full]. *)
   Util.qtest ~count:120 "packed of_pred = reference of_pred" arb
     (fun (rp, seed) ->
       let p = build_program rp in
       let from = pred_of_seed seed in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let packed = Ts.of_pred ~engine:Ts.Auto p ~from in
-      equal_system reference packed)
+      engines_agree ~reference:(Ts.of_pred ~engine:Ts.Reference p ~from)
+        (fun ~engine ~workers -> Ts.of_pred ~engine ~workers p ~from)
+      && engines_agree ~reference:(Ts.full ~engine:Ts.Reference p)
+           (fun ~engine ~workers -> Ts.full ~engine ~workers p))
 
 let prop_checks_identical =
   let arb =

@@ -6,7 +6,8 @@
    generators) plus the knobs unique to sharding:
 
    - reference = sharded on 200+ random programs, under a shard-count
-     sweep (K = 1, 2, 8);
+     sweep (K = 1, 2, 8) and 1 or 3 workers, for [build], [of_pred] and
+     [full];
    - a spill-forced mode (zero arena budget into a temp directory) that
      must spill at least once and still agree byte-for-byte;
    - escape programs: the sharded engine, like the strict packed engine,
@@ -21,15 +22,7 @@ open Detcor_semantics
 
 let equal_system = Util.ts_equal
 
-(* Install sharded-engine parameters for the duration of [f], restoring
-   the process-wide defaults afterwards (they are global state). *)
-let with_shards ?(shards = 4) ?spill_dir ?(arena_mb = 512) f =
-  let k0, d0, m0 = Ts.shard_defaults () in
-  Ts.set_shard_defaults ~shards ~spill_dir ~arena_budget_mb:arena_mb;
-  Fun.protect
-    ~finally:(fun () ->
-      Ts.set_shard_defaults ~shards:k0 ~spill_dir:d0 ~arena_budget_mb:m0)
-    f
+let with_shards = Util.with_shards
 
 let with_temp_dir k =
   let dir = Filename.temp_file "detcor_shard" "" in
@@ -58,24 +51,28 @@ let sharded_build f ~auto =
 
 let shards_arb =
   QCheck.make
-    ~print:(fun ((rp, inits), k) ->
-      Fmt.str "%s from %d states, %d shards"
+    ~print:(fun ((rp, inits), (k, workers)) ->
+      Fmt.str "%s from %d states, %d shards, %d workers"
         (Test_engine_diff.print_program rp)
-        (List.length inits) k)
-    QCheck.Gen.(pair Test_engine_diff.with_inits_gen (oneofl [ 1; 2; 8 ]))
+        (List.length inits) k workers)
+    QCheck.Gen.(
+      pair Test_engine_diff.with_inits_gen
+        (pair (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ])))
 
 (* K-sweep identity on explicit initials: numbering, edges, initials and
-   lookup all equal to the reference engine's, for 1, 2 and 8 shards. *)
+   lookup all equal to the reference engine's, for 1, 2 and 8 shards, each
+   with 1 and 3 workers. *)
 let prop_build_identical =
   Util.qtest ~count:210 "sharded build = reference build (K=1,2,8)" shards_arb
-    (fun ((rp, inits), k) ->
+    (fun ((rp, inits), (k, workers)) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let auto = Ts.build ~engine:Ts.Auto p ~from in
       with_shards ~shards:k (fun () ->
           match
-            sharded_build ~auto (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
+            sharded_build ~auto (fun () ->
+                Ts.build ~engine:Ts.Sharded ~workers p ~from)
           with
           | None -> true
           | Some sharded ->
@@ -87,36 +84,41 @@ let prop_build_identical =
 
 let pred_arb =
   QCheck.make
-    ~print:(fun ((rp, s), k) ->
-      Fmt.str "%s from P%d, %d shards"
+    ~print:(fun ((rp, s), (k, workers)) ->
+      Fmt.str "%s from P%d, %d shards, %d workers"
         (Test_engine_diff.print_program rp)
-        s k)
+        s k workers)
     QCheck.Gen.(
       pair
         (pair Test_engine_diff.program_gen (int_range 0 (1 lsl 20)))
-        (oneofl [ 1; 2; 8 ]))
+        (pair (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ])))
 
+(* The product-space surfaces: [of_pred] from a random predicate and
+   [full], each against the reference engine. *)
 let prop_of_pred_identical =
   Util.qtest ~count:120 "sharded of_pred = reference of_pred" pred_arb
-    (fun ((rp, seed), k) ->
+    (fun ((rp, seed), (k, workers)) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed seed in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let auto = Ts.of_pred ~engine:Ts.Auto p ~from in
-      with_shards ~shards:k (fun () ->
-          match
-            sharded_build ~auto (fun () ->
-                Ts.of_pred ~engine:Ts.Sharded p ~from)
-          with
-          | None -> true
-          | Some sharded -> equal_system reference sharded))
+      let agree reference auto sharded =
+        with_shards ~shards:k (fun () ->
+            match sharded_build ~auto sharded with
+            | None -> true
+            | Some sharded -> equal_system reference sharded)
+      in
+      agree
+        (Ts.of_pred ~engine:Ts.Reference p ~from)
+        (Ts.of_pred ~engine:Ts.Auto p ~from)
+        (fun () -> Ts.of_pred ~engine:Ts.Sharded ~workers p ~from)
+      && agree (Ts.full ~engine:Ts.Reference p) (Ts.full ~engine:Ts.Auto p)
+           (fun () -> Ts.full ~engine:Ts.Sharded ~workers p))
 
 (* Spill-forced identity: a zero arena budget into a temp directory makes
    every sealed segment spill; results must not change, and any run that
    interned states must have spilled at least once. *)
 let prop_spill_forced =
   Util.qtest ~count:60 "spill-forced sharded build agrees and spills"
-    shards_arb (fun ((rp, inits), k) ->
+    shards_arb (fun ((rp, inits), (k, workers)) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
@@ -125,7 +127,7 @@ let prop_spill_forced =
           with_shards ~shards:k ~spill_dir:dir ~arena_mb:0 (fun () ->
               match
                 sharded_build ~auto (fun () ->
-                    Ts.build ~engine:Ts.Sharded p ~from)
+                    Ts.build ~engine:Ts.Sharded ~workers p ~from)
               with
               | None -> true
               | Some sharded -> (

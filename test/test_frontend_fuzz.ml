@@ -170,6 +170,25 @@ let test_exit_codes () =
     output_string oc "program t\nvar x : 99999999999999999999..3\n";
     close_out oc;
     Alcotest.(check int) "parse error -> 2" 2 (run_dcheck [ "verify"; tmp ]);
+    Sys.remove tmp;
+    (* A strict engine on a program whose actions leave their declared
+       domains: a usage error, not an internal one. *)
+    let tmp = Filename.temp_file "dcheck_escape" ".dc" in
+    let oc = open_out tmp in
+    output_string oc
+      "program esc\nvar x : 0..2\ninvariant x = 0\n\
+       action inc: x < 3 -> x := x + 1\n";
+    close_out oc;
+    List.iter
+      (fun cmd ->
+        List.iter
+          (fun engine ->
+            Alcotest.(check int)
+              (Fmt.str "%s --engine %s on a domain escape -> 2" cmd engine)
+              2
+              (run_dcheck [ cmd; "--engine"; engine; tmp ]))
+          [ "packed"; "sharded" ])
+      [ "verify"; "synthesize"; "info" ];
     Sys.remove tmp
   end
 

@@ -28,6 +28,17 @@ let ts_equal a b =
          && Ts.edges_of a i = Ts.edges_of b i)
        (List.init (Ts.num_states a) Fun.id)
 
+(* Install sharded-engine parameters for the duration of [f], restoring
+   the process-wide defaults afterwards (they are global state). *)
+let with_shards ?(shards = 4) ?spill_dir ?(arena_mb = 512) f =
+  let module Ts = Detcor_semantics.Ts in
+  let k0, d0, m0 = Ts.shard_defaults () in
+  Ts.set_shard_defaults ~shards ~spill_dir ~arena_budget_mb:arena_mb;
+  Fun.protect
+    ~finally:(fun () ->
+      Ts.set_shard_defaults ~shards:k0 ~spill_dir:d0 ~arena_budget_mb:m0)
+    f
+
 (* Alcotest form of {!ts_equal}: one check per component, so a mismatch
    reports which part of the structure diverged. *)
 let check_same_system label a b =
