@@ -226,7 +226,9 @@ let liveness_under_faults ~ts_pf ~ts_p liveness =
 
 (* The invariant states of the product space.  The reference engine keeps
    the seed behaviour (materialize the product list, then filter); the
-   packed engines stream the enumeration through the program's layout. *)
+   packed engines stream the enumeration through the program's layout,
+   testing a compiled invariant on slot codes and building only the
+   states that satisfy it. *)
 let init_states ?(engine = Ts.Auto) p ~invariant =
   Obs.span "tolerance.init_states" @@ fun () ->
   let reference () = List.filter (Pred.holds invariant) (Program.states p) in
@@ -236,9 +238,8 @@ let init_states ?(engine = Ts.Auto) p ~invariant =
     match Layout.of_program p with
     | Some layout ->
       let acc = ref [] in
-      Layout.iter_scratch layout (fun sc ->
-          if Pred.holds invariant (State.scratch_view sc) then
-            acc := State.scratch_copy sc :: !acc);
+      Compiled.iter_satisfying layout invariant (fun rank ->
+          acc := Layout.unpack layout rank :: !acc);
       List.rev !acc
     | None ->
       if engine = Ts.Auto then reference ()

@@ -7,16 +7,48 @@
 
    [based_on] records provenance when an action of a refined program [p'] is
    of the form [g ∧ g' -> st || st'] for an action [g -> st] of the base
-   program [p]; the encapsulation checks in [Program] use it. *)
+   program [p]; the encapsulation checks in [Program] use it.
+
+   An action built by [update] also records its statement as data: the
+   list of (target, right-hand side) updates.  [stmt] is then the
+   interpreter of that list, and the transition-system layer may compile
+   the same list into rank arithmetic instead. *)
+
+type rhs = Expr of Expr.t | Any of Domain.t
 
 type t = {
   name : string;
   guard : Pred.t;
   stmt : State.t -> State.t list;
+  updates : (string * rhs) list option;
   based_on : string option;
 }
 
-let make ?based_on name guard stmt = { name; guard; stmt; based_on }
+let make ?based_on name guard stmt =
+  { name; guard; stmt; updates = None; based_on }
+
+(* The simultaneous assignment [x, y, ... := e, ?, ...]: right-hand sides
+   read the pre-state, and each [?] fans out over its domain, the first
+   wildcard of the list varying slowest. *)
+let run_updates updates st =
+  let rec expand acc = function
+    | [] -> [ acc ]
+    | (x, Expr e) :: rest -> expand ((x, Expr.eval st e) :: acc) rest
+    | (x, Any d) :: rest ->
+      List.concat_map (fun v -> expand ((x, v) :: acc) rest) (Domain.values d)
+  in
+  List.map (State.update_many st) (expand [] updates)
+
+let update ?based_on name guard updates =
+  let targets = List.sort String.compare (List.map fst updates) in
+  let rec dup = function
+    | a :: (b :: _ as rest) -> if String.equal a b then Some a else dup rest
+    | [ _ ] | [] -> None
+  in
+  (match dup targets with
+  | Some x -> invalid_arg (Fmt.str "Action.update %s: %s assigned twice" name x)
+  | None -> ());
+  { name; guard; stmt = run_updates updates; updates = Some updates; based_on }
 
 let deterministic ?based_on name guard f =
   make ?based_on name guard (fun st -> [ f st ])
@@ -46,6 +78,7 @@ let skip name = deterministic name Pred.true_ (fun st -> st)
 let name ac = ac.name
 let guard ac = ac.guard
 let based_on ac = ac.based_on
+let updates ac = ac.updates
 
 let enabled ac st = Pred.holds ac.guard st
 
@@ -53,7 +86,8 @@ let enabled ac st = Pred.holds ac.guard st
 let execute ac st = if enabled ac st then ac.stmt st else []
 
 (* Restriction of an action by a state predicate:  Z ∧ (g -> st)  is
-   (Z ∧ g -> st)  (Section 2.1.1, ∧-composition). *)
+   (Z ∧ g -> st)  (Section 2.1.1, ∧-composition).  The statement, and so
+   its recorded updates, is unchanged. *)
 let restrict z ac = { ac with guard = Pred.and_ z ac.guard }
 
 let rename name ac = { ac with name }

@@ -29,6 +29,20 @@ val assign_pred :
   (string * (State.t -> Value.t)) list ->
   t
 
+(** The right-hand side of one update: an expression over the pre-state,
+    or [?], any value of the given domain. *)
+type rhs = Expr of Expr.t | Any of Domain.t
+
+(** [update name guard [(x, rhs); ...]] is the simultaneous assignment
+    [x, ... := rhs, ...] of the guarded-command language: every right-hand
+    side reads the pre-state, and each [Any d] fans out over the values of
+    [d] (ascending), the first wildcard of the list varying slowest.  The
+    action records the update list ({!updates}) so the transition-system
+    layer can compile it.
+    @raise Invalid_argument if a variable is assigned twice. *)
+val update :
+  ?based_on:string -> string -> Pred.t -> (string * rhs) list -> t
+
 (** [choose name guard fs] nondeterministically applies one of [fs]. *)
 val choose :
   ?based_on:string -> string -> Pred.t -> (State.t -> State.t) list -> t
@@ -42,6 +56,10 @@ val skip : string -> t
 val name : t -> string
 val guard : t -> Pred.t
 val based_on : t -> string option
+
+(** The update list of an action built by {!update} (kept by {!restrict}
+    and {!rename}); [None] for actions with an opaque statement. *)
+val updates : t -> (string * rhs) list option
 
 (** [enabled ac st]: the guard of [ac] is true in [st]. *)
 val enabled : t -> State.t -> bool

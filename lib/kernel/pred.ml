@@ -4,12 +4,18 @@
    true; the paper uses predicates and state sets interchangeably, and so do
    we: the working representation is a semantic function [State.t -> bool]
    carrying a name for diagnostics.  Boolean connectives on predicates are
-   exactly set operations. *)
+   exactly set operations.
+
+   A predicate built from an expression keeps it ([expr]), and the
+   connectives keep the combined expression when every operand has one,
+   so the transition-system layer can compile it against a layout; [eval]
+   is always the interpreter of that expression. *)
 
 type t = {
   id : int;
   name : string;
   eval : State.t -> bool;
+  expr : Expr.t option;
 }
 
 (* Unique per predicate instance; the transition-system caches key their
@@ -17,9 +23,13 @@ type t = {
    domains during parallel exploration. *)
 let counter = Atomic.make 0
 
-let make name eval = { id = Atomic.fetch_and_add counter 1; name; eval }
+let with_expr expr name eval =
+  { id = Atomic.fetch_and_add counter 1; name; eval; expr }
+
+let make name eval = with_expr None name eval
 
 let id p = p.id
+let expr p = p.expr
 
 let holds p st = p.eval st
 
@@ -31,21 +41,35 @@ let name p = p.name
 
 let of_expr ?name:n e =
   let name = match n with Some s -> s | None -> Expr.to_string e in
-  make name (fun st -> Expr.eval_bool st e)
+  with_expr (Some e) name (fun st -> Expr.eval_bool st e)
 
-let true_ = make "true" (fun _ -> true)
-let false_ = make "false" (fun _ -> false)
+let true_ = with_expr (Some Expr.true_) "true" (fun _ -> true)
+let false_ = with_expr (Some Expr.false_) "false" (fun _ -> false)
 
-let not_ p = make (Fmt.str "!(%s)" p.name) (fun st -> not (p.eval st))
+(* The expression of a connective, when both operands have one. *)
+let both f a b =
+  match (a.expr, b.expr) with Some ea, Some eb -> Some (f ea eb) | _ -> None
+
+let not_ p =
+  with_expr
+    (Option.map Expr.not_ p.expr)
+    (Fmt.str "!(%s)" p.name)
+    (fun st -> not (p.eval st))
 
 let and_ a b =
-  make (Fmt.str "(%s && %s)" a.name b.name) (fun st -> a.eval st && b.eval st)
+  with_expr
+    (both (fun ea eb -> Expr.and_ [ ea; eb ]) a b)
+    (Fmt.str "(%s && %s)" a.name b.name)
+    (fun st -> a.eval st && b.eval st)
 
 let or_ a b =
-  make (Fmt.str "(%s || %s)" a.name b.name) (fun st -> a.eval st || b.eval st)
+  with_expr
+    (both (fun ea eb -> Expr.or_ [ ea; eb ]) a b)
+    (Fmt.str "(%s || %s)" a.name b.name)
+    (fun st -> a.eval st || b.eval st)
 
 let implies a b =
-  make
+  with_expr (both Expr.implies a b)
     (Fmt.str "(%s => %s)" a.name b.name)
     (fun st -> (not (a.eval st)) || b.eval st)
 

@@ -27,6 +27,13 @@ val id : t -> int
 (** [of_expr e] interprets a boolean expression as a predicate. *)
 val of_expr : ?name:string -> Expr.t -> t
 
+(** The boolean expression this predicate evaluates, when it has one:
+    [of_expr], [true_], [false_], and the connectives [not_], [and_],
+    [or_], [implies] (and so [conj], [disj]) when every operand has one.
+    [make] and [of_states] predicates are opaque ([None]).  Compilers use
+    it to evaluate the predicate without building a state. *)
+val expr : t -> Expr.t option
+
 val true_ : t
 val false_ : t
 val not_ : t -> t

@@ -62,6 +62,8 @@ let set st x v =
 let of_list bindings =
   List.fold_left (fun st (x, v) -> set st x v) empty bindings
 
+let of_sorted_array (bindings : (string * Value.t) array) : t = bindings
+
 let bindings st = Array.to_list st
 
 let fold f st init =
@@ -140,14 +142,14 @@ let diff2 (a : t) (b : t) f =
 
 (* Scratch buffers: a mutable binding array sharing the representation of
    [t], so [scratch_view] is the identity.  The names are fixed at
-   creation; [scratch_set] only replaces the value of a slot. *)
+   creation; [scratch_set] only replaces the binding of a slot with one
+   for the same name. *)
 
 type scratch = t
 
 let scratch_create vars = Array.map (fun x -> (x, Value.bot)) vars
 
-let scratch_set (sc : scratch) k v =
-  Array.unsafe_set sc k (fst (Array.unsafe_get sc k), v)
+let scratch_set (sc : scratch) k binding = Array.unsafe_set sc k binding
 
 let scratch_view (sc : scratch) : t = sc
 let scratch_copy = Array.copy

@@ -8,6 +8,13 @@ type t
 val empty : t
 val of_list : (string * Value.t) list -> t
 
+(** [of_sorted_array bs] is the state with bindings [bs], taken without
+    copying.  The names must be distinct and in ascending order, and the
+    caller must not mutate [bs] afterwards.  Decoders that share one
+    binding pair per (variable, value) build a state with this in one
+    allocation. *)
+val of_sorted_array : (string * Value.t) array -> t
+
 (** [get st x] returns the value of [x].
     @raise Value.Type_error if [x] is unbound. *)
 val get : t -> string -> Value.t
@@ -62,9 +69,9 @@ type scratch
     ascending name order.  All slots start at [Value.bot]. *)
 val scratch_create : string array -> scratch
 
-(** [scratch_set sc k v] writes [v] into slot [k] (the [k]-th variable of
-    the buffer in name order). *)
-val scratch_set : scratch -> int -> Value.t -> unit
+(** [scratch_set sc k b] writes the binding [b] into slot [k] (the [k]-th
+    variable of the buffer in name order); [b] must bind that variable. *)
+val scratch_set : scratch -> int -> string * Value.t -> unit
 
 (** The buffer as a state, without copying.  Invalidated by the next
     {!scratch_set}. *)

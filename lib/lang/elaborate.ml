@@ -85,41 +85,24 @@ let pred env ?name e =
   let kexpr = expr env e in
   Pred.of_expr ?name kexpr
 
-(* Build the statement of an action from its assignment list.  Wildcard
-   assignments ('x := ?') fan out over the variable's domain. *)
-let statement env (assignments : Ast.assignment list) =
-  let compiled =
-    List.map
-      (fun (a : Ast.assignment) ->
-        let domain =
-          match List.assoc_opt a.target env.vars with
-          | Some d -> d
-          | None -> error "assignment to undeclared variable %s" a.target
-        in
-        match a.value with
-        | Some e ->
-          let ke = expr env e in
-          (a.target, `Expr ke)
-        | None -> (a.target, `Any domain))
-      assignments
-  in
-  fun st ->
-    let rec expand acc = function
-      | [] -> [ acc ]
-      | (x, `Expr ke) :: rest ->
-        (* Right-hand sides read the pre-state, as in simultaneous
-           assignment. *)
-        expand ((x, Expr.eval st ke) :: acc) rest
-      | (x, `Any d) :: rest ->
-        List.concat_map
-          (fun value -> expand ((x, value) :: acc) rest)
-          (Domain.values d)
-    in
-    List.map (State.update_many st) (expand [] compiled)
+(* The update list of an action: wildcard assignments ('x := ?') range
+   over the variable's domain. *)
+let updates env (assignments : Ast.assignment list) =
+  List.map
+    (fun (a : Ast.assignment) ->
+      let domain =
+        match List.assoc_opt a.target env.vars with
+        | Some d -> d
+        | None -> error "assignment to undeclared variable %s" a.target
+      in
+      match a.value with
+      | Some e -> (a.target, Action.Expr (expr env e))
+      | None -> (a.target, Action.Any domain))
+    assignments
 
 let action env (a : Ast.action_decl) =
   let guard = pred env ~name:(Fmt.str "guard(%s)" a.aname) a.guard in
-  Action.make ?based_on:a.based_on a.aname guard (statement env a.assignments)
+  Action.update ?based_on:a.based_on a.aname guard (updates env a.assignments)
 
 let spec_of_decls env name decls =
   let safety = ref Safety.top in
@@ -179,13 +162,13 @@ let elaborate (src : Ast.program) =
   in
   let invariants =
     List.filter_map
-      (function Ast.Invariant e -> Some (pred env e) | _ -> None)
+      (function Ast.Invariant e -> Some (expr env e) | _ -> None)
       src.decls
   in
   let invariant =
     match invariants with
     | [] -> Pred.true_
-    | ps -> Pred.make "invariant" (fun st -> List.for_all (fun p -> Pred.holds p st) ps)
+    | es -> Pred.of_expr ~name:"invariant" (Expr.and_ es)
   in
   let program =
     Program.make ~name:src.pname ~vars ~actions:program_actions

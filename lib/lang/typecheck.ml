@@ -4,7 +4,8 @@
    same classes of mistakes statically and with better messages:
    unknown identifiers, kind mismatches (boolean vs integer vs symbolic),
    guards that are not boolean, assignments outside the target's domain,
-   duplicate declarations, and self-referential predicate definitions. *)
+   duplicate declarations, actions assigning a variable twice, and
+   self-referential predicate definitions. *)
 
 type kind =
   | Kbool
@@ -171,6 +172,20 @@ let check_assignment env errors (a : Ast.assignment) =
           :: !errors
       | _ -> ()))
 
+(* A simultaneous assignment names each target once: [x := 1, x := 2]
+   has no meaning to pick. *)
+let check_targets (a : Ast.action_decl) errors =
+  let rec go seen = function
+    | [] -> ()
+    | (x : Ast.assignment) :: rest ->
+      if List.mem x.target seen then
+        errors :=
+          errf "action %s assigns %s more than once" a.aname x.target
+          :: !errors;
+      go (x.target :: seen) rest
+  in
+  go [] a.assignments
+
 let check_duplicates (src : Ast.program) errors =
   let dup what names =
     let sorted = List.sort String.compare names in
@@ -227,7 +242,8 @@ let check (src : Ast.program) : error list =
         if a.Ast.assignments = [] then
           errors :=
             errf "action %s has no assignments" a.Ast.aname :: !errors;
-        List.iter (check_assignment env errors) a.Ast.assignments
+        List.iter (check_assignment env errors) a.Ast.assignments;
+        check_targets a errors
       | Ast.Spec (Ast.Safety_never e) | Ast.Spec (Ast.Safety_always e)
       | Ast.Spec (Ast.Liveness_eventually e) ->
         boolean "spec expression" e

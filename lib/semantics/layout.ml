@@ -37,7 +37,7 @@ let last_escape : escape option Atomic.t = Atomic.make None
 
 let escape_reason () = Atomic.get last_escape
 
-let escaped e =
+let escape e =
   Atomic.set last_escape (Some e);
   raise Unrepresentable
 
@@ -56,6 +56,9 @@ type t = {
   strides : int array; (* strides.(k) = product of later domain sizes *)
   coders : coder array; (* value -> domain index *)
   space : int; (* full product size *)
+  (* bindings.(k).(c) = (vars.(k), domains.(k).(c)): every decoder writes
+     these shared pairs, so decoding allocates no pair per slot. *)
+  bindings : (string * Value.t) array array;
 }
 
 (* [of_program p] compiles the layout, or returns [None] when the product
@@ -114,7 +117,10 @@ let of_program p =
       end
     in
     let coders = Array.map coder_of domains in
-    Some { vars; domains; strides; coders; space = !space }
+    let bindings =
+      Array.mapi (fun k dom -> Array.map (fun v -> (vars.(k), v)) dom) domains
+    in
+    Some { vars; domains; strides; coders; space = !space; bindings }
   end
 
 let num_vars t = Array.length t.vars
@@ -122,12 +128,8 @@ let space t = t.space
 let var t k = t.vars.(k)
 let domain_values t k = Array.to_list t.domains.(k)
 
-(* [pack t st]: the rank of [st], in one lockstep walk over the state's
-   bindings (name-sorted) and the layout's variables (also name-sorted).
-   @raise Unrepresentable when [st] does not bind exactly the layout's
-   variables to in-domain values. *)
 (* Domain index of [v] at variable slot [i], or -1 when out of domain. *)
-let code_at t i v =
+let code t i v =
   match (t.coders.(i), v) with
   | Int_range lo, Value.Int x ->
     let c = x - lo in
@@ -137,6 +139,10 @@ let code_at t i v =
   | Table tbl, _ -> (
     match Hashtbl.find_opt tbl v with Some c -> c | None -> -1)
 
+(* [pack t st]: the rank of [st], in one lockstep walk over the state's
+   bindings (name-sorted) and the layout's variables (also name-sorted).
+   @raise Unrepresentable when [st] does not bind exactly the layout's
+   variables to in-domain values. *)
 let pack t st =
   let n = Array.length t.vars in
   let rank = ref 0 in
@@ -144,18 +150,18 @@ let pack t st =
   State.fold
     (fun x v () ->
       let i = !k in
-      if i >= n then escaped (Extra_variable x);
+      if i >= n then escape (Extra_variable x);
       if not (String.equal x t.vars.(i)) then
         (* Both sides are name-sorted: the smaller name is the odd one out. *)
-        escaped
+        escape
           (if String.compare x t.vars.(i) < 0 then Extra_variable x
            else Missing_variable t.vars.(i));
-      let code = code_at t i v in
-      if code < 0 then escaped (Out_of_domain (x, v))
-      else rank := !rank + (code * t.strides.(i));
+      let c = code t i v in
+      if c < 0 then escape (Out_of_domain (x, v))
+      else rank := !rank + (c * t.strides.(i));
       incr k)
     st ();
-  if !k <> n then escaped (Missing_variable t.vars.(!k));
+  if !k <> n then escape (Missing_variable t.vars.(!k));
   !rank
 
 exception Slow
@@ -179,7 +185,7 @@ let pack_from t ~src_rank src st' =
   let rank = ref src_rank in
   match
     State.diff2 src st' (fun k v v' ->
-        let c = code_at t k v and c' = code_at t k v' in
+        let c = code t k v and c' = code t k v' in
         if c < 0 || c' < 0 then raise Slow;
         rank := !rank + ((c' - c) * t.strides.(k)))
   with
@@ -191,16 +197,19 @@ let pack_opt t st = match pack t st with
   | rank -> Some rank
   | exception Unrepresentable -> None
 
-let unpack t rank =
+let check_rank what t rank =
   if rank < 0 || rank >= t.space then
-    Detcor_robust.Error.internal "Layout.unpack: rank %d outside [0,%d)" rank t.space;
-  let n = Array.length t.vars in
-  let st = ref State.empty in
-  for k = 0 to n - 1 do
-    let code = rank / t.strides.(k) mod Array.length t.domains.(k) in
-    st := State.set !st t.vars.(k) t.domains.(k).(code)
-  done;
-  !st
+    Detcor_robust.Error.internal "Layout.%s: rank %d outside [0,%d)" what rank
+      t.space
+
+let code_of_rank t k rank = rank / t.strides.(k) mod Array.length t.domains.(k)
+
+(* One allocation: the binding array, filled from the shared pairs. *)
+let unpack t rank =
+  check_rank "unpack" t rank;
+  State.of_sorted_array
+    (Array.init (Array.length t.vars) (fun k ->
+         t.bindings.(k).(code_of_rank t k rank)))
 
 (* [unpack_into t sc rank] decodes [rank] into the scratch buffer [sc]
    (created over this layout's variables) instead of allocating a fresh
@@ -208,13 +217,9 @@ let unpack t rank =
    ranks per predicate evaluation and must not build a state per
    visit.  The buffer is invalidated by the next call. *)
 let unpack_into t sc rank =
-  if rank < 0 || rank >= t.space then
-    Detcor_robust.Error.internal "Layout.unpack_into: rank %d outside [0,%d)"
-      rank t.space;
-  let n = Array.length t.vars in
-  for k = 0 to n - 1 do
-    let code = rank / t.strides.(k) mod Array.length t.domains.(k) in
-    State.scratch_set sc k t.domains.(k).(code)
+  check_rank "unpack_into" t rank;
+  for k = 0 to Array.length t.vars - 1 do
+    State.scratch_set sc k t.bindings.(k).(code_of_rank t k rank)
   done
 
 (* A scratch buffer shaped for {!unpack_into}. *)
@@ -234,12 +239,56 @@ let iter_scratch t f =
     end
     else
       Array.iter
-        (fun v ->
-          State.scratch_set sc k v;
+        (fun b ->
+          State.scratch_set sc k b;
           go (k + 1))
-        t.domains.(k)
+        t.bindings.(k)
   in
   go 0
+
+(* ------------------------------------------------------------------ *)
+(* Slot codes: the state as an int array of per-variable domain codes.  *)
+(* ------------------------------------------------------------------ *)
+
+let slot t x =
+  let lo = ref 0 and hi = ref (Array.length t.vars) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = String.compare x t.vars.(mid) in
+    if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
+  done;
+  if !found >= 0 then Some !found else None
+
+let stride t k = t.strides.(k)
+
+let decode t rank codes =
+  for k = 0 to Array.length t.vars - 1 do
+    Array.unsafe_set codes k (code_of_rank t k rank)
+  done
+
+(* [codes] of rank r becomes the codes of rank r + 1: an odometer step,
+   no division. *)
+let advance t codes =
+  let k = ref (Array.length codes - 1) in
+  while
+    !k >= 0
+    &&
+    (codes.(!k) <- codes.(!k) + 1;
+     codes.(!k) = Array.length t.domains.(!k))
+  do
+    codes.(!k) <- 0;
+    decr k
+  done
+
+(* The product space in rank order through one code buffer: no division
+   and no allocation per visited state. *)
+let iter_codes t f =
+  let codes = Array.make (Array.length t.vars) 0 in
+  for rank = 0 to t.space - 1 do
+    Detcor_robust.Budget.tick ();
+    f rank codes;
+    advance t codes
+  done
 
 let iter_states t f = iter_scratch t (fun sc -> f (State.scratch_copy sc))
 

@@ -60,7 +60,8 @@ val pack_opt : t -> State.t -> int option
 val pack_from : t -> src_rank:int -> State.t -> State.t -> int
 
 (** [unpack t rank] rebuilds the state of the given rank; inverse of
-    {!pack} on representable states. *)
+    {!pack} on representable states.  Allocates one binding array: the
+    (variable, value) pairs are shared by every decoded state. *)
 val unpack : t -> int -> State.t
 
 (** [unpack_into t sc rank] decodes [rank] into the scratch buffer [sc]
@@ -80,5 +81,38 @@ val iter_states : t -> (State.t -> unit) -> unit
     instead of an allocation.  The buffer is invalidated by the next
     visit — the callback must [State.scratch_copy] states it retains. *)
 val iter_scratch : t -> (State.scratch -> unit) -> unit
+
+(** {1 Slot codes}
+
+    A state of the layout is also an int array of per-slot domain codes
+    ([codes.(k)] is the index of slot [k]'s value in its ascending domain),
+    and its rank is [Σ codes.(k) · stride k].  Compiled actions and
+    predicates ({!Compiled}) read states in this form. *)
+
+(** The slot of a variable, if the layout has it. *)
+val slot : t -> string -> int option
+
+val stride : t -> int -> int
+
+(** [code t k v]: the code of [v] at slot [k], or [-1] when [v] is outside
+    the slot's domain. *)
+val code : t -> int -> Value.t -> int
+
+(** Record [e] as the {!escape_reason} and raise {!Unrepresentable}, as a
+    failing {!pack} does. *)
+val escape : escape -> 'a
+
+(** [decode t rank codes] writes the slot codes of [rank] into [codes]
+    (of length {!num_vars}). *)
+val decode : t -> int -> int array -> unit
+
+(** [advance t codes] turns the codes of rank [r] into those of rank
+    [r + 1] (an odometer step, cheaper than {!decode}). *)
+val advance : t -> int array -> unit
+
+(** [iter_codes t f] calls [f rank codes] for every rank of the product
+    space in ascending order, through one code buffer that is overwritten
+    after each call. *)
+val iter_codes : t -> (int -> int array -> unit) -> unit
 
 val pp : t Fmt.t

@@ -12,17 +12,23 @@
      and owns the [Auto] fallback;
    - one seed enumerator ([seed_ranks]) yields the seeds as ascending,
      duplicate-free [Layout] ranks (rank order is [State.compare] order);
-   - one successor kernel ([successors]) yields (action, successor, rank)
-     for a source state of known rank, in action order;
-   - the results land in a flat store (CSR arrays, states interned by rank;
-     the full product skips interning, a state's index being its rank) or
+   - one successor kernel ([successors]) yields (action, successor rank)
+     for a source state of known rank, in action order.  Actions built
+     from update lists (every guarded-command program) run compiled
+     ([Compiled]): guards read slot codes and successor ranks are
+     computed arithmetically, with no successor state; closure-built
+     actions run the interpreter and [Layout.pack_from];
+   - the results land in a flat store (CSR arrays, states interned by rank
+     and materialized only when a rank is new; the full product skips
+     interning, a state's index being its rank) or
      in the shard store ([Shard_store]: hash-partitioned arenas that spill
      to disk).  Wide frontiers of the flat store fan out over OCaml 5
      domains through one chunk runner whose in-order merge keeps the
      numbering independent of the worker count.
 
    Predicate and guard sweeps over either store are cached in per-system
-   bitsets, so [holds_at] and [enabled] answer in O(1) after one sweep.
+   bitsets, so [holds_at] and [enabled] answer in O(1) after one sweep; a
+   predicate with an expression is swept compiled, over ranks.
 
    [build_reference], the seed list-based path (map-keyed interning,
    evaluation on every query), stays as the fallback for programs whose
@@ -107,6 +113,10 @@ type t = {
   initials : int list;
   lookup : State.t -> int option;
   layout : Layout.t option; (* Some iff built by the packed engine *)
+  (* Rank of each state of a flat BFS store; empty when state [i] has rank
+     [i] (the full product) or there is no flat layout store. *)
+  ranks : int array;
+  compiled : int; (* actions that ran compiled *)
   (* Bitset caches; only consulted when [cached] (packed engine). *)
   cached : bool;
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
@@ -136,6 +146,7 @@ type builder = {
   mutable elen : int;
   mutable rows : int array; (* rows.(i+1) = end offset of state i's edges *)
   mutable expanded : int; (* states with closed rows: 0..expanded-1 *)
+  mutable expect : int; (* final state count when known up front, else 0 *)
   limit : int;
 }
 
@@ -148,6 +159,7 @@ let new_builder ~limit =
     elen = 0;
     rows = Array.make 1025 0;
     expanded = 0;
+    expect = 0;
     limit;
   }
 
@@ -169,15 +181,29 @@ let add_state b st =
   b.count <- i + 1;
   i
 
-let push_edge b aid j =
+(* Room for [n] edges.  When the final state count is known ([expect]),
+   growth extrapolates the mean out-degree of the closed rows: one or two
+   reallocations of about the final size instead of a doubling chain,
+   each of which copies every edge so far. *)
+let ensure_edges b n =
   let cap = Array.length b.ea in
-  if b.elen >= cap then begin
-    let ea' = Array.make (2 * cap) 0 and et' = Array.make (2 * cap) 0 in
-    Array.blit b.ea 0 ea' 0 cap;
-    Array.blit b.et 0 et' 0 cap;
+  if n > cap then begin
+    let target =
+      if b.expect > 0 && b.expanded > 0 then
+        let projected = b.elen * b.expect / b.expanded in
+        max (cap + (cap / 4)) (projected + (projected / 16))
+      else 2 * cap
+    in
+    let cap' = max n target in
+    let ea' = Array.make cap' 0 and et' = Array.make cap' 0 in
+    Array.blit b.ea 0 ea' 0 b.elen;
+    Array.blit b.et 0 et' 0 b.elen;
     b.ea <- ea';
     b.et <- et'
-  end;
+  end
+
+let push_edge b aid j =
+  if b.elen >= Array.length b.ea then ensure_edges b (b.elen + 1);
   b.ea.(b.elen) <- aid;
   b.et.(b.elen) <- j;
   b.elen <- b.elen + 1
@@ -210,17 +236,6 @@ type build_snap = {
   s_expanded : int;
 }
 
-let ensure_edges b n =
-  let cap = Array.length b.ea in
-  if n > cap then begin
-    let cap' = max n (2 * cap) in
-    let ea' = Array.make cap' 0 and et' = Array.make cap' 0 in
-    Array.blit b.ea 0 ea' 0 b.elen;
-    Array.blit b.et 0 et' 0 b.elen;
-    b.ea <- ea';
-    b.et <- et'
-  end
-
 let snap_of_builder ?(ranks = [||]) b =
   let closed = b.rows.(b.expanded) in
   {
@@ -240,8 +255,8 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard
-    (states, row_ptr, edge_action, edge_target) =
+let make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
+    ~cached ~shard (states, row_ptr, edge_action, edge_target) =
   {
     program;
     states;
@@ -252,6 +267,8 @@ let make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard
     initials;
     lookup;
     layout;
+    ranks;
+    compiled;
     cached;
     shard;
     pred_cache = Hashtbl.create 16;
@@ -259,15 +276,21 @@ let make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard
     fallback_reason = None;
   }
 
-let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
+(* Edges are read through [row_ptr] only, so edge arrays keep a small
+   capacity slack rather than being copied to their exact length. *)
+let trim a len = if Array.length a - len > len / 8 then Array.sub a 0 len else a
+
+let finish b ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
+    ~cached =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   count_build ~states:n ~edges:b.elen;
-  make_system ~program ~actions ~initials ~lookup ~layout ~cached ~shard:None
+  make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
+    ~cached ~shard:None
     ( Array.sub b.states_buf 0 n,
       Array.sub b.rows 0 (n + 1),
-      Array.sub b.ea 0 b.elen,
-      Array.sub b.et 0 b.elen )
+      trim b.ea b.elen,
+      trim b.et b.elen )
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -308,7 +331,7 @@ let build_reference ~limit program ~from =
       done);
   finish b ~program ~actions ~initials
     ~lookup:(fun st -> State_table.find_opt index st)
-    ~layout:None ~cached:false
+    ~layout:None ~ranks:[||] ~compiled:0 ~cached:false
 
 (* ------------------------------------------------------------------ *)
 (* The construction pipeline: seeds, successor kernel, chunk runner.   *)
@@ -334,10 +357,8 @@ let seed_ranks layout = function
     ( Array.of_list (List.map fst ranked),
       Some (Array.of_list (List.map snd ranked)) )
   | Satisfying pred ->
-    let buf = ref [] and rank = ref 0 in
-    Layout.iter_scratch layout (fun sc ->
-        if Pred.holds pred (State.scratch_view sc) then buf := !rank :: !buf;
-        incr rank);
+    let buf = ref [] in
+    Compiled.iter_satisfying layout pred (fun rank -> buf := rank :: !buf);
     (Array.of_list (List.rev !buf), None)
   | Everything -> (Array.init (Layout.space layout) Fun.id, None)
 
@@ -347,27 +368,62 @@ let seed_states program = function
   | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
   | Everything -> Program.states program
 
-(* A fresh state of the given rank, decoded through the scratch [sc]. *)
-let state_of_rank layout sc rank =
-  Layout.unpack_into layout sc rank;
-  State.scratch_copy sc
+(* A program's actions compiled against its layout: [compiled.(aid)] is
+   [Some] for an action whose update list compiled, [None] for a
+   closure-built action, which runs through the interpreter and
+   [Layout.pack_from]. *)
+type kernel = {
+  k_layout : Layout.t;
+  k_actions : Action.t array;
+  k_compiled : Compiled.action option array;
+  num_compiled : int;
+  needs_state : bool; (* some action reads the source [State.t] *)
+}
 
-(* [f aid st' rank'] for each statement outcome [st'] of action [aid];
+let kernel layout program =
+  let actions = Array.of_list (Program.actions program) in
+  let compiled = Array.map (Compiled.action layout) actions in
+  {
+    k_layout = layout;
+    k_actions = actions;
+    k_compiled = compiled;
+    num_compiled =
+      Array.fold_left (fun n c -> if c = None then n else n + 1) 0 compiled;
+    needs_state =
+      Array.exists
+        (function None -> true | Some c -> Compiled.needs_state c)
+        compiled;
+  }
+
+(* A slot-code buffer for [successors]; one per domain. *)
+let codes_buffer k = Array.make (Layout.num_vars k.k_layout) 0
+
+(* Load [codes] with the slot codes of [rank], when compiled actions read
+   them. *)
+let decode k rank codes =
+  if k.num_compiled > 0 then Layout.decode k.k_layout rank codes
+
+(* [f aid rank'] for each statement outcome [st'] of action [aid];
    top-level, so the kernel allocates no closure per action. *)
 let rec emit layout ~rank st aid f = function
   | [] -> ()
   | st' :: rest ->
-    f aid st' (Layout.pack_from layout ~src_rank:rank st st');
+    f aid (Layout.pack_from layout ~src_rank:rank st st');
     emit layout ~rank st aid f rest
 
-(* The successor kernel: [f aid st' rank'] for every successor [st'] of
-   [st] (of rank [rank]), in action order and then statement order — the
-   edge order of every engine.  No closure or allocation of its own per
+(* The successor kernel: [f aid rank'] for every successor of the state
+   [st] of rank [rank], in action order and then statement order — the
+   edge order of every engine.  [codes] holds the slot codes of [rank]
+   (see [decode]); [st] is only read by interpreted actions and closure
+   guards ([k.needs_state]).  No closure or allocation of its own per
    edge; pure apart from [f], so it runs on worker domains too. *)
-let successors layout actions ~rank st f =
+let successors k ~codes ~rank st f =
   Detcor_robust.Budget.tick ();
-  for aid = 0 to Array.length actions - 1 do
-    emit layout ~rank st aid f (Action.execute actions.(aid) st)
+  for aid = 0 to Array.length k.k_actions - 1 do
+    match Array.unsafe_get k.k_compiled aid with
+    | Some c -> Compiled.successors c ~codes ~rank st aid f
+    | None ->
+      emit k.k_layout ~rank st aid f (Action.execute k.k_actions.(aid) st)
   done
 
 (* Run [f w] for w = 0..n-1 on fresh domains; join them in order. *)
@@ -438,25 +494,34 @@ let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
 (* ------------------------------------------------------------------ *)
 
 (* Breadth-first exploration from the seed ranks, interning states by
-   rank in a hashtable, expanding frontiers in id order. *)
-let build_packed ~limit ~workers layout program (seeds, seed_states) =
-  let actions = Array.of_list (Program.actions program) in
+   rank in a hashtable, expanding frontiers in id order.  A state is
+   materialized only when its rank is new. *)
+let build_packed ~limit ~workers k program (seeds, seed_states) =
+  let layout = k.k_layout in
   let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   let b = new_builder ~limit in
-  let intern st rank =
-    match Hashtbl.find_opt index rank with
-    | Some i -> i
-    | None ->
+  let ranks = ref (Array.make 1024 0) in
+  let intern ?st rank =
+    match Hashtbl.find index rank with
+    | i -> i
+    | exception Not_found ->
+      let st =
+        match st with Some st -> st | None -> Layout.unpack layout rank
+      in
       let i = add_state b st in
+      if i >= Array.length !ranks then begin
+        let ranks' = Array.make (2 * i) 0 in
+        Array.blit !ranks 0 ranks' 0 i;
+        ranks := ranks'
+      end;
+      !ranks.(i) <- rank;
       Hashtbl.add index rank i;
       i
   in
-  let sc = Layout.scratch layout in
-  let intern_rank rank = ignore (intern (state_of_rank layout sc rank) rank) in
   (match seed_states with
   | Some states ->
-    Array.iteri (fun i rank -> ignore (intern states.(i) rank)) seeds
-  | None -> Array.iter intern_rank seeds);
+    Array.iteri (fun i rank -> ignore (intern ~st:states.(i) rank)) seeds
+  | None -> Array.iter (fun rank -> ignore (intern rank)) seeds);
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.bfs" in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
@@ -466,29 +531,27 @@ let build_packed ~limit ~workers layout program (seeds, seed_states) =
        discovery order, so ids land exactly where they were.  The seeds
        already occupy the prefix. *)
     Array.iteri
-      (fun i rank -> if i >= b.count then intern_rank rank)
+      (fun i rank -> if i >= b.count then ignore (intern rank))
       snap.s_ranks;
     restore_edges b snap
   | None -> ());
   let capture () =
-    Marshal.to_string
-      (snap_of_builder b
-         ~ranks:(Array.init b.count (fun i -> Layout.pack layout b.states_buf.(i))))
-      []
+    Marshal.to_string (snap_of_builder b ~ranks:(Array.sub !ranks 0 b.count)) []
   in
   Detcor_robust.Checkpoint.set_capture phase capture;
   let expand i =
-    let st = b.states_buf.(i) in
-    let acc = ref [] in
-    successors layout actions ~rank:(Layout.pack layout st) st (fun aid st' r ->
-        acc := (aid, st', r) :: !acc);
+    let acc = ref [] and codes = codes_buffer k and rank = !ranks.(i) in
+    decode k rank codes;
+    successors k ~codes ~rank b.states_buf.(i) (fun aid r ->
+        acc := (aid, r) :: !acc);
     List.rev !acc
   in
   let merge i succs =
-    List.iter (fun (aid, st', r) -> push_edge b aid (intern st' r)) succs;
+    List.iter (fun (aid, r) -> push_edge b aid (intern r)) succs;
     close_row b i
   in
-  let on_edge aid st' r = push_edge b aid (intern st' r) in
+  let codes = codes_buffer k in
+  let on_edge aid r = push_edge b aid (intern r) in
   (* A lost worker shrinks the pool for the rest of the build. *)
   let eff_workers = ref workers in
   let level = ref 0 in
@@ -514,35 +577,40 @@ let build_packed ~limit ~workers layout program (seeds, seed_states) =
         end
         else
           for i = lo to hi - 1 do
-            let st = b.states_buf.(i) in
-            successors layout actions ~rank:(Layout.pack layout st) st on_edge;
+            let rank = !ranks.(i) in
+            decode k rank codes;
+            successors k ~codes ~rank b.states_buf.(i) on_edge;
             close_row b i
           done
       done);
-  Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions
+  (* Without a checkpoint session there is no one to hand the capture to,
+     and it copies and marshals every edge. *)
+  if Detcor_robust.Checkpoint.active () then
+    Detcor_robust.Checkpoint.complete phase (capture ());
+  finish b ~program ~actions:k.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
     ~lookup:(fun st ->
       match Layout.pack_opt layout st with
       | None -> None
       | Some rank -> Hashtbl.find_opt index rank)
-    ~layout:(Some layout) ~cached:true
+    ~layout:(Some layout)
+    ~ranks:(Array.sub !ranks 0 b.count)
+    ~compiled:k.num_compiled ~cached:true
 
 (* Packed [full]: every product state is present, so a state's index IS
    its rank — no interning table at all.  States are materialized in rank
    order (= State.compare order = the reference numbering) and each
    successor's rank is its index. *)
-let full_packed ~limit ~workers layout program =
-  let actions = Array.of_list (Program.actions program) in
+let full_packed ~limit ~workers k program =
+  let layout = k.k_layout in
   let b = new_builder ~limit in
-  (* The exact state count is known up front: size the buffers once
-     instead of doubling through a dozen reallocations. *)
+  (* The exact state count is known up front: size the state buffers
+     once, and let the edge buffers grow by projection. *)
   let space = Layout.space layout in
   if space > Array.length b.states_buf && space <= limit then begin
     b.states_buf <- Array.make space State.empty;
     b.rows <- Array.make (space + 1) 0;
-    b.ea <- Array.make space 0;
-    b.et <- Array.make space 0
+    b.expect <- space
   end;
   Layout.iter_scratch layout (fun sc ->
       ignore (add_state b (State.scratch_copy sc)));
@@ -565,25 +633,33 @@ let full_packed ~limit ~workers layout program =
         ignore
           (run_chunks ~workers ~lo:base ~hi:n
              ~expand:(fun i ->
-               let acc = ref [] in
-               successors layout actions ~rank:i b.states_buf.(i)
-                 (fun aid _ r -> acc := (aid, r) :: !acc);
+               let acc = ref [] and codes = codes_buffer k in
+               decode k i codes;
+               successors k ~codes ~rank:i b.states_buf.(i) (fun aid r ->
+                   acc := (aid, r) :: !acc);
                List.rev !acc)
              ~merge:(fun i succs ->
                List.iter (fun (aid, r) -> push_edge b aid r) succs;
                close_row b i))
       else begin
-        let on_edge aid _ r = push_edge b aid r in
+        (* Ranks run in order: step the codes instead of decoding. *)
+        let codes = codes_buffer k in
+        decode k base codes;
+        let on_edge aid r = push_edge b aid r in
         for i = base to n - 1 do
-          successors layout actions ~rank:i b.states_buf.(i) on_edge;
-          close_row b i
+          successors k ~codes ~rank:i b.states_buf.(i) on_edge;
+          close_row b i;
+          Layout.advance layout codes
         done
       end);
-  Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions
+  (* Without a checkpoint session there is no one to hand the capture to,
+     and it copies and marshals every edge. *)
+  if Detcor_robust.Checkpoint.active () then
+    Detcor_robust.Checkpoint.complete phase (capture ());
+  finish b ~program ~actions:k.k_actions
     ~initials:(List.init n Fun.id)
     ~lookup:(fun st -> Layout.pack_opt layout st)
-    ~layout:(Some layout) ~cached:true
+    ~layout:(Some layout) ~ranks:[||] ~compiled:k.num_compiled ~cached:true
 
 (* ------------------------------------------------------------------ *)
 (* Shard store: hash-partitioned, disk-spillable arenas.               *)
@@ -619,8 +695,8 @@ let shard_window = 32_768
    the store there and replays the lost level deterministically.  Spill
    files written by the interrupted run are content-identical and are
    reused, never rewritten. *)
-let build_sharded ~limit ~workers layout program ~seeds =
-  let actions = Array.of_list (Program.actions program) in
+let build_sharded ~limit ~workers kern program ~seeds =
+  let layout = kern.k_layout in
   let shards, spill_dir, budget_mb = !shard_params in
   let k = min shards Shard_store.max_shards in
   let arena_budget = budget_mb * 1024 * 1024 in
@@ -662,9 +738,9 @@ let build_sharded ~limit ~workers layout program ~seeds =
      [stride] into the outbox.  Pure appends: each (producer, owner) lane
      is written by exactly one caller. *)
   let expand_sources ob ~lo ~hi ~stride ~part =
-    let sc = Layout.scratch layout in
+    let codes = codes_buffer kern in
     let gid = ref 0 and producer = ref 0 and pos = ref 0 in
-    let on_edge aid _ rank =
+    let on_edge aid rank =
       Shard_store.Outbox.put ob ~producer:!producer ~gid:!gid ~pos:!pos ~aid
         ~rank;
       incr pos
@@ -676,7 +752,11 @@ let build_sharded ~limit ~workers layout program ~seeds =
         gid := g;
         producer := p;
         pos := 0;
-        successors layout actions ~rank (state_of_rank layout sc rank) on_edge
+        let st =
+          if kern.needs_state then Layout.unpack layout rank else State.empty
+        in
+        decode kern rank codes;
+        successors kern ~codes ~rank st on_edge
       end
     done
   in
@@ -738,13 +818,14 @@ let build_sharded ~limit ~workers layout program ~seeds =
   if Obs.on () || Progress.armed () then live_flush ();
   count_build ~states:(Shard_store.num_states store)
     ~edges:(Shard_store.num_edges store);
-  make_system ~program ~actions
+  make_system ~program ~actions:kern.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
     ~lookup:(fun st ->
       match Layout.pack_opt layout st with
       | None -> None
       | Some rank -> Shard_store.find store rank)
-    ~layout:(Some layout) ~cached:true ~shard:(Some store)
+    ~layout:(Some layout) ~ranks:[||] ~compiled:kern.num_compiled ~cached:true
+    ~shard:(Some store)
     ([||], [| 0 |], [||], [||])
 
 (* ------------------------------------------------------------------ *)
@@ -859,10 +940,11 @@ let iter_edges ts f =
   match ts.shard with
   | Some store -> Shard_store.iter_edges store f
   | None ->
-    let n = num_states ts in
-    for i = 0 to n - 1 do
+    for i = 0 to num_states ts - 1 do
       Detcor_robust.Budget.tick ();
-      iter_out ts i (fun aid j -> f i aid j)
+      for k = ts.row_ptr.(i) to ts.row_ptr.(i + 1) - 1 do
+        f i ts.edge_action.(k) ts.edge_target.(k)
+      done
     done
 
 let fold_edges ts f init =
@@ -900,7 +982,8 @@ let fell_back reason ts =
   ts
 
 (* Every construction: pick the store for [engine], seed it, and annotate
-   the [ts.build] span, on completion, with the size of what was built.
+   the [ts.build] span, on completion, with the size of what was built and
+   how many of its actions ran compiled.
    [Auto] runs the flat store and falls back to the reference engine when
    the product overflows the rank range or a state steps outside the
    declared domains; [Packed] and [Sharded] raise instead. *)
@@ -917,9 +1000,10 @@ let construct op ~limit ~engine ~workers program seeds =
     build_reference ~limit program ~from:(seed_states program seeds)
   in
   let flat layout =
+    let k = kernel layout program in
     match seeds with
-    | Everything -> full_packed ~limit ~workers layout program
-    | _ -> build_packed ~limit ~workers layout program (seed_ranks layout seeds)
+    | Everything -> full_packed ~limit ~workers k program
+    | _ -> build_packed ~limit ~workers k program (seed_ranks layout seeds)
   in
   let ts =
     match engine with
@@ -929,7 +1013,7 @@ let construct op ~limit ~engine ~workers program seeds =
       | Auto, None -> fell_back overflow_reason (reference ())
       | _, None -> raise Layout.Unrepresentable
       | Sharded, Some layout ->
-        build_sharded ~limit ~workers layout program
+        build_sharded ~limit ~workers (kernel layout program) program
           ~seeds:(fst (seed_ranks layout seeds))
       | Packed, Some layout -> flat layout
       | _, Some layout -> (
@@ -943,6 +1027,8 @@ let construct op ~limit ~engine ~workers program seeds =
         Attr.int "states" (num_states ts);
         Attr.int "edges" (num_edges ts);
         Attr.bool "packed" (ts.layout <> None);
+        Attr.int "actions" (Array.length ts.actions);
+        Attr.int "compiled" ts.compiled;
       ];
   ts
 
@@ -1008,19 +1094,42 @@ let iter_in rev j f =
 (* Cached predicate and guard queries.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One sweep of [pred] over every state, in id order.  On a shard store
-   ranks decode into a scratch buffer: no state allocation per visit,
-   spilled segments stream through. *)
+(* [f i rank] for every state [i] of a BFS or shard store, in id order. *)
+let iter_ranks ts f =
+  match ts.shard with
+  | Some store -> Shard_store.iter_ranks store f
+  | None -> Array.iteri f ts.ranks
+
+(* One sweep of [pred] over every state, in id order.  A predicate with an
+   expression runs compiled on each state's rank, decoded into slot codes;
+   otherwise, on a shard store, ranks decode into a scratch buffer.
+   Neither allocates per visit, and spilled segments stream through. *)
 let sweep ts pred =
   let bits = Bitset.create (num_states ts) in
-  (match ts.shard with
-  | Some store ->
+  let compiled =
+    Option.bind ts.layout (fun layout ->
+        Option.map (fun holds -> (layout, holds)) (Compiled.pred layout pred))
+  in
+  (match (compiled, ts.shard) with
+  | Some (layout, holds), None when Array.length ts.ranks = 0 ->
+    (* The full product: state i has rank i, so the codes step. *)
+    let codes = Array.make (Layout.num_vars layout) 0 in
+    for i = 0 to num_states ts - 1 do
+      if holds codes then Bitset.set bits i;
+      Layout.advance layout codes
+    done
+  | Some (layout, holds), _ ->
+    let codes = Array.make (Layout.num_vars layout) 0 in
+    iter_ranks ts (fun i rank ->
+        Layout.decode layout rank codes;
+        if holds codes then Bitset.set bits i)
+  | None, Some store ->
     let layout = Option.get ts.layout in
     let sc = Layout.scratch layout in
     Shard_store.iter_ranks store (fun gid rank ->
         Layout.unpack_into layout sc rank;
         if Pred.holds pred (State.scratch_view sc) then Bitset.set bits gid)
-  | None ->
+  | None, None ->
     Array.iteri
       (fun i st -> if Pred.holds pred st then Bitset.set bits i)
       ts.states);

@@ -112,15 +112,54 @@ let surface_exhaustion f =
          })
 
 (* ------------------------------------------------------------------ *)
+(* Bad states and bad transitions by state index                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The bad states of [sspec] among the states of [ts].  A decomposed
+   specification is the union of its bad-state predicates' cached
+   [Ts.pred_bitset]s (compiled sweeps on a layout system); an opaque one
+   evaluates its closure on every state. *)
+let bad_states ts sspec =
+  let n = Ts.num_states ts in
+  match Safety.decompose sspec with
+  | Some { bad_states; _ } ->
+    let bad = Bitset.create n in
+    List.iter
+      (fun p -> Bitset.union_into ~into:bad (Ts.pred_bitset ts p))
+      bad_states;
+    bad
+  | None -> Bitset.of_fn n (fun i -> Safety.bad_state sspec (Ts.state ts i))
+
+(* [bad_transition ts sspec i j]: the step from state [i] to state [j] of
+   [ts] is bad.  A decomposed pair [(l, r)] is [l(i) ∧ ¬r(j)], two bitset
+   probes; an opaque specification runs its closure on the two states. *)
+let bad_transition ts sspec =
+  match Safety.decompose sspec with
+  | Some { bad_pairs; _ } ->
+    let pairs =
+      List.map
+        (fun (l, r) -> (Ts.pred_bitset ts l, Ts.pred_bitset ts r))
+        bad_pairs
+    in
+    let rec bad i j = function
+      | [] -> false
+      | (l, r) :: rest ->
+        (Bitset.get l i && not (Bitset.get r j)) || bad i j rest
+    in
+    fun i j -> bad i j pairs
+  | None ->
+    fun i j -> Safety.bad_transition sspec (Ts.state ts i) (Ts.state ts j)
+
+(* ------------------------------------------------------------------ *)
 (* ms / mt                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* [ms]: the states from which the fault actions alone can reach a safety
    violation — the backward fixpoint over fault edges seeded with the bad
-   states and the sources of bad fault transitions.  Membership lives in a
-   bitset and predecessor iteration runs over the reverse fault-edge
-   CSR. *)
-let compute_ms ts_pf ~fault_ids ~sspec ~bad =
+   states and the sources of bad fault transitions ([bad_tr]).  Membership
+   lives in a bitset and predecessor iteration runs over the reverse
+   fault-edge CSR. *)
+let compute_ms ts_pf ~fault_ids ~bad ~bad_tr =
   Obs.span "synth.compute_ms" @@ fun () ->
   let n = Ts.num_states ts_pf in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.ms" in
@@ -154,11 +193,7 @@ let compute_ms ts_pf ~fault_ids ~sspec ~bad =
          bad-transition predicate runs on those alone rather than on
          every product edge. *)
       for j = 0 to n - 1 do
-        Ts.iter_in rev j (fun _aid i ->
-            if
-              Safety.bad_transition sspec (Ts.state ts_pf i)
-                (Ts.state ts_pf j)
-            then add i)
+        Ts.iter_in rev j (fun _aid i -> if bad_tr i j then add i)
       done;
       for i = 0 to n - 1 do
         if Bitset.get bad i then add i
@@ -205,7 +240,7 @@ let make_mt ts_pf ~in_ms_at ~sspec s s' =
    probe.  States outside the explored system (it covers the whole product
    space, so only states over a different variable set, or out-of-domain
    states no step reaches) fall back to the semantic formula. *)
-let detection_guards ts_pf ~sspec ~bad ~ms p =
+let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p =
   let n = Ts.num_states ts_pf in
   let acts = Program.actions p in
   let pos_of = Array.make (Ts.num_actions ts_pf) (-1) in
@@ -219,9 +254,7 @@ let detection_guards ts_pf ~sspec ~bad ~ms p =
   Ts.iter_edges ts_pf (fun i aid j ->
       let k = pos_of.(aid) in
       if k >= 0
-         && (Bitset.get bad j
-            || Bitset.get ms j
-            || Safety.bad_transition sspec (Ts.state ts_pf i) (Ts.state ts_pf j))
+         && (Bitset.get bad j || Bitset.get ms j || bad_tr i j)
       then Bitset.set bad_step.(k) i);
   let in_ms_at = Bitset.get ms in
   List.mapi
@@ -264,7 +297,9 @@ let restrict_with guards p =
    drop states that the restriction newly deadlocked (states that could
    move in [p] but cannot in the restricted program within the shrinking
    set).  The candidate is the original invariant minus [ms] for plain
-   recomputation, or the whole ms-complement for the weakening search.
+   recomputation, or the whole ms-complement for the weakening search:
+   the states satisfying [candidate] (a compiled sweep when it has an
+   expression) that [keep] accepts.
 
    The greatest fixpoint runs as a deadlock-pruning worklist.  Candidate
    states stream through the program's layout in rank (= [State.compare])
@@ -273,11 +308,11 @@ let restrict_with guards p =
    escapes the declared domains has no rank, so it never counts.
    Per-occurrence reverse lists make each pruning step O(in-degree)
    instead of a whole-set rescan. *)
-let recompute_invariant ~candidate ~layout p restricted =
+let recompute_invariant ~candidate ~keep ~layout p restricted =
   let acc = ref [] in
-  Layout.iter_scratch layout (fun sc ->
-      let st = State.scratch_view sc in
-      if candidate st then acc := State.scratch_copy sc :: !acc);
+  Compiled.iter_satisfying layout candidate (fun rank ->
+      let st = Layout.unpack layout rank in
+      if keep st then acc := st :: !acc);
   let states = Array.of_list (List.rev !acc) in
   let n = Array.length states in
   let local_of_rank = Hashtbl.create (max 16 (2 * n)) in
@@ -371,30 +406,27 @@ let failsafe_core ts_pf ~sspec ~fault_ids p ~invariant =
       Detcor_robust.Error.internal "Synthesize: no layout for %s"
         (Program.name p)
   in
-  let n = Ts.num_states ts_pf in
-  let bad =
-    Bitset.of_fn n (fun i -> Safety.bad_state sspec (Ts.state ts_pf i))
-  in
-  let ms = compute_ms ts_pf ~fault_ids ~sspec ~bad in
+  let bad = bad_states ts_pf sspec in
+  let bad_tr = bad_transition ts_pf sspec in
+  let ms = compute_ms ts_pf ~fault_ids ~bad ~bad_tr in
   let in_ms_at = Bitset.get ms in
   let not_ms st =
     match Ts.index_of ts_pf st with
     | Some i -> not (in_ms_at i)
     | None -> true
   in
-  let guards = detection_guards ts_pf ~sspec ~bad ~ms p in
+  let guards = detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p in
   let restricted, added = restrict_with guards p in
   let inv_states =
-    recompute_invariant
-      ~candidate:(fun st -> Pred.holds invariant st && not_ms st)
-      ~layout p restricted
+    recompute_invariant ~candidate:invariant ~keep:not_ms ~layout p restricted
   in
   let inv_states, weakened =
     if inv_states <> [] then (inv_states, false)
     else
       ( recompute_invariant
-          ~candidate:(fun st -> (not (Safety.bad_state sspec st)) && not_ms st)
-          ~layout p restricted,
+          ~candidate:
+            (Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st)))
+          ~keep:not_ms ~layout p restricted,
         true )
   in
   (restricted, added, inv_states, in_ms_at, weakened)
@@ -1093,12 +1125,10 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let rank0 = gated_rank0 ~target needs in
     (* Resolve ms/bad for every span state up front; an allowed step
-       (one avoiding [mt]) then costs two bitset probes and one
-       bad-transition check. *)
+       (one avoiding [mt]) then costs bitset probes only. *)
     let nspan = Ts.num_states ts_span in
-    let bad_span =
-      Bitset.of_fn nspan (fun i -> Safety.bad_state sspec (Ts.state ts_span i))
-    in
+    let bad_span = bad_states ts_span sspec in
+    let bad_tr = bad_transition ts_span sspec in
     let ms_span =
       Bitset.of_fn nspan (fun i ->
           match Ts.index_of ts_pf (Ts.state ts_span i) with
@@ -1108,9 +1138,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     let allowed i j =
       (not (Bitset.get bad_span j))
       && (not (Bitset.get ms_span j))
-      && not
-           (Safety.bad_transition sspec (Ts.state ts_span i)
-              (Ts.state ts_span j))
+      && not (bad_tr i j)
     in
     let span_fault_ids =
       Ts.action_ids_of_names ts_span (Fault.action_names faults)

@@ -14,6 +14,18 @@
    - [Check] and [Graph] procedures report identical outcomes on both;
    - [index_of] on the packed system inverts the numbering.
 
+   Those programs are built from OCaml closures, so they run the
+   interpreted successor kernel.  A second generator writes random
+   well-typed guarded-command sources (bool, small-range and symbol
+   domains; [&& || ! = != < %], [if] and [pred] references; one to three
+   distinct targets per action, [?] wildcards and cross-domain copies;
+   increments that escape their domain and [%] by a zero variable), whose
+   actions and predicates run compiled.  Each is checked against the
+   reference engine under every engine and worker count, and against an
+   interpreted twin (the same actions behind opaque closures) under the
+   same engine: identical systems, or the identical [Value.Type_error]
+   message, or the identical [Layout.escape_reason].
+
    Together the properties run > 200 random programs per test execution. *)
 
 open Detcor_kernel
@@ -262,6 +274,309 @@ let prop_checks_identical =
       let reach ts = Graph.reachable ts ~from:(Ts.initials ts) in
       reach reference = reach packed)
 
+(* ------------------------------------------------------------------ *)
+(* Random guarded-command sources: the compiled kernel                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Six variables, 288 product states.  [g]'s domain is a strict subset of
+   [s]'s, so [g := s] escapes when [s = bot]. *)
+let dsl_header =
+  "program rnd\n\
+   var a : bool\n\
+   var b : bool\n\
+   var n : 0..2\n\
+   var m : 0..3\n\
+   var s : {bot, p, q}\n\
+   var g : {p, q}\n"
+
+let paren x = "(" ^ x ^ ")"
+let binop op x y = paren (x ^ " " ^ op ^ " " ^ y)
+let ite c x y = paren ("if " ^ c ^ " then " ^ x ^ " else " ^ y)
+
+(* Integer expressions.  [%] mostly divides by a nonzero constant; a
+   variable divisor (zero in some states) is rare, as are the increments
+   that leave a target's domain, so most programs build.  [pref] allows
+   references to the predicate [P]. *)
+let rec int_expr ?(pref = true) d =
+  QCheck.Gen.(
+    let leaf = oneof [ oneofl [ "n"; "m" ]; map string_of_int (int_range 0 3) ] in
+    if d = 0 then leaf
+    else
+      let sub = int_expr ~pref (d - 1) in
+      frequency
+        [
+          (3, leaf);
+          (2, map2 (binop "+") sub sub);
+          (2, map2 (fun x k -> binop "%" x (string_of_int k)) sub (int_range 1 4));
+          (1, map (fun x -> binop "%" x "n") sub);
+          (1, map3 ite (bool_expr ~pref (d - 1)) sub sub);
+        ])
+
+and sym_test =
+  QCheck.Gen.(
+    let eq = oneofl [ "="; "!=" ] in
+    oneof
+      [
+        map2 (fun op v -> binop op "s" v) eq (oneofl [ "bot"; "p"; "q" ]);
+        map2 (fun op v -> binop op "g" v) eq (oneofl [ "p"; "q" ]);
+        map (fun op -> binop op "s" "g") eq;
+      ])
+
+and bool_expr ?(pref = true) d =
+  QCheck.Gen.(
+    let cmp d =
+      map3 (fun x op y -> binop op x y) (int_expr ~pref d)
+        (oneofl [ "="; "!="; "<" ]) (int_expr ~pref d)
+    in
+    let atoms = [ "a"; "b"; "!a"; "true" ] @ if pref then [ "P" ] else [] in
+    (* A division the interpreter only reaches when [n != 0]: compiled
+       code must short-circuit exactly where the interpreter does. *)
+    let guarded_div =
+      map2
+        (fun x k -> binop "&&" "(n != 0)" (binop "=" (binop "%" x "n") k))
+        (int_expr ~pref 0)
+        (map string_of_int (int_range 0 2))
+    in
+    let leaf =
+      frequency
+        [ (3, oneofl atoms); (2, sym_test); (2, cmp 0); (1, guarded_div) ]
+    in
+    if d = 0 then leaf
+    else
+      let sub = bool_expr ~pref (d - 1) in
+      frequency
+        [
+          (3, leaf);
+          (2, map2 (binop "&&") sub sub);
+          (2, map2 (binop "||") sub sub);
+          (1, map (fun x -> "!" ^ paren x) sub);
+          (2, cmp (d - 1));
+          (1, map3 ite sub sub sub);
+        ])
+
+(* The right-hand side of an update of each variable. *)
+let rhs_gen = function
+  | "a" | "b" -> QCheck.Gen.(frequency [ (3, bool_expr 1); (1, return "?") ])
+  | "n" ->
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun k -> string_of_int k) (int_range 0 2));
+          (2, map (fun x -> paren (x ^ " % 3")) (int_expr 1));
+          (1, return "?");
+          (1, oneofl [ "n + 1"; "m" ]);
+        ])
+  | "m" ->
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun x -> paren (x ^ " % 4")) (int_expr 1));
+          (1, return "?");
+          (1, oneofl [ "m + 1"; "n" ]);
+        ])
+  | "s" -> QCheck.Gen.(oneofl [ "bot"; "p"; "q"; "g"; "?" ])
+  | _ (* g *) ->
+    QCheck.Gen.(frequency [ (4, oneofl [ "p"; "q"; "?" ]); (1, return "s") ])
+
+let action_src i =
+  QCheck.Gen.(
+    let* targets =
+      map
+        (fun xs -> List.sort_uniq String.compare xs)
+        (list_size (int_range 1 3) (oneofl [ "a"; "b"; "n"; "m"; "s"; "g" ]))
+    in
+    let* rhss = flatten_l (List.map rhs_gen targets) in
+    let* guard = bool_expr 2 in
+    (* An increment escapes by one step at most: values stay bounded, so
+       the reference engine's exploration of escaped states terminates. *)
+    let guard =
+      List.fold_left
+        (fun g (r, bound) ->
+          if List.mem r rhss then bound ^ " && " ^ paren g else g)
+        guard
+        [ ("n + 1", "n < 3"); ("m + 1", "m < 4") ]
+    in
+    let* order = shuffle_l (List.combine targets rhss) in
+    return
+      (Fmt.str "action act%d: %s -> %s\n" i guard
+         (String.concat ", " (List.map (fun (x, r) -> x ^ " := " ^ r) order))))
+
+let dsl_gen =
+  QCheck.Gen.(
+    let* pred = bool_expr ~pref:false 1 in
+    let* inv = bool_expr 2 in
+    let* k = int_range 1 4 in
+    let* acts = flatten_l (List.init k action_src) in
+    return
+      (dsl_header ^ "pred P = " ^ pred ^ "\ninvariant " ^ inv ^ "\n"
+     ^ String.concat "" acts))
+
+(* The same program with every action and predicate behind an opaque
+   closure: the interpreted kernel, as closure-built programs run. *)
+let opaque_pred p = Pred.make (Pred.name p) (Pred.fn p)
+
+let interpreted p =
+  Program.make ~name:(Program.name p) ~vars:(Program.var_decls p)
+    ~actions:
+      (List.map
+         (fun ac ->
+           Action.make (Action.name ac)
+             (opaque_pred (Action.guard ac))
+             (fun st -> Action.execute ac st))
+         (Program.actions p))
+
+type outcome = Built of Ts.t | Type_error of string | Escaped of string
+
+let run f =
+  match f () with
+  | ts -> Built ts
+  | exception Value.Type_error m -> Type_error m
+  | exception Layout.Unrepresentable ->
+    Escaped
+      (match Layout.escape_reason () with
+      | Some e -> Fmt.str "%a" Layout.pp_escape e
+      | None -> "?")
+
+let outcome_name = function
+  | Built ts -> Fmt.str "built %a" Ts.pp_stats ts
+  | Type_error m -> "type error: " ^ m
+  | Escaped r -> "escape: " ^ r
+
+(* [~text:false] compares only the kind of an escape: with several
+   workers the sharded engine raises whichever worker's escape lands
+   first, for the interpreted kernel as for the compiled one. *)
+let same ?(text = true) a b =
+  match (a, b) with
+  | Built x, Built y -> equal_system x y
+  | Type_error m, Type_error m' -> String.equal m m'
+  | Escaped r, Escaped r' -> (not text) || String.equal r r'
+  | _ -> false
+
+let explain what a b =
+  QCheck.Test.fail_reportf "%s: %s vs %s" what (outcome_name a) (outcome_name b)
+
+(* [make program ~engine ~workers] under every engine and worker count:
+   [Auto] must reproduce the reference engine; the strict engines must
+   treat the compiled program exactly as its interpreted twin. *)
+let dsl_engines_agree p make =
+  let twin = interpreted p in
+  let reference = run (fun () -> make p ~engine:Ts.Reference ~workers:1) in
+  List.for_all
+    (fun workers ->
+      let auto = run (fun () -> make p ~engine:Ts.Auto ~workers) in
+      (same reference auto || explain "auto vs reference" reference auto)
+      && List.for_all
+           (fun (engine, shards) ->
+             Util.with_shards ~shards (fun () ->
+                 let compiled = run (fun () -> make p ~engine ~workers) in
+                 let interp = run (fun () -> make twin ~engine ~workers) in
+                 let text = not (engine = Ts.Sharded && workers > 1) in
+                 same ~text compiled interp
+                 || explain
+                      (Fmt.str "%s (%d shards, %d workers): compiled vs interpreted"
+                         (Ts.engine_name engine) shards workers)
+                      compiled interp))
+           [ (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ])
+    [ 1; 3 ]
+
+let dsl_arb = QCheck.make ~print:Fun.id dsl_gen
+
+let elaborate src =
+  let e = Detcor_lang.Elaborate.load_string src in
+  (* The generator only writes well-kinded programs, so every action
+     must take the compiled kernel: otherwise this property would
+     silently test the interpreter against itself. *)
+  let layout = Option.get (Layout.of_program e.program) in
+  List.iter
+    (fun ac ->
+      if Compiled.action layout ac = None then
+        QCheck.Test.fail_reportf "action %s did not compile" (Action.name ac))
+    (Program.actions e.program);
+  if Compiled.pred layout e.invariant = None then
+    QCheck.Test.fail_report "the invariant did not compile";
+  e
+
+let prop_dsl_constructions =
+  Util.qtest ~count:150 "compiled DSL = interpreted = reference (build, of_pred, full)"
+    dsl_arb (fun src ->
+      let e = elaborate src in
+      let layout = Option.get (Layout.of_program e.program) in
+      let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
+      dsl_engines_agree e.program (fun p ~engine ~workers ->
+          Ts.build ~engine ~workers p ~from)
+      && dsl_engines_agree e.program (fun p ~engine ~workers ->
+             let from =
+               if p == e.program then e.invariant else opaque_pred e.invariant
+             in
+             Ts.of_pred ~engine ~workers p ~from)
+      && dsl_engines_agree e.program (fun p ~engine ~workers ->
+             Ts.full ~engine ~workers p))
+
+(* Guard and predicate sweeps: compiled bitsets equal interpreted ones,
+   and the compiled invariant enumeration equals the reference one. *)
+let prop_dsl_sweeps =
+  Util.qtest ~count:100 "compiled guard and predicate sweeps = interpreted"
+    dsl_arb (fun src ->
+      let e = elaborate src in
+      let twin = interpreted e.program in
+      let sweeps p inv =
+        match
+          let ts = Ts.full ~engine:Ts.Packed p in
+          Bitset.to_string (Ts.pred_bitset ts inv)
+          :: List.init (Ts.num_actions ts) (fun aid ->
+                 Bitset.to_string (Ts.enabled_bitset ts aid))
+        with
+        | bits -> Ok bits
+        | exception Value.Type_error m -> Error m
+        | exception Layout.Unrepresentable -> Error "escape"
+      in
+      let init engine =
+        match Detcor_core.Tolerance.init_states ~engine e.program ~invariant:e.invariant with
+        | states -> Ok states
+        | exception Value.Type_error m -> Error m
+      in
+      sweeps e.program e.invariant = sweeps twin (opaque_pred e.invariant)
+      &&
+      match (init Ts.Auto, init Ts.Reference) with
+      | Ok a, Ok b ->
+        (* The reference list follows [Program.states] order. *)
+        List.equal State.equal a (List.sort State.compare b)
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false)
+
+(* Two updates escape in the same step, listed against slot order ([n]
+   before [g]): the diagnosis names the lower slot, [g], as [Layout.pack]
+   does for the interpreted successor. *)
+let test_escape_lowest_slot () =
+  let e =
+    Detcor_lang.Elaborate.load_string
+      "program esc\n\
+       var g : {p, q}\n\
+       var n : 0..2\n\
+       var s : {bot, p, q}\n\
+       invariant n = 2 && s = bot\n\
+       action both: n = 2 -> n := n + 1, g := s\n"
+  in
+  let escape p =
+    match Ts.of_pred ~engine:Ts.Packed p ~from:(opaque_pred e.invariant) with
+    | _ -> "no escape"
+    | exception Layout.Unrepresentable ->
+      Fmt.str "%a" Layout.pp_escape (Option.get (Layout.escape_reason ()))
+  in
+  Alcotest.(check string) "interpreted"
+    "variable g escaped its declared domain (value bot)"
+    (escape (interpreted e.program));
+  Alcotest.(check string) "compiled"
+    "variable g escaped its declared domain (value bot)" (escape e.program)
+
 let suite =
   ( "engine differential",
-    [ prop_build_identical; prop_of_pred_identical; prop_checks_identical ] )
+    [
+      prop_build_identical;
+      prop_of_pred_identical;
+      prop_checks_identical;
+      prop_dsl_constructions;
+      prop_dsl_sweeps;
+      Alcotest.test_case "compiled escape names the lowest slot" `Quick
+        test_escape_lowest_slot;
+    ] )

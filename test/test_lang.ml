@@ -181,6 +181,26 @@ let test_elaborate_undeclared_assignment () =
      with Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Type_error _) ->
        true)
 
+(* A simultaneous assignment names each target once: the second update of
+   [x] is a type error (exit 2), not a silently dropped assignment. *)
+let test_elaborate_duplicate_target () =
+  match
+    Elaborate.load_string
+      "program t\nvar x : 0..2\naction a: x = 0 -> x := 1, x := 2"
+  with
+  | _ -> Alcotest.fail "action assigning x twice was accepted"
+  | exception Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Type_error { msg } as e) ->
+    Alcotest.(check int) "exit code" 2 (Detcor_robust.Error.exit_code e);
+    Alcotest.(check bool)
+      (Fmt.str "message names the action and variable (%s)" msg)
+      true
+      (let needle = "action a assigns x more than once" in
+       let n = String.length needle in
+       let rec go i =
+         i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1))
+       in
+       go 0)
+
 let test_based_on () =
   let e =
     Elaborate.load_string
@@ -277,5 +297,7 @@ let suite =
       Alcotest.test_case "undeclared assignment" `Quick
         test_elaborate_undeclared_assignment;
       Alcotest.test_case "based-on provenance" `Quick test_based_on;
+      Alcotest.test_case "duplicate assignment target" `Quick
+        test_elaborate_duplicate_target;
       prop_pp_fixpoint;
     ] )
