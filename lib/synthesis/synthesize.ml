@@ -41,15 +41,19 @@
    bans and forced moves.  Final verification remains the soundness gate
    for all three.
 
+   The fail-safe front end explores the fault span Reach(S, p [] F) of
+   the invariant states, where the result lives, and widens to the whole
+   product only for the invariant-weakening search (see [failsafe_core]).
+
    Each phase has one implementation, over the {!Ts} API by state index,
    whichever engine built the explored system: [ms] is a bitset-seeded
    backward fixpoint over the reverse fault-edge CSR, detection guards are
-   per-action bitsets consulted by state index (the semantic closure
-   remains only as the fallback for states outside the explored product),
-   invariant recomputation is a counter-based deadlock pruning worklist,
-   and recovery layering ranks states in [int] arrays with a frontier
-   queue whose candidate scans can fan out over OCaml domains
-   ([?workers]).  [?engine] only chooses the {!Ts} builder, so the
+   per-action bitsets consulted by state index (false at unexplored
+   product states; the semantic closure remains only for states outside
+   the product), invariant recomputation is a counter-based deadlock
+   pruning worklist, and recovery layering ranks states in [int] arrays
+   with a frontier queue whose candidate scans can fan out over OCaml
+   domains ([?workers]).  [?engine] only chooses the {!Ts} builder, so the
    reference builder stays a differential oracle for the whole pipeline:
    synthesis over reference-, packed- and sharded-built systems yields
    identical programs, invariants and reports. *)
@@ -218,14 +222,18 @@ let compute_ms ts_pf ~fault_ids ~bad ~bad_tr =
     Detcor_robust.Checkpoint.complete phase (Bitset.to_string !ms);
     !ms
 
+(* [ms] membership of a state, by its index in the explored system [ts]
+   over which [ms] was computed; a state outside [ts] was never analysed
+   and counts as outside [ms]. *)
+let ms_at ts ms st =
+  match Ts.index_of ts st with Some i -> Bitset.get ms i | None -> false
+
 (* [mt]: a transition a safe program must never take — already a bad
-   transition, or into a bad state, or into [ms].  [in_ms_at] answers ms
-   membership by state index. *)
-let make_mt ts_pf ~in_ms_at ~sspec s s' =
+   transition, or into a bad state, or into [ms]. *)
+let make_mt ts_pf ~ms ~sspec s s' =
   Safety.bad_transition sspec s s'
   || Safety.bad_state sspec s'
-  ||
-  match Ts.index_of ts_pf s' with Some j -> in_ms_at j | None -> false
+  || ms_at ts_pf ms s'
 
 (* ------------------------------------------------------------------ *)
 (* Fail-safe                                                           *)
@@ -237,10 +245,16 @@ let make_mt ts_pf ~in_ms_at ~sspec s s' =
 
    One edge sweep marks, per program action, the states from which some
    [ac]-step is an mt transition; each guard is then a single bitset
-   probe.  States outside the explored system (it covers the whole product
-   space, so only states over a different variable set, or out-of-domain
-   states no step reaches) fall back to the semantic formula. *)
-let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p =
+   probe.  The explored system is the fault span R = Reach(S, p [] F) (or
+   the whole product once the front end widens), and every later build,
+   check or recovery layering starts inside it and stays there, so the
+   probe answers every query synthesis itself makes.  At an [unexplored]
+   state — a product state outside R, when R lies inside the product —
+   the guard is [false]: the detector never analysed it.  Any other state
+   outside R (outside the declared domains, or over another variable set
+   when R itself does not fit the product, as with auxiliary fault
+   variables) keeps the semantic formula, with [ms] known on R only. *)
+let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms ~unexplored p =
   let n = Ts.num_states ts_pf in
   let acts = Program.actions p in
   let pos_of = Array.make (Ts.num_actions ts_pf) (-1) in
@@ -256,7 +270,6 @@ let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p =
       if k >= 0
          && (Bitset.get bad j || Bitset.get ms j || bad_tr i j)
       then Bitset.set bad_step.(k) i);
-  let in_ms_at = Bitset.get ms in
   List.mapi
     (fun k ac ->
       let ok =
@@ -272,9 +285,10 @@ let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p =
             match Ts.index_of ts_pf st with
             | Some i -> Bitset.get ok i
             | None ->
-              (not (Safety.bad_state sspec st))
+              (not (unexplored st))
+              && (not (Safety.bad_state sspec st))
               && List.for_all
-                   (fun st' -> not (make_mt ts_pf ~in_ms_at ~sspec st st'))
+                   (fun st' -> not (make_mt ts_pf ~ms ~sspec st st'))
                    (Action.execute ac st))
       in
       (ac, guard))
@@ -296,24 +310,18 @@ let restrict_with guards p =
 (* Recompute the invariant: start from a candidate set, then iteratively
    drop states that the restriction newly deadlocked (states that could
    move in [p] but cannot in the restricted program within the shrinking
-   set).  The candidate is the original invariant minus [ms] for plain
-   recomputation, or the whole ms-complement for the weakening search:
-   the states satisfying [candidate] (a compiled sweep when it has an
-   expression) that [keep] accepts.
+   set).  The candidates arrive in rank (= [State.compare]) order: the
+   original invariant states outside [ms] for plain recomputation, or the
+   whole ms-complement for the weakening search.
 
-   The greatest fixpoint runs as a deadlock-pruning worklist.  Candidate
-   states stream through the program's layout in rank (= [State.compare])
-   order; each live state counts its restricted successors inside the
-   candidate set, and dies when the count reaches zero.  A successor that
-   escapes the declared domains has no rank, so it never counts.
-   Per-occurrence reverse lists make each pruning step O(in-degree)
-   instead of a whole-set rescan. *)
-let recompute_invariant ~candidate ~keep ~layout p restricted =
-  let acc = ref [] in
-  Compiled.iter_satisfying layout candidate (fun rank ->
-      let st = Layout.unpack layout rank in
-      if keep st then acc := st :: !acc);
-  let states = Array.of_list (List.rev !acc) in
+   The greatest fixpoint runs as a deadlock-pruning worklist.  Each live
+   candidate counts its restricted successors inside the candidate set,
+   and dies when the count reaches zero.  A successor that escapes the
+   declared domains has no rank, so it never counts.  Per-occurrence
+   reverse lists make each pruning step O(in-degree) instead of a
+   whole-set rescan. *)
+let recompute_invariant ~layout p restricted candidates =
+  let states = Array.of_list candidates in
   let n = Array.length states in
   let local_of_rank = Hashtbl.create (max 16 (2 * n)) in
   Array.iteri
@@ -380,14 +388,36 @@ let recompute_invariant ~candidate ~keep ~layout p restricted =
   done;
   !out
 
+(* Widenings of the fail-safe front end from the fault span to the whole
+   product (see [failsafe_core]). *)
+let m_widenings = Metrics.counter "synth.widenings"
+
+(* The fail-safe analysis of one explored [p [] F] system: [ms] and the
+   detection guards, by state index. *)
+type front = { ts : Ts.t; ms : Bitset.t; guards : (Action.t * Pred.t) list }
+
+let analyse ts ~sspec ~faults ~unexplored p =
+  let fault_ids = Ts.action_ids_of_names ts (Fault.action_names faults) in
+  let bad = bad_states ts sspec in
+  let bad_tr = bad_transition ts sspec in
+  let ms = compute_ms ts ~fault_ids ~bad ~bad_tr in
+  { ts; ms; guards = detection_guards ts ~sspec ~bad ~bad_tr ~ms ~unexplored p }
+
+let not_ms front st = not (ms_at front.ts front.ms st)
+
 (* The fail-safe front end shared by [add_failsafe] and [add_masking]:
    ms, the restricted program, and the recomputed invariant.  Returns the
-   index-level ms oracle for the masking path's recovery restriction, and
-   whether the invariant had to be weakened.
+   analysis the masking path's recovery restriction probes, and whether
+   the invariant had to be weakened.
 
-   The program's own layout always compiles here: [Ts.full] of [p [] F]
-   succeeded, so the product space of [p] (a projection of it) fits the
-   limit, and declared domains are never empty.
+   The analysis runs on the fault span R = Reach(S, p [] F) of the
+   invariant states S, not on the whole product.  It is exact there:
+   every fault successor of an R state is in R, so [ms ∩ R] is a closed
+   backward fixpoint, and p-successors of R states stay in R, so the
+   detection guards are exact at every state that recomputation, the
+   recovery span and final verification can reach — they all start
+   inside S.  The recomputed invariant is S itself minus [ms], pruned;
+   the product is swept once, by [Tolerance.init_states].
 
    When the recomputation kill-cascades to the empty set, the
    invariant-weakening search reseeds the same greatest fixpoint from the
@@ -397,8 +427,15 @@ let recompute_invariant ~candidate ~keep ~layout p restricted =
    general a subset of the original one — the ideal-stabilization view,
    where recovery re-establishes a specification-equivalent legitimacy
    predicate rather than the original invariant verbatim; the final
-   verification of the synthesized program remains the soundness gate. *)
-let failsafe_core ts_pf ~sspec ~fault_ids p ~invariant =
+   verification of the synthesized program remains the soundness gate.
+   Only this search reads beyond R, so only then does the front end widen
+   to [Ts.full] — unless R already holds every in-domain product state
+   (counted by layout rank: a reference-built R may also hold states
+   that escape the declared domains).
+
+   [p]'s layout compiles whenever S could be enumerated: it only fails
+   when the product space overflows the rank range. *)
+let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
   let layout =
     match Layout.of_program p with
     | Some layout -> layout
@@ -406,30 +443,68 @@ let failsafe_core ts_pf ~sspec ~fault_ids p ~invariant =
       Detcor_robust.Error.internal "Synthesize: no layout for %s"
         (Program.name p)
   in
-  let bad = bad_states ts_pf sspec in
-  let bad_tr = bad_transition ts_pf sspec in
-  let ms = compute_ms ts_pf ~fault_ids ~bad ~bad_tr in
-  let in_ms_at = Bitset.get ms in
-  let not_ms st =
-    match Ts.index_of ts_pf st with
-    | Some i -> not (in_ms_at i)
-    | None -> true
+  let composed = Fault.compose p faults in
+  let product = Layout.of_program composed in
+  let in_domain st =
+    match product with
+    | Some l -> Layout.pack_opt l st <> None
+    | None -> false
   in
-  let guards = detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms p in
-  let restricted, added = restrict_with guards p in
-  let inv_states =
-    recompute_invariant ~candidate:invariant ~keep:not_ms ~layout p restricted
+  let init = Tolerance.init_states ~engine p ~invariant in
+  let reach = Ts.build ?limit ~engine ~workers composed ~from:init in
+  (* R's states that have a rank in the product layout: all of them on a
+     layout-built R, and on a reference-built one those not escaping. *)
+  let ranked =
+    match Ts.layout reach with
+    | Some _ -> Ts.num_states reach
+    | None -> List.length (List.filter in_domain (Ts.states reach))
   in
-  let inv_states, weakened =
-    if inv_states <> [] then (inv_states, false)
-    else
-      ( recompute_invariant
-          ~candidate:
-            (Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st)))
-          ~keep:not_ms ~layout p restricted,
-        true )
+  (* A product state outside R was never analysed; the guard says so
+     there only when R lies inside the product (see [detection_guards]). *)
+  let unexplored =
+    if ranked = Ts.num_states reach then in_domain else fun _ -> false
   in
-  (restricted, added, inv_states, in_ms_at, weakened)
+  let front = analyse reach ~sspec ~faults ~unexplored p in
+  let restricted, added = restrict_with front.guards p in
+  match
+    recompute_invariant ~layout p restricted (List.filter (not_ms front) init)
+  with
+  | _ :: _ as inv_states -> (restricted, added, inv_states, front, false)
+  | [] ->
+    let covered =
+      match product with Some l -> ranked = Layout.space l | None -> false
+    in
+    let front, restricted, added =
+      if covered then (front, restricted, added)
+      else begin
+        Metrics.incr m_widenings;
+        if Obs.on () then
+          Obs.event "synth.widen"
+            ~attrs:
+              [
+                Attr.int "reach" (Ts.num_states reach);
+                Attr.int "space" (Program.space_size composed);
+              ];
+        let front =
+          analyse (Ts.full ?limit ~engine ~workers composed) ~sspec ~faults
+            ~unexplored:(fun _ -> false) p
+        in
+        let restricted, added = restrict_with front.guards p in
+        (front, restricted, added)
+      end
+    in
+    let not_bad =
+      Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st))
+    in
+    let acc = ref [] in
+    Compiled.iter_satisfying layout not_bad (fun rank ->
+        let st = Layout.unpack layout rank in
+        if not_ms front st then acc := st :: !acc);
+    ( restricted,
+      added,
+      recompute_invariant ~layout p restricted (List.rev !acc),
+      front,
+      true )
 
 let add_failsafe ?limit ?(engine = Ts.Auto) ?(workers = 1) p ~spec ~invariant
     ~faults =
@@ -437,11 +512,8 @@ let add_failsafe ?limit ?(engine = Ts.Auto) ?(workers = 1) p ~spec ~invariant
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let composed = Fault.compose p faults in
-  let ts_pf = Ts.full ?limit ~engine ~workers composed in
-  let fault_ids = Ts.action_ids_of_names ts_pf (Fault.action_names faults) in
   let restricted, added, inv_states, _, weakened =
-    failsafe_core ts_pf ~sspec ~fault_ids p ~invariant
+    failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
@@ -1092,11 +1164,8 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let composed = Fault.compose p faults in
-  let ts_pf = Ts.full ?limit ~engine ~workers composed in
-  let fault_ids = Ts.action_ids_of_names ts_pf (Fault.action_names faults) in
-  let restricted, added, inv_states, in_ms_at, weakened =
-    failsafe_core ts_pf ~sspec ~fault_ids p ~invariant
+  let restricted, added, inv_states, front, weakened =
+    failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
@@ -1130,10 +1199,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     let bad_span = bad_states ts_span sspec in
     let bad_tr = bad_transition ts_span sspec in
     let ms_span =
-      Bitset.of_fn nspan (fun i ->
-          match Ts.index_of ts_pf (Ts.state ts_span i) with
-          | Some gi -> in_ms_at gi
-          | None -> false)
+      Bitset.of_fn nspan (fun i -> ms_at front.ts front.ms (Ts.state ts_span i))
     in
     let allowed i j =
       (not (Bitset.get bad_span j))

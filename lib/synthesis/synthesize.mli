@@ -66,10 +66,13 @@ val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
 
 (** Strengthen every action with its weakest detection predicate for the
     [ms/mt]-extended safety specification; recompute the invariant.
-    [engine] chooses the {!Detcor_semantics.Ts} builder of every explored
-    system (default [Auto]); the synthesis algorithm is the same for all
-    of them.  [workers] > 1 fans exploration and recovery scans out over
-    that many OCaml domains. *)
+    The analysis explores the fault span of the invariant,
+    Reach(S, p [] F), and the whole [p [] F] product only when the
+    invariant-weakening search needs it; [limit] bounds the states each
+    exploration visits.  [engine] chooses the {!Detcor_semantics.Ts}
+    builder of every explored system (default [Auto]); the synthesis
+    algorithm is the same for all of them.  [workers] > 1 fans
+    exploration and recovery scans out over that many OCaml domains. *)
 val add_failsafe :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->

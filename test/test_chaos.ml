@@ -113,6 +113,7 @@ let chaos_workload name args ~max_delay () =
   done
 
 let ring5 = "../examples/dc/ring5.dc"
+let byz4 = "../examples/dc/byz4.dc"
 
 (* Worker domains dying mid-chunk must not change a single output byte;
    the run detects the loss, recomputes sequentially, and carries on. *)
@@ -236,6 +237,12 @@ let suite =
            [ "synthesize"; ring5; "--tolerance"; "nonmasking"; "--engine";
              "reference" ]
            ~max_delay:0.6);
+      (* Masking synthesis runs the fail-safe front end (its synth.ms
+         fixpoint over the fault span) before recovery layering. *)
+      Alcotest.test_case "masking synthesize survives SIGKILL" `Slow
+        (chaos_workload "synthesize (byz4 masking)"
+           [ "synthesize"; byz4; "--tolerance"; "masking" ]
+           ~max_delay:0.3);
       Alcotest.test_case "simulate survives SIGKILL" `Slow
         (chaos_workload "simulate"
            [ "simulate"; ring5; "--runs"; "500"; "--seed"; "7" ]

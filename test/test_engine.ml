@@ -216,6 +216,48 @@ let test_parallel_matches_reference () =
   let parallel = Ts.full ~workers:3 p in
   same_system "parallel = reference" reference parallel
 
+(* ------------------------------------------------------------------ *)
+(* Full-product kernel gate                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Ts.full] stays a production path (synthesis widens to it for the
+   invariant-weakening search), so its compiled kernel keeps a gate: on
+   the 419,904-state byz4 [] F product every action runs compiled and the
+   build allocates at most 150 words per state (about 72 when it was
+   measured). *)
+let test_full_product_kernel () =
+  let e = Detcor_lang.Elaborate.load_file "../examples/dc/byz4.dc" in
+  let composed = Detcor_core.Fault.compose e.program e.faults in
+  let module Obs = Detcor_obs.Obs in
+  let module Sink = Detcor_obs.Sink in
+  let sink, records = Sink.memory () in
+  let ts =
+    Obs.with_ctx (Obs.make ~sinks:[ sink ] ()) (fun () -> Ts.full composed)
+  in
+  let attrs =
+    List.find_map
+      (function
+        | Sink.End { name = "ts.build"; attrs; _ } -> Some attrs
+        | _ -> None)
+      (records ())
+    |> Option.get
+  in
+  let int_attr k =
+    match List.assoc_opt k attrs with
+    | Some (Detcor_obs.Attr.Int n) -> n
+    | _ -> Alcotest.failf "ts.build span lacks %s" k
+  in
+  let states = int_attr "states" in
+  Alcotest.(check int) "whole product" 419_904 states;
+  Alcotest.(check int) "span counts the built states" (Ts.num_states ts) states;
+  Alcotest.(check bool) "at least 34 actions compiled" true
+    (int_attr "compiled" >= 34);
+  let per_state =
+    float_of_int (int_attr "alloc_words") /. float_of_int states
+  in
+  if per_state > 150. then
+    Alcotest.failf "%.1f alloc words/state, gate is 150" per_state
+
 let suite =
   ( "engine",
     [
@@ -231,4 +273,6 @@ let suite =
       Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
       Alcotest.test_case "parallel matches reference" `Quick
         test_parallel_matches_reference;
+      Alcotest.test_case "full-product kernel gate" `Slow
+        test_full_product_kernel;
     ] )

@@ -163,6 +163,14 @@ let test_exit_codes () =
       (run_dcheck [ "verify"; "--timeout"; "0.01"; corpus_dir ^ "/ring5.dc" ]);
     Alcotest.(check int) "info over --limit -> 3" 3
       (run_dcheck [ "info"; "--limit"; "10"; corpus_dir ^ "/ring5.dc" ]);
+    (* Synthesis explores the fault span (2,708 states on byz4), not the
+       419,904-state product, so --limit bounds the span. *)
+    Alcotest.(check int) "synthesize within --limit -> 0" 0
+      (run_dcheck
+         [ "synthesize"; "--limit"; "10000"; corpus_dir ^ "/byz4.dc" ]);
+    Alcotest.(check int) "synthesize over --limit -> 3" 3
+      (run_dcheck
+         [ "synthesize"; "--limit"; "1000"; corpus_dir ^ "/byz4.dc" ]);
     Alcotest.(check int) "usage error -> 2" 2
       (run_dcheck [ "verify"; "--no-such-flag" ]);
     let tmp = Filename.temp_file "dcheck_fuzz" ".dc" in

@@ -285,9 +285,30 @@ let test_invariant_weakening () =
             State.set st "x" (Value.int 2));
       ]
   in
-  let r =
-    get (Synthesize.add_masking p ~spec ~invariant:(x_is 0) ~faults:poison)
+  (* The fault span {0, 2} is not the whole product, so the weakening
+     search widens the front end to the full product: once, visibly. *)
+  let widenings () =
+    Detcor_obs.Metrics.counter_value_by_name "synth.widenings"
   in
+  let before = widenings () in
+  let sink, records = Detcor_obs.Sink.memory () in
+  let r =
+    Detcor_obs.Obs.with_ctx (Detcor_obs.Obs.make ~sinks:[ sink ] ()) (fun () ->
+        get (Synthesize.add_masking p ~spec ~invariant:(x_is 0) ~faults:poison))
+  in
+  Alcotest.(check int) "one widening counted" 1 (widenings () - before);
+  let widen_events =
+    List.filter_map
+      (function
+        | Detcor_obs.Sink.Instant { name = "synth.widen"; attrs; _ } ->
+          Some attrs
+        | _ -> None)
+      (records ())
+  in
+  Alcotest.(check bool)
+    "one synth.widen event: span of 2 states in a product of 4" true
+    (widen_events
+    = [ [ Detcor_obs.Attr.int "reach" 2; Detcor_obs.Attr.int "space" 4 ] ]);
   Alcotest.(check bool) "verified masking" true (Tolerance.verdict r.report);
   Alcotest.(check string)
     "invariant marked as weakened" "S_masking_weakened"
@@ -430,6 +451,41 @@ let test_domain_escape_pinned () =
   check "masking" "ok inv=2 span=6 recovery=6 detectors=1"
     (Synthesize.add_masking p ~spec ~invariant:(x_is 0) ~faults)
 
+(* The front end analyses the fault span R = Reach(S, p [] F) only.  At
+   an in-domain state outside R the detection guard is false (the
+   detector never analysed it), even where the semantic formula would
+   allow the action; a state outside the declared domains keeps the
+   semantic formula.  (When R itself leaves the product, as with TMR's
+   auxiliary fault variable, every state outside R keeps the semantic
+   formula; "TMR rediscovers DR" probes such states.) *)
+let test_guard_outside_span () =
+  let getx st = Value.as_int (State.get st "x") in
+  let x_is n = Pred.make (Fmt.str "x=%d" n) (fun st -> getx st = n) in
+  let at n = State.of_list [ ("x", Value.int n) ] in
+  let p =
+    Program.make ~name:"far"
+      ~vars:[ ("x", Domain.range 0 3) ]
+      ~actions:
+        [
+          Action.deterministic "jump" (x_is 2) (fun st ->
+              State.set st "x" (Value.int 3));
+        ]
+  in
+  let spec = Spec.make ~name:"never1" ~safety:(Safety.never (x_is 1)) () in
+  let r =
+    get
+      (Synthesize.add_failsafe p ~spec ~invariant:(x_is 0) ~faults:Fault.none)
+  in
+  let guard = List.assoc "jump" r.added_detectors in
+  Alcotest.(check bool) "x=0 (in R): guard holds" true
+    (Pred.holds guard (at 0));
+  Alcotest.(check bool) "x=2 (in-domain, outside R): guard false" false
+    (Pred.holds guard (at 2));
+  Alcotest.(check bool) "x=7 (out of domain): semantic formula" true
+    (Pred.holds guard (at 7));
+  Alcotest.(check bool) "x=1 (out of R, bad): guard false" false
+    (Pred.holds guard (at 1))
+
 let suite =
   ( "synthesis (E7)",
     [
@@ -447,6 +503,8 @@ let suite =
       Alcotest.test_case "unrecoverable state" `Quick
         test_failure_unrecoverable;
       Alcotest.test_case "invariant weakening" `Quick test_invariant_weakening;
+      Alcotest.test_case "guard outside the fault span" `Quick
+        test_guard_outside_span;
       Alcotest.test_case "repair breaks recovery race" `Quick
         test_repair_breaks_cycle;
       Alcotest.test_case "verification failed" `Quick

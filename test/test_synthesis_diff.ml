@@ -258,6 +258,208 @@ let prop_workers =
       in
       agree ~label:"workers=4" p seq par)
 
+(* ------------------------------------------------------------------ *)
+(* Span-bounded front end against the naive full-product definitions.  *)
+(* ------------------------------------------------------------------ *)
+
+(* The fail-safe front end runs on the fault span R = Reach(S, p [] F)
+   and widens to the product only for the weakening search.  The oracle
+   never narrows: it builds the whole [p [] F] product, computes [ms] as
+   a plain backward fixpoint (repeat until stable) of the safety
+   closures over the fault edges, and evaluates the textbook definitions
+   on states.  Per synthesized result it checks every
+   detection guard at every R state, the recomputed invariant on the
+   product, and whether the invariant was weakened; an [Empty_invariant]
+   outcome must match an empty weakened fixpoint, and a rejected
+   fail-safe program must have been verified from an invariant whose
+   fault-free closure is as large as the oracle's. *)
+type oracle = {
+  wdp : Action.t -> State.t -> bool;
+  invariant : State.t list; (* the recomputed invariant, ascending *)
+  weakened : bool;
+  span : State.t list; (* R *)
+  closure : int Lazy.t;
+      (* states reachable from [invariant] in [p] restricted by [wdp] *)
+}
+
+let naive_front p ~spec ~invariant ~faults =
+  let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
+  let composed = Fault.compose p faults in
+  let full = Ts.full composed in
+  let n = Ts.num_states full in
+  let st = Ts.state full in
+  let ix s = Option.get (Ts.index_of full s) in
+  let bad = Array.init n (fun i -> Safety.bad_state sspec (st i)) in
+  let is_fault = Array.make (Ts.num_actions full) false in
+  List.iter
+    (fun aid -> is_fault.(aid) <- true)
+    (Ts.action_ids_of_names full (Fault.action_names faults));
+  let ms = Array.copy bad in
+  Ts.iter_edges full (fun i aid j ->
+      if is_fault.(aid) && Safety.bad_transition sspec (st i) (st j) then
+        ms.(i) <- true);
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Ts.iter_edges full (fun i aid j ->
+        if is_fault.(aid) && ms.(j) && not ms.(i) then begin
+          ms.(i) <- true;
+          changed := true
+        end)
+  done;
+  let wdp ac s =
+    let i = ix s in
+    (not bad.(i)) && (not ms.(i))
+    && List.for_all
+         (fun s' ->
+           let j = ix s' in
+           not (Safety.bad_transition sspec s s' || bad.(j) || ms.(j)))
+         (Action.execute ac s)
+  in
+  (* The greatest subset X of the candidates in which every state is a
+     deadlock of [p] or has a restricted successor in X. *)
+  let fixpoint candidates =
+    let alive = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace alive (ix s) ()) candidates;
+    let live s =
+      Program.deadlocked p s
+      || List.exists
+           (fun ac ->
+             wdp ac s
+             && List.exists
+                  (fun s' ->
+                    match Ts.index_of full s' with
+                    | Some j -> Hashtbl.mem alive j
+                    | None -> false)
+                  (Action.execute ac s))
+           (Program.actions p)
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun s ->
+          if Hashtbl.mem alive (ix s) && not (live s) then begin
+            Hashtbl.remove alive (ix s);
+            changed := true
+          end)
+        candidates
+    done;
+    List.filter (fun s -> Hashtbl.mem alive (ix s)) candidates
+  in
+  let product = Program.states p in
+  let outside_ms s = not ms.(ix s) in
+  let s0 = List.filter (Pred.holds invariant) product in
+  let invariant, weakened =
+    match fixpoint (List.filter outside_ms s0) with
+    | [] ->
+      ( fixpoint
+          (List.filter
+             (fun s -> (not (Safety.bad_state sspec s)) && outside_ms s)
+             product),
+        true )
+    | inv -> (inv, false)
+  in
+  let span = Ts.states (Ts.build composed ~from:s0) in
+  let closure =
+    lazy
+      (let restricted =
+         Program.make ~name:"naive" ~vars:(Program.var_decls p)
+           ~actions:
+             (List.map
+                (fun ac -> Action.restrict (Pred.make "wdp" (wdp ac)) ac)
+                (Program.actions p))
+       in
+       Ts.num_states (Ts.build restricted ~from:invariant))
+  in
+  {
+    wdp;
+    invariant = List.sort State.compare invariant;
+    weakened;
+    span;
+    closure;
+  }
+
+let front_agrees label ~restriction_only p ~oracle result =
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) label in
+  match result with
+  | Ok (r : Synthesize.result) ->
+    List.iter
+      (fun ac ->
+        let guard = List.assoc (Action.name ac) r.added_detectors in
+        List.iter
+          (fun s ->
+            if Pred.holds guard s <> oracle.wdp ac s then
+              fail "wdp(%s) differs at %a" (Action.name ac) State.pp s)
+          oracle.span)
+      (Program.actions p);
+    let got =
+      List.filter (Pred.holds r.invariant) (Program.states p)
+      |> List.sort State.compare
+    in
+    if not (List.equal State.equal got oracle.invariant) then
+      fail "recomputed invariant: %d states, oracle %d" (List.length got)
+        (List.length oracle.invariant);
+    let weakened =
+      String.ends_with ~suffix:"_weakened" (Pred.name r.invariant)
+    in
+    if weakened <> oracle.weakened then
+      fail "weakened=%b, oracle %b" weakened oracle.weakened;
+    true
+  | Error Synthesize.Empty_invariant ->
+    if oracle.invariant <> [] then
+      fail "Empty_invariant, oracle keeps %d states"
+        (List.length oracle.invariant);
+    true
+  | Error (Synthesize.Verification_failed report) when restriction_only ->
+    (* The rejected fail-safe program was verified from the recomputed
+       invariant: its fault-free closure there has the oracle's size.  (A
+       masking program also holds recovery moves.) *)
+    let size = report.Tolerance.invariant_size in
+    if size <> Lazy.force oracle.closure then
+      fail "closure of the invariant: %d states, oracle %d" size
+        (Lazy.force oracle.closure);
+    true
+  | Error _ -> true
+
+let front_oracle_law ~label p ~spec ~invariant ~faults ~step_vars =
+  let oracle = naive_front p ~spec ~invariant ~faults in
+  front_agrees (label ^ " fail-safe") ~restriction_only:true p ~oracle
+    (Synthesize.add_failsafe p ~spec ~invariant ~faults)
+  && front_agrees (label ^ " masking") ~restriction_only:false p ~oracle
+       (Synthesize.add_masking ~step_vars p ~spec ~invariant ~faults)
+
+let prop_front_oracle =
+  Util.qtest ~count:300 "span-bounded front end = full-product oracle"
+    instance_arb (fun inst ->
+      front_oracle_law ~label:"random" (build_program inst)
+        ~spec:(build_spec inst) ~invariant:(pred_of_seed inst.inv_seed)
+        ~faults:(build_faults inst) ~step_vars:inst.step_vars)
+
+let corpus_dir = "../examples/dc"
+
+let test_front_oracle_corpus () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".dc")
+  |> List.sort String.compare
+  |> List.iter (fun f ->
+         let e =
+           Detcor_lang.Elaborate.load_file (Filename.concat corpus_dir f)
+         in
+         let holds =
+           front_oracle_law ~label:f e.program ~spec:e.spec
+             ~invariant:e.invariant ~faults:e.faults ~step_vars:1
+         in
+         Alcotest.(check bool) f true holds)
+
 let suite =
   ( "synthesis differential",
-    [ prop_failsafe; prop_nonmasking; prop_masking; prop_workers ] )
+    [
+      prop_failsafe;
+      prop_nonmasking;
+      prop_masking;
+      prop_workers;
+      prop_front_oracle;
+      Alcotest.test_case "span-bounded front end = oracle on the corpus"
+        `Slow test_front_oracle_corpus;
+    ] )
