@@ -12,7 +12,12 @@
    An action built by [update] also records its statement as data: the
    list of (target, right-hand side) updates.  [stmt] is then the
    interpreter of that list, and the transition-system layer may compile
-   the same list into rank arithmetic instead. *)
+   the same list into rank arithmetic instead.
+
+   An action built by [of_moves] records its deterministic statement as a
+   rank -> rank move table over a layout signature (see [Pred.signature]),
+   which the transition-system layer runs on layouts of that signature;
+   the statement closure stays the semantics. *)
 
 type rhs = Expr of Expr.t | Any of Domain.t
 
@@ -21,11 +26,12 @@ type t = {
   guard : Pred.t;
   stmt : State.t -> State.t list;
   updates : (string * rhs) list option;
+  moves : (Pred.signature * (int -> int)) option;
   based_on : string option;
 }
 
 let make ?based_on name guard stmt =
-  { name; guard; stmt; updates = None; based_on }
+  { name; guard; stmt; updates = None; moves = None; based_on }
 
 (* The simultaneous assignment [x, y, ... := e, ?, ...]: right-hand sides
    read the pre-state, and each [?] fans out over its domain, the first
@@ -48,10 +54,20 @@ let update ?based_on name guard updates =
   (match dup targets with
   | Some x -> invalid_arg (Fmt.str "Action.update %s: %s assigned twice" name x)
   | None -> ());
-  { name; guard; stmt = run_updates updates; updates = Some updates; based_on }
+  {
+    name;
+    guard;
+    stmt = run_updates updates;
+    updates = Some updates;
+    moves = None;
+    based_on;
+  }
 
 let deterministic ?based_on name guard f =
   make ?based_on name guard (fun st -> [ f st ])
+
+let of_moves ?based_on name guard signature move f =
+  { (deterministic ?based_on name guard f) with moves = Some (signature, move) }
 
 let assign ?based_on name guard updates =
   deterministic ?based_on name guard (fun st ->
@@ -79,6 +95,7 @@ let name ac = ac.name
 let guard ac = ac.guard
 let based_on ac = ac.based_on
 let updates ac = ac.updates
+let moves ac = ac.moves
 
 let enabled ac st = Pred.holds ac.guard st
 
@@ -87,7 +104,7 @@ let execute ac st = if enabled ac st then ac.stmt st else []
 
 (* Restriction of an action by a state predicate:  Z ∧ (g -> st)  is
    (Z ∧ g -> st)  (Section 2.1.1, ∧-composition).  The statement, and so
-   its recorded updates, is unchanged. *)
+   its recorded updates or move table, is unchanged. *)
 let restrict z ac = { ac with guard = Pred.and_ z ac.guard }
 
 let rename name ac = { ac with name }

@@ -43,6 +43,22 @@ type rhs = Expr of Expr.t | Any of Domain.t
 val update :
   ?based_on:string -> string -> Pred.t -> (string * rhs) list -> t
 
+(** [of_moves name guard sg move f] is [deterministic name guard f] with a
+    rank form of its statement: where the guard holds, the successor of
+    the state of rank [r] under any layout of signature [sg] (see
+    {!Pred.signature}) has rank [move r].  The transition system runs
+    [move] on layouts of signature [sg] and [f] on any other; [f] stays
+    the semantics.  A synthesized corrector is built this way: its move
+    table is computed over an explored state space. *)
+val of_moves :
+  ?based_on:string ->
+  string ->
+  Pred.t ->
+  Pred.signature ->
+  (int -> int) ->
+  (State.t -> State.t) ->
+  t
+
 (** [choose name guard fs] nondeterministically applies one of [fs]. *)
 val choose :
   ?based_on:string -> string -> Pred.t -> (State.t -> State.t) list -> t
@@ -60,6 +76,10 @@ val based_on : t -> string option
 (** The update list of an action built by {!update} (kept by {!restrict}
     and {!rename}); [None] for actions with an opaque statement. *)
 val updates : t -> (string * rhs) list option
+
+(** The move table of an action built by {!of_moves} (kept by {!restrict}
+    and {!rename}); [None] otherwise. *)
+val moves : t -> (Pred.signature * (int -> int)) option
 
 (** [enabled ac st]: the guard of [ac] is true in [st]. *)
 val enabled : t -> State.t -> bool

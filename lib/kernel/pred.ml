@@ -9,13 +9,25 @@
    A predicate built from an expression keeps it ([expr]), and the
    connectives keep the combined expression when every operand has one,
    so the transition-system layer can compile it against a layout; [eval]
-   is always the interpreter of that expression. *)
+   is always the interpreter of that expression.
+
+   A predicate computed over an explored state space (a synthesized
+   detection guard, say) may instead carry a rank form: a test on the
+   mixed-radix rank of a state under a layout, tagged with that layout's
+   signature, so a compiler over a layout of the same signature can skip
+   the state.  [and_] keeps its operands, so a conjunction of a rank form
+   and an expression compiles as both.  The closure [eval] stays the
+   semantics in every case. *)
+
+type signature = (string * Value.t list) list
 
 type t = {
   id : int;
   name : string;
   eval : State.t -> bool;
   expr : Expr.t option;
+  ranked : (signature * (int -> bool)) option;
+  operands : (t * t) option; (* of [and_] *)
 }
 
 (* Unique per predicate instance; the transition-system caches key their
@@ -23,13 +35,18 @@ type t = {
    domains during parallel exploration. *)
 let counter = Atomic.make 0
 
-let with_expr expr name eval =
-  { id = Atomic.fetch_and_add counter 1; name; eval; expr }
+let with_expr ?ranked ?operands expr name eval =
+  { id = Atomic.fetch_and_add counter 1; name; eval; expr; ranked; operands }
 
 let make name eval = with_expr None name eval
 
+let of_ranks name signature test eval =
+  with_expr ~ranked:(signature, test) None name eval
+
 let id p = p.id
 let expr p = p.expr
+let ranked p = p.ranked
+let operands p = p.operands
 
 let holds p st = p.eval st
 
@@ -57,7 +74,7 @@ let not_ p =
     (fun st -> not (p.eval st))
 
 let and_ a b =
-  with_expr
+  with_expr ~operands:(a, b)
     (both (fun ea eb -> Expr.and_ [ ea; eb ]) a b)
     (Fmt.str "(%s && %s)" a.name b.name)
     (fun st -> a.eval st && b.eval st)

@@ -34,6 +34,35 @@ val of_expr : ?name:string -> Expr.t -> t
     it to evaluate the predicate without building a state. *)
 val expr : t -> Expr.t option
 
+(** {1 Rank forms}
+
+    A layout (see [Detcor_semantics.Layout]) numbers the states binding
+    exactly its variables to values of their domains by mixed-radix rank.
+    Its signature is what fixes that numbering: the variables in slot
+    (ascending name) order, each with its domain values in code
+    (ascending {!Value.compare}) order.  Two layouts of equal signature
+    give every state the same rank. *)
+
+type signature = (string * Value.t list) list
+
+(** [of_ranks name sg test eval] is the predicate [make name eval] with a
+    rank form: at the state of rank [r] under any layout of signature
+    [sg], [test r] must equal [eval] there.  Compilers run [test] on
+    layouts of signature [sg] and refuse it on any other layout, where
+    [eval] runs; [eval] stays the semantics everywhere (other layouts,
+    states outside every layout, the reference engine). *)
+val of_ranks : string -> signature -> (int -> bool) -> (State.t -> bool) -> t
+
+(** The rank form of an {!of_ranks} predicate ([None] for every other
+    constructor). *)
+val ranked : t -> (signature * (int -> bool)) option
+
+(** The operands of an {!and_} predicate ([None] for every other
+    constructor): a conjunction whose operands have no common
+    expression, such as a rank form restricting a guard, still compiles
+    operand by operand. *)
+val operands : t -> (t * t) option
+
 val true_ : t
 val false_ : t
 val not_ : t -> t

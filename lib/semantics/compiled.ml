@@ -244,15 +244,52 @@ and constant a b answer =
     b c;
     answer
 
-let pred layout p =
-  match Pred.expr p with
-  | None -> None
-  | Some e -> ( try Some (bool (context layout [ e ]) e) with Refuse -> None)
+(* A compiled predicate reads the slot codes, the rank, or both. *)
+type test =
+  | Codes of (int array -> bool)
+  | Ranks of (int -> bool)
+  | Both of (int array -> int -> bool)
+
+let holds t ~codes ~rank =
+  match t with Codes f -> f codes | Ranks f -> f rank | Both f -> f codes rank
+
+let both = function
+  | Codes f -> fun c _ -> f c
+  | Ranks f -> fun _ r -> f r
+  | Both f -> f
+
+(* Left-to-right conjunction of two tests, stopping at a false left
+   operand, as [Pred.and_] evaluates.  Two expressions never meet here
+   (their conjunction has an expression); a rank form restricting an
+   expression guard is the common case. *)
+let conj a b =
+  match (a, b) with
+  | Ranks a, Ranks b -> Ranks (fun r -> a r && b r)
+  | Ranks a, Codes b -> Both (fun c r -> a r && b c)
+  | a, b ->
+    let a = both a and b = both b in
+    Both (fun c r -> a c r && b c r)
+
+(* The expression when there is one (a conjunction of expressions has
+   one), else the rank form when its signature is the layout's, else the
+   operands of a conjunction. *)
+let rec pred layout p =
+  match (Pred.expr p, Pred.ranked p, Pred.operands p) with
+  | Some e, _, _ -> (
+    try Some (Codes (bool (context layout [ e ]) e)) with Refuse -> None)
+  | None, Some (sg, test), _ ->
+    if Layout.has_signature layout sg then Some (Ranks test) else None
+  | None, None, Some (a, b) -> (
+    match pred layout a with
+    | None -> None
+    | Some a -> Option.map (conj a) (pred layout b))
+  | None, None, None -> None
 
 let iter_satisfying layout p f =
   match pred layout p with
-  | Some holds ->
-    Layout.iter_codes layout (fun rank codes -> if holds codes then f rank)
+  | Some t ->
+    Layout.iter_codes layout (fun rank codes ->
+        if holds t ~codes ~rank then f rank)
   | None ->
     let rank = ref 0 in
     Layout.iter_scratch layout (fun sc ->
@@ -263,7 +300,7 @@ let iter_satisfying layout p f =
 (* Actions.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type guard = Codes of (int array -> bool) | Closure of (State.t -> bool)
+type guard = Test of test | Closure of (State.t -> bool)
 
 (* One [x := e] update: the target slot and its stride, the right-hand
    side as a raw unboxed value, that value's code in the target's domain
@@ -276,13 +313,16 @@ type set = {
   to_value : int -> Value.t;
 }
 
-type action = {
-  layout : Layout.t;
-  guard : guard;
+type updates = {
   sets : set array; (* in update-list order *)
   wild : int array; (* [x := ?] target slots, in update-list order *)
   wild_codes : int array array; (* the codes each wildcard ranges over *)
 }
+
+(* The statement: an update list, or a move table (see [Action.of_moves]). *)
+type stmt = Updates of updates | Move of (int -> int)
+
+type action = { layout : Layout.t; guard : guard; stmt : stmt }
 
 let compile_set ctx x e =
   let k = slot ctx x in
@@ -309,91 +349,100 @@ let compile_set ctx x e =
   in
   { target = k; stride = Layout.stride ctx.layout k; raw; to_code; to_value }
 
-let action layout ac =
-  match Action.updates ac with
-  | None -> None
-  | Some updates -> (
-    let guard_pred = Action.guard ac in
-    let exprs =
-      List.filter_map
-        (function _, Action.Expr e -> Some e | _, Action.Any _ -> None)
-        updates
-    in
-    let ctx =
-      context layout
-        (match Pred.expr guard_pred with Some g -> g :: exprs | None -> exprs)
-    in
-    try
-      let sets =
-        List.filter_map
-          (function
-            | x, Action.Expr e -> Some (compile_set ctx x e)
-            | _, Action.Any _ -> None)
-          updates
-      in
-      let wild =
-        List.filter_map
-          (function
-            | x, Action.Any d ->
-              let k = slot ctx x in
-              let codes =
-                List.map (fun v -> Layout.code layout k v) (Domain.values d)
-              in
-              if List.mem (-1) codes then raise Refuse;
-              Some (k, Array.of_list codes)
-            | _, Action.Expr _ -> None)
-          updates
-      in
-      let guard =
-        match pred layout guard_pred with
-        | Some g -> Codes g
-        | None -> Closure (Pred.fn guard_pred)
-      in
-      Some
-        {
-          layout;
-          guard;
-          sets = Array.of_list sets;
-          wild = Array.of_list (List.map fst wild);
-          wild_codes = Array.of_list (List.map snd wild);
-        }
-    with Refuse -> None)
+let compile_updates layout guard_pred updates =
+  let exprs =
+    List.filter_map
+      (function _, Action.Expr e -> Some e | _, Action.Any _ -> None)
+      updates
+  in
+  let ctx =
+    context layout
+      (match Pred.expr guard_pred with Some g -> g :: exprs | None -> exprs)
+  in
+  let sets =
+    List.filter_map
+      (function
+        | x, Action.Expr e -> Some (compile_set ctx x e)
+        | _, Action.Any _ -> None)
+      updates
+  in
+  let wild =
+    List.filter_map
+      (function
+        | x, Action.Any d ->
+          let k = slot ctx x in
+          let codes =
+            List.map (fun v -> Layout.code layout k v) (Domain.values d)
+          in
+          if List.mem (-1) codes then raise Refuse;
+          Some (k, Array.of_list codes)
+        | _, Action.Expr _ -> None)
+      updates
+  in
+  {
+    sets = Array.of_list sets;
+    wild = Array.of_list (List.map fst wild);
+    wild_codes = Array.of_list (List.map snd wild);
+  }
 
-let needs_state a = match a.guard with Codes _ -> false | Closure _ -> true
+let action layout ac =
+  let guard_pred = Action.guard ac in
+  try
+    let stmt =
+      match (Action.updates ac, Action.moves ac) with
+      | Some updates, _ -> Updates (compile_updates layout guard_pred updates)
+      | None, Some (sg, move) when Layout.has_signature layout sg -> Move move
+      | None, _ -> raise Refuse
+    in
+    let guard =
+      match pred layout guard_pred with
+      | Some t -> Test t
+      | None -> Closure (Pred.fn guard_pred)
+    in
+    Some { layout; guard; stmt }
+  with Refuse -> None
+
+let needs_state a = match a.guard with Test _ -> false | Closure _ -> true
 
 (* [f aid rank'] for every outcome of the wildcards [j..], the earlier
    wildcards fixed in [rank]. *)
-let rec fan a codes aid f j rank =
-  if j = Array.length a.wild then f aid rank
+let rec fan layout u codes aid f j rank =
+  if j = Array.length u.wild then f aid rank
   else begin
-    let k = a.wild.(j) in
-    let stride = Layout.stride a.layout k in
+    let k = u.wild.(j) in
+    let stride = Layout.stride layout k in
     let base = rank - (codes.(k) * stride) in
-    let cs = a.wild_codes.(j) in
+    let cs = u.wild_codes.(j) in
     for i = 0 to Array.length cs - 1 do
-      fan a codes aid f (j + 1) (base + (cs.(i) * stride))
+      fan layout u codes aid f (j + 1) (base + (cs.(i) * stride))
     done
   end
 
+let run_updates layout u ~codes ~rank aid f =
+  (* Every right-hand side is evaluated (and may raise) before any escape
+     is diagnosed, as the interpreter evaluates the statement before
+     ranking its outcome. *)
+  let delta = ref 0 and escaped = ref (-1) in
+  for i = 0 to Array.length u.sets - 1 do
+    let s = u.sets.(i) in
+    let c' = s.to_code (s.raw codes) in
+    if c' >= 0 then delta := !delta + ((c' - codes.(s.target)) * s.stride)
+    else if !escaped < 0 || s.target < u.sets.(!escaped).target then
+      escaped := i
+  done;
+  if !escaped >= 0 then begin
+    let s = u.sets.(!escaped) in
+    Layout.escape
+      (Layout.Out_of_domain
+         (Layout.var layout s.target, s.to_value (s.raw codes)))
+  end;
+  fan layout u codes aid f 0 (rank + !delta)
+
 let successors a ~codes ~rank st aid f =
-  let enabled = match a.guard with Codes g -> g codes | Closure g -> g st in
-  if enabled then begin
-    (* Every right-hand side is evaluated (and may raise) before any
-       escape is diagnosed, as the interpreter evaluates the statement
-       before ranking its outcome. *)
-    let delta = ref 0 and escaped = ref (-1) in
-    for i = 0 to Array.length a.sets - 1 do
-      let s = a.sets.(i) in
-      let c' = s.to_code (s.raw codes) in
-      if c' >= 0 then delta := !delta + ((c' - codes.(s.target)) * s.stride)
-      else if !escaped < 0 || s.target < a.sets.(!escaped).target then
-        escaped := i
-    done;
-    if !escaped >= 0 then begin
-      let s = a.sets.(!escaped) in
-      Layout.escape
-        (Layout.Out_of_domain
-           (Layout.var a.layout s.target, s.to_value (s.raw codes)))
-    end;
-    fan a codes aid f 0 (rank + !delta)
-  end
+  let enabled =
+    match a.guard with Test t -> holds t ~codes ~rank | Closure g -> g st
+  in
+  if enabled then
+    match a.stmt with
+    | Updates u -> run_updates a.layout u ~codes ~rank aid f
+    | Move move -> f aid (move rank)

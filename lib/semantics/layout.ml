@@ -59,6 +59,7 @@ type t = {
   (* bindings.(k).(c) = (vars.(k), domains.(k).(c)): every decoder writes
      these shared pairs, so decoding allocates no pair per slot. *)
   bindings : (string * Value.t) array array;
+  signature : Pred.signature; (* what fixes the numbering *)
 }
 
 (* [of_program p] compiles the layout, or returns [None] when the product
@@ -120,8 +121,19 @@ let of_program p =
     let bindings =
       Array.mapi (fun k dom -> Array.map (fun v -> (vars.(k), v)) dom) domains
     in
-    Some { vars; domains; strides; coders; space = !space; bindings }
+    let signature =
+      Array.to_list
+        (Array.mapi (fun k x -> (x, Array.to_list domains.(k))) vars)
+    in
+    Some { vars; domains; strides; coders; space = !space; bindings; signature }
   end
+
+let signature t = t.signature
+
+(* Equal signatures give every state the same rank.  Forms computed on
+   one layout usually meet that very layout again, so the physical test
+   decides most calls. *)
+let has_signature t sg = t.signature == sg || t.signature = sg
 
 let num_vars t = Array.length t.vars
 let space t = t.space

@@ -38,6 +38,14 @@ val num_vars : t -> int
 val space : t -> int
 
 val var : t -> int -> string
+
+(** The variables in slot order, each with its domain values in code
+    order: two layouts of equal signature rank every state alike. *)
+val signature : t -> Pred.signature
+
+(** [has_signature t sg]: [t]'s signature is [sg], so rank forms tagged
+    with [sg] ({!Pred.of_ranks}, {!Action.of_moves}) hold on [t]. *)
+val has_signature : t -> Pred.signature -> bool
 val domain_values : t -> int -> Value.t list
 
 (** [pack t st] is the mixed-radix rank of [st].

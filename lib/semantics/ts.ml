@@ -116,7 +116,10 @@ type t = {
   (* Rank of each state of a flat BFS store; empty when state [i] has rank
      [i] (the full product) or there is no flat layout store. *)
   ranks : int array;
+  (* Rank -> index of a flat BFS store: the interning table. *)
+  rank_index : (int, int) Hashtbl.t option;
   compiled : int; (* actions that ran compiled *)
+  closure_guards : int; (* compiled actions whose guard is a closure *)
   (* Bitset caches; only consulted when [cached] (packed engine). *)
   cached : bool;
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
@@ -255,8 +258,9 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
-    ~cached ~shard (states, row_ptr, edge_action, edge_target) =
+let make_system ~program ~actions ~initials ~lookup ~layout ~ranks
+    ~rank_index ~compiled ~closure_guards ~cached ~shard
+    (states, row_ptr, edge_action, edge_target) =
   {
     program;
     states;
@@ -268,7 +272,9 @@ let make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
     lookup;
     layout;
     ranks;
+    rank_index;
     compiled;
+    closure_guards;
     cached;
     shard;
     pred_cache = Hashtbl.create 16;
@@ -280,13 +286,13 @@ let make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
    capacity slack rather than being copied to their exact length. *)
 let trim a len = if Array.length a - len > len / 8 then Array.sub a 0 len else a
 
-let finish b ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
-    ~cached =
+let finish b ~program ~actions ~initials ~lookup ~layout ~ranks ~rank_index
+    ~compiled ~closure_guards ~cached =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   count_build ~states:n ~edges:b.elen;
-  make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~compiled
-    ~cached ~shard:None
+  make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~rank_index
+    ~compiled ~closure_guards ~cached ~shard:None
     ( Array.sub b.states_buf 0 n,
       Array.sub b.rows 0 (n + 1),
       trim b.ea b.elen,
@@ -331,7 +337,8 @@ let build_reference ~limit program ~from =
       done);
   finish b ~program ~actions ~initials
     ~lookup:(fun st -> State_table.find_opt index st)
-    ~layout:None ~ranks:[||] ~compiled:0 ~cached:false
+    ~layout:None ~ranks:[||] ~rank_index:None ~compiled:0 ~closure_guards:0
+    ~cached:false
 
 (* ------------------------------------------------------------------ *)
 (* The construction pipeline: seeds, successor kernel, chunk runner.   *)
@@ -377,6 +384,7 @@ type kernel = {
   k_actions : Action.t array;
   k_compiled : Compiled.action option array;
   num_compiled : int;
+  closure_guards : int; (* compiled actions whose guard reads the state *)
   needs_state : bool; (* some action reads the source [State.t] *)
 }
 
@@ -389,6 +397,11 @@ let kernel layout program =
     k_compiled = compiled;
     num_compiled =
       Array.fold_left (fun n c -> if c = None then n else n + 1) 0 compiled;
+    closure_guards =
+      Array.fold_left
+        (fun n -> function
+          | Some c when Compiled.needs_state c -> n + 1 | _ -> n)
+        0 compiled;
     needs_state =
       Array.exists
         (function None -> true | Some c -> Compiled.needs_state c)
@@ -595,7 +608,8 @@ let build_packed ~limit ~workers k program (seeds, seed_states) =
       | Some rank -> Hashtbl.find_opt index rank)
     ~layout:(Some layout)
     ~ranks:(Array.sub !ranks 0 b.count)
-    ~compiled:k.num_compiled ~cached:true
+    ~rank_index:(Some index) ~compiled:k.num_compiled
+    ~closure_guards:k.closure_guards ~cached:true
 
 (* Packed [full]: every product state is present, so a state's index IS
    its rank — no interning table at all.  States are materialized in rank
@@ -659,7 +673,8 @@ let full_packed ~limit ~workers k program =
   finish b ~program ~actions:k.k_actions
     ~initials:(List.init n Fun.id)
     ~lookup:(fun st -> Layout.pack_opt layout st)
-    ~layout:(Some layout) ~ranks:[||] ~compiled:k.num_compiled ~cached:true
+    ~layout:(Some layout) ~ranks:[||] ~rank_index:None
+    ~compiled:k.num_compiled ~closure_guards:k.closure_guards ~cached:true
 
 (* ------------------------------------------------------------------ *)
 (* Shard store: hash-partitioned, disk-spillable arenas.               *)
@@ -824,8 +839,9 @@ let build_sharded ~limit ~workers kern program ~seeds =
       match Layout.pack_opt layout st with
       | None -> None
       | Some rank -> Shard_store.find store rank)
-    ~layout:(Some layout) ~ranks:[||] ~compiled:kern.num_compiled ~cached:true
-    ~shard:(Some store)
+    ~layout:(Some layout) ~ranks:[||] ~rank_index:None
+    ~compiled:kern.num_compiled ~closure_guards:kern.closure_guards
+    ~cached:true ~shard:(Some store)
     ([||], [| 0 |], [||], [||])
 
 (* ------------------------------------------------------------------ *)
@@ -917,6 +933,26 @@ let fold_out ts i f init =
   !acc
 
 let index_of ts st = ts.lookup st
+
+(* Ranks are read from what each store keeps: the sharded store's
+   columns, a BFS store's rank array and interning table, and the
+   identity of the full product. *)
+let no_layout () = invalid_arg "Ts: no layout ranks on a reference system"
+
+let rank_of ts i =
+  match (ts.shard, ts.layout) with
+  | Some store, _ -> Shard_store.rank_of store i
+  | None, None -> no_layout ()
+  | None, Some _ -> if Array.length ts.ranks = 0 then i else ts.ranks.(i)
+
+let index_of_rank ts r =
+  match (ts.shard, ts.rank_index, ts.layout) with
+  | Some store, _, _ -> (
+    match Shard_store.find store r with Some i -> i | None -> -1)
+  | None, Some index, _ -> (
+    match Hashtbl.find_opt index r with Some i -> i | None -> -1)
+  | None, None, Some _ -> if r >= 0 && r < num_states ts then r else -1
+  | None, None, None -> no_layout ()
 
 let action_id ts name =
   let found = ref None in
@@ -1029,6 +1065,7 @@ let construct op ~limit ~engine ~workers program seeds =
         Attr.bool "packed" (ts.layout <> None);
         Attr.int "actions" (Array.length ts.actions);
         Attr.int "compiled" ts.compiled;
+        Attr.int "closure_guards" ts.closure_guards;
       ];
   ts
 
@@ -1094,16 +1131,21 @@ let iter_in rev j f =
 (* Cached predicate and guard queries.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [f i rank] for every state [i] of a BFS or shard store, in id order. *)
+(* [f i rank] for every state [i] of a layout-built system, in id order. *)
 let iter_ranks ts f =
   match ts.shard with
   | Some store -> Shard_store.iter_ranks store f
+  | None when Array.length ts.ranks = 0 ->
+    for i = 0 to num_states ts - 1 do
+      f i i
+    done
   | None -> Array.iteri f ts.ranks
 
-(* One sweep of [pred] over every state, in id order.  A predicate with an
-   expression runs compiled on each state's rank, decoded into slot codes;
-   otherwise, on a shard store, ranks decode into a scratch buffer.
-   Neither allocates per visit, and spilled segments stream through. *)
+(* One sweep of [pred] over every state, in id order.  A predicate that
+   compiles runs on each state's rank, decoded into slot codes unless
+   only its rank form reads them; otherwise, on a shard store, ranks
+   decode into a scratch buffer.  Neither allocates per visit, and spilled
+   segments stream through. *)
 let sweep ts pred =
   let bits = Bitset.create (num_states ts) in
   let compiled =
@@ -1111,18 +1153,20 @@ let sweep ts pred =
         Option.map (fun holds -> (layout, holds)) (Compiled.pred layout pred))
   in
   (match (compiled, ts.shard) with
-  | Some (layout, holds), None when Array.length ts.ranks = 0 ->
+  | Some (_, Compiled.Ranks test), _ ->
+    iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i)
+  | Some (layout, t), None when Array.length ts.ranks = 0 ->
     (* The full product: state i has rank i, so the codes step. *)
     let codes = Array.make (Layout.num_vars layout) 0 in
     for i = 0 to num_states ts - 1 do
-      if holds codes then Bitset.set bits i;
+      if Compiled.holds t ~codes ~rank:i then Bitset.set bits i;
       Layout.advance layout codes
     done
-  | Some (layout, holds), _ ->
+  | Some (layout, t), _ ->
     let codes = Array.make (Layout.num_vars layout) 0 in
     iter_ranks ts (fun i rank ->
         Layout.decode layout rank codes;
-        if holds codes then Bitset.set bits i)
+        if Compiled.holds t ~codes ~rank then Bitset.set bits i)
   | None, Some store ->
     let layout = Option.get ts.layout in
     let sc = Layout.scratch layout in

@@ -109,6 +109,24 @@ val iter_out : t -> int -> (int -> int -> unit) -> unit
 val out_degree : t -> int -> int
 val fold_out : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 val index_of : t -> State.t -> int option
+
+(** {1 Layout ranks}
+
+    On a system built with a {!layout} (packed or sharded), every state
+    has a mixed-radix rank under that layout.  These read the builder's
+    own data (rank columns, interning table, or the identity of the full
+    product) and build no state, so synthesis keys its artefacts by rank
+    ({!Pred.of_ranks}, {!Action.of_moves}) and maps between two systems
+    of equal layout signature without hashing states. *)
+
+(** [rank_of ts i]: the layout rank of state [i].
+    @raise Invalid_argument on a system without a layout. *)
+val rank_of : t -> int -> int
+
+(** [index_of_rank ts r]: the index of the state of rank [r], or [-1]
+    when [ts] does not hold it.
+    @raise Invalid_argument on a system without a layout. *)
+val index_of_rank : t -> int -> int
 val action_id : t -> string -> int option
 
 (** Ids of the actions named in the list — used to separate fault actions

@@ -253,7 +253,13 @@ let make_mt ts_pf ~ms ~sspec s s' =
    the guard is [false]: the detector never analysed it.  Any other state
    outside R (outside the declared domains, or over another variable set
    when R itself does not fit the product, as with auxiliary fault
-   variables) keeps the semantic formula, with [ms] known on R only. *)
+   variables) keeps the semantic formula, with [ms] known on R only.
+
+   On a layout-built R each guard also has a rank form (see
+   [Pred.of_ranks]): the probe reached through [Ts.index_of_rank], false
+   at a rank R does not hold, which is what the closure answers at every
+   in-layout state.  Builds over a layout of R's signature then run the
+   guard without building or hashing a state. *)
 let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms ~unexplored p =
   let n = Ts.num_states ts_pf in
   let acts = Program.actions p in
@@ -278,18 +284,26 @@ let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms ~unexplored p =
             && (not (Bitset.get ms i))
             && not (Bitset.get bad_step.(k) i))
       in
+      let name = Fmt.str "wdp(%s)" (Action.name ac) in
+      let eval st =
+        match Ts.index_of ts_pf st with
+        | Some i -> Bitset.get ok i
+        | None ->
+          (not (unexplored st))
+          && (not (Safety.bad_state sspec st))
+          && List.for_all
+               (fun st' -> not (make_mt ts_pf ~ms ~sspec st st'))
+               (Action.execute ac st)
+      in
       let guard =
-        Pred.make
-          (Fmt.str "wdp(%s)" (Action.name ac))
-          (fun st ->
-            match Ts.index_of ts_pf st with
-            | Some i -> Bitset.get ok i
-            | None ->
-              (not (unexplored st))
-              && (not (Safety.bad_state sspec st))
-              && List.for_all
-                   (fun st' -> not (make_mt ts_pf ~ms ~sspec st st'))
-                   (Action.execute ac st))
+        match Ts.layout ts_pf with
+        | None -> Pred.make name eval
+        | Some layout ->
+          Pred.of_ranks name (Layout.signature layout)
+            (fun r ->
+              let i = Ts.index_of_rank ts_pf r in
+              i >= 0 && Bitset.get ok i)
+            eval
       in
       (ac, guard))
     acts
@@ -550,6 +564,17 @@ module State_tbl = Hashtbl.Make (struct
   let hash = State.hash
 end)
 
+(* The index in [dst] of each state of [src], [-1] when [dst] does not
+   hold it: by rank when both systems have layouts of one signature (no
+   state is built or hashed), otherwise by state. *)
+let index_map ~src ~dst =
+  match (Ts.layout src, Ts.layout dst) with
+  | Some a, Some b when Layout.has_signature b (Layout.signature a) ->
+    fun i -> Ts.index_of_rank dst (Ts.rank_of src i)
+  | _ -> (
+    fun i ->
+      match Ts.index_of dst (Ts.state src i) with Some j -> j | None -> -1)
+
 (* The corrector's own detection predicate: the span states from which the
    program alone, under weak fairness, is NOT guaranteed to reach [target]
    — some maximal fair program-only computation stays in ¬target forever
@@ -564,10 +589,11 @@ end)
 
    Computed over the {!Ts} API, so one implementation serves both engines;
    the result is a fixpoint-defined set, hence extensionally identical
-   whichever engine built [ts_p]. *)
-let needs_recovery_tbl ?limit ~engine ~workers p ~target states =
+   whichever engine built [ts_p].  It is returned as a bitset over the
+   span's indices. *)
+let needs_recovery ?limit ~engine ~workers p ~target ts_span =
   Obs.span "synth.needs_recovery" @@ fun () ->
-  let ts_p = Ts.build ?limit ~engine ~workers p ~from:states in
+  let ts_p = Ts.build ?limit ~engine ~workers p ~from:(Ts.states ts_span) in
   let n = Ts.num_states ts_p in
   let not_q = Array.init n (fun i -> not (Ts.holds_at ts_p target i)) in
   let seeds = ref [] in
@@ -577,8 +603,9 @@ let needs_recovery_tbl ?limit ~engine ~workers p ~target states =
   List.iter
     (fun (scc : Graph.scc) -> seeds := scc.Graph.members @ !seeds)
     (Fairness.fair_sccs ~mask:(fun i -> not_q.(i)) ts_p);
-  let tbl = Hashtbl.create 64 in
+  let needs = Bitset.create (Ts.num_states ts_span) in
   if !seeds <> [] then begin
+    let to_span = index_map ~src:ts_p ~dst:ts_span in
     let preds = Array.make n [] in
     Ts.iter_edges ts_p (fun i _ j ->
         if not_q.(i) && not_q.(j) then preds.(j) <- i :: preds.(j));
@@ -594,19 +621,23 @@ let needs_recovery_tbl ?limit ~engine ~workers p ~target states =
     while not (Queue.is_empty queue) do
       Detcor_robust.Budget.tick ();
       let j = Queue.pop queue in
-      Hashtbl.replace tbl (State.to_string (Ts.state ts_p j)) ();
+      let i = to_span j in
+      if i >= 0 then Bitset.set needs i;
       List.iter add preds.(j)
     done
   end;
-  tbl
+  needs
 
-(* Rank-0 seed for the layering: the target itself plus every
-   self-convergent state. *)
-let gated_rank0 ~target needs =
-  if Hashtbl.length needs = 0 then Pred.true_
-  else
-    Pred.make "target-or-self-convergent" (fun st ->
-        Pred.holds target st || not (Hashtbl.mem needs (State.to_string st)))
+(* Rank-0 seed for the layering, by span index: the target itself plus
+   every self-convergent state. *)
+let gated_rank0 ts_span ~target needs =
+  let n = Ts.num_states ts_span in
+  if not (Bitset.any needs) then Bitset.of_fn n (fun _ -> true)
+  else begin
+    let target_bits = Ts.pred_bitset ts_span target in
+    Bitset.of_fn n (fun i ->
+        Bitset.get target_bits i || not (Bitset.get needs i))
+  end
 
 (* Candidate recovery steps change at most [step_vars] variables — local
    corrections rather than global resets.  Backward layering from the
@@ -650,13 +681,128 @@ let neighbors ~step_vars p st =
     List.rev acc
   end
 
+(* [neighbors] by rank arithmetic on a layout-built span.  Each of [p]'s
+   declared variables, in declaration order, is an axis: its stride and
+   domain size in the layout and the layout codes of its declared values,
+   in domain order.  Changing axis [x] from code [c] to [c'] moves rank
+   [r] to [r + (c' - c) · stride], so no neighbor state is built.  The
+   two-variable composition emits, for each one-variable step on axis
+   [x], the steps on the axes declared after [x]: exactly the states the
+   state-based deduplication keeps first (a second step on [x] re-emits
+   a one-variable state or the origin, and a step on an earlier axis
+   re-emits a state that axis already produced), in the same order. *)
+type axis = { stride : int; size : int; codes : int array }
+
+(* [p]'s axes in [layout], or [None] when a declared variable has no slot
+   or a declared value no code there. *)
+let axes layout p =
+  let axis (x, d) =
+    match Layout.slot layout x with
+    | None -> None
+    | Some k ->
+      let codes = List.map (Layout.code layout k) (Domain.values d) in
+      if List.mem (-1) codes then None
+      else
+        Some
+          {
+            stride = Layout.stride layout k;
+            size = List.length (Layout.domain_values layout k);
+            codes = Array.of_list codes;
+          }
+  in
+  let rec all acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | decl :: rest -> (
+      match axis decl with Some a -> all (a :: acc) rest | None -> None)
+  in
+  all [] (Program.var_decls p)
+
+(* The span indices of the in-span neighbors of the state of rank [r], in
+   [neighbors] order.  Allocates its own list: worker domains call it
+   concurrently. *)
+let rank_neighbors axes ~step_vars ts r =
+  let acc = ref [] in
+  let emit r' =
+    let j = Ts.index_of_rank ts r' in
+    if j >= 0 then acc := j :: !acc
+  in
+  let code a = r / a.stride mod a.size in
+  let steps a c from f =
+    Array.iter
+      (fun c' -> if c' <> c then f (from + ((c' - c) * a.stride)))
+      a.codes
+  in
+  let n = Array.length axes in
+  Array.iter (fun a -> steps a (code a) r emit) axes;
+  if step_vars > 1 then
+    for x = 0 to n - 1 do
+      let a = axes.(x) in
+      steps a (code a) r (fun r1 ->
+          for y = x + 1 to n - 1 do
+            let b = axes.(y) in
+            steps b (code b) r1 emit
+          done)
+    done;
+  Array.of_list (List.rev !acc)
+
+(* [candidate_steps ~step_vars p ts]: for each state index of [ts], the
+   indices of its [neighbors] that [ts] holds, in order; and whether every
+   declared domain covers its layout slot (then no state of [ts] holds a
+   value outside [p]'s domains).  Rank arithmetic on a layout-built
+   system; the state-based [neighbors] only for a system without layout
+   ranks (the reference engine). *)
+let candidate_steps ~step_vars p ts =
+  match Option.bind (Ts.layout ts) (fun layout -> axes layout p) with
+  | Some axes ->
+    ( (fun i -> rank_neighbors axes ~step_vars ts (Ts.rank_of ts i)),
+      Array.for_all (fun a -> Array.length a.codes = a.size) axes )
+  | None ->
+    ( (fun i ->
+        neighbors ~step_vars p (Ts.state ts i)
+        |> List.filter_map (Ts.index_of ts)
+        |> Array.of_list),
+      false )
+
 type recovery = {
   moves : int; (* states given a recovery transition *)
   action : Action.t;
-  move_to : State.t -> State.t option;
-      (* the chosen recovery step from a state, if any — the repair loop
-         reads it to turn cycle witnesses into edge bans *)
+  move_to : int -> int;
+      (* the chosen recovery step from a span state, by index ([-1]: none)
+         — the repair loop reads it to turn cycle witnesses into edge
+         bans *)
 }
+
+(* The corrector: "move one layer closer", [move.(i)] being the chosen
+   step from span state [i] ([-1]: none).  The closures over states are
+   its semantics; on a layout-built span the guard also has a rank form
+   and the statement a rank -> rank move table, so builds over a layout
+   of the span's signature run it compiled. *)
+let recovery_action ts_span move =
+  let at st =
+    match Ts.index_of ts_span st with Some i -> move.(i) | None -> -1
+  in
+  let holds st = at st >= 0 in
+  let step st =
+    let j = at st in
+    if j >= 0 then Ts.state ts_span j else st
+  in
+  match Ts.layout ts_span with
+  | None ->
+    Action.deterministic "recovery" (Pred.make "needs-recovery" holds) step
+  | Some layout ->
+    let sg = Layout.signature layout in
+    let at_rank r =
+      let i = Ts.index_of_rank ts_span r in
+      if i >= 0 then move.(i) else -1
+    in
+    let guard =
+      Pred.of_ranks "needs-recovery" sg (fun r -> at_rank r >= 0) holds
+    in
+    Action.of_moves "recovery" guard sg
+      (fun r ->
+        let j = at_rank r in
+        if j >= 0 then Ts.rank_of ts_span j else r)
+      step
 
 (* [synthesize_recovery ~allowed ~target p ts_span]: rank the span states
    by backward BFS from the target set over allowed candidate steps, then
@@ -677,8 +823,10 @@ type recovery = {
    satisfy [repair_allowed] (defaults to [allowed]) even where ranked
    recovery is unrestricted.
 
-   Ranks and chosen moves live in [int] arrays indexed by span state,
-   neighbor lists are resolved to index arrays once (memoized), and each
+   Ranks and chosen moves live in [int] arrays indexed by span state, and
+   so do [banned], [forced] and [rank0].  Neighbor lists are resolved to
+   index arrays once (memoized; by rank arithmetic on a layout-built span,
+   see [candidate_steps]), and each
    level scans only the frontier — the unranked neighbors of the states
    ranked at the previous level — instead of rescanning the whole span.
    The candidate relation is symmetric on in-domain span states (a one-
@@ -690,43 +838,33 @@ type recovery = {
    ranks are only written between phases, so the result is identical to
    the sequential scan. *)
 let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
-    ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ?rank0
+    ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ~rank0
     ~workers ~fault_ids ~allowed ~target p ts_span =
   Obs.span "synth.recovery"
     ~attrs:[ Attr.int "states" (Ts.num_states ts_span) ]
   @@ fun () ->
-  let rank0 = match rank0 with Some r -> r | None -> target in
   let n = Ts.num_states ts_span in
   let unranked = max_int in
   let rank = Array.make n unranked in
   let move = Array.make n (-1) in
   let neigh = Array.make n None in
   let undo_fired = Atomic.make false in
-  (* Program (non-fault) span edges, keyed [src * n + dst]: the span is
-     closed under the composed program, so these are exactly the
-     program's successor pairs. *)
-  let undo_tbl =
-    if not use_undo then Hashtbl.create 1
-    else begin
-      let is_fault = Array.make (Ts.num_actions ts_span) false in
-      List.iter (fun a -> is_fault.(a) <- true) fault_ids;
-      let t = Hashtbl.create (max 64 (4 * n)) in
-      Ts.iter_edges ts_span (fun i aid j ->
-          if not is_fault.(aid) then Hashtbl.replace t ((i * n) + j) ());
-      t
-    end
+  let is_fault = Array.make (Ts.num_actions ts_span) false in
+  List.iter (fun a -> is_fault.(a) <- true) fault_ids;
+  (* [undone i j]: the program has the span transition [j -> i].  The
+     span is closed under the composed program, so its non-fault edges
+     are exactly the program's successor pairs: scan [j]'s out-edges. *)
+  let undone i j =
+    use_undo
+    && Ts.fold_out ts_span j
+         (fun found aid k -> found || (k = i && not is_fault.(aid)))
+         false
   in
-  let undone i j = use_undo && Hashtbl.mem undo_tbl ((j * n) + i) in
-  let banned_ix i j = banned (Ts.state ts_span i) (Ts.state ts_span j) in
+  let steps, covered = candidate_steps ~step_vars p ts_span in
   let fill_neighbors i =
     if neigh.(i) = None then begin
       Detcor_robust.Budget.tick ();
-      let arr =
-        neighbors ~step_vars p (Ts.state ts_span i)
-        |> List.filter_map (Ts.index_of ts_span)
-        |> Array.of_list
-      in
-      neigh.(i) <- Some arr
+      neigh.(i) <- Some (steps i)
     end
   in
   let neighbors_of i =
@@ -737,17 +875,21 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
      domains (only a system built without a layout has them): they see
      in-domain neighbors that cannot see them back, so no frontier would
      queue them.  Every level rescans them instead, as a full rescan
-     would. *)
+     would.  A layout-built span whose slots the declared domains cover
+     has none. *)
   let one_way =
-    let decls = Program.var_decls p in
-    let escaped st =
-      List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
-    in
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if escaped (Ts.state ts_span i) then acc := i :: !acc
-    done;
-    !acc
+    if covered then []
+    else begin
+      let decls = Program.var_decls p in
+      let escaped st =
+        List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
+      in
+      let acc = ref [] in
+      for i = n - 1 downto 0 do
+        if escaped (Ts.state ts_span i) then acc := i :: !acc
+      done;
+      !acc
+    end
   in
   (* Chunked fan-out used for both neighbor generation and candidate
      scans.  Distinct iterations touch distinct array slots, so the only
@@ -812,9 +954,8 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     frontier := Array.to_list front;
     level := ld
   | None ->
-    let rank0_bits = Ts.pred_bitset ts_span rank0 in
     for i = n - 1 downto 0 do
-      if Bitset.get rank0_bits i then begin
+      if Bitset.get rank0 i then begin
         rank.(i) <- 0;
         frontier := i :: !frontier
       end
@@ -858,7 +999,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
          if t >= len then -1
          else
            let j = nb.(t) in
-           if rank.(j) < lvl && allowed i j && not (banned_ix i j) then
+           if rank.(j) < lvl && allowed i j && not (banned i j) then
              if undone i j then begin
                Atomic.set undo_fired true;
                first (t + 1)
@@ -890,12 +1031,21 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let repair_allowed =
     match repair_allowed with Some f -> f | None -> allowed
   in
+  (* [p] is deadlocked at span state [i] when none of the span's
+     non-fault actions (exactly [p]'s) is enabled there. *)
+  let program_ids =
+    List.filter
+      (fun aid -> not is_fault.(aid))
+      (List.init (Ts.num_actions ts_span) Fun.id)
+  in
+  let deadlocked i =
+    List.for_all (fun aid -> not (Ts.enabled ts_span i aid)) program_ids
+  in
   let stalled = Array.make n false in
   for i = 0 to n - 1 do
     if rank.(i) = 0 && move.(i) < 0 then begin
       Detcor_robust.Budget.tick ();
-      let st = Ts.state ts_span i in
-      if forced st || Program.deadlocked p st then stalled.(i) <- true
+      if forced i || deadlocked i then stalled.(i) <- true
     end
   done;
   let target_bits = Ts.pred_bitset ts_span target in
@@ -917,7 +1067,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
               Bitset.get target_bits j
               && (relax || not stalled.(j))
               && repair_allowed i j
-              && not (banned_ix i j)
+              && not (banned i j)
             then
               if undone i j then begin
                 Atomic.set undo_fired true;
@@ -942,24 +1092,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let moves =
     Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 move
   in
-  let guard =
-    Pred.make "needs-recovery" (fun st ->
-        match Ts.index_of ts_span st with
-        | Some i -> move.(i) >= 0
-        | None -> false)
-  in
-  let action =
-    Action.deterministic "recovery" guard (fun st ->
-        match Ts.index_of ts_span st with
-        | Some i when move.(i) >= 0 -> Ts.state ts_span move.(i)
-        | _ -> st)
-  in
-  let move_to st =
-    match Ts.index_of ts_span st with
-    | Some i when move.(i) >= 0 -> Some (Ts.state ts_span move.(i))
-    | _ -> None
-  in
-  ( { moves; action; move_to },
+  ( { moves; action = recovery_action ts_span move; move_to = Array.get move },
     unrecoverable,
     Atomic.get undo_fired )
 
@@ -973,8 +1106,6 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
    pathological instances, and every round still runs under the ambient
    {!Detcor_robust.Budget}. *)
 let max_repair_rounds = 16
-
-let skey = State.to_string
 
 (* One synthesis attempt: layer with the anti-undo veto first; if that
    leaves unrecoverable states and the veto actually rejected a
@@ -1015,36 +1146,40 @@ let attempt_ladder ~step_vars ~synth =
    inside the cycle, so the next layering routes around it; a deadlock
    witness at a state without a recovery move forces the repair pass to
    give it one.  Returns false when the report holds no witness the
-   layering can act on — the failure is then terminal. *)
-let apply_witness (report : Tolerance.report) ~move_to ~bans ~forces =
+   layering can act on — the failure is then terminal.
+
+   Bans and forces are keyed by span index ([index] maps a witness state
+   to it).  The synthesized program is verified from the span's own
+   initial states and its recovery moves stay inside the span, so every
+   witness state lies in the span. *)
+let apply_witness (report : Tolerance.report) ~index ~move_to ~bans ~forces =
   let progress = ref false in
   List.iter
     (fun (it : Tolerance.item) ->
       if not !progress then
         match it.Tolerance.outcome with
         | Check.Fails (Check.Fair_cycle states) ->
+          let cycle = List.filter_map index states in
           let in_cycle = Hashtbl.create 16 in
-          List.iter (fun s -> Hashtbl.replace in_cycle (skey s) ()) states;
+          List.iter (fun i -> Hashtbl.replace in_cycle i ()) cycle;
           List.iter
-            (fun s ->
-              match move_to s with
-              | Some t when Hashtbl.mem in_cycle (skey t) ->
-                let k = (skey s, skey t) in
-                if not (Hashtbl.mem bans k) then begin
-                  Hashtbl.replace bans k ();
-                  progress := true
-                end
-              | _ -> ())
-            states
+            (fun i ->
+              let j = move_to i in
+              if
+                j >= 0
+                && Hashtbl.mem in_cycle j
+                && not (Hashtbl.mem bans (i, j))
+              then begin
+                Hashtbl.replace bans (i, j) ();
+                progress := true
+              end)
+            cycle
         | Check.Fails (Check.Deadlock st) -> (
-          match move_to st with
-          | Some _ -> ()
-          | None ->
-            let k = skey st in
-            if not (Hashtbl.mem forces k) then begin
-              Hashtbl.replace forces k ();
-              progress := true
-            end)
+          match index st with
+          | Some i when move_to i < 0 && not (Hashtbl.mem forces i) ->
+            Hashtbl.replace forces i ();
+            progress := true
+          | _ -> ())
         | _ -> ())
     report.Tolerance.items;
   !progress
@@ -1052,7 +1187,7 @@ let apply_witness (report : Tolerance.report) ~move_to ~bans ~forces =
 (* The repair loop shared by nonmasking and masking addition: layer,
    verify, and while the verdict is negative feed the witness back into
    the layering as bans and forced moves. *)
-let repair_loop ~step_vars ~synth ~build ~verify ~bans ~forces =
+let repair_loop ~step_vars ~synth ~build ~verify ~index ~bans ~forces =
   let rec go round =
     Detcor_robust.Budget.tick ();
     match attempt_ladder ~step_vars ~synth with
@@ -1063,7 +1198,9 @@ let repair_loop ~step_vars ~synth ~build ~verify ~bans ~forces =
       if Tolerance.verdict report then Ok (recovery, program, report, round)
       else if
         round >= max_repair_rounds
-        || not (apply_witness report ~move_to:recovery.move_to ~bans ~forces)
+        || not
+             (apply_witness report ~index ~move_to:recovery.move_to ~bans
+                ~forces)
       then Error (Verification_failed report)
       else begin
         if Obs.on () then
@@ -1098,12 +1235,8 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let bans = Hashtbl.create 8 in
     let forces = Hashtbl.create 8 in
-    let banned s t =
-      Hashtbl.length bans > 0 && Hashtbl.mem bans (skey s, skey t)
-    in
-    let forced st =
-      Hashtbl.length forces > 0 && Hashtbl.mem forces (skey st)
-    in
+    let banned i j = Hashtbl.length bans > 0 && Hashtbl.mem bans (i, j) in
+    let forced i = Hashtbl.length forces > 0 && Hashtbl.mem forces i in
     (* Ranked nonmasking recovery is unrestricted (the paper's corrector
        may violate safety on the way back), but repaired moves start from
        target states — fault-free behavior — so they must respect the
@@ -1114,10 +1247,9 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
       && not (Safety.bad_transition sspec s t)
     in
     let needs =
-      needs_recovery_tbl ?limit ~engine ~workers p ~target:invariant
-        (Ts.states ts_span)
+      needs_recovery ?limit ~engine ~workers p ~target:invariant ts_span
     in
-    let rank0 = gated_rank0 ~target:invariant needs in
+    let rank0 = gated_rank0 ts_span ~target:invariant needs in
     let fault_ids =
       Ts.action_ids_of_names ts_span (Fault.action_names faults)
     in
@@ -1135,7 +1267,10 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
       Tolerance.check_with ?limit ~engine program ~spec ~invariant ~init
         ~faults ~tol:Spec.Nonmasking
     in
-    match repair_loop ~step_vars ~synth ~build ~verify ~bans ~forces with
+    let index = Ts.index_of ts_span in
+    match
+      repair_loop ~step_vars ~synth ~build ~verify ~index ~bans ~forces
+    with
     | Error f -> Error f
     | Ok (recovery, program, report, rounds) ->
       Ok
@@ -1182,24 +1317,22 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let bans = Hashtbl.create 8 in
     let forces = Hashtbl.create 8 in
-    let banned s t =
-      Hashtbl.length bans > 0 && Hashtbl.mem bans (skey s, skey t)
-    in
-    let forced st =
-      Hashtbl.length forces > 0 && Hashtbl.mem forces (skey st)
-    in
+    let banned i j = Hashtbl.length bans > 0 && Hashtbl.mem bans (i, j) in
+    let forced i = Hashtbl.length forces > 0 && Hashtbl.mem forces i in
     let needs =
-      needs_recovery_tbl ?limit ~engine ~workers restricted ~target
-        (Ts.states ts_span)
+      needs_recovery ?limit ~engine ~workers restricted ~target ts_span
     in
-    let rank0 = gated_rank0 ~target needs in
+    let rank0 = gated_rank0 ts_span ~target needs in
     (* Resolve ms/bad for every span state up front; an allowed step
        (one avoiding [mt]) then costs bitset probes only. *)
     let nspan = Ts.num_states ts_span in
     let bad_span = bad_states ts_span sspec in
     let bad_tr = bad_transition ts_span sspec in
+    let to_front = index_map ~src:ts_span ~dst:front.ts in
     let ms_span =
-      Bitset.of_fn nspan (fun i -> ms_at front.ts front.ms (Ts.state ts_span i))
+      Bitset.of_fn nspan (fun i ->
+          let j = to_front i in
+          j >= 0 && Bitset.get front.ms j)
     in
     let allowed i j =
       (not (Bitset.get bad_span j))
@@ -1221,7 +1354,10 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
       Tolerance.check_with ?limit ~engine program ~spec
         ~invariant:invariant' ~init:inv_states ~faults ~tol:Spec.Masking
     in
-    match repair_loop ~step_vars ~synth ~build ~verify ~bans ~forces with
+    let index = Ts.index_of ts_span in
+    match
+      repair_loop ~step_vars ~synth ~build ~verify ~index ~bans ~forces
+    with
     | Error f -> Error f
     | Ok (recovery, program, report, rounds) ->
       Ok

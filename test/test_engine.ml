@@ -258,6 +258,69 @@ let test_full_product_kernel () =
   if per_state > 150. then
     Alcotest.failf "%.1f alloc words/state, gate is 150" per_state
 
+(* Rank forms ([Pred.of_ranks], [Action.of_moves]) run compiled only on a
+   layout of the signature they were computed on.  Under a layout with an
+   extra variable, or with the same variables over another domain, they
+   are refused, and the closures they carry then give the same bitsets
+   and successors as plain closure-built twins. *)
+let test_rank_forms_refused () =
+  let l = layout () in
+  let sg = Layout.signature l in
+  let n st = Value.as_int (State.get st "n") in
+  let holds st = Value.as_bool (State.get st "a") || n st = 0 in
+  let bump st = State.set st "n" (Value.int ((n st + 1) mod 3)) in
+  let ranked =
+    Pred.of_ranks "a|n=0" sg (fun r -> holds (Layout.unpack l r)) holds
+  in
+  let moves =
+    Action.of_moves "bump" ranked sg
+      (fun r -> Layout.pack l (bump (Layout.unpack l r)))
+      bump
+  in
+  (* A rank form restricted by an expression compiles as a conjunction. *)
+  let not_b = Pred.of_expr (Expr.Not (Expr.Var "b")) in
+  let restricted = Action.rename "bump-b" (Action.restrict not_b moves) in
+  let twin = Action.deterministic "bump" (Pred.make "a|n=0" holds) bump in
+  let twin_restricted = Action.rename "bump-b" (Action.restrict not_b twin) in
+  let check label vars ~compiles =
+    let with_actions acts = Program.make ~name:label ~vars ~actions:acts in
+    let p = with_actions [ moves; restricted ] in
+    let l' = Option.get (Layout.of_program p) in
+    let compiled ac =
+      match Compiled.action l' ac with
+      | Some c -> not (Compiled.needs_state c)
+      | None -> false
+    in
+    Alcotest.(check bool) (label ^ ": pred compiles") compiles
+      (Compiled.pred l' ranked <> None);
+    Alcotest.(check bool)
+      (label ^ ": action compiles")
+      compiles (compiled moves);
+    Alcotest.(check bool) (label ^ ": restricted compiles") compiles
+      (compiled restricted);
+    let ts = Ts.full ~engine:Ts.Packed p in
+    let ts' =
+      Ts.full ~engine:Ts.Packed (with_actions [ twin; twin_restricted ])
+    in
+    Alcotest.(check bool) (label ^ ": successors") true (Util.ts_equal ts ts');
+    Alcotest.(check bool) (label ^ ": pred bitset") true
+      (Bitset.equal (Ts.pred_bitset ts ranked)
+         (Ts.pred_bitset ts' (Pred.make "a|n=0" holds)));
+    List.iter
+      (fun aid ->
+        Alcotest.(check bool) (label ^ ": enabled bitset") true
+          (Bitset.equal (Ts.enabled_bitset ts aid) (Ts.enabled_bitset ts' aid)))
+      [ 0; 1 ]
+  in
+  check "same signature" vars ~compiles:true;
+  check "extra variable" (vars @ [ ("z", Domain.boolean) ]) ~compiles:false;
+  check "other domain"
+    (List.map
+       (fun (x, d) ->
+         if x = "s" then (x, Domain.symbols [ "x"; "y" ]) else (x, d))
+       vars)
+    ~compiles:false
+
 let suite =
   ( "engine",
     [
@@ -273,6 +336,8 @@ let suite =
       Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
       Alcotest.test_case "parallel matches reference" `Quick
         test_parallel_matches_reference;
+      Alcotest.test_case "rank forms refused on another layout" `Quick
+        test_rank_forms_refused;
       Alcotest.test_case "full-product kernel gate" `Slow
         test_full_product_kernel;
     ] )

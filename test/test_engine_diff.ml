@@ -544,6 +544,55 @@ let prop_dsl_sweeps =
       | Error m, Error m' -> String.equal m m'
       | _ -> false)
 
+(* Recovery layering's candidate steps by rank arithmetic against the
+   state-based [Synthesize.neighbors], as ordered index lists, for one-
+   and two-variable steps.  The spans come from every store that keeps
+   layout ranks: a BFS store (its interning table), the full product
+   (identity ranks) and the sharded store.  The DSL declares its
+   variables in another order than the layout's slots, so the
+   declaration-order tie-break is exercised. *)
+let prop_rank_steps =
+  Util.qtest ~count:60 "rank-arithmetic candidate steps = neighbors" dsl_arb
+    (fun src ->
+      let e = elaborate src in
+      let p = e.program in
+      let layout = Option.get (Layout.of_program p) in
+      let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
+      let systems =
+        List.filter_map
+          (fun make -> match run make with Built ts -> Some ts | _ -> None)
+          [
+            (fun () -> Ts.build ~engine:Ts.Packed p ~from);
+            (fun () -> Ts.full ~engine:Ts.Packed p);
+            (fun () ->
+              Util.with_shards ~shards:4 (fun () ->
+                  Ts.build ~engine:Ts.Sharded p ~from));
+          ]
+      in
+      let module S = Detcor_synthesis.Synthesize in
+      List.for_all
+        (fun ts ->
+          List.for_all
+            (fun step_vars ->
+              let steps, covered = S.candidate_steps ~step_vars p ts in
+              (covered || QCheck.Test.fail_report "domains do not cover slots")
+              && List.for_all
+                   (fun i ->
+                     let expected =
+                       S.neighbors ~step_vars p (Ts.state ts i)
+                       |> List.filter_map (Ts.index_of ts)
+                     in
+                     let got = Array.to_list (steps i) in
+                     expected = got
+                     || QCheck.Test.fail_reportf
+                          "%s, step_vars %d, state %d: [%a] vs [%a]"
+                          (Ts.engine_name (Ts.engine_of ts)) step_vars i
+                          Fmt.(list ~sep:sp int) expected
+                          Fmt.(list ~sep:sp int) got)
+                   (List.init (Ts.num_states ts) Fun.id))
+            [ 1; 2 ])
+        systems)
+
 (* Two updates escape in the same step, listed against slot order ([n]
    before [g]): the diagnosis names the lower slot, [g], as [Layout.pack]
    does for the interpreted successor. *)
@@ -577,6 +626,7 @@ let suite =
       prop_checks_identical;
       prop_dsl_constructions;
       prop_dsl_sweeps;
+      prop_rank_steps;
       Alcotest.test_case "compiled escape names the lowest slot" `Quick
         test_escape_lowest_slot;
     ] )
