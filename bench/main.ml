@@ -821,11 +821,12 @@ let table_robust () =
 (*                                                                     *)
 (* Each row monitors the same pre-sampled runs twice: once through the *)
 (* reference monitors (one predicate closure at a time, one trace walk  *)
-(* per quantity) and once through the compiled syndrome path (whole     *)
+(* per quantity) and once through [Monitor.report ~program] (whole      *)
 (* witness family per batch, rank-memoized).  The rendered reports must *)
 (* be byte-identical; the long recurrent token-ring stream is where     *)
 (* batching must pay — every revisited state costs bit reads instead    *)
-(* of closure evaluation.                                               *)
+(* of closure evaluation.  The memory rows are informational: on a      *)
+(* 2-variable protocol the memo's per-step toll outweighs the closures. *)
 (* ------------------------------------------------------------------ *)
 
 let table_monitor () =
@@ -833,81 +834,69 @@ let table_monitor () =
   let open Detcor_sim in
   let module Sem = Detcor_semantics in
   let tbl = Bench_table.create "E14 syndrome monitor vs predicate-at-a-time" in
+  (* The report the reference monitors aggregate, one predicate at a
+     time. *)
+  let reference_report runs ~detector ~corrector ~sspec =
+    let detections =
+      List.concat_map (fun r -> Monitor.detection_latency r detector) runs
+    in
+    let corrections =
+      List.filter_map (fun r -> Monitor.correction_latency r corrector) runs
+    in
+    {
+      Monitor.runs = List.length runs;
+      detection = Stats.summarize detections;
+      correction = Stats.summarize corrections;
+      safety_violations =
+        List.length
+          (List.filter
+             (fun r -> Monitor.first_safety_violation r sspec <> None)
+             runs);
+      corrected_runs = List.length corrections;
+    }
+  in
   let row ?(want_10x = false) name program runs ~detector ~corrector ~sspec =
     let states =
       List.fold_left
         (fun a (r : Runner.run) -> a + 1 + Sem.Trace.length r.trace)
         0 runs
     in
-    (* Interleaved best-of across the three modes: shared machines
-       drift between timing regimes, so timing each mode in its own
-       block would let a slow regime land entirely on one mode and
-       fake a dispatch regression (or hide one).  Auto must dispatch
-       to whichever evaluator wins — its work crossover keeps tiny
-       protocols on reference, where the memo toll used to cost 0.6x,
-       and packs the long recurrent streams. *)
+    (* Interleaved best-of across the two paths: shared machines drift
+       between timing regimes, so timing each path in its own block
+       would let a slow regime land entirely on one of them. *)
     let sample out best f =
       let r, t = Bench_table.time f in
       if t < !best then begin
         best := t;
         out := Some r
-      end;
-      t
+      end
     in
     let ref_out = ref None and ref_best = ref infinity in
     let packed_out = ref None and packed_best = ref infinity in
-    let auto_out = ref None and auto_best = ref infinity in
-    (* Best paired reference/auto ratio across rounds: the two arms run
-       adjacently, so one quiet round bounds the true dispatch cost even
-       when the global minima land in different load regimes. *)
-    let best_pair = ref 0.0 in
     for _ = 1 to 5 do
-      let tr =
-        sample ref_out ref_best (fun () ->
-            Monitor.report ~mode:Syndrome.Reference runs ~detector ~corrector
-              ~sspec)
-      in
-      ignore
-        (sample packed_out packed_best (fun () ->
-             Monitor.report ~mode:Syndrome.Packed ~program runs ~detector
-               ~corrector ~sspec));
-      let ta =
-        sample auto_out auto_best (fun () ->
-            Monitor.report ~mode:Syndrome.Auto ~program runs ~detector
-              ~corrector ~sspec)
-      in
-      best_pair := Float.max !best_pair (tr /. ta)
+      sample ref_out ref_best (fun () ->
+          reference_report runs ~detector ~corrector ~sspec);
+      sample packed_out packed_best (fun () ->
+          Monitor.report ~program runs ~detector ~corrector ~sspec)
     done;
     let ref_report = Option.get !ref_out and reference_s = !ref_best in
     let packed_report = Option.get !packed_out and packed_s = !packed_best in
-    let auto_report = Option.get !auto_out and auto_s = !auto_best in
-    let ref_str = Fmt.str "%a" Monitor.pp_report ref_report in
-    let agree = ref_str = Fmt.str "%a" Monitor.pp_report packed_report in
+    let agree =
+      Fmt.str "%a" Monitor.pp_report ref_report
+      = Fmt.str "%a" Monitor.pp_report packed_report
+    in
     check (name ^ " monitor verdicts identical") true agree;
-    check
-      (name ^ " auto verdict identical")
-      true
-      (ref_str = Fmt.str "%a" Monitor.pp_report auto_report);
-    let auto_speedup = reference_s /. auto_s in
     let speedup =
       Bench_table.add_row tbl ~name ~states ~agree ~reference_s ~packed_s
         ~extra:
           [
             ( "packed_states_per_s",
               Detcor_obs.Jsonx.Float (float_of_int states /. packed_s) );
-            ("auto_s", Detcor_obs.Jsonx.Float auto_s);
-            ("auto_speedup", Detcor_obs.Jsonx.Float auto_speedup);
           ]
         ()
     in
-    Fmt.pr
-      "%-14s states %8d  reference %8.4fs  packed %8.4fs  %6.2fx  auto \
-       %6.2fx@."
-      name states reference_s packed_s speedup auto_speedup;
-    check
-      (name ^ " auto dispatch never regresses")
-      true
-      (Float.max auto_speedup !best_pair >= 0.95);
+    Fmt.pr "%-14s states %8d  reference %8.4fs  packed %8.4fs  %6.2fx@." name
+      states reference_s packed_s speedup;
     if want_10x then
       check (name ^ " batched speedup >= 10x") true (speedup >= 10.0)
   in
@@ -959,11 +948,9 @@ let table_monitor () =
     |> List.iter (fun f ->
            if Filename.check_suffix f ".dc" then begin
              let e = Detcor_lang.Elaborate.load_file (Filename.concat corpus f) in
-             match
-               List.filter (Pred.holds e.invariant) (Program.states e.program)
-             with
-             | [] -> ()
-             | init :: _ ->
+             match Runner.initial_state e.program ~invariant:e.invariant with
+             | None -> ()
+             | Some init ->
                let runs =
                  Runner.sample 50 e.program ~faults:e.faults
                    ~policy:
@@ -975,15 +962,14 @@ let table_monitor () =
                in
                let corrector = Corrector.of_invariant e.invariant in
                let detector = Corrector.as_detector corrector in
-               let report mode =
-                 Fmt.str "%a" Monitor.pp_report
-                   (Monitor.report ~mode ~program:e.program runs ~detector
-                      ~corrector ~sspec)
-               in
+               let render = Fmt.str "%a" Monitor.pp_report in
                check
                  (Fmt.str "%s verdicts identical" f)
                  true
-                 (report Syndrome.Reference = report Syndrome.Packed)
+                 (render (reference_report runs ~detector ~corrector ~sspec)
+                 = render
+                     (Monitor.report ~program:e.program runs ~detector
+                        ~corrector ~sspec))
            end);
   Bench_table.write tbl ~file:"BENCH_monitor.json"
 

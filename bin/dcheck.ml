@@ -912,6 +912,19 @@ let simulate_cmd =
       =
     with_obs ~sub:"simulate" ~path obs @@ fun () ->
     guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
+    List.iter
+      (fun (bad, msg) ->
+        if bad then begin
+          Fmt.epr "dcheck: %s@." msg;
+          exiting 2
+        end)
+      [
+        (runs < 0, "--runs must be non-negative");
+        (steps < 0, "--steps must be non-negative");
+        (max_faults < 0, "--max-faults must be non-negative");
+        (* Written so that NaN fails too. *)
+        (not (prob >= 0.0 && prob <= 1.0), "--fault-prob must lie in [0, 1]");
+      ];
     chaos_site ();
     let (_ : Detcor_semantics.Ts.engine) = apply_engine eopts in
     with_checkpoint ~path ~sub:"simulate"
@@ -923,16 +936,13 @@ let simulate_cmd =
       robust
     @@ fun () ->
     let e = Elaborate.load_file path in
-    let inits =
-      List.filter (Pred.holds e.invariant) (Program.states e.program)
-    in
-    match inits with
-    | [] ->
+    let open Detcor_sim in
+    match Runner.initial_state e.program ~invariant:e.invariant with
+    | None ->
       Fmt.epr "dcheck: no state satisfies the invariant@.";
       2
-    | init :: _ ->
+    | Some init ->
       let sspec = Spec.safety (Spec.smallest_safety_containing e.spec) in
-      let open Detcor_sim in
       let samples =
         Runner.sample
           ~config:{ Runner.default with seed; max_steps = steps }

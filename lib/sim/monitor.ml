@@ -12,12 +12,10 @@
 
    Each latency is defined by a one-pass scan automaton over per-state
    truth values.  The scans are written once, over [int -> bool]
-   accessors, and fed from two interchangeable sources: the reference
-   path queries each predicate closure state by state, while the compiled
-   path ([Compiled]) evaluates the whole witness family per run through
-   the {!Syndrome} batch evaluator and feeds the scans from bit columns.
-   Both sources see the same truth values, so verdicts and latencies are
-   identical by construction. *)
+   accessors.  [report] and [Compiled] feed them from one {!Syndrome}
+   batch per run, which evaluates the whole witness family and exposes it
+   as bit columns.  The reference functions query one predicate closure
+   at a time; they are the oracle the compiled path is tested against. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -122,7 +120,7 @@ module Compiled = struct
     sspec : Safety.t;
   }
 
-  let make ?mode ?program ~detector ~corrector ~sspec () =
+  let make ?program ~detector ~corrector ~sspec () =
     let base =
       [
         Detector.detection detector;
@@ -156,10 +154,8 @@ module Compiled = struct
         in
         Cols { bad_i; pairs }
     in
-    let syn = Syndrome.compile ?mode ?program (base @ List.rev !extra) in
+    let syn = Syndrome.compile ?program (base @ List.rev !extra) in
     { syn; x_i = 0; z_i = 1; c_i = 2; spec_cols; sspec }
-
-  let is_packed t = Syndrome.is_packed t.syn
 
   let eval t (run : Runner.run) = Syndrome.of_trace t.syn run.trace
 
@@ -205,39 +201,24 @@ type report = {
   corrected_runs : int;
 }
 
-let report ?(mode = Syndrome.Auto) ?program runs ~detector ~corrector ~sspec =
+let report ?program runs ~detector ~corrector ~sspec =
   Obs.span "sim.monitor" ~attrs:[ Attr.int "runs" (List.length runs) ]
   @@ fun () ->
-  let legacy () =
-    ( List.concat_map (fun r -> detection_latency r detector) runs,
-      List.filter_map (fun r -> correction_latency r corrector) runs,
-      List.length
-        (List.filter (fun r -> first_safety_violation r sspec <> None) runs) )
+  let comp = Compiled.make ?program ~detector ~corrector ~sspec () in
+  let per_run =
+    List.map
+      (fun r ->
+        (* One batch evaluation feeds all three scans. *)
+        let b = Compiled.eval comp r in
+        ( Compiled.detection_of_batch comp b,
+          Compiled.correction_of_batch comp r b,
+          Compiled.violation_of_batch comp r b ))
+      runs
   in
-  let detections, corrections, violations =
-    match (mode, program) with
-    | Syndrome.Reference, _ | _, None -> legacy ()
-    | (Syndrome.Auto | Syndrome.Packed), Some _ -> (
-      let comp = Compiled.make ~mode ?program ~detector ~corrector ~sspec () in
-      match mode with
-      (* Auto dispatch: when the compile's work crossover rejected
-         packing, the batch sweep has no memo to amortize its toll —
-         the per-predicate scans are strictly cheaper, so route there. *)
-      | Syndrome.Auto when not (Compiled.is_packed comp) -> legacy ()
-      | _ ->
-      let per_run =
-        List.map
-          (fun r ->
-            (* One batch evaluation feeds all three scans. *)
-            let b = Compiled.eval comp r in
-            ( Compiled.detection_of_batch comp b,
-              Compiled.correction_of_batch comp r b,
-              Compiled.violation_of_batch comp r b ))
-          runs
-      in
-      ( List.concat_map (fun (d, _, _) -> d) per_run,
-        List.filter_map (fun (_, c, _) -> c) per_run,
-        List.length (List.filter (fun (_, _, v) -> v <> None) per_run) ))
+  let detections = List.concat_map (fun (d, _, _) -> d) per_run in
+  let corrections = List.filter_map (fun (_, c, _) -> c) per_run in
+  let violations =
+    List.length (List.filter (fun (_, _, v) -> v <> None) per_run)
   in
   if Obs.on () then begin
     Metrics.incr ~by:(List.length detections) m_detections;

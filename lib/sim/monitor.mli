@@ -6,10 +6,10 @@
     and the index of the first safety violation, per
     {!Runner.run}.
 
-    Every quantity has two evaluation paths with identical results: the
-    reference functions below query one predicate closure at a time,
-    while {!Compiled} evaluates the whole witness family through the
-    {!Syndrome} batch evaluator and reads the scans off bit columns. *)
+    {!report} and {!Compiled} evaluate the whole witness family through
+    one {!Syndrome} batch per run and read the scans off bit columns.
+    The reference functions below query one predicate closure at a time;
+    they compute the same quantities and serve as the test oracle. *)
 
 open Detcor_kernel
 open Detcor_spec
@@ -35,19 +35,16 @@ val first_safety_violation : Runner.run -> Safety.t -> int option
 module Compiled : sig
   type t
 
-  (** [make ?mode ?program ~detector ~corrector ~sspec ()] compiles the
-      family; [program] enables rank-memoized evaluation (see
+  (** [make ?program ~detector ~corrector ~sspec ()] compiles the family;
+      [program] enables rank-memoized evaluation (see
       {!Syndrome.compile}). *)
   val make :
-    ?mode:Syndrome.mode ->
     ?program:Program.t ->
     detector:Detector.t ->
     corrector:Corrector.t ->
     sspec:Safety.t ->
     unit ->
     t
-
-  val is_packed : t -> bool
 
   (** Same results as the reference functions above, computed from
       syndrome columns. *)
@@ -65,11 +62,10 @@ type report = {
   corrected_runs : int;
 }
 
-(** Aggregate the monitors over a batch of runs.  With a [program] (and
-    [mode] other than [Reference]) the runs are evaluated through the
-    compiled syndrome path; results are identical either way. *)
+(** Aggregate the monitors over a batch of runs, one {!Syndrome} batch
+    per run through {!Compiled}.  [program] enables rank-memoized
+    evaluation; results are identical with or without it. *)
 val report :
-  ?mode:Syndrome.mode ->
   ?program:Program.t ->
   Runner.run list ->
   detector:Detector.t ->

@@ -161,3 +161,35 @@ let sample ?(config = default) n program ~faults ~policy ~init =
     let runs = List.rev !acc in
     Detcor_robust.Checkpoint.complete phase (Marshal.to_string runs []);
     runs
+
+(* [initial_state program ~invariant]: the first state of
+   [Program.states] satisfying [invariant], the state a simulation starts
+   from.  The candidates come from the compiled enumerator
+   ([Tolerance.init_states], in [State.compare] order), so the minimum is
+   taken in declaration order: [Program.states] counts in mixed radix over
+   the declared variables, each digit a value's position in its domain. *)
+let initial_state program ~invariant =
+  let digits =
+    List.map
+      (fun (x, d) -> (x, Array.of_list (Domain.values d)))
+      (Program.var_decls program)
+  in
+  let key st =
+    List.fold_left
+      (fun acc (x, values) ->
+        let v = State.get st x in
+        let rec pos i = if Value.equal values.(i) v then i else pos (i + 1) in
+        (acc * Array.length values) + pos 0)
+      0 digits
+  in
+  match Detcor_core.Tolerance.init_states program ~invariant with
+  | [] -> None
+  | st :: rest ->
+    let best, _ =
+      List.fold_left
+        (fun (best, k) st ->
+          let k' = key st in
+          if k' < k then (st, k') else (best, k))
+        (st, key st) rest
+    in
+    Some best

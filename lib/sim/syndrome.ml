@@ -17,24 +17,10 @@ open Detcor_kernel
 open Detcor_semantics
 open Detcor_obs
 
-type mode = Auto | Packed | Reference
-
 (* Cap on the memo space: one bit column per predicate per rank.  4M ranks
    is 512 KiB per predicate — past that, packing trades too much memory
-   for the revisit speedup and Auto stays on reference. *)
+   for the revisit speedup and evaluation stays direct. *)
 let max_memo_space = 1 lsl 22
-
-(* Floor under Auto's packing decision.  The memo pays a fixed toll per
-   step (delta pack, known-bit probe, column reads) that only amortizes
-   when the closures it replaces do enough work: on tiny state spaces
-   with few predicates the toll exceeds the closures and packing runs
-   slower than direct evaluation (0.6x on the 2-variable memory
-   protocol).  [space * preds] is a cheap proxy for both the revisit
-   probability and the per-hit saving, and 4096 cleanly separates the
-   regressing small protocols (memory: 48 * 2 = 96) from the winning
-   ones (ring5: 4375 * 5 = 21875).  Explicit [Packed] mode is not
-   second-guessed. *)
-let auto_min_work = 4096
 
 type packed = {
   layout : Layout.t;
@@ -52,30 +38,20 @@ let c_hits = Metrics.counter "sim.syndrome.hits"
 let c_misses = Metrics.counter "sim.syndrome.misses"
 let c_escapes = Metrics.counter "sim.syndrome.escapes"
 
-let compile ?(mode = Auto) ?program preds =
+let compile ?program preds =
   let preds = Array.of_list preds in
   let fns = Array.map Pred.fn preds in
   let packed =
-    match mode with
-    | Reference -> None
-    | Auto | Packed -> (
-      match program with
-      | None -> None
-      | Some p -> (
-        match Layout.of_program p with
-        | Some layout
-          when Layout.space layout <= max_memo_space
-               && (mode = Packed
-                  || Layout.space layout * max 1 (Array.length preds)
-                     >= auto_min_work) ->
-          let space = Layout.space layout in
-          Some
-            {
-              layout;
-              columns = Array.init (Array.length preds) (fun _ -> Bitset.create space);
-              known = Bitset.create space;
-            }
-        | _ -> None))
+    match Option.bind program Layout.of_program with
+    | Some layout when Layout.space layout <= max_memo_space ->
+      let space = Layout.space layout in
+      Some
+        {
+          layout;
+          columns = Array.init (Array.length preds) (fun _ -> Bitset.create space);
+          known = Bitset.create space;
+        }
+    | _ -> None
   in
   { preds; fns; packed }
 

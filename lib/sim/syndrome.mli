@@ -11,33 +11,24 @@
     that state's {e syndrome} — the fingerprint of which witnesses fired.
 
     When the states come from a program whose variables admit a
-    {!Detcor_semantics.Layout}, evaluation is memoized by packed rank:
-    each distinct state pays for the family once, and every revisit is a
-    bit lookup.  Long fault streams revisit few distinct states, so the
-    packed path approaches memory bandwidth.  States outside the layout
-    (fault escapes) fall back to direct evaluation, so results never
-    depend on the engine. *)
+    {!Detcor_semantics.Layout} of at most 2{^22} ranks, evaluation is
+    memoized by packed rank: each distinct state pays for the family
+    once, and every revisit is a bit lookup.  Long fault streams revisit
+    few distinct states, so the memo approaches memory bandwidth.
+    Without a program, or past that space, every state is evaluated
+    directly.  States outside the layout (fault escapes) fall back to
+    direct evaluation too, so the syndromes never depend on the path. *)
 
 open Detcor_kernel
 open Detcor_semantics
 
-(** Engine selection, mirroring the {!Ts} convention: [Auto] packs when
-    the program's layout fits in the memoized-column budget {e and} the
-    family is big enough for memoization to amortize its per-step toll
-    (space x predicate-count crossover; tiny protocols run reference),
-    [Packed] requests packing unconditionally (degrading silently to
-    reference when the program is absent or unpackable), [Reference]
-    always evaluates closures directly.  All three produce identical
-    syndromes. *)
-type mode = Auto | Packed | Reference
-
 (** A compiled predicate family. *)
 type t
 
-(** [compile ?mode ?program preds] compiles the family.  [program] enables
-    the rank-memoized path; without it every mode degrades to reference
-    evaluation. *)
-val compile : ?mode:mode -> ?program:Program.t -> Pred.t list -> t
+(** [compile ?program preds] compiles the family.  [program] enables the
+    rank-memoized path when its layout fits the memo; otherwise every
+    state is evaluated directly. *)
+val compile : ?program:Program.t -> Pred.t list -> t
 
 val num_preds : t -> int
 val pred_names : t -> string array

@@ -173,6 +173,17 @@ let test_exit_codes () =
          [ "synthesize"; "--limit"; "1000"; corpus_dir ^ "/byz4.dc" ]);
     Alcotest.(check int) "usage error -> 2" 2
       (run_dcheck [ "verify"; "--no-such-flag" ]);
+    (* Out-of-range simulation parameters are usage errors. *)
+    List.iter
+      (fun args ->
+        Alcotest.(check int)
+          (Fmt.str "simulate %s -> 2" (String.concat " " args))
+          2
+          (run_dcheck ([ "simulate"; corpus_dir ^ "/memory.dc" ] @ args)))
+      [
+        [ "--runs=-1" ]; [ "--steps=-5" ]; [ "--max-faults=-3" ];
+        [ "--fault-prob"; "2" ]; [ "--fault-prob=-0.1" ]; [ "--fault-prob"; "nan" ];
+      ];
     let tmp = Filename.temp_file "dcheck_fuzz" ".dc" in
     let oc = open_out tmp in
     output_string oc "program t\nvar x : 99999999999999999999..3\n";

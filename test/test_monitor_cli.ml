@@ -66,9 +66,7 @@ let record_and_monitor ?(monitor_args = []) ?(sim_args = []) file =
 let test_masking_clean () =
   let code, out = record_and_monitor "memory.dc" in
   Alcotest.(check int) "masking system monitors clean" 0 code;
-  (* Tiny state space: Auto's work crossover keeps the reference
-     evaluator (see [Syndrome.auto_min_work]). *)
-  check_contains out "witnesses (reference)";
+  check_contains out "witnesses (packed)";
   check_contains out "batch 0: states=";
   check_contains out "safety violations: 0/20";
   check_contains out "fault localization:"

@@ -5,10 +5,11 @@
    {!Test_engine_diff}, including the domain-escaping action that forces
    the syndrome evaluator's per-state reference fallback) are simulated
    under random fault injection; detection latencies, correction
-   latencies, first safety violations and whole reports must be
-   identical whether predicates are evaluated one closure at a time or
-   as packed syndrome columns.  A last property checks the syndrome
-   bits themselves decode to [Pred.holds] truth per state. *)
+   latencies, first safety violations and whole reports from the
+   syndrome path, with and without a program (rank-memoized or direct
+   evaluation), must equal the reference monitors, which evaluate one
+   closure at a time.  A last property checks the syndrome bits
+   themselves decode to [Pred.holds] truth per state. *)
 
 open Detcor_kernel
 open Detcor_spec
@@ -77,6 +78,10 @@ let components c =
   in
   (detector, corrector, sspec_of_seed c.seed)
 
+(* The syndrome family compiled with the program's layout (memoized by
+   rank) and without it (evaluated directly). *)
+let compile_forms program = [ Some program; None ]
+
 let prop_per_run_identical =
   Util.qtest ~count:150 "compiled monitor = reference monitor (per run)"
     case_arb (fun c ->
@@ -84,9 +89,9 @@ let prop_per_run_identical =
       let run = sample_run program c in
       let detector, corrector, sspec = components c in
       List.for_all
-        (fun mode ->
+        (fun program ->
           let comp =
-            Monitor.Compiled.make ~mode ~program ~detector ~corrector ~sspec ()
+            Monitor.Compiled.make ?program ~detector ~corrector ~sspec ()
           in
           Monitor.Compiled.detection_latency comp run
           = Monitor.detection_latency run detector
@@ -94,7 +99,26 @@ let prop_per_run_identical =
              = Monitor.correction_latency run corrector
           && Monitor.Compiled.first_safety_violation comp run
              = Monitor.first_safety_violation run sspec)
-        [ Syndrome.Packed; Syndrome.Reference ])
+        (compile_forms program))
+
+(* The report the reference monitors aggregate, one predicate at a
+   time. *)
+let reference_report runs ~detector ~corrector ~sspec =
+  let detections =
+    List.concat_map (fun r -> Monitor.detection_latency r detector) runs
+  in
+  let corrections =
+    List.filter_map (fun r -> Monitor.correction_latency r corrector) runs
+  in
+  {
+    Monitor.runs = List.length runs;
+    detection = Stats.summarize detections;
+    correction = Stats.summarize corrections;
+    safety_violations =
+      List.length
+        (List.filter (fun r -> Monitor.first_safety_violation r sspec <> None) runs);
+    corrected_runs = List.length corrections;
+  }
 
 let prop_report_identical =
   Util.qtest ~count:80 "packed report = reference report" case_arb (fun c ->
@@ -105,12 +129,13 @@ let prop_report_identical =
           [ 0; 1; 2 ]
       in
       let detector, corrector, sspec = components c in
-      let render mode =
-        Fmt.str "%a" Monitor.pp_report
-          (Monitor.report ~mode ~program runs ~detector ~corrector ~sspec)
-      in
-      render Syndrome.Reference = render Syndrome.Packed
-      && render Syndrome.Reference = render Syndrome.Auto)
+      let render = Fmt.str "%a" Monitor.pp_report in
+      let expected = render (reference_report runs ~detector ~corrector ~sspec) in
+      List.for_all
+        (fun program ->
+          render (Monitor.report ?program runs ~detector ~corrector ~sspec)
+          = expected)
+        (compile_forms program))
 
 let prop_syndrome_decodes =
   Util.qtest ~count:150 "syndrome bits decode to Pred.holds" case_arb (fun c ->
@@ -121,8 +146,8 @@ let prop_syndrome_decodes =
         List.map (fun k -> pred_of_seed (c.seed lxor k)) [ 0; 5; 11; 301 ]
       in
       List.for_all
-        (fun mode ->
-          let syn = Syndrome.compile ~mode ~program family in
+        (fun program ->
+          let syn = Syndrome.compile ?program family in
           let b = Syndrome.of_states syn states in
           Syndrome.length b = List.length states
           && List.for_all
@@ -140,7 +165,7 @@ let prop_syndrome_decodes =
                         (fun j _ -> Syndrome.get b ~state:i ~pred:j)
                         (List.mapi (fun j _ -> j) family))
                (List.mapi (fun i st -> (i, st)) states))
-        [ Syndrome.Packed; Syndrome.Reference ])
+        (compile_forms program))
 
 (* A second sweep through the same compiled family must hit the memo and
    still agree — revisited states are the packed path's fast case. *)
@@ -150,7 +175,7 @@ let prop_memo_stable =
       let run = sample_run program c in
       let states = Detcor_semantics.Trace.states run.Runner.trace in
       let family = List.map (fun k -> pred_of_seed (c.seed lxor k)) [ 0; 19 ] in
-      let syn = Syndrome.compile ~mode:Syndrome.Packed ~program family in
+      let syn = Syndrome.compile ~program family in
       let b1 = Syndrome.of_states syn states in
       let b2 = Syndrome.of_states syn states in
       List.for_all
@@ -159,6 +184,17 @@ let prop_memo_stable =
             (Syndrome.column b2 j))
         [ 0; 1 ])
 
+(* The memo is chosen from the program alone: a layout within the memo
+   space packs; a larger one, or no program, evaluates directly. *)
+let test_syndrome_selection () =
+  let load f = (Detcor_lang.Elaborate.load_file ("../examples/dc/" ^ f)).program in
+  let family = [ Pred.true_ ] in
+  let packed program = Syndrome.is_packed (Syndrome.compile ?program family) in
+  Alcotest.(check bool) "memory.dc packs" true (packed (Some (load "memory.dc")));
+  Alcotest.(check bool) "big/ring12.dc evaluates directly" false
+    (packed (Some (load "big/ring12.dc")));
+  Alcotest.(check bool) "no program evaluates directly" false (packed None)
+
 let suite =
   ( "monitor differential",
     [
@@ -166,4 +202,5 @@ let suite =
       prop_report_identical;
       prop_syndrome_decodes;
       prop_memo_stable;
+      Alcotest.test_case "syndrome memo selection" `Quick test_syndrome_selection;
     ] )

@@ -318,6 +318,34 @@ let test_ring_simulation_stabilizes () =
   done;
   Alcotest.(check int) "all 20 random starts stabilize" 20 !ok
 
+(* Simulation starts from the first invariant state in [Program.states]
+   order, whichever order the enumerator yields candidates in.  The
+   generator declares its variables in another order than the layout's
+   slots, so the declaration-order minimum is exercised.  The expected
+   state comes from the interpreted sweep [dcheck simulate] used to run,
+   which evaluates the invariant everywhere and so raises the same type
+   errors. *)
+let prop_initial_state =
+  Util.qtest ~count:150 "initial state = first invariant state of Program.states"
+    Test_engine_diff.dsl_arb (fun src ->
+      let e = Test_engine_diff.elaborate src in
+      let outcome f =
+        match f () with v -> Ok v | exception Value.Type_error m -> Error m
+      in
+      let chosen =
+        outcome (fun () -> Runner.initial_state e.program ~invariant:e.invariant)
+      in
+      let expected =
+        outcome (fun () ->
+            match List.filter (Pred.holds e.invariant) (Program.states e.program) with
+            | [] -> None
+            | st :: _ -> Some st)
+      in
+      match (chosen, expected) with
+      | Ok a, Ok b -> Option.equal State.equal a b
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false)
+
 let suite =
   ( "sim (SIEFAST, E8/E9)",
     [
@@ -344,4 +372,5 @@ let suite =
       Alcotest.test_case "stats" `Quick test_stats;
       Alcotest.test_case "ring stabilizes in simulation" `Quick
         test_ring_simulation_stabilizes;
+      prop_initial_state;
     ] )
