@@ -4,8 +4,12 @@
    evaluation is the memory-access figures (1-3), the TMR and Byzantine
    constructions of Section 6, and the theory itself.  This harness
    regenerates each of those artifacts as a claims table (experiments
-   E1-E9 of DESIGN.md/EXPERIMENTS.md), then times the toolkit with
-   Bechamel (E10).
+   E1-E9 of DESIGN.md/EXPERIMENTS.md), then checks that the engine,
+   synthesis, monitoring, checkpoint, telemetry and sharded-engine paths
+   agree with their reference paths (E10b-E16).  Every row prints
+   [match] or [MISMATCH]; any mismatch exits 1.  Wall-clock timing of
+   the toolkit lives in bench/perf; the only timings here are the three
+   overhead and speedup gates it does not cover (E13-E15).
 
    Run with:  dune exec bench/main.exe *)
 
@@ -30,83 +34,19 @@ let mismatches = ref 0
 let check label expected actual =
   if not (expect label expected actual) then incr mismatches
 
-(* ------------------------------------------------------------------ *)
-(* Shared plumbing of the engine-comparison tables (E10b, E11, E12):    *)
-(* wall-clock timing and the machine-readable JSON copy each table      *)
-(* writes for CI artifacts.                                             *)
-(* ------------------------------------------------------------------ *)
+(* Wall-clock timing for the three overhead and speedup gates (E13-E15)
+   that the [bench/perf] workloads do not cover. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
-module Bench_table = struct
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-
-  let time_iters ~iters f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int iters
-
-  type t = {
-    benchmark : string;
-    mutable rows : Detcor_obs.Jsonx.t list;
-    mutable best_speedup : float;
-  }
-
-  let create benchmark = { benchmark; rows = []; best_speedup = 0.0 }
-
-  (* Record one reference-vs-packed row; [extra] carries any
-     table-specific fields (phase splits, outcome tags).  [ok] marks the
-     row as a successful run — failed rows still record their timings but
-     are excluded from [best_speedup], so a fast failure cannot headline
-     the table.  Every row also records the process peak RSS at record
-     time (VmHWM — monotone over the process lifetime, so within a table
-     it reflects the largest run so far) and the packed-side exploration
-     rate, so memory cliffs and throughput regressions are visible in
-     the JSON artifacts without rerunning.  Returns the speedup for the
-     table's own rendering. *)
-  let add_row t ~name ~states ~agree ~reference_s ~packed_s ?(ok = true)
-      ?(extra = []) () =
-    let speedup = reference_s /. packed_s in
-    if ok && speedup > t.best_speedup then t.best_speedup <- speedup;
-    let states_per_s =
-      if packed_s > 0.0 then float_of_int states /. packed_s else 0.0
-    in
-    let open Detcor_obs in
-    t.rows <-
-      Jsonx.Obj
-        ([
-           ("name", Jsonx.Str name);
-           ("states", Jsonx.Int states);
-           ("agree", Jsonx.Bool agree);
-           ("reference_s", Jsonx.Float reference_s);
-           ("packed_s", Jsonx.Float packed_s);
-           ("speedup", Jsonx.Float speedup);
-           ("peak_rss_bytes", Jsonx.Int (Expose.peak_rss_bytes ()));
-           ("states_per_s", Jsonx.Float states_per_s);
-         ]
-        @ extra)
-      :: t.rows;
-    speedup
-
-  let write t ~file =
-    let open Detcor_obs in
-    let json =
-      Jsonx.Obj
-        [
-          ("benchmark", Jsonx.Str t.benchmark);
-          ("best_speedup", Jsonx.Float t.best_speedup);
-          ("rows", Jsonx.List (List.rev t.rows));
-        ]
-    in
-    let oc = open_out file in
-    output_string oc (Jsonx.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Fmt.pr "wrote %s@." file
-end
+let time_iters ~iters f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    ignore (f ())
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int iters
 
 (* ------------------------------------------------------------------ *)
 (* E1-E3: the memory-access figures.                                   *)
@@ -470,15 +410,15 @@ let table_ring () =
 (* construction (the fault span of the invariant, then the fault-free   *)
 (* system over the span states) and the verification battery (span      *)
 (* closure, safety refinement over the span, convergence back to the    *)
-(* invariant) — once per engine, on the same inputs.  [Ts.Reference]    *)
-(* is the seed path: list-based product enumeration, whole-map          *)
-(* interning, predicates re-evaluated at every query.                   *)
+(* invariant) — once per engine, on the same inputs, and demands the    *)
+(* same span size and verdicts.  [Ts.Reference] is the seed path:       *)
+(* list-based product enumeration, whole-map interning, predicates      *)
+(* re-evaluated at every query.                                         *)
 (* ------------------------------------------------------------------ *)
 
 let table_engine () =
   section "Table 9 (E10b): packed engine vs reference engine";
   let module Sem = Detcor_semantics in
-  let tbl = Bench_table.create "E10b packed engine vs reference engine" in
   let row name p ~spec ~invariant ~faults =
     let sspec =
       Spec.make ~name:"sspec"
@@ -487,54 +427,24 @@ let table_engine () =
     in
     let composed = Fault.compose p faults in
     let measure engine =
-      let ts_pf, t_span =
-        Bench_table.time (fun () ->
-            Sem.Ts.of_pred ~engine composed ~from:invariant)
-      in
-      let ts_p, t_build =
-        Bench_table.time (fun () ->
-            Sem.Ts.build ~engine p ~from:(Sem.Ts.states ts_pf))
-      in
+      let ts_pf = Sem.Ts.of_pred ~engine composed ~from:invariant in
+      let ts_p = Sem.Ts.build ~engine p ~from:(Sem.Ts.states ts_pf) in
       let span_pred = Pred.of_states ~name:"span" (Sem.Ts.states ts_pf) in
-      let verdicts, t_check =
-        Bench_table.time (fun () ->
-            List.map Sem.Check.holds
-              [
-                Sem.Check.closed ts_pf span_pred;
-                Spec.refines ts_pf sspec;
-                Sem.Check.converges ts_p span_pred invariant;
-              ])
-      in
-      (Sem.Ts.num_states ts_pf, verdicts, t_span +. t_build, t_check)
-    in
-    let states_r, verdicts_r, build_r, check_r = measure Sem.Ts.Reference in
-    let states_p, verdicts_p, build_p, check_p = measure Sem.Ts.Auto in
-    let agree = states_r = states_p && verdicts_r = verdicts_p in
-    check (name ^ ": engines agree") true agree;
-    let open Detcor_obs in
-    let speedup =
-      Bench_table.add_row tbl ~name ~states:states_r ~agree
-        ~reference_s:(build_r +. check_r) ~packed_s:(build_p +. check_p)
-        ~extra:
+      ( Sem.Ts.num_states ts_pf,
+        List.map Sem.Check.holds
           [
-            ("reference_build_s", Jsonx.Float build_r);
-            ("reference_check_s", Jsonx.Float check_r);
-            ("packed_build_s", Jsonx.Float build_p);
-            ("packed_check_s", Jsonx.Float check_p);
-          ]
-        ()
+            Sem.Check.closed ts_pf span_pred;
+            Spec.refines ts_pf sspec;
+            Sem.Check.converges ts_p span_pred invariant;
+          ] )
     in
-    Fmt.pr
-      "%-22s %6d states  reference %6.0f+%.0f ms  packed %5.0f+%.0f ms  \
-       speedup %.1fx@."
-      name states_r (1e3 *. build_r) (1e3 *. check_r) (1e3 *. build_p)
-      (1e3 *. check_p) speedup
+    let reference = measure Sem.Ts.Reference in
+    let packed = measure Sem.Ts.Auto in
+    check (name ^ ": engines agree") true (reference = packed);
+    Fmt.pr "%-22s %6d span states@." name (fst packed)
   in
-  (* Instances one size up from the claim tables: the reference engine's
-     cost is dominated by enumerating the variable product and by
-     re-evaluating the span predicate at every query, so the gap widens
-     with the product size (byzantine n=4 spans a 419904-state product,
-     distributed reset n=7 a 559872-state product — the largest row). *)
+  (* Instances one size up from the claim tables: byzantine n=4 spans a
+     419904-state product, distributed reset n=7 a 559872-state one. *)
   let bcfg = { Byzantine.non_generals = 4 } in
   row "byzantine-n4"
     (Byzantine.masking bcfg)
@@ -552,11 +462,7 @@ let table_engine () =
     (Barrier.tolerant gcfg)
     ~spec:(Barrier.spec gcfg)
     ~invariant:(Barrier.invariant gcfg)
-    ~faults:(Barrier.phase_loss gcfg);
-  Fmt.pr "@.best construction+check speedup: %.1fx@." tbl.Bench_table.best_speedup;
-  (* Machine-readable copy of the table, for CI artifacts and tracking
-     engine performance across commits. *)
-  Bench_table.write tbl ~file:"BENCH_engine.json"
+    ~faults:(Barrier.phase_loss gcfg)
 
 (* ------------------------------------------------------------------ *)
 (* E12: synthesis over reference- vs packed-built Ts.                  *)
@@ -576,9 +482,6 @@ let table_synth () =
   section "Table 9d (E12): synthesis over reference- vs packed-built Ts";
   let module Sem = Detcor_semantics in
   let open Detcor_synthesis in
-  let tbl =
-    Bench_table.create "E12 synthesis over reference- vs packed-built Ts"
-  in
   let outcome_str = function
     | Ok (r : Synthesize.result) ->
       Fmt.str "%a@.detectors=%a recovery=%d@.%a" Program.pp r.program
@@ -587,10 +490,6 @@ let table_synth () =
         r.recovery_states Tolerance.pp_report r.report
     | Error f -> Fmt.str "error: %a" Synthesize.pp_failure f
   in
-  let states = function
-    | Ok (r : Synthesize.result) -> r.report.Tolerance.span_size
-    | Error _ -> 0
-  in
   let tag = function
     | Ok _ -> "ok"
     | Error Synthesize.Empty_invariant -> "empty-invariant"
@@ -598,34 +497,23 @@ let table_synth () =
     | Error (Synthesize.Verification_failed _) -> "verification-failed"
     | Error (Synthesize.Exhausted _) -> "exhausted"
   in
-  let row ?(expect_ok = true) name run =
-    let r_ref, t_ref = Bench_table.time (fun () -> run Sem.Ts.Reference) in
-    let r_pk, t_pk = Bench_table.time (fun () -> run Sem.Ts.Auto) in
-    let agree = String.equal (outcome_str r_ref) (outcome_str r_pk) in
-    check (name ^ ": outcomes byte-identical") true agree;
-    let ok = match r_pk with Ok _ -> true | Error _ -> false in
-    if expect_ok then check (name ^ ": synthesis succeeded") true ok;
-    let inv_size, repairs =
+  let row name run =
+    let r_ref = run Sem.Ts.Reference in
+    let r_pk = run Sem.Ts.Auto in
+    check (name ^ ": outcomes byte-identical") true
+      (String.equal (outcome_str r_ref) (outcome_str r_pk));
+    check (name ^ ": synthesis succeeded") true
+      (match r_pk with Ok _ -> true | Error _ -> false);
+    let states, inv_size, repairs =
       match r_pk with
-      | Ok r -> (r.report.Tolerance.invariant_size, r.repair_iterations)
-      | Error _ -> (0, 0)
+      | Ok r ->
+        ( r.report.Tolerance.span_size,
+          r.report.Tolerance.invariant_size,
+          r.repair_iterations )
+      | Error _ -> (0, 0, 0)
     in
-    let speedup =
-      Bench_table.add_row tbl ~name ~states:(states r_pk) ~agree
-        ~ok:(ok && agree) ~reference_s:t_ref ~packed_s:t_pk
-        ~extra:
-          [
-            ("outcome", Detcor_obs.Jsonx.Str (tag r_pk));
-            ("invariant_states", Detcor_obs.Jsonx.Int inv_size);
-            ("repair_iterations", Detcor_obs.Jsonx.Int repairs);
-          ]
-        ()
-    in
-    Fmt.pr
-      "%-24s %6d states  reference %8.0f ms  packed %6.0f ms  speedup \
-       %5.1fx  [%s, |S|=%d, repairs=%d]@."
-      name (states r_pk) (1e3 *. t_ref) (1e3 *. t_pk) speedup (tag r_pk)
-      inv_size repairs
+    Fmt.pr "%-24s %6d states  [%s, |S|=%d, repairs=%d]@." name states
+      (tag r_pk) inv_size repairs
   in
   row "memory-masking" (fun engine ->
       Synthesize.add_masking ~engine Memory.intolerant ~spec:Memory.spec
@@ -672,48 +560,7 @@ let table_synth () =
       Synthesize.add_masking ~engine (Distributed_reset.program dcfg)
         ~spec:(Distributed_reset.masking_spec dcfg)
         ~invariant:(Distributed_reset.invariant dcfg)
-        ~faults:(Distributed_reset.corruption dcfg));
-  Fmt.pr "@.best end-to-end synthesis speedup: %.1fx@."
-    tbl.Bench_table.best_speedup;
-  Bench_table.write tbl ~file:"BENCH_synth.json"
-
-(* ------------------------------------------------------------------ *)
-(* E11: observability overhead.                                        *)
-(*                                                                     *)
-(* The instrumentation must be free when disabled: every site guards    *)
-(* itself with one ref read.  This table times the same verification    *)
-(* workload with observability off (the default) and with a recording   *)
-(* context installed, and checks the reports are character-identical.   *)
-(* ------------------------------------------------------------------ *)
-
-let table_obs () =
-  section "Table 9b (E11): observability overhead (off vs recording)";
-  let open Detcor_obs in
-  let workload () =
-    Tolerance.check Tmr.masking ~spec:Tmr.spec ~invariant:Tmr.invariant
-      ~faults:Tmr.one_corruption ~tol:Spec.Masking
-  in
-  let report_str r = Fmt.str "%a" Tolerance.pp_report r in
-  let off_report = report_str (workload ()) in
-  let sink, _records = Sink.memory () in
-  let on_report =
-    Obs.with_ctx (Obs.make ~sinks:[ sink ] ()) (fun () -> workload ())
-  in
-  check "verdicts identical with observability on" true
-    (String.equal off_report (report_str on_report));
-  let time_iters = Bench_table.time_iters ~iters:40 in
-  ignore (time_iters workload) (* warm up *);
-  let t_off = time_iters workload in
-  let t_on =
-    let sink, _ = Sink.memory () in
-    Obs.with_ctx (Obs.make ~sinks:[ sink ] ()) (fun () ->
-        time_iters workload)
-  in
-  Fmt.pr
-    "disabled: %.2f ms/run   recording (memory sink): %.2f ms/run   \
-     overhead when on: %.0f%%@."
-    (1e3 *. t_off) (1e3 *. t_on)
-    (100.0 *. ((t_on /. t_off) -. 1.0))
+        ~faults:(Distributed_reset.corruption dcfg))
 
 (* ------------------------------------------------------------------ *)
 (* E13: checkpoint snapshot overhead.                                  *)
@@ -723,7 +570,8 @@ let table_obs () =
 (* saves off the hot path.  This table times the same verification      *)
 (* workload disarmed and armed, checks the reports are character-       *)
 (* identical, and claims the overhead stays under 5%.  Timings are the  *)
-(* best of five batches so scheduler noise cannot fake a regression.    *)
+(* best of interleaved batches so scheduler noise cannot fake a         *)
+(* regression.                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let table_robust () =
@@ -736,16 +584,17 @@ let table_robust () =
   let report_str r = Fmt.str "%a" Tolerance.pp_report r in
   let snap = Filename.temp_file "detcor_bench" ".snap" in
   let fingerprint = Checkpoint.digest [ "bench"; "E13" ] in
-  let armed interval f =
-    Checkpoint.start ~interval ~write:snap ~fingerprint ();
+  let armed f =
+    Checkpoint.start ~interval:Checkpoint.default_interval ~write:snap
+      ~fingerprint ();
     Fun.protect ~finally:Checkpoint.stop f
   in
   let off_report = workload () in
-  let on_report = armed Checkpoint.default_interval workload in
+  let on_report = armed workload in
   check "verdicts identical with checkpointing armed" true
     (String.equal (report_str off_report) (report_str on_report));
   let iters = 30 in
-  ignore (Bench_table.time_iters ~iters workload) (* warm up *);
+  ignore (time_iters ~iters workload) (* warm up *);
   (* Interleave the disarmed and armed batches: the workload's timing
      is bimodal on shared machines (GC/scheduler regimes an order of
      magnitude apart), so timing each arm in its own block lets one
@@ -757,13 +606,9 @@ let table_robust () =
     (* Alternate which arm goes first: allocation drift inside a round
        (GC slices triggered by the workload itself) otherwise lands
        systematically on the second arm. *)
-    let batch_off () =
-      t_off := Float.min !t_off (Bench_table.time_iters ~iters workload)
+    let batch_off () = t_off := Float.min !t_off (time_iters ~iters workload)
     and batch_on () =
-      t_on :=
-        Float.min !t_on
-          (armed Checkpoint.default_interval (fun () ->
-               Bench_table.time_iters ~iters workload))
+      t_on := Float.min !t_on (armed (fun () -> time_iters ~iters workload))
     in
     if round land 1 = 0 then begin
       batch_off ();
@@ -775,46 +620,14 @@ let table_robust () =
     end
   done;
   let t_off = !t_off and t_on = !t_on in
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t = f () in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  (* An aggressive interval pays for real saves; informational only. *)
-  let t_hot =
-    best_of 3 (fun () ->
-        armed 0.001 (fun () -> Bench_table.time_iters ~iters workload))
-  in
-  let final_bytes =
-    try (Unix.stat snap).Unix.st_size with Unix.Unix_error _ -> 0
-  in
   (try Sys.remove snap with Sys_error _ -> ());
   let overhead_pct = 100.0 *. ((t_on /. t_off) -. 1.0) in
   Fmt.pr
     "disarmed: %.2f ms/run   armed (%.0fs interval): %.2f ms/run   \
      overhead: %.1f%%@."
     (1e3 *. t_off) Checkpoint.default_interval (1e3 *. t_on) overhead_pct;
-  Fmt.pr "armed (1ms interval, saving continuously): %.2f ms/run   final \
-          snapshot: %d bytes@."
-    (1e3 *. t_hot) final_bytes;
   check "snapshot overhead under 5% at the default interval" true
-    (overhead_pct < 5.0);
-  let tbl = Bench_table.create "E13 checkpoint snapshot overhead" in
-  ignore
-    (Bench_table.add_row tbl ~name:"tmr masking check"
-       ~states:off_report.Tolerance.span_size ~agree:true ~reference_s:t_off
-       ~packed_s:t_on
-       ~extra:
-         [
-           ("overhead_pct", Detcor_obs.Jsonx.Float overhead_pct);
-           ("hot_interval_s", Detcor_obs.Jsonx.Float t_hot);
-           ("snapshot_bytes", Detcor_obs.Jsonx.Int final_bytes);
-         ]
-       ());
-  Bench_table.write tbl ~file:"BENCH_robust.json"
+    (overhead_pct < 5.0)
 
 (* ------------------------------------------------------------------ *)
 (* E14: syndrome-batched monitoring vs predicate-at-a-time.            *)
@@ -822,18 +635,15 @@ let table_robust () =
 (* Each row monitors the same pre-sampled runs twice: once through the *)
 (* reference monitors (one predicate closure at a time, one trace walk  *)
 (* per quantity) and once through [Monitor.report ~program] (whole      *)
-(* witness family per batch, rank-memoized).  The rendered reports must *)
-(* be byte-identical; the long recurrent token-ring stream is where     *)
+(* witness family per batch, rank-memoized), and demands byte-identical *)
+(* rendered reports.  The long recurrent token-ring stream is where     *)
 (* batching must pay — every revisited state costs bit reads instead    *)
-(* of closure evaluation.  The memory rows are informational: on a      *)
-(* 2-variable protocol the memo's per-step toll outweighs the closures. *)
+(* of closure evaluation — so that row also claims a 10x speedup.       *)
 (* ------------------------------------------------------------------ *)
 
 let table_monitor () =
   section "Table 9f (E14): syndrome-batched monitoring vs predicate-at-a-time";
   let open Detcor_sim in
-  let module Sem = Detcor_semantics in
-  let tbl = Bench_table.create "E14 syndrome monitor vs predicate-at-a-time" in
   (* The report the reference monitors aggregate, one predicate at a
      time. *)
   let reference_report runs ~detector ~corrector ~sspec =
@@ -855,50 +665,11 @@ let table_monitor () =
       corrected_runs = List.length corrections;
     }
   in
-  let row ?(want_10x = false) name program runs ~detector ~corrector ~sspec =
-    let states =
-      List.fold_left
-        (fun a (r : Runner.run) -> a + 1 + Sem.Trace.length r.trace)
-        0 runs
-    in
-    (* Interleaved best-of across the two paths: shared machines drift
-       between timing regimes, so timing each path in its own block
-       would let a slow regime land entirely on one of them. *)
-    let sample out best f =
-      let r, t = Bench_table.time f in
-      if t < !best then begin
-        best := t;
-        out := Some r
-      end
-    in
-    let ref_out = ref None and ref_best = ref infinity in
-    let packed_out = ref None and packed_best = ref infinity in
-    for _ = 1 to 5 do
-      sample ref_out ref_best (fun () ->
-          reference_report runs ~detector ~corrector ~sspec);
-      sample packed_out packed_best (fun () ->
-          Monitor.report ~program runs ~detector ~corrector ~sspec)
-    done;
-    let ref_report = Option.get !ref_out and reference_s = !ref_best in
-    let packed_report = Option.get !packed_out and packed_s = !packed_best in
-    let agree =
-      Fmt.str "%a" Monitor.pp_report ref_report
-      = Fmt.str "%a" Monitor.pp_report packed_report
-    in
-    check (name ^ " monitor verdicts identical") true agree;
-    let speedup =
-      Bench_table.add_row tbl ~name ~states ~agree ~reference_s ~packed_s
-        ~extra:
-          [
-            ( "packed_states_per_s",
-              Detcor_obs.Jsonx.Float (float_of_int states /. packed_s) );
-          ]
-        ()
-    in
-    Fmt.pr "%-14s states %8d  reference %8.4fs  packed %8.4fs  %6.2fx@." name
-      states reference_s packed_s speedup;
-    if want_10x then
-      check (name ^ " batched speedup >= 10x") true (speedup >= 10.0)
+  let render = Fmt.str "%a" Monitor.pp_report in
+  let identical label program runs ~detector ~corrector ~sspec =
+    check label true
+      (render (reference_report runs ~detector ~corrector ~sspec)
+      = render (Monitor.report ~program runs ~detector ~corrector ~sspec))
   in
   let mem_init =
     State.of_list
@@ -914,10 +685,10 @@ let table_monitor () =
       ~policy:(Injector.Random { probability = 0.1; max_faults = 1 })
       ~init
   in
-  row "memory-pm" Memory.masking
+  identical "memory-pm monitor verdicts identical" Memory.masking
     (mem_runs Memory.masking mem_init)
     ~detector:Memory.pm_detector ~corrector:Memory.pm_corrector ~sspec;
-  row "memory-pn" Memory.nonmasking
+  identical "memory-pn monitor verdicts identical" Memory.nonmasking
     (mem_runs Memory.nonmasking
        (State.of_list [ ("present", Value.bool true); ("data", Value.bot) ]))
     ~detector:Memory.pf_detector ~corrector:Memory.pn_corrector ~sspec;
@@ -935,11 +706,33 @@ let table_monitor () =
       ~init:
         (State.of_list (List.init 5 (fun i -> (Token_ring.xvar i, Value.int 0))))
   in
-  let ring_corrector = Token_ring.corrector cfg in
-  row ~want_10x:true "ring5-long" ring ring_runs
-    ~detector:(Corrector.as_detector ring_corrector)
-    ~corrector:ring_corrector
-    ~sspec:(Spec.safety (Spec.smallest_safety_containing (Token_ring.spec cfg)));
+  let corrector = Token_ring.corrector cfg in
+  let detector = Corrector.as_detector corrector in
+  let sspec = Spec.safety (Spec.smallest_safety_containing (Token_ring.spec cfg)) in
+  (* Interleaved best-of across the two paths: shared machines drift
+     between timing regimes, so timing each path in its own block would
+     let a slow regime land entirely on one of them. *)
+  let sample out best f =
+    let r, t = time f in
+    if t < !best then begin
+      best := t;
+      out := Some r
+    end
+  in
+  let ref_out = ref None and ref_best = ref infinity in
+  let batched_out = ref None and batched_best = ref infinity in
+  for _ = 1 to 5 do
+    sample ref_out ref_best (fun () ->
+        reference_report ring_runs ~detector ~corrector ~sspec);
+    sample batched_out batched_best (fun () ->
+        Monitor.report ~program:ring ring_runs ~detector ~corrector ~sspec)
+  done;
+  check "ring5-long monitor verdicts identical" true
+    (render (Option.get !ref_out) = render (Option.get !batched_out));
+  let speedup = !ref_best /. !batched_best in
+  Fmt.pr "ring5-long     reference %8.4fs  batched %8.4fs  %6.2fx@." !ref_best
+    !batched_best speedup;
+  check "ring5-long batched speedup >= 10x" true (speedup >= 10.0);
   (* Verdict identity on every shipped system: whatever the language
      front end elaborates must monitor identically on both paths. *)
   let corpus = "examples/dc" in
@@ -957,21 +750,14 @@ let table_monitor () =
                      (Injector.Random { probability = 0.2; max_faults = 2 })
                    ~init
                in
-               let sspec =
-                 Spec.safety (Spec.smallest_safety_containing e.spec)
-               in
                let corrector = Corrector.of_invariant e.invariant in
-               let detector = Corrector.as_detector corrector in
-               let render = Fmt.str "%a" Monitor.pp_report in
-               check
+               identical
                  (Fmt.str "%s verdicts identical" f)
-                 true
-                 (render (reference_report runs ~detector ~corrector ~sspec)
-                 = render
-                     (Monitor.report ~program:e.program runs ~detector
-                        ~corrector ~sspec))
-           end);
-  Bench_table.write tbl ~file:"BENCH_monitor.json"
+                 e.program runs
+                 ~detector:(Corrector.as_detector corrector)
+                 ~corrector
+                 ~sspec:(Spec.safety (Spec.smallest_safety_containing e.spec))
+           end)
 
 (* ------------------------------------------------------------------ *)
 (* E15: live-telemetry overhead.                                       *)
@@ -1031,12 +817,11 @@ let table_telemetry () =
          ~invariant:(Byzantine.invariant cfg)
          ~faults:(Byzantine.byzantine_faults cfg) ~tol:Spec.Masking)
   in
-  let tbl = Bench_table.create "E15 live-telemetry overhead" in
   let overhead_row name ~iters workload =
     (* Armed warm-up: the first [Thread.create] flips the whole process
        into the systhread tick regime, so both arms must be timed on the
        same side of that transition. *)
-    ignore (armed (fun () -> Bench_table.time_iters ~iters workload));
+    ignore (armed (fun () -> time_iters ~iters workload));
     (* Interleaved best-of with alternating arm order, as in the
        checkpoint table: the workloads' timing regimes are bimodal on
        shared machines and allocation drift inside a round would land
@@ -1048,11 +833,11 @@ let table_telemetry () =
     let best_pair = ref infinity in
     for round = 1 to 12 do
       let batch_off () =
-        let t = Bench_table.time_iters ~iters workload in
+        let t = time_iters ~iters workload in
         t_off := Float.min !t_off t;
         t
       and batch_on () =
-        let t = armed (fun () -> Bench_table.time_iters ~iters workload) in
+        let t = armed (fun () -> time_iters ~iters workload) in
         t_on := Float.min !t_on t;
         t
       in
@@ -1077,39 +862,25 @@ let table_telemetry () =
       name (1e3 *. t_off) (1e3 *. t_on) overhead_pct;
     check
       (Fmt.str "%s telemetry overhead under 2%%" name)
-      true (claim_pct < 2.0);
-    ignore
-      (Bench_table.add_row tbl ~name ~states:0 ~agree:true ~reference_s:t_off
-         ~packed_s:t_on
-         ~extra:
-           [
-             ("overhead_pct", Detcor_obs.Jsonx.Float overhead_pct);
-             ("paired_overhead_pct", Detcor_obs.Jsonx.Float claim_pct);
-           ]
-         ())
+      true (claim_pct < 2.0)
   in
   overhead_row "ring5" ~iters:5 (fun () -> ignore (ring5 ()));
-  overhead_row "byz4" ~iters:20 byz4;
-  Bench_table.write tbl ~file:"BENCH_obs.json"
+  overhead_row "byz4" ~iters:20 byz4
 
 (* ------------------------------------------------------------------ *)
-(* E16 / Table 9h: the out-of-core sharded engine at scale.            *)
+(* E16 / Table 9h: the out-of-core sharded engine.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Two kinds of rows.  Identity rows check verdict agreement between the
-   packed and sharded engines on substrates too big for the per-property
-   differential suite (Byzantine n=7, distributed reset n=10).  The
-   scale row (ring12: 4^12 states, [--scale] only — it is a long
-   single-core run) is the engine's reason to exist: the sharded
-   exploration finishes a 16.7M-state fail-safe check under a bounded
-   resident footprint, then the packed engine is given the same memory
-   budget and trips it.  The sharded run goes FIRST: peak RSS (VmHWM) is
-   monotone over the process lifetime, so its bound must be measured
-   before the packed attempt inflates the high-water mark. *)
-let table_scale ~scale () =
+(* Verdict and span agreement between the packed and sharded engines on
+   substrates too big for the per-property differential suite (Byzantine
+   n=7, distributed reset n=10), with the sharded engine spilling to
+   disk.  The engine's scale claim (a 16.7M-state ring12 fail-safe check
+   under a bounded arena, where the packed engine trips the same heap
+   budget) is gated on the shipped binary by CI's "Sharded big-substrate
+   smoke run". *)
+let table_scale () =
   section "Table 9h (E16): out-of-core sharded engine";
   let module Ts = Detcor_semantics.Ts in
-  let tbl = Bench_table.create "E16 sharded engine vs packed engine" in
   let spill_dir =
     let d =
       Filename.concat (Filename.get_temp_dir_name ()) "detcor-bench-spill"
@@ -1117,224 +888,37 @@ let table_scale ~scale () =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
-  let spill_files () =
-    Array.length
-      (Array.of_list
-         (List.filter
-            (fun f -> Filename.check_suffix f ".seg")
-            (Array.to_list (Sys.readdir spill_dir))))
-  in
-  let with_shards ?(shards = 4) ?(arena_mb = 512) f =
+  let with_shards f =
     let saved_k, saved_dir, saved_mb = Ts.shard_defaults () in
-    Ts.set_shard_defaults ~shards ~spill_dir:(Some spill_dir)
-      ~arena_budget_mb:arena_mb;
+    Ts.set_shard_defaults ~shards:4 ~spill_dir:(Some spill_dir)
+      ~arena_budget_mb:512;
     Fun.protect
       ~finally:(fun () ->
         Ts.set_shard_defaults ~shards:saved_k ~spill_dir:saved_dir
           ~arena_budget_mb:saved_mb)
       f
   in
-  let identity name ?limit ~tol p ~spec ~invariant ~faults () =
-    let run engine =
-      Tolerance.check ?limit ~engine p ~spec ~invariant ~faults ~tol
-    in
-    let r_pk, t_pk = Bench_table.time (fun () -> run Ts.Auto) in
-    let r_sh, t_sh =
-      Bench_table.time (fun () -> with_shards (fun () -> run Ts.Sharded))
-    in
-    let agree =
-      Tolerance.verdict r_pk = Tolerance.verdict r_sh
-      && r_pk.Tolerance.span_size = r_sh.Tolerance.span_size
-    in
-    check (name ^ ": sharded verdict and span agree with packed") true agree;
-    Fmt.pr "  %-28s span %8d states  packed %6.2fs  sharded %6.2fs@." name
-      r_sh.Tolerance.span_size t_pk t_sh;
-    ignore
-      (Bench_table.add_row tbl ~name ~states:r_sh.Tolerance.span_size ~agree
-         ~reference_s:t_pk ~packed_s:t_sh
-         ~extra:
-           [
-             ("reference_engine", Detcor_obs.Jsonx.Str "packed");
-             ("packed_engine", Detcor_obs.Jsonx.Str "sharded");
-           ]
-         ())
+  let identity name ~tol p ~spec ~invariant ~faults =
+    let run engine = Tolerance.check ~engine p ~spec ~invariant ~faults ~tol in
+    let r_pk = run Ts.Auto in
+    let r_sh = with_shards (fun () -> run Ts.Sharded) in
+    check (name ^ ": sharded verdict and span agree with packed") true
+      (Tolerance.verdict r_pk = Tolerance.verdict r_sh
+      && r_pk.Tolerance.span_size = r_sh.Tolerance.span_size);
+    Fmt.pr "  %-28s span %8d states@." name r_sh.Tolerance.span_size
   in
   let byz = Byzantine.{ non_generals = 6 } in
   identity "byzantine n=7 failsafe" ~tol:Spec.Failsafe (Byzantine.masking byz)
     ~spec:(Byzantine.spec byz) ~invariant:(Byzantine.invariant byz)
-    ~faults:(Byzantine.byzantine_faults byz) ();
+    ~faults:(Byzantine.byzantine_faults byz);
   let reset = Distributed_reset.make_config 10 in
   identity "distributed reset n=10" ~tol:Spec.Masking
     (Distributed_reset.program reset)
     ~spec:(Distributed_reset.masking_spec reset)
     ~invariant:(Distributed_reset.settled reset)
-    ~faults:(Distributed_reset.corruption reset) ();
-  if not scale then
-    Fmt.pr "@.(ring12 out-of-core row skipped — rerun with --scale)@."
-  else begin
-    let cfg = Token_ring.make_config ~k:4 12 in
-    let p = Token_ring.program cfg in
-    let somepriv =
-      Pred.make "someprivilege" (fun st -> Token_ring.privilege_count cfg st >= 1)
-    in
-    let spec =
-      Spec.make ~name:"SPEC_ring12" ~safety:(Safety.always somepriv) ()
-    in
-    let invariant = Token_ring.legitimate cfg in
-    let faults = Fault.corrupt_variable (Token_ring.xvar 0) (Domain.range 0 3) in
-    let limit = 17_000_000 in
-    let run engine =
-      Tolerance.check ~limit ~engine p ~spec ~invariant ~faults
-        ~tol:Spec.Failsafe
-    in
-    let r_sh, t_sh =
-      Bench_table.time (fun () ->
-          with_shards ~shards:4 ~arena_mb:512 (fun () -> run Ts.Sharded))
-    in
-    let rss_sh = Detcor_obs.Expose.peak_rss_bytes () in
-    let spills = spill_files () in
-    Fmt.pr "ring12 sharded: span %d states in %.1fs, peak RSS %d MB, %d spill files@."
-      r_sh.Tolerance.span_size t_sh
-      (rss_sh / (1024 * 1024))
-      spills;
-    check "ring12 sharded verdict holds" true (Tolerance.verdict r_sh);
-    check "ring12 sharded explored >= 10^7 states" true
-      (r_sh.Tolerance.span_size >= 10_000_000);
-    (* The packed attempt runs under a memory budget no tighter than what
-       the sharded run actually consumed — exclusion is honest. *)
-    let budget_mb = max 2048 (rss_sh / (1024 * 1024)) in
-    let budget = Detcor_robust.Budget.make ~max_memory_mb:budget_mb () in
-    let r_pk, t_pk =
-      Bench_table.time (fun () ->
-          Detcor_robust.Budget.with_budget budget (fun () -> run Ts.Auto))
-    in
-    let packed_excluded = Tolerance.unknowns r_pk <> [] in
-    Fmt.pr "ring12 packed under %d MB budget: %s in %.1fs@." budget_mb
-      (if packed_excluded then "EXCLUDED (memory budget exhausted)"
-       else "completed")
-      t_pk;
-    check "ring12 packed trips the sharded run's memory budget" true
-      packed_excluded;
-    ignore
-      (Bench_table.add_row tbl ~name:"token ring n=12 failsafe (out-of-core)"
-         ~states:r_sh.Tolerance.span_size
-         ~agree:(Tolerance.verdict r_sh) ~reference_s:t_pk ~packed_s:t_sh
-         ~ok:(Tolerance.verdict r_sh && packed_excluded)
-         ~extra:
-           [
-             ("reference_engine", Detcor_obs.Jsonx.Str "packed");
-             ("packed_engine", Detcor_obs.Jsonx.Str "sharded");
-             ("sharded_peak_rss_bytes", Detcor_obs.Jsonx.Int rss_sh);
-             ("packed_budget_mb", Detcor_obs.Jsonx.Int budget_mb);
-             ("packed_excluded", Detcor_obs.Jsonx.Bool packed_excluded);
-             ("spill_files", Detcor_obs.Jsonx.Int spills);
-           ]
-         ())
-  end;
-  Bench_table.write tbl ~file:"BENCH_scale.json"
-
-(* ------------------------------------------------------------------ *)
-(* E10: Bechamel timings.                                              *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let timing_tests () =
-  let mem_verify tol () =
-    ignore
-      (Tolerance.check Memory.masking ~spec:Memory.spec ~invariant:Memory.s
-         ~faults:Memory.page_fault ~tol)
-  in
-  let tmr_masking () =
-    ignore
-      (Tolerance.check Tmr.masking ~spec:Tmr.spec ~invariant:Tmr.invariant
-         ~faults:Tmr.one_corruption ~tol:Spec.Masking)
-  in
-  let byz_masking () =
-    let cfg = Byzantine.default in
-    ignore
-      (Tolerance.check (Byzantine.masking cfg) ~spec:(Byzantine.spec cfg)
-         ~invariant:(Byzantine.invariant cfg)
-         ~faults:(Byzantine.byzantine_faults cfg) ~tol:Spec.Masking)
-  in
-  let ring_corrector n () =
-    let cfg = Token_ring.make_config n in
-    ignore
-      (Corrector.satisfies (Token_ring.program cfg) (Token_ring.corrector cfg)
-         ~from:Pred.true_)
-  in
-  let synth_memory () =
-    ignore
-      (Detcor_synthesis.Synthesize.add_masking Memory.intolerant
-         ~spec:Memory.spec ~invariant:Memory.s ~faults:Memory.page_fault)
-  in
-  let synth_tmr () =
-    ignore
-      (Detcor_synthesis.Synthesize.add_masking ~target:Tmr.out_is_uncor
-         Tmr.intolerant ~spec:Tmr.spec ~invariant:Tmr.invariant
-         ~faults:Tmr.one_corruption)
-  in
-  let simulate () =
-    let open Detcor_sim in
-    ignore
-      (Runner.sample 10 Memory.masking ~faults:Memory.page_fault
-         ~policy:(Injector.Random { probability = 0.1; max_faults = 1 })
-         ~init:
-           (State.of_list
-              [
-                ("present", Value.bool true);
-                ("data", Value.bot);
-                ("z1", Value.bool false);
-              ]))
-  in
-  let theorem_5_5 () =
-    ignore
-      (Theorems.theorem_5_5 ~base:Memory.nonmasking ~refined:Memory.masking
-         ~spec:Memory.spec ~faults:Memory.page_fault ~invariant_s:Memory.s
-         ~invariant_r:Memory.s ())
-  in
-  Test.make_grouped ~name:"detcor"
-    [
-      Test.make ~name:"verify/memory-masking" (Staged.stage (mem_verify Spec.Masking));
-      Test.make ~name:"verify/memory-failsafe" (Staged.stage (mem_verify Spec.Failsafe));
-      Test.make ~name:"verify/tmr-masking" (Staged.stage tmr_masking);
-      Test.make ~name:"verify/byzantine-masking" (Staged.stage byz_masking);
-      Test.make ~name:"verify/ring-n3" (Staged.stage (ring_corrector 3));
-      Test.make ~name:"verify/ring-n4" (Staged.stage (ring_corrector 4));
-      Test.make ~name:"verify/ring-n5" (Staged.stage (ring_corrector 5));
-      Test.make ~name:"synthesize/memory-masking" (Staged.stage synth_memory);
-      Test.make ~name:"synthesize/tmr-masking" (Staged.stage synth_tmr);
-      Test.make ~name:"simulate/memory-10runs" (Staged.stage simulate);
-      Test.make ~name:"theorem/5.5-memory" (Staged.stage theorem_5_5);
-    ]
-
-let run_timings () =
-  section "Table 10 (E10): toolkit cost (Bechamel, monotonic clock)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances (timing_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns ] -> Fmt.pr "%-40s %12.1f us/run@." name (ns /. 1_000.)
-      | Some _ | None -> Fmt.pr "%-40s (no estimate)@." name)
-    rows
+    ~faults:(Distributed_reset.corruption reset)
 
 let () =
-  (* [--no-timings] skips the Bechamel wall-clock section: the claim
-     tables and the engine differential still run, so CI can smoke-test
-     for [MISMATCH] lines without paying for the statistics. *)
-  let timings = not (Array.mem "--no-timings" Sys.argv) in
-  let scale = Array.mem "--scale" Sys.argv in
   Fmt.pr
     "detcor reproduction harness — Arora & Kulkarni, 'Detectors and \
      Correctors' (ICDCS 1998)@.";
@@ -1349,12 +933,10 @@ let () =
   table_ring ();
   table_engine ();
   table_synth ();
-  table_obs ();
   table_robust ();
   table_monitor ();
   table_telemetry ();
-  table_scale ~scale ();
-  if timings then run_timings ();
+  table_scale ();
   Fmt.pr "@.=== Summary ===@.";
   if !mismatches = 0 then Fmt.pr "All claims match the paper.@."
   else begin

@@ -158,16 +158,13 @@ let with_errors ~path k =
     Fmt.epr "dcheck: injected fault at %s@." name;
     125
 
-let with_budget ?memory_mb timeout k =
-  match (timeout, memory_mb) with
-  | None, None -> k ()
-  | timeout, max_memory_mb ->
-    Budget.with_budget (Budget.make ?timeout ?max_memory_mb ()) k
-
 (* [guarded ~path timeout k]: the budget goes inside the error handler so
    exhaustion anywhere — including parsing and elaboration — exits 3. *)
-let guarded ?memory_mb ~path timeout k =
-  with_errors ~path (fun () -> with_budget ?memory_mb timeout k)
+let guarded ?memory_mb:max_memory_mb ~path timeout k =
+  with_errors ~path @@ fun () ->
+  match (timeout, max_memory_mb) with
+  | None, None -> k ()
+  | _ -> Budget.with_budget (Budget.make ?timeout ?max_memory_mb ()) k
 
 (* Chaos sites for the serve load harness: [dcheck.job] crashes the job
    (exit 125 — the injected Internal-class death the serve supervisor
@@ -180,10 +177,30 @@ let chaos_site () =
   try Failpoint.hit "dcheck.hang"
   with Failpoint.Injected _ -> Unix.sleep 3600
 
+(* Range-checked converters: an out-of-range value (or NaN) is a usage
+   error, exit 2, at parse time. *)
+let checked conv ok expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg (Fmt.str "'%s' is not %s" s expect))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let nat_conv = checked Arg.int (fun n -> n >= 0) "an integer >= 0"
+let pos_conv = checked Arg.int (fun n -> n >= 1) "an integer >= 1"
+let prob_conv = checked Arg.float (fun p -> 0.0 <= p && p <= 1.0) "in [0, 1]"
+
+(* Budget deadlines are start + timeout in int64 ns: cap at half the range. *)
+let timeout_conv =
+  let max_s = Int64.to_float Int64.max_int /. 2e9 in
+  checked Arg.float (fun t -> 0.0 <= t && t <= max_s)
+    (Fmt.str "in [0, %.2g] seconds" max_s)
+
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some timeout_conv) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget for the whole run.  On exhaustion undecided \
@@ -198,13 +215,13 @@ let file_arg =
 let limit_arg =
   Arg.(
     value
-    & opt int Detcor_semantics.Ts.default_limit
+    & opt nat_conv Detcor_semantics.Ts.default_limit
     & info [ "limit" ] ~docv:"N" ~doc:"State-exploration limit.")
 
 let workers_arg =
   Arg.(
     value
-    & opt int 1
+    & opt pos_conv 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Worker domains for frontier expansion and synthesis scans.  \
@@ -272,7 +289,7 @@ let engine_term =
   let arena_mb_arg =
     Arg.(
       value
-      & opt int 512
+      & opt nat_conv 512
       & info [ "shard-arena-mb" ] ~docv:"MB"
           ~doc:
             "Resident arena budget of the sharded engine, in MiB; sealed \
@@ -282,7 +299,7 @@ let engine_term =
   let memory_mb_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_conv) None
       & info [ "memory-budget" ] ~docv:"MB"
           ~doc:
             "Heap budget for the whole run, in MiB; exhaustion exits 3 \
@@ -879,21 +896,21 @@ let synthesize_cmd =
 
 let simulate_cmd =
   let runs_arg =
-    Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N" ~doc:"Number of runs.")
+    Arg.(value & opt nat_conv 100 & info [ "runs" ] ~docv:"N" ~doc:"Number of runs.")
   in
   let steps_arg =
-    Arg.(value & opt int 200 & info [ "steps" ] ~docv:"N" ~doc:"Steps per run.")
+    Arg.(value & opt nat_conv 200 & info [ "steps" ] ~docv:"N" ~doc:"Steps per run.")
   in
   let prob_arg =
     Arg.(
       value
-      & opt float 0.1
+      & opt prob_conv 0.1
       & info [ "fault-prob" ] ~docv:"P" ~doc:"Per-step fault probability.")
   in
   let max_faults_arg =
     Arg.(
       value
-      & opt int 1
+      & opt nat_conv 1
       & info [ "max-faults" ] ~docv:"K" ~doc:"Fault budget per run.")
   in
   let seed_arg =
@@ -912,19 +929,6 @@ let simulate_cmd =
       =
     with_obs ~sub:"simulate" ~path obs @@ fun () ->
     guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
-    List.iter
-      (fun (bad, msg) ->
-        if bad then begin
-          Fmt.epr "dcheck: %s@." msg;
-          exiting 2
-        end)
-      [
-        (runs < 0, "--runs must be non-negative");
-        (steps < 0, "--steps must be non-negative");
-        (max_faults < 0, "--max-faults must be non-negative");
-        (* Written so that NaN fails too. *)
-        (not (prob >= 0.0 && prob <= 1.0), "--fault-prob must lie in [0, 1]");
-      ];
     chaos_site ();
     let (_ : Detcor_semantics.Ts.engine) = apply_engine eopts in
     with_checkpoint ~path ~sub:"simulate"
@@ -1024,7 +1028,7 @@ let monitor_cmd =
   let batch_arg =
     Arg.(
       value
-      & opt int 256
+      & opt pos_conv 256
       & info [ "batch" ] ~docv:"N" ~doc:"States per syndrome batch.")
   in
   let h_detect = Metrics.histogram "monitor.detection_latency" in
@@ -1036,10 +1040,6 @@ let monitor_cmd =
   let run path stream batch_size timeout obs =
     with_obs ~sub:"monitor" ~path obs @@ fun () ->
     guarded ~path timeout @@ fun () ->
-    if batch_size <= 0 then begin
-      Fmt.epr "dcheck: --batch must be positive@.";
-      exiting 2
-    end;
     let e = Elaborate.load_file path in
     let sspec = Spec.safety (Spec.smallest_safety_containing e.spec) in
     let open Detcor_sim in

@@ -173,17 +173,28 @@ let test_exit_codes () =
          [ "synthesize"; "--limit"; "1000"; corpus_dir ^ "/byz4.dc" ]);
     Alcotest.(check int) "usage error -> 2" 2
       (run_dcheck [ "verify"; "--no-such-flag" ]);
-    (* Out-of-range simulation parameters are usage errors. *)
+    (* Out-of-range numeric flags are usage errors. *)
+    let usage cmd = List.map (fun args -> (cmd, args)) in
     List.iter
-      (fun args ->
+      (fun (cmd, args) ->
         Alcotest.(check int)
-          (Fmt.str "simulate %s -> 2" (String.concat " " args))
+          (Fmt.str "%s %s -> 2" cmd (String.concat " " args))
           2
-          (run_dcheck ([ "simulate"; corpus_dir ^ "/memory.dc" ] @ args)))
-      [
-        [ "--runs=-1" ]; [ "--steps=-5" ]; [ "--max-faults=-3" ];
-        [ "--fault-prob"; "2" ]; [ "--fault-prob=-0.1" ]; [ "--fault-prob"; "nan" ];
-      ];
+          (run_dcheck ([ cmd; corpus_dir ^ "/memory.dc" ] @ args)))
+      (usage "simulate"
+         [
+           [ "--runs=-1" ]; [ "--steps=-5" ]; [ "--max-faults=-3" ];
+           [ "--fault-prob"; "2" ]; [ "--fault-prob=-0.1" ];
+           [ "--fault-prob"; "nan" ];
+         ]
+      @ usage "verify"
+          [
+            [ "--timeout=-1" ]; [ "--timeout"; "nan" ]; [ "--timeout"; "inf" ];
+            [ "--timeout"; "1e300" ]; [ "--limit=-1" ];
+            [ "--memory-budget=-1" ]; [ "--memory-budget=0" ];
+            [ "--workers=0" ]; [ "--workers=-3" ]; [ "--shard-arena-mb=-5" ];
+          ]
+      @ usage "monitor" [ [ "--batch=0" ] ]);
     let tmp = Filename.temp_file "dcheck_fuzz" ".dc" in
     let oc = open_out tmp in
     output_string oc "program t\nvar x : 99999999999999999999..3\n";

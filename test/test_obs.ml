@@ -274,18 +274,31 @@ let test_fallback_reason () =
 
 let test_verdicts_identical () =
   let open Detcor_systems in
-  let report tol =
-    Fmt.str "%a" Detcor_core.Tolerance.pp_report
-      (Detcor_core.Tolerance.check Memory.masking ~spec:Memory.spec
-         ~invariant:Memory.s ~faults:Memory.page_fault ~tol)
+  let module Tolerance = Detcor_core.Tolerance in
+  let memory tol () =
+    Tolerance.check Memory.masking ~spec:Memory.spec ~invariant:Memory.s
+      ~faults:Memory.page_fault ~tol
+  in
+  let tmr () =
+    Tolerance.check Tmr.masking ~spec:Tmr.spec ~invariant:Tmr.invariant
+      ~faults:Tmr.one_corruption ~tol:Detcor_spec.Spec.Masking
   in
   List.iter
-    (fun tol ->
-      let off = report tol in
+    (fun (name, run) ->
+      let report () = Fmt.str "%a" Tolerance.pp_report (run ()) in
+      let off = report () in
       let sink, _ = Sink.memory () in
-      let on = recording [ sink ] (fun () -> report tol) in
-      Alcotest.(check string) "report byte-identical with recording on" off on)
-    Detcor_spec.Spec.[ Failsafe; Nonmasking; Masking ]
+      let on = recording [ sink ] report in
+      Alcotest.(check string)
+        (name ^ " report byte-identical with recording on")
+        off on)
+    Detcor_spec.Spec.
+      [
+        ("memory failsafe", memory Failsafe);
+        ("memory nonmasking", memory Nonmasking);
+        ("memory masking", memory Masking);
+        ("tmr masking", tmr);
+      ]
 
 let suite =
   ( "obs",
