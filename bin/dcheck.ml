@@ -191,11 +191,18 @@ let nat_conv = checked Arg.int (fun n -> n >= 0) "an integer >= 0"
 let pos_conv = checked Arg.int (fun n -> n >= 1) "an integer >= 1"
 let prob_conv = checked Arg.float (fun p -> 0.0 <= p && p <= 1.0) "in [0, 1]"
 
-(* Budget deadlines are start + timeout in int64 ns: cap at half the range. *)
+(* Budget deadlines and checkpoint intervals are int64 ns: cap at half the
+   range.  [timeout_conv] also takes 0; [period_conv] (poll and watchdog
+   periods) does not. *)
+let max_seconds = Int64.to_float Int64.max_int /. 2e9
+
 let timeout_conv =
-  let max_s = Int64.to_float Int64.max_int /. 2e9 in
-  checked Arg.float (fun t -> 0.0 <= t && t <= max_s)
-    (Fmt.str "in [0, %.2g] seconds" max_s)
+  checked Arg.float (fun t -> 0.0 <= t && t <= max_seconds)
+    (Fmt.str "in [0, %.2g] s" max_seconds)
+
+let period_conv =
+  checked Arg.float (fun t -> 0.0 < t && t <= max_seconds)
+    (Fmt.str "in (0, %.2g] s" max_seconds)
 
 let timeout_arg =
   Arg.(
@@ -238,7 +245,6 @@ type engine_opts = {
   shards : int;
   spill_dir : string option;
   arena_mb : int;
-  memory_mb : int option;
 }
 
 let engine_conv =
@@ -296,21 +302,19 @@ let engine_term =
              segments past it are spilled (least recently used first).  \
              Only enforced when $(b,--spill-dir) is set.")
   in
-  let memory_mb_arg =
-    Arg.(
-      value
-      & opt (some pos_conv) None
-      & info [ "memory-budget" ] ~docv:"MB"
-          ~doc:
-            "Heap budget for the whole run, in MiB; exhaustion exits 3 \
-             (a final checkpoint is still written when armed).")
+  let make engine shards spill_dir arena_mb =
+    { engine; shards; spill_dir; arena_mb }
   in
-  let make engine shards spill_dir arena_mb memory_mb =
-    { engine; shards; spill_dir; arena_mb; memory_mb }
-  in
-  Term.(
-    const make $ engine_arg $ shards_arg $ spill_dir_arg $ arena_mb_arg
-    $ memory_mb_arg)
+  Term.(const make $ engine_arg $ shards_arg $ spill_dir_arg $ arena_mb_arg)
+
+let memory_budget_arg =
+  Arg.(
+    value
+    & opt (some pos_conv) None
+    & info [ "memory-budget" ] ~docv:"MB"
+        ~doc:
+          "Heap budget for the whole run, in MiB; exhaustion exits 3 (a \
+           final checkpoint is still written when armed).")
 
 (* Install the process-wide sharded-engine parameters and return the
    engine choice for the ?engine arguments downstream. *)
@@ -355,7 +359,7 @@ let robust_term =
   let interval_arg =
     Arg.(
       value
-      & opt float Checkpoint.default_interval
+      & opt timeout_conv Checkpoint.default_interval
       & info [ "checkpoint-interval" ] ~docv:"SECONDS"
           ~doc:
             "Seconds between periodic snapshots, measured on the \
@@ -620,9 +624,9 @@ let with_obs ?(extra = []) ~sub ~path opts k =
 (* ------------------------------------------------------------------ *)
 
 let info_cmd =
-  let run path limit timeout eopts obs =
+  let run path limit timeout eopts memory_mb obs =
     with_obs ~sub:"info" ~path obs @@ fun () ->
-    guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
+    guarded ?memory_mb ~path timeout @@ fun () ->
     let engine = apply_engine eopts in
     let e = Elaborate.load_file path in
     Fmt.pr "program %s@." (Program.name e.program);
@@ -671,7 +675,8 @@ let info_cmd =
   Cmd.v
     (Cmd.info "info" ~doc:"Summarize a guarded-command program.")
     Term.(
-      const run $ file_arg $ limit_arg $ timeout_arg $ engine_term $ obs_term)
+      const run $ file_arg $ limit_arg $ timeout_arg $ engine_term
+      $ memory_budget_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* verify                                                              *)
@@ -704,9 +709,9 @@ let explain_arg =
         ~doc:"On failure, print a witness trace for each failing obligation.")
 
 let verify_cmd =
-  let run path tol limit explain timeout workers eopts robust obs =
+  let run path tol limit explain timeout workers eopts memory_mb robust obs =
     with_obs ~sub:"verify" ~path obs @@ fun () ->
-    guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
+    guarded ?memory_mb ~path timeout @@ fun () ->
     chaos_site ();
     let engine = apply_engine eopts in
     with_checkpoint ~path ~sub:"verify"
@@ -784,7 +789,8 @@ let verify_cmd =
        ~doc:"Check F-tolerance of the program against its specification.")
     Term.(
       const run $ file_arg $ tolerance_arg $ limit_arg $ explain_arg
-      $ timeout_arg $ workers_arg $ engine_term $ robust_term $ obs_term)
+      $ timeout_arg $ workers_arg $ engine_term $ memory_budget_arg
+      $ robust_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* components                                                          *)
@@ -833,9 +839,9 @@ let components_cmd =
 (* ------------------------------------------------------------------ *)
 
 let synthesize_cmd =
-  let run path tol limit timeout workers eopts robust obs =
+  let run path tol limit timeout workers eopts memory_mb robust obs =
     with_obs ~sub:"synthesize" ~path obs @@ fun () ->
-    guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
+    guarded ?memory_mb ~path timeout @@ fun () ->
     chaos_site ();
     let engine = apply_engine eopts in
     let tol = match tol with Some t -> t | None -> Spec.Masking in
@@ -888,7 +894,8 @@ let synthesize_cmd =
          "Add fail-safe, nonmasking or masking tolerance to the program \
           (default: masking).")
     Term.(const run $ file_arg $ tolerance_arg $ limit_arg $ timeout_arg
-          $ workers_arg $ engine_term $ robust_term $ obs_term)
+          $ workers_arg $ engine_term $ memory_budget_arg $ robust_term
+          $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -925,12 +932,11 @@ let simulate_cmd =
             "Write the sampled runs as a detcor stream to $(docv), \
              replayable offline with $(b,dcheck monitor --stream).")
   in
-  let run path runs steps prob max_faults seed record timeout eopts robust obs
-      =
+  let run path runs steps prob max_faults seed record timeout memory_mb robust
+      obs =
     with_obs ~sub:"simulate" ~path obs @@ fun () ->
-    guarded ?memory_mb:eopts.memory_mb ~path timeout @@ fun () ->
+    guarded ?memory_mb ~path timeout @@ fun () ->
     chaos_site ();
-    let (_ : Detcor_semantics.Ts.engine) = apply_engine eopts in
     with_checkpoint ~path ~sub:"simulate"
       ~params:
         [
@@ -1000,7 +1006,7 @@ let simulate_cmd =
        ~doc:"Fault-injection simulation with online safety monitoring.")
     Term.(
       const run $ file_arg $ runs_arg $ steps_arg $ prob_arg $ max_faults_arg
-      $ seed_arg $ record_arg $ timeout_arg $ engine_term $ robust_term
+      $ seed_arg $ record_arg $ timeout_arg $ memory_budget_arg $ robust_term
       $ obs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -1480,13 +1486,13 @@ let top_cmd =
   let interval_arg =
     Arg.(
       value
-      & opt float 1.0
+      & opt period_conv 1.0
       & info [ "interval" ] ~docv:"SECONDS" ~doc:"Seconds between polls.")
   in
   let iterations_arg =
     Arg.(
       value
-      & opt int 0
+      & opt nat_conv 0
       & info [ "iterations" ] ~docv:"N"
           ~doc:
             "Stop after $(docv) polls (0: poll until interrupted or the \
@@ -1611,14 +1617,15 @@ let serve_cmd =
   let slots_arg =
     Arg.(
       value
-      & opt int Detcor_serve.Server.default_config.Detcor_serve.Server.slots
+      & opt pos_conv
+          Detcor_serve.Server.default_config.Detcor_serve.Server.slots
       & info [ "slots" ] ~docv:"N"
           ~doc:"Concurrently running worker subprocesses.")
   in
   let queue_max_arg =
     Arg.(
       value
-      & opt int
+      & opt pos_conv
           Detcor_serve.Server.default_config.Detcor_serve.Server.queue_max
       & info [ "queue-max" ] ~docv:"N"
           ~doc:
@@ -1628,7 +1635,7 @@ let serve_cmd =
   let tenant_max_arg =
     Arg.(
       value
-      & opt int
+      & opt pos_conv
           Detcor_serve.Server.default_config.Detcor_serve.Server.tenant_max
       & info [ "tenant-max" ] ~docv:"N"
           ~doc:"Live (queued or running) jobs allowed per tenant.")
@@ -1636,7 +1643,7 @@ let serve_cmd =
   let watchdog_arg =
     Arg.(
       value
-      & opt (some float) (Some 30.0)
+      & opt (some period_conv) (Some 30.0)
       & info [ "watchdog" ] ~docv:"SECONDS"
           ~doc:
             "Per-job wall-clock ceiling; a worker that outlives it is \
@@ -1646,7 +1653,7 @@ let serve_cmd =
   let retries_arg =
     Arg.(
       value
-      & opt int
+      & opt nat_conv
           Detcor_serve.Server.default_config.Detcor_serve.Server.policy
             .Detcor_robust.Watchdog.max_retries
       & info [ "retries" ] ~docv:"N"
@@ -1662,13 +1669,13 @@ let serve_cmd =
         Detcor_serve.Server.default_config with
         Detcor_serve.Server.listen;
         spool;
-        slots = max 1 slots;
+        slots;
         queue_max;
         tenant_max;
         policy =
           {
             Detcor_robust.Watchdog.default_policy with
-            Detcor_robust.Watchdog.max_retries = max 0 retries;
+            Detcor_robust.Watchdog.max_retries = retries;
             watchdog_s = watchdog;
           };
       }

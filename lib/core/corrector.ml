@@ -52,63 +52,24 @@ let satisfies ?limit program c ~from =
 (* Tolerant correctors (Section 4.1).                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Same proof structure as tolerant detectors; see Detector.tolerant.  For
-   nonmasking — the paper's main use (Theorem 4.3) — the obligations follow
-   Lemma 4.2: the program converges from the F-span to [recover], and from
-   [recover] it refines 'Z corrects X'. *)
+(* Same proof structure as tolerant detectors; see Detector.tolerant_check.
+   For nonmasking — the paper's main use (Theorem 4.3) — the obligations
+   follow Lemma 4.2: the program converges from the F-span to [recover],
+   and from [recover] it refines 'Z corrects X'. *)
 
-type tolerant_report = {
-  tol : Spec.tolerance;
-  span : Pred.t;
-  items : (string * Check.outcome) list;
-}
+type tolerant_report = Detector.tolerant_report
 
-let verdict r = List.for_all (fun (_, o) -> Check.holds o) r.items
-
-let pp_report ppf r =
-  Fmt.pf ppf "@[<v>%a-tolerant corrector check (span %s):@,%a@]"
-    Spec.pp_tolerance r.tol (Pred.name r.span)
-    Fmt.(
-      list ~sep:cut (fun ppf (l, o) ->
-          Fmt.pf ppf "  %-40s %a" l Check.pp_outcome o))
-    r.items
+let verdict = Detector.verdict
+let pp_report = Detector.pp_report
 
 let tolerant ?limit ?recover program c ~faults ~tol ~from =
-  let composed = Fault.compose program faults in
-  let ts_pf = Ts.of_pred ?limit composed ~from in
-  let span_states = Ts.states ts_pf in
-  let span =
-    Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states
-  in
-  let ts_p = Ts.build ?limit program ~from:span_states in
-  let recover = match recover with Some r -> r | None -> from in
-  let safety_items () =
-    [ (Fmt.str "safety of '%s' on p[]F from span" c.cname,
-       Spec.refines ts_pf (safety_spec c)) ]
-  in
-  let liveness_items () =
-    [
-      (Fmt.str "progress of '%s' on p from span" c.cname,
-       Detector.progress ts_p (as_detector c));
-      (Fmt.str "convergence of '%s' on p from span" c.cname,
-       Check.eventually ts_p c.correction);
-    ]
-  in
-  let nonmasking_items () =
-    let ts_rec = Ts.of_pred ?limit program ~from:recover in
-    [
-      (Fmt.str "p converges from span to %s" (Pred.name recover),
-       Check.eventually ts_p recover);
-      (Fmt.str "'%s' holds from %s" c.cname (Pred.name recover),
-       satisfies_ts ts_rec c);
-    ]
-  in
-  let items =
-    match tol with
-    | Spec.Failsafe -> safety_items ()
-    | Spec.Masking -> safety_items () @ liveness_items ()
-    | Spec.Nonmasking -> nonmasking_items ()
-  in
-  { tol; span; items }
+  Detector.tolerant_check ?limit ?recover program ~component:"corrector"
+    ~name:c.cname ~spec:(spec c)
+    ~liveness:
+      [
+        ("progress", fun ts -> Detector.progress ts (as_detector c));
+        ("convergence", fun ts -> Check.eventually ts c.correction);
+      ]
+    ~faults ~tol ~from
 
 let pp ppf c = Fmt.string ppf c.cname

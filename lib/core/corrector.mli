@@ -1,6 +1,7 @@
 (** Correctors (Section 4): ['Z corrects X in c from U'] iff [c] refines
     the ['Z corrects X'] specification from [U] — the detector conditions
-    plus Convergence. *)
+    plus Convergence.  The tolerant-corrector check and its report are
+    {!Detector}'s. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -32,17 +33,14 @@ val convergence : Ts.t -> t -> Check.outcome
 val satisfies_ts : Ts.t -> t -> Check.outcome
 val satisfies : ?limit:int -> Program.t -> t -> from:Pred.t -> Check.outcome
 
-type tolerant_report = {
-  tol : Spec.tolerance;
-  span : Pred.t;
-  items : (string * Check.outcome) list;
-}
+type tolerant_report = Detector.tolerant_report
 
 val verdict : tolerant_report -> bool
 val pp_report : tolerant_report Fmt.t
 
-(** Tolerant-corrector check in the presence of faults; obligations follow
-    the paper's proofs (Lemma 4.2 / Theorem 4.3 for nonmasking). *)
+(** Tolerant-corrector check in the presence of faults:
+    {!Detector.tolerant_check} with Progress and Convergence as the masking
+    liveness obligations (Lemma 4.2 / Theorem 4.3 for nonmasking). *)
 val tolerant :
   ?limit:int ->
   ?recover:Pred.t ->

@@ -56,14 +56,18 @@ let satisfies ?limit program d ~from =
    the paper's proofs (finitely many faults, Assumption 2):
    - the safety obligations (Safeness, Stability) are checked on the full
      [p [] F] system over the F-span of U;
-   - the liveness obligation (Progress) is checked on p alone from the
-     F-span, because after faults stop the computation is a computation of
-     p (Theorem 5.5, Part 2);
+   - the liveness obligations (Progress; a corrector adds Convergence) are
+     checked on p alone from the F-span, because after faults stop the
+     computation is a computation of p (Theorem 5.5, Part 2);
    - nonmasking requires a suffix in the specification: p alone converges
      from the F-span to a recovery predicate [recover] (default U) from
-     which the whole detects specification holds (Lemma 4.2's shape). *)
+     which the whole specification holds (Lemma 4.2's shape).
+
+   Tolerant correctors (Section 4.1) have the same proof structure, so
+   {!tolerant_check} serves both components. *)
 
 type tolerant_report = {
+  component : string; (* "detector" or "corrector", for the header *)
   tol : Spec.tolerance;
   span : Pred.t; (* the F-span used *)
   items : (string * Check.outcome) list;
@@ -72,42 +76,50 @@ type tolerant_report = {
 let verdict r = List.for_all (fun (_, o) -> Check.holds o) r.items
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>%a-tolerant detector check (span %s):@,%a@]"
-    Spec.pp_tolerance r.tol (Pred.name r.span)
+  Fmt.pf ppf "@[<v>%a-tolerant %s check (span %s):@,%a@]"
+    Spec.pp_tolerance r.tol r.component (Pred.name r.span)
     Fmt.(
       list ~sep:cut (fun ppf (l, o) ->
           Fmt.pf ppf "  %-40s %a" l Check.pp_outcome o))
     r.items
 
-let tolerant ?limit ?recover program d ~faults ~tol ~from =
-  let composed = Fault.compose program faults in
-  let ts_pf = Ts.of_pred ?limit composed ~from in
+let tolerant_check ?limit ?recover program ~component ~name ~spec ~liveness
+    ~faults ~tol ~from =
+  let ts_pf = Ts.of_pred ?limit (Fault.compose program faults) ~from in
   let span_states = Ts.states ts_pf in
-  let span = Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states in
+  let span =
+    Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states
+  in
   let ts_p = Ts.build ?limit program ~from:span_states in
-  let recover = match recover with Some r -> r | None -> from in
-  let safety_items () =
-    [ (Fmt.str "safety of '%s' on p[]F from span" d.dname,
-       Spec.refines ts_pf (safety_spec d)) ]
-  in
-  let progress_item () =
-    [ (Fmt.str "progress of '%s' on p from span" d.dname, progress ts_p d) ]
-  in
-  let nonmasking_items () =
-    let ts_rec = Ts.of_pred ?limit program ~from:recover in
-    [
-      (Fmt.str "p converges from span to %s" (Pred.name recover),
-       Check.eventually ts_p recover);
-      (Fmt.str "'%s' holds from %s" d.dname (Pred.name recover),
-       satisfies_ts ts_rec d);
-    ]
+  let recover = Option.value recover ~default:from in
+  let safety () =
+    ( Fmt.str "safety of '%s' on p[]F from span" name,
+      Spec.refines ts_pf (Spec.smallest_safety_containing spec) )
   in
   let items =
     match tol with
-    | Spec.Failsafe -> safety_items ()
-    | Spec.Masking -> safety_items () @ progress_item ()
-    | Spec.Nonmasking -> nonmasking_items ()
+    | Spec.Failsafe -> [ safety () ]
+    | Spec.Masking ->
+      safety ()
+      :: List.map
+           (fun (what, check) ->
+             (Fmt.str "%s of '%s' on p from span" what name, check ts_p))
+           liveness
+    | Spec.Nonmasking ->
+      let ts_rec = Ts.of_pred ?limit program ~from:recover in
+      [
+        (Fmt.str "p converges from span to %s" (Pred.name recover),
+         Check.eventually ts_p recover);
+        (Fmt.str "'%s' holds from %s" name (Pred.name recover),
+         Spec.refines ts_rec spec);
+      ]
   in
-  { tol; span; items }
+  { component; tol; span; items }
+
+let tolerant ?limit ?recover program d ~faults ~tol ~from =
+  tolerant_check ?limit ?recover program ~component:"detector" ~name:d.dname
+    ~spec:(spec d)
+    ~liveness:[ ("progress", fun ts -> progress ts d) ]
+    ~faults ~tol ~from
 
 let pp ppf d = Fmt.string ppf d.dname

@@ -1,5 +1,7 @@
 (** Detectors (Section 3): ['Z detects X in d from U'] iff [d] refines the
-    ['Z detects X'] specification from [U]. *)
+    ['Z detects X'] specification from [U].  Tolerant detectors and
+    tolerant correctors (Sections 3.1 and 4.1) share one check,
+    {!tolerant_check}, and one report type. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -34,6 +36,7 @@ val satisfies_ts : Ts.t -> t -> Check.outcome
 val satisfies : ?limit:int -> Program.t -> t -> from:Pred.t -> Check.outcome
 
 type tolerant_report = {
+  component : string;  (** "detector" or "corrector", for {!pp_report} *)
   tol : Spec.tolerance;
   span : Pred.t;
   items : (string * Check.outcome) list;
@@ -42,12 +45,28 @@ type tolerant_report = {
 val verdict : tolerant_report -> bool
 val pp_report : tolerant_report Fmt.t
 
+(** The body of {!tolerant} and {!Corrector.tolerant}: the safety part of
+    [spec] on [p [] F] over the F-span of [from]; for masking also each
+    [(what, check)] of [liveness] on [p] over the span; for nonmasking,
+    convergence of [p] from the span to [recover] (default [from]) and
+    [spec] from [recover] (Assumption 2, Lemma 4.2). *)
+val tolerant_check :
+  ?limit:int ->
+  ?recover:Pred.t ->
+  Program.t ->
+  component:string ->
+  name:string ->
+  spec:Spec.t ->
+  liveness:(string * (Ts.t -> Check.outcome)) list ->
+  faults:Fault.t ->
+  tol:Spec.tolerance ->
+  from:Pred.t ->
+  tolerant_report
+
 (** [tolerant program d ~faults ~tol ~from] checks that [program] is a
     [tol]-tolerant detector for ['Z detects X'] from [from] in the presence
-    of [faults]; obligations follow the paper's proofs (safety on
-    [p [] F] over the F-span, liveness on [p] alone — Assumption 2).
-    [recover] (default [from]) is the predicate from which nonmasking
-    recovery re-establishes the specification. *)
+    of [faults]: {!tolerant_check} with Progress as the masking liveness
+    obligation. *)
 val tolerant :
   ?limit:int ->
   ?recover:Pred.t ->

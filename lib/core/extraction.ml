@@ -57,14 +57,8 @@ let refined_action_for ~refined ac =
    ignores them: faults are finitely many, Assumption 2). *)
 let shrink_to_detects ?(extra_transitions = []) ts ~witness:z ~x0 =
   let n = Ts.num_states ts in
-  let x = Array.make n false in
-  for i = 0 to n - 1 do
-    x.(i) <- Pred.holds x0 (Ts.state ts i)
-  done;
-  let z_at = Array.make n false in
-  for i = 0 to n - 1 do
-    z_at.(i) <- Pred.holds z (Ts.state ts i)
-  done;
+  let x = Array.init n (Ts.holds_at ts x0) in
+  let z_at = Array.init n (Ts.holds_at ts z) in
   let extra_indexed =
     List.filter_map
       (fun (s, s') ->
@@ -85,30 +79,15 @@ let shrink_to_detects ?(extra_transitions = []) ts ~witness:z ~x0 =
     in
     Ts.iter_edges ts (fun i _aid j -> stability_step i j);
     List.iter (fun (i, j) -> stability_step i j) extra_indexed;
-    (* Progress: remove X∧¬Z states that can stay in X∧¬Z forever (via a
-       fair cycle) or deadlock inside it. *)
-    let region i = x.(i) && not z_at.(i) in
-    let starts = List.filter region (List.init n Fun.id) in
-    if starts <> [] then begin
-      (* States inside the region that are "stuck": deadlocked, or members
-         of a fair SCC of the region. *)
-      let stuck = Array.make n false in
-      List.iter (fun i -> if Ts.deadlocked ts i then stuck.(i) <- true) starts;
-      List.iter
-        (fun (scc : Graph.scc) ->
-          List.iter (fun v -> stuck.(v) <- true) scc.members)
-        (Fairness.fair_sccs ~mask:region ts);
-      let stuck_list = List.filter (fun i -> stuck.(i)) starts in
-      if stuck_list <> [] then begin
-        let doomed = Graph.co_reachable ~mask:region ts ~target:stuck_list in
-        for i = 0 to n - 1 do
-          if doomed.(i) && x.(i) then begin
-            x.(i) <- false;
-            changed := true
-          end
-        done
+    (* Progress: remove X∧¬Z states from which a fair computation can stay
+       in X∧¬Z forever (via a fair cycle or a deadlock inside it). *)
+    let doomed = Fairness.trapped ts ~region:(fun i -> x.(i) && not z_at.(i)) in
+    for i = 0 to n - 1 do
+      if doomed.(i) then begin
+        x.(i) <- false;
+        changed := true
       end
-    end
+    done
   done;
   let members = ref [] in
   for i = n - 1 downto 0 do

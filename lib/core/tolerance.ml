@@ -175,50 +175,20 @@ let refines_from_states ?limit ?engine ?workers p ~spec ~init ~invariant =
 (* Liveness in the presence of finitely many faults.                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [leads_to_under_faults ~ts_pf ~ts_p obligation]: does "P leads to Q"
-   hold on every computation of p [] F (p-fair, p-maximal, finitely many
-   fault steps)?
+(* Does each "P leads to Q" obligation hold on every computation of
+   p [] F (p-fair, p-maximal, finitely many fault steps)?
 
    A violating computation has a P∧¬Q state, stays in ¬Q forever, and —
    because fault steps are finite — decomposes into a finite p[]F path
    within ¬Q followed by either a p-deadlock in ¬Q or an infinite fair
-   p-only run within ¬Q.  So: reach forward within ¬Q using all edges of
-   p [] F, then look for a p-deadlock or a p-fair SCC inside the reached
-   region (p-only edges). *)
-let leads_to_under_faults ~ts_pf ~ts_p (o : Liveness.obligation) =
-  let n = Ts.num_states ts_pf in
-  let not_q i = not (Ts.holds_at ts_pf o.Liveness.to_ i) in
-  let starts =
-    List.filter
-      (fun i -> Ts.holds_at ts_pf o.Liveness.from_ i && not_q i)
-      (List.init n Fun.id)
-  in
-  if starts = [] then Check.Holds
-  else begin
-    let reach = Graph.reachable ~mask:not_q ts_pf ~from:starts in
-    (* The reached ¬Q region, transported to the p-only system. *)
-    let region_p k =
-      match Ts.index_of ts_pf (Ts.state ts_p k) with
-      | Some i -> reach.(i) && not_q i
-      | None -> false
-    in
-    let np = Ts.num_states ts_p in
-    let region_states = List.filter region_p (List.init np Fun.id) in
-    let deadlock =
-      List.find_opt (fun k -> Ts.deadlocked ts_p k) region_states
-    in
-    match deadlock with
-    | Some k -> Check.Fails (Check.Deadlock (Ts.state ts_p k))
-    | None -> (
-      match Fairness.fair_sccs ~mask:region_p ts_p with
-      | scc :: _ ->
-        Check.Fails (Check.Fair_cycle (List.map (Ts.state ts_p) scc.members))
-      | [] -> Check.Holds)
-  end
-
+   p-only run within ¬Q: {!Check.leads_to} with the reach taken in
+   [ts_pf] and the stuck states in [ts_p]. *)
 let liveness_under_faults ~ts_pf ~ts_p liveness =
   Check.all
-    (List.map (leads_to_under_faults ~ts_pf ~ts_p) (Liveness.obligations liveness))
+    (List.map
+       (fun (o : Liveness.obligation) ->
+         Check.leads_to ~via:ts_pf ts_p o.from_ o.to_)
+       (Liveness.obligations liveness))
 
 (* ------------------------------------------------------------------ *)
 (* The invariant states.                                               *)

@@ -5,7 +5,9 @@
     tolerance specification of SPEC from some [T ⊇ S].  The checkers use
     the F-span of S (forward closure under [p [] F]) as T — the smallest,
     hence complete, candidate — and split safety/liveness obligations the
-    way the paper's proofs use Assumption 2 (finitely many faults). *)
+    way the paper's proofs use Assumption 2 (finitely many faults).
+    Liveness under faults is {!Check.leads_to} [~via]: the reach within
+    [¬Q] in [p [] F], the deadlocks and fair cycles in [p]. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -99,13 +101,11 @@ val init_states :
   invariant:Pred.t ->
   State.t list
 
-(** [leads_to_under_faults ~ts_pf ~ts_p o]: does the leads-to obligation
-    hold on every computation of [p [] F] under the finitely-many-faults
-    semantics?  [ts_pf] is the composed system over the span, [ts_p] the
-    program-only system over the same states. *)
-val leads_to_under_faults :
-  ts_pf:Ts.t -> ts_p:Ts.t -> Liveness.obligation -> Check.outcome
-
+(** [liveness_under_faults ~ts_pf ~ts_p l]: does every leads-to obligation
+    of [l] hold on every computation of [p [] F] under the
+    finitely-many-faults semantics?  [ts_pf] is the composed system over
+    the span, [ts_p] the program-only system over the same states; each
+    obligation is {!Check.leads_to} [~via:ts_pf ts_p]. *)
 val liveness_under_faults :
   ts_pf:Ts.t -> ts_p:Ts.t -> Liveness.t -> Check.outcome
 

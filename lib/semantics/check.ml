@@ -197,37 +197,45 @@ let safety_parts ts ~bad_states ~bad_pairs =
 
    Violated iff from some reachable [p ∧ ¬q] state there is a fair maximal
    computation confined to [¬q]: either it reaches a deadlock inside [¬q],
-   or it is an infinite fair run inside [¬q]. *)
-let leads_to ts p q =
+   or it is an infinite fair run inside [¬q].  The reach is forward-closed
+   within [¬q], so it is the fair-SCC mask as it stands.
+
+   [~via] takes the starts and the reach in [via] and the deadlocks and
+   fair SCCs in [ts]: with [via] = p [] F and [ts] = p over the same
+   states, a finite p [] F prefix inside [¬q] then a p-deadlock or p-fair
+   run inside [¬q] — leads-to under finitely many faults (Assumption 2). *)
+let leads_to ?via ts p q =
   Obs.span "check.leads_to" @@ fun () ->
-  let not_q i = not (Ts.holds_at ts q i) in
+  let via = Option.value via ~default:ts in
+  let not_q i = not (Ts.holds_at via q i) in
   let starts = ref [] in
-  for i = Ts.num_states ts - 1 downto 0 do
-    if Ts.holds_at ts p i && not_q i then starts := i :: !starts
+  for i = Ts.num_states via - 1 downto 0 do
+    if Ts.holds_at via p i && not_q i then starts := i :: !starts
   done;
   let starts = !starts in
   if starts = [] then Holds
   else begin
-    let reach = Graph.reachable ~mask:not_q ts ~from:starts in
-    let deadlock = ref None in
-    (try
-       for i = 0 to Ts.num_states ts - 1 do
-         if reach.(i) && Ts.deadlocked ts i then begin
-           deadlock := Some i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    match !deadlock with
+    let reach = Graph.reachable ~mask:not_q via ~from:starts in
+    let n = Ts.num_states ts in
+    let region =
+      if via == ts then reach
+      else
+        let to_via = Ts.index_map ~src:ts ~dst:via in
+        Array.init n (fun i ->
+            let j = to_via i in
+            j >= 0 && reach.(j))
+    in
+    let rec deadlock i =
+      if i >= n then None
+      else if region.(i) && Ts.deadlocked ts i then Some i
+      else deadlock (i + 1)
+    in
+    match deadlock 0 with
     | Some i -> Fails (Deadlock (Ts.state ts i))
     | None -> (
-      match
-        Fairness.fair_run_exists ts
-          ~region:(fun i -> not_q i && reach.(i))
-          ~from:starts
-      with
-      | Some scc -> Fails (Fair_cycle (List.map (Ts.state ts) scc.members))
-      | None -> Holds)
+      match Fairness.fair_sccs ~mask:(Array.get region) ts with
+      | scc :: _ -> Fails (Fair_cycle (List.map (Ts.state ts) scc.members))
+      | [] -> Holds)
   end
 
 (* [eventually ts q]: every fair maximal computation of the system (from its

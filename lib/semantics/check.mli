@@ -1,6 +1,8 @@
 (** Decision procedures for the temporal notions of Section 2, over
     explicit transition systems.  Every check returns [Holds] or a
-    counterexample-bearing violation. *)
+    counterexample-bearing violation.  {!leads_to} is the one leads-to
+    procedure: detector Progress, corrector Convergence and liveness
+    under finitely many faults ([~via]) all call it. *)
 
 open Detcor_kernel
 
@@ -57,8 +59,11 @@ val safety_parts :
   outcome
 
 (** [leads_to ts p q] under weak fairness: every [p]-state along every fair
-    maximal computation is eventually followed by a [q]-state. *)
-val leads_to : Ts.t -> Pred.t -> Pred.t -> outcome
+    maximal computation is eventually followed by a [q]-state.  The
+    [p ∧ ¬q] starts and the reach within [¬q] are taken in [via] (default
+    [ts]), the deadlocks and fair SCCs in [ts]: [~via:ts_pf] over [p]'s
+    system decides leads-to on [p [] F] under finitely many faults. *)
+val leads_to : ?via:Ts.t -> Ts.t -> Pred.t -> Pred.t -> outcome
 
 (** [eventually ts q] = [leads_to ts true q]. *)
 val eventually : Ts.t -> Pred.t -> outcome

@@ -62,18 +62,18 @@ let fair_sccs ?mask ts =
       ];
   fair
 
-(* [fair_run_exists ts ~region ~from]: is there a weakly-fair infinite
-   computation that starts at some state of [from], stays inside [region]
-   forever?  (Deadlocks are handled separately by callers: a finite maximal
-   computation is not an infinite run.) *)
-let fair_run_exists ts ~region ~from =
-  let mask = region in
-  let starts = List.filter region from in
-  if starts = [] then None
-  else begin
-    let reach = Graph.reachable ~mask ts ~from:starts in
-    let fair = fair_sccs ~mask:(fun i -> mask i && reach.(i)) ts in
-    match fair with
-    | [] -> None
-    | scc :: _ -> Some scc
-  end
+(* [trapped ts ~region]: the region's states from which some fair maximal
+   computation stays in the region forever — those that reach, within the
+   region, a deadlock or a member of a fair SCC of the region.  A
+   deadlock ends a finite maximal computation; a fair SCC hosts an
+   infinite fair run (see above). *)
+let trapped ts ~region =
+  let stuck = ref [] in
+  for i = Ts.num_states ts - 1 downto 0 do
+    if region i && Ts.deadlocked ts i then stuck := i :: !stuck
+  done;
+  List.iter
+    (fun (scc : Graph.scc) -> stuck := List.rev_append scc.members !stuck)
+    (fair_sccs ~mask:region ts);
+  if !stuck = [] then Array.make (Ts.num_states ts) false
+  else Graph.co_reachable ~mask:region ts ~target:!stuck

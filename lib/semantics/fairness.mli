@@ -4,7 +4,10 @@
     The central decision procedure asks whether a region admits an infinite
     weakly-fair computation confined to it — exact for finite systems via
     SCC analysis: a non-trivial SCC hosts a fair run iff every action
-    enabled at all of its states has an edge internal to it. *)
+    enabled at all of its states has an edge internal to it.  {!trapped}
+    is the one answer to "can p stay in R forever": the region's
+    deadlocks and fair-SCC members, closed backward within the region.
+    {!Check.leads_to} asks the forward form of the same question. *)
 
 (** [fair_scc ts scc] returns [Some scc] iff the SCC can host an infinite
     weakly-fair run. *)
@@ -13,8 +16,8 @@ val fair_scc : Ts.t -> Graph.scc -> Graph.scc option
 (** All fair SCCs of the masked subgraph. *)
 val fair_sccs : ?mask:(int -> bool) -> Ts.t -> Graph.scc list
 
-(** [fair_run_exists ts ~region ~from] returns a witness SCC if some
-    weakly-fair infinite computation starts in [from] and remains in
-    [region] forever. *)
-val fair_run_exists :
-  Ts.t -> region:(int -> bool) -> from:int list -> Graph.scc option
+(** [trapped ts ~region].(i) iff some fair maximal computation from state
+    [i] stays in [region] forever: [i] reaches, inside the region, a
+    deadlock or a state of a fair SCC of the region.  [false] outside the
+    region. *)
+val trapped : Ts.t -> region:(int -> bool) -> bool array

@@ -28,31 +28,21 @@ let reachable ?(mask = no_mask) ts ~from =
   seen
 
 (* Backward reachability: states from which [target] is reachable within the
-   masked subgraph. *)
+   masked subgraph, walking the reverse CSR of [ts]. *)
 let co_reachable ?(mask = no_mask) ts ~target =
-  let n = Ts.num_states ts in
-  let preds = Array.make n [] in
-  Ts.iter_edges ts (fun i _aid j ->
-      if mask i && mask j then preds.(j) <- i :: preds.(j));
-  let seen = Array.make n false in
+  let rev = Ts.reverse ts in
+  let seen = Array.make (Ts.num_states ts) false in
   let queue = Queue.create () in
-  List.iter
-    (fun i ->
-      if mask i && not seen.(i) then begin
-        seen.(i) <- true;
-        Queue.add i queue
-      end)
-    target;
+  let add i =
+    if mask i && not seen.(i) then begin
+      seen.(i) <- true;
+      Queue.add i queue
+    end
+  in
+  List.iter add target;
   while not (Queue.is_empty queue) do
     Detcor_robust.Budget.tick ();
-    let j = Queue.pop queue in
-    List.iter
-      (fun i ->
-        if not seen.(i) then begin
-          seen.(i) <- true;
-          Queue.add i queue
-        end)
-      preds.(j)
+    Ts.iter_in rev (Queue.pop queue) (fun _aid i -> add i)
   done;
   seen
 

@@ -7,7 +7,7 @@
 val reachable : ?mask:(int -> bool) -> Ts.t -> from:int list -> bool array
 
 (** Backward reachability: states from which [target] is reachable inside
-    the masked subgraph. *)
+    the masked subgraph, walked over the {!Ts.reverse} arrays. *)
 val co_reachable : ?mask:(int -> bool) -> Ts.t -> target:int list -> bool array
 
 (** Shortest action-labeled path from [from] to a state satisfying

@@ -954,6 +954,16 @@ let index_of_rank ts r =
   | None, None, Some _ -> if r >= 0 && r < num_states ts then r else -1
   | None, None, None -> no_layout ()
 
+(* The index in [dst] of each state of [src], [-1] when [dst] does not
+   hold it: by rank when both systems have layouts of one signature (no
+   state is built or hashed), otherwise by state. *)
+let index_map ~src ~dst =
+  match (src.layout, dst.layout) with
+  | Some a, Some b when Layout.has_signature b (Layout.signature a) ->
+    fun i -> index_of_rank dst (rank_of src i)
+  | _ -> (
+    fun i -> match index_of dst (state src i) with Some j -> j | None -> -1)
+
 let action_id ts name =
   let found = ref None in
   Array.iteri

@@ -22,7 +22,11 @@
       and CSR arenas are hash-partitioned into shards whose level-aligned
       segments spill to checksummed files under a spill directory (see
       {!set_shard_defaults}), reloading on demand.  Exploration order is
-      identical to {!Packed}; only residency differs. *)
+      identical to {!Packed}; only residency differs.
+
+    Checks that relate two systems over the same states (p [] F and p, a
+    span and a front end) move indices with {!index_map}; backward
+    fixpoints walk the in-edge arrays of {!reverse}. *)
 
 open Detcor_kernel
 
@@ -127,6 +131,12 @@ val rank_of : t -> int -> int
     when [ts] does not hold it.
     @raise Invalid_argument on a system without a layout. *)
 val index_of_rank : t -> int -> int
+
+(** [index_map ~src ~dst]: the index in [dst] of each state of [src], or
+    [-1] when [dst] does not hold it.  By rank when both systems have
+    layouts of one signature (no state is built or hashed), by state
+    otherwise. *)
+val index_map : src:t -> dst:t -> int -> int
 val action_id : t -> string -> int option
 
 (** Ids of the actions named in the list — used to separate fault actions

@@ -564,17 +564,6 @@ module State_tbl = Hashtbl.Make (struct
   let hash = State.hash
 end)
 
-(* The index in [dst] of each state of [src], [-1] when [dst] does not
-   hold it: by rank when both systems have layouts of one signature (no
-   state is built or hashed), otherwise by state. *)
-let index_map ~src ~dst =
-  match (Ts.layout src, Ts.layout dst) with
-  | Some a, Some b when Layout.has_signature b (Layout.signature a) ->
-    fun i -> Ts.index_of_rank dst (Ts.rank_of src i)
-  | _ -> (
-    fun i ->
-      match Ts.index_of dst (Ts.state src i) with Some j -> j | None -> -1)
-
 (* The corrector's own detection predicate: the span states from which the
    program alone, under weak fairness, is NOT guaranteed to reach [target]
    — some maximal fair program-only computation stays in ¬target forever
@@ -587,45 +576,24 @@ let index_map ~src ~dst =
    (every span state self-converges), so the synthesized recovery is
    empty.
 
-   Computed over the {!Ts} API, so one implementation serves both engines;
-   the result is a fixpoint-defined set, hence extensionally identical
-   whichever engine built [ts_p].  It is returned as a bitset over the
-   span's indices. *)
+   This is {!Fairness.trapped} on p over the span with region ¬target: a
+   fixpoint-defined set, hence extensionally identical whichever engine
+   built [ts_p].  It is returned as a bitset over the span's indices. *)
 let needs_recovery ?limit ~engine ~workers p ~target ts_span =
   Obs.span "synth.needs_recovery" @@ fun () ->
   let ts_p = Ts.build ?limit ~engine ~workers p ~from:(Ts.states ts_span) in
-  let n = Ts.num_states ts_p in
-  let not_q = Array.init n (fun i -> not (Ts.holds_at ts_p target i)) in
-  let seeds = ref [] in
-  for i = 0 to n - 1 do
-    if not_q.(i) && Ts.deadlocked ts_p i then seeds := i :: !seeds
-  done;
-  List.iter
-    (fun (scc : Graph.scc) -> seeds := scc.Graph.members @ !seeds)
-    (Fairness.fair_sccs ~mask:(fun i -> not_q.(i)) ts_p);
+  let reached = Ts.pred_bitset ts_p target in
+  let trapped =
+    Fairness.trapped ts_p ~region:(fun i -> not (Bitset.get reached i))
+  in
   let needs = Bitset.create (Ts.num_states ts_span) in
-  if !seeds <> [] then begin
-    let to_span = index_map ~src:ts_p ~dst:ts_span in
-    let preds = Array.make n [] in
-    Ts.iter_edges ts_p (fun i _ j ->
-        if not_q.(i) && not_q.(j) then preds.(j) <- i :: preds.(j));
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    let add i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    List.iter add !seeds;
-    while not (Queue.is_empty queue) do
-      Detcor_robust.Budget.tick ();
-      let j = Queue.pop queue in
-      let i = to_span j in
-      if i >= 0 then Bitset.set needs i;
-      List.iter add preds.(j)
-    done
-  end;
+  let to_span = Ts.index_map ~src:ts_p ~dst:ts_span in
+  Array.iteri
+    (fun j doomed ->
+      if doomed then
+        let i = to_span j in
+        if i >= 0 then Bitset.set needs i)
+    trapped;
   needs
 
 (* Rank-0 seed for the layering, by span index: the target itself plus
@@ -1328,7 +1296,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     let nspan = Ts.num_states ts_span in
     let bad_span = bad_states ts_span sspec in
     let bad_tr = bad_transition ts_span sspec in
-    let to_front = index_map ~src:ts_span ~dst:front.ts in
+    let to_front = Ts.index_map ~src:ts_span ~dst:front.ts in
     let ms_span =
       Bitset.of_fn nspan (fun i ->
           let j = to_front i in

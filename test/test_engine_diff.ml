@@ -274,6 +274,35 @@ let prop_checks_identical =
       let reach ts = Graph.reachable ts ~from:(Ts.initials ts) in
       reach reference = reach packed)
 
+(* [Fairness.trapped] (deadlocks and fair-SCC members of the region,
+   closed backward) against the forward algorithm: state [i] is trapped
+   in [R] exactly when [Check.leads_to ts (at i) (not R)] fails. *)
+let prop_trapped_vs_leads_to =
+  let arb =
+    QCheck.make
+      ~print:(fun ((rp, s1), s2) ->
+        Fmt.str "%s from P%d region P%d" (print_program rp) s1 s2)
+      QCheck.Gen.(
+        pair
+          (pair program_gen (int_range 0 (1 lsl 20)))
+          (int_range 0 (1 lsl 20)))
+  in
+  Util.qtest ~count:100 "trapped = not (at i ~> not region)" arb
+    (fun ((rp, s1), s2) ->
+      let p = build_program rp in
+      let r = pred_of_seed s2 in
+      List.for_all
+        (fun engine ->
+          let ts = Ts.of_pred ~engine p ~from:(pred_of_seed s1) in
+          let trapped = Fairness.trapped ts ~region:(Ts.holds_at ts r) in
+          List.for_all
+            (fun i ->
+              let at = Pred.of_states ~name:"at" [ Ts.state ts i ] in
+              trapped.(i)
+              = not (Check.holds (Check.leads_to ts at (Pred.not_ r))))
+            (List.init (Ts.num_states ts) Fun.id))
+        [ Ts.Reference; Ts.Auto ])
+
 (* ------------------------------------------------------------------ *)
 (* Random guarded-command sources: the compiled kernel                 *)
 (* ------------------------------------------------------------------ *)
@@ -624,6 +653,7 @@ let suite =
       prop_build_identical;
       prop_of_pred_identical;
       prop_checks_identical;
+      prop_trapped_vs_leads_to;
       prop_dsl_constructions;
       prop_dsl_sweeps;
       prop_rank_steps;

@@ -151,6 +151,18 @@ let run_dcheck args =
   Sys.command
     (Fmt.str "%s %s >/dev/null 2>/dev/null" dcheck (String.concat " " args))
 
+(* Exit code and stderr lines of one dcheck run. *)
+let run_dcheck_stderr args =
+  let err = Filename.temp_file "dcheck_err" ".txt" in
+  let code =
+    Sys.command
+      (Fmt.str "%s %s >/dev/null 2>%s" dcheck (String.concat " " args)
+         (Filename.quote err))
+  in
+  let lines = In_channel.with_open_text err In_channel.input_lines in
+  Sys.remove err;
+  (code, lines)
+
 let test_exit_codes () =
   if not (Sys.file_exists dcheck) then
     Alcotest.fail (Fmt.str "dcheck binary not found at %s" dcheck)
@@ -194,7 +206,46 @@ let test_exit_codes () =
             [ "--memory-budget=-1" ]; [ "--memory-budget=0" ];
             [ "--workers=0" ]; [ "--workers=-3" ]; [ "--shard-arena-mb=-5" ];
           ]
-      @ usage "monitor" [ [ "--batch=0" ] ]);
+      @ usage "monitor" [ [ "--batch=0" ] ]
+      @ usage "simulate" [ [ "--engine"; "packed" ] ]);
+    (* Out-of-range period, count and queue flags: a one-line diagnostic
+       naming the flag, then the usage line.  Were a value accepted, top
+       would find no endpoint and serve could not create its spool (a
+       path under a regular file), so no case starts a daemon or polls. *)
+    let ring5 = corpus_dir ^ "/ring5.dc" in
+    let no_spool = corpus_dir ^ "/memory.dc/spool" in
+    let snap = Filename.concat (Filename.get_temp_dir_name ()) "dcheck.snap" in
+    List.iter
+      (fun (flag, args) ->
+        let label = String.concat " " args in
+        let code, lines = run_dcheck_stderr args in
+        Alcotest.(check int) (label ^ " -> 2") 2 code;
+        match lines with
+        | diag :: usage :: _ ->
+          let prefix = Fmt.str "dcheck: option '%s': " flag in
+          Alcotest.(check bool) (label ^ ": names the flag") true
+            (String.starts_with ~prefix diag);
+          Alcotest.(check bool) (label ^ ": one-line diagnostic") true
+            (String.starts_with ~prefix:"Usage:" usage)
+        | _ -> Alcotest.failf "%s: no diagnostic" label)
+      (List.map
+         (fun v ->
+           ( "--checkpoint-interval",
+             [ "verify"; ring5; "--checkpoint"; snap;
+               "--checkpoint-interval=" ^ v ] ))
+         [ "nan"; "1e300"; "-1" ]
+      @ List.map
+          (fun arg ->
+            (List.hd (String.split_on_char '=' arg),
+             [ "top"; "127.0.0.1:1"; arg ]))
+          [ "--interval=nan"; "--interval=-1"; "--interval=0";
+            "--iterations=-1" ]
+      @ List.map
+          (fun arg ->
+            (List.hd (String.split_on_char '=' arg),
+             [ "serve"; "--spool"; no_spool; arg ]))
+          [ "--queue-max=-1"; "--queue-max=0"; "--tenant-max=0";
+            "--slots=0"; "--retries=-1"; "--watchdog=nan"; "--watchdog=0" ]);
     let tmp = Filename.temp_file "dcheck_fuzz" ".dc" in
     let oc = open_out tmp in
     output_string oc "program t\nvar x : 99999999999999999999..3\n";

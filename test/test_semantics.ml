@@ -122,8 +122,8 @@ let test_fairness_forces_exit () =
   in
   let ts = Ts.build p ~from:[ State.of_list [ ("x", Value.int 0) ] ] in
   let region i = Value.equal (State.get (Ts.state ts i) "x") (Value.int 0) in
-  Alcotest.(check bool) "no fair run within x=0" true
-    (Fairness.fair_run_exists ts ~region ~from:[ 0 ] = None);
+  Alcotest.(check bool) "no fair run within x=0" false
+    (Fairness.trapped ts ~region).(0);
   (* Without the exit action, the self-loop is a fair run. *)
   let p2 =
     Program.make ~name:"unfair" ~vars:[ ("x", Domain.range 0 1) ]
@@ -131,11 +131,8 @@ let test_fairness_forces_exit () =
   in
   let ts2 = Ts.build p2 ~from:[ State.of_list [ ("x", Value.int 0) ] ] in
   Alcotest.(check bool) "self-loop alone is fair" true
-    (Fairness.fair_run_exists ts2
-       ~region:(fun i ->
-         Value.equal (State.get (Ts.state ts2 i) "x") (Value.int 0))
-       ~from:[ 0 ]
-    <> None)
+    (Fairness.trapped ts2 ~region:(fun i ->
+         Value.equal (State.get (Ts.state ts2 i) "x") (Value.int 0))).(0)
 
 let test_fairness_partial_enabledness () =
   (* A cycle 0 -> 1 -> 0 where an escape action is enabled only at node 0:
@@ -143,10 +140,23 @@ let test_fairness_partial_enabledness () =
   let cyc = Util.graph_program 3 [ (0, 1); (1, 0); (0, 2) ] in
   let ts = Ts.build cyc ~from:[ Util.node_state 0 ] in
   let region i = not (State.equal (Ts.state ts i) (Util.node_state 2)) in
+  let at0 = Option.get (Ts.index_of ts (Util.node_state 0)) in
   Alcotest.(check bool) "intermittently enabled escape keeps cycle fair" true
-    (Fairness.fair_run_exists ts ~region
-       ~from:[ Option.get (Ts.index_of ts (Util.node_state 0)) ]
-    <> None)
+    (Fairness.trapped ts ~region).(at0)
+
+let test_trapped_deadlock () =
+  (* 0 -> 1 with 1 deadlocked: no infinite run stays in {0, 1}, but the
+     maximal computation from 0 ends inside it, so both states are
+     trapped; 2, outside the region, is not. *)
+  let ts = build_graph 3 [ (0, 1); (2, 0) ] in
+  let at k = Option.get (Ts.index_of ts (Util.node_state k)) in
+  let trapped =
+    Fairness.trapped ts ~region:(fun i ->
+        not (State.equal (Ts.state ts i) (Util.node_state 2)))
+  in
+  Alcotest.(check (list bool)) "deadlock in region traps 0 and 1"
+    [ true; true; false ]
+    (List.map (fun k -> trapped.(at k)) [ 0; 1; 2 ])
 
 let node_pred k =
   Pred.make (Fmt.str "at%d" k) (fun st ->
@@ -165,6 +175,29 @@ let test_leads_to_deadlock () =
   (* 1 is a deadlock that does not satisfy the target. *)
   Util.check_fails "deadlock before target"
     (Check.leads_to ts (node_pred 0) (node_pred 2))
+
+(* Leads-to under faults: a fault step moves the P∧¬Q state 0 to node 2,
+   a ¬Q deadlock of p that p alone never reaches from a P-state. *)
+let test_leads_to_via () =
+  let p = Util.graph_program 3 [ (0, 1); (1, 1) ] in
+  let faults =
+    Detcor_core.Fault.make "f"
+      [
+        Action.deterministic "fault" (node_pred 0) (fun st ->
+            State.set st "node" (Value.int 2));
+      ]
+  in
+  let ts_pf =
+    Ts.build (Detcor_core.Fault.compose p faults) ~from:[ Util.node_state 0 ]
+  in
+  let ts_p = Ts.build p ~from:(Ts.states ts_pf) in
+  Util.check_holds "p alone: 0 ~> 1"
+    (Check.leads_to ts_p (node_pred 0) (node_pred 1));
+  match Check.leads_to ~via:ts_pf ts_p (node_pred 0) (node_pred 1) with
+  | Check.Fails (Check.Deadlock st) ->
+    Alcotest.check Util.state "fault leads to the deadlock"
+      (Util.node_state 2) st
+  | o -> Alcotest.failf "expected a deadlock, got %a" Check.pp_outcome o
 
 let test_eventually_trivial () =
   let ts = build_graph 2 [ (0, 1); (1, 1) ] in
@@ -375,8 +408,10 @@ let suite =
       Alcotest.test_case "self-loop scc" `Quick test_scc_trivial_self_loop;
       Alcotest.test_case "fairness forces exit" `Quick test_fairness_forces_exit;
       Alcotest.test_case "partial enabledness" `Quick test_fairness_partial_enabledness;
+      Alcotest.test_case "trapped deadlock" `Quick test_trapped_deadlock;
       Alcotest.test_case "leads-to" `Quick test_leads_to;
       Alcotest.test_case "leads-to deadlock" `Quick test_leads_to_deadlock;
+      Alcotest.test_case "leads-to via faults" `Quick test_leads_to_via;
       Alcotest.test_case "eventually" `Quick test_eventually_trivial;
       Alcotest.test_case "closure" `Quick test_closed;
       Alcotest.test_case "closure under actions" `Quick test_closed_under_actions;
