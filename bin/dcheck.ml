@@ -806,7 +806,7 @@ let components_cmd =
       Tolerance.fault_span ~limit e.program ~faults:e.faults ~from:e.invariant
     in
     let ts_p =
-      Detcor_semantics.Ts.build ~limit e.program ~from:span.states
+      Detcor_semantics.Ts.build_within ~limit e.program ~span:span.ts_pf
     in
     Fmt.pr "fault span: %d states@.@." (List.length span.states);
     Fmt.pr "Detectors (weakest detection predicate per action):@.";

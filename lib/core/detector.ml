@@ -85,12 +85,10 @@ let pp_report ppf r =
 
 let tolerant_check ?limit ?recover program ~component ~name ~spec ~liveness
     ~faults ~tol ~from =
-  let ts_pf = Ts.of_pred ?limit (Fault.compose program faults) ~from in
-  let span_states = Ts.states ts_pf in
-  let span =
-    Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states
+  let { Tolerance.pred = span; ts_pf; _ } =
+    Tolerance.fault_span ?limit program ~faults ~from
   in
-  let ts_p = Ts.build ?limit program ~from:span_states in
+  let ts_p = Ts.build_within ?limit program ~span:ts_pf in
   let recover = Option.value recover ~default:from in
   let safety () =
     ( Fmt.str "safety of '%s' on p[]F from span" name,

@@ -193,10 +193,7 @@ let nonmasking_corrector ts ~invariant:s ~recovery:r =
   (* Obligations of Lemma 4.2: convergence to R, then 'Z corrects X'
      from R. *)
   let convergence = Check.eventually ts r in
-  let from_r =
-    Ts.build (Ts.program ts)
-      ~from:(List.filter (Pred.holds r) (Ts.states ts))
-  in
+  let from_r = Ts.build_within ~where:r (Ts.program ts) ~span:ts in
   let corrects = Corrector.satisfies_ts from_r corrector in
   { corrector; outcome = Check.all [ convergence; corrects ] }
 

@@ -43,11 +43,80 @@ let pp_schema ppf s =
      else if not (premises_hold s) then "not applicable (premise fails)"
      else "REFUTED")
 
-let outcome_of_bool b witness_state =
-  if b then Check.Holds else Check.Fails (Check.Not_implied witness_state)
+(* Premise "p' encapsulates p", decided over the states of [ts]. *)
+let encapsulation ~base ~refined ts =
+  let universe = Ts.states ts in
+  if Program.encapsulates ~base refined ~universe then Check.Holds
+  else
+    Check.Fails
+      (Check.Not_implied
+         (match universe with s :: _ -> s | [] -> State.empty))
 
-let some_state ts =
-  match Ts.states ts with s :: _ -> s | [] -> State.empty
+(* The premises Lemma 4.2 and Theorems 3.6, 4.3 and 5.5 open with — p
+   refines SPEC from S, R ⇒ S, p' refines p from R — and the system of p'
+   from R they are decided on. *)
+let shared_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r () =
+  let _, base_refines =
+    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  in
+  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
+  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
+  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
+  ( ts_r,
+    [
+      ("p refines SPEC from S (premise)", base_refines);
+      ("R => S (premise)", r_implies_s);
+      ("p' refines p from R (premise)", Refinement.outcome refinement);
+    ] )
+
+(* Conclusion 1 of Theorems 3.6, 4.3 and 5.5 — p' is [tol] F-tolerant for
+   SPEC from R — from one tolerance session seeded with the states of p'
+   from R, together with the session's systems over the fault span T:
+   p' [] F and p' alone, which the component extraction reads.  A budget
+   trip anywhere in the session raises the exhausted resource: no schema
+   is returned over a span that was not explored. *)
+let tolerance_conclusion ?limit ~refined ~spec ~faults ~invariant_r ts_r tol =
+  let session =
+    Tolerance.session ?limit refined ~spec ~invariant:invariant_r
+      ~init:(Ts.states ts_r) ~faults
+  in
+  let report = Tolerance.report session tol in
+  let ts_pf = Tolerance.span_system session in
+  let ts_p = Tolerance.program_system session in
+  match (Tolerance.exhausted session, ts_pf, ts_p) with
+  | None, Some ts_pf, Some ts_p ->
+    let outcome =
+      match Tolerance.failures report with
+      | [] -> Check.Holds
+      | i :: _ -> i.outcome
+    in
+    (outcome, ts_pf, ts_p)
+  | Some r, _, _ ->
+    Detcor_robust.Error.resource ~kind:r.kind ~spent:r.spent ~budget:r.budget
+  | None, _, _ ->
+    Detcor_robust.Error.internal "Theorems: span of %s not explored"
+      (Program.name refined)
+
+(* Conclusion 2 of Theorems 3.6 and 5.5: for each base action, the
+   detector extracted over the span T (where the component must keep
+   operating), with fault steps on the Stability side.  Safeness and
+   Stability must then hold over T under p' [] F; a masking detector's
+   Progress must hold on p' alone from T. *)
+let tolerant_detectors ~base ~sspec ~faults ~ts_pf ~ts_p tol =
+  let extra_transitions = Extraction.fault_transitions ts_pf ~faults in
+  List.map
+    (fun ac ->
+      let e =
+        Extraction.detector_for_action ~extra_transitions ~base ~sspec ts_p ac
+      in
+      let safety = Spec.refines ts_pf (Detector.safety_spec e.detector) in
+      let progress =
+        if tol = Spec.Masking then [ Detector.progress ts_p e.detector ] else []
+      in
+      ( Fmt.str "p' is a %a F-tolerant detector for %s (conclusion)"
+          Spec.pp_tolerance tol e.for_action,
+        Check.all (e.outcome :: safety :: progress) ))
+    (Program.actions base)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 3.4: programs that refine a safety specification contain     *)
@@ -57,12 +126,7 @@ let some_state ts =
 let theorem_3_4 ?limit ~base ~refined ~sspec ~invariant () =
   let ts = Ts.of_pred ?limit refined ~from:invariant in
   let refinement = Refinement.check_ts ~base ts ~from:invariant in
-  let universe = Ts.states ts in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts)
-  in
+  let encapsulation = encapsulation ~base ~refined ts in
   let safety =
     Spec.refines ts (Spec.make ~name:(Safety.name sspec) ~safety:sspec ())
   in
@@ -87,12 +151,7 @@ let theorem_3_4 ?limit ~base ~refined ~sspec ~invariant () =
    detectors (Safeness and Stability only). *)
 let lemma_3_5 ?limit ~base ~refined ~sspec ~invariant () =
   let ts = Ts.of_pred ?limit refined ~from:invariant in
-  let universe = Ts.states ts in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts)
-  in
+  let encapsulation = encapsulation ~base ~refined ts in
   let safety =
     Spec.refines ts (Spec.make ~name:(Safety.name sspec) ~safety:sspec ())
   in
@@ -121,70 +180,32 @@ let lemma_3_5 ?limit ~base ~refined ~sspec ~invariant () =
 let theorem_3_6 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  (* Premise: p refines SPEC from S. *)
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let ts_r, premises =
+    shared_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  (* Premise: p' refines p from R with R ⇒ S. *)
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts_r)
+  let encapsulation = encapsulation ~base ~refined ts_r in
+  (* Conclusion 1: p' is fail-safe F-tolerant for SPEC from R; the session
+     explores the span T of R. *)
+  let failsafe_outcome, ts_pf, ts_p_span =
+    tolerance_conclusion ?limit ~refined ~spec ~faults ~invariant_r ts_r
+      Spec.Failsafe
   in
-  (* Premise: p' [] F refines SSPEC from T (the span of R). *)
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
-  in
+  (* Premise: p' [] F refines SSPEC from T. *)
   let span_safety =
-    Spec.refines span.ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
+    Spec.refines ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
   in
-  (* Conclusion 1: p' is fail-safe F-tolerant for SPEC from R. *)
-  let failsafe =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Failsafe
-  in
-  let failsafe_outcome =
-    match Tolerance.failures failsafe with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
-  (* Conclusion 2: for each base action, a fail-safe F-tolerant detector.
-     The detection predicate is extracted over the whole span (where the
-     component must keep operating), with fault steps on the Stability
-     side; Safeness/Stability must then hold over the span under
-     p' [] F. *)
-  let ts_p_span = Ts.build ?limit refined ~from:(Ts.states span.ts_pf) in
-  let extra_transitions = Extraction.fault_transitions span.ts_pf ~faults in
   let detector_conclusions =
-    List.map
-      (fun ac ->
-        let e =
-          Extraction.detector_for_action ~extra_transitions ~base ~sspec
-            ts_p_span ac
-        in
-        let tolerant_safety =
-          Spec.refines span.ts_pf (Detector.safety_spec e.detector)
-        in
-        ( Fmt.str
-            "p' is a fail-safe F-tolerant detector for %s (conclusion)"
-            e.for_action,
-          Check.all [ e.outcome; tolerant_safety ] ))
-      (Program.actions base)
+    tolerant_detectors ~base ~sspec ~faults ~ts_pf ~ts_p:ts_p_span
+      Spec.Failsafe
   in
   {
     theorem = "Theorem 3.6 (fail-safe tolerance contains tolerant detectors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' encapsulates p (premise)", encapsulation);
-        ("p'[]F refines SSPEC from T (premise)", span_safety);
-      ];
+      premises
+      @ [
+          ("p' encapsulates p (premise)", encapsulation);
+          ("p'[]F refines SSPEC from T (premise)", span_safety);
+        ];
     conclusions =
       ("p' is fail-safe F-tolerant for SPEC from R (conclusion)",
        failsafe_outcome)
@@ -225,12 +246,9 @@ let theorem_4_1 ?limit ~base ~refined ~spec ~invariant_s ~from_t () =
 (* Lemma 4.2: p' behaves like p only from R ⊆ S: nonmasking corrector. *)
 let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
     =
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let _, premises =
+    shared_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
   let ts_t = Ts.of_pred ?limit refined ~from:from_t in
   let eventually_r = Check.eventually ts_t invariant_r in
   let extracted =
@@ -240,12 +258,8 @@ let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
   {
     theorem = "Lemma 4.2 (nonmasking corrector)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' refines (true)*(p'|R) from T (premise)", eventually_r);
-      ];
+      premises
+      @ [ ("p' refines (true)*(p'|R) from T (premise)", eventually_r) ];
     conclusions =
       [
         ( "p' is a nonmasking corrector of an invariant of p (conclusion)",
@@ -260,30 +274,18 @@ let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
 
 let theorem_4_3 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let ts_r, premises =
+    shared_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
+  (* Conclusion 1: p' is nonmasking F-tolerant for SPEC from R; the
+     session explores the span T of R. *)
+  let nonmasking_outcome, _, ts_p_span =
+    tolerance_conclusion ?limit ~refined ~spec ~faults ~invariant_r ts_r
+      Spec.Nonmasking
   in
   (* Premise: p' [] F refines (true)*(p'|R) from T — with finitely many
      faults, p' alone converges from the span to R. *)
-  let ts_p_span = Ts.build ?limit refined ~from:span.states in
   let converges_to_r = Check.eventually ts_p_span invariant_r in
-  (* Conclusion 1: p' is nonmasking F-tolerant for SPEC from R. *)
-  let nonmasking =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Nonmasking
-  in
-  let nonmasking_outcome =
-    match Tolerance.failures nonmasking with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
   (* Conclusion 2: nonmasking F-tolerant corrector (Z = R, X = S). *)
   let extracted =
     Extraction.nonmasking_corrector ts_p_span ~invariant:invariant_s
@@ -293,12 +295,8 @@ let theorem_4_3 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     theorem =
       "Theorem 4.3 (nonmasking tolerance contains tolerant correctors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
-      ];
+      premises
+      @ [ ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r) ];
     conclusions =
       [
         ( "p' is nonmasking F-tolerant for SPEC from R (conclusion)",
@@ -344,56 +342,23 @@ let theorem_5_2 ?limit ~program ~spec ~invariant_s ~from_t () =
 let theorem_5_5 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let ts_r, premises =
+    shared_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts_r)
+  let encapsulation = encapsulation ~base ~refined ts_r in
+  (* Conclusion 1: masking F-tolerance from T, the span of R explored by
+     the session. *)
+  let masking_outcome, ts_pf, ts_p_span =
+    tolerance_conclusion ?limit ~refined ~spec ~faults ~invariant_r ts_r
+      Spec.Masking
   in
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
-  in
-  let ts_p_span = Ts.build ?limit refined ~from:span.states in
   let converges_to_r = Check.eventually ts_p_span invariant_r in
   let span_safety =
-    Spec.refines span.ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
+    Spec.refines ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
   in
-  (* Conclusion 1: masking F-tolerance from T. *)
-  let masking =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Masking
-  in
-  let masking_outcome =
-    match Tolerance.failures masking with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
-  (* Conclusion 2: masking F-tolerant detectors — safety obligations over
-     the span under p' [] F, progress on p' alone from the span. *)
-  let extra_transitions = Extraction.fault_transitions span.ts_pf ~faults in
   let detector_conclusions =
-    List.map
-      (fun ac ->
-        let e =
-          Extraction.detector_for_action ~extra_transitions ~base ~sspec
-            ts_p_span ac
-        in
-        let tolerant_safety =
-          Spec.refines span.ts_pf (Detector.safety_spec e.detector)
-        in
-        let tolerant_progress =
-          Detector.progress ts_p_span e.detector
-        in
-        ( Fmt.str "p' is a masking F-tolerant detector for %s (conclusion)"
-            e.for_action,
-          Check.all [ e.outcome; tolerant_safety; tolerant_progress ] ))
-      (Program.actions base)
+    tolerant_detectors ~base ~sspec ~faults ~ts_pf ~ts_p:ts_p_span
+      Spec.Masking
   in
   (* Conclusion 3: masking tolerant corrector with X = S_p, Z = R
      (Lemma 5.4, Part 2). *)
@@ -409,8 +374,7 @@ let theorem_5_5 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
      stop, a suffix satisfies 'Z corrects X' (checked as convergence of p'
      alone from the span plus the corrector specification from R). *)
   let ts_from_r =
-    Ts.build ?limit refined
-      ~from:(List.filter (Pred.holds invariant_r) span.states)
+    Ts.build_within ?limit ~where:invariant_r refined ~span:ts_pf
   in
   let nonmasking_corrector_outcome =
     Check.all
@@ -421,14 +385,12 @@ let theorem_5_5 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
       "Theorem 5.5 (masking tolerance contains tolerant detectors and \
        correctors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' encapsulates p (premise)", encapsulation);
-        ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
-        ("p'[]F refines SSPEC from T (premise)", span_safety);
-      ];
+      premises
+      @ [
+          ("p' encapsulates p (premise)", encapsulation);
+          ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
+          ("p'[]F refines SSPEC from T (premise)", span_safety);
+        ];
     conclusions =
       [
         ("p' is masking F-tolerant for SPEC from T (conclusion)",

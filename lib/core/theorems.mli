@@ -2,7 +2,14 @@
     decided on the finite system, the proof's witness components are
     constructed, and every conclusion is decided.  [validates] expresses
     the soundness contract (premises ⇒ conclusions); the test suite checks
-    it on the paper's systems and on perturbed/negative variants. *)
+    it on the paper's systems and on perturbed/negative variants.
+
+    Theorems 3.6, 4.3 and 5.5 run one {!Tolerance.session} from the states
+    of p' from R.  Its report is their first conclusion; its span system
+    (T under p' [] F) and program system (p' over T) are what the
+    component extraction reads.  When [limit] or the ambient budget trips
+    in that session, they raise the exhausted resource
+    ({!Detcor_robust.Error.Resource}) instead of returning a schema. *)
 
 open Detcor_kernel
 open Detcor_spec

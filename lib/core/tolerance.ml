@@ -142,34 +142,18 @@ let fault_span ?limit ?engine ?workers p ~faults ~from =
   if Obs.on () then Obs.annotate [ Attr.int "span_states" (List.length states) ];
   { pred; states; ts_pf }
 
-(* The explored p [] F system from known initial states: the one span
-   build behind both [fault_span_from_states] and a verification session,
-   which avoids re-enumerating the product space. *)
-let explore_span ?limit ?engine ?workers p ~faults ~init =
-  Obs.span "tolerance.fault_span" @@ fun () ->
-  let composed = Fault.compose p faults in
-  let ts = Ts.build ?limit ?engine ?workers composed ~from:init in
-  if Obs.on () then Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
-  ts
-
-let fault_span_from_states ?limit ?engine ?workers p ~faults ~init =
-  let ts_pf = explore_span ?limit ?engine ?workers p ~faults ~init in
-  let states = Ts.states ts_pf in
-  { pred = Pred.of_states ~name:"span" states; states; ts_pf }
-
 (* ------------------------------------------------------------------ *)
 (* "p refines SPEC from S" — correctness in the absence of faults.     *)
 (* ------------------------------------------------------------------ *)
 
 (* S must be closed in p, and every computation from S must be in SPEC
-   (Section 2.2.1, Refines + Invariant). *)
+   (Section 2.2.1, Refines + Invariant), on [ts], p explored from S. *)
+let refines_on ts ~spec ~invariant =
+  Check.all [ Check.closed ts invariant; Spec.refines ts spec ]
+
 let refines_from ?limit ?engine ?workers p ~spec ~invariant =
   let ts = Ts.of_pred ?limit ?engine ?workers p ~from:invariant in
-  (ts, Check.all [ Check.closed ts invariant; Spec.refines ts spec ])
-
-let refines_from_states ?limit ?engine ?workers p ~spec ~init ~invariant =
-  let ts = Ts.build ?limit ?engine ?workers p ~from:init in
-  (ts, Check.all [ Check.closed ts invariant; Spec.refines ts spec ])
+  (ts, refines_on ts ~spec ~invariant)
 
 (* ------------------------------------------------------------------ *)
 (* Liveness in the presence of finitely many faults.                   *)
@@ -229,7 +213,9 @@ type session = {
   invariant_states : (State.t list, item) result Lazy.t;
       (* [Error]: the sweep itself ran out, and this item is every report *)
   base : (item * int) Lazy.t; (* "p refines SPEC from S", |p from S| *)
-  span_ts : Ts.t option Lazy.t;
+  span_ts : Ts.t option Lazy.t; (* p [] F over the span *)
+  program_ts : Ts.t option Lazy.t; (* p alone over the span *)
+  exhausted : Detcor_robust.Error.resource option ref;
   safety : item Lazy.t;
   convergence : item Lazy.t;
   recovery : item Lazy.t;
@@ -294,36 +280,33 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
        let item =
          timed "p refines SPEC from S" (fun () ->
              guard (fun () ->
-                 let ts, o =
-                   refines_from_states ?limit ?engine ?workers p ~spec
-                     ~init:(init ()) ~invariant
-                 in
+                 let ts = Ts.build ?limit ?engine ?workers p ~from:(init ()) in
                  size := Ts.num_states ts;
-                 o))
+                 refines_on ts ~spec ~invariant))
        in
        (item, !size))
   in
-  (* The span (forward closure of S under p [] F).  Its state list —
-     linear in span size, and needed only to build systems of p alone over
-     the span — is materialized on first demand, so a failsafe check of a
-     billion-state span never holds the states as a list. *)
+  (* The span (forward closure of S under p [] F). *)
   let span_ts =
     lazy
       (structure (fun () ->
-           explore_span ?limit ?engine ?workers p ~faults ~init:(init ())))
-  in
-  let span_states =
-    lazy (match Lazy.force span_ts with None -> [] | Some ts -> Ts.states ts)
+           Obs.span "tolerance.fault_span" @@ fun () ->
+           let ts =
+             Ts.build ?limit ?engine ?workers (Fault.compose p faults)
+               ~from:(init ())
+           in
+           if Obs.on () then
+             Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
+           ts))
   in
   (* p alone, over the whole span: used for liveness after the faults
      stop.  Built on demand — the failsafe obligations never need it. *)
-  let ts_p_span =
+  let program_ts =
     lazy
       (match Lazy.force span_ts with
       | None -> None
-      | Some _ ->
-        structure (fun () ->
-            Ts.build ?limit ?engine ?workers p ~from:(Lazy.force span_states)))
+      | Some span ->
+        structure (fun () -> Ts.build_within ?limit ?engine ?workers p ~span))
   in
   let sspec = Spec.smallest_safety_containing spec in
   let safety =
@@ -342,7 +325,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
       (timed
          (Fmt.str "p converges from span to %s" (Pred.name recover))
          (fun () ->
-           match Lazy.force ts_p_span with
+           match Lazy.force program_ts with
            | None -> unknown ()
            | Some ts -> guard (fun () -> Check.eventually ts recover)))
   in
@@ -353,16 +336,13 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
          (fun () ->
            match Lazy.force span_ts with
            | None -> unknown ()
-           | Some _ ->
+           | Some span ->
              guard (fun () ->
                  let ts_rec =
-                   Ts.build ?limit ?engine ?workers p
-                     ~from:
-                       (List.filter (Pred.holds recover)
-                          (Lazy.force span_states))
+                   Ts.build_within ?limit ?engine ?workers ~where:recover p
+                     ~span
                  in
-                 Check.all
-                   [ Check.closed ts_rec recover; Spec.refines ts_rec spec ])))
+                 refines_on ts_rec ~spec ~invariant:recover)))
   in
   (* Masking: computations of p [] F from the span are in SPEC — safety on
      the full p [] F graph, liveness under the finitely-many-faults
@@ -370,7 +350,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
   let liveness =
     lazy
       (timed "liveness of SPEC on p[]F from span" (fun () ->
-           match (Lazy.force span_ts, Lazy.force ts_p_span) with
+           match (Lazy.force span_ts, Lazy.force program_ts) with
            | Some ts_pf, Some ts_p ->
              guard (fun () ->
                  liveness_under_faults ~ts_pf ~ts_p (Spec.liveness spec))
@@ -381,6 +361,8 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
     invariant_states;
     base;
     span_ts;
+    program_ts;
+    exhausted;
     safety;
     convergence;
     recovery;
@@ -426,6 +408,13 @@ let span_system s =
   match Lazy.force s.invariant_states with
   | Error _ -> None
   | Ok _ -> Lazy.force s.span_ts
+
+let program_system s =
+  match Lazy.force s.invariant_states with
+  | Error _ -> None
+  | Ok _ -> Lazy.force s.program_ts
+
+let exhausted s = !(s.exhausted)
 
 let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults ~tol =
   report

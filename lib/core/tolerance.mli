@@ -7,7 +7,8 @@
     hence complete, candidate — and split safety/liveness obligations the
     way the paper's proofs use Assumption 2 (finitely many faults).
     Liveness under faults is {!Check.leads_to} [~via]: the reach within
-    [¬Q] in [p [] F], the deadlocks and fair cycles in [p]. *)
+    [¬Q] in [p [] F], the deadlocks and fair cycles in [p] over the span
+    ({!Ts.build_within}).  A {!session} owns the span's systems. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -49,7 +50,10 @@ type span = {
 }
 
 (** The F-span of [p] from [from] (Section 2.3): forward closure of the
-    [from]-states under [p [] F]. *)
+    [from]-states under [p [] F], seeded with the [from]-states of the
+    composed product (so an auxiliary fault variable takes every value).
+    The one constructor of a predicate-seeded span; a span seeded with
+    explicit states belongs to a {!session}. *)
 val fault_span :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -57,17 +61,6 @@ val fault_span :
   Program.t ->
   faults:Fault.t ->
   from:Pred.t ->
-  span
-
-(** As {!fault_span} with the initial states given explicitly (skips
-    product-space enumeration). *)
-val fault_span_from_states :
-  ?limit:int ->
-  ?engine:Ts.engine ->
-  ?workers:int ->
-  Program.t ->
-  faults:Fault.t ->
-  init:State.t list ->
   span
 
 (** [refines_from p ~spec ~invariant]: S closed in p and every computation
@@ -81,16 +74,6 @@ val refines_from :
   invariant:Pred.t ->
   Ts.t * Check.outcome
 
-val refines_from_states :
-  ?limit:int ->
-  ?engine:Ts.engine ->
-  ?workers:int ->
-  Program.t ->
-  spec:Spec.t ->
-  init:State.t list ->
-  invariant:Pred.t ->
-  Ts.t * Check.outcome
-
 (** The product-space states satisfying the invariant.  With the packed
     engine the product is streamed through the program's {!Layout} instead
     of materialized as a list.  Recorded as the [tolerance.init_states]
@@ -101,22 +84,17 @@ val init_states :
   invariant:Pred.t ->
   State.t list
 
-(** [liveness_under_faults ~ts_pf ~ts_p l]: does every leads-to obligation
-    of [l] hold on every computation of [p [] F] under the
-    finitely-many-faults semantics?  [ts_pf] is the composed system over
-    the span, [ts_p] the program-only system over the same states; each
-    obligation is {!Check.leads_to} [~via:ts_pf ts_p]. *)
-val liveness_under_faults :
-  ts_pf:Ts.t -> ts_p:Ts.t -> Liveness.t -> Check.outcome
-
 (** {2 Verification sessions}
 
     The F-span of S under [p [] F] depends only on [p], F and S; the
     fail-safe, nonmasking and masking classes differ only in which
     obligations they check over it.  A session shares that work across
-    classes: it builds the invariant states, [p] from S, the span system
-    and its state list, and [p] over the span at most once each, when a
-    report first needs them, and it decides each obligation at most once.
+    classes: it builds the invariant states, [p] from S, the span system,
+    [p] over the span ({!Ts.build_within}) and [p] from the span's
+    R-states at most once each, when a report first needs them, and it
+    decides each obligation at most once.  It owns the span's systems:
+    {!span_system} and {!program_system} hand them to callers that read
+    them after the report (witnesses, Theorems 3.6, 4.3 and 5.5).
 
     Budget semantics.  One exhaustion cell serves every class.  When the
     ambient {!Detcor_robust.Budget} (or [limit]) runs out, the obligation
@@ -157,6 +135,15 @@ val report : session -> Spec.tolerance -> report
     invariant) ran out of budget.  Numbered exactly as
     [(fault_span p ~faults ~from:invariant).ts_pf]. *)
 val span_system : session -> Ts.t option
+
+(** The session's system of [p] alone over the fault span, built now if no
+    report needed it yet; [None] when exploring it, the span or the
+    invariant ran out of budget. *)
+val program_system : session -> Ts.t option
+
+(** The exhausted resource the session recorded, if a budget (or the
+    exploration limit) tripped in any report or system it built. *)
+val exhausted : session -> Detcor_robust.Error.resource option
 
 (** Full tolerance check for a given class.  [recover] (nonmasking only,
     default: the invariant) is the predicate computations converge to and

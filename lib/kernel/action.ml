@@ -69,16 +69,6 @@ let deterministic ?based_on name guard f =
 let of_moves ?based_on name guard signature move f =
   { (deterministic ?based_on name guard f) with moves = Some (signature, move) }
 
-let assign ?based_on name guard updates =
-  deterministic ?based_on name guard (fun st ->
-      let bindings = List.map (fun (x, e) -> (x, Expr.eval st e)) updates in
-      State.update_many st bindings)
-
-let assign_pred ?based_on name guard updates =
-  deterministic ?based_on name guard (fun st ->
-      let bindings = List.map (fun (x, f) -> (x, f st)) updates in
-      State.update_many st bindings)
-
 let choose ?based_on name guard alternatives =
   make ?based_on name guard (fun st ->
       List.map (fun f -> f st) alternatives)

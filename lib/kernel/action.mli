@@ -16,19 +16,6 @@ val make :
 val deterministic :
   ?based_on:string -> string -> Pred.t -> (State.t -> State.t) -> t
 
-(** [assign name guard [(x, e); ...]] is the simultaneous assignment
-    [x, ... := e, ...]. *)
-val assign :
-  ?based_on:string -> string -> Pred.t -> (string * Expr.t) list -> t
-
-(** Like {!assign} but with semantic right-hand sides. *)
-val assign_pred :
-  ?based_on:string ->
-  string ->
-  Pred.t ->
-  (string * (State.t -> Value.t)) list ->
-  t
-
 (** The right-hand side of one update: an expression over the pre-state,
     or [?], any value of the given domain. *)
 type rhs = Expr of Expr.t | Any of Domain.t
@@ -38,7 +25,9 @@ type rhs = Expr of Expr.t | Any of Domain.t
     side reads the pre-state, and each [Any d] fans out over the values of
     [d] (ascending), the first wildcard of the list varying slowest.  The
     action records the update list ({!updates}) so the transition-system
-    layer can compile it.
+    layer can compile it.  The one assignment constructor: the
+    guarded-command language elaborates to it, and the compiled kernel
+    runs it.
     @raise Invalid_argument if a variable is assigned twice. *)
 val update :
   ?based_on:string -> string -> Pred.t -> (string * rhs) list -> t

@@ -177,7 +177,7 @@ type session = {
   owner : int; (* only this domain's pulses write *)
   resume_entries : (int, entry) Hashtbl.t;
   mutable next_step : int;
-  mutable completed : entry list; (* newest first *)
+  completed : (int, entry) Hashtbl.t; (* completed phases, by step *)
   mutable stack : phase_data list; (* active phases, innermost first *)
   mutable last_save_ns : int64;
   mutable last_save_dur_ns : int64;
@@ -219,7 +219,7 @@ let start ?(interval = default_interval) ?write ?resume ~fingerprint () =
         owner = (Stdlib.Domain.self () :> int);
         resume_entries;
         next_step = 0;
-        completed = [];
+        completed = Hashtbl.create 16;
         stack = [];
         last_save_ns = Obs.now_ns ();
         last_save_dur_ns = 0L;
@@ -239,7 +239,7 @@ let entries_of s =
   in
   List.sort
     (fun a b -> Int.compare a.step b.step)
-    (List.rev_append s.completed act)
+    (Hashtbl.fold (fun _ e acc -> e :: acc) s.completed act)
   |> Array.of_list
 
 (* Write the session's current entries.  A failed write (full disk, an
@@ -320,7 +320,7 @@ let enter ~kind : phase =
               Attr.bool "complete" e.complete;
             ];
       (* A completed phase's payload stays in every later save. *)
-      if e.complete then s.completed <- e :: s.completed
+      if e.complete then Hashtbl.replace s.completed step e
     | None -> ());
     let p = { p_step = step; p_kind = kind; p_capture = None;
               p_resumed = (match resumed with
@@ -354,8 +354,7 @@ let complete (p : phase) data =
   | Some p, Some s ->
     drop_phase s p;
     (* Replace, don't accumulate: a phase resumed as complete and re-run
-       to completion would otherwise record its step twice. *)
-    s.completed <-
+       to completion keeps one entry for its step. *)
+    Hashtbl.replace s.completed p.p_step
       { step = p.p_step; kind = p.p_kind; complete = true; data }
-      :: List.filter (fun e -> e.step <> p.p_step) s.completed
   | _ -> ()

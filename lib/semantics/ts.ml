@@ -5,8 +5,9 @@
    library (closure, convergence, leads-to, fairness, safety) run on it.
 
    Every construction — [build] from explicit states, [of_pred] from the
-   product states satisfying a predicate, [full] over the whole product —
-   runs one pipeline:
+   product states satisfying a predicate, [full] over the whole product,
+   [build_within] from the states of another explored system — runs one
+   pipeline:
 
    - one dispatcher ([construct]) picks the store for the requested engine
      and owns the [Auto] fallback;
@@ -1258,6 +1259,23 @@ let satisfying ts pred =
       ts.states;
     List.rev !result
   end
+
+(* ------------------------------------------------------------------ *)
+(* A program over an explored system.                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [build_within p ~span]: [p] explored from the states of [span] — those
+   satisfying [where], when given, read through [span]'s cached bitset.
+   The seeds are [span]'s own states, so the flat store interns them
+   instead of decoding copies; seeds are numbered by rank either way, so
+   the numbering is [build p ~from:] of the same set. *)
+let build_within ?limit ?engine ?workers ?where program ~span =
+  let from =
+    match where with
+    | None -> states span
+    | Some pred -> List.map (state span) (satisfying span pred)
+  in
+  build ?limit ?engine ?workers program ~from
 
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)

@@ -24,9 +24,11 @@
       {!set_shard_defaults}), reloading on demand.  Exploration order is
       identical to {!Packed}; only residency differs.
 
-    Checks that relate two systems over the same states (p [] F and p, a
-    span and a front end) move indices with {!index_map}; backward
-    fixpoints walk the in-edge arrays of {!reverse}. *)
+    A program over an explored system (p over the span of [p [] F], p from
+    the span's states in R) is built by {!build_within}, the one
+    re-exploration.  Checks that relate two systems over the same states
+    (p [] F and p, a span and a front end) move indices with {!index_map};
+    backward fixpoints walk the in-edge arrays of {!reverse}. *)
 
 open Detcor_kernel
 
@@ -64,6 +66,15 @@ val shard_defaults : unit -> int * string option * int
 val build :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t ->
   from:State.t list -> t
+
+(** [build_within program ~span]: [program] explored from the states of
+    the explored system [span], or only from those satisfying [where]
+    (read through [span]'s cached bitset).  Numbered exactly as
+    [build program ~from] of the same states.
+    @raise Too_large if more than [limit] states are encountered. *)
+val build_within :
+  ?limit:int -> ?engine:engine -> ?workers:int -> ?where:Pred.t ->
+  Program.t -> span:t -> t
 
 (** [full program] builds the system over the whole product state space. *)
 val full : ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> t

@@ -581,7 +581,7 @@ end)
    built [ts_p].  It is returned as a bitset over the span's indices. *)
 let needs_recovery ?limit ~engine ~workers p ~target ts_span =
   Obs.span "synth.needs_recovery" @@ fun () ->
-  let ts_p = Ts.build ?limit ~engine ~workers p ~from:(Ts.states ts_span) in
+  let ts_p = Ts.build_within ?limit ~engine ~workers p ~span:ts_span in
   let reached = Ts.pred_bitset ts_p target in
   let trapped =
     Fairness.trapped ts_p ~region:(fun i -> not (Bitset.get reached i))

@@ -191,6 +191,57 @@ let test_digest_separation () =
     (Checkpoint.digest [ "verify"; "ring5" ])
 
 (* ------------------------------------------------------------------ *)
+(* Completed phases.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let steps entries =
+  Array.to_list (Array.map (fun (e : Checkpoint.entry) -> e.step) entries)
+
+(* Completion is constant time, so one session completes thousands of
+   phases; each keeps one entry, in step order. *)
+let test_many_completions () =
+  with_temp @@ fun path ->
+  let fingerprint = Checkpoint.digest [ "many phases" ] in
+  let n = 2_000 in
+  Checkpoint.start ~interval:3600.0 ~write:path ~fingerprint ();
+  Fun.protect ~finally:Checkpoint.stop (fun () ->
+      for i = 0 to n - 1 do
+        Checkpoint.complete (Checkpoint.enter ~kind:"k") (string_of_int i)
+      done);
+  let _, entries = Checkpoint.read_file ~path in
+  Alcotest.(check (list int)) "distinct ascending steps" (List.init n Fun.id)
+    (steps entries);
+  Alcotest.(check bool) "all complete" true
+    (Array.for_all (fun (e : Checkpoint.entry) -> e.complete) entries)
+
+(* A phase resumed as complete and re-run to completion replaces its
+   resumed entry: its step is saved exactly once, with the new payload. *)
+let test_resumed_complete_once () =
+  with_temp @@ fun resume ->
+  with_temp @@ fun path ->
+  let fingerprint = Checkpoint.digest [ "resumed phases" ] in
+  let (_ : int) =
+    Checkpoint.write_file ~path:resume ~fingerprint
+      [|
+        { step = 0; kind = "a"; complete = true; data = "old a" };
+        { step = 1; kind = "b"; complete = true; data = "old b" };
+        { step = 2; kind = "c"; complete = false; data = "old c" };
+      |]
+  in
+  Checkpoint.start ~interval:3600.0 ~write:path ~resume ~fingerprint ();
+  Fun.protect ~finally:Checkpoint.stop (fun () ->
+      List.iter
+        (fun kind ->
+          let phase = Checkpoint.enter ~kind in
+          Checkpoint.complete phase ("new " ^ kind))
+        [ "a"; "b"; "c" ]);
+  let _, entries = Checkpoint.read_file ~path in
+  Alcotest.(check (list int)) "each step once" [ 0; 1; 2 ] (steps entries);
+  Alcotest.(check (list string)) "re-run payloads"
+    [ "new a"; "new b"; "new c" ]
+    (Array.to_list (Array.map (fun (e : Checkpoint.entry) -> e.data) entries))
+
+(* ------------------------------------------------------------------ *)
 (* Interrupted build, resumed build.                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -336,6 +387,10 @@ let suite =
         test_phase_kind_mismatch;
       Alcotest.test_case "digest separates part boundaries" `Quick
         test_digest_separation;
+      Alcotest.test_case "2,000 completions save 2,000 ascending steps"
+        `Quick test_many_completions;
+      Alcotest.test_case "a resumed complete step is saved once" `Quick
+        test_resumed_complete_once;
       Util.qtest ~count:300 "serve cache keys: identity and separation"
         submission_pair_arb cache_key_law;
       Alcotest.test_case "serve cache keys split on engine options" `Quick

@@ -277,6 +277,66 @@ let test_schema_negative_controls () =
     (Theorems.premises_hold t43_wrong);
   Alcotest.(check bool) "4.3 soundness contract" true (Theorems.validates t43_wrong)
 
+(* The memory instances of Theorems 3.6, 4.3 and 5.5 (R = S), each with
+   the systems it builds and an optional exploration limit. *)
+let memory_span_theorems =
+  let run thm ~base ~refined ?limit () =
+    thm ?limit ~base ~refined ~spec:Memory.spec ~faults:Memory.page_fault
+      ~invariant_s:Memory.s ~invariant_r:Memory.s ()
+  in
+  List.map
+    (fun (name, builds, thm, base, refined) ->
+      (name, builds, base, refined, run thm ~base ~refined))
+    [
+      ("theorem 3.6", 5, Theorems.theorem_3_6, Memory.intolerant,
+       Memory.failsafe);
+      ("theorem 4.3", 7, Theorems.theorem_4_3, Memory.intolerant,
+       Memory.nonmasking);
+      ("theorem 5.5", 6, Theorems.theorem_5_5, Memory.nonmasking,
+       Memory.masking);
+    ]
+
+(* Each theorem takes the span T and p' over T from the one tolerance
+   session that decides its first conclusion instead of exploring them
+   again: p from S and p' from R, then the session's p' from R, T and
+   p' over T, plus p' from the R-states of T for the nonmasking report
+   (4.3) and for the corrector (4.3, 5.5). *)
+let test_theorem_builds () =
+  let builds () = Metrics.counter_value_by_name "engine.builds" in
+  List.iter
+    (fun (name, want, _, _, run) ->
+      let before = builds () in
+      ignore (run ?limit:None ());
+      Alcotest.(check int) (name ^ " builds") want (builds () - before))
+    memory_span_theorems
+
+(* A limit that admits p from S and p' from R but not the span T: the
+   session records the trip, and the theorem raises it instead of
+   returning a schema. *)
+let test_theorem_span_limit () =
+  List.iter
+    (fun (name, _, base, refined, run) ->
+      let size p = Ts.num_states (Ts.of_pred p ~from:Memory.s) in
+      let limit = max (size base) (size refined) in
+      let span =
+        Tolerance.fault_span refined ~faults:Memory.page_fault ~from:Memory.s
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%s: limit %d below span %d" name limit
+           (Ts.num_states span.ts_pf))
+        true
+        (limit < Ts.num_states span.ts_pf);
+      match run ?limit:(Some limit) () with
+      | schema ->
+        Alcotest.failf "%s returned a schema under limit %d:@.%a" name limit
+          Theorems.pp_schema schema
+      | exception
+          Detcor_robust.Error.Detcor_error
+            (Detcor_robust.Error.Resource
+               { kind = Detcor_robust.Error.States; _ }) ->
+        ())
+    memory_span_theorems
+
 (* A deliberately broken pf (detector removed: access unguarded) must lose
    its fail-safe verdict, and Theorem 3.6's premises must reject it. *)
 let broken_pf =
@@ -580,6 +640,10 @@ let suite =
       Alcotest.test_case "theorem 5.5" `Quick test_theorem_5_5;
       Alcotest.test_case "schema negative controls" `Quick
         test_schema_negative_controls;
+      Alcotest.test_case "theorems 3.6/4.3/5.5 reuse the session span" `Quick
+        test_theorem_builds;
+      Alcotest.test_case "theorem span over the limit raises" `Quick
+        test_theorem_span_limit;
       Alcotest.test_case "broken detector rejected" `Quick test_broken_detector;
       Alcotest.test_case "broken corrector rejected" `Quick test_broken_corrector;
       Alcotest.test_case "fault composition" `Quick test_fault_composition;

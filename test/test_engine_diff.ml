@@ -245,6 +245,51 @@ let prop_of_pred_identical =
       && engines_agree ~reference:(Ts.full ~engine:Ts.Reference p)
            (fun ~engine ~workers -> Ts.full ~engine ~workers p))
 
+(* [build_within p ~span ?where] is [build p ~from:] of the span's states
+   satisfying [where] (all of them without it): the same system, numbering
+   included, under every engine.  The span is another random program's
+   [of_pred] system, as p [] F's is for p; a strict engine may refuse an
+   escaping program, and then refuses it on both paths. *)
+let prop_build_within =
+  let arb =
+    QCheck.make
+      ~print:(fun ((rq, rp), (s1, s2)) ->
+        Fmt.str "span of %s from P%d, explore %s where %s" (print_program rq)
+          s1 (print_program rp)
+          (match s2 with Some s -> Fmt.str "P%d" s | None -> "-"))
+      QCheck.Gen.(
+        pair
+          (pair program_gen program_gen)
+          (pair (int_range 0 (1 lsl 20)) (opt (int_range 0 (1 lsl 20)))))
+  in
+  Util.qtest ~count:100 "build_within = build from the span's states" arb
+    (fun ((rq, rp), (s1, s2)) ->
+      let q = build_program rq and p = build_program rp in
+      let where = Option.map pred_of_seed s2 in
+      let attempt f =
+        match f () with ts -> Some ts | exception Layout.Unrepresentable -> None
+      in
+      Util.with_shards ~shards:4 @@ fun () ->
+      List.for_all
+        (fun engine ->
+          let explore () = Ts.of_pred ~engine q ~from:(pred_of_seed s1) in
+          match attempt explore with
+          | None -> engine = Ts.Sharded
+          | Some span -> (
+            let from =
+              match where with
+              | None -> Ts.states span
+              | Some w -> List.filter (Pred.holds w) (Ts.states span)
+            in
+            match
+              ( attempt (fun () -> Ts.build ~engine p ~from),
+                attempt (fun () -> Ts.build_within ~engine ?where p ~span) )
+            with
+            | Some built, Some within -> equal_system built within
+            | None, None -> true
+            | _ -> false))
+        [ Ts.Auto; Ts.Reference; Ts.Sharded ])
+
 let prop_checks_identical =
   let arb =
     QCheck.make
@@ -652,6 +697,7 @@ let suite =
     [
       prop_build_identical;
       prop_of_pred_identical;
+      prop_build_within;
       prop_checks_identical;
       prop_trapped_vs_leads_to;
       prop_dsl_constructions;
