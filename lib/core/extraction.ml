@@ -57,8 +57,9 @@ let refined_action_for ~refined ac =
    ignores them: faults are finitely many, Assumption 2). *)
 let shrink_to_detects ?(extra_transitions = []) ts ~witness:z ~x0 =
   let n = Ts.num_states ts in
-  let x = Array.init n (Ts.holds_at ts x0) in
-  let z_at = Array.init n (Ts.holds_at ts z) in
+  let x0 = Ts.pred_bitset ts x0 and z = Ts.pred_bitset ts z in
+  let x = Array.init n (Bitset.get x0) in
+  let z_at = Array.init n (Bitset.get z) in
   let extra_indexed =
     List.filter_map
       (fun (s, s') ->

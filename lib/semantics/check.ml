@@ -55,10 +55,11 @@ let first_fail checks =
    cl(S) from true" restricted to the explored (reachable) graph. *)
 let closed ts s =
   Obs.span "check.closed" @@ fun () ->
+  let s = Ts.pred_bitset ts s in
   let result = ref Holds in
   (try
      Ts.iter_edges ts (fun i aid j ->
-         if Ts.holds_at ts s i && not (Ts.holds_at ts s j) then begin
+         if Bitset.get s i && not (Bitset.get s j) then begin
            result :=
              Fails
                (Bad_transition
@@ -102,10 +103,11 @@ let closed_under_actions ~universe actions s =
 (* Every reachable transition from an S-state lands in an R-state. *)
 let hoare_triple ts ~pre ~post =
   Obs.span "check.hoare_triple" @@ fun () ->
+  let pre = Ts.pred_bitset ts pre and post = Ts.pred_bitset ts post in
   let result = ref Holds in
   (try
      Ts.iter_edges ts (fun i aid j ->
-         if Ts.holds_at ts pre i && not (Ts.holds_at ts post j) then begin
+         if Bitset.get pre i && not (Bitset.get post j) then begin
            result :=
              Fails
                (Bad_transition
@@ -207,10 +209,11 @@ let safety_parts ts ~bad_states ~bad_pairs =
 let leads_to ?via ts p q =
   Obs.span "check.leads_to" @@ fun () ->
   let via = Option.value via ~default:ts in
-  let not_q i = not (Ts.holds_at via q i) in
+  let p_bits = Ts.pred_bitset via p and q_bits = Ts.pred_bitset via q in
+  let not_q i = not (Bitset.get q_bits i) in
   let starts = ref [] in
   for i = Ts.num_states via - 1 downto 0 do
-    if Ts.holds_at via p i && not_q i then starts := i :: !starts
+    if Bitset.get p_bits i && not_q i then starts := i :: !starts
   done;
   let starts = !starts in
   if starts = [] then Holds
@@ -264,10 +267,11 @@ let converges ts s r =
 
 let implies ts a b =
   Obs.span "check.implies" @@ fun () ->
+  let a = Ts.pred_bitset ts a and b = Ts.pred_bitset ts b in
   let rec go i =
     Detcor_robust.Budget.tick ();
     if i >= Ts.num_states ts then Holds
-    else if Ts.holds_at ts a i && not (Ts.holds_at ts b i) then
+    else if Bitset.get a i && not (Bitset.get b i) then
       Fails (Not_implied (Ts.state ts i))
     else go (i + 1)
   in
@@ -276,10 +280,11 @@ let implies ts a b =
 (* No reachable deadlock inside the region. *)
 let deadlock_free ts ~inside =
   Obs.span "check.deadlock_free" @@ fun () ->
+  let inside = Ts.pred_bitset ts inside in
   let rec go i =
     Detcor_robust.Budget.tick ();
     if i >= Ts.num_states ts then Holds
-    else if Ts.holds_at ts inside i && Ts.deadlocked ts i then
+    else if Bitset.get inside i && Ts.deadlocked ts i then
       Fails (Deadlock (Ts.state ts i))
     else go (i + 1)
   in

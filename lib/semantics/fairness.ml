@@ -20,12 +20,14 @@
      none of its edges is internal to [C], none is internal to [L], so the
      run never fires a continuously enabled action: unfair. *)
 
-(* [fair_scc ts scc]: can this SCC host an infinite weakly-fair run? *)
-let fair_scc ts (scc : Graph.scc) =
+(* [fair_scc ts ~stamp scc]: can this SCC host an infinite weakly-fair
+   run?  [stamp] is membership, shared by all the SCCs of one call: a
+   member of the SCC with id [c] has stamp [c + 1]. *)
+let fair_scc ts ~stamp (scc : Graph.scc) =
   if scc.trivial then None
   else begin
-    let in_scc = Hashtbl.create (List.length scc.members) in
-    List.iter (fun v -> Hashtbl.replace in_scc v ()) scc.members;
+    let mark = scc.id + 1 in
+    List.iter (fun v -> stamp.(v) <- mark) scc.members;
     let num_actions = Ts.num_actions ts in
     let enabled_everywhere = Array.make num_actions true in
     List.iter
@@ -40,7 +42,7 @@ let fair_scc ts (scc : Graph.scc) =
     List.iter
       (fun v ->
         Ts.iter_out ts v (fun aid j ->
-            if Hashtbl.mem in_scc j then has_internal_edge.(aid) <- true))
+            if stamp.(j) = mark then has_internal_edge.(aid) <- true))
       scc.members;
     let ok = ref true in
     for aid = 0 to num_actions - 1 do
@@ -53,7 +55,12 @@ let fair_scc ts (scc : Graph.scc) =
 let fair_sccs ?mask ts =
   Detcor_obs.Obs.span "fairness.fair_sccs" @@ fun () ->
   let components = Graph.sccs ?mask ts in
-  let fair = List.filter_map (fair_scc ts) components in
+  let fair =
+    if List.for_all (fun (c : Graph.scc) -> c.trivial) components then []
+    else
+      let stamp = Array.make (Ts.num_states ts) 0 in
+      List.filter_map (fair_scc ts ~stamp) components
+  in
   if Detcor_obs.Obs.on () then
     Detcor_obs.Obs.annotate
       [

@@ -9,11 +9,8 @@
     deadlocks and fair-SCC members, closed backward within the region.
     {!Check.leads_to} asks the forward form of the same question. *)
 
-(** [fair_scc ts scc] returns [Some scc] iff the SCC can host an infinite
-    weakly-fair run. *)
-val fair_scc : Ts.t -> Graph.scc -> Graph.scc option
-
-(** All fair SCCs of the masked subgraph. *)
+(** All fair SCCs of the masked subgraph: those that can host an
+    infinite weakly-fair run. *)
 val fair_sccs : ?mask:(int -> bool) -> Ts.t -> Graph.scc list
 
 (** [trapped ts ~region].(i) iff some fair maximal computation from state

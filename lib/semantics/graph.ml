@@ -4,26 +4,30 @@
 
 let no_mask : int -> bool = fun _ -> true
 
+(* The breadth-first walks below use an n-slot int-array FIFO: a state
+   enters the queue at most once (it is marked seen on entry), so [n]
+   slots suffice and a push allocates nothing. *)
+
 (* Forward reachability within the masked subgraph. *)
 let reachable ?(mask = no_mask) ts ~from =
   let n = Ts.num_states ts in
   let seen = Array.make n false in
-  let queue = Queue.create () in
-  List.iter
-    (fun i ->
-      if mask i && not seen.(i) then begin
-        seen.(i) <- true;
-        Queue.add i queue
-      end)
-    from;
-  while not (Queue.is_empty queue) do
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push i =
+    if mask i && not seen.(i) then begin
+      seen.(i) <- true;
+      queue.(!tail) <- i;
+      incr tail
+    end
+  in
+  List.iter push from;
+  let on_edge _aid j = push j in
+  while !head < !tail do
     Detcor_robust.Budget.tick ();
-    let i = Queue.pop queue in
-    Ts.iter_out ts i (fun _aid j ->
-        if mask j && not seen.(j) then begin
-          seen.(j) <- true;
-          Queue.add j queue
-        end)
+    let i = queue.(!head) in
+    incr head;
+    Ts.iter_out ts i on_edge
   done;
   seen
 
@@ -31,18 +35,24 @@ let reachable ?(mask = no_mask) ts ~from =
    masked subgraph, walking the reverse CSR of [ts]. *)
 let co_reachable ?(mask = no_mask) ts ~target =
   let rev = Ts.reverse ts in
-  let seen = Array.make (Ts.num_states ts) false in
-  let queue = Queue.create () in
-  let add i =
+  let n = Ts.num_states ts in
+  let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push i =
     if mask i && not seen.(i) then begin
       seen.(i) <- true;
-      Queue.add i queue
+      queue.(!tail) <- i;
+      incr tail
     end
   in
-  List.iter add target;
-  while not (Queue.is_empty queue) do
+  List.iter push target;
+  let on_edge _aid i = push i in
+  while !head < !tail do
     Detcor_robust.Budget.tick ();
-    Ts.iter_in rev (Queue.pop queue) (fun _aid i -> add i)
+    let j = queue.(!head) in
+    incr head;
+    Ts.iter_in rev j on_edge
   done;
   seen
 
@@ -51,41 +61,36 @@ let co_reachable ?(mask = no_mask) ts ~target =
    index and the (action id, state id) steps. *)
 let shortest_path ?(mask = no_mask) ts ~from ~target =
   let n = Ts.num_states ts in
-  let parent = Array.make n None in
+  (* [parent.(j)] is the state [j] was first reached from ([-1] for a
+     start), by action [via.(j)]. *)
+  let parent = Array.make n (-1) and via = Array.make n 0 in
   let seen = Array.make n false in
-  let queue = Queue.create () in
-  let start_of = Array.make n (-1) in
-  List.iter
-    (fun i ->
-      if mask i && not seen.(i) then begin
-        seen.(i) <- true;
-        start_of.(i) <- i;
-        Queue.add i queue
-      end)
-    from;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    if target i then found := Some i
-    else
-      Ts.iter_out ts i (fun aid j ->
-          if mask j && not seen.(j) then begin
-            seen.(j) <- true;
-            parent.(j) <- Some (i, aid);
-            start_of.(j) <- start_of.(i);
-            Queue.add j queue
-          end)
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push ~from:i aid j =
+    if mask j && not seen.(j) then begin
+      seen.(j) <- true;
+      parent.(j) <- i;
+      via.(j) <- aid;
+      queue.(!tail) <- j;
+      incr tail
+    end
+  in
+  List.iter (push ~from:(-1) 0) from;
+  let found = ref (-1) in
+  while !found < 0 && !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    if target i then found := i else Ts.iter_out ts i (push ~from:i)
   done;
-  match !found with
-  | None -> None
-  | Some goal ->
+  if !found < 0 then None
+  else begin
     let rec unwind i acc =
-      match parent.(i) with
-      | None -> (i, acc)
-      | Some (p, aid) -> unwind p ((aid, i) :: acc)
+      if parent.(i) < 0 then (i, acc)
+      else unwind parent.(i) ((via.(i), i) :: acc)
     in
-    let start, steps = unwind goal [] in
-    Some (start, steps)
+    Some (unwind !found [])
+  end
 
 type scc = {
   id : int;
@@ -96,75 +101,84 @@ type scc = {
 }
 
 (* Tarjan's algorithm, iterative to survive deep graphs, restricted to the
-   masked subgraph. *)
+   masked subgraph.  A call-stack frame holds its node and the node's edge
+   row ([Ts.with_out_row], fetched once on entry) with a cursor into it,
+   and resumes the row at the cursor.  Each node is on the call stack and
+   on the component stack at most once, so [n] slots bound both.  A node
+   popped into its component gets index [max_int]: it can no longer lower
+   a lowlink, which is all an on-stack test would decide. *)
 let sccs ?(mask = no_mask) ts =
   let n = Ts.num_states ts in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_node = Array.make n 0 and frame_row = Array.make n [||] in
+  let frame_pos = Array.make n 0 and frame_stop = Array.make n 0 in
+  let depth = ref 0 in
+  let set_row targets lo hi =
+    frame_row.(!depth) <- targets;
+    frame_pos.(!depth) <- lo;
+    frame_stop.(!depth) <- hi
+  in
   let counter = ref 0 in
   let components = ref [] in
-  let succs i =
-    List.rev
-      (Ts.fold_out ts i (fun acc _aid j -> if mask j then j :: acc else acc) [])
+  let enter v =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
+    incr counter;
+    stack.(!sp) <- v;
+    incr sp;
+    frame_node.(!depth) <- v;
+    Ts.with_out_row ts v set_row;
+    incr depth
   in
   let visit root =
-    (* Explicit call stack: (node, remaining successors). *)
-    let call_stack = ref [ (root, succs root) ] in
-    index.(root) <- !counter;
-    lowlink.(root) <- !counter;
-    incr counter;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !call_stack <> [] do
+    enter root;
+    while !depth > 0 do
       Detcor_robust.Budget.tick ();
-      match !call_stack with
-      | [] -> ()
-      | (v, remaining) :: rest -> (
-        match remaining with
-        | [] ->
-          call_stack := rest;
-          (match rest with
-          | (parent, _) :: _ ->
-            if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v)
-          | [] -> ());
-          if lowlink.(v) = index.(v) then begin
-            (* v is the root of an SCC: pop it. *)
-            let members = ref [] in
-            let continue_ = ref true in
-            while !continue_ do
-              match !stack with
-              | [] -> continue_ := false
-              | w :: tl ->
-                stack := tl;
-                on_stack.(w) <- false;
-                members := w :: !members;
-                if w = v then continue_ := false
-            done;
-            components := !members :: !components
-          end
-        | w :: ws ->
-          call_stack := (v, ws) :: rest;
-          if index.(w) = -1 then begin
-            index.(w) <- !counter;
-            lowlink.(w) <- !counter;
-            incr counter;
-            stack := w :: !stack;
-            on_stack.(w) <- true;
-            call_stack := (w, succs w) :: !call_stack
-          end
-          else if on_stack.(w) then
-            if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w))
+      let top = !depth - 1 in
+      let v = frame_node.(top) and e = frame_pos.(top) in
+      if e < frame_stop.(top) then begin
+        frame_pos.(top) <- e + 1;
+        let w = frame_row.(top).(e) in
+        if mask w then
+          if index.(w) = -1 then enter w
+          else if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
+      end
+      else begin
+        depth := top;
+        frame_row.(top) <- [||];
+        if top > 0 then begin
+          let parent = frame_node.(top - 1) in
+          if lowlink.(v) < lowlink.(parent) then
+            lowlink.(parent) <- lowlink.(v)
+        end;
+        if lowlink.(v) = index.(v) then begin
+          (* v is the root of an SCC: pop it. *)
+          let members = ref [] in
+          let continue_ = ref true in
+          while !continue_ do
+            decr sp;
+            let w = stack.(!sp) in
+            index.(w) <- max_int;
+            members := w :: !members;
+            if w = v then continue_ := false
+          done;
+          components := !members :: !components
+        end
+      end
     done
   in
   for i = 0 to n - 1 do
     if mask i && index.(i) = -1 then visit i
   done;
+  let rec self_loop v targets e hi =
+    e < hi && (targets.(e) = v || self_loop v targets (e + 1) hi)
+  in
   let make_scc id members =
     let trivial =
       match members with
-      | [ v ] -> not (Ts.fold_out ts v (fun acc _aid j -> acc || j = v) false)
+      | [ v ] -> not (Ts.with_out_row ts v (self_loop v))
       | _ -> false
     in
     { id; members; trivial }

@@ -14,8 +14,9 @@
      checksummed files under the spill directory (the [Checkpoint] file
      format, so truncation and corruption are detected on reload) and
      their arrays dropped; any later access reloads on demand;
-   - per-shard dedup is a direct rank-indexed map plus a visited bitset
-     when the product space is small enough, and a hash table otherwise;
+   - per-shard dedup is a [Rank_map] over local ranks [rank / k]: a
+     table while the shard is sparse in its slice of the product, a
+     direct array once it fills enough of it;
    - cross-shard successor batches travel through per-(producer, owner)
      outboxes, delta/varint-encoded, written lock-free (single writer
      per pair) and merged at level barriers in (source gid, successor
@@ -234,18 +235,13 @@ let deser_seg s data =
 (* Shards.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type dedup =
-  | Direct of { gids : int array; visited : Bitset.t }
-      (* indexed by local rank [rank / k]; [visited] gates [gids] *)
-  | Table of (int, int) Hashtbl.t
-
 type shard = {
   sid : int;
   mutable segs : seg array; (* ascending base_lid *)
   mutable hint : int; (* last segment index touched *)
   mutable plids : int; (* local ids promoted into segments *)
   mutable nlids : int; (* local ids interned in total *)
-  dedup : dedup;
+  dedup : Rank_map.t; (* local rank [rank / k] -> gid *)
   open_ranks : Ibuf.t; (* next level's ranks, not yet a segment *)
   (* CSR accumulators of the segment currently receiving edges. *)
   mutable cur : seg option;
@@ -276,25 +272,14 @@ type t = {
   mutable reload_count : int;
 }
 
-(* Direct dedup maps cost one word per product state; past this they
-   would dominate the arena budget, so bigger spaces hash instead. *)
-let direct_threshold = 1 lsl 25
-
 let make_shard ~k ~space sid =
-  let dedup =
-    if space <= direct_threshold then begin
-      let size = ((space - 1) / k) + 1 in
-      Direct { gids = Array.make size 0; visited = Bitset.create size }
-    end
-    else Table (Hashtbl.create 4096)
-  in
   {
     sid;
     segs = [||];
     hint = 0;
     plids = 0;
     nlids = 0;
-    dedup;
+    dedup = Rank_map.create ~space:(((space - 1) / k) + 1) ();
     open_ranks = Ibuf.create 64;
     cur = None;
     cur_row = Ibuf.create 64;
@@ -471,26 +456,15 @@ let rank_of t gid =
   end
 
 let find t rank =
-  let sh = t.shards.(rank mod t.k) in
-  match sh.dedup with
-  | Direct { gids; visited } ->
-    let lr = rank / t.k in
-    if Bitset.get visited lr then Some gids.(lr) else None
-  | Table tbl -> Hashtbl.find_opt tbl rank
+  if rank < 0 then -1
+  else Rank_map.find t.shards.(rank mod t.k).dedup (rank / t.k)
 
 let intern t rank =
   let sid = rank mod t.k in
   let sh = t.shards.(sid) in
-  let known =
-    match sh.dedup with
-    | Direct { gids; visited } ->
-      let lr = rank / t.k in
-      if Bitset.get visited lr then Some gids.(lr) else None
-    | Table tbl -> Hashtbl.find_opt tbl rank
-  in
-  match known with
-  | Some gid -> gid
-  | None ->
+  let known = Rank_map.find sh.dedup (rank / t.k) in
+  if known >= 0 then known
+  else begin
     if t.n >= t.limit then raise (Limit t.limit);
     let gid = t.n in
     t.n <- t.n + 1;
@@ -503,15 +477,11 @@ let intern t rank =
     sh.nlids <- sh.nlids + 1;
     t.loc.(gid) <- (lid * t.k) + sid;
     Ibuf.add sh.open_ranks rank;
-    (match sh.dedup with
-    | Direct { gids; visited } ->
-      let lr = rank / t.k in
-      gids.(lr) <- gid;
-      Bitset.set visited lr
-    | Table tbl -> Hashtbl.add tbl rank gid);
+    Rank_map.add sh.dedup (rank / t.k) gid;
     Detcor_robust.Budget.count_state ();
     t.on_intern ();
     gid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Level lifecycle.                                                    *)
@@ -744,6 +714,19 @@ let iter_out t gid f =
     end
   end
 
+let out_targets t gid =
+  let sh = t.shards.(shard_of t gid) in
+  let lid = lid_of t gid in
+  if lid >= sh.plids then [||]
+  else begin
+    let seg = seg_of_lid t sh lid in
+    if not seg.sealed then [||]
+    else begin
+      let rel = lid - seg.base_lid in
+      Array.sub seg.et seg.row.(rel) (seg.row.(rel + 1) - seg.row.(rel))
+    end
+  end
+
 let out_degree t gid =
   let sh = t.shards.(shard_of t gid) in
   let lid = lid_of t gid in
@@ -773,10 +756,10 @@ let iter_edges t f =
    per-shard state; without one, segment payloads ride inline.  The
    dedup maps are never serialized: the restore scan rebinds every rank
    from the segment rank columns and the open columns, which rebuilds
-   them exactly.  (Spilling the visited bitsets to a side file would be
+   them exactly.  (Spilling the dedup maps to a side file would be
    unsound: the file would be overwritten at barriers newer than the
-   manifest the resume loads, and a stale "visited" bit aliases an
-   unknown state to gid 0 instead of interning it.) *)
+   manifest the resume loads, and a stale entry aliases an unknown state
+   to a gid the resumed run never assigned instead of interning it.) *)
 let snapshot t =
   if t.spill_dir <> None then
     Array.iter
@@ -917,14 +900,7 @@ let restore ?(on_intern = fun () -> ()) ~layout ~limit ~spill_dir
       let expect = counters.(sh.sid) in
       let gids_of = shard_gids.(sh.sid) in
       let lid = ref 0 in
-      let bind rank gid =
-        match sh.dedup with
-        | Direct { gids; visited } ->
-          let lr = rank / k in
-          gids.(lr) <- gid;
-          Bitset.set visited lr
-        | Table tbl -> Hashtbl.replace tbl rank gid
-      in
+      let bind rank gid = Rank_map.add sh.dedup (rank / k) gid in
       Array.iter
         (fun seg ->
           ensure_resident t seg;

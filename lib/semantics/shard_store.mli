@@ -54,8 +54,8 @@ val spill_stats : t -> int * int * int
     @raise Limit when the state count would exceed the limit. *)
 val intern : t -> int -> int
 
-(** The gid of a rank, if interned. *)
-val find : t -> int -> int option
+(** The gid of a rank, or [-1] when it is not interned. *)
+val find : t -> int -> int
 
 val shard_of : t -> int -> int
 
@@ -106,6 +106,11 @@ val iter_ranks : t -> (int -> int -> unit) -> unit
 val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val out_degree : t -> int -> int
+
+(** [out_targets t gid]: the targets of [gid]'s out-edges, in edge
+    order, copied out of the segment: holding the copy pins no evicted
+    arena. *)
+val out_targets : t -> int -> int array
 
 (** [iter_edges t f]: [f src aid tgt] over all edges, sources
     ascending. *)

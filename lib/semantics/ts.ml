@@ -20,16 +20,23 @@
      computed arithmetically, with no successor state; closure-built
      actions run the interpreter and [Layout.pack_from];
    - the results land in a flat store (CSR arrays, states interned by rank
-     and materialized only when a rank is new; the full product skips
-     interning, a state's index being its rank) or
+     in a [Rank_map] and materialized only when a rank is new; the full
+     product skips interning, a state's index being its rank) or
      in the shard store ([Shard_store]: hash-partitioned arenas that spill
-     to disk).  Wide frontiers of the flat store fan out over OCaml 5
-     domains through one chunk runner whose in-order merge keeps the
-     numbering independent of the worker count.
+     to disk, each shard interning through its own [Rank_map]).  Wide
+     frontiers of the flat store fan out over OCaml 5 domains through one
+     chunk runner whose in-order merge keeps the numbering independent of
+     the worker count.
+
+   [build_within] seeds from an explored system's rank column when the
+   program's layout has its signature, so re-exploring a span packs and
+   compares no state.
 
    Predicate and guard sweeps over either store are cached in per-system
    bitsets, so [holds_at] and [enabled] answer in O(1) after one sweep; a
-   predicate with an expression is swept compiled, over ranks.
+   predicate with an expression is swept compiled, over ranks.  Checkers
+   fetch each bitset once, hoisted out of their loops, and read it
+   directly.
 
    [build_reference], the seed list-based path (map-keyed interning,
    evaluation on every query), stays as the fallback for programs whose
@@ -118,7 +125,7 @@ type t = {
      [i] (the full product) or there is no flat layout store. *)
   ranks : int array;
   (* Rank -> index of a flat BFS store: the interning table. *)
-  rank_index : (int, int) Hashtbl.t option;
+  rank_index : Rank_map.t option;
   compiled : int; (* actions that ran compiled *)
   closure_guards : int; (* compiled actions whose guard is a closure *)
   (* Bitset caches; only consulted when [cached] (packed engine). *)
@@ -342,39 +349,8 @@ let build_reference ~limit program ~from =
     ~cached:false
 
 (* ------------------------------------------------------------------ *)
-(* The construction pipeline: seeds, successor kernel, chunk runner.   *)
+(* The construction pipeline: successor kernel, chunk runner.          *)
 (* ------------------------------------------------------------------ *)
-
-(* What a construction starts from: explicit states ([build]), the
-   product states satisfying a predicate ([of_pred]), or the whole
-   product ([full]). *)
-type seeds = States of State.t list | Satisfying of Pred.t | Everything
-
-(* The seeds as ascending, duplicate-free ranks.  Rank order is
-   [State.compare] order (the [Layout] invariant), so seeds are numbered
-   exactly as the reference engine numbers them.  Explicit seeds keep
-   their states, aligned with the ranks, so the flat store interns the
-   caller's states instead of decoding copies.
-   @raise Layout.Unrepresentable if an explicit state escapes the layout. *)
-let seed_ranks layout = function
-  | States from ->
-    let ranked =
-      List.map (fun st -> (Layout.pack layout st, st)) from
-      |> List.sort_uniq (fun (r, _) (r', _) -> Int.compare r r')
-    in
-    ( Array.of_list (List.map fst ranked),
-      Some (Array.of_list (List.map snd ranked)) )
-  | Satisfying pred ->
-    let buf = ref [] in
-    Compiled.iter_satisfying layout pred (fun rank -> buf := rank :: !buf);
-    (Array.of_list (List.rev !buf), None)
-  | Everything -> (Array.init (Layout.space layout) Fun.id, None)
-
-(* The reference engine's seed list: the same set, unranked. *)
-let seed_states program = function
-  | States from -> from
-  | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
-  | Everything -> Program.states program
 
 (* A program's actions compiled against its layout: [compiled.(aid)] is
    [Some] for an action whose update list compiled, [None] for a
@@ -508,33 +484,34 @@ let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
 (* ------------------------------------------------------------------ *)
 
 (* Breadth-first exploration from the seed ranks, interning states by
-   rank in a hashtable, expanding frontiers in id order.  A state is
+   rank in a [Rank_map], expanding frontiers in id order.  A state is
    materialized only when its rank is new. *)
 let build_packed ~limit ~workers k program (seeds, seed_states) =
   let layout = k.k_layout in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let index =
+    Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
+  in
   let b = new_builder ~limit in
   let ranks = ref (Array.make 1024 0) in
-  let intern ?st rank =
-    match Hashtbl.find index rank with
-    | i -> i
-    | exception Not_found ->
-      let st =
-        match st with Some st -> st | None -> Layout.unpack layout rank
-      in
-      let i = add_state b st in
-      if i >= Array.length !ranks then begin
-        let ranks' = Array.make (2 * i) 0 in
-        Array.blit !ranks 0 ranks' 0 i;
-        ranks := ranks'
-      end;
-      !ranks.(i) <- rank;
-      Hashtbl.add index rank i;
-      i
+  let add rank st =
+    let i = add_state b st in
+    if i >= Array.length !ranks then begin
+      let ranks' = Array.make (2 * i) 0 in
+      Array.blit !ranks 0 ranks' 0 i;
+      ranks := ranks'
+    end;
+    !ranks.(i) <- rank;
+    Rank_map.add index rank i;
+    i
   in
+  let intern rank =
+    let i = Rank_map.find index rank in
+    if i >= 0 then i else add rank (Layout.unpack layout rank)
+  in
+  (* Seed ranks are ascending and duplicate-free. *)
   (match seed_states with
   | Some states ->
-    Array.iteri (fun i rank -> ignore (intern ~st:states.(i) rank)) seeds
+    Array.iteri (fun i rank -> ignore (add rank states.(i))) seeds
   | None -> Array.iter (fun rank -> ignore (intern rank)) seeds);
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.bfs" in
   (match Detcor_robust.Checkpoint.resume_data phase with
@@ -606,7 +583,9 @@ let build_packed ~limit ~workers k program (seeds, seed_states) =
     ~lookup:(fun st ->
       match Layout.pack_opt layout st with
       | None -> None
-      | Some rank -> Hashtbl.find_opt index rank)
+      | Some rank ->
+        let i = Rank_map.find index rank in
+        if i < 0 then None else Some i)
     ~layout:(Some layout)
     ~ranks:(Array.sub !ranks 0 b.count)
     ~rank_index:(Some index) ~compiled:k.num_compiled
@@ -839,7 +818,9 @@ let build_sharded ~limit ~workers kern program ~seeds =
     ~lookup:(fun st ->
       match Layout.pack_opt layout st with
       | None -> None
-      | Some rank -> Shard_store.find store rank)
+      | Some rank ->
+        let i = Shard_store.find store rank in
+        if i < 0 then None else Some i)
     ~layout:(Some layout) ~ranks:[||] ~rank_index:None
     ~compiled:kern.num_compiled ~closure_guards:kern.closure_guards
     ~cached:true ~shard:(Some store)
@@ -928,6 +909,13 @@ let out_degree ts i =
   | Some store -> Shard_store.out_degree store i
   | None -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
 
+let with_out_row ts i k =
+  match ts.shard with
+  | Some store ->
+    let targets = Shard_store.out_targets store i in
+    k targets 0 (Array.length targets)
+  | None -> k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
+
 let fold_out ts i f init =
   let acc = ref init in
   iter_out ts i (fun aid j -> acc := f !acc aid j);
@@ -948,10 +936,8 @@ let rank_of ts i =
 
 let index_of_rank ts r =
   match (ts.shard, ts.rank_index, ts.layout) with
-  | Some store, _, _ -> (
-    match Shard_store.find store r with Some i -> i | None -> -1)
-  | None, Some index, _ -> (
-    match Hashtbl.find_opt index r with Some i -> i | None -> -1)
+  | Some store, _, _ -> Shard_store.find store r
+  | None, Some index, _ -> Rank_map.find index r
   | None, None, Some _ -> if r >= 0 && r < num_states ts then r else -1
   | None, None, None -> no_layout ()
 
@@ -998,6 +984,74 @@ let fold_edges ts f init =
   let acc = ref init in
   iter_edges ts (fun i aid j -> acc := f !acc i aid j);
   !acc
+
+(* ------------------------------------------------------------------ *)
+(* Seeds.                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a construction starts from: explicit states ([build]), the
+   states of an explored system, or those of them in a bitset
+   ([build_within]), the product states satisfying a predicate
+   ([of_pred]), or the whole product ([full]). *)
+type seeds =
+  | States of State.t list
+  | Within of t * Bitset.t option
+  | Satisfying of Pred.t
+  | Everything
+
+(* The indices of [span] in [keep] (all of them without one). *)
+let kept span keep =
+  let n = num_states span in
+  match keep with
+  | None -> Array.init n Fun.id
+  | Some bits ->
+    let idx = Array.make (Bitset.cardinal bits) 0 and k = ref 0 in
+    Bitset.iter_set bits (fun i ->
+        idx.(!k) <- i;
+        incr k);
+    idx
+
+let within_states span keep =
+  Array.fold_right (fun i acc -> state span i :: acc) (kept span keep) []
+
+(* The seeds as ascending, duplicate-free ranks.  Rank order is
+   [State.compare] order (the [Layout] invariant), so seeds are numbered
+   exactly as the reference engine numbers them.  Explicit seeds keep
+   their states, aligned with the ranks, so the flat store interns the
+   caller's states instead of decoding copies.  A span whose layout has
+   [layout]'s signature gives its seeds as ranks: its rank column,
+   sorted, and its own states when it has them (a flat store).
+   @raise Layout.Unrepresentable if an explicit state escapes the layout. *)
+let rec seed_ranks layout = function
+  | States from ->
+    let ranked =
+      List.map (fun st -> (Layout.pack layout st, st)) from
+      |> List.sort_uniq (fun (r, _) (r', _) -> Int.compare r r')
+    in
+    ( Array.of_list (List.map fst ranked),
+      Some (Array.of_list (List.map snd ranked)) )
+  | Within (span, keep) -> (
+    match span.layout with
+    | Some a when Layout.has_signature layout (Layout.signature a) ->
+      let ranks = Array.map (rank_of span) (kept span keep) in
+      Array.sort Int.compare ranks;
+      ( ranks,
+        if span.shard = None then
+          Some (Array.map (fun r -> span.states.(index_of_rank span r)) ranks)
+        else None )
+    | _ -> seed_ranks layout (States (within_states span keep)))
+  | Satisfying pred ->
+    let buf = ref [] in
+    Compiled.iter_satisfying layout pred (fun rank -> buf := rank :: !buf);
+    (Array.of_list (List.rev !buf), None)
+  | Everything -> (Array.init (Layout.space layout) Fun.id, None)
+
+(* The reference engine's seed list: the same set, unranked. *)
+let seed_states program = function
+  | States from -> from
+  | Within (span, keep) -> within_states span keep
+  | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
+  | Everything -> Program.states program
 
 (* ------------------------------------------------------------------ *)
 (* The dispatcher.                                                     *)
@@ -1236,12 +1290,11 @@ let enabled ts i aid =
   if ts.cached then Bitset.get (enabled_bitset ts aid) i
   else Action.enabled ts.actions.(aid) ts.states.(i)
 
-let deadlocked ts i =
-  let n = Array.length ts.actions in
-  let rec go aid =
-    if aid >= n then true else (not (enabled ts i aid)) && go (aid + 1)
-  in
-  go 0
+let rec disabled_from ts i aid =
+  aid >= Array.length ts.actions
+  || ((not (enabled ts i aid)) && disabled_from ts i (aid + 1))
+
+let deadlocked ts i = disabled_from ts i 0
 
 let satisfying ts pred =
   if ts.cached then begin
@@ -1266,16 +1319,14 @@ let satisfying ts pred =
 
 (* [build_within p ~span]: [p] explored from the states of [span] — those
    satisfying [where], when given, read through [span]'s cached bitset.
-   The seeds are [span]'s own states, so the flat store interns them
-   instead of decoding copies; seeds are numbered by rank either way, so
-   the numbering is [build p ~from:] of the same set. *)
-let build_within ?limit ?engine ?workers ?where program ~span =
-  let from =
-    match where with
-    | None -> states span
-    | Some pred -> List.map (state span) (satisfying span pred)
-  in
-  build ?limit ?engine ?workers program ~from
+   When [p]'s layout has [span]'s signature the seeds are [span]'s sorted
+   rank column and its own states, with no state packed or compared;
+   either way seeds are numbered by rank, so the numbering is
+   [build p ~from:] of the same set. *)
+let build_within ?(limit = default_limit) ?(engine = default_engine)
+    ?(workers = 1) ?where program ~span =
+  construct "build" ~limit ~engine ~workers program
+    (Within (span, Option.map (pred_bitset span) where))
 
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)

@@ -10,10 +10,11 @@
 
     - {!Packed} (chosen by {!Auto} whenever the program's declared domains
       cover the explored states): a {!Layout} packs each state into a
-      single integer rank for interning, and predicate / guard sweeps are
-      cached in per-system bitsets, so {!holds_at} and {!enabled} answer in
-      O(1) after one sweep.  Frontier expansion can run on OCaml 5 domains
-      ([?workers]) with a deterministic in-order merge.
+      single integer rank, interned in a {!Rank_map}, and predicate /
+      guard sweeps are cached in per-system bitsets, so {!holds_at} and
+      {!enabled} answer in O(1) after one sweep.  Frontier expansion can
+      run on OCaml 5 domains ([?workers]) with a deterministic in-order
+      merge.
     - {!Reference}: the seed list-based path (map-keyed interning, direct
       predicate evaluation on every query), kept as the fallback for
       programs whose actions step outside their declared domains and as the
@@ -70,7 +71,9 @@ val build :
 (** [build_within program ~span]: [program] explored from the states of
     the explored system [span], or only from those satisfying [where]
     (read through [span]'s cached bitset).  Numbered exactly as
-    [build program ~from] of the same states.
+    [build program ~from] of the same states.  When [program]'s layout
+    has [span]'s signature, the seeds are [span]'s sorted rank column:
+    no state is packed or compared.
     @raise Too_large if more than [limit] states are encountered. *)
 val build_within :
   ?limit:int -> ?engine:engine -> ?workers:int -> ?where:Pred.t ->
@@ -122,6 +125,13 @@ val edges_of : t -> int -> (int * int) list
 val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val out_degree : t -> int -> int
+
+(** [with_out_row ts i k]: [k targets lo hi], where the targets of [i]'s
+    out-edges, in edge order, are [targets.(lo)] to [targets.(hi - 1)].
+    For walks that suspend between edges: the flat store lends its own
+    edge array, the shard store a copy of the row, so a held row costs
+    one segment lookup and pins no evicted arena. *)
+val with_out_row : t -> int -> (int array -> int -> int -> 'a) -> 'a
 val fold_out : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 val index_of : t -> State.t -> int option
 
@@ -129,10 +139,11 @@ val index_of : t -> State.t -> int option
 
     On a system built with a {!layout} (packed or sharded), every state
     has a mixed-radix rank under that layout.  These read the builder's
-    own data (rank columns, interning table, or the identity of the full
-    product) and build no state, so synthesis keys its artefacts by rank
-    ({!Pred.of_ranks}, {!Action.of_moves}) and maps between two systems
-    of equal layout signature without hashing states. *)
+    own data (rank columns, {!Rank_map} interning table, or the identity
+    of the full product) and build no state, so synthesis keys its
+    artefacts by rank ({!Pred.of_ranks}, {!Action.of_moves}) and maps
+    between two systems of equal layout signature without hashing
+    states. *)
 
 (** [rank_of ts i]: the layout rank of state [i].
     @raise Invalid_argument on a system without a layout. *)

@@ -337,9 +337,11 @@ let restrict_with guards p =
 let recompute_invariant ~layout p restricted candidates =
   let states = Array.of_list candidates in
   let n = Array.length states in
-  let local_of_rank = Hashtbl.create (max 16 (2 * n)) in
+  let local_of_rank =
+    Rank_map.create ~expect:n ~space:(Layout.space layout) ()
+  in
   Array.iteri
-    (fun k st -> Hashtbl.replace local_of_rank (Layout.pack layout st) k)
+    (fun k st -> Rank_map.add local_of_rank (Layout.pack layout st) k)
     states;
   let always_keep = Array.make n false in
   let succ = Array.make n [||] in
@@ -352,7 +354,9 @@ let recompute_invariant ~layout p restricted candidates =
           Program.successors restricted st
           |> List.filter_map (fun (_, st') ->
                  match Layout.pack_opt layout st' with
-                 | Some r -> Hashtbl.find_opt local_of_rank r
+                 | Some r ->
+                   let k = Rank_map.find local_of_rank r in
+                   if k < 0 then None else Some k
                  | None -> None)
           |> Array.of_list)
     states;

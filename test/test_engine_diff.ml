@@ -250,6 +250,39 @@ let prop_of_pred_identical =
    included, under every engine.  The span is another random program's
    [of_pred] system, as p [] F's is for p; a strict engine may refuse an
    escaping program, and then refuses it on both paths. *)
+(* Every state's rank maps back to its index, and a rank the system
+   does not hold (the least one outside its rank column, then the first
+   past the layout space, then -1) maps to -1.  A system without a
+   layout (the reference engine) is checked the same way by state:
+   [index_of] inverts the numbering, and the least product state it does
+   not hold is absent. *)
+let ranks_invert p ts =
+  let n = Ts.num_states ts in
+  let all = List.init n Fun.id in
+  match (Ts.layout ts, Layout.of_program p) with
+  | Some layout, _ ->
+    let held = Hashtbl.create n in
+    List.iter (fun i -> Hashtbl.replace held (Ts.rank_of ts i) ()) all;
+    let rec absent r = if Hashtbl.mem held r then absent (r + 1) else r in
+    List.for_all (fun i -> Ts.index_of_rank ts (Ts.rank_of ts i) = i) all
+    && List.for_all
+         (fun r -> Ts.index_of_rank ts r = -1)
+         [ absent 0; Layout.space layout; -1 ]
+  | None, layout ->
+    List.for_all (fun i -> Ts.index_of ts (Ts.state ts i) = Some i) all
+    && (match layout with
+       | None -> true
+       | Some layout ->
+         let states = Ts.states ts in
+         let rec absent r =
+           if r >= Layout.space layout then None
+           else
+             let st = Layout.unpack layout r in
+             if List.exists (State.equal st) states then absent (r + 1)
+             else Some st
+         in
+         match absent 0 with None -> true | Some st -> Ts.index_of ts st = None)
+
 let prop_build_within =
   let arb =
     QCheck.make
@@ -285,7 +318,8 @@ let prop_build_within =
               ( attempt (fun () -> Ts.build ~engine p ~from),
                 attempt (fun () -> Ts.build_within ~engine ?where p ~span) )
             with
-            | Some built, Some within -> equal_system built within
+            | Some built, Some within ->
+              equal_system built within && ranks_invert p within
             | None, None -> true
             | _ -> false))
         [ Ts.Auto; Ts.Reference; Ts.Sharded ])

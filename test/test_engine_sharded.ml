@@ -138,8 +138,8 @@ let prop_spill_forced =
                 | Some (_, spills, bytes, _) ->
                   Ts.num_states sharded = 0 || (spills > 0 && bytes > 0)))))
 
-(* Check procedures on a spilled system: predicates, reachability and
-   safety answers must match the reference engine even when every
+(* Check procedures on a spilled system: predicates, reachability, SCCs
+   and safety answers must match the reference engine even when every
    segment access is a reload. *)
 let prop_checks_on_spilled =
   let arb =
@@ -177,7 +177,8 @@ let prop_checks_on_spilled =
                 && same (fun ts -> Check.hoare_triple ts ~pre:p1 ~post:p2)
                 &&
                 let reach ts = Graph.reachable ts ~from:(Ts.initials ts) in
-                reach reference = reach sharded)))
+                reach reference = reach sharded
+                && Graph.sccs reference = Graph.sccs sharded)))
 
 (* ------------------------------------------------------------------ *)
 (* Bitset bulk operations vs their bit-at-a-time specification.        *)

@@ -393,6 +393,77 @@ let test_dot_export () =
   Alcotest.(check bool) "dashed fault edge" true (contains "style=dashed" dot);
   Alcotest.(check bool) "action label" true (contains "e0_0_1" dot)
 
+(* [Rank_map] against a [Hashtbl] oracle: random adds (with rebinding)
+   and lookups over spaces from a single key to [max_int], so runs stay
+   hashed through many resizes, switch to the dense array, or start
+   dense; ranks 0 and [space - 1] are drawn often, and keys outside the
+   map (absent, negative, [space] and beyond) must read [-1]. *)
+let prop_rank_map =
+  let arb =
+    QCheck.make
+      ~print:(fun (space, expect, ops) ->
+        Fmt.str "space %d, expect %d, %d ops" space expect (List.length ops))
+      QCheck.Gen.(
+        let* space = oneofl [ 1; 2; 17; 300; 1000; 5000; 1 lsl 40; max_int ] in
+        let* expect = oneof [ return 0; int_range 0 (min space 3000) ] in
+        let key =
+          frequency
+            [
+              (1, return 0);
+              (1, return (space - 1));
+              (6, map (fun x -> (x land max_int) mod space) int);
+            ]
+        in
+        let* ops = list_size (int_range 0 3000) (pair bool (pair key nat)) in
+        return (space, expect, ops))
+  in
+  Util.qtest ~count:100 "Rank_map = Hashtbl oracle" arb
+  @@ fun (space, expect, ops) ->
+  let m = Rank_map.create ~expect ~space () in
+  let oracle = Hashtbl.create 16 in
+  let agrees key =
+    Rank_map.find m key
+    = Option.value (Hashtbl.find_opt oracle key) ~default:(-1)
+  in
+  List.for_all
+    (fun (is_add, (key, v)) ->
+      if is_add then begin
+        Rank_map.add m key v;
+        Hashtbl.replace oracle key v
+      end;
+      agrees key)
+    ops
+  && Rank_map.length m = Hashtbl.length oracle
+  && Hashtbl.fold (fun key _ ok -> ok && agrees key) oracle true
+  && List.for_all
+       (fun key -> Rank_map.find m key = -1)
+       ([ -1; min_int ]
+       @ if space < max_int then [ space; space + 1 ] else [])
+  && List.for_all agrees [ 0; space - 1; space / 2 ]
+
+(* The switch point: a map over 1,024 keys stays hashed while its table
+   (2 words per slot, load at most 1/2) costs fewer words than the dense
+   array, i.e. through 128 keys, and turns dense at the 129th, keeping
+   every binding; a map created for half its space starts dense. *)
+let test_rank_map_switch () =
+  let m = Rank_map.create ~space:1024 () in
+  for k = 0 to 127 do
+    Rank_map.add m (k * 7 mod 1024) k
+  done;
+  Alcotest.(check bool) "hashed at 128 keys" false (Rank_map.is_dense m);
+  Rank_map.add m 1023 128;
+  Alcotest.(check bool) "dense at 129 keys" true (Rank_map.is_dense m);
+  Alcotest.(check int) "length" 129 (Rank_map.length m);
+  for k = 0 to 127 do
+    Alcotest.(check int) "kept" k (Rank_map.find m (k * 7 mod 1024))
+  done;
+  Alcotest.(check int) "last" 128 (Rank_map.find m 1023);
+  Alcotest.(check int) "absent" (-1) (Rank_map.find m 1);
+  Alcotest.(check bool) "sized for half the space" true
+    (Rank_map.is_dense (Rank_map.create ~expect:512 ~space:1024 ()));
+  Alcotest.(check bool) "sparse space stays hashed" false
+    (Rank_map.is_dense (Rank_map.create ~expect:512 ~space:(1 lsl 40) ()))
+
 let suite =
   ( "semantics",
     [
@@ -424,4 +495,6 @@ let suite =
       prop_reachability;
       prop_scc;
       prop_co_reachable;
+      prop_rank_map;
+      Alcotest.test_case "rank map switch point" `Quick test_rank_map_switch;
     ] )
