@@ -54,9 +54,11 @@ let check_ts ~base ts ~from:s =
     ~attrs:[ Detcor_obs.Attr.str "base" (Program.name base) ]
   @@ fun () ->
   let closure = Check.closed ts s in
+  (* Projection reads states, twice per edge: decode each state once. *)
+  let states = Array.init (Ts.num_states ts) (Ts.state ts) in
   let bad_steps = ref [] in
   Ts.iter_edges ts (fun i aid j ->
-      let st = Ts.state ts i and st' = Ts.state ts j in
+      let st = states.(i) and st' = states.(j) in
       match project_step base st st' with
       | `Stutter | `Step -> ()
       | `Bad ->
@@ -99,14 +101,14 @@ let check_ts ~base ts ~from:s =
                 (fun acc _aid j ->
                   acc
                   && ((not (Hashtbl.mem in_scc j))
-                     || State.agree_on (Ts.state ts v) (Ts.state ts j) base_vars))
+                     || State.agree_on states.(v) states.(j) base_vars))
                 true)
             scc.members
         in
         all_stutter
         &&
         match scc.members with
-        | v :: _ -> not (base_self_loop_or_deadlock (Ts.state ts v))
+        | v :: _ -> not (base_self_loop_or_deadlock states.(v))
         | [] -> false)
       sccs
   in
@@ -114,7 +116,7 @@ let check_ts ~base ts ~from:s =
     match stutter_scc with
     | None -> Check.Holds
     | Some scc ->
-      Check.Fails (Check.Fair_cycle (List.map (Ts.state ts) scc.members))
+      Check.Fails (Check.Fair_cycle (List.map (Array.get states) scc.members))
   in
   { closure; bad_steps = List.rev !bad_steps; divergence }
 

@@ -123,20 +123,24 @@ let hoare_triple ts ~pre ~post =
 
 let safety ts ~bad_state ~bad_transition =
   Obs.span "check.safety" @@ fun () ->
+  (* The closures read states, once per state and twice per edge: decode
+     each state once. *)
+  let st = Array.init (Ts.num_states ts) (Ts.state ts) in
   let result = ref Holds in
   (try
-     for i = 0 to Ts.num_states ts - 1 do
-       if bad_state (Ts.state ts i) then begin
-         result := Fails (Bad_state (Ts.state ts i));
-         raise Exit
-       end
-     done;
+     Array.iter
+       (fun s ->
+         if bad_state s then begin
+           result := Fails (Bad_state s);
+           raise Exit
+         end)
+       st;
      Ts.iter_edges ts (fun i aid j ->
-         if bad_transition (Ts.state ts i) (Ts.state ts j) then begin
+         if bad_transition st.(i) st.(j) then begin
            result :=
              Fails
                (Bad_transition
-                  (Ts.state ts i, Action.name (Ts.action ts aid), Ts.state ts j));
+                  (st.(i), Action.name (Ts.action ts aid), st.(j)));
            raise Exit
          end)
    with Exit -> ());

@@ -19,31 +19,36 @@
      ([Compiled]): guards read slot codes and successor ranks are
      computed arithmetically, with no successor state; closure-built
      actions run the interpreter and [Layout.pack_from];
-   - the results land in a flat store (CSR arrays, states interned by rank
-     in a [Rank_map] and materialized only when a rank is new; the full
-     product skips interning, a state's index being its rank) or
-     in the shard store ([Shard_store]: hash-partitioned arenas that spill
-     to disk, each shard interning through its own [Rank_map]).  Wide
-     frontiers of the flat store fan out over OCaml 5 domains through one
-     chunk runner whose in-order merge keeps the numbering independent of
-     the worker count.
+   - the results land in a flat store (CSR arrays and a rank column,
+     states interned by rank in a [Rank_map]; the full product skips
+     interning, a state's index being its rank) or in the shard store
+     ([Shard_store]: hash-partitioned arenas that spill to disk, each
+     shard interning through its own [Rank_map]).  Wide frontiers of the
+     flat store fan out over OCaml 5 domains through one chunk runner
+     whose in-order merge keeps the numbering independent of the worker
+     count.
 
+   A layout-built system keeps ranks only: [state] decodes a rank on
+   demand, and [index_of] packs a state and looks its rank up.  The
+   successor kernel decodes a source state only for actions that read it.
    [build_within] seeds from an explored system's rank column when the
    program's layout has its signature, so re-exploring a span packs and
    compares no state.
 
-   Predicate and guard sweeps over either store are cached in per-system
-   bitsets, so [holds_at] and [enabled] answer in O(1) after one sweep; a
-   predicate with an expression is swept compiled, over ranks.  Checkers
+   Predicate and guard sweeps are cached in per-system bitsets, so
+   [holds_at] and [enabled] answer in O(1) after one sweep; a predicate
+   with an expression is swept compiled, over ranks, and any other is
+   evaluated on each rank decoded into one scratch buffer.  Checkers
    fetch each bitset once, hoisted out of their loops, and read it
    directly.
 
-   [build_reference], the seed list-based path (map-keyed interning,
-   evaluation on every query), stays as the fallback for programs whose
-   actions step outside their declared domains and as the oracle of the
-   differential tests.  Every engine numbers seeds in [State.compare] order
-   and expands states in id order, so all produce identical state
-   numbering, edge arrays and initials. *)
+   [build_reference], the seed list-based path (map-keyed interning of the
+   states themselves), stays as the fallback for programs whose actions
+   step outside their declared domains and as the oracle of the
+   differential tests; it is the only store that holds [State.t]s.  Every
+   engine numbers seeds in [State.compare] order and expands states in id
+   order, so all produce identical state numbering, edge arrays and
+   initials. *)
 
 open Detcor_kernel
 open Detcor_obs
@@ -109,9 +114,22 @@ end)
 
 type engine = Auto | Packed | Reference | Sharded
 
+(* How a system holds its states.  A layout-built store keeps ranks only
+   and decodes a state on demand; the reference engine keeps the states
+   themselves. *)
+type store =
+  | Listed of State.t array * int State_table.t
+      (* the reference engine: each state, and the state -> index table *)
+  | Interned of Layout.t * int array * Rank_map.t
+      (* a flat BFS store: the rank of each state, and the rank -> index
+         interning table *)
+  | Product of Layout.t (* the full product: state [i] has rank [i] *)
+  | Shards of Layout.t * Shard_store.t
+      (* the out-of-core store; the flat CSR arrays are then empty and
+         every accessor dispatches *)
+
 type t = {
   program : Program.t;
-  states : State.t array;
   actions : Action.t array;
   (* CSR adjacency: edges of state [i] occupy [row_ptr.(i) .. row_ptr.(i+1))
      of [edge_action]/[edge_target]. *)
@@ -119,22 +137,11 @@ type t = {
   edge_action : int array;
   edge_target : int array;
   initials : int list;
-  lookup : State.t -> int option;
-  layout : Layout.t option; (* Some iff built by the packed engine *)
-  (* Rank of each state of a flat BFS store; empty when state [i] has rank
-     [i] (the full product) or there is no flat layout store. *)
-  ranks : int array;
-  (* Rank -> index of a flat BFS store: the interning table. *)
-  rank_index : Rank_map.t option;
+  store : store;
   compiled : int; (* actions that ran compiled *)
   closure_guards : int; (* compiled actions whose guard is a closure *)
-  (* Bitset caches; only consulted when [cached] (packed engine). *)
-  cached : bool;
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
   enabled_cache : Bitset.t option array; (* per action id *)
-  (* The out-of-core store, present iff built by the sharded engine; the
-     flat arrays above are then empty and every accessor dispatches. *)
-  shard : Shard_store.t option;
   (* Set when [Auto] dispatch fell back to the reference engine: the
      diagnosed reason (domain escape, product overflow).  Surfaced by
      `dcheck info` and the Obs metrics. *)
@@ -149,8 +156,11 @@ let default_limit = 2_000_000
 (* Growable buffers shared by both engines.                            *)
 (* ------------------------------------------------------------------ *)
 
-type builder = {
-  mutable states_buf : State.t array;
+(* [keys.(i)] identifies state [i]: its rank in a BFS store, the state
+   itself on the reference path.  The full product keeps no keys, a
+   state's index being its rank. *)
+type 'k builder = {
+  mutable keys : 'k array;
   mutable count : int;
   mutable ea : int array; (* edge action ids *)
   mutable et : int array; (* edge targets *)
@@ -163,34 +173,43 @@ type builder = {
 
 let new_builder ~limit =
   {
-    states_buf = Array.make 1024 State.empty;
+    keys = [||];
     count = 0;
     ea = Array.make 4096 0;
     et = Array.make 4096 0;
     elen = 0;
-    rows = Array.make 1025 0;
+    rows = [| 0 |];
     expanded = 0;
     expect = 0;
     limit;
   }
 
-let add_state b st =
+(* Count one more state: the limit, the live counter and the budget. *)
+let admit b =
   let i = b.count in
   if i >= b.limit then raise (Too_large b.limit);
   if Obs.on () || Progress.armed () then live_state_interned ();
   Detcor_robust.Budget.count_state ();
-  let cap = Array.length b.states_buf in
+  b.count <- i + 1;
+  i
+
+let add_state b key =
+  let i = admit b in
+  let cap = Array.length b.keys in
   if i >= cap then begin
-    let states' = Array.make (2 * cap) State.empty in
-    Array.blit b.states_buf 0 states' 0 cap;
-    b.states_buf <- states';
-    let rows' = Array.make ((2 * cap) + 1) 0 in
+    let cap' = max 1024 (2 * cap) in
+    let keys' = Array.make cap' key in
+    Array.blit b.keys 0 keys' 0 cap;
+    b.keys <- keys';
+    let rows' = Array.make (cap' + 1) 0 in
     Array.blit b.rows 0 rows' 0 (cap + 1);
     b.rows <- rows'
   end;
-  b.states_buf.(i) <- st;
-  b.count <- i + 1;
+  b.keys.(i) <- key;
   i
+
+(* The keys of the states added so far. *)
+let keys b = Array.sub b.keys 0 b.count
 
 (* Room for [n] edges.  When the final state count is known ([expect]),
    growth extrapolates the mean out-degree of the closed rows: one or two
@@ -266,25 +285,18 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let make_system ~program ~actions ~initials ~lookup ~layout ~ranks
-    ~rank_index ~compiled ~closure_guards ~cached ~shard
-    (states, row_ptr, edge_action, edge_target) =
+let make_system ~program ~actions ~initials ~store ~compiled ~closure_guards
+    (row_ptr, edge_action, edge_target) =
   {
     program;
-    states;
     actions;
     row_ptr;
     edge_action;
     edge_target;
     initials;
-    lookup;
-    layout;
-    ranks;
-    rank_index;
+    store;
     compiled;
     closure_guards;
-    cached;
-    shard;
     pred_cache = Hashtbl.create 16;
     enabled_cache = Array.make (Array.length actions) None;
     fallback_reason = None;
@@ -294,17 +306,12 @@ let make_system ~program ~actions ~initials ~lookup ~layout ~ranks
    capacity slack rather than being copied to their exact length. *)
 let trim a len = if Array.length a - len > len / 8 then Array.sub a 0 len else a
 
-let finish b ~program ~actions ~initials ~lookup ~layout ~ranks ~rank_index
-    ~compiled ~closure_guards ~cached =
+let finish b ~program ~actions ~initials ~store ~compiled ~closure_guards =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   count_build ~states:n ~edges:b.elen;
-  make_system ~program ~actions ~initials ~lookup ~layout ~ranks ~rank_index
-    ~compiled ~closure_guards ~cached ~shard:None
-    ( Array.sub b.states_buf 0 n,
-      Array.sub b.rows 0 (n + 1),
-      trim b.ea b.elen,
-      trim b.et b.elen )
+  make_system ~program ~actions ~initials ~store ~compiled ~closure_guards
+    (Array.sub b.rows 0 (n + 1), trim b.ea b.elen, trim b.et b.elen)
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -333,7 +340,7 @@ let build_reference ~limit program ~from =
       while !cursor < b.count do
         Detcor_robust.Budget.tick ();
         let i = !cursor in
-        let st = b.states_buf.(i) in
+        let st = b.keys.(i) in
         Array.iteri
           (fun aid ac ->
             List.iter
@@ -343,10 +350,8 @@ let build_reference ~limit program ~from =
         close_row b i;
         incr cursor
       done);
-  finish b ~program ~actions ~initials
-    ~lookup:(fun st -> State_table.find_opt index st)
-    ~layout:None ~ranks:[||] ~rank_index:None ~compiled:0 ~closure_guards:0
-    ~cached:false
+  finish b ~program ~actions ~initials ~store:(Listed (keys b, index))
+    ~compiled:0 ~closure_guards:0
 
 (* ------------------------------------------------------------------ *)
 (* The construction pipeline: successor kernel, chunk runner.          *)
@@ -416,23 +421,39 @@ let successors k ~codes ~rank st f =
       emit k.k_layout ~rank st aid f (Action.execute k.k_actions.(aid) st)
   done
 
+(* The source state of [rank] for [successors]: decoded only when some
+   action reads it. *)
+let source k rank =
+  if k.needs_state then Layout.unpack k.k_layout rank else State.empty
+
+(* The successors of the state of [rank] as a list, for a worker domain
+   of the chunk runner (the counter is atomic). *)
+let collect k rank =
+  if Obs.on () then Metrics.incr m_par_expanded;
+  let acc = ref [] and codes = codes_buffer k in
+  decode k rank codes;
+  successors k ~codes ~rank (source k rank) (fun aid r ->
+      acc := (aid, r) :: !acc);
+  List.rev !acc
+
 (* Run [f w] for w = 0..n-1 on fresh domains; join them in order. *)
 let spawn_join n f =
   List.init n (fun w ->
       Stdlib.Domain.spawn (fun () -> try Ok (f w) with e -> Error e))
   |> List.map Stdlib.Domain.join
 
-(* The parallel chunk runner: [expand] the states [lo, hi) on [workers]
-   domains, one contiguous chunk each, and [merge] the per-state results
-   back on this domain in id order, so the numbering never depends on
-   the worker count.
+(* The parallel chunk runner: [expand] the items [lo, hi) on [workers]
+   domains, one contiguous chunk each, and [merge] the per-item results
+   back on this domain in index order, so the outcome (a frontier's
+   numbering, say) never depends on the worker count.
 
    A worker that dies with anything other than a tripped budget (the
    deliberate cancellation path) is degraded, not fatal: its chunk is
    recomputed here at the point its results would have merged, so
-   ordering — and therefore the numbering — is unchanged.  Returns the
-   number of lost workers so the caller can shrink the pool. *)
-let run_chunks ~workers ~lo ~hi ~expand ~merge =
+   ordering is unchanged; the retry is counted and reported as a
+   [site ^ ".worker_retry"] event.  Returns the number of lost workers so
+   the caller can shrink the pool. *)
+let run_chunks ~site ~workers ~lo ~hi ~expand ~merge =
   let chunk = (hi - lo + workers - 1) / workers in
   let bounds w = (lo + (w * chunk), min hi (lo + ((w + 1) * chunk))) in
   let expand_chunk w =
@@ -442,12 +463,7 @@ let run_chunks ~workers ~lo ~hi ~expand ~merge =
   let results =
     spawn_join workers (fun w ->
         Detcor_robust.Failpoint.hit "engine.worker";
-        let per_state = expand_chunk w in
-        (* Incremented from the worker domain: the counters must be
-           atomic under parallel exploration (tested). *)
-        if Obs.on () then
-          Metrics.incr ~by:(Array.length per_state) m_par_expanded;
-        per_state)
+        expand_chunk w)
   in
   if Obs.on () then
     for w = 0 to workers - 1 do
@@ -464,13 +480,13 @@ let run_chunks ~workers ~lo ~hi ~expand ~merge =
   let lost = ref 0 in
   List.iteri
     (fun w -> function
-      | Ok per_state -> consume per_state
+      | Ok per_item -> consume per_item
       | Error (Detcor_robust.Error.(Detcor_error (Resource _)) as e) -> raise e
       | Error e ->
         incr lost;
         Metrics.incr m_worker_retries;
         if Obs.on () then
-          Obs.event "ts.worker_retry" ~level:Attr.Warn
+          Obs.event (site ^ ".worker_retry") ~level:Attr.Warn
             ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
         consume (expand_chunk w))
     results;
@@ -484,35 +500,26 @@ let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
 (* ------------------------------------------------------------------ *)
 
 (* Breadth-first exploration from the seed ranks, interning states by
-   rank in a [Rank_map], expanding frontiers in id order.  A state is
-   materialized only when its rank is new. *)
-let build_packed ~limit ~workers k program (seeds, seed_states) =
+   rank in a [Rank_map], expanding frontiers in id order.  The builder's
+   keys are the rank column: no state is built unless an action reads
+   its source. *)
+let build_packed ~limit ~workers k program seeds =
   let layout = k.k_layout in
   let index =
     Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
   in
   let b = new_builder ~limit in
-  let ranks = ref (Array.make 1024 0) in
-  let add rank st =
-    let i = add_state b st in
-    if i >= Array.length !ranks then begin
-      let ranks' = Array.make (2 * i) 0 in
-      Array.blit !ranks 0 ranks' 0 i;
-      ranks := ranks'
-    end;
-    !ranks.(i) <- rank;
-    Rank_map.add index rank i;
-    i
-  in
   let intern rank =
     let i = Rank_map.find index rank in
-    if i >= 0 then i else add rank (Layout.unpack layout rank)
+    if i >= 0 then i
+    else begin
+      let i = add_state b rank in
+      Rank_map.add index rank i;
+      i
+    end
   in
   (* Seed ranks are ascending and duplicate-free. *)
-  (match seed_states with
-  | Some states ->
-    Array.iteri (fun i rank -> ignore (add rank states.(i))) seeds
-  | None -> Array.iter (fun rank -> ignore (intern rank)) seeds);
+  Array.iter (fun rank -> ignore (intern rank)) seeds;
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.bfs" in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
@@ -526,17 +533,8 @@ let build_packed ~limit ~workers k program (seeds, seed_states) =
       snap.s_ranks;
     restore_edges b snap
   | None -> ());
-  let capture () =
-    Marshal.to_string (snap_of_builder b ~ranks:(Array.sub !ranks 0 b.count)) []
-  in
+  let capture () = Marshal.to_string (snap_of_builder b ~ranks:(keys b)) [] in
   Detcor_robust.Checkpoint.set_capture phase capture;
-  let expand i =
-    let acc = ref [] and codes = codes_buffer k and rank = !ranks.(i) in
-    decode k rank codes;
-    successors k ~codes ~rank b.states_buf.(i) (fun aid r ->
-        acc := (aid, r) :: !acc);
-    List.rev !acc
-  in
   let merge i succs =
     List.iter (fun (aid, r) -> push_edge b aid (intern r)) succs;
     close_row b i
@@ -563,14 +561,18 @@ let build_packed ~limit ~workers k program (seeds, seed_states) =
           incr level
         end;
         if parallel ~workers:!eff_workers (hi - lo) then begin
-          let lost = run_chunks ~workers:!eff_workers ~lo ~hi ~expand ~merge in
+          let lost =
+            run_chunks ~site:"ts" ~workers:!eff_workers ~lo ~hi
+              ~expand:(fun i -> collect k b.keys.(i))
+              ~merge
+          in
           eff_workers := max 1 (!eff_workers - lost)
         end
         else
           for i = lo to hi - 1 do
-            let rank = !ranks.(i) in
+            let rank = b.keys.(i) in
             decode k rank codes;
-            successors k ~codes ~rank b.states_buf.(i) on_edge;
+            successors k ~codes ~rank (source k rank) on_edge;
             close_row b i
           done
       done);
@@ -580,41 +582,29 @@ let build_packed ~limit ~workers k program (seeds, seed_states) =
     Detcor_robust.Checkpoint.complete phase (capture ());
   finish b ~program ~actions:k.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
-    ~lookup:(fun st ->
-      match Layout.pack_opt layout st with
-      | None -> None
-      | Some rank ->
-        let i = Rank_map.find index rank in
-        if i < 0 then None else Some i)
-    ~layout:(Some layout)
-    ~ranks:(Array.sub !ranks 0 b.count)
-    ~rank_index:(Some index) ~compiled:k.num_compiled
-    ~closure_guards:k.closure_guards ~cached:true
+    ~store:(Interned (layout, keys b, index))
+    ~compiled:k.num_compiled ~closure_guards:k.closure_guards
 
 (* Packed [full]: every product state is present, so a state's index IS
-   its rank — no interning table at all.  States are materialized in rank
-   order (= State.compare order = the reference numbering) and each
-   successor's rank is its index. *)
+   its rank — no interning table and no key column.  States are numbered
+   in rank order (= State.compare order = the reference numbering) and
+   each successor's rank is its index. *)
 let full_packed ~limit ~workers k program =
   let layout = k.k_layout in
   let b = new_builder ~limit in
-  (* The exact state count is known up front: size the state buffers
-     once, and let the edge buffers grow by projection. *)
-  let space = Layout.space layout in
-  if space > Array.length b.states_buf && space <= limit then begin
-    b.states_buf <- Array.make space State.empty;
-    b.rows <- Array.make (space + 1) 0;
-    b.expect <- space
-  end;
-  Layout.iter_scratch layout (fun sc ->
-      ignore (add_state b (State.scratch_copy sc)));
-  let n = b.count in
+  let n = Layout.space layout in
+  for _ = 1 to n do
+    ignore (admit b)
+  done;
+  (* The exact state count is known up front: size the rows once, and
+     let the edge buffers grow by projection. *)
+  b.rows <- Array.make (n + 1) 0;
+  b.expect <- n;
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.full" in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
   | Some (Detcor_robust.Checkpoint.Done data) ->
-    (* State i IS rank i here: the materialization above already rebuilt
-       every state, so only the edge prefix needs restoring. *)
+    (* State i IS rank i here: only the edge prefix needs restoring. *)
     restore_edges b (Marshal.from_string data 0 : build_snap)
   | None -> ());
   let capture () = Marshal.to_string (snap_of_builder b) [] in
@@ -625,13 +615,7 @@ let full_packed ~limit ~workers k program =
     (fun () ->
       if parallel ~workers (n - base) then
         ignore
-          (run_chunks ~workers ~lo:base ~hi:n
-             ~expand:(fun i ->
-               let acc = ref [] and codes = codes_buffer k in
-               decode k i codes;
-               successors k ~codes ~rank:i b.states_buf.(i) (fun aid r ->
-                   acc := (aid, r) :: !acc);
-               List.rev !acc)
+          (run_chunks ~site:"ts" ~workers ~lo:base ~hi:n ~expand:(collect k)
              ~merge:(fun i succs ->
                List.iter (fun (aid, r) -> push_edge b aid r) succs;
                close_row b i))
@@ -641,7 +625,7 @@ let full_packed ~limit ~workers k program =
         decode k base codes;
         let on_edge aid r = push_edge b aid r in
         for i = base to n - 1 do
-          successors k ~codes ~rank:i b.states_buf.(i) on_edge;
+          successors k ~codes ~rank:i (source k i) on_edge;
           close_row b i;
           Layout.advance layout codes
         done
@@ -650,11 +634,9 @@ let full_packed ~limit ~workers k program =
      and it copies and marshals every edge. *)
   if Detcor_robust.Checkpoint.active () then
     Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions:k.k_actions
-    ~initials:(List.init n Fun.id)
-    ~lookup:(fun st -> Layout.pack_opt layout st)
-    ~layout:(Some layout) ~ranks:[||] ~rank_index:None
-    ~compiled:k.num_compiled ~closure_guards:k.closure_guards ~cached:true
+  finish b ~program ~actions:k.k_actions ~initials:(List.init n Fun.id)
+    ~store:(Product layout) ~compiled:k.num_compiled
+    ~closure_guards:k.closure_guards
 
 (* ------------------------------------------------------------------ *)
 (* Shard store: hash-partitioned, disk-spillable arenas.               *)
@@ -747,11 +729,8 @@ let build_sharded ~limit ~workers kern program ~seeds =
         gid := g;
         producer := p;
         pos := 0;
-        let st =
-          if kern.needs_state then Layout.unpack layout rank else State.empty
-        in
         decode kern rank codes;
-        successors kern ~codes ~rank st on_edge
+        successors kern ~codes ~rank (source kern rank) on_edge
       end
     done
   in
@@ -815,16 +794,8 @@ let build_sharded ~limit ~workers kern program ~seeds =
     ~edges:(Shard_store.num_edges store);
   make_system ~program ~actions:kern.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
-    ~lookup:(fun st ->
-      match Layout.pack_opt layout st with
-      | None -> None
-      | Some rank ->
-        let i = Shard_store.find store rank in
-        if i < 0 then None else Some i)
-    ~layout:(Some layout) ~ranks:[||] ~rank_index:None
-    ~compiled:kern.num_compiled ~closure_guards:kern.closure_guards
-    ~cached:true ~shard:(Some store)
-    ([||], [| 0 |], [||], [||])
+    ~store:(Shards (layout, store)) ~compiled:kern.num_compiled
+    ~closure_guards:kern.closure_guards ([| 0 |], [||], [||])
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
@@ -833,61 +804,102 @@ let build_sharded ~limit ~workers kern program ~seeds =
 let program ts = ts.program
 
 let num_states ts =
-  match ts.shard with
-  | Some store -> Shard_store.num_states store
-  | None -> Array.length ts.states
-
-(* Sharded access decodes on the fly: the rank comes from the store (a
-   spilled segment reloads transparently), the state from the layout. *)
-let state ts i =
-  match ts.shard with
-  | Some store ->
-    Layout.unpack (Option.get ts.layout) (Shard_store.rank_of store i)
-  | None -> ts.states.(i)
-
-let states ts =
-  match ts.shard with
-  | Some store ->
-    let layout = Option.get ts.layout in
-    let acc = ref [] in
-    Shard_store.iter_ranks store (fun _ rank ->
-        acc := Layout.unpack layout rank :: !acc);
-    List.rev !acc
-  | None -> Array.to_list ts.states
+  match ts.store with
+  | Shards (_, store) -> Shard_store.num_states store
+  | Listed _ | Interned _ | Product _ -> Array.length ts.row_ptr - 1
 
 let initials ts = ts.initials
 let actions ts = ts.actions
 let num_actions ts = Array.length ts.actions
 let action ts i = ts.actions.(i)
-let layout ts = ts.layout
+
+let layout ts =
+  match ts.store with
+  | Listed _ -> None
+  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> Some layout
 
 let engine_of ts =
-  match (ts.shard, ts.layout) with
-  | Some _, _ -> Sharded
-  | None, Some _ -> Packed
-  | None, None -> Reference
+  match ts.store with
+  | Shards _ -> Sharded
+  | Interned _ | Product _ -> Packed
+  | Listed _ -> Reference
 
 let fallback_reason ts = ts.fallback_reason
 
 let shard_stats ts =
-  match ts.shard with
-  | None -> None
-  | Some store ->
+  match ts.store with
+  | Shards (_, store) ->
     let spills, bytes, reloads = Shard_store.spill_stats store in
     Some (Shard_store.k store, spills, bytes, reloads)
+  | Listed _ | Interned _ | Product _ -> None
+
+(* Ranks are read from what each store keeps: a BFS store's rank column
+   and interning table, the identity of the full product, and the
+   sharded store's columns (a spilled segment reloads transparently). *)
+let no_layout () = invalid_arg "Ts: no layout ranks on a reference system"
+
+let rank_of ts i =
+  match ts.store with
+  | Interned (_, ranks, _) -> ranks.(i)
+  | Product _ -> i
+  | Shards (_, store) -> Shard_store.rank_of store i
+  | Listed _ -> no_layout ()
+
+let index_of_rank ts r =
+  match ts.store with
+  | Interned (_, _, index) -> Rank_map.find index r
+  | Product layout -> if r >= 0 && r < Layout.space layout then r else -1
+  | Shards (_, store) -> Shard_store.find store r
+  | Listed _ -> no_layout ()
+
+(* [f i rank] for every state [i] of a layout-built system, in id order. *)
+let iter_ranks ts f =
+  match ts.store with
+  | Interned (_, ranks, _) -> Array.iteri f ranks
+  | Product layout ->
+    for i = 0 to Layout.space layout - 1 do
+      f i i
+    done
+  | Shards (_, store) -> Shard_store.iter_ranks store f
+  | Listed _ -> no_layout ()
+
+(* A layout-built system decodes its states on demand. *)
+let state ts i =
+  match ts.store with
+  | Listed (states, _) -> states.(i)
+  | Interned (layout, _, _) | Product layout | Shards (layout, _) ->
+    Layout.unpack layout (rank_of ts i)
+
+let states ts =
+  match ts.store with
+  | Listed (states, _) -> Array.to_list states
+  | Interned (layout, _, _) | Product layout | Shards (layout, _) ->
+    let acc = ref [] in
+    iter_ranks ts (fun _ rank -> acc := Layout.unpack layout rank :: !acc);
+    List.rev !acc
+
+let index_of ts st =
+  match ts.store with
+  | Listed (_, index) -> State_table.find_opt index st
+  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> (
+    match Layout.pack_opt layout st with
+    | None -> None
+    | Some rank ->
+      let i = index_of_rank ts rank in
+      if i < 0 then None else Some i)
 
 let num_edges ts =
-  match ts.shard with
-  | Some store -> Shard_store.num_edges store
-  | None -> ts.row_ptr.(Array.length ts.states)
+  match ts.store with
+  | Shards (_, store) -> Shard_store.num_edges store
+  | Listed _ | Interned _ | Product _ -> ts.row_ptr.(num_states ts)
 
 let edges_of ts i =
-  match ts.shard with
-  | Some store ->
+  match ts.store with
+  | Shards (_, store) ->
     let acc = ref [] in
     Shard_store.iter_out store i (fun aid j -> acc := (aid, j) :: !acc);
     List.rev !acc
-  | None ->
+  | Listed _ | Interned _ | Product _ ->
     let lo = ts.row_ptr.(i) and hi = ts.row_ptr.(i + 1) in
     let rec go k acc =
       if k < lo then acc
@@ -896,56 +908,37 @@ let edges_of ts i =
     go (hi - 1) []
 
 let iter_out ts i f =
-  match ts.shard with
-  | Some store -> Shard_store.iter_out store i f
-  | None ->
+  match ts.store with
+  | Shards (_, store) -> Shard_store.iter_out store i f
+  | Listed _ | Interned _ | Product _ ->
     let hi = ts.row_ptr.(i + 1) in
     for k = ts.row_ptr.(i) to hi - 1 do
       f ts.edge_action.(k) ts.edge_target.(k)
     done
 
 let out_degree ts i =
-  match ts.shard with
-  | Some store -> Shard_store.out_degree store i
-  | None -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
+  match ts.store with
+  | Shards (_, store) -> Shard_store.out_degree store i
+  | Listed _ | Interned _ | Product _ -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
 
 let with_out_row ts i k =
-  match ts.shard with
-  | Some store ->
+  match ts.store with
+  | Shards (_, store) ->
     let targets = Shard_store.out_targets store i in
     k targets 0 (Array.length targets)
-  | None -> k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
+  | Listed _ | Interned _ | Product _ ->
+    k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
 
 let fold_out ts i f init =
   let acc = ref init in
   iter_out ts i (fun aid j -> acc := f !acc aid j);
   !acc
 
-let index_of ts st = ts.lookup st
-
-(* Ranks are read from what each store keeps: the sharded store's
-   columns, a BFS store's rank array and interning table, and the
-   identity of the full product. *)
-let no_layout () = invalid_arg "Ts: no layout ranks on a reference system"
-
-let rank_of ts i =
-  match (ts.shard, ts.layout) with
-  | Some store, _ -> Shard_store.rank_of store i
-  | None, None -> no_layout ()
-  | None, Some _ -> if Array.length ts.ranks = 0 then i else ts.ranks.(i)
-
-let index_of_rank ts r =
-  match (ts.shard, ts.rank_index, ts.layout) with
-  | Some store, _, _ -> Shard_store.find store r
-  | None, Some index, _ -> Rank_map.find index r
-  | None, None, Some _ -> if r >= 0 && r < num_states ts then r else -1
-  | None, None, None -> no_layout ()
-
 (* The index in [dst] of each state of [src], [-1] when [dst] does not
    hold it: by rank when both systems have layouts of one signature (no
    state is built or hashed), otherwise by state. *)
 let index_map ~src ~dst =
-  match (src.layout, dst.layout) with
+  match (layout src, layout dst) with
   | Some a, Some b when Layout.has_signature b (Layout.signature a) ->
     fun i -> index_of_rank dst (rank_of src i)
   | _ -> (
@@ -970,9 +963,9 @@ let action_ids_of_names ts names =
   List.rev !ids
 
 let iter_edges ts f =
-  match ts.shard with
-  | Some store -> Shard_store.iter_edges store f
-  | None ->
+  match ts.store with
+  | Shards (_, store) -> Shard_store.iter_edges store f
+  | Listed _ | Interned _ | Product _ ->
     for i = 0 to num_states ts - 1 do
       Detcor_robust.Budget.tick ();
       for k = ts.row_ptr.(i) to ts.row_ptr.(i + 1) - 1 do
@@ -1016,35 +1009,25 @@ let within_states span keep =
 
 (* The seeds as ascending, duplicate-free ranks.  Rank order is
    [State.compare] order (the [Layout] invariant), so seeds are numbered
-   exactly as the reference engine numbers them.  Explicit seeds keep
-   their states, aligned with the ranks, so the flat store interns the
-   caller's states instead of decoding copies.  A span whose layout has
-   [layout]'s signature gives its seeds as ranks: its rank column,
-   sorted, and its own states when it has them (a flat store).
+   exactly as the reference engine numbers them.  A span whose layout has
+   [target]'s signature gives its rank column, sorted.
    @raise Layout.Unrepresentable if an explicit state escapes the layout. *)
-let rec seed_ranks layout = function
+let rec seed_ranks target = function
   | States from ->
-    let ranked =
-      List.map (fun st -> (Layout.pack layout st, st)) from
-      |> List.sort_uniq (fun (r, _) (r', _) -> Int.compare r r')
-    in
-    ( Array.of_list (List.map fst ranked),
-      Some (Array.of_list (List.map snd ranked)) )
+    List.map (Layout.pack target) from
+    |> List.sort_uniq Int.compare |> Array.of_list
   | Within (span, keep) -> (
-    match span.layout with
-    | Some a when Layout.has_signature layout (Layout.signature a) ->
+    match layout span with
+    | Some a when Layout.has_signature target (Layout.signature a) ->
       let ranks = Array.map (rank_of span) (kept span keep) in
       Array.sort Int.compare ranks;
-      ( ranks,
-        if span.shard = None then
-          Some (Array.map (fun r -> span.states.(index_of_rank span r)) ranks)
-        else None )
-    | _ -> seed_ranks layout (States (within_states span keep)))
+      ranks
+    | _ -> seed_ranks target (States (within_states span keep)))
   | Satisfying pred ->
     let buf = ref [] in
-    Compiled.iter_satisfying layout pred (fun rank -> buf := rank :: !buf);
-    (Array.of_list (List.rev !buf), None)
-  | Everything -> (Array.init (Layout.space layout) Fun.id, None)
+    Compiled.iter_satisfying target pred (fun rank -> buf := rank :: !buf);
+    Array.of_list (List.rev !buf)
+  | Everything -> Array.init (Layout.space target) Fun.id
 
 (* The reference engine's seed list: the same set, unranked. *)
 let seed_states program = function
@@ -1115,7 +1098,7 @@ let construct op ~limit ~engine ~workers program seeds =
       | _, None -> raise Layout.Unrepresentable
       | Sharded, Some layout ->
         build_sharded ~limit ~workers (kernel layout program) program
-          ~seeds:(fst (seed_ranks layout seeds))
+          ~seeds:(seed_ranks layout seeds)
       | Packed, Some layout -> flat layout
       | _, Some layout -> (
         try flat layout
@@ -1127,7 +1110,7 @@ let construct op ~limit ~engine ~workers program seeds =
       [
         Attr.int "states" (num_states ts);
         Attr.int "edges" (num_edges ts);
-        Attr.bool "packed" (ts.layout <> None);
+        Attr.bool "packed" (layout ts <> None);
         Attr.int "actions" (Array.length ts.actions);
         Attr.int "compiled" ts.compiled;
         Attr.int "closure_guards" ts.closure_guards;
@@ -1196,99 +1179,76 @@ let iter_in rev j f =
 (* Cached predicate and guard queries.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [f i rank] for every state [i] of a layout-built system, in id order. *)
-let iter_ranks ts f =
-  match ts.shard with
-  | Some store -> Shard_store.iter_ranks store f
-  | None when Array.length ts.ranks = 0 ->
-    for i = 0 to num_states ts - 1 do
-      f i i
-    done
-  | None -> Array.iteri f ts.ranks
-
-(* One sweep of [pred] over every state, in id order.  A predicate that
-   compiles runs on each state's rank, decoded into slot codes unless
-   only its rank form reads them; otherwise, on a shard store, ranks
-   decode into a scratch buffer.  Neither allocates per visit, and spilled
-   segments stream through. *)
+(* One sweep of [pred] over every state, in id order.  On a layout-built
+   system a predicate that compiles runs on each state's rank, decoded
+   into slot codes unless only its rank form reads them; any other is
+   evaluated on each rank decoded into one scratch buffer.  Neither
+   allocates per visit, and spilled segments stream through.  The
+   reference engine evaluates it on its own states. *)
 let sweep ts pred =
   let bits = Bitset.create (num_states ts) in
-  let compiled =
-    Option.bind ts.layout (fun layout ->
-        Option.map (fun holds -> (layout, holds)) (Compiled.pred layout pred))
-  in
-  (match (compiled, ts.shard) with
-  | Some (_, Compiled.Ranks test), _ ->
-    iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i)
-  | Some (layout, t), None when Array.length ts.ranks = 0 ->
-    (* The full product: state i has rank i, so the codes step. *)
-    let codes = Array.make (Layout.num_vars layout) 0 in
-    for i = 0 to num_states ts - 1 do
-      if Compiled.holds t ~codes ~rank:i then Bitset.set bits i;
-      Layout.advance layout codes
-    done
-  | Some (layout, t), _ ->
-    let codes = Array.make (Layout.num_vars layout) 0 in
-    iter_ranks ts (fun i rank ->
-        Layout.decode layout rank codes;
-        if Compiled.holds t ~codes ~rank then Bitset.set bits i)
-  | None, Some store ->
-    let layout = Option.get ts.layout in
-    let sc = Layout.scratch layout in
-    Shard_store.iter_ranks store (fun gid rank ->
-        Layout.unpack_into layout sc rank;
-        if Pred.holds pred (State.scratch_view sc) then Bitset.set bits gid)
-  | None, None ->
+  (match ts.store with
+  | Listed (states, _) ->
     Array.iteri
       (fun i st -> if Pred.holds pred st then Bitset.set bits i)
-      ts.states);
+      states
+  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> (
+    match (Compiled.pred layout pred, ts.store) with
+    | Some (Compiled.Ranks test), _ ->
+      iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i)
+    | Some t, Product _ ->
+      (* State i has rank i, so the codes step. *)
+      let codes = Array.make (Layout.num_vars layout) 0 in
+      for i = 0 to num_states ts - 1 do
+        if Compiled.holds t ~codes ~rank:i then Bitset.set bits i;
+        Layout.advance layout codes
+      done
+    | Some t, _ ->
+      let codes = Array.make (Layout.num_vars layout) 0 in
+      iter_ranks ts (fun i rank ->
+          Layout.decode layout rank codes;
+          if Compiled.holds t ~codes ~rank then Bitset.set bits i)
+    | None, _ ->
+      let sc = Layout.scratch layout in
+      iter_ranks ts (fun i rank ->
+          Layout.unpack_into layout sc rank;
+          if Pred.holds pred (State.scratch_view sc) then Bitset.set bits i)));
   bits
 
-(* [pred_bitset ts pred]: the bitset of states satisfying [pred].  On a
-   packed or sharded system the sweep runs once per predicate instance and
-   is cached; on a reference system a fresh bitset is computed on every
-   call (the reference engine preserves the seed path's evaluate-on-query
-   behavior for [holds_at]). *)
+(* [pred_bitset ts pred]: the bitset of states satisfying [pred], swept
+   once per predicate instance and cached. *)
 let pred_bitset ts pred =
-  if not ts.cached then sweep ts pred
-  else
-    let key = Pred.id pred in
-    match Hashtbl.find_opt ts.pred_cache key with
-    | Some bits ->
-      if Obs.on () then Metrics.incr m_pred_hits;
-      bits
-    | None ->
-      if Obs.on () then Metrics.incr m_pred_misses;
-      let bits = sweep ts pred in
-      Hashtbl.add ts.pred_cache key bits;
-      bits
+  let key = Pred.id pred in
+  match Hashtbl.find_opt ts.pred_cache key with
+  | Some bits ->
+    if Obs.on () then Metrics.incr m_pred_hits;
+    bits
+  | None ->
+    if Obs.on () then Metrics.incr m_pred_misses;
+    let bits = sweep ts pred in
+    Hashtbl.add ts.pred_cache key bits;
+    bits
 
-let holds_at ts pred i =
-  if ts.cached then Bitset.get (pred_bitset ts pred) i
-  else Pred.holds pred ts.states.(i)
+let holds_at ts pred i = Bitset.get (pred_bitset ts pred) i
 
 (* [enabled_bitset ts aid]: the [pred_bitset] of action [aid]'s guard,
    cached per action id. *)
 let enabled_bitset ts aid =
-  if not ts.cached then sweep ts (Action.guard ts.actions.(aid))
-  else
-    match ts.enabled_cache.(aid) with
-    | Some bits ->
-      if Obs.on () then Metrics.incr m_enabled_hits;
-      bits
-    | None ->
-      if Obs.on () then Metrics.incr m_enabled_misses;
-      let bits = sweep ts (Action.guard ts.actions.(aid)) in
-      ts.enabled_cache.(aid) <- Some bits;
-      bits
+  match ts.enabled_cache.(aid) with
+  | Some bits ->
+    if Obs.on () then Metrics.incr m_enabled_hits;
+    bits
+  | None ->
+    if Obs.on () then Metrics.incr m_enabled_misses;
+    let bits = sweep ts (Action.guard ts.actions.(aid)) in
+    ts.enabled_cache.(aid) <- Some bits;
+    bits
 
 (* [enabled ts i aid]: is action [aid] enabled at state [i]?  Computed from
    the guard, not from edges: an enabled action always yields at least one
    successor in this framework, but checking the guard is cheaper than
    scanning edges and also correct for actions with empty statements. *)
-let enabled ts i aid =
-  if ts.cached then Bitset.get (enabled_bitset ts aid) i
-  else Action.enabled ts.actions.(aid) ts.states.(i)
+let enabled ts i aid = Bitset.get (enabled_bitset ts aid) i
 
 let rec disabled_from ts i aid =
   aid >= Array.length ts.actions
@@ -1297,21 +1257,12 @@ let rec disabled_from ts i aid =
 let deadlocked ts i = disabled_from ts i 0
 
 let satisfying ts pred =
-  if ts.cached then begin
-    let bits = pred_bitset ts pred in
-    let result = ref [] in
-    for i = num_states ts - 1 downto 0 do
-      if Bitset.get bits i then result := i :: !result
-    done;
-    !result
-  end
-  else begin
-    let result = ref [] in
-    Array.iteri
-      (fun i st -> if Pred.holds pred st then result := i :: !result)
-      ts.states;
-    List.rev !result
-  end
+  let bits = pred_bitset ts pred in
+  let result = ref [] in
+  for i = num_states ts - 1 downto 0 do
+    if Bitset.get bits i then result := i :: !result
+  done;
+  !result
 
 (* ------------------------------------------------------------------ *)
 (* A program over an explored system.                                  *)
@@ -1320,7 +1271,7 @@ let satisfying ts pred =
 (* [build_within p ~span]: [p] explored from the states of [span] — those
    satisfying [where], when given, read through [span]'s cached bitset.
    When [p]'s layout has [span]'s signature the seeds are [span]'s sorted
-   rank column and its own states, with no state packed or compared;
+   rank column, with no state built, packed or compared;
    either way seeds are numbered by rank, so the numbering is
    [build p ~from:] of the same set. *)
 let build_within ?(limit = default_limit) ?(engine = default_engine)

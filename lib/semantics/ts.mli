@@ -10,20 +10,25 @@
 
     - {!Packed} (chosen by {!Auto} whenever the program's declared domains
       cover the explored states): a {!Layout} packs each state into a
-      single integer rank, interned in a {!Rank_map}, and predicate /
-      guard sweeps are cached in per-system bitsets, so {!holds_at} and
-      {!enabled} answer in O(1) after one sweep.  Frontier expansion can
-      run on OCaml 5 domains ([?workers]) with a deterministic in-order
+      single integer rank, interned in a {!Rank_map}.  The system keeps
+      ranks only: {!state} decodes a rank on demand and {!index_of}
+      packs a state and looks its rank up.  Frontier expansion can run
+      on OCaml 5 domains ([?workers]) with a deterministic in-order
       merge.
-    - {!Reference}: the seed list-based path (map-keyed interning, direct
-      predicate evaluation on every query), kept as the fallback for
-      programs whose actions step outside their declared domains and as the
-      oracle for differential testing.
-    - {!Sharded}: the out-of-core engine for explorations past RAM — state
+    - {!Reference}: the seed list-based path (map-keyed interning of the
+      states themselves), kept as the fallback for programs whose actions
+      step outside their declared domains and as the oracle for
+      differential testing.  It is the only engine whose systems hold
+      states.
+    - {!Sharded}: the out-of-core engine for explorations past RAM — rank
       and CSR arenas are hash-partitioned into shards whose level-aligned
       segments spill to checksummed files under a spill directory (see
       {!set_shard_defaults}), reloading on demand.  Exploration order is
       identical to {!Packed}; only residency differs.
+
+    On every engine, predicate and guard sweeps are cached in per-system
+    bitsets, so {!holds_at} and {!enabled} answer in O(1) after one
+    sweep.
 
     A program over an explored system (p over the span of [p [] F], p from
     the span's states in R) is built by {!build_within}, the one
@@ -180,9 +185,8 @@ val reverse : ?keep:(int -> bool) -> t -> reverse
     of state [j], without allocating. *)
 val iter_in : reverse -> int -> (int -> int -> unit) -> unit
 
-(** [pred_bitset ts pred]: bitset of the states satisfying [pred].  Cached
-    per predicate instance on packed systems; computed afresh on reference
-    systems. *)
+(** [pred_bitset ts pred]: bitset of the states satisfying [pred], swept
+    once per predicate instance and cached. *)
 val pred_bitset : t -> Pred.t -> Bitset.t
 
 (** [enabled_bitset ts aid]: bitset of the states where action [aid]'s
@@ -200,3 +204,19 @@ val satisfying : t -> Pred.t -> int list
 
 val holds_at : t -> Pred.t -> int -> bool
 val pp_stats : t Fmt.t
+
+(** {1 Domain fan-out} *)
+
+(** [run_chunks ~site ~workers ~lo ~hi ~expand ~merge] runs [expand i]
+    for every [i] in [[lo, hi)] on [workers] fresh domains, one
+    contiguous chunk each, then [merge i (expand i)] on the calling
+    domain in ascending [i], so the outcome does not depend on
+    [workers].  A worker lost to any exception but a tripped budget has
+    its chunk rerun on the calling domain at its place in the merge
+    order; the retry is counted in [robust.worker_retries] and reported
+    as a [site ^ ".worker_retry"] event.  A tripped budget is re-raised.
+    Returns the number of lost workers.  [expand] must be safe to run
+    concurrently. *)
+val run_chunks :
+  site:string -> workers:int -> lo:int -> hi:int -> expand:(int -> 'a) ->
+  merge:(int -> 'a -> unit) -> int

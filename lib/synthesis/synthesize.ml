@@ -64,10 +64,6 @@ open Detcor_spec
 open Detcor_core
 open Detcor_obs
 
-(* Shared with the engine's counter of the same name (lost workers whose
-   chunks were retried sequentially). *)
-let m_worker_retries = Metrics.counter "robust.worker_retries"
-
 type failure =
   | Empty_invariant
   | Unrecoverable_state of State.t
@@ -122,17 +118,17 @@ let surface_exhaustion f =
 (* The bad states of [sspec] among the states of [ts].  A decomposed
    specification is the union of its bad-state predicates' cached
    [Ts.pred_bitset]s (compiled sweeps on a layout system); an opaque one
-   evaluates its closure on every state. *)
+   is one [Ts.pred_bitset] sweep of its closure, which builds no state on
+   a layout system. *)
 let bad_states ts sspec =
-  let n = Ts.num_states ts in
   match Safety.decompose sspec with
   | Some { bad_states; _ } ->
-    let bad = Bitset.create n in
+    let bad = Bitset.create (Ts.num_states ts) in
     List.iter
       (fun p -> Bitset.union_into ~into:bad (Ts.pred_bitset ts p))
       bad_states;
     bad
-  | None -> Bitset.of_fn n (fun i -> Safety.bad_state sspec (Ts.state ts i))
+  | None -> Ts.pred_bitset ts (Pred.make "bad" (Safety.bad_state sspec))
 
 (* [bad_transition ts sspec i j]: the step from state [i] to state [j] of
    [ts] is bad.  A decomposed pair [(l, r)] is [l(i) ∧ ¬r(j)], two bitset
@@ -718,22 +714,35 @@ let rank_neighbors axes ~step_vars ts r =
   Array.of_list (List.rev !acc)
 
 (* [candidate_steps ~step_vars p ts]: for each state index of [ts], the
-   indices of its [neighbors] that [ts] holds, in order; and whether every
-   declared domain covers its layout slot (then no state of [ts] holds a
-   value outside [p]'s domains).  Rank arithmetic on a layout-built
-   system; the state-based [neighbors] only for a system without layout
-   ranks (the reference engine). *)
+   indices of its [neighbors] that [ts] holds, in order; and the test of
+   a state index holding a value outside [p]'s declared domains, [None]
+   when every declared domain covers its layout slot (then no state of
+   [ts] does).  Rank arithmetic on a layout-built system; the state-based
+   [neighbors] and domain test only for a system without layout ranks
+   (the reference engine). *)
 let candidate_steps ~step_vars p ts =
   match Option.bind (Ts.layout ts) (fun layout -> axes layout p) with
   | Some axes ->
+    let outside i =
+      let r = Ts.rank_of ts i in
+      Array.exists
+        (fun a -> not (Array.mem (r / a.stride mod a.size) a.codes))
+        axes
+    in
     ( (fun i -> rank_neighbors axes ~step_vars ts (Ts.rank_of ts i)),
-      Array.for_all (fun a -> Array.length a.codes = a.size) axes )
+      if Array.for_all (fun a -> Array.length a.codes = a.size) axes then None
+      else Some outside )
   | None ->
+    let decls = Program.var_decls p in
+    let outside i =
+      let st = Ts.state ts i in
+      List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
+    in
     ( (fun i ->
         neighbors ~step_vars p (Ts.state ts i)
         |> List.filter_map (Ts.index_of ts)
         |> Array.of_list),
-      false )
+      Some outside )
 
 type recovery = {
   moves : int; (* states given a recovery transition *)
@@ -832,7 +841,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
          (fun found aid k -> found || (k = i && not is_fault.(aid)))
          false
   in
-  let steps, covered = candidate_steps ~step_vars p ts_span in
+  let steps, outside = candidate_steps ~step_vars p ts_span in
   let fill_neighbors i =
     if neigh.(i) = None then begin
       Detcor_robust.Budget.tick ();
@@ -844,68 +853,33 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     match neigh.(i) with Some a -> a | None -> assert false
   in
   (* Symmetry fails at span states holding a value outside [p]'s declared
-     domains (only a system built without a layout has them): they see
-     in-domain neighbors that cannot see them back, so no frontier would
-     queue them.  Every level rescans them instead, as a full rescan
-     would.  A layout-built span whose slots the declared domains cover
-     has none. *)
+     domains: they see in-domain neighbors that cannot see them back, so
+     no frontier would queue them.  Every level rescans them instead, as
+     a full rescan would.  A layout-built span whose slots the declared
+     domains cover has none. *)
   let one_way =
-    if covered then []
-    else begin
-      let decls = Program.var_decls p in
-      let escaped st =
-        List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
-      in
+    match outside with
+    | None -> []
+    | Some outside ->
       let acc = ref [] in
       for i = n - 1 downto 0 do
-        if escaped (Ts.state ts_span i) then acc := i :: !acc
+        if outside i then acc := i :: !acc
       done;
       !acc
-    end
   in
-  (* Chunked fan-out used for both neighbor generation and candidate
-     scans.  Distinct iterations touch distinct array slots, so the only
-     sharing between domains is read-only — which also makes a lost
-     worker recoverable: its chunk reruns on this domain, idempotently.
-     A tripped budget still cancels the whole build. *)
+  (* The engine's chunk runner, for both neighbor generation and
+     candidate scans.  Distinct iterations touch distinct array slots, so
+     the only sharing between domains is read-only — which also makes a
+     lost worker recoverable: its chunk reruns on this domain,
+     idempotently.  A tripped budget still cancels the whole build. *)
   let parallel_iter arr f =
     let len = Array.length arr in
     if workers <= 1 || len < 64 then Array.iter f arr
-    else begin
-      let chunk = (len + workers - 1) / workers in
-      let bounds w = (w * chunk, min len ((w + 1) * chunk)) in
-      let spawn w =
-        let lo, hi = bounds w in
-        Stdlib.Domain.spawn (fun () ->
-            try
-              Detcor_robust.Failpoint.hit "engine.worker";
-              for k = lo to hi - 1 do
-                f arr.(k)
-              done;
-              None
-            with e -> Some e)
-      in
-      let domains = List.init workers spawn in
-      let results = List.map Stdlib.Domain.join domains in
-      List.iteri
-        (fun w result ->
-          match result with
-          | None -> ()
-          | Some
-              (Detcor_robust.Error.Detcor_error
-                 (Detcor_robust.Error.Resource _) as e) ->
-            raise e
-          | Some e ->
-            Metrics.incr m_worker_retries;
-            if Obs.on () then
-              Obs.event "synth.worker_retry" ~level:Attr.Warn
-                ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-            let lo, hi = bounds w in
-            for k = lo to hi - 1 do
-              f arr.(k)
-            done)
-        results
-    end
+    else
+      ignore
+        (Ts.run_chunks ~site:"synth" ~workers ~lo:0 ~hi:len
+           ~expand:(fun k -> f arr.(k))
+           ~merge:(fun _ () -> ()))
   in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.recovery" in
   let frontier = ref [] in
@@ -1213,10 +1187,10 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
        may violate safety on the way back), but repaired moves start from
        target states — fault-free behavior — so they must respect the
        safety specification. *)
+    let bad_span = bad_states ts_span sspec in
+    let bad_tr = bad_transition ts_span sspec in
     let repair_allowed i j =
-      let s = Ts.state ts_span i and t = Ts.state ts_span j in
-      (not (Safety.bad_state sspec t))
-      && not (Safety.bad_transition sspec s t)
+      (not (Bitset.get bad_span j)) && not (bad_tr i j)
     in
     let needs =
       needs_recovery ?limit ~engine ~workers p ~target:invariant ts_span

@@ -66,19 +66,20 @@ val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
 
 (** [candidate_steps ~step_vars p ts] is, for each state index [i] of
     [ts], the indices of [neighbors ~step_vars p (Ts.state ts i)] that
-    [ts] holds, in the same order; and whether every declared domain of
-    [p] covers its slot of [ts]'s layout (then no state of [ts] holds a
-    value outside [p]'s domains).  On a system with a layout the steps
-    are rank arithmetic, [rank + (c' - c) · stride] per changed variable,
-    and build no state; on a system without one (the reference engine)
-    they are {!neighbors} resolved through {!Detcor_semantics.Ts.index_of},
-    and the flag is [false].  The result is safe to call from several
-    domains at once. *)
+    [ts] holds, in the same order; and the test of whether state [i]
+    holds a value outside [p]'s declared domains, [None] when every
+    declared domain of [p] covers its slot of [ts]'s layout (then no
+    state of [ts] does).  On a system with a layout the steps and the
+    test are rank arithmetic, [rank + (c' - c) · stride] per changed
+    variable, and build no state; on a system without one (the reference
+    engine) the steps are {!neighbors} resolved through
+    {!Detcor_semantics.Ts.index_of}, and the test is [Some].  The result
+    is safe to call from several domains at once. *)
 val candidate_steps :
   step_vars:int ->
   Program.t ->
   Detcor_semantics.Ts.t ->
-  (int -> int array) * bool
+  (int -> int array) * (int -> bool) option
 
 (** Strengthen every action with its weakest detection predicate for the
     [ms/mt]-extended safety specification; recompute the invariant.

@@ -12,7 +12,10 @@
      ([build]), from a predicate over the product space ([of_pred]) or
      over the whole product ([full]);
    - [Check] and [Graph] procedures report identical outcomes on both;
-   - [index_of] on the packed system inverts the numbering.
+   - [index_of] inverts the numbering on every system, a layout system's
+     states are its decoded ranks, and predicate and guard bitsets (of an
+     opaque and a state-set predicate too) agree across engines and, on
+     the reference system, with direct evaluation.
 
    Those programs are built from OCaml closures, so they run the
    interpreted successor kernel.  A second generator writes random
@@ -185,29 +188,83 @@ let with_inits_arb =
 (* Structural equality of two built systems, including numbering. *)
 let equal_system = Util.ts_equal
 
-(* [engines_agree ~reference make]: [make ~engine ~workers] builds
+(* A system answers its state queries from what its store keeps: a
+   state's index is found again from the state; a layout system's state
+   is its decoded rank; and the bitsets of [preds] and of every guard are
+   the reference system's. *)
+let queries_agree ~reference ~preds ts =
+  let all = List.init (Ts.num_states ts) Fun.id in
+  List.for_all (fun i -> Ts.index_of ts (Ts.state ts i) = Some i) all
+  && (match Ts.layout ts with
+     | None -> true
+     | Some layout ->
+       List.for_all
+         (fun i ->
+           State.equal (Ts.state ts i) (Layout.unpack layout (Ts.rank_of ts i)))
+         all)
+  && List.for_all
+       (fun p ->
+         Bitset.equal (Ts.pred_bitset ts p) (Ts.pred_bitset reference p))
+       preds
+  && List.for_all
+       (fun aid ->
+         Bitset.equal (Ts.enabled_bitset ts aid)
+           (Ts.enabled_bitset reference aid))
+       (List.init (Ts.num_actions ts) Fun.id)
+
+(* On the reference system the cached [holds_at] and [enabled] are the
+   direct evaluations. *)
+let reference_direct ~preds reference =
+  List.for_all
+    (fun i ->
+      let st = Ts.state reference i in
+      List.for_all (fun p -> Ts.holds_at reference p i = Pred.holds p st) preds
+      && List.for_all
+           (fun aid ->
+             Ts.enabled reference i aid
+             = Action.enabled (Ts.action reference aid) st)
+           (List.init (Ts.num_actions reference) Fun.id))
+    (List.init (Ts.num_states reference) Fun.id)
+
+(* [engines_agree ~reference ~seed make]: [make ~engine ~workers] builds
    [reference] under auto, strict packed, and sharded with K = 1 and
    K = 4, each with 1 and 3 workers.  The strict engines may refuse the
    program (Layout.Unrepresentable) only where auto fell back to the
-   reference engine. *)
-let engines_agree ~reference make =
+   reference engine.  Every system also answers its queries as the
+   reference does ([queries_agree]), for an opaque predicate and a
+   state-set predicate drawn from [seed]. *)
+let engines_agree ~reference ~seed make =
+  let preds =
+    [
+      pred_of_seed seed;
+      Pred.of_states
+        (List.filteri
+           (fun i _ -> (seed lsr (i mod 20)) land 1 = 1)
+           (Ts.states reference));
+    ]
+  in
+  let agree ts =
+    equal_system reference ts && queries_agree ~reference ~preds ts
+  in
   let auto = make ~engine:Ts.Auto ~workers:1 in
   let strict build =
     match build () with
-    | ts -> equal_system reference ts
+    | ts -> agree ts
     | exception Layout.Unrepresentable ->
       Ts.engine_of auto = Ts.Reference && Ts.fallback_reason auto <> None
   in
-  List.for_all
-    (fun workers ->
-      equal_system reference (make ~engine:Ts.Auto ~workers)
-      && strict (fun () -> make ~engine:Ts.Packed ~workers)
-      && List.for_all
-           (fun shards ->
-             Util.with_shards ~shards (fun () ->
-                 strict (fun () -> make ~engine:Ts.Sharded ~workers)))
-           [ 1; 4 ])
-    [ 1; 3 ]
+  reference_direct ~preds reference
+  && queries_agree ~reference ~preds reference
+  && List.for_all
+       (fun workers ->
+         agree (make ~engine:Ts.Auto ~workers)
+         && strict (fun () -> make ~engine:Ts.Packed ~workers)
+         && List.for_all
+              (fun shards ->
+                Util.with_shards ~shards (fun () ->
+                    strict (fun () -> make ~engine:Ts.Sharded ~workers)))
+              [ 1; 4 ])
+       [ 1; 3 ]
 
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 
@@ -216,14 +273,21 @@ let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 (* ------------------------------------------------------------------ *)
 
 let prop_build_identical =
+  let arb =
+    QCheck.make
+      ~print:(fun ((rp, inits), seed) ->
+        Fmt.str "%s from %d states, P%d" (print_program rp) (List.length inits)
+          seed)
+      QCheck.Gen.(pair with_inits_gen (int_range 0 (1 lsl 20)))
+  in
   Util.qtest ~count:200 "packed build = reference build (explicit initials)"
-    with_inits_arb (fun (rp, inits) ->
+    arb (fun ((rp, inits), seed) ->
       let p = build_program rp in
       (* Duplicate initials exercise the sort-uniq path of both engines. *)
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let packed = Ts.build ~engine:Ts.Auto p ~from in
-      engines_agree ~reference (fun ~engine ~workers ->
+      engines_agree ~reference ~seed (fun ~engine ~workers ->
           Ts.build ~engine ~workers p ~from)
       && List.for_all
            (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
@@ -232,17 +296,20 @@ let prop_build_identical =
 let prop_of_pred_identical =
   let arb =
     QCheck.make
-      ~print:(fun (rp, s) -> Fmt.str "%s from P%d" (print_program rp) s)
-      QCheck.Gen.(pair program_gen (int_range 0 (1 lsl 20)))
+      ~print:(fun (rp, (s, q)) ->
+        Fmt.str "%s from P%d, P%d" (print_program rp) s q)
+      QCheck.Gen.(
+        pair program_gen (pair (int_range 0 (1 lsl 20)) (int_range 0 (1 lsl 20))))
   in
   (* The product-space surfaces: [of_pred] and [full]. *)
   Util.qtest ~count:120 "packed of_pred = reference of_pred" arb
-    (fun (rp, seed) ->
+    (fun (rp, (seed, query)) ->
       let p = build_program rp in
       let from = pred_of_seed seed in
       engines_agree ~reference:(Ts.of_pred ~engine:Ts.Reference p ~from)
+        ~seed:query
         (fun ~engine ~workers -> Ts.of_pred ~engine ~workers p ~from)
-      && engines_agree ~reference:(Ts.full ~engine:Ts.Reference p)
+      && engines_agree ~reference:(Ts.full ~engine:Ts.Reference p) ~seed:query
            (fun ~engine ~workers -> Ts.full ~engine ~workers p))
 
 (* [build_within p ~span ?where] is [build p ~from:] of the span's states
@@ -682,8 +749,9 @@ let prop_rank_steps =
         (fun ts ->
           List.for_all
             (fun step_vars ->
-              let steps, covered = S.candidate_steps ~step_vars p ts in
-              (covered || QCheck.Test.fail_report "domains do not cover slots")
+              let steps, outside = S.candidate_steps ~step_vars p ts in
+              (Option.is_none outside
+              || QCheck.Test.fail_report "domains do not cover slots")
               && List.for_all
                    (fun i ->
                      let expected =
