@@ -1254,7 +1254,7 @@ let profile_cmd =
         "engine.builds"; "engine.states_visited"; "engine.edges";
         "engine.pred_cache.hits"; "engine.pred_cache.misses";
         "engine.enabled_cache.hits"; "engine.enabled_cache.misses";
-        "engine.fallbacks";
+        "engine.fallbacks"; "engine.enum.nodes";
       ];
     Fmt.pr "@.";
     List.iter

@@ -75,9 +75,11 @@ val refines_from :
   Ts.t * Check.outcome
 
 (** The product-space states satisfying the invariant.  With the packed
-    engine the product is streamed through the program's {!Layout} instead
-    of materialized as a list.  Recorded as the [tolerance.init_states]
-    span. *)
+    engines they are enumerated through the program's {!Layout}
+    ({!Compiled.iter_satisfying}: an invariant with an expression prunes
+    the slot prefixes it decides) instead of filtered from the product
+    list.  Recorded as the [tolerance.init_states] span, annotated with
+    [states] (|S|) and [nodes] (the enumeration nodes visited). *)
 val init_states :
   ?engine:Ts.engine ->
   Program.t ->

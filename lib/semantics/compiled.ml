@@ -24,6 +24,7 @@
    interpreter evaluates. *)
 
 open Detcor_kernel
+open Detcor_obs
 
 exception Refuse
 
@@ -285,8 +286,150 @@ let rec pred layout p =
     | Some a -> Option.map (conj a) (pred layout b))
   | None, None, None -> None
 
-let iter_satisfying layout p f =
-  match pred layout p with
+(* ------------------------------------------------------------------ *)
+(* Enumerating a predicate's states.                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Visited enumeration nodes: prefix nodes of the pruned walk, or every
+   rank of a sweep. *)
+let m_enum_nodes = Metrics.counter "engine.enum.nodes"
+
+(* Kleene truth of a predicate on the states extending a slot prefix. *)
+type tri = F | T | U
+
+let tri b = if b then T else F
+
+(* A boolean expression over a prefix: [hi] is the highest slot it reads
+   (-1 for none), and [at codes d] its truth once slots [0, d) hold their
+   codes.  An atom (anything but a connective) runs its two-valued code
+   once [hi < d] and is undecided before; a connective combines its
+   operands' truths, which, once they are all decided, is its two-valued
+   answer. *)
+type node = { hi : int; at : int array -> int -> tri }
+
+(* Three-valued evaluation skips operands, so it is sound only where no
+   operand can raise: the one run-time error of compiled code is
+   [Value.Type_error "modulo by zero"], which no nonzero constant divisor
+   raises. *)
+let rec divisors_safe = function
+  | Expr.Var _ | Expr.Const _ -> true
+  | Expr.Mod (a, Expr.Const (Value.Int m)) -> m <> 0 && divisors_safe a
+  | Expr.Mod _ -> false
+  | Expr.Not a -> divisors_safe a
+  | Expr.And es | Expr.Or es -> List.for_all divisors_safe es
+  | Expr.Implies (a, b) | Expr.Iff (a, b) | Expr.Eq (a, b) | Expr.Neq (a, b)
+  | Expr.Lt (a, b) | Expr.Le (a, b) | Expr.Gt (a, b) | Expr.Ge (a, b)
+  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) ->
+    divisors_safe a && divisors_safe b
+  | Expr.Ite (c, a, b) -> divisors_safe c && divisors_safe a && divisors_safe b
+
+(* A left-to-right [&&] ([absorb = F]) or [||] ([absorb = T]): decided
+   by the first operand equal to [absorb], else undecided by any
+   undecided operand. *)
+let kleene ns ~absorb ~unit =
+  let ns = Array.of_list ns in
+  let n = Array.length ns in
+  let rec go c d i acc =
+    if i = n then acc
+    else
+      match ns.(i).at c d with
+      | U -> go c d (i + 1) U
+      | x -> if x == absorb then x else go c d (i + 1) acc
+  in
+  (Array.fold_left (fun m x -> max m x.hi) (-1) ns, fun c d -> go c d 0 unit)
+
+let rec prefix ctx e =
+  let sub = prefix ctx in
+  let hi, at =
+    match e with
+    | Expr.Not a ->
+      let a = sub a in
+      (a.hi, fun c d -> match a.at c d with T -> F | F -> T | U -> U)
+    | Expr.And es -> kleene (List.map sub es) ~absorb:F ~unit:T
+    | Expr.Or es -> kleene (List.map sub es) ~absorb:T ~unit:F
+    | Expr.Implies (a, b) ->
+      let a = sub a and b = sub b in
+      ( max a.hi b.hi,
+        fun c d ->
+          match a.at c d with
+          | F -> T
+          | T -> b.at c d
+          | U -> if b.at c d == T then T else U )
+    | Expr.Iff (a, b) ->
+      let a = sub a and b = sub b in
+      ( max a.hi b.hi,
+        fun c d ->
+          match (a.at c d, b.at c d) with
+          | U, _ | _, U -> U
+          | x, y -> tri (x == y) )
+    | Expr.Ite (cond, a, b) ->
+      let cond = sub cond and a = sub a and b = sub b in
+      ( max cond.hi (max a.hi b.hi),
+        fun c d ->
+          match cond.at c d with
+          | T -> a.at c d
+          | F -> b.at c d
+          | U ->
+            let x = a.at c d in
+            if x != U && x == b.at c d then x else U )
+    | _ ->
+      let two = bool ctx e in
+      let hi =
+        List.fold_left (fun m x -> max m (slot ctx x)) (-1) (Expr.variables e)
+      in
+      (hi, fun c d -> if hi < d then tri (two c) else U)
+  in
+  { hi; at }
+
+(* Depth-first over slot prefixes, slot 0 (the largest stride) first and
+   codes ascending, so ranks come out ascending.  A false prefix is
+   skipped; a true one emits its block of ranks unevaluated.  Once every
+   slot is assigned the root is decided ([hi < n]), so the walk never
+   descends past the last slot.  Returns the visited nodes. *)
+let walk layout root f =
+  let n = Layout.num_vars layout in
+  let block d =
+    if d = 0 then Layout.space layout else Layout.stride layout (d - 1)
+  in
+  let sizes = Array.init n (fun d -> block d / Layout.stride layout d) in
+  let codes = Array.make n 0 in
+  let nodes = ref 0 in
+  let rec go d base =
+    Detcor_robust.Budget.tick ();
+    incr nodes;
+    match root.at codes d with
+    | F -> ()
+    | T ->
+      for r = base to base + block d - 1 do
+        f r
+      done
+    | U ->
+      let stride = Layout.stride layout d in
+      for c = 0 to sizes.(d) - 1 do
+        codes.(d) <- c;
+        go (d + 1) (base + (c * stride))
+      done
+  in
+  go 0 0;
+  !nodes
+
+(* The pruned walk for a predicate with an expression that compiles and
+   cannot raise; [None] keeps the sweep.  The whole expression also
+   compiles two-valued, for the prefixes that assign every slot it reads. *)
+let pruned layout p =
+  match Pred.expr p with
+  | Some e when divisors_safe e -> (
+    let ctx = context layout [ e ] in
+    match (bool ctx e, prefix ctx e) with
+    | two, { hi; at } ->
+      Some
+        (walk layout
+           { hi; at = (fun c d -> if hi < d then tri (two c) else at c d) })
+    | exception Refuse -> None)
+  | _ -> None
+
+let sweep layout p f =
+  (match pred layout p with
   | Some t ->
     Layout.iter_codes layout (fun rank codes ->
         if holds t ~codes ~rank then f rank)
@@ -294,7 +437,14 @@ let iter_satisfying layout p f =
     let rank = ref 0 in
     Layout.iter_scratch layout (fun sc ->
         if Pred.holds p (State.scratch_view sc) then f !rank;
-        incr rank)
+        incr rank));
+  Layout.space layout
+
+let iter_satisfying layout p f =
+  let nodes =
+    match pruned layout p with Some walk -> walk f | None -> sweep layout p f
+  in
+  if Obs.on () then Metrics.incr ~by:nodes m_enum_nodes
 
 (* ------------------------------------------------------------------ *)
 (* Actions.                                                            *)

@@ -38,8 +38,35 @@ val holds : test -> codes:int array -> rank:int -> bool
 val pred : Layout.t -> Pred.t -> test option
 
 (** [iter_satisfying layout p f] calls [f rank] for every rank of the
-    product space, ascending, whose state satisfies [p]: compiled when [p]
-    compiles, otherwise [p] runs on a scratch state.  Builds no state. *)
+    product space whose state satisfies [p], in ascending rank order
+    ({!State.compare} order).  Builds no state.
+
+    When [p] has an expression ({!Pred.expr}) that compiles and whose
+    every [%] divides by a nonzero constant, the enumeration walks slot
+    prefixes depth first (slot 0, the largest stride, first; codes
+    ascending), evaluating [p] three-valued on each prefix: a prefix [p]
+    is false on is skipped, a prefix it is true on emits its block of
+    ranks unevaluated.  The work then tracks the satisfying states, not
+    the product: on a 120,932,352-state product with one satisfying state
+    decided slot by slot it visits 53 nodes.  The worst case is no better
+    than the sweep: when nothing is decided before the last slot (a test
+    of the last slot alone, a wide disjunction of full-state
+    descriptions) every prefix is visited, 1 + Σ_k Π_{j ≤ k} |D_j| nodes
+    over domains [D_0 … D_{n-1}], which is at most about twice the
+    product's ranks when every domain has two or more values (a
+    one-value slot adds up to one product more).
+
+    Otherwise (a [%] whose divisor may be zero, a closure, a rank form, a
+    {!Pred.operands} conjunction, an expression that does not compile)
+    the enumeration sweeps every rank: compiled when [p] compiles,
+    otherwise [p] runs on a scratch state.  The refusal keeps errors
+    exact: three-valued evaluation skips operands, so it runs only where
+    no operand can raise, and [Value.Type_error "modulo by zero"] is
+    raised by the sweep at the first rank that raises it.
+
+    Each visited node (a prefix, or a swept rank) is one
+    {!Detcor_robust.Budget.tick}.  With observability on, the visited
+    nodes are added to the [engine.enum.nodes] counter once per call. *)
 val iter_satisfying : Layout.t -> Pred.t -> (int -> unit) -> unit
 
 (** An action compiled against a layout. *)

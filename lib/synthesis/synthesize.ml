@@ -507,8 +507,14 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
         (front, restricted, added)
       end
     in
+    (* With an expression for every bad-state predicate the seed
+       enumeration prunes; an opaque specification keeps its closure. *)
     let not_bad =
-      Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st))
+      match Safety.decompose sspec with
+      | Some { bad_states; _ }
+        when List.for_all (fun p -> Pred.expr p <> None) bad_states ->
+        Pred.not_ (Pred.disj bad_states)
+      | _ -> Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st))
     in
     let acc = ref [] in
     Compiled.iter_satisfying layout not_bad (fun rank ->

@@ -687,13 +687,90 @@ let prop_dsl_constructions =
       && dsl_engines_agree e.program (fun p ~engine ~workers ->
              Ts.full ~engine ~workers p))
 
+(* [p]'s states by the pruned enumeration, as ranks (or the
+   [Value.Type_error] message), with the [engine.enum.nodes] it visited. *)
+let enumerate layout p =
+  Detcor_obs.Obs.with_ctx (Detcor_obs.Obs.make ~sinks:[] ()) (fun () ->
+      let nodes () =
+        Detcor_obs.Metrics.counter_value_by_name "engine.enum.nodes"
+      in
+      let before = nodes () and acc = ref [] in
+      match Compiled.iter_satisfying layout p (fun r -> acc := r :: !acc) with
+      | () -> (Ok (List.rev !acc), nodes () - before)
+      | exception Value.Type_error m -> (Error m, nodes () - before))
+
+(* The enumeration equals the reference filter of [Program.states] (whose
+   order is the declaration order; rank order is [State.compare] order):
+   the same states in the same order, or the same error. *)
+let enumeration_agrees program layout p =
+  let reference =
+    match List.filter (Pred.holds p) (Program.states program) with
+    | states -> Ok (List.sort State.compare states)
+    | exception Value.Type_error m -> Error m
+  in
+  match (fst (enumerate layout p), reference) with
+  | Ok ranks, Ok states ->
+    List.equal State.equal (List.map (Layout.unpack layout) ranks) states
+    || QCheck.Test.fail_reportf "%s: enumeration differs" (Pred.name p)
+  | Error m, Error m' when String.equal m m' -> true
+  | got, _ ->
+    QCheck.Test.fail_reportf "%s: %s" (Pred.name p)
+      (match got with Ok _ -> "enumerated" | Error m -> "raised " ^ m)
+
+(* Predicates that stress the pruning, built from the program's own
+   invariant and first guard: constants, a test of the last slot alone (no
+   prefix decides it), a wide disjunction of state descriptions, an
+   [if]/[<=>]/[=>] mix, and [%] by a variable (refused: the sweep runs and
+   raises where [n = 0]). *)
+let enumeration_preds (e : Detcor_lang.Elaborate.elaborated) layout =
+  let n = Layout.num_vars layout in
+  let inv = Option.get (Pred.expr e.invariant) in
+  let guard =
+    match Program.actions e.program with
+    | ac :: _ -> Option.value ~default:Expr.true_ (Pred.expr (Action.guard ac))
+    | [] -> Expr.true_
+  in
+  let is k code =
+    Expr.eq
+      (Expr.var (Layout.var layout k))
+      (Expr.const (List.nth (Layout.domain_values layout k) code))
+  in
+  let describe rank =
+    let codes = Array.make n 0 in
+    Layout.decode layout rank codes;
+    Expr.and_ (List.init n (fun k -> is k codes.(k)))
+  in
+  let states = List.init 12 (fun i -> describe (i * 23)) in
+  let last = n - 1 in
+  [
+    ("true", Pred.true_);
+    ("false", Pred.false_);
+    ( "last slot",
+      Pred.of_expr
+        (is last (List.length (Layout.domain_values layout last) - 1)) );
+    ("wide disjunction", Pred.of_expr (Expr.or_ states));
+    ( "disjunction with the invariant",
+      Pred.of_expr (Expr.or_ (inv :: guard :: states)) );
+    ( "ite/iff mix",
+      Pred.of_expr
+        (Expr.ite (Expr.var "a")
+           (Expr.iff inv (Expr.not_ (Expr.var "b")))
+           (Expr.implies guard inv)) );
+    ( "mod by a variable",
+      Pred.of_expr
+        (Expr.eq (Expr.mod_ (Expr.var "m") (Expr.var "n")) (Expr.int 1)) );
+  ]
+
 (* Guard and predicate sweeps: compiled bitsets equal interpreted ones,
-   and the compiled invariant enumeration equals the reference one. *)
+   the compiled invariant enumeration equals the reference one, and the
+   pruned enumeration of the invariant and of [enumeration_preds] equals
+   the reference filter. *)
 let prop_dsl_sweeps =
   Util.qtest ~count:100 "compiled guard and predicate sweeps = interpreted"
     dsl_arb (fun src ->
       let e = elaborate src in
       let twin = interpreted e.program in
+      let layout = Option.get (Layout.of_program e.program) in
       let sweeps p inv =
         match
           let ts = Ts.full ~engine:Ts.Packed p in
@@ -710,14 +787,50 @@ let prop_dsl_sweeps =
         | states -> Ok states
         | exception Value.Type_error m -> Error m
       in
+      let extra = enumeration_preds e layout in
+      let nodes name = snd (enumerate layout (List.assoc name extra)) in
       sweeps e.program e.invariant = sweeps twin (opaque_pred e.invariant)
-      &&
-      match (init Ts.Auto, init Ts.Reference) with
-      | Ok a, Ok b ->
-        (* The reference list follows [Program.states] order. *)
-        List.equal State.equal a (List.sort State.compare b)
-      | Error m, Error m' -> String.equal m m'
-      | _ -> false)
+      && (match (init Ts.Auto, init Ts.Reference) with
+         | Ok a, Ok b ->
+           (* The reference list follows [Program.states] order. *)
+           List.equal State.equal a (List.sort State.compare b)
+         | Error m, Error m' -> String.equal m m'
+         | _ -> false)
+      && List.for_all
+           (enumeration_agrees e.program layout)
+           (e.invariant :: List.map snd extra)
+      (* A constant is decided at the root; a refused predicate sweeps
+         every rank; undecided prefixes at most double the product. *)
+      && nodes "true" = 1
+      && nodes "false" = 1
+      && nodes "last slot" <= 2 * Layout.space layout
+      && nodes "wide disjunction" <= 2 * Layout.space layout)
+
+(* On reset10's 120,932,352-state product the invariant holds in one
+   state.  Every slot of its prefix is decided by that slot's own code,
+   so the walk visits the root and each child of the one live path:
+   1 + Σ |domain| = 53 nodes, recorded on the [tolerance.init_states]
+   span. *)
+let test_reset10_enumeration () =
+  let e = Detcor_lang.Elaborate.load_file "../examples/dc/big/reset10.dc" in
+  let sink, records = Detcor_obs.Sink.memory () in
+  let states =
+    Detcor_obs.Obs.with_ctx (Detcor_obs.Obs.make ~sinks:[ sink ] ()) (fun () ->
+        Detcor_core.Tolerance.init_states e.program ~invariant:e.invariant)
+  in
+  Alcotest.(check int) "one invariant state" 1 (List.length states);
+  let nodes =
+    List.find_map
+      (function
+        | Detcor_obs.Sink.End { name = "tolerance.init_states"; attrs; _ } ->
+          List.find_map
+            (function "nodes", Detcor_obs.Attr.Int n -> Some n | _ -> None)
+            attrs
+        | _ -> None)
+      (records ())
+  in
+  Alcotest.(check bool) "at most 53 nodes visited" true
+    (match nodes with Some n -> n <= 53 | None -> false)
 
 (* Recovery layering's candidate steps by rank arithmetic against the
    state-based [Synthesize.neighbors], as ordered index lists, for one-
@@ -805,6 +918,8 @@ let suite =
       prop_dsl_constructions;
       prop_dsl_sweeps;
       prop_rank_steps;
+      Alcotest.test_case "reset10 invariant: 53 enumeration nodes" `Quick
+        test_reset10_enumeration;
       Alcotest.test_case "compiled escape names the lowest slot" `Quick
         test_escape_lowest_slot;
     ] )
