@@ -960,27 +960,20 @@ let simulate_cmd =
           ~policy:(Injector.Random { probability = prob; max_faults })
           ~init
       in
-      let violations =
-        List.filter
-          (fun r -> Monitor.first_safety_violation r sspec <> None)
+      let outcomes =
+        Monitor.Compiled.outcomes
+          (Monitor.Compiled.safety ~program:e.program ~invariant:e.invariant
+             sspec)
           samples
       in
+      let violations =
+        List.length
+          (List.filter
+             (fun (o : Monitor.Compiled.outcome) -> o.violation <> None)
+             outcomes)
+      in
       let settled =
-        List.filter_map
-          (fun (r : Runner.run) ->
-            let states = Detcor_semantics.Trace.states r.trace in
-            let rec last_false i best = function
-              | [] -> best
-              | st :: rest ->
-                last_false (i + 1)
-                  (if Pred.holds e.invariant st then best else Some i)
-                  rest
-            in
-            match last_false 0 None states with
-            | None -> Some 0
-            | Some i ->
-              if i < List.length states - 1 then Some (i + 1) else None)
-          samples
+        List.filter_map (fun (o : Monitor.Compiled.outcome) -> o.settled) outcomes
       in
       (match record with
       | None -> ()
@@ -988,13 +981,11 @@ let simulate_cmd =
         let oc = open_out file in
         Fun.protect
           ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Stream.write_header oc ~program:(Program.name e.program);
-            List.iteri (fun i r -> Stream.write_run oc ~index:i r) samples);
+          (fun () -> Stream.record oc ~program:(Program.name e.program) samples);
         Fmt.pr "recorded %d runs to %s@." runs file);
       Fmt.pr "runs: %d (%d steps each, fault prob %.2f, budget %d)@." runs
         steps prob max_faults;
-      Fmt.pr "safety violations: %d/%d@." (List.length violations) runs;
+      Fmt.pr "safety violations: %d/%d@." violations runs;
       Fmt.pr "runs ending inside the invariant: %d/%d@."
         (List.length settled) runs;
       Fmt.pr "steps to re-enter the invariant: %a@." Stats.pp_option
@@ -1057,6 +1048,7 @@ let monitor_cmd =
            (Program.actions e.program)
     in
     let syn = Syndrome.compile ~program:e.program family in
+    let safety = Monitor.Compiled.safety ~program:e.program sspec in
     let names = Syndrome.pred_names syn in
     let m = Array.length names in
     Fmt.pr "monitoring %s with %d witnesses (%s)@." (Program.name e.program) m
@@ -1161,7 +1153,7 @@ let monitor_cmd =
             Metrics.observe h_correct (j - fs)
           | None -> ())
         rr.fault_steps;
-      (match Monitor.first_safety_violation rr sspec with
+      (match Monitor.Compiled.first_safety_violation safety rr with
       | Some i ->
         incr violations;
         Fmt.pr "  safety violated at state %d@." i

@@ -3,7 +3,6 @@
    Faults occur finitely often (the paper's Assumption 2); every policy
    bounds the number of injected fault actions. *)
 
-open Detcor_kernel
 open Detcor_core
 
 type policy =
@@ -17,17 +16,28 @@ type policy =
 type t = {
   policy : policy;
   faults : Fault.t;
+  actions : int list; (* the fault actions' indices, 0 .. k-1 *)
   mutable injected : int;
 }
 
-let make policy faults = { policy; faults; injected = 0 }
+let make policy faults =
+  {
+    policy;
+    faults;
+    actions = List.mapi (fun i _ -> i) (Fault.actions faults);
+    injected = 0;
+  }
 
 let injected t = t.injected
+let faults t = t.faults
 
-(* [try_inject t ~rng ~step st]: if the policy fires at this step and some
-   fault action is enabled, execute one (uniformly chosen) and return the
-   successor. *)
-let try_inject t ~rng ~step st =
+(* [inject t ~rng ~step ~enabled ~execute]: if the policy fires at this
+   step and some fault action is enabled, execute one (uniformly chosen)
+   and return its index with a uniformly chosen successor.  Fault action
+   [j] (in [Fault.actions] order) is read through [enabled j] and
+   [execute j], so the draws — the injection test, then the fault pick,
+   then the successor pick — are the same whatever the states are. *)
+let inject t ~rng ~step ~enabled ~execute =
   let should_fire =
     match t.policy with
     | None_ -> false
@@ -37,17 +47,14 @@ let try_inject t ~rng ~step st =
   in
   if not should_fire then None
   else begin
-    let enabled =
-      List.filter (fun ac -> Action.enabled ac st) (Fault.actions t.faults)
-    in
-    match enabled with
+    match List.filter enabled t.actions with
     | [] -> None
-    | _ :: _ -> (
-      let ac = List.nth enabled (Random.State.int rng (List.length enabled)) in
-      match Action.execute ac st with
+    | enabled -> (
+      let j = List.nth enabled (Random.State.int rng (List.length enabled)) in
+      match execute j with
       | [] -> None
       | succs ->
         let st' = List.nth succs (Random.State.int rng (List.length succs)) in
         t.injected <- t.injected + 1;
-        Some (Action.name ac, st'))
+        Some (j, st'))
   end

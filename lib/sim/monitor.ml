@@ -69,6 +69,18 @@ let safety_scan n ~bad_state ~bad_pair =
   in
   go 0
 
+(* Steps to re-enter the invariant: one past the last state outside it;
+   [Some 0] when every state is inside, [None] when the last one is
+   outside. *)
+let settling_scan n inside =
+  let rec go i =
+    if i < 0 then Some 0
+    else if inside i then go (i - 1)
+    else if i = n - 1 then None
+    else Some (i + 1)
+  in
+  go (n - 1)
+
 (* Scans begin one state past the last injected fault; [fault_steps] is
    ascending, so that is its last element. *)
 let last_fault_start (run : Runner.run) =
@@ -99,11 +111,12 @@ let first_safety_violation (run : Runner.run) sspec =
 (* ------------------------------------------------------------------ *)
 
 module Compiled = struct
-  (* The syndrome family is laid out as [X; Z; C; spec columns].  A
-     decomposable safety specification contributes one disjunction column
-     for its bad states plus an (l, r) column pair per transition
-     obligation; an opaque one keeps its closures and is scanned the
-     reference way. *)
+  (* The syndrome family is laid out as the base columns ([X; Z; C] for
+     {!make}, the optional invariant for {!safety}) followed by the spec
+     columns.  A decomposable safety specification contributes one
+     disjunction column for its bad states plus an (l, r) column pair per
+     transition obligation; an opaque one keeps its closures and is
+     scanned the reference way.  A base column a family lacks is [-1]. *)
   type spec_cols =
     | Opaque
     | Cols of {
@@ -116,18 +129,12 @@ module Compiled = struct
     x_i : int;
     z_i : int;
     c_i : int;
+    inv_i : int;
     spec_cols : spec_cols;
     sspec : Safety.t;
   }
 
-  let make ?program ~detector ~corrector ~sspec () =
-    let base =
-      [
-        Detector.detection detector;
-        Detector.witness detector;
-        Corrector.correction corrector;
-      ]
-    in
+  let compile ?program base sspec =
     let next = ref (List.length base) in
     let extra = ref [] in
     let add p =
@@ -154,8 +161,31 @@ module Compiled = struct
         in
         Cols { bad_i; pairs }
     in
-    let syn = Syndrome.compile ?program (base @ List.rev !extra) in
-    { syn; x_i = 0; z_i = 1; c_i = 2; spec_cols; sspec }
+    (Syndrome.compile ?program (base @ List.rev !extra), spec_cols)
+
+  let make ?program ~detector ~corrector ~sspec () =
+    let syn, spec_cols =
+      compile ?program
+        [
+          Detector.detection detector;
+          Detector.witness detector;
+          Corrector.correction corrector;
+        ]
+        sspec
+    in
+    { syn; x_i = 0; z_i = 1; c_i = 2; inv_i = -1; spec_cols; sspec }
+
+  let safety ?program ?invariant sspec =
+    let syn, spec_cols = compile ?program (Option.to_list invariant) sspec in
+    {
+      syn;
+      x_i = -1;
+      z_i = -1;
+      c_i = -1;
+      inv_i = (if invariant = None then -1 else 0);
+      spec_cols;
+      sspec;
+    }
 
   let eval t (run : Runner.run) = Syndrome.of_trace t.syn run.trace
 
@@ -184,9 +214,28 @@ module Compiled = struct
               && not (Syndrome.get b ~state:i ~pred:ri))
             pairs)
 
+  let settling_of_batch t b =
+    settling_scan (Syndrome.length b) (fun i ->
+        Syndrome.get b ~state:i ~pred:t.inv_i)
+
   let detection_latency t run = detection_of_batch t (eval t run)
   let correction_latency t run = correction_of_batch t run (eval t run)
   let first_safety_violation t run = violation_of_batch t run (eval t run)
+
+  type outcome = {
+    violation : int option;
+    settled : int option;
+  }
+
+  let outcomes t runs =
+    Obs.span "sim.safety_scan" ~attrs:[ Attr.int "runs" (List.length runs) ]
+    @@ fun () ->
+    List.map
+      (fun r ->
+        (* One batch feeds both scans. *)
+        let b = eval t r in
+        { violation = violation_of_batch t r b; settled = settling_of_batch t b })
+      runs
 end
 
 (* ------------------------------------------------------------------ *)

@@ -31,7 +31,10 @@ val first_safety_violation : Runner.run -> Safety.t -> int option
 
 (** The syndrome-batched monitor: detector, corrector, and (decomposed)
     safety obligations compiled into one {!Syndrome} family, evaluated
-    per run as bit columns. *)
+    per run as bit columns.  A decomposable specification is read from
+    its columns: one for the disjunction of its bad states, one or two
+    per transition obligation; an opaque one is scanned the reference
+    way. *)
 module Compiled : sig
   type t
 
@@ -52,6 +55,27 @@ module Compiled : sig
 
   val correction_latency : t -> Runner.run -> int option
   val first_safety_violation : t -> Runner.run -> int option
+
+  (** [safety ?program ?invariant sspec] compiles the safety columns
+      alone, plus the invariant when given: the family behind
+      [dcheck simulate]'s safety and settling counts and
+      [dcheck monitor]'s per-run safety line.  Only
+      {!first_safety_violation} and (given [invariant]) {!outcomes}
+      apply to it. *)
+  val safety : ?program:Program.t -> ?invariant:Pred.t -> Safety.t -> t
+
+  type outcome = {
+    violation : int option;  (** as {!first_safety_violation} *)
+    settled : int option;
+        (** Steps to re-enter the invariant: the index one past the last
+            state outside it, [Some 0] when every state is inside, [None]
+            when the final state is outside. *)
+  }
+
+  (** Both outcomes of each run, read from one batch per run, inside a
+      [sim.safety_scan] span.  Needs a family built by {!safety} with an
+      invariant. *)
+  val outcomes : t -> Runner.run list -> outcome list
 end
 
 type report = {

@@ -6,14 +6,13 @@
    scheduler almost surely executes every continuously enabled action, and
    the round-robin scheduler does so deterministically. *)
 
-open Detcor_kernel
-
 type t =
   | Uniform_random
   | Round_robin
 
-(* [pick sched ~rng ~step enabled]: choose one of the enabled actions
-   (indices paired with actions); [step] drives round-robin rotation. *)
+(* [pick sched ~rng ~step enabled]: choose one of the enabled actions,
+   given as ascending action indices; [step] drives round-robin
+   rotation. *)
 let pick sched ~rng ~step enabled =
   match enabled with
   | [] -> None
@@ -24,11 +23,7 @@ let pick sched ~rng ~step enabled =
     | Round_robin ->
       (* Rotate by the step counter over the action indices so each
          continuously enabled action is served within one rotation. *)
-      let sorted =
-        List.sort (fun (i, _) (j, _) -> Int.compare i j) enabled
-      in
-      let k = step mod List.length sorted in
-      Some (List.nth sorted k))
+      Some (List.nth enabled (step mod List.length enabled)))
 
 (* [choose_successor ~rng succs]: nondeterministic statements yield several
    successor states; pick one uniformly. *)
@@ -39,7 +34,3 @@ let choose_successor ~rng = function
 let pp ppf = function
   | Uniform_random -> Fmt.string ppf "uniform-random"
   | Round_robin -> Fmt.string ppf "round-robin"
-
-let enabled_with_index program st =
-  List.mapi (fun i ac -> (i, ac)) (Program.actions program)
-  |> List.filter (fun (_, ac) -> Action.enabled ac st)

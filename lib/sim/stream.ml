@@ -37,24 +37,32 @@ type run = {
 let write_header oc ~program =
   Printf.fprintf oc "%s\nprogram %s\n" header program
 
-let write_binding oc (k, v) = Printf.fprintf oc " %s=%s" k (Value.to_string v)
+module Value_tbl = Hashtbl.Make (Value)
 
-(* The bindings of [target] that differ from [prev].  Domains must agree
-   or the delta encoding cannot represent the step. *)
-let changed prev target =
-  let prev_bs = State.bindings prev and target_bs = State.bindings target in
-  if List.map fst prev_bs <> List.map fst target_bs then
-    Detcor_robust.Error.internal
-      "Stream.write_run: states bind different variables (%s vs %s)"
-      (State.to_string prev) (State.to_string target);
-  List.filter (fun (k, v) -> not (Value.equal v (State.get prev k))) target_bs
-
-let write_run oc ~index (r : Runner.run) =
-  Printf.fprintf oc "run %d\n" index;
+(* One run into [b].  A binding prints as " x=v"; each slot's text is
+   built once per value it takes in the run ([texts]) and the deltas come
+   from [State.diff2], which skips unchanged slots by physical equality.
+   Every state must bind the variables of the initial one, in the same
+   slots: [diff2] checks that pairwise along the run. *)
+let add_run b ~index (r : Runner.run) =
   let init = Trace.start r.trace in
-  output_string oc "init";
-  List.iter (write_binding oc) (State.bindings init);
-  output_char oc '\n';
+  let bindings = Array.of_list (State.bindings init) in
+  let prefixes = Array.map (fun (x, _) -> " " ^ x ^ "=") bindings in
+  let texts = Array.map (fun _ -> Value_tbl.create 8) bindings in
+  let add_binding k v =
+    Buffer.add_string b
+      (match Value_tbl.find_opt texts.(k) v with
+      | Some text -> text
+      | None ->
+        let text = prefixes.(k) ^ Value.to_string v in
+        Value_tbl.add texts.(k) v text;
+        text)
+  in
+  Buffer.add_string b "run ";
+  Buffer.add_string b (string_of_int index);
+  Buffer.add_string b "\ninit";
+  Array.iteri (fun k (_, v) -> add_binding k v) bindings;
+  Buffer.add_char b '\n';
   let faults = ref r.fault_steps in
   let prev = ref init in
   List.iteri
@@ -66,15 +74,37 @@ let write_run oc ~index (r : Runner.run) =
           true
         | _ -> false
       in
-      Printf.fprintf oc "%s %s" (if fault then "fault" else "step") action;
-      List.iter (write_binding oc) (changed !prev target);
-      output_char oc '\n';
+      Buffer.add_string b (if fault then "fault " else "step ");
+      Buffer.add_string b action;
+      if not (State.diff2 !prev target (fun k _ v -> add_binding k v)) then
+        Detcor_robust.Error.internal
+          "Stream.write_run: states bind different variables (%s vs %s)"
+          (State.to_string !prev) (State.to_string target);
+      Buffer.add_char b '\n';
       prev := target)
     (Trace.steps r.trace);
-  Printf.fprintf oc "end %s\n"
+  Buffer.add_string b
     (match Trace.ending r.trace with
-    | Trace.Maximal -> "maximal"
-    | Trace.Truncated -> "truncated")
+    | Trace.Maximal -> "end maximal\n"
+    | Trace.Truncated -> "end truncated\n")
+
+let write_run oc ~index r =
+  let b = Buffer.create 4096 in
+  add_run b ~index r;
+  Buffer.output_buffer oc b
+
+let record oc ~program runs =
+  Detcor_obs.Obs.span "sim.record"
+    ~attrs:[ Detcor_obs.Attr.int "runs" (List.length runs) ]
+  @@ fun () ->
+  write_header oc ~program;
+  let b = Buffer.create 65536 in
+  List.iteri
+    (fun index r ->
+      add_run b ~index r;
+      Buffer.output_buffer oc b;
+      Buffer.clear b)
+    runs
 
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)

@@ -43,8 +43,16 @@ val write_header : out_channel -> program:string -> unit
 
 (** [write_run oc ~index run] appends one recorded run.  All states of
     the run must bind the same variables (the format encodes steps as
-    deltas). *)
+    deltas); otherwise nothing of the run is written and an internal
+    error names the two states.  Deltas come
+    from {!Detcor_kernel.State.diff2}, so steps whose states share
+    unchanged bindings (any {!Runner.run}) cost one physical-equality scan
+    plus the changed bindings' text, each built once per value. *)
 val write_run : out_channel -> index:int -> Runner.run -> unit
+
+(** [record oc ~program runs] writes the header and then runs [0 ..],
+    inside a [sim.record] span: what [dcheck simulate --record] writes. *)
+val record : out_channel -> program:string -> Runner.run list -> unit
 
 (** Fold over the runs of a stream, parsing incrementally — only one run
     is in memory at a time.  Returns the accumulator and the declared

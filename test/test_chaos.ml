@@ -243,9 +243,11 @@ let suite =
         (chaos_workload "synthesize (byz4 masking)"
            [ "synthesize"; byz4; "--tolerance"; "masking" ]
            ~max_delay:0.3);
+      (* 2,000 runs keep the sample phase running past the longest
+         first kill delay (0.17 s) on the rank stepper. *)
       Alcotest.test_case "simulate survives SIGKILL" `Slow
         (chaos_workload "simulate"
-           [ "simulate"; ring5; "--runs"; "500"; "--seed"; "7" ]
+           [ "simulate"; ring5; "--runs"; "2000"; "--seed"; "7" ]
            ~max_delay:0.15);
       Alcotest.test_case "worker faults leave output untouched" `Slow
         test_worker_faults;

@@ -87,7 +87,10 @@ let test_injector_none () =
   let injector = Injector.make Injector.None_ Detcor_core.Fault.none in
   let rng = Random.State.make [| 1 |] in
   Alcotest.(check bool) "never fires" true
-    (Injector.try_inject injector ~rng ~step:0 State.empty = None);
+    (Injector.inject injector ~rng ~step:0
+       ~enabled:(fun _ -> true)
+       ~execute:(fun _ -> [ State.empty ])
+     = None);
   Alcotest.(check int) "no injections" 0 (Injector.injected injector)
 
 let test_umbrella_module () =
