@@ -1031,6 +1031,7 @@ let monitor_cmd =
   let h_detect = Metrics.histogram "monitor.detection_latency" in
   let h_correct = Metrics.histogram "monitor.correction_latency" in
   let c_records = Metrics.counter "monitor.records" in
+  let c_ranked = Metrics.counter "monitor.ranked_records" in
   let c_runs = Metrics.counter "monitor.runs" in
   let c_faults = Metrics.counter "monitor.faults" in
   let c_violations = Metrics.counter "monitor.safety_violations" in
@@ -1083,25 +1084,18 @@ let monitor_cmd =
       Hashtbl.replace inner fault_action
         (1 + Option.value ~default:0 (Hashtbl.find_opt inner fault_action))
     in
-    let monitor_run () (r : Stream.run) =
-      let rr = Stream.to_run r in
-      let states = Detcor_semantics.Trace.states rr.trace in
-      let n = List.length states in
+    let monitor_run () (r : Stream.ranked) =
+      let n = Array.length r.ranks in
+      let nfaults = List.length r.fault_steps in
       let nonzero = Array.make n false in
       let fired_low = Array.make n (-1) in
       let inv_ok = Array.make n true in
       (* Sweep the run in state batches; each batch line reports the
          OR-syndrome over its states and the per-witness fire counts. *)
-      let rec batches k base = function
-        | [] -> ()
-        | rest ->
-          let rec take acc i = function
-            | st :: more when i < batch_size -> take (st :: acc) (i + 1) more
-            | more -> (List.rev acc, more)
-          in
-          let chunk, more = take [] 0 rest in
-          let b = Syndrome.of_states syn chunk in
-          let len = Syndrome.length b in
+      let rec batches k base =
+        if base < n then begin
+          let len = min batch_size (n - base) in
+          let b = Syndrome.of_ranks syn r.ranks ~escaped:r.escaped ~pos:base ~len in
           let vec =
             String.init m (fun j ->
                 if Detcor_semantics.Bitset.any (Syndrome.column b j) then '1'
@@ -1121,25 +1115,24 @@ let monitor_cmd =
           for i = 0 to len - 1 do
             let g = base + i in
             inv_ok.(g) <- not (Syndrome.get b ~state:i ~pred:0);
-            if Syndrome.nonzero b ~state:i then begin
+            let j = Syndrome.first_fired b ~state:i in
+            if j >= 0 then begin
               nonzero.(g) <- true;
-              fired_low.(g) <-
-                (match Syndrome.fired b ~state:i with j :: _ -> j | [] -> -1)
+              fired_low.(g) <- j
             end
           done;
-          batches (k + 1) (base + len) more
+          batches (k + 1) (base + len)
+        end
       in
-      let record_arr = Array.of_list r.records in
-      Fmt.pr "run %d: states=%d faults=%d@." r.index n
-        (List.length rr.fault_steps);
-      batches 0 0 states;
+      Fmt.pr "run %d: states=%d faults=%d@." r.index n nfaults;
+      batches 0 0;
       (* Per injected fault: steps from the faulty state to the first
          fired witness (detection) and to invariant re-entry
          (correction). *)
       List.iter
         (fun s ->
           let fs = s + 1 in
-          let fault_action = record_arr.(s).Stream.action in
+          let fault_action = r.actions.(s) in
           let rec find ok j = if j >= n then None else if ok j then Some j else find ok (j + 1) in
           (match find (fun j -> nonzero.(j)) fs with
           | Some j ->
@@ -1152,17 +1145,20 @@ let monitor_cmd =
             corrections := (j - fs) :: !corrections;
             Metrics.observe h_correct (j - fs)
           | None -> ())
-        rr.fault_steps;
-      (match Monitor.Compiled.first_safety_violation safety rr with
+        r.fault_steps;
+      (match Monitor.Compiled.first_safety_violation_ranked safety r with
       | Some i ->
         incr violations;
         Fmt.pr "  safety violated at state %d@." i
       | None -> ());
+      Metrics.incr
+        ~by:(Array.fold_left (fun c rk -> if rk >= 0 then c + 1 else c) 0 r.ranks)
+        c_ranked;
       total_states := !total_states + n;
-      total_faults := !total_faults + List.length rr.fault_steps;
+      total_faults := !total_faults + nfaults;
       incr nruns;
       Metrics.incr ~by:n c_records;
-      Metrics.incr ~by:(List.length rr.fault_steps) c_faults;
+      Metrics.incr ~by:nfaults c_faults;
       Metrics.incr c_runs
     in
     let (), _program =
@@ -1171,7 +1167,8 @@ let monitor_cmd =
       Progress.with_phase "monitor.sweep"
         (fun () -> [ ("states", !total_states); ("runs", !nruns) ])
         (fun () ->
-          Stream.fold ic ~init:() ~f:monitor_run
+          Stream.fold_ranked ?layout:(Syndrome.layout syn) ic ~init:()
+            ~f:monitor_run
             ~on_torn:(fun line ->
               Fmt.epr
                 "dcheck: warning: torn record at end of stream (line %d) — \

@@ -198,21 +198,23 @@ module Compiled = struct
     correction_scan (Syndrome.length b) ~start:(last_fault_start run) (fun i ->
         Syndrome.get b ~state:i ~pred:t.c_i)
 
+  let scan_cols ~bad_i ~pairs b =
+    safety_scan (Syndrome.length b)
+      ~bad_state:(fun i ->
+        match bad_i with
+        | None -> false
+        | Some j -> Syndrome.get b ~state:i ~pred:j)
+      ~bad_pair:(fun i ->
+        List.exists
+          (fun (li, ri) ->
+            Syndrome.get b ~state:(i - 1) ~pred:li
+            && not (Syndrome.get b ~state:i ~pred:ri))
+          pairs)
+
   let violation_of_batch t (run : Runner.run) b =
     match t.spec_cols with
     | Opaque -> Safety.first_violation_in_trace run.trace t.sspec
-    | Cols { bad_i; pairs } ->
-      safety_scan (Syndrome.length b)
-        ~bad_state:(fun i ->
-          match bad_i with
-          | None -> false
-          | Some j -> Syndrome.get b ~state:i ~pred:j)
-        ~bad_pair:(fun i ->
-          List.exists
-            (fun (li, ri) ->
-              Syndrome.get b ~state:(i - 1) ~pred:li
-              && not (Syndrome.get b ~state:i ~pred:ri))
-            pairs)
+    | Cols { bad_i; pairs } -> scan_cols ~bad_i ~pairs b
 
   let settling_of_batch t b =
     settling_scan (Syndrome.length b) (fun i ->
@@ -221,6 +223,16 @@ module Compiled = struct
   let detection_latency t run = detection_of_batch t (eval t run)
   let correction_latency t run = correction_of_batch t run (eval t run)
   let first_safety_violation t run = violation_of_batch t run (eval t run)
+
+  let first_safety_violation_ranked t (r : Stream.ranked) =
+    match t.spec_cols with
+    | Opaque ->
+      let run = Stream.decode ?layout:(Syndrome.layout t.syn) r in
+      Safety.first_violation_in_trace run.trace t.sspec
+    | Cols { bad_i; pairs } ->
+      scan_cols ~bad_i ~pairs
+        (Syndrome.of_ranks t.syn r.ranks ~escaped:r.escaped ~pos:0
+           ~len:(Array.length r.ranks))
 
   type outcome = {
     violation : int option;

@@ -56,6 +56,11 @@ module Compiled : sig
   val correction_latency : t -> Runner.run -> int option
   val first_safety_violation : t -> Runner.run -> int option
 
+  (** {!first_safety_violation} of a run in rank form, from one
+      {!Syndrome.of_ranks} batch; an opaque specification decodes the
+      run ({!Stream.decode}) and scans it the reference way. *)
+  val first_safety_violation_ranked : t -> Stream.ranked -> int option
+
   (** [safety ?program ?invariant sspec] compiles the safety columns
       alone, plus the invariant when given: the family behind
       [dcheck simulate]'s safety and settling counts and

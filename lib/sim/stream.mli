@@ -54,9 +54,72 @@ val write_run : out_channel -> index:int -> Runner.run -> unit
     inside a [sim.record] span: what [dcheck simulate --record] writes. *)
 val record : out_channel -> program:string -> Runner.run list -> unit
 
-(** Fold over the runs of a stream, parsing incrementally — only one run
-    is in memory at a time.  Returns the accumulator and the declared
-    program name, if any.
+(** {1 Reading}
+
+    One byte-level parser reads every stream.  It scans a buffered
+    channel line by line with [input_line]'s notion of a line, splits
+    words on spaces after trimming [String.trim]'s blanks, and makes no
+    string for a line or a token it can decode from tables.  It feeds two
+    views of the same grammar: {!fold_ranked} and {!fold}. *)
+
+(** A run in the rank view.  State [i] (for [i < Array.length ranks]; 0
+    is the [init] state) is the layout state of rank [ranks.(i)], or,
+    when [ranks.(i) < 0], the escaped state [escaped.(i)].  [escaped] is
+    [[||]] when no state of the run escaped.  [actions.(i)] names the
+    action of record [i], the step into state [i + 1]; names are shared
+    by every record of the stream that carries them.  [fault_steps] are
+    the indices of the [fault] records, ascending. *)
+type ranked = {
+  index : int;
+  ranks : int array;
+  escaped : State.t array;
+  actions : string array;
+  fault_steps : int list;
+  ending : Trace.ending;
+}
+
+(** [fold_ranked ?layout ic ~init ~f] folds over the runs of a stream in
+    the rank view, one run in memory at a time.  Returns the accumulator
+    and the declared program name, if any.
+
+    With [layout], the reader resolves each variable name to its slot
+    and reads each value through a per-slot table of the texts
+    {!Detcor_kernel.Value.to_string} prints for the slot's domain, so a
+    state is a rank updated by [(code - old) * stride] per binding.  A
+    binding the tables do not decode — an out-of-domain value, a variable
+    outside the layout, or a non-canonical spelling such as [007], [+3]
+    or [0x1] — makes the state an escaped {!Detcor_kernel.State.t}, its
+    value read the way every view reads values (see the format above),
+    and the following bindings apply to it.  At the end of each line an
+    escaped state returns to ranks if it packs, so a non-canonical
+    spelling of an in-domain value costs one re-rank and leaves no
+    escaped state behind.  An [init] line that binds no value for some layout
+    variable raises {!Detcor_robust.Error.Parse} at that line, naming the
+    missing variables and the stream's [program] line: such a stream was
+    recorded from another program.  Extra variables escape.
+
+    Without [layout] every state is escaped: this is the {!fold} view,
+    for programs without a layout.
+
+    Errors, torn tails and [on_torn] behave as in {!fold}. *)
+val fold_ranked :
+  ?on_torn:(int -> unit) ->
+  ?layout:Layout.t ->
+  in_channel ->
+  init:'a ->
+  f:('a -> ranked -> 'a) ->
+  'a * string option
+
+(** The simulator's view of a ranked run, states decoded with [layout]
+    (needed when some state is ranked).  [faults_injected] counts the
+    [fault] records. *)
+val decode : ?layout:Layout.t -> ranked -> Runner.run
+
+(** Fold over the runs of a stream in the {!State.t} view, parsing
+    incrementally — only one run is in memory at a time.  Returns the
+    accumulator and the declared program name, if any.  Each state is the
+    previous one updated with the line's bindings, values read as the
+    format above says; no variable set is checked.
 
     A torn tail — a malformed final line, or end-of-file inside a run —
     is tolerated, not fatal: the torn line is dropped, an in-progress

@@ -7,7 +7,9 @@
    [known] set marks which ranks have been evaluated.  Ranks are computed
    with [Layout.pack_from] deltas along the state sequence, so a batch
    sweep over a trace costs a physical-equality scan per step plus — for
-   states already seen — m bit reads instead of m closure calls.
+   states already seen — m bit reads instead of m closure calls.  A run
+   replayed in rank form ([of_ranks]) skips the packing: it reads memo
+   rows by rank and decodes a state only to fill a missing row.
 
    Fault-injected states can leave the layout's domains entirely
    ([Layout.Unrepresentable]); those states are evaluated directly and
@@ -23,7 +25,6 @@ open Detcor_obs
 let max_memo_space = 1 lsl 22
 
 type packed = {
-  layout : Layout.t;
   columns : Bitset.t array; (* per pred, indexed by rank *)
   known : Bitset.t; (* ranks whose row is filled *)
 }
@@ -31,6 +32,7 @@ type packed = {
 type t = {
   preds : Pred.t array;
   fns : (State.t -> bool) array;
+  layout : Layout.t option;
   packed : packed option;
 }
 
@@ -41,23 +43,24 @@ let c_escapes = Metrics.counter "sim.syndrome.escapes"
 let compile ?program preds =
   let preds = Array.of_list preds in
   let fns = Array.map Pred.fn preds in
+  let layout = Option.bind program Layout.of_program in
   let packed =
-    match Option.bind program Layout.of_program with
+    match layout with
     | Some layout when Layout.space layout <= max_memo_space ->
       let space = Layout.space layout in
       Some
         {
-          layout;
           columns = Array.init (Array.length preds) (fun _ -> Bitset.create space);
           known = Bitset.create space;
         }
     | _ -> None
   in
-  { preds; fns; packed }
+  { preds; fns; layout; packed }
 
 let num_preds t = Array.length t.preds
 let pred_names t = Array.map Pred.name t.preds
 let is_packed t = t.packed <> None
+let layout t = t.layout
 
 type batch = {
   count : int;
@@ -68,9 +71,25 @@ type batch = {
 let eval_direct t cols i st =
   Array.iteri (fun j f -> if f st then Bitset.set cols.(j) i) t.fns
 
+(* Is the memo row of [rank] filled?  Counts the hit or the miss. *)
+let[@inline] known p rank =
+  let k = Bitset.get p.known rank in
+  Metrics.incr (if k then c_hits else c_misses);
+  k
+
+(* Fill the memo row of [rank] from its state [st]. *)
+let fill t p rank st =
+  Array.iteri (fun j f -> if f st then Bitset.set p.columns.(j) rank) t.fns;
+  Bitset.set p.known rank
+
+(* Copy the memo row of [rank] into batch position [i]. *)
+let[@inline] copy_row p cols i rank =
+  for j = 0 to Array.length cols - 1 do
+    if Bitset.get p.columns.(j) rank then Bitset.set cols.(j) i
+  done
+
 let of_seq t count states =
-  let m = Array.length t.fns in
-  let cols = Array.init m (fun _ -> Bitset.create count) in
+  let cols = Array.init (Array.length t.fns) (fun _ -> Bitset.create count) in
   (match t.packed with
   | None ->
     let i = ref 0 in
@@ -79,6 +98,7 @@ let of_seq t count states =
         eval_direct t cols !i st;
         incr i)
   | Some p ->
+    let layout = Option.get t.layout in
     (* [prev] carries the last representable state and its rank, feeding
        [pack_from]'s delta scan; an escape resets the chain. *)
     let prev = ref None in
@@ -88,22 +108,15 @@ let of_seq t count states =
         (match
            match !prev with
            | Some (src, src_rank) -> (
-             try Some (Layout.pack_from p.layout ~src_rank src st)
+             try Some (Layout.pack_from layout ~src_rank src st)
              with Layout.Unrepresentable -> None)
            | None -> (
-             try Some (Layout.pack p.layout st)
+             try Some (Layout.pack layout st)
              with Layout.Unrepresentable -> None)
          with
         | Some rank ->
-          if not (Bitset.get p.known rank) then begin
-            Metrics.incr c_misses;
-            Array.iteri (fun j f -> if f st then Bitset.set p.columns.(j) rank) t.fns;
-            Bitset.set p.known rank
-          end
-          else Metrics.incr c_hits;
-          for j = 0 to m - 1 do
-            if Bitset.get p.columns.(j) rank then Bitset.set cols.(j) !i
-          done;
+          if not (known p rank) then fill t p rank st;
+          copy_row p cols !i rank;
           prev := Some (st, rank)
         | None ->
           Metrics.incr c_escapes;
@@ -117,6 +130,29 @@ let of_states t states =
 
 let of_trace t tr = of_states t (Trace.states tr)
 
+let of_ranks t ranks ~escaped ~pos ~len =
+  let cols = Array.init (Array.length t.fns) (fun _ -> Bitset.create len) in
+  let unpack rank =
+    match t.layout with
+    | Some l -> Layout.unpack l rank
+    | None -> invalid_arg "Syndrome.of_ranks: this family has no layout"
+  in
+  for i = 0 to len - 1 do
+    if i land 127 = 0 then Detcor_robust.Budget.tick ();
+    let rank = ranks.(pos + i) in
+    match t.packed with
+    | Some p when rank >= 0 ->
+      if not (known p rank) then fill t p rank (unpack rank);
+      copy_row p cols i rank
+    | Some _ ->
+      Metrics.incr c_escapes;
+      eval_direct t cols i escaped.(pos + i)
+    | None ->
+      eval_direct t cols i
+        (if rank >= 0 then unpack rank else escaped.(pos + i))
+  done;
+  { count = len; cols }
+
 let length b = b.count
 
 let get b ~state ~pred = Bitset.get b.cols.(pred) state
@@ -129,6 +165,13 @@ let fired b ~state =
     if Bitset.get b.cols.(j) state then acc := j :: !acc
   done;
   !acc
+
+let first_fired b ~state =
+  let m = Array.length b.cols in
+  let rec go j =
+    if j = m then -1 else if Bitset.get b.cols.(j) state then j else go (j + 1)
+  in
+  go 0
 
 let nonzero b ~state =
   let m = Array.length b.cols in

@@ -36,12 +36,31 @@ val pred_names : t -> string array
 (** Did compilation produce a rank-memoized evaluator? *)
 val is_packed : t -> bool
 
+(** The layout of the program the family was compiled with, when it has
+    one ({!Detcor_semantics.Layout.of_program}); it ranks the states
+    {!of_ranks} reads. *)
+val layout : t -> Layout.t option
+
 (** Syndromes for one batch of states: column [j] holds bit [i] iff
     predicate [j] of the family holds at state [i] of the batch. *)
 type batch
 
 val of_states : t -> State.t list -> batch
 val of_trace : t -> Trace.t -> batch
+
+(** [of_ranks t ranks ~escaped ~pos ~len] is the batch of states
+    [pos .. pos + len - 1] of a run in rank form ({!Stream.ranked}):
+    state [i] is the state of rank [ranks.(i)] in {!layout}, or
+    [escaped.(i)] when [ranks.(i) < 0].  A ranked state reads its memo
+    row, and is decoded ({!Detcor_semantics.Layout.unpack}) only to fill
+    the row on a miss, or when the family has no memo; an escaped state
+    is evaluated directly.  The results, the memo counters and the
+    {!Detcor_robust.Budget.tick} cadence (every 128 states) are those of
+    {!of_states} on the decoded states.
+    @raise Invalid_argument if a rank is given to a family without a
+    layout. *)
+val of_ranks :
+  t -> int array -> escaped:State.t array -> pos:int -> len:int -> batch
 
 (** Number of states in the batch. *)
 val length : batch -> int
@@ -55,6 +74,10 @@ val column : batch -> int -> Bitset.t
 
 (** Indices of the predicates holding at state [state], ascending. *)
 val fired : batch -> state:int -> int list
+
+(** The lowest predicate holding at state [state], or [-1] when none
+    does: the head of {!fired}, without the list. *)
+val first_fired : batch -> state:int -> int
 
 (** Does any predicate of the family hold at state [state]? *)
 val nonzero : batch -> state:int -> bool

@@ -155,6 +155,71 @@ let test_torn_final_line () =
   check_contains out "torn record at end of stream";
   check_contains out "runs: 1"
 
+(* A stream recorded from another program: its 'init' lines bind none of
+   the monitored program's variables.  The stream is at fault, so the
+   error is located at the 'init' line, names the missing variables and
+   the stream's program, exits 2, and prints nothing of the run. *)
+let test_foreign_stream () =
+  with_temp ".stream" @@ fun stream ->
+  with_temp ".out" @@ fun out ->
+  let code =
+    run_dcheck
+      [ "simulate"; Filename.concat corpus "byz4.dc"; "--runs"; "2"; "--steps";
+        "8"; "--seed"; "3"; "--record"; stream ]
+      ~out
+  in
+  Alcotest.(check int) "simulate exits 0" 0 code;
+  let code =
+    run_dcheck
+      [ "monitor"; Filename.concat corpus "ring5.dc"; "--stream"; stream ]
+      ~out
+  in
+  Alcotest.(check int) "foreign stream exits 2" 2 code;
+  let out = read_file out in
+  check_contains out (stream ^ ":4:0: 'init' binds no x0, x1, x2, x3, x4");
+  check_contains out "the stream's 'program' line names byz4";
+  Alcotest.(check bool) "nothing of the run printed" false (contains out "run 0:")
+
+(* [dcheck monitor] replays each golden stream to the recorded stdout and
+   exit code, byte for byte.  The goldens were made by the reader that
+   split lines into strings; test/golden/monitor/MANIFEST lists them and
+   says how they were recorded. *)
+let test_goldens () =
+  let dir = "golden/monitor" in
+  let cases =
+    In_channel.with_open_text (Filename.concat dir "MANIFEST") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ name; model; code ] -> (name, model, int_of_string code)
+           | _ -> Alcotest.fail (Fmt.str "bad MANIFEST line %S" l))
+  in
+  Alcotest.(check bool) "every model has a golden" true (List.length cases >= 13);
+  List.iter
+    (fun (name, model, expected_code) ->
+      with_temp ".out" @@ fun out ->
+      let fd = Unix.openfile out [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+      let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process dcheck
+          [| dcheck; "monitor"; Filename.concat corpus model; "--stream";
+             Filename.concat dir (name ^ ".stream") |]
+          Unix.stdin fd null
+      in
+      Unix.close fd;
+      Unix.close null;
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED c -> c
+        | _ -> Alcotest.fail (name ^ ": dcheck died")
+      in
+      Alcotest.(check int) (name ^ ": exit code") expected_code code;
+      Alcotest.(check string) (name ^ ": stdout")
+        (read_file (Filename.concat dir (name ^ ".out")))
+        (read_file out))
+    cases
+
 let test_missing_stream () =
   with_temp ".out" @@ fun out ->
   let code =
@@ -242,6 +307,9 @@ let suite =
       Alcotest.test_case "torn tail: partial final line tolerated" `Quick
         test_torn_final_line;
       Alcotest.test_case "unreadable stream (exit 2)" `Quick test_missing_stream;
+      Alcotest.test_case "stream of another program (exit 2)" `Quick
+        test_foreign_stream;
+      Alcotest.test_case "golden outputs, byte for byte" `Quick test_goldens;
       Alcotest.test_case "zero budget (exit 3)" `Quick test_timeout;
       Alcotest.test_case "--metrics snapshot parses" `Quick
         test_metrics_snapshot;

@@ -163,8 +163,73 @@ let prop_syndrome_decodes =
                  && Syndrome.fired b ~state:i
                     = List.filteri
                         (fun j _ -> Syndrome.get b ~state:i ~pred:j)
-                        (List.mapi (fun j _ -> j) family))
+                        (List.mapi (fun j _ -> j) family)
+                 && Syndrome.first_fired b ~state:i
+                    = (match Syndrome.fired b ~state:i with
+                      | j :: _ -> j
+                      | [] -> -1))
                (List.mapi (fun i st -> (i, st)) states))
+        (compile_forms program))
+
+(* [run] in the rank form a replayed stream delivers: each state ranked
+   by [layout], or escaped when it does not pack (or there is no
+   layout). *)
+let ranked_of_run layout (run : Runner.run) =
+  let module Trace = Detcor_semantics.Trace in
+  let states = Array.of_list (Trace.states run.trace) in
+  {
+    Stream.index = 0;
+    ranks =
+      Array.map
+        (fun st ->
+          match
+            Option.bind layout (fun l -> Detcor_semantics.Layout.pack_opt l st)
+          with
+          | Some r -> r
+          | None -> -1)
+        states;
+    escaped = states;
+    actions =
+      Array.of_list
+        (List.map (fun (s : Trace.step) -> s.action) (Trace.steps run.trace));
+    fault_steps = run.fault_steps;
+    ending = Trace.ending run.trace;
+  }
+
+(* A slice of a run in rank form yields the batch of its states, and the
+   run's first safety violation is the reference monitor's, with the
+   rank memo, without a memo (every state escaped), and for the opaque
+   specification. *)
+let prop_ranks_identical =
+  Util.qtest ~count:150 "rank-form batches and safety = state batches" case_arb
+    (fun c ->
+      let program = Test_engine_diff.build_program c.rp in
+      let run = sample_run program c in
+      let states = Detcor_semantics.Trace.states run.Runner.trace in
+      let n = List.length states in
+      let family = List.map (fun k -> pred_of_seed (c.seed lxor k)) [ 0; 5; 11 ] in
+      let _, _, sspec = components c in
+      let pos = c.seed mod n in
+      let len = c.seed / 7 mod (n - pos + 1) in
+      List.for_all
+        (fun program ->
+          let syn = Syndrome.compile ?program family in
+          let r = ranked_of_run (Syndrome.layout syn) run in
+          let a = Syndrome.of_ranks syn r.ranks ~escaped:r.escaped ~pos ~len in
+          let b =
+            Syndrome.of_states syn
+              (List.filteri (fun i _ -> i >= pos && i < pos + len) states)
+          in
+          Syndrome.length a = len
+          && List.for_all
+               (fun j ->
+                 Detcor_semantics.Bitset.equal (Syndrome.column a j)
+                   (Syndrome.column b j))
+               [ 0; 1; 2 ]
+          && Monitor.Compiled.first_safety_violation_ranked
+               (Monitor.Compiled.safety ?program sspec)
+               r
+             = Monitor.first_safety_violation run sspec)
         (compile_forms program))
 
 (* A second sweep through the same compiled family must hit the memo and
@@ -202,5 +267,6 @@ let suite =
       prop_report_identical;
       prop_syndrome_decodes;
       prop_memo_stable;
+      prop_ranks_identical;
       Alcotest.test_case "syndrome memo selection" `Quick test_syndrome_selection;
     ] )

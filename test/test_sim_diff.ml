@@ -10,7 +10,11 @@
 
    The stream writer must write the bytes of the binding-by-binding
    writer it replaced, kept below as the oracle, and [Stream.fold] must
-   read them back to the runs that were written. *)
+   read them back to the runs that were written.
+
+   The byte-level stream reader must read what the line-splitting reader
+   it replaced ([Stream_oracle]) reads, in both of its views, on written
+   streams mutated the ways real ones go wrong. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -392,6 +396,291 @@ let test_writer_mismatch () =
   Alcotest.(check bool) "an error was raised" true (raised <> None);
   Alcotest.(check string) "nothing of the run written" "" text
 
+(* ------------------------------------------------------------------ *)
+(* Stream reader.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What a reader made of a stream: the runs it delivered as (index,
+   initial state, (action, fault, target) records, ending), the program
+   it named, the lines it reported torn, and the [Error.Parse] it ended
+   with, as (line, message). *)
+type read = {
+  runs : (int * State.t * (string * bool * State.t) list * Trace.ending) list;
+  program : string option;
+  torn : int list;
+  error : (int * string) option;
+}
+
+let read_with fold text =
+  let path = Filename.temp_file "detcor_stream" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let runs = ref [] and torn = ref [] in
+  In_channel.with_open_bin path (fun ic ->
+      let on_torn l = torn := l :: !torn and f r = runs := r :: !runs in
+      let program, error =
+        match fold ic ~on_torn ~f with
+        | program -> (program, None)
+        | exception
+            Detcor_robust.Error.Detcor_error
+              (Detcor_robust.Error.Parse { line; msg; _ }) ->
+          (None, Some (line, msg))
+      in
+      { runs = List.rev !runs; program; torn = List.rev !torn; error })
+
+let oracle_fold ic ~on_torn ~f =
+  snd
+    (Stream_oracle.fold ~on_torn ic ~init:() ~f:(fun () (r : Stream_oracle.run) ->
+         f
+           ( r.index,
+             r.init,
+             List.map
+               (fun (x : Stream_oracle.record) -> (x.action, x.fault, x.target))
+               r.records,
+             r.ending )))
+
+let view_fold ic ~on_torn ~f =
+  snd
+    (Stream.fold ~on_torn ic ~init:() ~f:(fun () (r : Stream.run) ->
+         f
+           ( r.index,
+             r.init,
+             List.map
+               (fun (x : Stream.record) -> (x.action, x.fault, x.target))
+               r.records,
+             r.ending )))
+
+(* The rank view, decoded; a state is escaped exactly when it does not
+   pack. *)
+let ranked_fold layout ic ~on_torn ~f =
+  snd
+    (Stream.fold_ranked ~on_torn ~layout ic ~init:()
+       ~f:(fun () (r : Stream.ranked) ->
+         Array.iteri
+           (fun i rk ->
+             if rk < 0 && Layout.pack_opt layout r.escaped.(i) <> None then
+               QCheck.Test.fail_reportf "run %d: escaped state %d packs" r.index i)
+           r.ranks;
+         let run = Stream.decode ~layout r in
+         f
+           ( r.index,
+             Trace.start run.trace,
+             List.mapi
+               (fun i (x : Trace.step) ->
+                 (x.action, List.mem i run.fault_steps, x.target))
+               (Trace.steps run.trace),
+             r.ending )))
+
+(* [b] read what [a] read; on an error line [replaced] holds for, only
+   the line must agree. *)
+let same_read ?(replaced = fun _ -> false) what a b =
+  let same_record (x, f, t) (x', f', t') =
+    String.equal x x' && f = f' && State.equal t t'
+  in
+  let same_run (i, s, rs, e) (i', s', rs', e') =
+    i = i' && State.equal s s' && e = e' && List.equal same_record rs rs'
+  in
+  (List.equal same_run a.runs b.runs
+  || QCheck.Test.fail_reportf "%s: runs differ (%d vs %d runs)" what
+       (List.length a.runs) (List.length b.runs))
+  && (a.program = b.program
+     || QCheck.Test.fail_reportf "%s: program differs" what)
+  && (a.torn = b.torn
+     || QCheck.Test.fail_reportf "%s: torn lines differ" what)
+  &&
+  match (a.error, b.error) with
+  | None, None -> true
+  | Some (l, m), Some (l', m')
+    when l = l' && (replaced l || String.equal m m') ->
+    true
+  | _ ->
+    let pp =
+      Fmt.(option ~none:(any "none") (pair ~sep:(any ": ") int string))
+    in
+    QCheck.Test.fail_reportf "%s: error %a vs %a" what pp a.error pp b.error
+
+(* Mutations of a written stream, one line at a time: spellings of the
+   same integer, values outside the domain, extra, duplicate and missing
+   bindings, malformed and deleted lines, odd whitespace; and a torn
+   tail. *)
+let mutate_line rng line =
+  let words = String.split_on_char ' ' line in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let edit_value w =
+    match String.index_opt w '=' with
+    | None -> w
+    | Some i -> (
+      let k = String.sub w 0 i
+      and v = String.sub w (i + 1) (String.length w - i - 1) in
+      match int_of_string_opt v with
+      | Some n when Random.State.bool rng ->
+        k ^ "="
+        ^ pick
+            [
+              "0" ^ v;
+              "00" ^ v;
+              (if n >= 0 then "+" ^ v else "-0" ^ string_of_int (-n));
+              Printf.sprintf "0x%x" (abs n);
+              "0_" ^ v;
+            ]
+      | _ -> k ^ "=" ^ pick [ "9"; "-1"; "zz"; "true"; "bot"; "r"; "q"; "0" ])
+  in
+  let bindings = List.filter (fun w -> String.contains w '=') words in
+  match Random.State.int rng 8 with
+  | 0 | 1 when bindings <> [] ->
+    let target = pick bindings in
+    [
+      String.concat " "
+        (List.map (fun w -> if w == target then edit_value w else w) words);
+    ]
+  | 2 -> [ line ^ pick [ " zz=1"; " n=1"; " n=9"; " s=q"; " a=false a=true" ] ]
+  | 3 when bindings <> [] ->
+    let target = pick bindings in
+    [ String.concat " " (List.filter (fun w -> w != target) words) ]
+  | 4 ->
+    [ line;
+      pick
+        [
+          "wobble"; "step"; "end sideways"; "end"; "run x"; "run 007";
+          "init a=true"; "program other"; "fault f q"; "step a x"; "step a x=";
+          "step a =1"; "   "; "# note"; "#"; "end maximal"; "end truncated";
+          "init"; "run 2 3";
+        ];
+    ]
+  | 5 ->
+    [ pick
+        [
+          String.map (fun c -> if c = ' ' then '\t' else c) line;
+          line ^ "\r";
+          "  " ^ line;
+          String.concat "  " words;
+          line ^ " \t";
+          "\012" ^ line;
+        ];
+    ]
+  | 6 -> []
+  | _ -> [ line ]
+
+let mutate rng text =
+  let lines = String.split_on_char '\n' text in
+  let lines =
+    List.concat_map
+      (fun l -> if Random.State.int rng 12 = 0 then mutate_line rng l else [ l ])
+      lines
+  in
+  let text = String.concat "\n" lines in
+  if Random.State.int rng 4 = 0 then
+    String.sub text 0 (Random.State.int rng (String.length text + 1))
+  else text
+
+(* The oracle's reading of what the rank view must read: an [init] line
+   that binds no value for some layout variable becomes a line the oracle
+   rejects, since the rank view rejects it.  Returns the text and the
+   replaced lines. *)
+let without_missing layout text =
+  let vars = List.init (Layout.num_vars layout) (Layout.var layout) in
+  let replaced = ref [] in
+  let lines =
+    List.mapi
+      (fun i l ->
+        match
+          String.split_on_char ' ' (String.trim l)
+          |> List.filter (fun w -> w <> "")
+        with
+        | "init" :: bindings ->
+          let keys =
+            List.filter_map
+              (fun w ->
+                Option.map (fun j -> String.sub w 0 j) (String.index_opt w '='))
+              bindings
+          in
+          if List.for_all (fun x -> List.mem x keys) vars then l
+          else begin
+            replaced := (i + 1) :: !replaced;
+            "init !"
+          end
+        | _ -> l)
+      (String.split_on_char '\n' text)
+  in
+  (String.concat "\n" lines, fun l -> List.mem l !replaced)
+
+let prop_reader =
+  Util.qtest ~count:300
+    "stream reader = split_on_char oracle (State.t and rank views)"
+    QCheck.(triple dsl_faults_arb (int_bound 100_000) (int_bound 1_000_000))
+    (fun (src, seed, mseed) ->
+      let e, layout = elaborate src in
+      let init = Layout.unpack layout (seed mod Layout.space layout) in
+      let config = { Runner.default with seed; max_steps = 12 } in
+      match
+        Runner.sample ~config 3 e.program ~faults:e.faults
+          ~policy:(Injector.Random { probability = 0.4; max_faults = 3 })
+          ~init
+      with
+      | exception Value.Type_error _ -> true
+      | runs ->
+        let written, _ =
+          written (fun oc -> Stream.record oc ~program:"rnd" runs)
+        in
+        let text = mutate (Random.State.make [| mseed |]) written in
+        let oracle = read_with oracle_fold text in
+        let reference, replaced = without_missing layout text in
+        same_read "State.t view" oracle (read_with view_fold text)
+        && same_read ~replaced "rank view"
+             (read_with oracle_fold reference)
+             (read_with (ranked_fold layout) text))
+
+(* Runs longer than the reader's first buffers (1,024 states), with a
+   state escaping the layout early in one run and late in another, and a
+   non-canonical spelling in between: both views read what the oracle
+   reads. *)
+let test_long_escapes () =
+  let e = Detcor_lang.Elaborate.load_string escaping_src in
+  let layout = Option.get (Layout.of_program e.program) in
+  let b = Buffer.create 65536 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let flips k = for i = 1 to k do line "step flip b=%b" (i mod 2 = 0) done in
+  line "# detcor stream v1";
+  line "program esc";
+  line "run 0";
+  line "init n=0 b=false";
+  line "step inc n=1";
+  line "step inc n=2";
+  line "fault set n=3 b=true";
+  line "step wrap n=0";
+  flips 600;
+  line "step inc n=+1";
+  flips 600;
+  line "end truncated";
+  line "run 1";
+  line "init n=0 b=true";
+  flips 1100;
+  line "end maximal";
+  line "run 2";
+  line "init n=0 b=false";
+  flips 1100;
+  line "fault set n=3";
+  line "step wrap n=0";
+  flips 100;
+  line "end maximal";
+  let text = Buffer.contents b in
+  let oracle = read_with oracle_fold text in
+  Alcotest.(check int) "three runs" 3 (List.length oracle.runs);
+  Alcotest.(check bool) "State.t view = oracle" true
+    (same_read "State.t view" oracle (read_with view_fold text));
+  Alcotest.(check bool) "rank view = oracle" true
+    (same_read "rank view" oracle (read_with (ranked_fold layout) text));
+  let path = Filename.temp_file "detcor_stream" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let escaped, _ =
+    In_channel.with_open_bin path (fun ic ->
+        Stream.fold_ranked ~layout ic ~init:[] ~f:(fun acc (r : Stream.ranked) ->
+            Array.fold_left (fun n rk -> if rk < 0 then n + 1 else n) 0 r.ranks
+            :: acc))
+  in
+  Alcotest.(check (list int)) "escaped states per run" [ 1; 0; 1 ] (List.rev escaped)
+
 let suite =
   ( "sim diff (rank stepper, stream writer)",
     [
@@ -404,4 +693,7 @@ let suite =
       prop_writer;
       Alcotest.test_case "writer: different variables raise" `Quick
         test_writer_mismatch;
+      prop_reader;
+      Alcotest.test_case "reader: long runs with escaped states" `Quick
+        test_long_escapes;
     ] )
