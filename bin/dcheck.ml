@@ -962,9 +962,8 @@ let simulate_cmd =
       in
       let outcomes =
         Monitor.Compiled.outcomes
-          (Monitor.Compiled.safety ~program:e.program ~invariant:e.invariant
-             sspec)
-          samples
+          (Monitor.Compiled.make ~program:e.program [ e.invariant ] sspec)
+          ~invariant:0 samples
       in
       let violations =
         List.length
@@ -1007,8 +1006,10 @@ let simulate_cmd =
 (* Offline syndrome monitoring of recorded streams.  The program's whole
    witness family — invariant violation, the specification's bad states,
    and one unsafe(a) localization witness per action — is compiled into a
-   single syndrome evaluator; the stream's runs are then swept in batches
-   of states, each batch reporting which witnesses fired.  Latencies are
+   single syndrome evaluator, followed by the specification's own safety
+   columns; the stream's runs are then swept in batches of states, each
+   batch reporting which witnesses fired, and the run's first safety
+   violation is read from the same batches.  Latencies are
    measured per injected fault and exported through the metrics snapshot;
    the first witness to fire after each fault feeds the localization
    table. *)
@@ -1048,18 +1049,20 @@ let monitor_cmd =
            (fun ac -> Detection_predicate.unsafe ~sspec ac)
            (Program.actions e.program)
     in
-    let syn = Syndrome.compile ~program:e.program family in
-    let safety = Monitor.Compiled.safety ~program:e.program sspec in
-    let names = Syndrome.pred_names syn in
-    let m = Array.length names in
+    let safety = Monitor.Compiled.make ~program:e.program family sspec in
+    let syn = Monitor.Compiled.family safety in
+    (* The witnesses lead the family; the safety columns follow them. *)
+    let m = List.length family in
+    let names = Array.sub (Syndrome.pred_names syn) 0 m in
     Fmt.pr "monitoring %s with %d witnesses (%s)@." (Program.name e.program) m
       (if Syndrome.is_packed syn then "packed" else "reference");
     Array.iteri (fun j n -> Fmt.pr "  [%d] %s@." j n) names;
     let stream_path, ic, close_ic =
-      if stream = "-" then ("<stdin>", stdin, fun () -> ())
-      else (stream, open_in stream, fun () -> ())
+      if stream = "-" then ("<stdin>", stdin, ignore)
+      else
+        let ic = open_in stream in
+        (stream, ic, fun () -> close_in ic)
     in
-    let close_ic = if stream = "-" then close_ic else fun () -> close_in ic in
     (* Stream problems (unreadable file, malformed records) are located in
        the stream, not the program: a nested handler re-renders them with
        the stream path and its own exit code. *)
@@ -1091,9 +1094,11 @@ let monitor_cmd =
       let fired_low = Array.make n (-1) in
       let inv_ok = Array.make n true in
       (* Sweep the run in state batches; each batch line reports the
-         OR-syndrome over its states and the per-witness fire counts. *)
-      let rec batches k base =
-        if base < n then begin
+         OR-syndrome over its witnesses and the per-witness fire counts.
+         The batches are kept, in reverse, for the safety scan. *)
+      let rec batches k base acc =
+        if base >= n then acc
+        else begin
           let len = min batch_size (n - base) in
           let b = Syndrome.of_ranks syn r.ranks ~escaped:r.escaped ~pos:base ~len in
           let vec =
@@ -1116,16 +1121,16 @@ let monitor_cmd =
             let g = base + i in
             inv_ok.(g) <- not (Syndrome.get b ~state:i ~pred:0);
             let j = Syndrome.first_fired b ~state:i in
-            if j >= 0 then begin
+            if j >= 0 && j < m then begin
               nonzero.(g) <- true;
               fired_low.(g) <- j
             end
           done;
-          batches (k + 1) (base + len)
+          batches (k + 1) (base + len) (b :: acc)
         end
       in
       Fmt.pr "run %d: states=%d faults=%d@." r.index n nfaults;
-      batches 0 0;
+      let swept = List.rev (batches 0 0 []) in
       (* Per injected fault: steps from the faulty state to the first
          fired witness (detection) and to invariant re-entry
          (correction). *)
@@ -1146,7 +1151,8 @@ let monitor_cmd =
             Metrics.observe h_correct (j - fs)
           | None -> ())
         r.fault_steps;
-      (match Monitor.Compiled.first_safety_violation_ranked safety r with
+      let trace () = (Stream.decode ?layout:(Syndrome.layout syn) r).trace in
+      (match Monitor.Compiled.first_safety_violation safety ~trace swept with
       | Some i ->
         incr violations;
         Fmt.pr "  safety violated at state %d@." i

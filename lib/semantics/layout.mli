@@ -114,10 +114,6 @@ val escape : escape -> 'a
     (of length {!num_vars}). *)
 val decode : t -> int -> int array -> unit
 
-(** [advance t codes] turns the codes of rank [r] into those of rank
-    [r + 1] (an odometer step, cheaper than {!decode}). *)
-val advance : t -> int array -> unit
-
 (** [iter_codes t f] calls [f rank codes] for every rank of the product
     space in ascending order, through one code buffer that is overwritten
     after each call. *)

@@ -5,9 +5,8 @@
    library (closure, convergence, leads-to, fairness, safety) run on it.
 
    Every construction — [build] from explicit states, [of_pred] from the
-   product states satisfying a predicate, [full] over the whole product,
-   [build_within] from the states of another explored system — runs one
-   pipeline:
+   product states satisfying a predicate, [build_within] from the states
+   of another explored system — runs one pipeline:
 
    - one dispatcher ([construct]) picks the store for the requested engine
      and owns the [Auto] fallback;
@@ -20,8 +19,7 @@
      computed arithmetically, with no successor state; closure-built
      actions run the interpreter and [Layout.pack_from];
    - the results land in a flat store (CSR arrays and a rank column,
-     states interned by rank in a [Rank_map]; the full product skips
-     interning, a state's index being its rank) or in the shard store
+     states interned by rank in a [Rank_map]) or in the shard store
      ([Shard_store]: hash-partitioned arenas that spill to disk, each
      shard interning through its own [Rank_map]).  Wide frontiers of the
      flat store fan out over OCaml 5 domains through one chunk runner
@@ -123,7 +121,6 @@ type store =
   | Interned of Layout.t * int array * Rank_map.t
       (* a flat BFS store: the rank of each state, and the rank -> index
          interning table *)
-  | Product of Layout.t (* the full product: state [i] has rank [i] *)
   | Shards of Layout.t * Shard_store.t
       (* the out-of-core store; the flat CSR arrays are then empty and
          every accessor dispatches *)
@@ -157,8 +154,7 @@ let default_limit = 2_000_000
 (* ------------------------------------------------------------------ *)
 
 (* [keys.(i)] identifies state [i]: its rank in a BFS store, the state
-   itself on the reference path.  The full product keeps no keys, a
-   state's index being its rank. *)
+   itself on the reference path. *)
 type 'k builder = {
   mutable keys : 'k array;
   mutable count : int;
@@ -167,7 +163,6 @@ type 'k builder = {
   mutable elen : int;
   mutable rows : int array; (* rows.(i+1) = end offset of state i's edges *)
   mutable expanded : int; (* states with closed rows: 0..expanded-1 *)
-  mutable expect : int; (* final state count when known up front, else 0 *)
   limit : int;
 }
 
@@ -180,21 +175,17 @@ let new_builder ~limit =
     elen = 0;
     rows = [| 0 |];
     expanded = 0;
-    expect = 0;
     limit;
   }
 
-(* Count one more state: the limit, the live counter and the budget. *)
-let admit b =
+(* Add one more state, counted against the limit, the live counter and
+   the budget. *)
+let add_state b key =
   let i = b.count in
   if i >= b.limit then raise (Too_large b.limit);
   if Obs.on () || Progress.armed () then live_state_interned ();
   Detcor_robust.Budget.count_state ();
   b.count <- i + 1;
-  i
-
-let add_state b key =
-  let i = admit b in
   let cap = Array.length b.keys in
   if i >= cap then begin
     let cap' = max 1024 (2 * cap) in
@@ -211,20 +202,11 @@ let add_state b key =
 (* The keys of the states added so far. *)
 let keys b = Array.sub b.keys 0 b.count
 
-(* Room for [n] edges.  When the final state count is known ([expect]),
-   growth extrapolates the mean out-degree of the closed rows: one or two
-   reallocations of about the final size instead of a doubling chain,
-   each of which copies every edge so far. *)
+(* Room for [n] edges, doubling. *)
 let ensure_edges b n =
   let cap = Array.length b.ea in
   if n > cap then begin
-    let target =
-      if b.expect > 0 && b.expanded > 0 then
-        let projected = b.elen * b.expect / b.expanded in
-        max (cap + (cap / 4)) (projected + (projected / 16))
-      else 2 * cap
-    in
-    let cap' = max n target in
+    let cap' = max n (2 * cap) in
     let ea' = Array.make cap' 0 and et' = Array.make cap' 0 in
     Array.blit b.ea 0 ea' 0 b.elen;
     Array.blit b.et 0 et' 0 b.elen;
@@ -246,12 +228,11 @@ let close_row b i =
   b.expanded <- i + 1
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint payloads for the packed construction loops.               *)
+(* Checkpoint payloads for the packed BFS.                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A capture persists the closed-row CSR prefix plus (for the BFS, which
-   discovers states as it goes) the packed rank of every state interned
-   so far.  Captures fire from [Budget] checkpoints on the orchestrating
+(* A capture persists the closed-row CSR prefix plus the packed rank of
+   every state interned so far.  Captures fire from [Budget] checkpoints on the orchestrating
    domain only: at those points states [0..count) are fully written and
    edges beyond [rows.(expanded)] belong to a half-merged row, so the
    prefix below is consistent by construction.  Restoring re-interns the
@@ -259,17 +240,17 @@ let close_row b i =
    downstream is deterministic, so the finished system is byte-identical
    to an uninterrupted build. *)
 type build_snap = {
-  s_ranks : int array; (* rank of state i; empty for the full walk *)
+  s_ranks : int array; (* rank of state i *)
   s_rows : int array; (* rows.(0 .. expanded) *)
   s_ea : int array; (* closed edges only *)
   s_et : int array;
   s_expanded : int;
 }
 
-let snap_of_builder ?(ranks = [||]) b =
+let snap_of_builder b =
   let closed = b.rows.(b.expanded) in
   {
-    s_ranks = ranks;
+    s_ranks = keys b;
     s_rows = Array.sub b.rows 0 (b.expanded + 1);
     s_ea = Array.sub b.ea 0 closed;
     s_et = Array.sub b.et 0 closed;
@@ -496,7 +477,7 @@ let run_chunks ~site ~workers ~lo ~hi ~expand ~merge =
 let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
 
 (* ------------------------------------------------------------------ *)
-(* Flat store: rank-interned BFS and the identity-rank full product.   *)
+(* Flat store: rank-interned BFS.                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Breadth-first exploration from the seed ranks, interning states by
@@ -533,7 +514,7 @@ let build_packed ~limit ~workers k program seeds =
       snap.s_ranks;
     restore_edges b snap
   | None -> ());
-  let capture () = Marshal.to_string (snap_of_builder b ~ranks:(keys b)) [] in
+  let capture () = Marshal.to_string (snap_of_builder b) [] in
   Detcor_robust.Checkpoint.set_capture phase capture;
   let merge i succs =
     List.iter (fun (aid, r) -> push_edge b aid (intern r)) succs;
@@ -584,59 +565,6 @@ let build_packed ~limit ~workers k program seeds =
     ~initials:(List.init (Array.length seeds) Fun.id)
     ~store:(Interned (layout, keys b, index))
     ~compiled:k.num_compiled ~closure_guards:k.closure_guards
-
-(* Packed [full]: every product state is present, so a state's index IS
-   its rank — no interning table and no key column.  States are numbered
-   in rank order (= State.compare order = the reference numbering) and
-   each successor's rank is its index. *)
-let full_packed ~limit ~workers k program =
-  let layout = k.k_layout in
-  let b = new_builder ~limit in
-  let n = Layout.space layout in
-  for _ = 1 to n do
-    ignore (admit b)
-  done;
-  (* The exact state count is known up front: size the rows once, and
-     let the edge buffers grow by projection. *)
-  b.rows <- Array.make (n + 1) 0;
-  b.expect <- n;
-  let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.full" in
-  (match Detcor_robust.Checkpoint.resume_data phase with
-  | Some (Detcor_robust.Checkpoint.Midway data)
-  | Some (Detcor_robust.Checkpoint.Done data) ->
-    (* State i IS rank i here: only the edge prefix needs restoring. *)
-    restore_edges b (Marshal.from_string data 0 : build_snap)
-  | None -> ());
-  let capture () = Marshal.to_string (snap_of_builder b) [] in
-  Detcor_robust.Checkpoint.set_capture phase capture;
-  let base = b.expanded in
-  Progress.with_phase "engine.full"
-    (fun () -> [ ("expanded", b.expanded); ("states", n) ])
-    (fun () ->
-      if parallel ~workers (n - base) then
-        ignore
-          (run_chunks ~site:"ts" ~workers ~lo:base ~hi:n ~expand:(collect k)
-             ~merge:(fun i succs ->
-               List.iter (fun (aid, r) -> push_edge b aid r) succs;
-               close_row b i))
-      else begin
-        (* Ranks run in order: step the codes instead of decoding. *)
-        let codes = codes_buffer k in
-        decode k base codes;
-        let on_edge aid r = push_edge b aid r in
-        for i = base to n - 1 do
-          successors k ~codes ~rank:i (source k i) on_edge;
-          close_row b i;
-          Layout.advance layout codes
-        done
-      end);
-  (* Without a checkpoint session there is no one to hand the capture to,
-     and it copies and marshals every edge. *)
-  if Detcor_robust.Checkpoint.active () then
-    Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions:k.k_actions ~initials:(List.init n Fun.id)
-    ~store:(Product layout) ~compiled:k.num_compiled
-    ~closure_guards:k.closure_guards
 
 (* ------------------------------------------------------------------ *)
 (* Shard store: hash-partitioned, disk-spillable arenas.               *)
@@ -806,7 +734,7 @@ let program ts = ts.program
 let num_states ts =
   match ts.store with
   | Shards (_, store) -> Shard_store.num_states store
-  | Listed _ | Interned _ | Product _ -> Array.length ts.row_ptr - 1
+  | Listed _ | Interned _ -> Array.length ts.row_ptr - 1
 
 let initials ts = ts.initials
 let actions ts = ts.actions
@@ -816,12 +744,12 @@ let action ts i = ts.actions.(i)
 let layout ts =
   match ts.store with
   | Listed _ -> None
-  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> Some layout
+  | Interned (layout, _, _) | Shards (layout, _) -> Some layout
 
 let engine_of ts =
   match ts.store with
   | Shards _ -> Sharded
-  | Interned _ | Product _ -> Packed
+  | Interned _ -> Packed
   | Listed _ -> Reference
 
 let fallback_reason ts = ts.fallback_reason
@@ -831,24 +759,22 @@ let shard_stats ts =
   | Shards (_, store) ->
     let spills, bytes, reloads = Shard_store.spill_stats store in
     Some (Shard_store.k store, spills, bytes, reloads)
-  | Listed _ | Interned _ | Product _ -> None
+  | Listed _ | Interned _ -> None
 
 (* Ranks are read from what each store keeps: a BFS store's rank column
-   and interning table, the identity of the full product, and the
-   sharded store's columns (a spilled segment reloads transparently). *)
+   and interning table, and the sharded store's columns (a spilled
+   segment reloads transparently). *)
 let no_layout () = invalid_arg "Ts: no layout ranks on a reference system"
 
 let rank_of ts i =
   match ts.store with
   | Interned (_, ranks, _) -> ranks.(i)
-  | Product _ -> i
   | Shards (_, store) -> Shard_store.rank_of store i
   | Listed _ -> no_layout ()
 
 let index_of_rank ts r =
   match ts.store with
   | Interned (_, _, index) -> Rank_map.find index r
-  | Product layout -> if r >= 0 && r < Layout.space layout then r else -1
   | Shards (_, store) -> Shard_store.find store r
   | Listed _ -> no_layout ()
 
@@ -856,10 +782,6 @@ let index_of_rank ts r =
 let iter_ranks ts f =
   match ts.store with
   | Interned (_, ranks, _) -> Array.iteri f ranks
-  | Product layout ->
-    for i = 0 to Layout.space layout - 1 do
-      f i i
-    done
   | Shards (_, store) -> Shard_store.iter_ranks store f
   | Listed _ -> no_layout ()
 
@@ -867,13 +789,13 @@ let iter_ranks ts f =
 let state ts i =
   match ts.store with
   | Listed (states, _) -> states.(i)
-  | Interned (layout, _, _) | Product layout | Shards (layout, _) ->
+  | Interned (layout, _, _) | Shards (layout, _) ->
     Layout.unpack layout (rank_of ts i)
 
 let states ts =
   match ts.store with
   | Listed (states, _) -> Array.to_list states
-  | Interned (layout, _, _) | Product layout | Shards (layout, _) ->
+  | Interned (layout, _, _) | Shards (layout, _) ->
     let acc = ref [] in
     iter_ranks ts (fun _ rank -> acc := Layout.unpack layout rank :: !acc);
     List.rev !acc
@@ -881,7 +803,7 @@ let states ts =
 let index_of ts st =
   match ts.store with
   | Listed (_, index) -> State_table.find_opt index st
-  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> (
+  | Interned (layout, _, _) | Shards (layout, _) -> (
     match Layout.pack_opt layout st with
     | None -> None
     | Some rank ->
@@ -891,7 +813,7 @@ let index_of ts st =
 let num_edges ts =
   match ts.store with
   | Shards (_, store) -> Shard_store.num_edges store
-  | Listed _ | Interned _ | Product _ -> ts.row_ptr.(num_states ts)
+  | Listed _ | Interned _ -> ts.row_ptr.(num_states ts)
 
 let edges_of ts i =
   match ts.store with
@@ -899,7 +821,7 @@ let edges_of ts i =
     let acc = ref [] in
     Shard_store.iter_out store i (fun aid j -> acc := (aid, j) :: !acc);
     List.rev !acc
-  | Listed _ | Interned _ | Product _ ->
+  | Listed _ | Interned _ ->
     let lo = ts.row_ptr.(i) and hi = ts.row_ptr.(i + 1) in
     let rec go k acc =
       if k < lo then acc
@@ -910,7 +832,7 @@ let edges_of ts i =
 let iter_out ts i f =
   match ts.store with
   | Shards (_, store) -> Shard_store.iter_out store i f
-  | Listed _ | Interned _ | Product _ ->
+  | Listed _ | Interned _ ->
     let hi = ts.row_ptr.(i + 1) in
     for k = ts.row_ptr.(i) to hi - 1 do
       f ts.edge_action.(k) ts.edge_target.(k)
@@ -919,14 +841,14 @@ let iter_out ts i f =
 let out_degree ts i =
   match ts.store with
   | Shards (_, store) -> Shard_store.out_degree store i
-  | Listed _ | Interned _ | Product _ -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
+  | Listed _ | Interned _ -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
 
 let with_out_row ts i k =
   match ts.store with
   | Shards (_, store) ->
     let targets = Shard_store.out_targets store i in
     k targets 0 (Array.length targets)
-  | Listed _ | Interned _ | Product _ ->
+  | Listed _ | Interned _ ->
     k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
 
 let fold_out ts i f init =
@@ -965,7 +887,7 @@ let action_ids_of_names ts names =
 let iter_edges ts f =
   match ts.store with
   | Shards (_, store) -> Shard_store.iter_edges store f
-  | Listed _ | Interned _ | Product _ ->
+  | Listed _ | Interned _ ->
     for i = 0 to num_states ts - 1 do
       Detcor_robust.Budget.tick ();
       for k = ts.row_ptr.(i) to ts.row_ptr.(i + 1) - 1 do
@@ -984,13 +906,12 @@ let fold_edges ts f init =
 
 (* What a construction starts from: explicit states ([build]), the
    states of an explored system, or those of them in a bitset
-   ([build_within]), the product states satisfying a predicate
-   ([of_pred]), or the whole product ([full]). *)
+   ([build_within]), or the product states satisfying a predicate
+   ([of_pred]). *)
 type seeds =
   | States of State.t list
   | Within of t * Bitset.t option
   | Satisfying of Pred.t
-  | Everything
 
 (* The indices of [span] in [keep] (all of them without one). *)
 let kept span keep =
@@ -1010,9 +931,12 @@ let within_states span keep =
 (* The seeds as ascending, duplicate-free ranks.  Rank order is
    [State.compare] order (the [Layout] invariant), so seeds are numbered
    exactly as the reference engine numbers them.  A span whose layout has
-   [target]'s signature gives its rank column, sorted.
-   @raise Layout.Unrepresentable if an explicit state escapes the layout. *)
-let rec seed_ranks target = function
+   [target]'s signature gives its rank column, sorted.  Every seed is a
+   state of the build, so an enumeration stops past [limit] states
+   instead of listing a product that cannot fit.
+   @raise Layout.Unrepresentable if an explicit state escapes the layout.
+   @raise Too_large past [limit] satisfying states. *)
+let rec seed_ranks ~limit target = function
   | States from ->
     List.map (Layout.pack target) from
     |> List.sort_uniq Int.compare |> Array.of_list
@@ -1022,19 +946,20 @@ let rec seed_ranks target = function
       let ranks = Array.map (rank_of span) (kept span keep) in
       Array.sort Int.compare ranks;
       ranks
-    | _ -> seed_ranks target (States (within_states span keep)))
+    | _ -> seed_ranks ~limit target (States (within_states span keep)))
   | Satisfying pred ->
-    let buf = ref [] in
-    Compiled.iter_satisfying target pred (fun rank -> buf := rank :: !buf);
+    let buf = ref [] and n = ref 0 in
+    Compiled.iter_satisfying target pred (fun rank ->
+        incr n;
+        if !n > limit then raise (Too_large limit);
+        buf := rank :: !buf);
     Array.of_list (List.rev !buf)
-  | Everything -> Array.init (Layout.space target) Fun.id
 
 (* The reference engine's seed list: the same set, unranked. *)
 let seed_states program = function
   | States from -> from
   | Within (span, keep) -> within_states span keep
   | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
-  | Everything -> Program.states program
 
 (* ------------------------------------------------------------------ *)
 (* The dispatcher.                                                     *)
@@ -1084,10 +1009,8 @@ let construct op ~limit ~engine ~workers program seeds =
     build_reference ~limit program ~from:(seed_states program seeds)
   in
   let flat layout =
-    let k = kernel layout program in
-    match seeds with
-    | Everything -> full_packed ~limit ~workers k program
-    | _ -> build_packed ~limit ~workers k program (seed_ranks layout seeds)
+    build_packed ~limit ~workers (kernel layout program) program
+      (seed_ranks ~limit layout seeds)
   in
   let ts =
     match engine with
@@ -1098,7 +1021,7 @@ let construct op ~limit ~engine ~workers program seeds =
       | _, None -> raise Layout.Unrepresentable
       | Sharded, Some layout ->
         build_sharded ~limit ~workers (kernel layout program) program
-          ~seeds:(seed_ranks layout seeds)
+          ~seeds:(seed_ranks ~limit layout seeds)
       | Packed, Some layout -> flat layout
       | _, Some layout -> (
         try flat layout
@@ -1120,11 +1043,6 @@ let construct op ~limit ~engine ~workers program seeds =
 let build ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
     program ~from =
   construct "build" ~limit ~engine ~workers program (States from)
-
-let full ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program =
-  if Program.space_size program > limit then raise (Too_large limit);
-  construct "full" ~limit ~engine ~workers program Everything
 
 let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
     program ~from =
@@ -1192,23 +1110,16 @@ let sweep ts pred =
     Array.iteri
       (fun i st -> if Pred.holds pred st then Bitset.set bits i)
       states
-  | Interned (layout, _, _) | Product layout | Shards (layout, _) -> (
-    match (Compiled.pred layout pred, ts.store) with
-    | Some (Compiled.Ranks test), _ ->
+  | Interned (layout, _, _) | Shards (layout, _) -> (
+    match Compiled.pred layout pred with
+    | Some (Compiled.Ranks test) ->
       iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i)
-    | Some t, Product _ ->
-      (* State i has rank i, so the codes step. *)
-      let codes = Array.make (Layout.num_vars layout) 0 in
-      for i = 0 to num_states ts - 1 do
-        if Compiled.holds t ~codes ~rank:i then Bitset.set bits i;
-        Layout.advance layout codes
-      done
-    | Some t, _ ->
+    | Some t ->
       let codes = Array.make (Layout.num_vars layout) 0 in
       iter_ranks ts (fun i rank ->
           Layout.decode layout rank codes;
           if Compiled.holds t ~codes ~rank then Bitset.set bits i)
-    | None, _ ->
+    | None ->
       let sc = Layout.scratch layout in
       iter_ranks ts (fun i rank ->
           Layout.unpack_into layout sc rank;

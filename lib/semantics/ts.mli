@@ -84,11 +84,10 @@ val build_within :
   ?limit:int -> ?engine:engine -> ?workers:int -> ?where:Pred.t ->
   Program.t -> span:t -> t
 
-(** [full program] builds the system over the whole product state space. *)
-val full : ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> t
-
 (** [of_pred program ~from] explores from all product-space states
-    satisfying [from]. *)
+    satisfying [from], enumerated without sweeping the product when
+    [from] has an expression.  With [from] = {!Pred.true_} the system is
+    the whole product, numbered by rank. *)
 val of_pred :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> from:Pred.t -> t
 
@@ -144,8 +143,8 @@ val index_of : t -> State.t -> int option
 
     On a system built with a {!layout} (packed or sharded), every state
     has a mixed-radix rank under that layout.  These read the builder's
-    own data (rank columns, {!Rank_map} interning table, or the identity
-    of the full product) and build no state, so synthesis keys its
+    own data (rank columns and {!Rank_map} interning table, or the shard
+    store's columns) and build no state, so synthesis keys its
     artefacts by rank ({!Pred.of_ranks}, {!Action.of_moves}) and maps
     between two systems of equal layout signature without hashing
     states. *)

@@ -59,12 +59,12 @@ let correction_scan n ~start c =
   if start >= n then None else go start
 
 (* First index at which safety is violated: a bad state there, or a bad
-   transition into it ([bad_pair i] judges the step from [i-1] to [i]). *)
+   transition into it ([bad_pair i] judges the step into [i], and is
+   false at a run's first state). *)
 let safety_scan n ~bad_state ~bad_pair =
   let rec go i =
     if i >= n then None
-    else if bad_state i then Some i
-    else if i > 0 && bad_pair i then Some i
+    else if bad_state i || bad_pair i then Some i
     else go (i + 1)
   in
   go 0
@@ -111,12 +111,11 @@ let first_safety_violation (run : Runner.run) sspec =
 (* ------------------------------------------------------------------ *)
 
 module Compiled = struct
-  (* The syndrome family is laid out as the base columns ([X; Z; C] for
-     {!make}, the optional invariant for {!safety}) followed by the spec
-     columns.  A decomposable safety specification contributes one
-     disjunction column for its bad states plus an (l, r) column pair per
-     transition obligation; an opaque one keeps its closures and is
-     scanned the reference way.  A base column a family lacks is [-1]. *)
+  (* The syndrome family is laid out as the caller's columns followed by
+     the spec columns.  A decomposable safety specification contributes
+     one disjunction column for its bad states plus an (l, r) column pair
+     per transition obligation; an opaque one keeps its closures and is
+     scanned the reference way. *)
   type spec_cols =
     | Opaque
     | Cols of {
@@ -126,16 +125,12 @@ module Compiled = struct
 
   type t = {
     syn : Syndrome.t;
-    x_i : int;
-    z_i : int;
-    c_i : int;
-    inv_i : int;
     spec_cols : spec_cols;
     sspec : Safety.t;
   }
 
-  let compile ?program base sspec =
-    let next = ref (List.length base) in
+  let make ?program columns sspec =
+    let next = ref (List.length columns) in
     let extra = ref [] in
     let add p =
       let i = !next in
@@ -161,92 +156,76 @@ module Compiled = struct
         in
         Cols { bad_i; pairs }
     in
-    (Syndrome.compile ?program (base @ List.rev !extra), spec_cols)
-
-  let make ?program ~detector ~corrector ~sspec () =
-    let syn, spec_cols =
-      compile ?program
-        [
-          Detector.detection detector;
-          Detector.witness detector;
-          Corrector.correction corrector;
-        ]
-        sspec
-    in
-    { syn; x_i = 0; z_i = 1; c_i = 2; inv_i = -1; spec_cols; sspec }
-
-  let safety ?program ?invariant sspec =
-    let syn, spec_cols = compile ?program (Option.to_list invariant) sspec in
     {
-      syn;
-      x_i = -1;
-      z_i = -1;
-      c_i = -1;
-      inv_i = (if invariant = None then -1 else 0);
+      syn = Syndrome.compile ?program (columns @ List.rev !extra);
       spec_cols;
       sspec;
     }
 
+  let family t = t.syn
   let eval t (run : Runner.run) = Syndrome.of_trace t.syn run.trace
 
-  let detection_of_batch t b =
+  let detection_latency b ~x ~z =
     detection_scan (Syndrome.length b)
-      (fun i -> Syndrome.get b ~state:i ~pred:t.x_i)
-      (fun i -> Syndrome.get b ~state:i ~pred:t.z_i)
+      (fun i -> Syndrome.get b ~state:i ~pred:x)
+      (fun i -> Syndrome.get b ~state:i ~pred:z)
 
-  let correction_of_batch t run b =
+  let correction_latency b ~c run =
     correction_scan (Syndrome.length b) ~start:(last_fault_start run) (fun i ->
-        Syndrome.get b ~state:i ~pred:t.c_i)
+        Syndrome.get b ~state:i ~pred:c)
 
-  let scan_cols ~bad_i ~pairs b =
-    safety_scan (Syndrome.length b)
-      ~bad_state:(fun i ->
-        match bad_i with
-        | None -> false
-        | Some j -> Syndrome.get b ~state:i ~pred:j)
-      ~bad_pair:(fun i ->
-        List.exists
-          (fun (li, ri) ->
-            Syndrome.get b ~state:(i - 1) ~pred:li
-            && not (Syndrome.get b ~state:i ~pred:ri))
-          pairs)
-
-  let violation_of_batch t (run : Runner.run) b =
-    match t.spec_cols with
-    | Opaque -> Safety.first_violation_in_trace run.trace t.sspec
-    | Cols { bad_i; pairs } -> scan_cols ~bad_i ~pairs b
-
-  let settling_of_batch t b =
+  let settled b ~invariant =
     settling_scan (Syndrome.length b) (fun i ->
-        Syndrome.get b ~state:i ~pred:t.inv_i)
+        Syndrome.get b ~state:i ~pred:invariant)
 
-  let detection_latency t run = detection_of_batch t (eval t run)
-  let correction_latency t run = correction_of_batch t run (eval t run)
-  let first_safety_violation t run = violation_of_batch t run (eval t run)
+  (* One scan per batch; the state before a batch's first is the last of
+     the batch before, so a transition obligation spans the boundary. *)
+  let scan_cols ~bad_i ~pairs batches =
+    let rec go base prev = function
+      | [] -> None
+      | b :: rest -> (
+        let at i j = Syndrome.get b ~state:i ~pred:j in
+        let before i j =
+          if i > 0 then at (i - 1) j
+          else
+            match prev with
+            | Some (p, last) -> Syndrome.get p ~state:last ~pred:j
+            | None -> false
+        in
+        let n = Syndrome.length b in
+        match
+          safety_scan n
+            ~bad_state:(fun i ->
+              match bad_i with None -> false | Some j -> at i j)
+            ~bad_pair:(fun i ->
+              List.exists (fun (li, ri) -> before i li && not (at i ri)) pairs)
+        with
+        | Some i -> Some (base + i)
+        | None -> go (base + n) (if n > 0 then Some (b, n - 1) else prev) rest)
+    in
+    go 0 None batches
 
-  let first_safety_violation_ranked t (r : Stream.ranked) =
+  let first_safety_violation t ~trace batches =
     match t.spec_cols with
-    | Opaque ->
-      let run = Stream.decode ?layout:(Syndrome.layout t.syn) r in
-      Safety.first_violation_in_trace run.trace t.sspec
-    | Cols { bad_i; pairs } ->
-      scan_cols ~bad_i ~pairs
-        (Syndrome.of_ranks t.syn r.ranks ~escaped:r.escaped ~pos:0
-           ~len:(Array.length r.ranks))
+    | Opaque -> Safety.first_violation_in_trace (trace ()) t.sspec
+    | Cols { bad_i; pairs } -> scan_cols ~bad_i ~pairs batches
 
   type outcome = {
     violation : int option;
     settled : int option;
   }
 
-  let outcomes t runs =
+  let outcomes t ~invariant runs =
     Obs.span "sim.safety_scan" ~attrs:[ Attr.int "runs" (List.length runs) ]
     @@ fun () ->
     List.map
-      (fun r ->
+      (fun (r : Runner.run) ->
         (* One batch feeds both scans. *)
         let b = eval t r in
-        { violation = violation_of_batch t r b; settled = settling_of_batch t b })
+        {
+          violation = first_safety_violation t ~trace:(fun () -> r.trace) [ b ];
+          settled = settled b ~invariant;
+        })
       runs
 end
 
@@ -265,15 +244,24 @@ type report = {
 let report ?program runs ~detector ~corrector ~sspec =
   Obs.span "sim.monitor" ~attrs:[ Attr.int "runs" (List.length runs) ]
   @@ fun () ->
-  let comp = Compiled.make ?program ~detector ~corrector ~sspec () in
+  let comp =
+    Compiled.make ?program
+      [
+        Detector.detection detector;
+        Detector.witness detector;
+        Corrector.correction corrector;
+      ]
+      sspec
+  in
   let per_run =
     List.map
-      (fun r ->
+      (fun (r : Runner.run) ->
         (* One batch evaluation feeds all three scans. *)
         let b = Compiled.eval comp r in
-        ( Compiled.detection_of_batch comp b,
-          Compiled.correction_of_batch comp r b,
-          Compiled.violation_of_batch comp r b ))
+        ( Compiled.detection_latency b ~x:0 ~z:1,
+          Compiled.correction_latency b ~c:2 r,
+          Compiled.first_safety_violation comp ~trace:(fun () -> r.trace) [ b ]
+        ))
       runs
   in
   let detections = List.concat_map (fun (d, _, _) -> d) per_run in

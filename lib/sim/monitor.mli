@@ -29,58 +29,59 @@ val correction_latency : Runner.run -> Corrector.t -> int option
     state there, or bad transition into it). *)
 val first_safety_violation : Runner.run -> Safety.t -> int option
 
-(** The syndrome-batched monitor: detector, corrector, and (decomposed)
-    safety obligations compiled into one {!Syndrome} family, evaluated
-    per run as bit columns.  A decomposable specification is read from
-    its columns: one for the disjunction of its bad states, one or two
-    per transition obligation; an opaque one is scanned the reference
-    way. *)
+(** The syndrome-batched monitor: the caller's predicates and the
+    (decomposed) safety obligations compiled into one {!Syndrome}
+    family, evaluated as bit columns.  A decomposable specification is
+    read from its columns: one for the disjunction of its bad states, one
+    or two per transition obligation; an opaque one is scanned the
+    reference way.  The scans return what the reference functions above
+    return. *)
 module Compiled : sig
   type t
 
-  (** [make ?program ~detector ~corrector ~sspec ()] compiles the family;
+  (** [make ?program columns sspec] compiles one family: [columns], in
+      order, as its leading columns (column [j] of every batch is the
+      [j]th predicate of [columns]), then the columns of [sspec].
       [program] enables rank-memoized evaluation (see
       {!Syndrome.compile}). *)
-  val make :
-    ?program:Program.t ->
-    detector:Detector.t ->
-    corrector:Corrector.t ->
-    sspec:Safety.t ->
-    unit ->
-    t
+  val make : ?program:Program.t -> Pred.t list -> Safety.t -> t
 
-  (** Same results as the reference functions above, computed from
-      syndrome columns. *)
-  val detection_latency : t -> Runner.run -> int list
+  (** The compiled family, from which batches are built
+      ({!Syndrome.of_trace}, {!Syndrome.of_ranks}). *)
+  val family : t -> Syndrome.t
 
-  val correction_latency : t -> Runner.run -> int option
-  val first_safety_violation : t -> Runner.run -> int option
+  (** The batch of a whole run. *)
+  val eval : t -> Runner.run -> Syndrome.batch
 
-  (** {!first_safety_violation} of a run in rank form, from one
-      {!Syndrome.of_ranks} batch; an opaque specification decodes the
-      run ({!Stream.decode}) and scans it the reference way. *)
-  val first_safety_violation_ranked : t -> Stream.ranked -> int option
+  (** {!detection_latency} of the run whose batch is given, with X in
+      column [x] and Z in column [z]. *)
+  val detection_latency : Syndrome.batch -> x:int -> z:int -> int list
 
-  (** [safety ?program ?invariant sspec] compiles the safety columns
-      alone, plus the invariant when given: the family behind
-      [dcheck simulate]'s safety and settling counts and
-      [dcheck monitor]'s per-run safety line.  Only
-      {!first_safety_violation} and (given [invariant]) {!outcomes}
-      apply to it. *)
-  val safety : ?program:Program.t -> ?invariant:Pred.t -> Safety.t -> t
+  (** {!correction_latency} of [run], whose batch is given, with the
+      correction predicate in column [c]. *)
+  val correction_latency : Syndrome.batch -> c:int -> Runner.run -> int option
+
+  (** Steps to re-enter the invariant, in column [invariant] of a run's
+      batch: the index one past the last state outside it, [Some 0] when
+      every state is inside, [None] when the final state is outside. *)
+  val settled : Syndrome.batch -> invariant:int -> int option
+
+  (** [first_safety_violation t ~trace batches]: {!first_safety_violation}
+      of a run given as its consecutive batches, in order, read from the
+      specification's columns.  Only an opaque specification calls
+      [trace], for the run to scan the reference way. *)
+  val first_safety_violation :
+    t -> trace:(unit -> Detcor_semantics.Trace.t) -> Syndrome.batch list ->
+    int option
 
   type outcome = {
     violation : int option;  (** as {!first_safety_violation} *)
-    settled : int option;
-        (** Steps to re-enter the invariant: the index one past the last
-            state outside it, [Some 0] when every state is inside, [None]
-            when the final state is outside. *)
+    settled : int option;  (** as {!settled} *)
   }
 
   (** Both outcomes of each run, read from one batch per run, inside a
-      [sim.safety_scan] span.  Needs a family built by {!safety} with an
-      invariant. *)
-  val outcomes : t -> Runner.run list -> outcome list
+      [sim.safety_scan] span; the invariant is column [invariant]. *)
+  val outcomes : t -> invariant:int -> Runner.run list -> outcome list
 end
 
 type report = {

@@ -42,8 +42,9 @@
    for all three.
 
    The fail-safe front end explores the fault span Reach(S, p [] F) of
-   the invariant states, where the result lives, and widens to the whole
-   product only for the invariant-weakening search (see [failsafe_core]).
+   the invariant states, where the result lives, and widens only for the
+   invariant-weakening search, to what the non-bad states reach (see
+   [failsafe_core]).
 
    Each phase has one implementation, over the {!Ts} API by state index,
    whichever engine built the explored system: [ms] is a bitset-seeded
@@ -242,7 +243,7 @@ let make_mt ts_pf ~ms ~sspec s s' =
    One edge sweep marks, per program action, the states from which some
    [ac]-step is an mt transition; each guard is then a single bitset
    probe.  The explored system is the fault span R = Reach(S, p [] F) (or
-   the whole product once the front end widens), and every later build,
+   Reach(¬bad, p [] F) once the front end widens), and every later build,
    check or recovery layering starts inside it and stays there, so the
    probe answers every query synthesis itself makes.  At an [unexplored]
    state — a product state outside R, when R lies inside the product —
@@ -402,8 +403,8 @@ let recompute_invariant ~layout p restricted candidates =
   done;
   !out
 
-(* Widenings of the fail-safe front end from the fault span to the whole
-   product (see [failsafe_core]). *)
+(* Widenings of the fail-safe front end from the fault span to what the
+   non-bad states reach (see [failsafe_core]). *)
 let m_widenings = Metrics.counter "synth.widenings"
 
 (* The fail-safe analysis of one explored [p [] F] system: [ms] and the
@@ -443,9 +444,14 @@ let not_ms front st = not (ms_at front.ts front.ms st)
    predicate rather than the original invariant verbatim; the final
    verification of the synthesized program remains the soundness gate.
    Only this search reads beyond R, so only then does the front end widen
-   to [Ts.full] — unless R already holds every in-domain product state
-   (counted by layout rank: a reference-built R may also hold states
-   that escape the declared domains).
+   — unless R already holds every in-domain product state (counted by
+   layout rank: a reference-built R may also hold states that escape the
+   declared domains).  It widens to W = Reach(¬bad, p [] F), not to the
+   whole product, and is exact there for the same reason: W is closed
+   under p and F, so [ms] and every guard bit agree with the product's on
+   W; every in-domain state outside W is bad, so its guard is false
+   either way; and the candidates, the recomputed invariant, the
+   recovery span and the final check all start inside W.
 
    [p]'s layout compiles whenever S could be enumerated: it only fails
    when the product space overflows the rank range. *)
@@ -485,6 +491,15 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
   with
   | _ :: _ as inv_states -> (restricted, added, inv_states, front, false)
   | [] ->
+    (* With an expression for every bad-state predicate the seed
+       enumeration prunes; an opaque specification keeps its closure. *)
+    let not_bad =
+      match Safety.decompose sspec with
+      | Some { bad_states; _ }
+        when List.for_all (fun p -> Pred.expr p <> None) bad_states ->
+        Pred.not_ (Pred.disj bad_states)
+      | _ -> Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st))
+    in
     let covered =
       match product with Some l -> ranked = Layout.space l | None -> false
     in
@@ -500,21 +515,13 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
                 Attr.int "space" (Program.space_size composed);
               ];
         let front =
-          analyse (Ts.full ?limit ~engine ~workers composed) ~sspec ~faults
-            ~unexplored:(fun _ -> false) p
+          analyse
+            (Ts.of_pred ?limit ~engine ~workers composed ~from:not_bad)
+            ~sspec ~faults ~unexplored:(fun _ -> false) p
         in
         let restricted, added = restrict_with front.guards p in
         (front, restricted, added)
       end
-    in
-    (* With an expression for every bad-state predicate the seed
-       enumeration prunes; an opaque specification keeps its closure. *)
-    let not_bad =
-      match Safety.decompose sspec with
-      | Some { bad_states; _ }
-        when List.for_all (fun p -> Pred.expr p <> None) bad_states ->
-        Pred.not_ (Pred.disj bad_states)
-      | _ -> Pred.make "not-bad" (fun st -> not (Safety.bad_state sspec st))
     in
     let acc = ref [] in
     Compiled.iter_satisfying layout not_bad (fun rank ->

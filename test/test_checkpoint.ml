@@ -301,8 +301,8 @@ let test_worker_degradation () =
          ~from:e.invariant)
         .ts_pf);
   degraded "full product"
-    ~sequential:(Ts.full ~workers:1 e.program)
-    (fun () -> Ts.full ~workers:4 e.program)
+    ~sequential:(Util.product ~workers:1 e.program)
+    (fun () -> Util.product ~workers:4 e.program)
 
 (* ------------------------------------------------------------------ *)
 (* Serve result-cache keying.                                          *)

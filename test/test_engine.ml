@@ -114,7 +114,7 @@ let test_bitset () =
 (* ------------------------------------------------------------------ *)
 
 let test_pred_cache_coherence () =
-  let ts = Ts.full program in
+  let ts = Util.product program in
   Alcotest.(check bool) "packed engine used" true (Ts.engine_of ts = Ts.Packed);
   let pred =
     Pred.make "a && n>0" (fun st ->
@@ -135,7 +135,7 @@ let test_pred_cache_coherence () =
     (Ts.pred_bitset ts pred == bits)
 
 let test_enabled_cache_coherence () =
-  let ts = Ts.full program in
+  let ts = Util.product program in
   for aid = 0 to Ts.num_actions ts - 1 do
     let bits = Ts.enabled_bitset ts aid in
     for i = 0 to Ts.num_states ts - 1 do
@@ -184,7 +184,7 @@ let test_fallback_on_escape () =
     (fun () -> ignore (Ts.build ~limit:100 ~engine:Ts.Packed escaping ~from))
 
 let test_index_of_foreign_state () =
-  let ts = Ts.full program in
+  let ts = Util.product program in
   let foreign = State.of_list [ ("only", Value.int 1) ] in
   Alcotest.(check bool) "unrepresentable state not indexed" true
     (Ts.index_of ts foreign = None);
@@ -203,8 +203,8 @@ let same_system = Util.check_same_system
 let test_parallel_determinism () =
   let cfg = Detcor_systems.Token_ring.make_config 5 in
   let p = Detcor_systems.Token_ring.program cfg in
-  let sequential = Ts.full ~workers:1 p in
-  let parallel = Ts.full ~workers:4 p in
+  let sequential = Util.product ~workers:1 p in
+  let parallel = Util.product ~workers:4 p in
   same_system "workers 4 = workers 1" sequential parallel;
   Alcotest.(check bool) "parallel build is packed" true
     (Ts.engine_of parallel = Ts.Packed)
@@ -212,18 +212,17 @@ let test_parallel_determinism () =
 let test_parallel_matches_reference () =
   let cfg = Detcor_systems.Token_ring.make_config 4 in
   let p = Detcor_systems.Token_ring.program cfg in
-  let reference = Ts.full ~engine:Ts.Reference p in
-  let parallel = Ts.full ~workers:3 p in
+  let reference = Util.product ~engine:Ts.Reference p in
+  let parallel = Util.product ~workers:3 p in
   same_system "parallel = reference" reference parallel
 
 (* ------------------------------------------------------------------ *)
 (* Full-product kernel gate                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [Ts.full] stays a production path (synthesis widens to it for the
-   invariant-weakening search), so its compiled kernel keeps a gate: on
-   the 419,904-state byz4 [] F product every action runs compiled and the
-   build allocates at most 150 words per state (about 72 when it was
+(* The BFS store over a whole product: on the 419,904-state byz4 [] F
+   product, seeded with every state, every action runs compiled and the
+   build allocates at most 150 words per state (about 118 when it was
    measured). *)
 let test_full_product_kernel () =
   let e = Detcor_lang.Elaborate.load_file "../examples/dc/byz4.dc" in
@@ -232,7 +231,7 @@ let test_full_product_kernel () =
   let module Sink = Detcor_obs.Sink in
   let sink, records = Sink.memory () in
   let ts =
-    Obs.with_ctx (Obs.make ~sinks:[ sink ] ()) (fun () -> Ts.full composed)
+    Obs.with_ctx (Obs.make ~sinks:[ sink ] ()) (fun () -> Util.product composed)
   in
   let attrs =
     List.find_map
@@ -298,9 +297,9 @@ let test_rank_forms_refused () =
       compiles (compiled moves);
     Alcotest.(check bool) (label ^ ": restricted compiles") compiles
       (compiled restricted);
-    let ts = Ts.full ~engine:Ts.Packed p in
+    let ts = Util.product ~engine:Ts.Packed p in
     let ts' =
-      Ts.full ~engine:Ts.Packed (with_actions [ twin; twin_restricted ])
+      Util.product ~engine:Ts.Packed (with_actions [ twin; twin_restricted ])
     in
     Alcotest.(check bool) (label ^ ": successors") true (Util.ts_equal ts ts');
     Alcotest.(check bool) (label ^ ": pred bitset") true

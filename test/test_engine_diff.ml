@@ -301,16 +301,17 @@ let prop_of_pred_identical =
       QCheck.Gen.(
         pair program_gen (pair (int_range 0 (1 lsl 20)) (int_range 0 (1 lsl 20))))
   in
-  (* The product-space surfaces: [of_pred] and [full]. *)
+  (* The product-space surface: [of_pred] from a random predicate, and
+     from every state (the whole product). *)
   Util.qtest ~count:120 "packed of_pred = reference of_pred" arb
     (fun (rp, (seed, query)) ->
       let p = build_program rp in
-      let from = pred_of_seed seed in
-      engines_agree ~reference:(Ts.of_pred ~engine:Ts.Reference p ~from)
-        ~seed:query
-        (fun ~engine ~workers -> Ts.of_pred ~engine ~workers p ~from)
-      && engines_agree ~reference:(Ts.full ~engine:Ts.Reference p) ~seed:query
-           (fun ~engine ~workers -> Ts.full ~engine ~workers p))
+      List.for_all
+        (fun from ->
+          engines_agree ~reference:(Ts.of_pred ~engine:Ts.Reference p ~from)
+            ~seed:query
+            (fun ~engine ~workers -> Ts.of_pred ~engine ~workers p ~from))
+        [ pred_of_seed seed; Pred.true_ ])
 
 (* [build_within p ~span ?where] is [build p ~from:] of the span's states
    satisfying [where] (all of them without it): the same system, numbering
@@ -685,7 +686,7 @@ let prop_dsl_constructions =
              in
              Ts.of_pred ~engine ~workers p ~from)
       && dsl_engines_agree e.program (fun p ~engine ~workers ->
-             Ts.full ~engine ~workers p))
+             Util.product ~engine ~workers p))
 
 (* [p]'s states by the pruned enumeration, as ranks (or the
    [Value.Type_error] message), with the [engine.enum.nodes] it visited. *)
@@ -773,7 +774,7 @@ let prop_dsl_sweeps =
       let layout = Option.get (Layout.of_program e.program) in
       let sweeps p inv =
         match
-          let ts = Ts.full ~engine:Ts.Packed p in
+          let ts = Util.product ~engine:Ts.Packed p in
           Bitset.to_string (Ts.pred_bitset ts inv)
           :: List.init (Ts.num_actions ts) (fun aid ->
                  Bitset.to_string (Ts.enabled_bitset ts aid))
@@ -851,7 +852,7 @@ let prop_rank_steps =
           (fun make -> match run make with Built ts -> Some ts | _ -> None)
           [
             (fun () -> Ts.build ~engine:Ts.Packed p ~from);
-            (fun () -> Ts.full ~engine:Ts.Packed p);
+            (fun () -> Util.product ~engine:Ts.Packed p);
             (fun () ->
               Util.with_shards ~shards:4 (fun () ->
                   Ts.build ~engine:Ts.Sharded p ~from));

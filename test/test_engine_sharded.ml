@@ -110,8 +110,8 @@ let prop_of_pred_identical =
         (Ts.of_pred ~engine:Ts.Reference p ~from)
         (Ts.of_pred ~engine:Ts.Auto p ~from)
         (fun () -> Ts.of_pred ~engine:Ts.Sharded ~workers p ~from)
-      && agree (Ts.full ~engine:Ts.Reference p) (Ts.full ~engine:Ts.Auto p)
-           (fun () -> Ts.full ~engine:Ts.Sharded ~workers p))
+      && agree (Util.product ~engine:Ts.Reference p) (Util.product ~engine:Ts.Auto p)
+           (fun () -> Util.product ~engine:Ts.Sharded ~workers p))
 
 (* Spill-forced identity: a zero arena budget into a temp directory makes
    every sealed segment spill; results must not change, and any run that

@@ -91,13 +91,22 @@ let prop_per_run_identical =
       List.for_all
         (fun program ->
           let comp =
-            Monitor.Compiled.make ?program ~detector ~corrector ~sspec ()
+            Monitor.Compiled.make ?program
+              [
+                Detector.detection detector;
+                Detector.witness detector;
+                Corrector.correction corrector;
+              ]
+              sspec
           in
-          Monitor.Compiled.detection_latency comp run
+          let b = Monitor.Compiled.eval comp run in
+          Monitor.Compiled.detection_latency b ~x:0 ~z:1
           = Monitor.detection_latency run detector
-          && Monitor.Compiled.correction_latency comp run
+          && Monitor.Compiled.correction_latency b ~c:2 run
              = Monitor.correction_latency run corrector
-          && Monitor.Compiled.first_safety_violation comp run
+          && Monitor.Compiled.first_safety_violation comp
+               ~trace:(fun () -> run.trace)
+               [ b ]
              = Monitor.first_safety_violation run sspec)
         (compile_forms program))
 
@@ -196,8 +205,11 @@ let ranked_of_run layout (run : Runner.run) =
     ending = Trace.ending run.trace;
   }
 
-(* A slice of a run in rank form yields the batch of its states, and the
-   run's first safety violation is the reference monitor's, with the
+(* A slice of a run in rank form yields the batch of its states.  A
+   family with the specification's columns appended keeps the caller's
+   columns in front, and the run's first safety violation, read from
+   batches of a random width (so that transition obligations cross batch
+   boundaries), is the reference monitor's, with the
    rank memo, without a memo (every state escaped), and for the opaque
    specification. *)
 let prop_ranks_identical =
@@ -226,9 +238,25 @@ let prop_ranks_identical =
                  Detcor_semantics.Bitset.equal (Syndrome.column a j)
                    (Syndrome.column b j))
                [ 0; 1; 2 ]
-          && Monitor.Compiled.first_safety_violation_ranked
-               (Monitor.Compiled.safety ?program sspec)
-               r
+          &&
+          let comp = Monitor.Compiled.make ?program family sspec in
+          let whole = Monitor.Compiled.eval comp run in
+          let width = 1 + (c.seed mod 9) in
+          let batches =
+            List.init ((n + width - 1) / width) (fun k ->
+                let pos = k * width in
+                Syndrome.of_ranks (Monitor.Compiled.family comp) r.ranks
+                  ~escaped:r.escaped ~pos ~len:(min width (n - pos)))
+          in
+          let own = Syndrome.of_states syn states in
+          List.for_all
+            (fun j ->
+              Detcor_semantics.Bitset.equal (Syndrome.column whole j)
+                (Syndrome.column own j))
+            [ 0; 1; 2 ]
+          && Monitor.Compiled.first_safety_violation comp
+               ~trace:(fun () -> run.trace)
+               batches
              = Monitor.first_safety_violation run sspec)
         (compile_forms program))
 

@@ -76,7 +76,7 @@ let test_disabled_is_inert () =
   let builds = Metrics.counter_value_by_name "engine.builds" in
   Alcotest.(check bool) "recording off by default" false (Obs.on ());
   Obs.span "not-recorded" (fun () -> Obs.event "nothing");
-  let ts = Ts.full Detcor_systems.Memory.masking in
+  let ts = Util.product Detcor_systems.Memory.masking in
   ignore (Ts.holds_at ts Detcor_systems.Memory.s 0);
   ignore (Ts.holds_at ts Detcor_systems.Memory.s 0);
   Alcotest.(check (list int)) "no gated metrics move while disabled" before
@@ -216,8 +216,8 @@ let test_parallel_engine_counters () =
     (r, Metrics.counter_value_by_name name - before)
   in
   recording [] (fun () ->
-      let ts1, d1 = delta (fun () -> Ts.full ~workers:4 p) in
-      let _, d2 = delta (fun () -> ignore (Ts.full ~workers:4 p)) in
+      let ts1, d1 = delta (fun () -> Util.product ~workers:4 p) in
+      let _, d2 = delta (fun () -> ignore (Util.product ~workers:4 p)) in
       Alcotest.(check bool) "parallel slices expanded some states" true (d1 > 0);
       Alcotest.(check bool) "each state expanded at most once" true
         (d1 <= Ts.num_states ts1);
@@ -264,7 +264,7 @@ let test_fallback_reason () =
     (before + 1)
     (Metrics.counter_value_by_name "engine.fallbacks");
   (* A packed build that needs no fallback reports no reason. *)
-  let clean = Ts.full Detcor_systems.Tmr.masking in
+  let clean = Util.product Detcor_systems.Tmr.masking in
   Alcotest.(check bool) "no reason without fallback" true
     (Ts.fallback_reason clean = None)
 

@@ -225,7 +225,7 @@ let prop_conjunction_contract =
   Util.qtest ~count:80 "detector conjunction contract on random systems" arb
     (fun (rp, s1, s2) ->
       let p = build rp in
-      let ts = Ts.full p in
+      let ts = Util.product p in
       let d1 =
         Detector.make ~name:"d1" ~witness:(pred_of_seed s1)
           ~detection:(pred_of_seed (s1 lxor 17)) ()

@@ -47,11 +47,23 @@ let test_ts_limit () =
             (Util.graph_program 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ])
             ~from:[ Util.node_state 0 ]);
        false
-     with Ts.Too_large 2 -> true)
+     with Ts.Too_large 2 -> true);
+  (* Seeds count too: more satisfying states than the limit is refused
+     on every engine, edges or not. *)
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool)
+        (Ts.engine_name engine ^ ": limit enforced on seeds")
+        true
+        (try
+           ignore (Util.product ~limit:2 ~engine (Util.graph_program 5 []));
+           false
+         with Ts.Too_large 2 -> true))
+    [ Ts.Auto; Ts.Reference ]
 
 let test_ts_full () =
   let p = Util.graph_program 3 [] in
-  Alcotest.(check int) "full space" 3 (Ts.num_states (Ts.full p))
+  Alcotest.(check int) "full space" 3 (Ts.num_states (Util.product p))
 
 let test_ts_actions () =
   let ts = build_graph 3 [ (0, 1); (1, 2) ] in

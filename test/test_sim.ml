@@ -197,23 +197,31 @@ let edge_corrector =
 (* The compiled monitor must agree on every edge case; without a program
    its syndrome family evaluates by reference, so this pins the shared
    scan automata, not the packing. *)
-let compiled_agrees run sspec =
+let compiled_agrees (run : Runner.run) sspec =
   let comp =
-    Monitor.Compiled.make ~detector:edge_detector ~corrector:edge_corrector
-      ~sspec ()
+    Monitor.Compiled.make
+      [
+        Detcor_core.Detector.detection edge_detector;
+        Detcor_core.Detector.witness edge_detector;
+        Detcor_core.Corrector.correction edge_corrector;
+      ]
+      sspec
   in
+  let b = Monitor.Compiled.eval comp run in
   Alcotest.(check (list int))
     "compiled detection agrees"
     (Monitor.detection_latency run edge_detector)
-    (Monitor.Compiled.detection_latency comp run);
+    (Monitor.Compiled.detection_latency b ~x:0 ~z:1);
   Alcotest.(check (option int))
     "compiled correction agrees"
     (Monitor.correction_latency run edge_corrector)
-    (Monitor.Compiled.correction_latency comp run);
+    (Monitor.Compiled.correction_latency b ~c:2 run);
   Alcotest.(check (option int))
     "compiled violation agrees"
     (Monitor.first_safety_violation run sspec)
-    (Monitor.Compiled.first_safety_violation comp run)
+    (Monitor.Compiled.first_safety_violation comp
+       ~trace:(fun () -> run.trace)
+       [ b ])
 
 let test_detection_open_interval () =
   (* X holds to the end of the trace without Z ever firing: Progress

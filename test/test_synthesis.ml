@@ -441,7 +441,7 @@ let test_domain_escape_pinned () =
   in
   Alcotest.(check bool) "Auto falls back to the reference builder" true
     (Detcor_semantics.Ts.fallback_reason
-       (Detcor_semantics.Ts.full (Fault.compose p faults))
+       (Util.product (Fault.compose p faults))
     <> None);
   let check label expected r = Alcotest.(check string) label expected (summary r) in
   check "fail-safe" "ok inv=2 span=6 recovery=0 detectors=1"

@@ -167,8 +167,8 @@ let report_str r = Fmt.str "%a" Tolerance.pp_report r
 let same_outcome p r_ref r =
   match (r_ref, r) with
   | Ok (a : Synthesize.result), Ok (b : Synthesize.result) ->
-    let ts_a = Ts.full ~engine:Ts.Reference a.program in
-    let ts_b = Ts.full ~engine:Ts.Reference b.program in
+    let ts_a = Util.product ~engine:Ts.Reference a.program in
+    let ts_b = Util.product ~engine:Ts.Reference b.program in
     Util.ts_equal ts_a ts_b
     && Program.name a.program = Program.name b.program
     && Pred.equal_on ~universe:(Program.states p) a.invariant b.invariant
@@ -285,7 +285,7 @@ type oracle = {
 let naive_front p ~spec ~invariant ~faults =
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
   let composed = Fault.compose p faults in
-  let full = Ts.full composed in
+  let full = Util.product composed in
   let n = Ts.num_states full in
   let st = Ts.state full in
   let ix s = Option.get (Ts.index_of full s) in

@@ -28,6 +28,12 @@ let ts_equal a b =
          && Ts.edges_of a i = Ts.edges_of b i)
        (List.init (Ts.num_states a) Fun.id)
 
+(* The system over [p]'s whole product: every state seeded, numbered by
+   rank. *)
+let product ?limit ?engine ?workers p =
+  Detcor_semantics.Ts.of_pred ?limit ?engine ?workers p
+    ~from:Detcor_kernel.Pred.true_
+
 (* Install sharded-engine parameters for the duration of [f], restoring
    the process-wide defaults afterwards (they are global state). *)
 let with_shards ?(shards = 4) ?spill_dir ?(arena_mb = 512) f =
