@@ -1246,7 +1246,8 @@ let profile_cmd =
         let v = Metrics.counter_value_by_name name in
         if v > 0 then Fmt.pr "  %-28s %d@." name v)
       [
-        "engine.builds"; "engine.states_visited"; "engine.edges";
+        "engine.builds"; "engine.derived"; "engine.states_visited";
+        "engine.edges";
         "engine.pred_cache.hits"; "engine.pred_cache.misses";
         "engine.enabled_cache.hits"; "engine.enabled_cache.misses";
         "engine.fallbacks"; "engine.enum.nodes";

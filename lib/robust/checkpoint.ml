@@ -177,7 +177,9 @@ type session = {
   owner : int; (* only this domain's pulses write *)
   resume_entries : (int, entry) Hashtbl.t;
   mutable next_step : int;
-  completed : (int, entry) Hashtbl.t; (* completed phases, by step *)
+  completed : (int, entry Lazy.t) Hashtbl.t;
+      (* completed phases, by step; a payload is computed at the first
+         save that needs it *)
   mutable stack : phase_data list; (* active phases, innermost first *)
   mutable last_save_ns : int64;
   mutable last_save_dur_ns : int64;
@@ -239,7 +241,7 @@ let entries_of s =
   in
   List.sort
     (fun a b -> Int.compare a.step b.step)
-    (Hashtbl.fold (fun _ e acc -> e :: acc) s.completed act)
+    (Hashtbl.fold (fun _ e acc -> Lazy.force e :: acc) s.completed act)
   |> Array.of_list
 
 (* Write the session's current entries.  A failed write (full disk, an
@@ -320,7 +322,7 @@ let enter ~kind : phase =
               Attr.bool "complete" e.complete;
             ];
       (* A completed phase's payload stays in every later save. *)
-      if e.complete then Hashtbl.replace s.completed step e
+      if e.complete then Hashtbl.replace s.completed step (Lazy.from_val e)
     | None -> ());
     let p = { p_step = step; p_kind = kind; p_capture = None;
               p_resumed = (match resumed with
@@ -349,12 +351,16 @@ let set_capture (p : phase) capture =
 let drop_phase s (p : phase_data) =
   s.stack <- List.filter (fun q -> q != p) s.stack
 
-let complete (p : phase) data =
+let complete_with (p : phase) payload =
   match (p, !current) with
   | Some p, Some s ->
     drop_phase s p;
     (* Replace, don't accumulate: a phase resumed as complete and re-run
        to completion keeps one entry for its step. *)
     Hashtbl.replace s.completed p.p_step
-      { step = p.p_step; kind = p.p_kind; complete = true; data }
+      (lazy
+        { step = p.p_step; kind = p.p_kind; complete = true;
+          data = payload () })
   | _ -> ()
+
+let complete p data = complete_with p (fun () -> data)

@@ -86,6 +86,13 @@ val set_capture : phase -> (unit -> string) -> unit
     persist mid-loop state. *)
 val complete : phase -> string -> unit
 
+(** [complete_with phase payload]: {!complete} with a payload computed
+    at the first save that persists it, so a phase whose payload is
+    costly to serialize (a whole explored system) pays nothing for it
+    between saves.  [payload] must read only data that no longer
+    changes. *)
+val complete_with : phase -> (unit -> string) -> unit
+
 (** {1 Snapshot files}
 
     The on-disk format, exposed for tests and tooling: an 8-byte magic

@@ -20,21 +20,22 @@
      none of its edges is internal to [C], none is internal to [L], so the
      run never fires a continuously enabled action: unfair. *)
 
-(* [fair_scc ts ~stamp scc]: can this SCC host an infinite weakly-fair
-   run?  [stamp] is membership, shared by all the SCCs of one call: a
-   member of the SCC with id [c] has stamp [c + 1]. *)
-let fair_scc ts ~stamp (scc : Graph.scc) =
+(* [fair_scc ts ~stamp ~enabled scc]: can this SCC host an infinite
+   weakly-fair run?  [stamp] is membership, shared by all the SCCs of one
+   call: a member of the SCC with id [c] has stamp [c + 1].
+   [enabled.(aid)] is action [aid]'s enabled set, fetched once per call. *)
+let fair_scc ts ~stamp ~enabled (scc : Graph.scc) =
   if scc.trivial then None
   else begin
     let mark = scc.id + 1 in
     List.iter (fun v -> stamp.(v) <- mark) scc.members;
-    let num_actions = Ts.num_actions ts in
+    let num_actions = Array.length enabled in
     let enabled_everywhere = Array.make num_actions true in
     List.iter
       (fun v ->
         Detcor_robust.Budget.tick ();
         for aid = 0 to num_actions - 1 do
-          if enabled_everywhere.(aid) && not (Ts.enabled ts v aid) then
+          if enabled_everywhere.(aid) && not (Bitset.get enabled.(aid) v) then
             enabled_everywhere.(aid) <- false
         done)
       scc.members;
@@ -59,7 +60,8 @@ let fair_sccs ?mask ts =
     if List.for_all (fun (c : Graph.scc) -> c.trivial) components then []
     else
       let stamp = Array.make (Ts.num_states ts) 0 in
-      List.filter_map (fair_scc ts ~stamp) components
+      let enabled = Array.init (Ts.num_actions ts) (Ts.enabled_bitset ts) in
+      List.filter_map (fair_scc ts ~stamp ~enabled) components
   in
   if Detcor_obs.Obs.on () then
     Detcor_obs.Obs.annotate

@@ -4,9 +4,10 @@
    edges are (action, successor) pairs.  All decision procedures of the
    library (closure, convergence, leads-to, fairness, safety) run on it.
 
-   Every construction — [build] from explicit states, [of_pred] from the
+   Every exploration — [build] from explicit states, [of_pred] from the
    product states satisfying a predicate, [build_within] from the states
-   of another explored system — runs one pipeline:
+   of another explored system when it cannot derive (below) — runs one
+   pipeline:
 
    - one dispatcher ([construct]) picks the store for the requested engine
      and owns the [Auto] fallback;
@@ -26,19 +27,28 @@
      whose in-order merge keeps the numbering independent of the worker
      count.
 
+   A BFS builder appends edges to fixed-size blocks and concatenates them
+   once, at the end, into arrays of exact length.
+
    A layout-built system keeps ranks only: [state] decodes a rank on
    demand, and [index_of] packs a state and looks its rank up.  The
    successor kernel decodes a source state only for actions that read it.
-   [build_within] seeds from an explored system's rank column when the
+   [build_within] keeps what the span's build already knows: over a flat
+   span whose actions begin with the program's (p over the span of
+   p [] F) it derives the system from the span's edge rows, with no
+   action run; otherwise it seeds from the span's rank column when the
    program's layout has its signature, so re-exploring a span packs and
    compares no state.
 
-   Predicate and guard sweeps are cached in per-system bitsets, so
-   [holds_at] and [enabled] answer in O(1) after one sweep; a predicate
-   with an expression is swept compiled, over ranks, and any other is
-   evaluated on each rank decoded into one scratch buffer.  Checkers
-   fetch each bitset once, hoisted out of their loops, and read it
-   directly.
+   Predicate and guard sets are cached in per-system bitsets, so
+   [holds_at] and [enabled] answer in O(1) after one pass.  A compiled
+   action's enabled set is read off the edge labels, which the build
+   wrote where the guard held; every compiled action's set is filled in
+   the same pass, and with every action compiled a deadlock is an empty
+   edge row.  Any other guard, and any predicate, is swept: compiled,
+   over ranks, when it has an expression, otherwise evaluated on each
+   rank decoded into one scratch buffer.  Checkers fetch each bitset
+   once, hoisted out of their loops, and read it directly.
 
    [build_reference], the seed list-based path (map-keyed interning of the
    states themselves), stays as the fallback for programs whose actions
@@ -84,9 +94,12 @@ let live_flush () =
   end
 let m_edges = Metrics.counter "engine.edges"
 let m_builds = Metrics.counter "engine.builds"
+let m_derived = Metrics.counter "engine.derived"
 
-let count_build ~states ~edges =
-  Metrics.incr m_builds;
+(* One more system: [m_builds] for an exploration, [m_derived] for a
+   system derived from another's rows. *)
+let count_build counter ~states ~edges =
+  Metrics.incr counter;
   Metrics.incr ~by:states m_states;
   Metrics.incr ~by:edges m_edges
 
@@ -135,8 +148,11 @@ type t = {
   edge_target : int array;
   initials : int list;
   store : store;
-  compiled : int; (* actions that ran compiled *)
-  closure_guards : int; (* compiled actions whose guard is a closure *)
+  (* Per action id: the action ran compiled, so its guard holds at state
+     [i] exactly when [i] has an edge labelled with it (see
+     [enabled_bitset]). *)
+  compiled : bool array;
+  all_compiled : bool; (* then [deadlocked] is an empty edge row *)
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
   enabled_cache : Bitset.t option array; (* per action id *)
   (* Set when [Auto] dispatch fell back to the reference engine: the
@@ -150,17 +166,27 @@ exception Too_large of int
 let default_limit = 2_000_000
 
 (* ------------------------------------------------------------------ *)
-(* Growable buffers shared by both engines.                            *)
+(* Growable buffers shared by every builder.                          *)
 (* ------------------------------------------------------------------ *)
+
+(* Edge rows grow in blocks: the open block fills, is sealed, and the next
+   one opens twice as large, up to [max_block] words.  No edge is copied
+   while the build runs; [finish] concatenates the blocks once into
+   arrays of exact length. *)
+let first_block = 4096
+let max_block = 32_768
 
 (* [keys.(i)] identifies state [i]: its rank in a BFS store, the state
    itself on the reference path. *)
 type 'k builder = {
   mutable keys : 'k array;
   mutable count : int;
-  mutable ea : int array; (* edge action ids *)
-  mutable et : int array; (* edge targets *)
-  mutable elen : int;
+  mutable ea : int array; (* the open block's edge action ids *)
+  mutable et : int array; (* the open block's edge targets *)
+  mutable fill : int; (* edges in the open block *)
+  mutable sealed_ea : int array list; (* full blocks, newest first *)
+  mutable sealed_et : int array list;
+  mutable elen : int; (* edges in all blocks *)
   mutable rows : int array; (* rows.(i+1) = end offset of state i's edges *)
   mutable expanded : int; (* states with closed rows: 0..expanded-1 *)
   limit : int;
@@ -170,8 +196,11 @@ let new_builder ~limit =
   {
     keys = [||];
     count = 0;
-    ea = Array.make 4096 0;
-    et = Array.make 4096 0;
+    ea = Array.make first_block 0;
+    et = Array.make first_block 0;
+    fill = 0;
+    sealed_ea = [];
+    sealed_et = [];
     elen = 0;
     rows = [| 0 |];
     expanded = 0;
@@ -202,23 +231,32 @@ let add_state b key =
 (* The keys of the states added so far. *)
 let keys b = Array.sub b.keys 0 b.count
 
-(* Room for [n] edges, doubling. *)
-let ensure_edges b n =
-  let cap = Array.length b.ea in
-  if n > cap then begin
-    let cap' = max n (2 * cap) in
-    let ea' = Array.make cap' 0 and et' = Array.make cap' 0 in
-    Array.blit b.ea 0 ea' 0 b.elen;
-    Array.blit b.et 0 et' 0 b.elen;
-    b.ea <- ea';
-    b.et <- et'
-  end
+let seal b =
+  b.sealed_ea <- b.ea :: b.sealed_ea;
+  b.sealed_et <- b.et :: b.sealed_et;
+  let size = min max_block (2 * Array.length b.ea) in
+  b.ea <- Array.make size 0;
+  b.et <- Array.make size 0;
+  b.fill <- 0
 
 let push_edge b aid j =
-  if b.elen >= Array.length b.ea then ensure_edges b (b.elen + 1);
-  b.ea.(b.elen) <- aid;
-  b.et.(b.elen) <- j;
+  if b.fill = Array.length b.ea then seal b;
+  b.ea.(b.fill) <- aid;
+  b.et.(b.fill) <- j;
+  b.fill <- b.fill + 1;
   b.elen <- b.elen + 1
+
+(* The first [len] edges of one column, given its sealed blocks (newest
+   first) and its open block, as one array of exact length. *)
+let column sealed open_ len =
+  let out = Array.make len 0 and pos = ref 0 in
+  List.iter
+    (fun block ->
+      let k = min (Array.length block) (len - !pos) in
+      Array.blit block 0 out !pos k;
+      pos := !pos + k)
+    (List.rev (open_ :: sealed));
+  out
 
 (* Mark the end of state [i]'s edge row (states are expanded in id order).
    [expanded] trails it: everything below is a consistent CSR prefix, which
@@ -252,21 +290,23 @@ let snap_of_builder b =
   {
     s_ranks = keys b;
     s_rows = Array.sub b.rows 0 (b.expanded + 1);
-    s_ea = Array.sub b.ea 0 closed;
-    s_et = Array.sub b.et 0 closed;
+    s_ea = column b.sealed_ea b.ea closed;
+    s_et = column b.sealed_et b.et closed;
     s_expanded = b.expanded;
   }
 
+(* The snapshot's closed edges become the first sealed block. *)
 let restore_edges b snap =
   let closed = snap.s_rows.(snap.s_expanded) in
-  ensure_edges b closed;
-  Array.blit snap.s_ea 0 b.ea 0 closed;
-  Array.blit snap.s_et 0 b.et 0 closed;
+  if closed > 0 then begin
+    b.sealed_ea <- [ snap.s_ea ];
+    b.sealed_et <- [ snap.s_et ]
+  end;
   b.elen <- closed;
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let make_system ~program ~actions ~initials ~store ~compiled ~closure_guards
+let make_system ~program ~actions ~initials ~store ~compiled
     (row_ptr, edge_action, edge_target) =
   {
     program;
@@ -277,22 +317,21 @@ let make_system ~program ~actions ~initials ~store ~compiled ~closure_guards
     initials;
     store;
     compiled;
-    closure_guards;
+    all_compiled = Array.for_all Fun.id compiled;
     pred_cache = Hashtbl.create 16;
     enabled_cache = Array.make (Array.length actions) None;
     fallback_reason = None;
   }
 
-(* Edges are read through [row_ptr] only, so edge arrays keep a small
-   capacity slack rather than being copied to their exact length. *)
-let trim a len = if Array.length a - len > len / 8 then Array.sub a 0 len else a
-
-let finish b ~program ~actions ~initials ~store ~compiled ~closure_guards =
+let finish ?(counter = m_builds) b ~program ~actions ~initials ~store ~compiled
+    =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
-  count_build ~states:n ~edges:b.elen;
-  make_system ~program ~actions ~initials ~store ~compiled ~closure_guards
-    (Array.sub b.rows 0 (n + 1), trim b.ea b.elen, trim b.et b.elen)
+  count_build counter ~states:n ~edges:b.elen;
+  make_system ~program ~actions ~initials ~store ~compiled
+    ( Array.sub b.rows 0 (n + 1),
+      column b.sealed_ea b.ea b.elen,
+      column b.sealed_et b.et b.elen )
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -332,7 +371,7 @@ let build_reference ~limit program ~from =
         incr cursor
       done);
   finish b ~program ~actions ~initials ~store:(Listed (keys b, index))
-    ~compiled:0 ~closure_guards:0
+    ~compiled:(Array.make (Array.length actions) false)
 
 (* ------------------------------------------------------------------ *)
 (* The construction pipeline: successor kernel, chunk runner.          *)
@@ -557,14 +596,30 @@ let build_packed ~limit ~workers k program seeds =
             close_row b i
           done
       done);
-  (* Without a checkpoint session there is no one to hand the capture to,
-     and it copies and marshals every edge. *)
-  if Detcor_robust.Checkpoint.active () then
-    Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions:k.k_actions
-    ~initials:(List.init (Array.length seeds) Fun.id)
-    ~store:(Interned (layout, keys b, index))
-    ~compiled:k.num_compiled ~closure_guards:k.closure_guards
+  let ranks = keys b in
+  let ts =
+    finish b ~program ~actions:k.k_actions
+      ~initials:(List.init (Array.length seeds) Fun.id)
+      ~store:(Interned (layout, ranks, index))
+      ~compiled:(Array.map Option.is_some k.k_compiled)
+  in
+  (* The completed payload is the finished system's own arrays, marshalled
+     only when a save persists it: a build pays nothing for it between
+     saves, and nothing at all without a checkpoint session. *)
+  if Detcor_robust.Checkpoint.active () then begin
+    let snap =
+      {
+        s_ranks = ranks;
+        s_rows = ts.row_ptr;
+        s_ea = ts.edge_action;
+        s_et = ts.edge_target;
+        s_expanded = b.count;
+      }
+    in
+    Detcor_robust.Checkpoint.complete_with phase (fun () ->
+        Marshal.to_string snap [])
+  end;
+  ts
 
 (* ------------------------------------------------------------------ *)
 (* Shard store: hash-partitioned, disk-spillable arenas.               *)
@@ -718,12 +773,13 @@ let build_sharded ~limit ~workers kern program ~seeds =
   Detcor_robust.Checkpoint.complete phase
     (if track then !latest else "");
   if Obs.on () || Progress.armed () then live_flush ();
-  count_build ~states:(Shard_store.num_states store)
+  count_build m_builds ~states:(Shard_store.num_states store)
     ~edges:(Shard_store.num_edges store);
   make_system ~program ~actions:kern.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
-    ~store:(Shards (layout, store)) ~compiled:kern.num_compiled
-    ~closure_guards:kern.closure_guards ([| 0 |], [||], [||])
+    ~store:(Shards (layout, store))
+    ~compiled:(Array.map Option.is_some kern.k_compiled)
+    ([| 0 |], [||], [||])
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
@@ -925,6 +981,23 @@ let kept span keep =
         incr k);
     idx
 
+(* The ranks of [span]'s states in [keep], ascending.  Ranks that fill a
+   quarter of [layout]'s space or more are ordered by one pass over a
+   bitset of that space; sparser ones are sorted. *)
+let kept_ranks span layout keep =
+  let ranks = Array.map (rank_of span) (kept span keep) in
+  let space = Layout.space layout in
+  if Array.length ranks >= space / 4 then begin
+    let held = Bitset.create space in
+    Array.iter (Bitset.set held) ranks;
+    let k = ref 0 in
+    Bitset.iter_set held (fun r ->
+        ranks.(!k) <- r;
+        incr k)
+  end
+  else Array.stable_sort Int.compare ranks;
+  ranks
+
 let within_states span keep =
   Array.fold_right (fun i acc -> state span i :: acc) (kept span keep) []
 
@@ -943,9 +1016,7 @@ let rec seed_ranks ~limit target = function
   | Within (span, keep) -> (
     match layout span with
     | Some a when Layout.has_signature target (Layout.signature a) ->
-      let ranks = Array.map (rank_of span) (kept span keep) in
-      Array.sort Int.compare ranks;
-      ranks
+      kept_ranks span target keep
     | _ -> seed_ranks ~limit target (States (within_states span keep)))
   | Satisfying pred ->
     let buf = ref [] and n = ref 0 in
@@ -990,6 +1061,9 @@ let fell_back reason ts =
   end;
   ts
 
+let count_compiled ts =
+  Array.fold_left (fun n c -> if c then n + 1 else n) 0 ts.compiled
+
 (* Every construction: pick the store for [engine], seed it, and annotate
    the [ts.build] span, on completion, with the size of what was built and
    how many of its actions ran compiled.
@@ -1008,8 +1082,14 @@ let construct op ~limit ~engine ~workers program seeds =
   let reference () =
     build_reference ~limit program ~from:(seed_states program seeds)
   in
+  let closure_guards = ref 0 in
+  let kernel layout =
+    let k = kernel layout program in
+    closure_guards := k.closure_guards;
+    k
+  in
   let flat layout =
-    build_packed ~limit ~workers (kernel layout program) program
+    build_packed ~limit ~workers (kernel layout) program
       (seed_ranks ~limit layout seeds)
   in
   let ts =
@@ -1020,7 +1100,7 @@ let construct op ~limit ~engine ~workers program seeds =
       | Auto, None -> fell_back overflow_reason (reference ())
       | _, None -> raise Layout.Unrepresentable
       | Sharded, Some layout ->
-        build_sharded ~limit ~workers (kernel layout program) program
+        build_sharded ~limit ~workers (kernel layout) program
           ~seeds:(seed_ranks ~limit layout seeds)
       | Packed, Some layout -> flat layout
       | _, Some layout -> (
@@ -1035,8 +1115,9 @@ let construct op ~limit ~engine ~workers program seeds =
         Attr.int "edges" (num_edges ts);
         Attr.bool "packed" (layout ts <> None);
         Attr.int "actions" (Array.length ts.actions);
-        Attr.int "compiled" ts.compiled;
-        Attr.int "closure_guards" ts.closure_guards;
+        Attr.int "compiled" (count_compiled ts);
+        Attr.int "closure_guards"
+          (if layout ts = None then 0 else !closure_guards);
       ];
   ts
 
@@ -1142,30 +1223,60 @@ let pred_bitset ts pred =
 
 let holds_at ts pred i = Bitset.get (pred_bitset ts pred) i
 
-(* [enabled_bitset ts aid]: the [pred_bitset] of action [aid]'s guard,
-   cached per action id. *)
+(* Fill the enabled cache of every compiled action at once, in one pass
+   over the edges.  A compiled action's guard holds at [i] exactly when
+   [i] has an edge labelled with it: [Compiled.successors] tests the
+   guard, and then a move yields one outcome and an update list at least
+   one, since every wildcard ranges over a non-empty domain.  A closure
+   statement may yield no outcome where its guard holds ([Action.choose
+   []]), so closure-built actions keep the guard sweep. *)
+let read_labels ts =
+  let n = num_states ts in
+  let fresh =
+    Array.mapi
+      (fun aid compiled ->
+        if compiled && ts.enabled_cache.(aid) = None then Some (Bitset.create n)
+        else None)
+      ts.compiled
+  in
+  iter_edges ts (fun i aid _ ->
+      match Array.unsafe_get fresh aid with
+      | Some bits -> Bitset.set bits i
+      | None -> ());
+  Array.iteri
+    (fun aid bits -> if bits <> None then ts.enabled_cache.(aid) <- bits)
+    fresh
+
+(* [enabled_bitset ts aid]: the states where action [aid]'s guard holds,
+   cached per action id.  A compiled action's set is read off the edge
+   labels (a hit: the build already decided it); any other action's
+   guard is swept (a miss). *)
 let enabled_bitset ts aid =
   match ts.enabled_cache.(aid) with
   | Some bits ->
     if Obs.on () then Metrics.incr m_enabled_hits;
     bits
+  | None when ts.compiled.(aid) ->
+    if Obs.on () then Metrics.incr m_enabled_hits;
+    read_labels ts;
+    Option.get ts.enabled_cache.(aid)
   | None ->
     if Obs.on () then Metrics.incr m_enabled_misses;
     let bits = sweep ts (Action.guard ts.actions.(aid)) in
     ts.enabled_cache.(aid) <- Some bits;
     bits
 
-(* [enabled ts i aid]: is action [aid] enabled at state [i]?  Computed from
-   the guard, not from edges: an enabled action always yields at least one
-   successor in this framework, but checking the guard is cheaper than
-   scanning edges and also correct for actions with empty statements. *)
+(* [enabled ts i aid]: is action [aid] enabled at state [i]? *)
 let enabled ts i aid = Bitset.get (enabled_bitset ts aid) i
 
 let rec disabled_from ts i aid =
   aid >= Array.length ts.actions
   || ((not (enabled ts i aid)) && disabled_from ts i (aid + 1))
 
-let deadlocked ts i = disabled_from ts i 0
+(* With every action compiled, a state is deadlocked exactly when its edge
+   row is empty. *)
+let deadlocked ts i =
+  if ts.all_compiled then out_degree ts i = 0 else disabled_from ts i 0
 
 let satisfying ts pred =
   let bits = pred_bitset ts pred in
@@ -1179,16 +1290,103 @@ let satisfying ts pred =
 (* A program over an explored system.                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [actions] is a physical prefix of [span]'s actions. *)
+let prefix_of actions span =
+  let rec go aid = function
+    | [] -> true
+    | ac :: rest ->
+      aid < Array.length span.actions
+      && span.actions.(aid) == ac
+      && go (aid + 1) rest
+  in
+  go 0 actions
+
+(* The layout to derive [program] over [span] with: [program]'s, when the
+   span is a flat store of that signature whose actions begin with
+   [program]'s ([Fault.compose] puts them there), so that the span's
+   edge rows restricted to those actions are [program]'s successors. *)
+let derivable ~engine program span =
+  match (engine, span.store) with
+  | (Auto | Packed), Interned (a, _, _)
+    when prefix_of (Program.actions program) span ->
+    Option.bind (Layout.of_program program) (fun layout ->
+        if Layout.has_signature layout (Layout.signature a) then Some layout
+        else None)
+  | _ -> None
+
+(* [program] over [span], derived from the span's rows: a breadth-first
+   walk of the rows with the edges of the other actions dropped, from the
+   kept span states in rank order.  It runs the builder of [build_packed]
+   (numbering, limit, budget and live counter alike), so the system is
+   [build_within]'s exploration, byte for byte, at the cost of one pass
+   over the rows it keeps.  [fresh] maps a span id to its new id, [old]
+   back. *)
+let derive ~limit ~layout program ~span ~keep =
+  Obs.span "ts.derive" ~attrs:[ Attr.str "program" (Program.name program) ]
+  @@ fun () ->
+  let ranks =
+    match span.store with
+    | Interned (_, ranks, _) -> ranks
+    | Listed _ | Shards _ -> invalid_arg "Ts.derive: not a flat store"
+  in
+  let np = List.length (Program.actions program) in
+  let seeds = kept_ranks span layout keep in
+  let index =
+    Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
+  in
+  let b = new_builder ~limit in
+  let n = num_states span in
+  let fresh = Array.make n (-1) and old = Array.make n 0 in
+  let intern j =
+    let i = fresh.(j) in
+    if i >= 0 then i
+    else begin
+      let i = add_state b ranks.(j) in
+      Rank_map.add index ranks.(j) i;
+      fresh.(j) <- i;
+      old.(i) <- j;
+      i
+    end
+  in
+  Array.iter (fun r -> ignore (intern (index_of_rank span r))) seeds;
+  (* A row lists its edges in action order, so [program]'s come first. *)
+  while b.expanded < b.count do
+    Detcor_robust.Budget.tick ();
+    let i = b.expanded in
+    let j = old.(i) in
+    let k = ref span.row_ptr.(j) and hi = span.row_ptr.(j + 1) in
+    while !k < hi && span.edge_action.(!k) < np do
+      push_edge b span.edge_action.(!k) (intern span.edge_target.(!k));
+      incr k
+    done;
+    close_row b i
+  done;
+  let ts =
+    finish ~counter:m_derived b ~program
+      ~actions:(Array.sub span.actions 0 np)
+      ~initials:(List.init (Array.length seeds) Fun.id)
+      ~store:(Interned (layout, keys b, index))
+      ~compiled:(Array.sub span.compiled 0 np)
+  in
+  if Obs.on () then
+    Obs.annotate
+      [ Attr.int "states" (num_states ts); Attr.int "edges" (num_edges ts) ];
+  ts
+
 (* [build_within p ~span]: [p] explored from the states of [span] — those
-   satisfying [where], when given, read through [span]'s cached bitset.
-   When [p]'s layout has [span]'s signature the seeds are [span]'s sorted
-   rank column, with no state built, packed or compared;
-   either way seeds are numbered by rank, so the numbering is
-   [build p ~from:] of the same set. *)
+   satisfying [where], when given, read through [span]'s cached bitset —
+   and numbered as [build p ~from:] of the same set.  Over a flat span
+   whose actions begin with [p]'s (p over the span of p [] F) the system
+   is derived from the span's rows; otherwise it is explored, seeded by
+   the span's sorted rank column when [p]'s layout has [span]'s
+   signature, with no state built, packed or compared. *)
 let build_within ?(limit = default_limit) ?(engine = default_engine)
     ?(workers = 1) ?where program ~span =
-  construct "build" ~limit ~engine ~workers program
-    (Within (span, Option.map (pred_bitset span) where))
+  let keep = Option.map (pred_bitset span) where in
+  match derivable ~engine program span with
+  | Some layout -> derive ~limit ~layout program ~span ~keep
+  | None ->
+    construct "build" ~limit ~engine ~workers program (Within (span, keep))
 
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)

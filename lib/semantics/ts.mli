@@ -26,13 +26,14 @@
       {!set_shard_defaults}), reloading on demand.  Exploration order is
       identical to {!Packed}; only residency differs.
 
-    On every engine, predicate and guard sweeps are cached in per-system
+    On every engine, predicate and guard sets are cached in per-system
     bitsets, so {!holds_at} and {!enabled} answer in O(1) after one
-    sweep.
+    pass.  A compiled action's enabled set is read off the edge labels.
 
     A program over an explored system (p over the span of [p [] F], p from
-    the span's states in R) is built by {!build_within}, the one
-    re-exploration.  Checks that relate two systems over the same states
+    the span's states in R) is built by {!build_within}: derived from the
+    span's edge rows when the span holds the program's edges, explored
+    again otherwise.  Checks that relate two systems over the same states
     (p [] F and p, a span and a front end) move indices with {!index_map};
     backward fixpoints walk the in-edge arrays of {!reverse}. *)
 
@@ -73,12 +74,22 @@ val build :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t ->
   from:State.t list -> t
 
-(** [build_within program ~span]: [program] explored from the states of
-    the explored system [span], or only from those satisfying [where]
-    (read through [span]'s cached bitset).  Numbered exactly as
-    [build program ~from] of the same states.  When [program]'s layout
-    has [span]'s signature, the seeds are [span]'s sorted rank column:
-    no state is packed or compared.
+(** [build_within program ~span]: [program] from the states of the
+    explored system [span], or only from those satisfying [where] (read
+    through [span]'s cached bitset).  Numbered exactly as
+    [build program ~from] of the same states.
+
+    The system is derived from [span]'s edge rows, with no action run,
+    when [engine] is [Auto] or [Packed], [span] is a flat {!Packed}
+    system, [program]'s layout has [span]'s signature and [program]'s
+    actions are a physical prefix of [span]'s ([Fault.compose] gives
+    [p [] F] exactly that): a breadth-first walk of the span's rows with
+    the other actions' edges dropped, through the same builder.  Its
+    states count toward [engine.states_visited], [limit] and the state
+    budget as explored ones do; it runs in a [ts.derive] span and bumps
+    [engine.derived] instead of [engine.builds].  Otherwise [program] is
+    explored; when its layout has [span]'s signature the seeds are
+    [span]'s sorted rank column, and no state is packed or compared.
     @raise Too_large if more than [limit] states are encountered. *)
 val build_within :
   ?limit:int -> ?engine:engine -> ?workers:int -> ?where:Pred.t ->
@@ -189,13 +200,19 @@ val iter_in : reverse -> int -> (int -> int -> unit) -> unit
 val pred_bitset : t -> Pred.t -> Bitset.t
 
 (** [enabled_bitset ts aid]: bitset of the states where action [aid]'s
-    guard holds; cached like {!pred_bitset}. *)
+    guard holds, cached per action.  For an action that ran compiled it
+    is read off the edge labels: its guard holds exactly where it labels
+    an edge.  The first such lookup fills the sets of every compiled
+    action in one pass over the edges, and counts as a hit of
+    [engine.enabled_cache].  A closure-built action, and every action of
+    a {!Reference} system, has its guard swept, a miss. *)
 val enabled_bitset : t -> int -> Bitset.t
 
 (** [enabled ts i aid]: guard of action [aid] true at state [i]. *)
 val enabled : t -> int -> int -> bool
 
-(** No action enabled at state [i]. *)
+(** No action enabled at state [i]: an empty edge row when every action
+    ran compiled, otherwise read from the enabled sets. *)
 val deadlocked : t -> int -> bool
 
 (** Indices of states satisfying the predicate, ascending. *)

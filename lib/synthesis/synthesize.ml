@@ -991,14 +991,18 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     match repair_allowed with Some f -> f | None -> allowed
   in
   (* [p] is deadlocked at span state [i] when none of the span's
-     non-fault actions (exactly [p]'s) is enabled there. *)
-  let program_ids =
-    List.filter
-      (fun aid -> not is_fault.(aid))
-      (List.init (Ts.num_actions ts_span) Fun.id)
+     non-fault actions (exactly [p]'s) is enabled there.  Their enabled
+     sets are fetched once, when a first state needs them. *)
+  let program_bits =
+    lazy
+      (List.filter_map
+         (fun aid ->
+           if is_fault.(aid) then None
+           else Some (Ts.enabled_bitset ts_span aid))
+         (List.init (Ts.num_actions ts_span) Fun.id))
   in
   let deadlocked i =
-    List.for_all (fun aid -> not (Ts.enabled ts_span i aid)) program_ids
+    List.for_all (fun bits -> not (Bitset.get bits i)) (Lazy.force program_bits)
   in
   let stalled = Array.make n false in
   for i = 0 to n - 1 do

@@ -178,11 +178,13 @@ let run_dcheck_term ?kill_grace args ~out =
   status
 
 let test_sigterm_parity () =
-  (* Without a checkpoint: the handler exits directly, code 143. *)
+  (* Without a checkpoint: the handler exits directly, code 143.  The
+     run must outlast the 50 ms grace: reset10's verify takes about
+     0.2 s. *)
   with_temp ".out" @@ fun out ->
   (match
      run_dcheck_term ~kill_grace:0.05
-       [ "verify"; ring5; "--tolerance"; "nonmasking" ]
+       [ "verify"; "../examples/dc/big/reset10.dc" ]
        ~out
    with
   | Unix.WEXITED c ->

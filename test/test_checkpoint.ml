@@ -8,7 +8,8 @@
    fingerprint and phase-kind mismatches are Snapshot errors too.
    End-to-end: a ring5 fault-span build interrupted twice by a state
    budget and resumed from its snapshot converges to a system
-   structurally identical to the uninterrupted build, and a build whose
+   structurally identical to the uninterrupted build, from which p over
+   the span derives as from the uninterrupted one, and a build whose
    worker domains are all killed by an armed failpoint (a fault-span BFS,
    a full-product build) degrades to sequential recomputation with the
    same result. *)
@@ -251,13 +252,13 @@ let ring5_span () =
   let e = Lazy.force ring5 in
   (Tolerance.fault_span e.program ~faults:e.faults ~from:e.invariant).ts_pf
 
-let test_interrupted_resume () =
+(* The ring5 span, built in three legs: two tripped by a growing state
+   ceiling, then one to the end.  Each trip unwinds through
+   [Checkpoint.stop], whose final save persists the mid-BFS capture the
+   next leg resumes from. *)
+let resumed_ring5_span () =
   with_temp @@ fun snap ->
   let fingerprint = Checkpoint.digest [ "test"; "ring5 span" ] in
-  let uninterrupted = ring5_span () in
-  (* Two legs tripped by a growing state ceiling, then one to the end.
-     Each trip unwinds through [Checkpoint.stop], whose final save
-     persists the mid-BFS capture the next leg resumes from. *)
   let leg ?resume ?max_states () =
     Checkpoint.start ~interval:3600.0 ~write:snap ?resume ~fingerprint ();
     Fun.protect ~finally:Checkpoint.stop @@ fun () ->
@@ -272,9 +273,37 @@ let test_interrupted_resume () =
   Alcotest.(check bool) "snapshot written on first trip" true
     (Sys.file_exists snap);
   ignore (leg ~resume:snap ~max_states:6000 ());
-  let resumed = Option.get (leg ~resume:snap ()) in
+  Option.get (leg ~resume:snap ())
+
+let test_interrupted_resume () =
+  let uninterrupted = ring5_span () in
+  let resumed = resumed_ring5_span () in
   Alcotest.(check bool) "resumed system identical" true
     (Util.ts_equal uninterrupted resumed)
+
+(* A resumed span keeps no record of what its first legs decided, and
+   needs none: p over it is derived from its rows, and its enabled sets
+   are read off its edge labels, exactly as on an uninterrupted span. *)
+let test_resume_derives () =
+  let e = Lazy.force ring5 in
+  let enabled ts =
+    List.init (Ts.num_actions ts) (fun aid ->
+        Detcor_semantics.Bitset.to_string (Ts.enabled_bitset ts aid))
+  in
+  let derive span =
+    let before = Metrics.counter_value_by_name "engine.derived" in
+    let ts_p = Ts.build_within e.program ~span in
+    Alcotest.(check int) "p over the span derived" 1
+      (Metrics.counter_value_by_name "engine.derived" - before);
+    ts_p
+  in
+  let uninterrupted = ring5_span () in
+  let resumed = resumed_ring5_span () in
+  let p = derive uninterrupted and p' = derive resumed in
+  Alcotest.(check bool) "same p over the span" true (Util.ts_equal p p');
+  Alcotest.(check (list string))
+    "same span enabled sets" (enabled uninterrupted) (enabled resumed);
+  Alcotest.(check (list string)) "same p enabled sets" (enabled p) (enabled p')
 
 (* ------------------------------------------------------------------ *)
 (* Worker-failure degradation.                                         *)
@@ -399,4 +428,6 @@ let suite =
         `Slow test_interrupted_resume;
       Alcotest.test_case "worker failures degrade without changing results"
         `Slow test_worker_degradation;
+      Alcotest.test_case "resumed span derives the same p over it" `Slow
+        test_resume_derives;
     ] )

@@ -27,7 +27,11 @@
    reference engine under every engine and worker count, and against an
    interpreted twin (the same actions behind opaque closures) under the
    same engine: identical systems, or the identical [Value.Type_error]
-   message, or the identical [Layout.escape_reason].
+   message, or the identical [Layout.escape_reason].  The same sources,
+   with fault actions added, check that compiled actions' enabled sets
+   read off the edge labels equal the guard sweeps, and that p over the
+   span of p [] F derived from the span's rows equals p explored from
+   the same states.
 
    Together the properties run > 200 random programs per test execution. *)
 
@@ -688,6 +692,123 @@ let prop_dsl_constructions =
       && dsl_engines_agree e.program (fun p ~engine ~workers ->
              Util.product ~engine ~workers p))
 
+(* A random source with one or two fault actions: [action_src] lines
+   declared as faults. *)
+let dsl_faults_arb =
+  QCheck.make ~print:Fun.id
+    QCheck.Gen.(
+      let* src = dsl_gen in
+      let* k = int_range 1 2 in
+      let* faults = flatten_l (List.init k (fun i -> action_src (10 + i))) in
+      let fault line =
+        "fault flt" ^ String.sub line 10 (String.length line - 10)
+      in
+      return (src ^ String.concat "" (List.map fault faults)))
+
+let counter name = Detcor_obs.Metrics.counter_value_by_name name
+
+(* Enabled sets read off the edge labels.  On every layout engine, a
+   compiled action's [enabled_bitset] is its guard's [pred_bitset] and
+   the interpreted twin's guard sweep, the compiled system sweeps no
+   guard, and [deadlocked] (an empty edge row there) is the twin's. *)
+let enabled_agree p make =
+  let twin = interpreted p in
+  let obs = Detcor_obs.Obs.make ~sinks:[] () in
+  List.for_all
+    (fun (engine, shards) ->
+      Util.with_shards ~shards @@ fun () ->
+      match
+        (run (fun () -> make p ~engine), run (fun () -> make twin ~engine))
+      with
+      | Built ts, Built tw ->
+        let misses = counter "engine.enabled_cache.misses" in
+        let labels =
+          Detcor_obs.Obs.with_ctx obs (fun () ->
+              List.init (Ts.num_actions ts) (Ts.enabled_bitset ts))
+        in
+        let swept = counter "engine.enabled_cache.misses" - misses in
+        let where = Fmt.str "%s, %d shards" (Ts.engine_name engine) shards in
+        (Ts.engine_of ts = Ts.Reference || swept = 0
+        || QCheck.Test.fail_reportf "%s: %d guard sweeps" where swept)
+        && List.for_all2
+             (fun aid bits ->
+               let guard = Action.guard (Ts.action ts aid) in
+               (Bitset.equal bits (Ts.pred_bitset ts guard)
+               && Bitset.equal bits (Ts.enabled_bitset tw aid))
+               || QCheck.Test.fail_reportf "%s: enabled set of action %d" where
+                    aid)
+             (List.init (Ts.num_actions ts) Fun.id)
+             labels
+        && List.for_all
+             (fun i ->
+               Ts.deadlocked ts i = Ts.deadlocked tw i
+               || QCheck.Test.fail_reportf "%s: deadlocked at %d" where i)
+             (List.init (Ts.num_states ts) Fun.id)
+      | a, b -> same ~text:false a b || explain "compiled vs interpreted" a b)
+    [ (Ts.Auto, 4); (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ]
+
+(* p over the span of p [] F, derived from the span's rows, against p
+   explored from the same states: over the whole span, over the
+   invariant's states and over every other span state (a strict subset
+   of two or more).  The derivation must happen exactly where the span
+   is a flat store; the reference and sharded spans keep exploring. *)
+let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
+  let p = e.program in
+  let pf = Detcor_core.Fault.compose p e.faults in
+  let agree ~engine span where =
+    let label =
+      Fmt.str "%s span, where %s" (Ts.engine_name engine)
+        (match where with Some w -> Pred.name w | None -> "-")
+    in
+    let derived0 = counter "engine.derived" in
+    let within = Ts.build_within ~engine ?where p ~span in
+    let derived = counter "engine.derived" - derived0 in
+    let from =
+      match where with
+      | None -> Ts.states span
+      | Some w -> List.filter (Pred.holds w) (Ts.states span)
+    in
+    let built = Ts.build ~engine p ~from in
+    (derived = Bool.to_int (Ts.engine_of span = Ts.Packed)
+    || QCheck.Test.fail_reportf "%s: %d derivations" label derived)
+    && (Util.ts_equal built within
+       || QCheck.Test.fail_reportf "%s: derived system differs" label)
+    && List.for_all
+         (fun aid ->
+           Bitset.equal (Ts.enabled_bitset within aid)
+             (Ts.enabled_bitset built aid)
+           || QCheck.Test.fail_reportf "%s: enabled set %d" label aid)
+         (List.init (Ts.num_actions within) Fun.id)
+  in
+  List.for_all
+    (fun (engine, shards) ->
+      Util.with_shards ~shards @@ fun () ->
+      match run (fun () -> Ts.build ~engine pf ~from) with
+      | Built span ->
+        let every_other =
+          Pred.of_states ~name:"every other"
+            (List.filteri (fun i _ -> i mod 2 = 0) (Ts.states span))
+        in
+        List.for_all
+          (fun where ->
+            (* An invariant dividing by a zero variable raises on both
+               paths. *)
+            try agree ~engine span where with Value.Type_error _ -> true)
+          [ None; Some e.invariant; Some every_other ]
+      | _ -> true)
+    [ (Ts.Auto, 4); (Ts.Packed, 4); (Ts.Reference, 4); (Ts.Sharded, 4) ]
+
+let prop_dsl_labels_and_derivation =
+  Util.qtest ~count:80
+    "compiled enabled sets = guard sweeps; derived p over span = explored"
+    dsl_faults_arb (fun src ->
+      let e = elaborate src in
+      let layout = Option.get (Layout.of_program e.program) in
+      let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
+      enabled_agree e.program (fun p ~engine -> Ts.build ~engine p ~from)
+      && enabled_agree e.program (fun p ~engine -> Util.product ~engine p)
+      && derived_agree e from)
+
 (* [p]'s states by the pruned enumeration, as ranks (or the
    [Value.Type_error] message), with the [engine.enum.nodes] it visited. *)
 let enumerate layout p =
@@ -923,4 +1044,5 @@ let suite =
         test_reset10_enumeration;
       Alcotest.test_case "compiled escape names the lowest slot" `Quick
         test_escape_lowest_slot;
+      prop_dsl_labels_and_derivation;
     ] )
