@@ -104,6 +104,10 @@ let check_now b =
       trip b { Error.kind = Error.Memory; spent = heap_bytes; budget = limit }
   | None -> ()
 
+let check () =
+  let b = !current_budget in
+  if b.active then check_now b
+
 let interval = 128 (* power of two: the tick test is a mask *)
 
 (* An external cancellation hook run on the masked slow path — the same

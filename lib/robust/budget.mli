@@ -31,6 +31,11 @@ val current : unit -> t
     subsequent call once tripped, so cancellation propagates). *)
 val tick : unit -> unit
 
+(** Consult the clock and the heap against the ambient budget now,
+    outside {!tick}'s cadence: for a point where the heap peaks between
+    ticks.  @raise Error.Detcor_error on exhaustion. *)
+val check : unit -> unit
+
 (** Install a hook run on {!tick}'s masked slow path — the same cadence
     as the checkpoint pulse, i.e. at points where loop state is
     consistent.  dcheck uses it to turn asynchronous termination

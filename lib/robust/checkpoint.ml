@@ -46,28 +46,34 @@ let h_bytes = Metrics.histogram "robust.snapshot_bytes"
 
 let magic = "DCSNAP01"
 
-let format_version = 1
+(* Version 2: the [ts.bfs] payload holds its edge columns as [Bytes]
+   (16-bit labels, 32-bit targets) where version 1 held [int array]s.
+   [Marshal] is not type-safe, so an older file is refused here rather
+   than misread.  Those columns are native-endian words, which [Marshal]
+   copies as raw bytes, so the file also records its writer's byte
+   order, and a host of the other order refuses it. *)
+let format_version = 2
 
 type entry = { step : int; kind : string; complete : bool; data : string }
 
 type file_record = {
   f_version : int;
   f_ocaml : string; (* Marshal payloads do not cross compiler versions *)
+  f_big_endian : bool; (* nor do raw native-endian words in [Bytes] *)
   f_fingerprint : string;
   f_entries : entry array;
 }
 
 (* FNV-1a 64-bit over the payload bytes: enough to reject the torn and
    bit-flipped files the chaos harness produces, with no dependencies. *)
-let fnv64 s =
+let fnv64 ?(off = 0) s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
+  for i = off to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
 (* Length-prefixing each part keeps ["ab";"c"] and ["a";"bc"] distinct. *)
@@ -92,6 +98,7 @@ let write_file ~path ~fingerprint entries =
       {
         f_version = format_version;
         f_ocaml = Sys.ocaml_version;
+        f_big_endian = Sys.big_endian;
         f_fingerprint = fingerprint;
         f_entries = entries;
       }
@@ -113,9 +120,16 @@ let write_file ~path ~fingerprint entries =
   String.length payload
 
 let read_file ~path =
+  (* Read in one allocation of the file's size, and checksum and
+     unmarshal the payload in place: a spilled shard segment is reloaded
+     through here, and every copy is garbage the heap budget sees. *)
   let contents =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Sys_error m -> Error.snapshot ~path "cannot read: %s" m
+    try
+      In_channel.with_open_bin path (fun ic ->
+          really_input_string ic (in_channel_length ic))
+    with
+    | Sys_error m | Failure m -> Error.snapshot ~path "cannot read: %s" m
+    | End_of_file -> Error.snapshot ~path "cannot read: file shrank"
   in
   let fail fmt = Error.snapshot ~path fmt in
   if String.length contents < header_len then
@@ -139,11 +153,10 @@ let read_file ~path =
     fail "truncated payload (%d of %d bytes)"
       (String.length contents - header_len)
       len;
-  let payload = String.sub contents header_len len in
-  if not (Int64.equal (fnv64 payload) sum) then
+  if not (Int64.equal (fnv64 ~off:header_len contents) sum) then
     fail "checksum mismatch (damaged file)";
   let record : file_record =
-    try Marshal.from_string payload 0
+    try Marshal.from_string contents header_len
     with Failure _ -> fail "undecodable payload"
   in
   if record.f_version <> format_version then
@@ -152,6 +165,11 @@ let read_file ~path =
   if not (String.equal record.f_ocaml Sys.ocaml_version) then
     fail "written by OCaml %s (this binary is %s)" record.f_ocaml
       Sys.ocaml_version;
+  if record.f_big_endian <> Sys.big_endian then begin
+    let order b = if b then "big-endian" else "little-endian" in
+    fail "written on a %s host (this one is %s)" (order record.f_big_endian)
+      (order Sys.big_endian)
+  end;
   (record.f_fingerprint, record.f_entries)
 
 (* ------------------------------------------------------------------ *)

@@ -101,9 +101,10 @@ type scc = {
 }
 
 (* Tarjan's algorithm, iterative to survive deep graphs, restricted to the
-   masked subgraph.  A call-stack frame holds its node and the node's edge
-   row ([Ts.with_out_row], fetched once on entry) with a cursor into it,
-   and resumes the row at the cursor.  Each node is on the call stack and
+   masked subgraph.  A call-stack frame holds its node and the node's
+   lent row of targets ([Ts.with_out_row], fetched once on entry, read by
+   [Ts.row_target]) with a cursor into it, and resumes the row at the
+   cursor; a popped frame drops its row.  Each node is on the call stack and
    on the component stack at most once, so [n] slots bound both.  A node
    popped into its component gets index [max_int]: it can no longer lower
    a lowlink, which is all an on-stack test would decide. *)
@@ -112,11 +113,11 @@ let sccs ?(mask = no_mask) ts =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let stack = Array.make n 0 and sp = ref 0 in
-  let frame_node = Array.make n 0 and frame_row = Array.make n [||] in
+  let frame_node = Array.make n 0 and frame_row = Array.make n Ts.empty_row in
   let frame_pos = Array.make n 0 and frame_stop = Array.make n 0 in
   let depth = ref 0 in
-  let set_row targets lo hi =
-    frame_row.(!depth) <- targets;
+  let set_row row lo hi =
+    frame_row.(!depth) <- row;
     frame_pos.(!depth) <- lo;
     frame_stop.(!depth) <- hi
   in
@@ -140,14 +141,14 @@ let sccs ?(mask = no_mask) ts =
       let v = frame_node.(top) and e = frame_pos.(top) in
       if e < frame_stop.(top) then begin
         frame_pos.(top) <- e + 1;
-        let w = frame_row.(top).(e) in
+        let w = Ts.row_target frame_row.(top) e in
         if mask w then
           if index.(w) = -1 then enter w
           else if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
       end
       else begin
         depth := top;
-        frame_row.(top) <- [||];
+        frame_row.(top) <- Ts.empty_row;
         if top > 0 then begin
           let parent = frame_node.(top - 1) in
           if lowlink.(v) < lowlink.(parent) then
@@ -172,8 +173,8 @@ let sccs ?(mask = no_mask) ts =
   for i = 0 to n - 1 do
     if mask i && index.(i) = -1 then visit i
   done;
-  let rec self_loop v targets e hi =
-    e < hi && (targets.(e) = v || self_loop v targets (e + 1) hi)
+  let rec self_loop v row e hi =
+    e < hi && (Ts.row_target row e = v || self_loop v row (e + 1) hi)
   in
   let make_scc id members =
     let trivial =

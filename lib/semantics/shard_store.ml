@@ -65,6 +65,42 @@ module Ibuf = struct
   let reset b = b.len <- 0
 end
 
+(* Edge columns, laid out as [Ts]'s: action ids as native-endian 16-bit
+   words, target gids as 32-bit words, 6 bytes an edge in [Bytes] the GC
+   never scans.  [Ts] refuses more actions or states than they hold. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let label col e = get16 col (2 * e)
+let target col e = Int32.to_int (get32 col (4 * e))
+
+(* A growable pair of edge columns: the open segment's CSR edges. *)
+module Ebuf = struct
+  type t = { mutable ea : Bytes.t; mutable et : Bytes.t; mutable len : int }
+
+  let create n = { ea = Bytes.create (2 * n); et = Bytes.create (4 * n); len = 0 }
+
+  let add b aid tgt =
+    if 2 * b.len = Bytes.length b.ea then begin
+      let grow col width =
+        let col' = Bytes.create (2 * Bytes.length col) in
+        Bytes.blit col 0 col' 0 (width * b.len);
+        col'
+      in
+      b.ea <- grow b.ea 2;
+      b.et <- grow b.et 4
+    end;
+    set16 b.ea (2 * b.len) aid;
+    set32 b.et (4 * b.len) (Int32.of_int tgt);
+    b.len <- b.len + 1
+
+  let labels b = Bytes.sub b.ea 0 (2 * b.len)
+  let targets b = Bytes.sub b.et 0 (4 * b.len)
+  let reset b = b.len <- 0
+end
+
 (* LEB128-style varints over the full 63-bit int range (logical shifts,
    so negative ints terminate in at most 10 bytes); signed values go
    through zigzag so small deltas of either sign stay short. *)
@@ -157,16 +193,15 @@ type seg = {
   (* The arenas; all [||] while spilled. *)
   mutable ranks : int array;
   mutable row : int array; (* length count+1 once sealed *)
-  mutable ea : int array;
-  mutable et : int array; (* targets as gids *)
+  mutable ea : Bytes.t; (* label column *)
+  mutable et : Bytes.t; (* target column, as gids *)
   mutable sealed : bool;
   mutable resident : bool;
   mutable file : string option;
   mutable stamp : int; (* LRU clock *)
 }
 
-let seg_bytes s =
-  8 * (s.count + 1 + s.count + (2 * s.edge_count))
+let seg_bytes s = (8 * (s.count + 1 + s.count)) + (6 * s.edge_count)
 
 (* Segment payload: self-describing varint columns.  Ranks and targets
    are delta-coded (interning order makes neighbouring values close);
@@ -186,12 +221,13 @@ let ser_seg s =
     Vbuf.put_u vb (s.row.(i) - s.row.(i - 1))
   done;
   for i = 0 to s.edge_count - 1 do
-    Vbuf.put_u vb s.ea.(i)
+    Vbuf.put_u vb (label s.ea i)
   done;
   prev := 0;
   for i = 0 to s.edge_count - 1 do
-    Vbuf.put_i vb (s.et.(i) - !prev);
-    prev := s.et.(i)
+    let j = target s.et i in
+    Vbuf.put_i vb (j - !prev);
+    prev := j
   done;
   Vbuf.contents vb
 
@@ -215,15 +251,15 @@ let deser_seg s data =
   for i = 1 to count do
     row.(i) <- row.(i - 1) + Vcur.get_u c
   done;
-  let ea = Array.make ecount 0 in
+  let ea = Bytes.create (2 * ecount) in
   for i = 0 to ecount - 1 do
-    ea.(i) <- Vcur.get_u c
+    set16 ea (2 * i) (Vcur.get_u c)
   done;
-  let et = Array.make ecount 0 in
+  let et = Bytes.create (4 * ecount) in
   prev := 0;
   for i = 0 to ecount - 1 do
     prev := !prev + Vcur.get_i c;
-    et.(i) <- !prev
+    set32 et (4 * i) (Int32.of_int !prev)
   done;
   s.ranks <- ranks;
   s.row <- row;
@@ -246,8 +282,7 @@ type shard = {
   (* CSR accumulators of the segment currently receiving edges. *)
   mutable cur : seg option;
   cur_row : Ibuf.t;
-  cur_ea : Ibuf.t;
-  cur_et : Ibuf.t;
+  cur_edges : Ebuf.t;
   mutable cur_lid : int; (* segment-relative id whose edges are open *)
 }
 
@@ -283,8 +318,7 @@ let make_shard ~k ~space sid =
     open_ranks = Ibuf.create 64;
     cur = None;
     cur_row = Ibuf.create 64;
-    cur_ea = Ibuf.create 64;
-    cur_et = Ibuf.create 64;
+    cur_edges = Ebuf.create 64;
     cur_lid = 0;
   }
 
@@ -353,8 +387,8 @@ let spill_seg t sid seg =
     end);
   seg.ranks <- [||];
   seg.row <- [||];
-  seg.ea <- [||];
-  seg.et <- [||];
+  seg.ea <- Bytes.empty;
+  seg.et <- Bytes.empty;
   seg.resident <- false;
   t.resident_bytes <- t.resident_bytes - seg_bytes seg
 
@@ -504,8 +538,8 @@ let begin_level t =
             edge_count = 0;
             ranks = Ibuf.to_array sh.open_ranks;
             row = [||];
-            ea = [||];
-            et = [||];
+            ea = Bytes.empty;
+            et = Bytes.empty;
             sealed = false;
             resident = true;
             file = None;
@@ -519,8 +553,7 @@ let begin_level t =
         Ibuf.reset sh.open_ranks;
         Ibuf.reset sh.cur_row;
         Ibuf.add sh.cur_row 0;
-        Ibuf.reset sh.cur_ea;
-        Ibuf.reset sh.cur_et;
+        Ebuf.reset sh.cur_edges;
         sh.cur_lid <- 0
       end
       else sh.cur <- None)
@@ -536,11 +569,10 @@ let add_edge t ~src ~aid ~tgt =
   | Some seg ->
     let rel = lid_of t src - seg.base_lid in
     while sh.cur_lid < rel do
-      Ibuf.add sh.cur_row sh.cur_ea.Ibuf.len;
+      Ibuf.add sh.cur_row sh.cur_edges.Ebuf.len;
       sh.cur_lid <- sh.cur_lid + 1
     done;
-    Ibuf.add sh.cur_ea aid;
-    Ibuf.add sh.cur_et tgt;
+    Ebuf.add sh.cur_edges aid tgt;
     t.edges <- t.edges + 1
 
 (* Seal the frontier segments: close the remaining CSR rows, freeze the
@@ -552,13 +584,13 @@ let end_level t =
       | None -> ()
       | Some seg ->
         while sh.cur_lid < seg.count do
-          Ibuf.add sh.cur_row sh.cur_ea.Ibuf.len;
+          Ibuf.add sh.cur_row sh.cur_edges.Ebuf.len;
           sh.cur_lid <- sh.cur_lid + 1
         done;
         seg.row <- Ibuf.to_array sh.cur_row;
-        seg.ea <- Ibuf.to_array sh.cur_ea;
-        seg.et <- Ibuf.to_array sh.cur_et;
-        seg.edge_count <- sh.cur_ea.Ibuf.len;
+        seg.ea <- Ebuf.labels sh.cur_edges;
+        seg.et <- Ebuf.targets sh.cur_edges;
+        seg.edge_count <- sh.cur_edges.Ebuf.len;
         seg.sealed <- true;
         t.resident_bytes <- t.resident_bytes + seg_bytes seg;
         sh.cur <- None)
@@ -709,21 +741,8 @@ let iter_out t gid f =
          their contents, it only drops the references). *)
       let row = seg.row and ea = seg.ea and et = seg.et in
       for e = row.(rel) to row.(rel + 1) - 1 do
-        f ea.(e) et.(e)
+        f (label ea e) (target et e)
       done
-    end
-  end
-
-let out_targets t gid =
-  let sh = t.shards.(shard_of t gid) in
-  let lid = lid_of t gid in
-  if lid >= sh.plids then [||]
-  else begin
-    let seg = seg_of_lid t sh lid in
-    if not seg.sealed then [||]
-    else begin
-      let rel = lid - seg.base_lid in
-      Array.sub seg.et seg.row.(rel) (seg.row.(rel + 1) - seg.row.(rel))
     end
   end
 
@@ -847,8 +866,8 @@ let restore ?(on_intern = fun () -> ()) ~layout ~limit ~spill_dir
                 edge_count;
                 ranks = [||];
                 row = [||];
-                ea = [||];
-                et = [||];
+                ea = Bytes.empty;
+                et = Bytes.empty;
                 sealed = true;
                 resident = false;
                 file = (if tag = 1 then Some payload else None);

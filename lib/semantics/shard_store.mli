@@ -107,11 +107,6 @@ val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val out_degree : t -> int -> int
 
-(** [out_targets t gid]: the targets of [gid]'s out-edges, in edge
-    order, copied out of the segment: holding the copy pins no evicted
-    arena. *)
-val out_targets : t -> int -> int array
-
 (** [iter_edges t f]: [f src aid tgt] over all edges, sources
     ascending. *)
 val iter_edges : t -> (int -> int -> int -> unit) -> unit

@@ -27,8 +27,13 @@
      whose in-order merge keeps the numbering independent of the worker
      count.
 
-   A BFS builder appends edges to fixed-size blocks and concatenates them
-   once, at the end, into arrays of exact length.
+   Edges live in two compact columns the GC never scans: action ids as
+   16-bit and target ids as 32-bit native-endian words in [Bytes].  A BFS
+   builder appends edges to blocks of those columns and concatenates them
+   once, at the end, into columns of exact length; the reverse CSR uses
+   the same columns.  The widths are ceilings: a system has at most
+   [max_actions] actions and [max_states] states, and is refused, never
+   wrapped, past either.
 
    A layout-built system keeps ranks only: [state] decodes a rank on
    demand, and [index_of] packs a state and looks its rank up.  The
@@ -138,14 +143,37 @@ type store =
       (* the out-of-core store; the flat CSR arrays are then empty and
          every accessor dispatches *)
 
+(* ------------------------------------------------------------------ *)
+(* Edge columns.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A label column holds action ids as native-endian 16-bit words, a
+   target column state ids as 32-bit words: 6 bytes an edge in [Bytes],
+   which the GC never scans.  The unchecked primitives read and write
+   them unboxed; every index is a CSR offset below the column's length. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let max_actions = 0xFFFF
+let max_states = 0x7FFF_FFFF
+let labels n = Bytes.create (2 * n)
+let targets n = Bytes.create (4 * n)
+let label col k = get16 col (2 * k)
+let target col k = Int32.to_int (get32 col (4 * k))
+let set_label col k aid = set16 col (2 * k) aid
+let set_target col k j = set32 col (4 * k) (Int32.of_int j)
+
 type t = {
   program : Program.t;
   actions : Action.t array;
   (* CSR adjacency: edges of state [i] occupy [row_ptr.(i) .. row_ptr.(i+1))
-     of [edge_action]/[edge_target]. *)
+     of the label column [edge_action] and the target column
+     [edge_target]. *)
   row_ptr : int array;
-  edge_action : int array;
-  edge_target : int array;
+  edge_action : Bytes.t;
+  edge_target : Bytes.t;
   initials : int list;
   store : store;
   (* Per action id: the action ran compiled, so its guard holds at state
@@ -169,10 +197,10 @@ let default_limit = 2_000_000
 (* Growable buffers shared by every builder.                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Edge rows grow in blocks: the open block fills, is sealed, and the next
-   one opens twice as large, up to [max_block] words.  No edge is copied
-   while the build runs; [finish] concatenates the blocks once into
-   arrays of exact length. *)
+(* Edge rows grow in blocks of the two columns: the open block fills, is
+   sealed, and the next one opens twice as large, up to [max_block]
+   edges.  No edge is copied while the build runs; [finish] concatenates
+   the blocks once into columns of exact length. *)
 let first_block = 4096
 let max_block = 32_768
 
@@ -181,34 +209,37 @@ let max_block = 32_768
 type 'k builder = {
   mutable keys : 'k array;
   mutable count : int;
-  mutable ea : int array; (* the open block's edge action ids *)
-  mutable et : int array; (* the open block's edge targets *)
+  mutable ea : Bytes.t; (* the open block's label column *)
+  mutable et : Bytes.t; (* the open block's target column *)
   mutable fill : int; (* edges in the open block *)
-  mutable sealed_ea : int array list; (* full blocks, newest first *)
-  mutable sealed_et : int array list;
+  mutable room : int; (* edges the open block holds *)
+  mutable sealed_ea : Bytes.t list; (* full blocks, newest first *)
+  mutable sealed_et : Bytes.t list;
   mutable elen : int; (* edges in all blocks *)
   mutable rows : int array; (* rows.(i+1) = end offset of state i's edges *)
   mutable expanded : int; (* states with closed rows: 0..expanded-1 *)
-  limit : int;
+  limit : int; (* at most [max_states] *)
 }
 
 let new_builder ~limit =
   {
     keys = [||];
     count = 0;
-    ea = Array.make first_block 0;
-    et = Array.make first_block 0;
+    ea = labels first_block;
+    et = targets first_block;
     fill = 0;
+    room = first_block;
     sealed_ea = [];
     sealed_et = [];
     elen = 0;
     rows = [| 0 |];
     expanded = 0;
-    limit;
+    limit = min limit max_states;
   }
 
-(* Add one more state, counted against the limit, the live counter and
-   the budget. *)
+(* Add one more state, counted against the limit (never above
+   [max_states], the ids a target column holds), the live counter and the
+   budget. *)
 let add_state b key =
   let i = b.count in
   if i >= b.limit then raise (Too_large b.limit);
@@ -234,29 +265,33 @@ let keys b = Array.sub b.keys 0 b.count
 let seal b =
   b.sealed_ea <- b.ea :: b.sealed_ea;
   b.sealed_et <- b.et :: b.sealed_et;
-  let size = min max_block (2 * Array.length b.ea) in
-  b.ea <- Array.make size 0;
-  b.et <- Array.make size 0;
+  let size = min max_block (2 * b.room) in
+  b.ea <- labels size;
+  b.et <- targets size;
+  b.room <- size;
   b.fill <- 0
 
 let push_edge b aid j =
-  if b.fill = Array.length b.ea then seal b;
-  b.ea.(b.fill) <- aid;
-  b.et.(b.fill) <- j;
+  if b.fill = b.room then seal b;
+  set_label b.ea b.fill aid;
+  set_target b.et b.fill j;
   b.fill <- b.fill + 1;
   b.elen <- b.elen + 1
 
-(* The first [len] edges of one column, given its sealed blocks (newest
-   first) and its open block, as one array of exact length. *)
+(* The first [len] bytes of one column, given its sealed blocks (newest
+   first) and its open block, as one column of exact length. *)
 let column sealed open_ len =
-  let out = Array.make len 0 and pos = ref 0 in
+  let out = Bytes.create len and pos = ref 0 in
   List.iter
     (fun block ->
-      let k = min (Array.length block) (len - !pos) in
-      Array.blit block 0 out !pos k;
+      let k = min (Bytes.length block) (len - !pos) in
+      Bytes.blit block 0 out !pos k;
       pos := !pos + k)
     (List.rev (open_ :: sealed));
   out
+
+let label_column b len = column b.sealed_ea b.ea (2 * len)
+let target_column b len = column b.sealed_et b.et (4 * len)
 
 (* Mark the end of state [i]'s edge row (states are expanded in id order).
    [expanded] trails it: everything below is a consistent CSR prefix, which
@@ -280,8 +315,8 @@ let close_row b i =
 type build_snap = {
   s_ranks : int array; (* rank of state i *)
   s_rows : int array; (* rows.(0 .. expanded) *)
-  s_ea : int array; (* closed edges only *)
-  s_et : int array;
+  s_ea : Bytes.t; (* the closed edges' label column *)
+  s_et : Bytes.t; (* and their target column *)
   s_expanded : int;
 }
 
@@ -290,8 +325,8 @@ let snap_of_builder b =
   {
     s_ranks = keys b;
     s_rows = Array.sub b.rows 0 (b.expanded + 1);
-    s_ea = column b.sealed_ea b.ea closed;
-    s_et = column b.sealed_et b.et closed;
+    s_ea = label_column b closed;
+    s_et = target_column b closed;
     s_expanded = b.expanded;
   }
 
@@ -328,10 +363,13 @@ let finish ?(counter = m_builds) b ~program ~actions ~initials ~store ~compiled
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   count_build counter ~states:n ~edges:b.elen;
-  make_system ~program ~actions ~initials ~store ~compiled
-    ( Array.sub b.rows 0 (n + 1),
-      column b.sealed_ea b.ea b.elen,
-      column b.sealed_et b.et b.elen )
+  let columns =
+    (Array.sub b.rows 0 (n + 1), label_column b b.elen, target_column b b.elen)
+  in
+  (* The build's heap peaks here, between ticks: the blocks are still
+     live next to the columns they were copied into. *)
+  Detcor_robust.Budget.check ();
+  make_system ~program ~actions ~initials ~store ~compiled columns
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -657,6 +695,7 @@ let shard_window = 32_768
    reused, never rewritten. *)
 let build_sharded ~limit ~workers kern program ~seeds =
   let layout = kern.k_layout in
+  let limit = min limit max_states in
   let shards, spill_dir, budget_mb = !shard_params in
   let k = min shards Shard_store.max_shards in
   let arena_budget = budget_mb * 1024 * 1024 in
@@ -779,7 +818,7 @@ let build_sharded ~limit ~workers kern program ~seeds =
     ~initials:(List.init (Array.length seeds) Fun.id)
     ~store:(Shards (layout, store))
     ~compiled:(Array.map Option.is_some kern.k_compiled)
-    ([| 0 |], [||], [||])
+    ([| 0 |], Bytes.empty, Bytes.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
@@ -881,7 +920,8 @@ let edges_of ts i =
     let lo = ts.row_ptr.(i) and hi = ts.row_ptr.(i + 1) in
     let rec go k acc =
       if k < lo then acc
-      else go (k - 1) ((ts.edge_action.(k), ts.edge_target.(k)) :: acc)
+      else
+        go (k - 1) ((label ts.edge_action k, target ts.edge_target k) :: acc)
     in
     go (hi - 1) []
 
@@ -891,7 +931,7 @@ let iter_out ts i f =
   | Listed _ | Interned _ ->
     let hi = ts.row_ptr.(i + 1) in
     for k = ts.row_ptr.(i) to hi - 1 do
-      f ts.edge_action.(k) ts.edge_target.(k)
+      f (label ts.edge_action k) (target ts.edge_target k)
     done
 
 let out_degree ts i =
@@ -899,11 +939,21 @@ let out_degree ts i =
   | Shards (_, store) -> Shard_store.out_degree store i
   | Listed _ | Interned _ -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
 
+(* A row is a target column: the flat store lends its own, the shard
+   store a copy of the row, filled from the segment. *)
+type row = Bytes.t
+
+let row_target = target
+let empty_row = Bytes.empty
+
 let with_out_row ts i k =
   match ts.store with
   | Shards (_, store) ->
-    let targets = Shard_store.out_targets store i in
-    k targets 0 (Array.length targets)
+    let row = targets (Shard_store.out_degree store i) and e = ref 0 in
+    Shard_store.iter_out store i (fun _ j ->
+        set_target row !e j;
+        incr e);
+    k row 0 !e
   | Listed _ | Interned _ ->
     k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
 
@@ -947,7 +997,7 @@ let iter_edges ts f =
     for i = 0 to num_states ts - 1 do
       Detcor_robust.Budget.tick ();
       for k = ts.row_ptr.(i) to ts.row_ptr.(i + 1) - 1 do
-        f i ts.edge_action.(k) ts.edge_target.(k)
+        f i (label ts.edge_action k) (target ts.edge_target k)
       done
     done
 
@@ -1064,13 +1114,20 @@ let fell_back reason ts =
 let count_compiled ts =
   Array.fold_left (fun n c -> if c then n + 1 else n) 0 ts.compiled
 
-(* Every construction: pick the store for [engine], seed it, and annotate
-   the [ts.build] span, on completion, with the size of what was built and
+(* Every construction: refuse a program with more actions than a label
+   column holds, pick the store for [engine], seed it, and annotate the
+   [ts.build] span, on completion, with the size of what was built and
    how many of its actions ran compiled.
    [Auto] runs the flat store and falls back to the reference engine when
    the product overflows the rank range or a state steps outside the
    declared domains; [Packed] and [Sharded] raise instead. *)
 let construct op ~limit ~engine ~workers program seeds =
+  let num_actions = List.length (Program.actions program) in
+  if num_actions > max_actions then
+    Detcor_robust.Error.type_error
+      "Ts.%s %s: %d actions exceed the ceiling of %d actions a system can \
+       label"
+      op (Program.name program) num_actions max_actions;
   Obs.span "ts.build"
     ~attrs:
       [
@@ -1134,36 +1191,33 @@ let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
 (* ------------------------------------------------------------------ *)
 
 (* Reverse CSR over a class of actions: the in-edges of each state whose
-   action id passes [keep], in two prefix-summed arrays.  Built in two
-   O(edges) sweeps; backward fixpoints (the synthesizer's [ms]) iterate
-   predecessors without per-state lists or re-deriving successors. *)
+   action id passes [keep], in a label and a source column.  Built in two
+   O(edges) sweeps with [keep] asked once per action, into a table;
+   backward fixpoints (the synthesizer's [ms]) iterate predecessors
+   without per-state lists or re-deriving successors. *)
 type reverse = {
   rev_ptr : int array; (* in-edges of state j occupy [rev_ptr.(j) .. rev_ptr.(j+1)) *)
-  rev_action : int array;
-  rev_source : int array;
+  rev_action : Bytes.t;
+  rev_source : Bytes.t;
 }
 
 let reverse ?(keep = fun _ -> true) ts =
   let n = num_states ts in
+  let kept = Array.init (num_actions ts) keep in
   let counts = Array.make (n + 1) 0 in
-  let total = ref 0 in
   iter_edges ts (fun _ aid j ->
-      if keep aid then begin
-        counts.(j + 1) <- counts.(j + 1) + 1;
-        incr total
-      end);
+      if Array.unsafe_get kept aid then counts.(j + 1) <- counts.(j + 1) + 1);
   for j = 1 to n do
     counts.(j) <- counts.(j) + counts.(j - 1)
   done;
   let rev_ptr = Array.copy counts in
-  let rev_action = Array.make !total 0 in
-  let rev_source = Array.make !total 0 in
-  let cursor = Array.copy counts in
+  let rev_action = labels counts.(n) and rev_source = targets counts.(n) in
+  let cursor = counts in
   iter_edges ts (fun i aid j ->
-      if keep aid then begin
+      if Array.unsafe_get kept aid then begin
         let k = cursor.(j) in
-        rev_action.(k) <- aid;
-        rev_source.(k) <- i;
+        set_label rev_action k aid;
+        set_target rev_source k i;
         cursor.(j) <- k + 1
       end);
   { rev_ptr; rev_action; rev_source }
@@ -1171,7 +1225,7 @@ let reverse ?(keep = fun _ -> true) ts =
 let iter_in rev j f =
   let hi = rev.rev_ptr.(j + 1) in
   for k = rev.rev_ptr.(j) to hi - 1 do
-    f rev.rev_action.(k) rev.rev_source.(k)
+    f (label rev.rev_action k) (target rev.rev_source k)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1355,8 +1409,9 @@ let derive ~limit ~layout program ~span ~keep =
     let i = b.expanded in
     let j = old.(i) in
     let k = ref span.row_ptr.(j) and hi = span.row_ptr.(j + 1) in
-    while !k < hi && span.edge_action.(!k) < np do
-      push_edge b span.edge_action.(!k) (intern span.edge_target.(!k));
+    while !k < hi && label span.edge_action !k < np do
+      push_edge b (label span.edge_action !k)
+        (intern (target span.edge_target !k));
       incr k
     done;
     close_row b i

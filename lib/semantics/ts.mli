@@ -2,8 +2,13 @@
 
     The semantic graph of a program: nodes are states (indexed by dense
     integers), edges are (action id, successor id) pairs stored in CSR
-    (compressed sparse row) arrays.  All decision procedures (closure,
+    (compressed sparse row) form.  All decision procedures (closure,
     convergence, leads-to, fairness, safety) run on this structure.
+
+    The edge columns, forward and reverse, are compact [Bytes] the GC
+    never scans: an action id takes 16 bits and a state id 32, 6 bytes an
+    edge.  Those widths bound every system: see {!max_actions} and
+    {!max_states}.
 
     Three engines build the same structure and produce identical state
     numbering, edges and initials:
@@ -51,6 +56,17 @@ type engine = Auto | Packed | Reference | Sharded
 exception Too_large of int
 
 val default_limit : int
+
+(** The most actions a system can have, 65,535: action ids are 16-bit
+    edge labels.  Every engine refuses a program with more, before
+    exploring, with an [Error.Type_error] naming the program and this
+    ceiling; no id is wrapped. *)
+val max_actions : int
+
+(** The most states a system can have, 2{^31} − 1: state ids are 32-bit
+    edge targets.  A build raises {!Too_large} on reaching it, whatever
+    its [limit]. *)
+val max_states : int
 
 (** Process-wide parameters of the {!Sharded} engine, set once by the
     CLI before dispatching: shard count (clamped to
@@ -141,12 +157,24 @@ val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val out_degree : t -> int -> int
 
-(** [with_out_row ts i k]: [k targets lo hi], where the targets of [i]'s
-    out-edges, in edge order, are [targets.(lo)] to [targets.(hi - 1)].
-    For walks that suspend between edges: the flat store lends its own
-    edge array, the shard store a copy of the row, so a held row costs
-    one segment lookup and pins no evicted arena. *)
-val with_out_row : t -> int -> (int array -> int -> int -> 'a) -> 'a
+(** A lent row of out-edge targets, read by {!row_target}. *)
+type row
+
+(** [with_out_row ts i k]: [k row lo hi], where the targets of [i]'s
+    out-edges, in edge order, are [row_target row lo] to
+    [row_target row (hi - 1)].  For walks that suspend between edges: the
+    flat store lends its own target column, the shard store a copy of
+    the row, so a held row costs one segment lookup and pins no evicted
+    arena. *)
+val with_out_row : t -> int -> (row -> int -> int -> 'a) -> 'a
+
+(** [row_target row e]: the target at offset [e] of a lent row; [e] must
+    lie in the [lo, hi) the row was lent with. *)
+val row_target : row -> int -> int
+
+(** A row lending no edge: a placeholder for a slot that holds none. *)
+val empty_row : row
+
 val fold_out : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
 val index_of : t -> State.t -> int option
 
@@ -186,13 +214,15 @@ val fold_edges : t -> ('a -> int -> int -> int -> 'a) -> 'a -> 'a
 (** Reverse CSR adjacency over a class of actions (see {!reverse}). *)
 type reverse
 
-(** [reverse ?keep ts]: the in-edge arrays of [ts] restricted to edges
-    whose action id satisfies [keep] (default: all).  Two O(edges)
-    sweeps; backward fixpoints then iterate predecessors by index. *)
+(** [reverse ?keep ts]: the in-edges of [ts] restricted to edges whose
+    action id satisfies [keep] (default: all), in compact label and
+    source columns.  [keep] is asked once per action id; two
+    {!iter_edges} sweeps, then backward fixpoints iterate predecessors
+    by index. *)
 val reverse : ?keep:(int -> bool) -> t -> reverse
 
 (** [iter_in rev j f] calls [f action_id source_id] for each kept in-edge
-    of state [j], without allocating. *)
+    of state [j], in source order, without allocating. *)
 val iter_in : reverse -> int -> (int -> int -> unit) -> unit
 
 (** [pred_bitset ts pred]: bitset of the states satisfying [pred], swept

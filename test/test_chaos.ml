@@ -114,6 +114,7 @@ let chaos_workload name args ~max_delay () =
 
 let ring5 = "../examples/dc/ring5.dc"
 let byz4 = "../examples/dc/byz4.dc"
+let reset10 = "../examples/dc/big/reset10.dc"
 
 (* Worker domains dying mid-chunk must not change a single output byte;
    the run detects the loss, recomputes sequentially, and carries on. *)
@@ -184,7 +185,7 @@ let test_sigterm_parity () =
   with_temp ".out" @@ fun out ->
   (match
      run_dcheck_term ~kill_grace:0.05
-       [ "verify"; "../examples/dc/big/reset10.dc" ]
+       [ "verify"; reset10 ]
        ~out
    with
   | Unix.WEXITED c ->
@@ -193,8 +194,10 @@ let test_sigterm_parity () =
     Alcotest.fail "SIGTERM default disposition not overridden");
   (* With a checkpoint armed: the exit is deferred to a cooperative
      tick, the final snapshot is flushed, and a resume reproduces the
-     undisturbed run byte for byte. *)
-  let args = [ "synthesize"; ring5; "--tolerance"; "nonmasking" ] in
+     undisturbed run byte for byte.  The run must outlast the 0.25 s
+     grace: reset10's nonmasking synthesis takes about 0.6 s under a
+     checkpoint session. *)
+  let args = [ "synthesize"; reset10; "--tolerance"; "nonmasking" ] in
   let expected_code, expected_out = baseline "synthesize" args in
   with_temp ".snap" @@ fun snap ->
   Sys.remove snap;
@@ -227,13 +230,16 @@ let suite =
     [
       Alcotest.test_case "verify survives SIGKILL" `Slow
         (chaos_workload "verify" [ "verify"; ring5 ] ~max_delay:0.6);
+      (* Under a checkpoint session reset10's nonmasking synthesis takes
+         about 0.6 s, past the longest first kill delay (0.42 s). *)
       Alcotest.test_case "synthesize survives SIGKILL" `Slow
         (chaos_workload "synthesize"
-           [ "synthesize"; ring5; "--tolerance"; "nonmasking" ]
+           [ "synthesize"; reset10; "--tolerance"; "nonmasking" ]
            ~max_delay:0.4);
       (* Over reference-built systems synthesis checkpoints the same
          synth.ms / synth.recovery phases; only Ts construction itself
-         restarts from scratch on resume. *)
+         restarts from scratch on resume.  ring5 takes about 0.8 s here
+         (reset10 takes minutes on the reference engine). *)
       Alcotest.test_case "reference-engine synthesize survives SIGKILL" `Slow
         (chaos_workload "synthesize (reference)"
            [ "synthesize"; ring5; "--tolerance"; "nonmasking"; "--engine";

@@ -5,7 +5,8 @@
    flipped, padded, or plain garbage — is rejected with the resource-
    class [Error.Snapshot], never [Internal] (a damaged recovery artifact
    is an environmental fault, not a toolkit bug).  Session lifecycle:
-   fingerprint and phase-kind mismatches are Snapshot errors too.
+   fingerprint and phase-kind mismatches are Snapshot errors too, and
+   so is a well-formed file of an older format version.
    End-to-end: a ring5 fault-span build interrupted twice by a state
    budget and resumed from its snapshot converges to a system
    structurally identical to the uninterrupted build, from which p over
@@ -180,6 +181,69 @@ let test_phase_kind_mismatch () =
   Fun.protect ~finally:Checkpoint.stop @@ fun () ->
   expect_snapshot_error "diverged phase kind" (fun () ->
       Checkpoint.enter ~kind:"ts.bfs")
+
+(* The record [Checkpoint.write_file] marshals, redeclared: a file from
+   another format version is built by hand, behind a well-formed header
+   (magic, payload length, FNV-1a 64 checksum of the payload). *)
+type file_record = {
+  f_version : int;
+  f_ocaml : string;
+  f_big_endian : bool;
+  f_fingerprint : string;
+  f_entries : Checkpoint.entry array;
+}
+
+let fnv64 s =
+  String.fold_left
+    (fun h c ->
+      Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L s
+
+let write_versioned ?(big_endian = Sys.big_endian) ~path ~version
+    ~fingerprint entries =
+  let payload =
+    Marshal.to_string
+      {
+        f_version = version;
+        f_ocaml = Sys.ocaml_version;
+        f_big_endian = big_endian;
+        f_fingerprint = fingerprint;
+        f_entries = entries;
+      }
+      []
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "DCSNAP01%016x%016Lx%s" (String.length payload)
+        (fnv64 payload) payload)
+
+(* Version 1 held a [ts.bfs] payload's edge columns as [int array]s; this
+   binary reads [Bytes] there, and [Marshal] would not notice.  A version-1
+   file is refused with the located version error, by [read_file] and by a
+   resuming session; the same file written as version 2 is read, unless
+   it records the other byte order (its columns are native-endian). *)
+let test_old_format_refused () =
+  with_temp @@ fun path ->
+  let fingerprint = Checkpoint.digest [ "version 1" ] in
+  let entries =
+    [| { Checkpoint.step = 0; kind = "ts.bfs"; complete = true; data = "" } |]
+  in
+  write_versioned ~path ~version:2 ~fingerprint entries;
+  Alcotest.(check bool) "version 2 read back" true
+    (Checkpoint.read_file ~path = (fingerprint, entries));
+  write_versioned ~path ~version:1 ~fingerprint entries;
+  (match Checkpoint.read_file ~path with
+  | _ -> Alcotest.fail "version 1 accepted"
+  | exception Error.Detcor_error (Error.Snapshot s) ->
+    Alcotest.(check string) "located at the file" path s.path;
+    Alcotest.(check string) "names both versions"
+      "format version 1 (this binary reads 2)" s.msg);
+  expect_snapshot_error "resume from version 1" (fun () ->
+      Checkpoint.start ~resume:path ~fingerprint ());
+  Alcotest.(check bool) "no session left behind" false (Checkpoint.active ());
+  write_versioned ~big_endian:(not Sys.big_endian) ~path ~version:2
+    ~fingerprint entries;
+  expect_snapshot_error "other byte order" (fun () ->
+      Checkpoint.read_file ~path)
 
 let test_digest_separation () =
   (* Length prefixes keep part boundaries significant. *)
@@ -430,4 +494,6 @@ let suite =
         `Slow test_worker_degradation;
       Alcotest.test_case "resumed span derives the same p over it" `Slow
         test_resume_derives;
+      Alcotest.test_case "version-1 snapshots refused" `Quick
+        test_old_format_refused;
     ] )

@@ -320,6 +320,69 @@ let test_rank_forms_refused () =
        vars)
     ~compiles:false
 
+(* Action ids are 16-bit edge labels.  A program with one action more
+   than that is refused before anything is built, on every engine, with
+   an error that names the ceiling: its last id would otherwise wrap to
+   0.  At the ceiling itself the last action keeps its own id. *)
+let test_action_ceiling () =
+  let flips k =
+    List.init k (fun i ->
+        Action.deterministic (Printf.sprintf "f%d" i) Pred.true_ (fun st ->
+            State.set st "a"
+              (Value.bool (not (Value.as_bool (State.get st "a"))))))
+  in
+  let program k =
+    Program.make ~name:"wide" ~vars:[ ("a", Domain.boolean) ]
+      ~actions:(flips k)
+  in
+  let from = [ State.of_list [ ("a", Value.bool false) ] ] in
+  let engines = [ Ts.Auto; Ts.Packed; Ts.Reference; Ts.Sharded ] in
+  Alcotest.(check int) "ceiling" 65_535 Ts.max_actions;
+  let over = program (Ts.max_actions + 1) in
+  List.iter
+    (fun engine ->
+      let name = Ts.engine_name engine in
+      match Ts.build ~engine over ~from with
+      | ts ->
+        Alcotest.failf "%s: built %d actions" name (Ts.num_actions ts)
+      | exception
+          Detcor_robust.Error.(Detcor_error (Type_error { msg } as e)) ->
+        Alcotest.(check int) (name ^ ": exit code") 2
+          (Detcor_robust.Error.exit_code e);
+        Alcotest.(check bool)
+          (name ^ ": names the ceiling: " ^ msg)
+          true
+          (Util.contains msg "65536 actions exceed the ceiling of 65535"))
+    engines;
+  let at = program Ts.max_actions in
+  List.iter
+    (fun engine ->
+      let ts = Ts.build ~engine at ~from in
+      let last = List.nth (Ts.edges_of ts 0) (Ts.max_actions - 1) in
+      Alcotest.(check (pair int int))
+        (Ts.engine_name engine ^ ": last edge")
+        (Ts.max_actions - 1, 1) last)
+    engines
+
+(* The heap budget is also consulted between ticks, where a build's heap
+   peaks ([Ts.finish], with its blocks and final columns both live):
+   [Budget.check] trips a budget the live heap exceeds, and does nothing
+   without a budget. *)
+let test_budget_check () =
+  let live = Bytes.create (8 * 1024 * 1024) in
+  Detcor_robust.Budget.check ();
+  (match
+     Detcor_robust.Budget.with_budget
+       (Detcor_robust.Budget.make ~max_memory_mb:1 ())
+       Detcor_robust.Budget.check
+   with
+  | () -> Alcotest.fail "an 8 MiB heap fit a 1 MiB budget"
+  | exception
+      Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Resource r) ->
+    Alcotest.(check string) "memory tripped" "memory"
+      (Detcor_robust.Error.resource_kind_name r.kind));
+  ignore (Sys.opaque_identity live)
+
 let suite =
   ( "engine",
     [
@@ -339,4 +402,8 @@ let suite =
         test_rank_forms_refused;
       Alcotest.test_case "full-product kernel gate" `Slow
         test_full_product_kernel;
+      Alcotest.test_case "action ceiling refused on every engine" `Quick
+        test_action_ceiling;
+      Alcotest.test_case "heap budget checked between ticks" `Quick
+        test_budget_check;
     ] )

@@ -31,7 +31,9 @@
    with fault actions added, check that compiled actions' enabled sets
    read off the edge labels equal the guard sweeps, and that p over the
    span of p [] F derived from the span's rows equals p explored from
-   the same states.
+   the same states.  Over p [] F, on every engine, the edge columns read
+   three ways agree: [Ts.reverse] with a naive reverse, [edges_of] with
+   [iter_out], and [Graph.sccs] with the reference engine's components.
 
    Together the properties run > 200 random programs per test execution. *)
 
@@ -809,6 +811,84 @@ let prop_dsl_labels_and_derivation =
       && enabled_agree e.program (fun p ~engine -> Util.product ~engine p)
       && derived_agree e from)
 
+(* The edge columns read three ways, on every engine, over p [] F: the
+   reverse CSR of [Ts.reverse ~keep] is the one collected naively from
+   [Ts.iter_edges] (every action kept, the fault actions, none), each
+   state's [Ts.edges_of] is what [Ts.iter_out] walks, and [Graph.sccs]
+   (which reads rows lent by [Ts.with_out_row], copied on the shard
+   store) finds the reference engine's components, over the whole
+   system and over every other state. *)
+let columns_agree (e : Detcor_lang.Elaborate.elaborated) from =
+  let pf = Detcor_core.Fault.compose e.program e.faults in
+  let reverse_agrees where ts (name, keep) =
+    let n = Ts.num_states ts in
+    let naive = Array.make n [] in
+    Ts.iter_edges ts (fun i aid j ->
+        if keep aid then naive.(j) <- (aid, i) :: naive.(j));
+    let rev = Ts.reverse ~keep ts in
+    List.for_all
+      (fun j ->
+        let walked = ref [] in
+        Ts.iter_in rev j (fun aid i -> walked := (aid, i) :: !walked);
+        !walked = naive.(j)
+        || QCheck.Test.fail_reportf "%s: in-edges of %d, keep %s" where j
+             name)
+      (List.init n Fun.id)
+  in
+  let components ?mask ts =
+    List.map
+      (fun (c : Graph.scc) -> (c.members, c.trivial))
+      (Graph.sccs ?mask ts)
+  in
+  let every_other i = i mod 2 = 0 in
+  match run (fun () -> Ts.build ~engine:Ts.Reference pf ~from) with
+  | Built reference ->
+    List.for_all
+      (fun (engine, shards) ->
+        Util.with_shards ~shards @@ fun () ->
+        match run (fun () -> Ts.build ~engine pf ~from) with
+        | Built ts ->
+          let where = Fmt.str "%s, %d shards" (Ts.engine_name engine) shards in
+          let faults =
+            Ts.action_ids_of_names ts (Detcor_core.Fault.action_names e.faults)
+          in
+          List.for_all (reverse_agrees where ts)
+            [
+              ("all", Fun.const true);
+              ("faults", fun aid -> List.mem aid faults);
+              ("none", Fun.const false);
+            ]
+          && List.for_all
+               (fun i ->
+                 let walked = ref [] in
+                 Ts.iter_out ts i (fun aid j -> walked := (aid, j) :: !walked);
+                 Ts.edges_of ts i = List.rev !walked
+                 || QCheck.Test.fail_reportf "%s: edges_of %d" where i)
+               (List.init (Ts.num_states ts) Fun.id)
+          && (components ts = components reference
+             || QCheck.Test.fail_reportf "%s: components" where)
+          && (components ~mask:every_other ts
+              = components ~mask:every_other reference
+             || QCheck.Test.fail_reportf "%s: masked components" where)
+        | _ -> true)
+      [
+        (Ts.Auto, 4);
+        (Ts.Packed, 4);
+        (Ts.Reference, 4);
+        (Ts.Sharded, 1);
+        (Ts.Sharded, 4);
+      ]
+  | _ -> true
+
+let prop_dsl_columns =
+  Util.qtest ~count:60
+    "reverse = naive reverse; sccs and edges_of agree on every engine"
+    dsl_faults_arb (fun src ->
+      let e = elaborate src in
+      let layout = Option.get (Layout.of_program e.program) in
+      let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
+      columns_agree e from)
+
 (* [p]'s states by the pruned enumeration, as ranks (or the
    [Value.Type_error] message), with the [engine.enum.nodes] it visited. *)
 let enumerate layout p =
@@ -1045,4 +1125,5 @@ let suite =
       Alcotest.test_case "compiled escape names the lowest slot" `Quick
         test_escape_lowest_slot;
       prop_dsl_labels_and_derivation;
+      prop_dsl_columns;
     ] )

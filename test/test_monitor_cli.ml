@@ -33,15 +33,10 @@ let with_temp suffix k =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> k path)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let check_contains out needle =
   Alcotest.(check bool)
     (Fmt.str "output contains %S" needle)
-    true (contains out needle)
+    true (Util.contains out needle)
 
 (* Record a stream for [file], then monitor it; returns the monitor's
    exit code and combined output. *)
@@ -178,7 +173,7 @@ let test_foreign_stream () =
   let out = read_file out in
   check_contains out (stream ^ ":4:0: 'init' binds no x0, x1, x2, x3, x4");
   check_contains out "the stream's 'program' line names byz4";
-  Alcotest.(check bool) "nothing of the run printed" false (contains out "run 0:")
+  Alcotest.(check bool) "nothing of the run printed" false (Util.contains out "run 0:")
 
 (* [dcheck monitor] replays each golden stream to the recorded stdout and
    exit code, byte for byte.  The goldens were made by the reader that

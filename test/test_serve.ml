@@ -17,11 +17,6 @@ let dcheck = "../bin/dcheck.exe"
 let corpus = "../examples/dc"
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let with_temp_dir k =
   let path = Filename.temp_file "detcor_serve" ".d" in
   Sys.remove path;
@@ -238,7 +233,7 @@ let test_daemon_basics () =
   Alcotest.(check bool) "job done" true (done_j.Proto.state = Proto.Done);
   Alcotest.(check (option int)) "verdict holds" (Some 0) done_j.Proto.exit_code;
   Alcotest.(check bool) "output has the verdict" true
-    (contains output "VERDICT");
+    (Util.contains output "VERDICT");
   (* The identical submission is served from the result cache. *)
   let j2 = submit addr Proto.Verify memory_dc in
   Alcotest.(check bool) "repeat submit is a cache hit" true
@@ -282,7 +277,7 @@ let test_daemon_basics () =
   (match rpc_ok addr Proto.Metrics with
   | Proto.Text t ->
     Alcotest.(check bool) "metrics exposition" true
-      (contains t "serve_jobs_submitted_total")
+      (Util.contains t "serve_jobs_submitted_total")
   | _ -> Alcotest.fail "metrics");
   (* Graceful protocol shutdown: drain and exit 0. *)
   (match rpc_ok addr Proto.Shutdown with
@@ -313,7 +308,7 @@ let test_daemon_chaos_retry () =
     done_j.Proto.exit_code;
   Alcotest.(check int) "one attempt plus two retries" 3 done_j.Proto.attempts;
   Alcotest.(check bool) "output names the failpoint" true
-    (contains output "dcheck.job")
+    (Util.contains output "dcheck.job")
 
 (* The CI smoke scenario, in-process: kill -9 the daemon mid-synthesis,
    restart on the same spool, and demand the adopted job resume to the
@@ -400,7 +395,7 @@ let test_daemon_preempt () =
   Alcotest.(check bool) "interactive verify completes" true
     (iv_done.Proto.state = Proto.Done);
   Alcotest.(check bool) "interactive output has the verdict" true
-    (contains iv_out "VERDICT");
+    (Util.contains iv_out "VERDICT");
   let batch_done, batch_out = result_wait addr batch.Proto.id in
   Alcotest.(check bool) "preempted batch job completes" true
     (batch_done.Proto.state = Proto.Done);

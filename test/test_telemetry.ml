@@ -14,15 +14,10 @@ let corpus = "../examples/dc"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let check_contains out needle =
   Alcotest.(check bool)
     (Fmt.str "output contains %S" needle)
-    true (contains out needle)
+    true (Util.contains out needle)
 
 let with_temp suffix k =
   let path = Filename.temp_file "detcor_telemetry" suffix in
@@ -87,7 +82,7 @@ let test_jsonx_nonfinite () =
       Alcotest.(check bool)
         (Fmt.str "%h prints with no nan/inf token" f)
         false
-        (contains s "nan" || contains s "inf");
+        (Util.contains s "nan" || Util.contains s "inf");
       match Jsonx.of_string s with
       | Error e -> Alcotest.failf "%h output does not parse back: %s" f e
       | Ok _ -> ())

@@ -15,6 +15,12 @@ let state = Alcotest.testable State.pp State.equal
 
 let value = Alcotest.testable Value.pp Value.equal
 
+(* [needle] occurs in [hay]. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* Structural equality of two built systems, including numbering: same
    states in the same order, same CSR edges, same initials. *)
 let ts_equal a b =
