@@ -18,9 +18,8 @@
    --checkpoint FILE / --checkpoint-interval SECONDS (periodic crash-safe
    snapshots of the running fixpoints; a final snapshot is written on the
    way out of an exhausted budget, so exit 3 always leaves a resumable
-   file), --resume FILE (continue from a snapshot to the identical
-   verdict) and --workers N (parallel exploration; a crashed worker
-   domain is retried sequentially and the run degrades to fewer workers).
+   file) and --resume FILE (continue from a snapshot to the identical
+   verdict).
 
    Exit codes: 0 verdict holds, 1 verification (or synthesis) fails,
    2 usage/parse/type error, 3 resource budget exhausted (including a
@@ -225,17 +224,6 @@ let limit_arg =
     & opt nat_conv Detcor_semantics.Ts.default_limit
     & info [ "limit" ] ~docv:"N" ~doc:"State-exploration limit.")
 
-let workers_arg =
-  Arg.(
-    value
-    & opt pos_conv 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Worker domains for frontier expansion and synthesis scans.  \
-           Results are identical for any worker count; a worker that \
-           crashes is retried sequentially and the run continues with a \
-           smaller pool.")
-
 (* ------------------------------------------------------------------ *)
 (* Engine selection and memory budgets.                                *)
 (* ------------------------------------------------------------------ *)
@@ -382,8 +370,8 @@ let robust_term =
 
 (* Arm the checkpoint session around [k].  The fingerprint binds the
    snapshot to the program source, the subcommand and every option that
-   affects the computation (worker count and timeout excluded: both are
-   free to change across a resume).  [Fun.protect] makes the final save
+   affects the computation (the timeout excluded: it is free to change
+   across a resume).  [Fun.protect] makes the final save
    unconditional — in particular a budget trip unwinding through [k]
    persists the mid-fixpoint captures before the process exits 3. *)
 let with_checkpoint ~path ~sub ~params robust k =
@@ -709,7 +697,7 @@ let explain_arg =
         ~doc:"On failure, print a witness trace for each failing obligation.")
 
 let verify_cmd =
-  let run path tol limit explain timeout workers eopts memory_mb robust obs =
+  let run path tol limit explain timeout eopts memory_mb robust obs =
     with_obs ~sub:"verify" ~path obs @@ fun () ->
     guarded ?memory_mb ~path timeout @@ fun () ->
     chaos_site ();
@@ -731,7 +719,7 @@ let verify_cmd =
     (* One session for every class: the invariant sweep, the fault span
        and the systems over it are built once and shared. *)
     let session =
-      Tolerance.session ~limit ~workers ~engine e.program ~spec:e.spec
+      Tolerance.session ~limit ~engine e.program ~spec:e.spec
         ~invariant:e.invariant ~faults:e.faults
     in
     let explain_failures report =
@@ -789,7 +777,7 @@ let verify_cmd =
        ~doc:"Check F-tolerance of the program against its specification.")
     Term.(
       const run $ file_arg $ tolerance_arg $ limit_arg $ explain_arg
-      $ timeout_arg $ workers_arg $ engine_term $ memory_budget_arg
+      $ timeout_arg $ engine_term $ memory_budget_arg
       $ robust_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -839,7 +827,7 @@ let components_cmd =
 (* ------------------------------------------------------------------ *)
 
 let synthesize_cmd =
-  let run path tol limit timeout workers eopts memory_mb robust obs =
+  let run path tol limit timeout eopts memory_mb robust obs =
     with_obs ~sub:"synthesize" ~path obs @@ fun () ->
     guarded ?memory_mb ~path timeout @@ fun () ->
     chaos_site ();
@@ -855,13 +843,13 @@ let synthesize_cmd =
     let result =
       match tol with
       | Spec.Failsafe ->
-        Detcor_synthesis.Synthesize.add_failsafe ~limit ~workers ~engine
+        Detcor_synthesis.Synthesize.add_failsafe ~limit ~engine
           e.program ~spec:e.spec ~invariant:e.invariant ~faults:e.faults
       | Spec.Nonmasking ->
-        Detcor_synthesis.Synthesize.add_nonmasking ~limit ~workers ~engine
+        Detcor_synthesis.Synthesize.add_nonmasking ~limit ~engine
           e.program ~spec:e.spec ~invariant:e.invariant ~faults:e.faults
       | Spec.Masking ->
-        Detcor_synthesis.Synthesize.add_masking ~limit ~workers ~engine
+        Detcor_synthesis.Synthesize.add_masking ~limit ~engine
           e.program ~spec:e.spec ~invariant:e.invariant ~faults:e.faults
     in
     match result with
@@ -894,7 +882,7 @@ let synthesize_cmd =
          "Add fail-safe, nonmasking or masking tolerance to the program \
           (default: masking).")
     Term.(const run $ file_arg $ tolerance_arg $ limit_arg $ timeout_arg
-          $ workers_arg $ engine_term $ memory_budget_arg $ robust_term
+          $ engine_term $ memory_budget_arg $ robust_term
           $ obs_term)
 
 (* ------------------------------------------------------------------ *)

@@ -131,10 +131,10 @@ type span = {
 
 (* The F-span of p from S: smallest T with S ⇒ T, T closed in p, and T
    closed in F — i.e. the forward closure of the S-states under p [] F. *)
-let fault_span ?limit ?engine ?workers p ~faults ~from =
+let fault_span ?limit ?engine p ~faults ~from =
   Obs.span "tolerance.fault_span" @@ fun () ->
   let composed = Fault.compose p faults in
-  let ts_pf = Ts.of_pred ?limit ?engine ?workers composed ~from in
+  let ts_pf = Ts.of_pred ?limit ?engine composed ~from in
   let states = Ts.states ts_pf in
   let pred =
     Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) states
@@ -151,8 +151,8 @@ let fault_span ?limit ?engine ?workers p ~faults ~from =
 let refines_on ts ~spec ~invariant =
   Check.all [ Check.closed ts invariant; Spec.refines ts spec ]
 
-let refines_from ?limit ?engine ?workers p ~spec ~invariant =
-  let ts = Ts.of_pred ?limit ?engine ?workers p ~from:invariant in
+let refines_from ?limit ?engine p ~spec ~invariant =
+  let ts = Ts.of_pred ?limit ?engine p ~from:invariant in
   (ts, refines_on ts ~spec ~invariant)
 
 (* ------------------------------------------------------------------ *)
@@ -236,7 +236,7 @@ type session = {
   liveness : item Lazy.t;
 }
 
-let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
+let session ?limit ?engine ?recover ?init p ~spec ~invariant ~faults =
   (* Exhaustion of the ambient budget (or of the exploration limit) inside
      any obligation is recorded in this one cell, shared by every class;
      that obligation — and every later one whose shared structures could
@@ -294,7 +294,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
        let item =
          timed "p refines SPEC from S" (fun () ->
              guard (fun () ->
-                 let ts = Ts.build ?limit ?engine ?workers p ~from:(init ()) in
+                 let ts = Ts.build ?limit ?engine p ~from:(init ()) in
                  size := Ts.num_states ts;
                  refines_on ts ~spec ~invariant))
        in
@@ -306,7 +306,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
       (structure (fun () ->
            Obs.span "tolerance.fault_span" @@ fun () ->
            let ts =
-             Ts.build ?limit ?engine ?workers (Fault.compose p faults)
+             Ts.build ?limit ?engine (Fault.compose p faults)
                ~from:(init ())
            in
            if Obs.on () then
@@ -320,7 +320,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
       (match Lazy.force span_ts with
       | None -> None
       | Some span ->
-        structure (fun () -> Ts.build_within ?limit ?engine ?workers p ~span))
+        structure (fun () -> Ts.build_within ?limit ?engine p ~span))
   in
   let sspec = Spec.smallest_safety_containing spec in
   let safety =
@@ -353,7 +353,7 @@ let session ?limit ?engine ?workers ?recover ?init p ~spec ~invariant ~faults =
            | Some span ->
              guard (fun () ->
                  let ts_rec =
-                   Ts.build_within ?limit ?engine ?workers ~where:recover p
+                   Ts.build_within ?limit ?engine ~where:recover p
                      ~span
                  in
                  refines_on ts_rec ~spec ~invariant:recover)))
@@ -430,30 +430,30 @@ let program_system s =
 
 let exhausted s = !(s.exhausted)
 
-let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults ~tol =
+let check_with ?limit ?engine ?recover p ~spec ~invariant ~init ~faults ~tol =
   report
-    (session ?limit ?engine ?workers ?recover ~init p ~spec ~invariant ~faults)
+    (session ?limit ?engine ?recover ~init p ~spec ~invariant ~faults)
     tol
 
-let check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol =
+let check ?limit ?engine ?workers:_ ?recover p ~spec ~invariant ~faults ~tol =
   report
-    (session ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults)
+    (session ?limit ?engine ?recover p ~spec ~invariant ~faults)
     tol
 
-let is_failsafe ?limit ?engine ?workers p ~spec ~invariant ~faults =
-  check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Failsafe
+let is_failsafe ?limit ?engine p ~spec ~invariant ~faults =
+  check ?limit ?engine p ~spec ~invariant ~faults ~tol:Spec.Failsafe
 
-let is_nonmasking ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
-  check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults
+let is_nonmasking ?limit ?engine ?recover p ~spec ~invariant ~faults =
+  check ?limit ?engine ?recover p ~spec ~invariant ~faults
     ~tol:Spec.Nonmasking
 
-let is_masking ?limit ?engine ?workers p ~spec ~invariant ~faults =
-  check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Masking
+let is_masking ?limit ?engine p ~spec ~invariant ~faults =
+  check ?limit ?engine p ~spec ~invariant ~faults ~tol:Spec.Masking
 
 (* Classify: the reports for all three classes, masking first, over one
    shared session. *)
-let classify ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
-  let s = session ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults in
+let classify ?limit ?engine ?recover p ~spec ~invariant ~faults =
+  let s = session ?limit ?engine ?recover p ~spec ~invariant ~faults in
   List.map
     (fun tol -> (tol, report s tol))
     [ Spec.Masking; Spec.Failsafe; Spec.Nonmasking ]

@@ -57,7 +57,6 @@ type span = {
 val fault_span :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   Program.t ->
   faults:Fault.t ->
   from:Pred.t ->
@@ -68,7 +67,6 @@ val fault_span :
 val refines_from :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   Program.t ->
   spec:Spec.t ->
   invariant:Pred.t ->
@@ -117,7 +115,6 @@ type session
 val session :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   ?recover:Pred.t ->
   ?init:State.t list ->
   Program.t ->
@@ -149,7 +146,9 @@ val exhausted : session -> Detcor_robust.Error.resource option
 
 (** Full tolerance check for a given class.  [recover] (nonmasking only,
     default: the invariant) is the predicate computations converge to and
-    refine SPEC from — the R of Theorem 4.3. *)
+    refine SPEC from — the R of Theorem 4.3.  [workers] is ignored: every
+    build is sequential, and the parameter remains only so that existing
+    callers that pass it still compile. *)
 val check :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -167,7 +166,6 @@ val check :
 val check_with :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   ?recover:Pred.t ->
   Program.t ->
   spec:Spec.t ->
@@ -180,27 +178,23 @@ val check_with :
 val is_failsafe :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   Program.t -> spec:Spec.t -> invariant:Pred.t -> faults:Fault.t -> report
 
 val is_nonmasking :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   ?recover:Pred.t ->
   Program.t -> spec:Spec.t -> invariant:Pred.t -> faults:Fault.t -> report
 
 val is_masking :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   Program.t -> spec:Spec.t -> invariant:Pred.t -> faults:Fault.t -> report
 
 (** Reports for all three classes, masking first, from one session. *)
 val classify :
   ?limit:int ->
   ?engine:Ts.engine ->
-  ?workers:int ->
   ?recover:Pred.t ->
   Program.t ->
   spec:Spec.t ->

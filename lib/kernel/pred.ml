@@ -31,8 +31,8 @@ type t = {
 }
 
 (* Unique per predicate instance; the transition-system caches key their
-   bitsets on it.  Atomic so predicates may be constructed from worker
-   domains during parallel exploration. *)
+   bitsets on it.  Atomic so predicates may be constructed from any
+   domain. *)
 let counter = Atomic.make 0
 
 let with_expr ?ranked ?operands expr name eval =

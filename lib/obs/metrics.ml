@@ -3,7 +3,7 @@
    The registry is global (one process, one toolkit run) and get-or-create
    by name, so instrumented modules can declare their instruments at
    initialization without threading handles around.  All cells are
-   [Atomic]: the packed engine increments from worker domains.  [reset]
+   [Atomic], so any domain may increment them.  [reset]
    zeroes the cells in place, keeping every handle valid — tests rely on
    this for isolation. *)
 

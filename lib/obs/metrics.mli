@@ -1,6 +1,6 @@
 (** Process-wide metrics registry: atomic counters, gauges and histograms,
     get-or-create by name, snapshot-able as JSON.  All cells are [Atomic]
-    (the packed engine increments from worker domains); [reset] zeroes the
+    (any domain may increment them); [reset] zeroes the
     cells in place so existing handles stay valid. *)
 
 type counter

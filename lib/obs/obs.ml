@@ -7,8 +7,7 @@
    holds the packed-engine numbers to the PR 1 baseline).
 
    Spans nest per domain: each domain keeps its own stack in domain-local
-   storage, so worker domains of the packed engine can open spans without
-   locking.  [annotate] attaches attributes to the innermost open span of
+   storage, so any domain can open spans without locking.  [annotate] attaches attributes to the innermost open span of
    the calling domain — used to report results (state counts, verdicts)
    discovered only at the end of the work. *)
 

@@ -1,8 +1,8 @@
 (* Trace sinks: where span/event records go.
 
    A sink is three callbacks (emit / flush / close).  Emission can happen
-   from any domain (the packed engine's workers run instrumented code), so
-   every writing sink serializes through its own mutex.  Timestamps are
+   from any domain, so every writing sink serializes through its own
+   mutex.  Timestamps are
    nanoseconds of monotonic clock relative to process start; the Chrome
    sink converts to the microseconds Perfetto / about://tracing expect. *)
 

@@ -1,19 +1,19 @@
 (* Fault injection for the chaos harness.
 
    A failpoint is a named site in the toolkit that can be armed to raise
-   [Injected] with a given probability — worker-domain bodies and the
-   snapshot write path call [hit].  Disarmed sites cost one hashtable
+   [Injected] with a given probability — the snapshot write path and
+   dcheck's job entry call [hit].  Disarmed sites cost one hashtable
    probe on an empty table, and nothing at all is armed unless the
    process opts in, so production behaviour is untouched.
 
    Arming is programmatic ([set]) for in-process tests, or via the
    DETCOR_FAILPOINTS environment variable for spawned binaries:
 
-     DETCOR_FAILPOINTS="engine.worker=0.3,checkpoint.write=1.0;seed=7"
+     DETCOR_FAILPOINTS="checkpoint.write=0.3;seed=7"
 
    The draw stream is seeded (default 0) so a chaos run is replayable
-   from its environment alone.  The RNG is guarded by a mutex: worker
-   domains hit failpoints concurrently. *)
+   from its environment alone.  The RNG is guarded by a mutex, so a site
+   may be hit from any domain. *)
 
 exception Injected of string
 

@@ -1,6 +1,6 @@
 (** Named fault-injection sites for the chaos harness.
 
-    Worker-domain bodies and the snapshot write path call {!hit}; armed
+    The snapshot write path and dcheck's job entry call {!hit}; armed
     sites raise {!Injected} with the configured probability.  Nothing is
     armed by default — sites are enabled programmatically with {!set} or
     through the [DETCOR_FAILPOINTS] environment variable

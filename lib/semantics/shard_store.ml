@@ -5,9 +5,9 @@
    splits the same data by shard — [owner rank = rank mod k] — into
    per-shard arenas made of level-aligned *segments*:
 
-   - a segment is created when a BFS level's merge interns its states
-     (the rank column fills), receives its CSR edges while the *next*
-     level expands those states, and is then sealed — one level in
+   - a segment is created from the states one BFS level interns (its
+     rank column), receives its CSR edges while the *next* level
+     expands those states, and is then sealed — one level in
      arrears, so a sealed segment is immutable forever after;
    - sealed segments are the spill unit: when the resident arena bytes
      exceed the budget, least-recently-used segments are written once to
@@ -17,13 +17,11 @@
    - per-shard dedup is a [Rank_map] over local ranks [rank / k]: a
      table while the shard is sparse in its slice of the product, a
      direct array once it fills enough of it;
-   - cross-shard successor batches travel through per-(producer, owner)
-     outboxes, delta/varint-encoded, written lock-free (single writer
-     per pair) and merged at level barriers in (source gid, successor
-     position) order — exactly the interning order of the packed
-     engine, which is what keeps the numbering byte-identical.
+   - the BFS interns each successor as it is found, in (source gid,
+     successor position) order — exactly the interning order of the
+     packed engine, which is what keeps the numbering byte-identical.
 
-   Global state ids (gids) are dense and assigned at merge time; the
+   Global state ids (gids) are dense and assigned at interning; the
    [loc] array maps gid -> (shard, local id).  Shards are also the
    checkpoint unit: {!snapshot} captures the segment manifest (file
    references once spilled, inline payloads otherwise), the open
@@ -146,15 +144,12 @@ module Vbuf = struct
     b.len <- b.len + n
 
   let contents b = Bytes.sub_string b.buf 0 b.len
-  let reset b = b.len <- 0
 end
 
 module Vcur = struct
   type t = { data : string; mutable pos : int }
 
   let of_string data = { data; pos = 0 }
-  let at_end c = c.pos >= String.length c.data
-  let _ = at_end
 
   let get_u c =
     let v = ref 0 and shift = ref 0 and continue = ref true in
@@ -460,7 +455,7 @@ let shard_of t gid = t.loc.(gid) mod t.k
 let lid_of t gid = t.loc.(gid) / t.k
 
 (* The segment of a local id, by binary search with a per-shard hint:
-   both the merge sweep and the gid-order scans touch each shard's
+   both the expansion and the gid-order scans touch each shard's
    local ids in ascending order, so the hint almost always hits. *)
 let seg_of_lid t sh lid =
   let inside s = lid >= s.base_lid && lid < s.base_lid + s.count in
@@ -596,127 +591,6 @@ let end_level t =
         sh.cur <- None)
     t.shards;
   maybe_evict t
-
-(* ------------------------------------------------------------------ *)
-(* Outboxes.                                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Outbox = struct
-  type lane = {
-    vb : Vbuf.t;
-    mutable prev_gid : int;
-    mutable prev_rank : int;
-  }
-
-  (* lanes.(producer * k + owner); each lane has exactly one writer —
-     the worker expanding the producer shard — so no locks. *)
-  type ob = { ok : int; lanes : lane array }
-
-  let create t =
-    {
-      ok = t.k;
-      lanes =
-        Array.init (t.k * t.k) (fun _ ->
-            { vb = Vbuf.create 256; prev_gid = 0; prev_rank = 0 });
-    }
-
-  let put ob ~producer ~gid ~pos ~aid ~rank =
-    let lane = ob.lanes.((producer * ob.ok) + (rank mod ob.ok)) in
-    Vbuf.put_u lane.vb (gid - lane.prev_gid);
-    Vbuf.put_u lane.vb pos;
-    Vbuf.put_u lane.vb aid;
-    Vbuf.put_i lane.vb (rank - lane.prev_rank);
-    lane.prev_gid <- gid;
-    lane.prev_rank <- rank
-
-  let reset ob =
-    Array.iter
-      (fun lane ->
-        Vbuf.reset lane.vb;
-        lane.prev_gid <- 0;
-        lane.prev_rank <- 0)
-      ob.lanes
-end
-
-(* Merge one window of outboxes, in global (source gid, successor
-   position) order — a k-way head comparison per edge across the source
-   shard's lanes.  Interning in this order is what reproduces the
-   packed engine's state numbering exactly. *)
-let merge t ob ~lo ~hi =
-  let k = t.k in
-  let module C = struct
-    type cur = {
-      data : string;
-      mutable pos : int;
-      mutable gid : int;
-      mutable spos : int;
-      mutable aid : int;
-      mutable rank : int;
-      mutable valid : bool;
-    }
-  end in
-  let open C in
-  let get_u c =
-    let v = ref 0 and shift = ref 0 and continue = ref true in
-    while !continue do
-      let byte = Char.code (String.unsafe_get c.data c.pos) in
-      c.pos <- c.pos + 1;
-      v := !v lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if byte land 0x80 = 0 then continue := false
-    done;
-    !v
-  in
-  let advance c =
-    if c.pos >= String.length c.data then c.valid <- false
-    else begin
-      c.gid <- c.gid + get_u c;
-      c.spos <- get_u c;
-      c.aid <- get_u c;
-      c.rank <- c.rank + Vcur.unzigzag (get_u c)
-    end
-  in
-  let cursors =
-    Array.map
-      (fun (lane : Outbox.lane) ->
-        let c =
-          {
-            data = Vbuf.contents lane.Outbox.vb;
-            pos = 0;
-            gid = 0;
-            spos = 0;
-            aid = 0;
-            rank = 0;
-            valid = true;
-          }
-        in
-        advance c;
-        c)
-      ob.Outbox.lanes
-  in
-  for gid = lo to hi - 1 do
-    let p = shard_of t gid in
-    let base = p * k in
-    let continue = ref true in
-    while !continue do
-      let best = ref (-1) in
-      for o = 0 to k - 1 do
-        let c = cursors.(base + o) in
-        if c.valid && c.gid = gid then
-          match !best with
-          | -1 -> best := o
-          | b -> if c.spos < cursors.(base + b).spos then best := o
-      done;
-      match !best with
-      | -1 -> continue := false
-      | o ->
-        let c = cursors.(base + o) in
-        let tgid = intern t c.rank in
-        add_edge t ~src:gid ~aid:c.aid ~tgt:tgid;
-        advance c
-    done
-  done;
-  Outbox.reset ob
 
 (* ------------------------------------------------------------------ *)
 (* Read access.                                                        *)

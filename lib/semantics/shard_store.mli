@@ -9,7 +9,7 @@
     checksummed files (the {!Detcor_robust.Checkpoint} file format)
     under the spill directory and reloaded on demand, keeping the
     resident arena bytes under a budget.  Global state ids are dense and
-    assigned at the level-barrier merges in (source gid, successor
+    assigned as the BFS interns successors, in (source gid, successor
     position) order, which reproduces the packed engine's numbering
     exactly.  Shards are also the checkpoint unit: {!snapshot} captures
     the segment manifest, per-shard open columns and the gid->shard map;
@@ -57,8 +57,6 @@ val intern : t -> int -> int
 (** The gid of a rank, or [-1] when it is not interned. *)
 val find : t -> int -> int
 
-val shard_of : t -> int -> int
-
 (** The rank of a gid (reloading its segment if spilled). *)
 val rank_of : t -> int -> int
 
@@ -68,35 +66,13 @@ val rank_of : t -> int -> int
 val begin_level : t -> int * int
 
 (** Append an edge to the source gid's segment CSR.  Sources must
-    arrive in nondecreasing gid order within a level — the order
-    {!merge} produces. *)
+    arrive in nondecreasing gid order within a level — the BFS's
+    expansion order. *)
 val add_edge : t -> src:int -> aid:int -> tgt:int -> unit
 
 (** Seal the frontier segments (closing their CSR rows) and spill past
     the arena budget. *)
 val end_level : t -> unit
-
-(** Per-(producer, owner) successor batches, delta/varint-encoded.
-    Each lane has a single writer — the worker expanding the producer
-    shard — so cross-shard exchange needs no locks. *)
-module Outbox : sig
-  type ob
-
-  val create : t -> ob
-
-  (** [put ob ~producer ~gid ~pos ~aid ~rank]: successor [rank] of
-      source [gid] (owned by [producer]), the [pos]-th successor of
-      that source, via action [aid].  Calls for one producer must come
-      in nondecreasing (gid, pos) order. *)
-  val put : ob -> producer:int -> gid:int -> pos:int -> aid:int -> rank:int -> unit
-
-  val reset : ob -> unit
-end
-
-(** Merge a window [lo, hi) of frontier sources: drain the outboxes in
-    global (source gid, successor position) order, interning targets
-    and appending edges.  Resets the outbox. *)
-val merge : t -> Outbox.ob -> lo:int -> hi:int -> unit
 
 (** [iter_ranks t f]: [f gid rank] for every state, ascending gid. *)
 val iter_ranks : t -> (int -> int -> unit) -> unit

@@ -22,10 +22,9 @@
    - the results land in a flat store (CSR arrays and a rank column,
      states interned by rank in a [Rank_map]) or in the shard store
      ([Shard_store]: hash-partitioned arenas that spill to disk, each
-     shard interning through its own [Rank_map]).  Wide frontiers of the
-     flat store fan out over OCaml 5 domains through one chunk runner
-     whose in-order merge keeps the numbering independent of the worker
-     count.
+     shard interning through its own [Rank_map]).  Both stores run one
+     sequential breadth-first loop that interns each successor as it is
+     found.
 
    Edges live in two compact columns the GC never scans: action ids as
    16-bit and target ids as 32-bit native-endian words in [Bytes].  A BFS
@@ -78,9 +77,7 @@ let m_states = Metrics.counter "engine.states_visited"
    bulk at [finish], so a telemetry scrape mid-construction sees the
    build move.  Gated on recording or armed heartbeats, and batched
    through a plain local counter — an atomic RMW per interned state is
-   measurable on small hot builds.  The pending cell's races across
-   domains are benign: a lost batch only makes the live view lag, and
-   [finish] flushes the remainder. *)
+   measurable on small hot builds; [finish] flushes the remainder. *)
 let m_live_states = Metrics.counter "engine.states"
 let live_batch = 64
 let live_pending = ref 0
@@ -113,13 +110,7 @@ let m_pred_misses = Metrics.counter "engine.pred_cache.misses"
 let m_enabled_hits = Metrics.counter "engine.enabled_cache.hits"
 let m_enabled_misses = Metrics.counter "engine.enabled_cache.misses"
 let m_fallbacks = Metrics.counter "engine.fallbacks"
-let m_par_expanded = Metrics.counter "engine.parallel.states_expanded"
 let h_frontier = Metrics.histogram "engine.frontier_width"
-let h_worker_chunk = Metrics.histogram "engine.worker_chunk"
-
-(* Lost-worker degradation: counted unconditionally (a retried chunk is a
-   correctness-relevant event, not a tuning signal). *)
-let m_worker_retries = Metrics.counter "robust.worker_retries"
 
 module State_table = Hashtbl.Make (struct
   type t = State.t
@@ -305,10 +296,10 @@ let close_row b i =
 (* ------------------------------------------------------------------ *)
 
 (* A capture persists the closed-row CSR prefix plus the packed rank of
-   every state interned so far.  Captures fire from [Budget] checkpoints on the orchestrating
-   domain only: at those points states [0..count) are fully written and
-   edges beyond [rows.(expanded)] belong to a half-merged row, so the
-   prefix below is consistent by construction.  Restoring re-interns the
+   every state interned so far.  Captures fire from [Budget] checkpoints:
+   at those points states [0..count) are fully written and edges beyond
+   [rows.(expanded)] belong to a half-expanded row, so the prefix below
+   is consistent by construction.  Restoring re-interns the
    ranks in id order and resumes expansion at [expanded]; everything
    downstream is deterministic, so the finished system is byte-identical
    to an uninterrupted build. *)
@@ -393,7 +384,7 @@ let build_reference ~limit program ~from =
   let cursor = ref 0 in
   Progress.with_phase "engine.bfs"
     (fun () ->
-      [ ("states", b.count); ("frontier", b.count - !cursor); ("workers", 1) ])
+      [ ("states", b.count); ("frontier", b.count - !cursor) ])
     (fun () ->
       while !cursor < b.count do
         Detcor_robust.Budget.tick ();
@@ -412,7 +403,7 @@ let build_reference ~limit program ~from =
     ~compiled:(Array.make (Array.length actions) false)
 
 (* ------------------------------------------------------------------ *)
-(* The construction pipeline: successor kernel, chunk runner.          *)
+(* The construction pipeline: the successor kernel.                   *)
 (* ------------------------------------------------------------------ *)
 
 (* A program's actions compiled against its layout: [compiled.(aid)] is
@@ -448,7 +439,7 @@ let kernel layout program =
         compiled;
   }
 
-(* A slot-code buffer for [successors]; one per domain. *)
+(* A slot-code buffer for [successors]; one per build. *)
 let codes_buffer k = Array.make (Layout.num_vars k.k_layout) 0
 
 (* Load [codes] with the slot codes of [rank], when compiled actions read
@@ -469,7 +460,7 @@ let rec emit layout ~rank st aid f = function
    edge order of every engine.  [codes] holds the slot codes of [rank]
    (see [decode]); [st] is only read by interpreted actions and closure
    guards ([k.needs_state]).  No closure or allocation of its own per
-   edge; pure apart from [f], so it runs on worker domains too. *)
+   edge. *)
 let successors k ~codes ~rank st f =
   Detcor_robust.Budget.tick ();
   for aid = 0 to Array.length k.k_actions - 1 do
@@ -484,75 +475,6 @@ let successors k ~codes ~rank st f =
 let source k rank =
   if k.needs_state then Layout.unpack k.k_layout rank else State.empty
 
-(* The successors of the state of [rank] as a list, for a worker domain
-   of the chunk runner (the counter is atomic). *)
-let collect k rank =
-  if Obs.on () then Metrics.incr m_par_expanded;
-  let acc = ref [] and codes = codes_buffer k in
-  decode k rank codes;
-  successors k ~codes ~rank (source k rank) (fun aid r ->
-      acc := (aid, r) :: !acc);
-  List.rev !acc
-
-(* Run [f w] for w = 0..n-1 on fresh domains; join them in order. *)
-let spawn_join n f =
-  List.init n (fun w ->
-      Stdlib.Domain.spawn (fun () -> try Ok (f w) with e -> Error e))
-  |> List.map Stdlib.Domain.join
-
-(* The parallel chunk runner: [expand] the items [lo, hi) on [workers]
-   domains, one contiguous chunk each, and [merge] the per-item results
-   back on this domain in index order, so the outcome (a frontier's
-   numbering, say) never depends on the worker count.
-
-   A worker that dies with anything other than a tripped budget (the
-   deliberate cancellation path) is degraded, not fatal: its chunk is
-   recomputed here at the point its results would have merged, so
-   ordering is unchanged; the retry is counted and reported as a
-   [site ^ ".worker_retry"] event.  Returns the number of lost workers so
-   the caller can shrink the pool. *)
-let run_chunks ~site ~workers ~lo ~hi ~expand ~merge =
-  let chunk = (hi - lo + workers - 1) / workers in
-  let bounds w = (lo + (w * chunk), min hi (lo + ((w + 1) * chunk))) in
-  let expand_chunk w =
-    let start, stop = bounds w in
-    Array.init (max 0 (stop - start)) (fun k -> expand (start + k))
-  in
-  let results =
-    spawn_join workers (fun w ->
-        Detcor_robust.Failpoint.hit "engine.worker";
-        expand_chunk w)
-  in
-  if Obs.on () then
-    for w = 0 to workers - 1 do
-      let start, stop = bounds w in
-      if stop > start then Metrics.observe h_worker_chunk (stop - start)
-    done;
-  let cursor = ref lo in
-  let consume =
-    Array.iter (fun r ->
-        Detcor_robust.Budget.tick ();
-        merge !cursor r;
-        incr cursor)
-  in
-  let lost = ref 0 in
-  List.iteri
-    (fun w -> function
-      | Ok per_item -> consume per_item
-      | Error (Detcor_robust.Error.(Detcor_error (Resource _)) as e) -> raise e
-      | Error e ->
-        incr lost;
-        Metrics.incr m_worker_retries;
-        if Obs.on () then
-          Obs.event (site ^ ".worker_retry") ~level:Attr.Warn
-            ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-        consume (expand_chunk w))
-    results;
-  !lost
-
-(* Parallel expansion pays off only on frontiers this wide. *)
-let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
-
 (* ------------------------------------------------------------------ *)
 (* Flat store: rank-interned BFS.                                      *)
 (* ------------------------------------------------------------------ *)
@@ -561,7 +483,7 @@ let parallel ~workers width = workers > 1 && width >= max 2 (workers * 8)
    rank in a [Rank_map], expanding frontiers in id order.  The builder's
    keys are the rank column: no state is built unless an action reads
    its source. *)
-let build_packed ~limit ~workers k program seeds =
+let build_packed ~limit k program seeds =
   let layout = k.k_layout in
   let index =
     Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
@@ -593,22 +515,11 @@ let build_packed ~limit ~workers k program seeds =
   | None -> ());
   let capture () = Marshal.to_string (snap_of_builder b) [] in
   Detcor_robust.Checkpoint.set_capture phase capture;
-  let merge i succs =
-    List.iter (fun (aid, r) -> push_edge b aid (intern r)) succs;
-    close_row b i
-  in
   let codes = codes_buffer k in
   let on_edge aid r = push_edge b aid (intern r) in
-  (* A lost worker shrinks the pool for the rest of the build. *)
-  let eff_workers = ref workers in
   let level = ref 0 in
   Progress.with_phase "engine.bfs"
-    (fun () ->
-      [
-        ("states", b.count);
-        ("frontier", b.count - b.expanded);
-        ("workers", !eff_workers);
-      ])
+    (fun () -> [ ("states", b.count); ("frontier", b.count - b.expanded) ])
     (fun () ->
       while b.expanded < b.count do
         let lo = b.expanded and hi = b.count in
@@ -618,21 +529,12 @@ let build_packed ~limit ~workers k program seeds =
             ~attrs:[ Attr.int "depth" !level; Attr.int "width" (hi - lo) ];
           incr level
         end;
-        if parallel ~workers:!eff_workers (hi - lo) then begin
-          let lost =
-            run_chunks ~site:"ts" ~workers:!eff_workers ~lo ~hi
-              ~expand:(fun i -> collect k b.keys.(i))
-              ~merge
-          in
-          eff_workers := max 1 (!eff_workers - lost)
-        end
-        else
-          for i = lo to hi - 1 do
-            let rank = b.keys.(i) in
-            decode k rank codes;
-            successors k ~codes ~rank (source k rank) on_edge;
-            close_row b i
-          done
+        for i = lo to hi - 1 do
+          let rank = b.keys.(i) in
+          decode k rank codes;
+          successors k ~codes ~rank (source k rank) on_edge;
+          close_row b i
+        done
       done);
   let ranks = keys b in
   let ts =
@@ -673,27 +575,23 @@ let set_shard_defaults ~shards ~spill_dir ~arena_budget_mb =
 
 let shard_defaults () = !shard_params
 
-(* Frontier window: sources expanded between outbox merges.  Bounds the
-   outbox bytes in flight without adding a barrier per source. *)
-let shard_window = 32_768
-
 (* BFS over the shard store.  The exploration order is identical to the
    flat BFS's — seeds interned in ascending rank order, frontier
-   sources expanded in gid order, successors merged in (source,
-   position) order — so the numbering, edge arrays and initials are
-   byte-identical where both stores can run.  What changes is
-   residency: state and CSR arenas live in per-shard segments that
-   spill to checksummed files under the configured directory once the
-   resident bytes exceed the arena budget.
+   sources expanded in gid order, each successor interned as it is
+   found — so the numbering, edge arrays and initials are byte-identical
+   where both stores can run.  What changes is residency: state and CSR
+   arenas live in per-shard segments that spill to checksummed files
+   under the configured directory once the resident bytes exceed the
+   arena budget.
 
    Checkpointing: the store itself is the capture.  Snapshots are only
    consistent at level barriers (mid-level, the open CSR accumulators
-   and outboxes are not serializable), so the capture closure returns
-   the snapshot taken at the last completed barrier; resume restores
-   the store there and replays the lost level deterministically.  Spill
-   files written by the interrupted run are content-identical and are
-   reused, never rewritten. *)
-let build_sharded ~limit ~workers kern program ~seeds =
+   are not serializable), so the capture closure returns the snapshot
+   taken at the last completed barrier; resume restores the store there
+   and replays the lost level deterministically.  Spill files written
+   by the interrupted run are content-identical and are reused, never
+   rewritten. *)
+let build_sharded ~limit kern program ~seeds =
   let layout = kern.k_layout in
   let limit = min limit max_states in
   let shards, spill_dir, budget_mb = !shard_params in
@@ -733,45 +631,12 @@ let build_sharded ~limit ~workers kern program ~seeds =
   Detcor_robust.Checkpoint.set_capture phase (fun () -> !latest);
   let frontier_width = ref 0 in
   let level = ref 0 in
-  (* Expand the sources in [lo, hi) whose producer shard is [part] modulo
-     [stride] into the outbox.  Pure appends: each (producer, owner) lane
-     is written by exactly one caller. *)
-  let expand_sources ob ~lo ~hi ~stride ~part =
-    let codes = codes_buffer kern in
-    let gid = ref 0 and producer = ref 0 and pos = ref 0 in
-    let on_edge aid rank =
-      Shard_store.Outbox.put ob ~producer:!producer ~gid:!gid ~pos:!pos ~aid
-        ~rank;
-      incr pos
-    in
-    for g = lo to hi - 1 do
-      let p = Shard_store.shard_of store g in
-      if p mod stride = part then begin
-        let rank = Shard_store.rank_of store g in
-        gid := g;
-        producer := p;
-        pos := 0;
-        decode kern rank codes;
-        successors kern ~codes ~rank (source kern rank) on_edge
-      end
-    done
+  let codes = codes_buffer kern in
+  let src = ref 0 in
+  let on_edge aid rank =
+    let tgt = Shard_store.intern store rank in
+    Shard_store.add_edge store ~src:!src ~aid ~tgt
   in
-  (* Parallel windows: one domain per producer-shard group.  Frontier
-     segments are resident until sealed, so worker reads never fault a
-     reload; lanes stay single-writer because each producer shard is
-     expanded by exactly one domain.  Worker failures propagate (a
-     half-written lane is not recoverable the way a flat chunk is). *)
-  let expand_window ob lo hi =
-    if parallel ~workers (hi - lo) then begin
-      let w = min workers k in
-      spawn_join w (fun part ->
-          expand_sources ob ~lo ~hi ~stride:w ~part;
-          if Obs.on () then Metrics.incr ~by:(hi - lo) m_par_expanded)
-      |> List.iter (function Ok () -> () | Error e -> raise e)
-    end
-    else expand_sources ob ~lo ~hi ~stride:1 ~part:0
-  in
-  let ob = Shard_store.Outbox.create store in
   (try
      Progress.with_phase "engine.bfs"
        (fun () ->
@@ -781,7 +646,6 @@ let build_sharded ~limit ~workers kern program ~seeds =
            ("frontier", !frontier_width);
            ("shards", k);
            ("spills", spills);
-           ("workers", max 1 workers);
          ])
        (fun () ->
          let continue = ref true in
@@ -797,12 +661,11 @@ let build_sharded ~limit ~workers kern program ~seeds =
                    [ Attr.int "depth" !level; Attr.int "width" (hi - lo) ];
                incr level
              end;
-             let w = ref lo in
-             while !w < hi do
-               let wend = min hi (!w + shard_window) in
-               expand_window ob !w wend;
-               Shard_store.merge store ob ~lo:!w ~hi:wend;
-               w := wend
+             for g = lo to hi - 1 do
+               let rank = Shard_store.rank_of store g in
+               src := g;
+               decode kern rank codes;
+               successors kern ~codes ~rank (source kern rank) on_edge
              done;
              Shard_store.end_level store;
              if track then latest := Shard_store.snapshot store
@@ -1121,7 +984,7 @@ let count_compiled ts =
    [Auto] runs the flat store and falls back to the reference engine when
    the product overflows the rank range or a state steps outside the
    declared domains; [Packed] and [Sharded] raise instead. *)
-let construct op ~limit ~engine ~workers program seeds =
+let construct op ~limit ~engine program seeds =
   let num_actions = List.length (Program.actions program) in
   if num_actions > max_actions then
     Detcor_robust.Error.type_error
@@ -1146,7 +1009,7 @@ let construct op ~limit ~engine ~workers program seeds =
     k
   in
   let flat layout =
-    build_packed ~limit ~workers (kernel layout) program
+    build_packed ~limit (kernel layout) program
       (seed_ranks ~limit layout seeds)
   in
   let ts =
@@ -1157,7 +1020,7 @@ let construct op ~limit ~engine ~workers program seeds =
       | Auto, None -> fell_back overflow_reason (reference ())
       | _, None -> raise Layout.Unrepresentable
       | Sharded, Some layout ->
-        build_sharded ~limit ~workers (kernel layout) program
+        build_sharded ~limit (kernel layout) program
           ~seeds:(seed_ranks ~limit layout seeds)
       | Packed, Some layout -> flat layout
       | _, Some layout -> (
@@ -1178,13 +1041,11 @@ let construct op ~limit ~engine ~workers program seeds =
       ];
   ts
 
-let build ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  construct "build" ~limit ~engine ~workers program (States from)
+let build ?(limit = default_limit) ?(engine = default_engine) program ~from =
+  construct "build" ~limit ~engine program (States from)
 
-let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  construct "of_pred" ~limit ~engine ~workers program (Satisfying from)
+let of_pred ?(limit = default_limit) ?(engine = default_engine) program ~from =
+  construct "of_pred" ~limit ~engine program (Satisfying from)
 
 (* ------------------------------------------------------------------ *)
 (* Reverse adjacency.                                                  *)
@@ -1435,13 +1296,13 @@ let derive ~limit ~layout program ~span ~keep =
    is derived from the span's rows; otherwise it is explored, seeded by
    the span's sorted rank column when [p]'s layout has [span]'s
    signature, with no state built, packed or compared. *)
-let build_within ?(limit = default_limit) ?(engine = default_engine)
-    ?(workers = 1) ?where program ~span =
+let build_within ?(limit = default_limit) ?(engine = default_engine) ?where
+    program ~span =
   let keep = Option.map (pred_bitset span) where in
   match derivable ~engine program span with
   | Some layout -> derive ~limit ~layout program ~span ~keep
   | None ->
-    construct "build" ~limit ~engine ~workers program (Within (span, keep))
+    construct "build" ~limit ~engine program (Within (span, keep))
 
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)

@@ -17,9 +17,7 @@
       cover the explored states): a {!Layout} packs each state into a
       single integer rank, interned in a {!Rank_map}.  The system keeps
       ranks only: {!state} decodes a rank on demand and {!index_of}
-      packs a state and looks its rank up.  Frontier expansion can run
-      on OCaml 5 domains ([?workers]) with a deterministic in-order
-      merge.
+      packs a state and looks its rank up.
     - {!Reference}: the seed list-based path (map-keyed interning of the
       states themselves), kept as the fallback for programs whose actions
       step outside their declared domains and as the oracle for
@@ -82,13 +80,10 @@ val set_shard_defaults :
 val shard_defaults : unit -> int * string option * int
 
 (** [build program ~from] explores forward from the given initial states.
-    Every recorded state is reachable from [from].  [workers] > 1 expands
-    large frontiers on that many OCaml domains (the result is identical to
-    the sequential build); actions and predicates must then be pure.
+    Every recorded state is reachable from [from].
     @raise Too_large if more than [limit] states are encountered. *)
 val build :
-  ?limit:int -> ?engine:engine -> ?workers:int -> Program.t ->
-  from:State.t list -> t
+  ?limit:int -> ?engine:engine -> Program.t -> from:State.t list -> t
 
 (** [build_within program ~span]: [program] from the states of the
     explored system [span], or only from those satisfying [where] (read
@@ -108,15 +103,14 @@ val build :
     [span]'s sorted rank column, and no state is packed or compared.
     @raise Too_large if more than [limit] states are encountered. *)
 val build_within :
-  ?limit:int -> ?engine:engine -> ?workers:int -> ?where:Pred.t ->
-  Program.t -> span:t -> t
+  ?limit:int -> ?engine:engine -> ?where:Pred.t -> Program.t -> span:t -> t
 
 (** [of_pred program ~from] explores from all product-space states
     satisfying [from], enumerated without sweeping the product when
     [from] has an expression.  With [from] = {!Pred.true_} the system is
     the whole product, numbered by rank. *)
 val of_pred :
-  ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> from:Pred.t -> t
+  ?limit:int -> ?engine:engine -> Program.t -> from:Pred.t -> t
 
 val program : t -> Program.t
 val num_states : t -> int
@@ -250,19 +244,3 @@ val satisfying : t -> Pred.t -> int list
 
 val holds_at : t -> Pred.t -> int -> bool
 val pp_stats : t Fmt.t
-
-(** {1 Domain fan-out} *)
-
-(** [run_chunks ~site ~workers ~lo ~hi ~expand ~merge] runs [expand i]
-    for every [i] in [[lo, hi)] on [workers] fresh domains, one
-    contiguous chunk each, then [merge i (expand i)] on the calling
-    domain in ascending [i], so the outcome does not depend on
-    [workers].  A worker lost to any exception but a tripped budget has
-    its chunk rerun on the calling domain at its place in the merge
-    order; the retry is counted in [robust.worker_retries] and reported
-    as a [site ^ ".worker_retry"] event.  A tripped budget is re-raised.
-    Returns the number of lost workers.  [expand] must be safe to run
-    concurrently. *)
-val run_chunks :
-  site:string -> workers:int -> lo:int -> hi:int -> expand:(int -> 'a) ->
-  merge:(int -> 'a -> unit) -> int

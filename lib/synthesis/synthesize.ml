@@ -53,8 +53,7 @@
    product states; the semantic closure remains only for states outside
    the product), invariant recomputation is a counter-based deadlock
    pruning worklist, and recovery layering ranks states in [int] arrays
-   with a frontier queue whose candidate scans can fan out over OCaml
-   domains ([?workers]).  [?engine] only chooses the {!Ts} builder, so the
+   with a frontier queue.  [?engine] only chooses the {!Ts} builder, so the
    reference builder stays a differential oracle for the whole pipeline:
    synthesis over reference-, packed- and sharded-built systems yields
    identical programs, invariants and reports. *)
@@ -455,7 +454,7 @@ let not_ms front st = not (ms_at front.ts front.ms st)
 
    [p]'s layout compiles whenever S could be enumerated: it only fails
    when the product space overflows the rank range. *)
-let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
+let failsafe_core ?limit ~engine ~sspec p ~invariant ~faults =
   let layout =
     match Layout.of_program p with
     | Some layout -> layout
@@ -471,7 +470,7 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
     | None -> false
   in
   let init = Tolerance.init_states ~engine p ~invariant in
-  let reach = Ts.build ?limit ~engine ~workers composed ~from:init in
+  let reach = Ts.build ?limit ~engine composed ~from:init in
   (* R's states that have a rank in the product layout: all of them on a
      layout-built R, and on a reference-built one those not escaping. *)
   let ranked =
@@ -516,7 +515,7 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
               ];
         let front =
           analyse
-            (Ts.of_pred ?limit ~engine ~workers composed ~from:not_bad)
+            (Ts.of_pred ?limit ~engine composed ~from:not_bad)
             ~sspec ~faults ~unexplored:(fun _ -> false) p
         in
         let restricted, added = restrict_with front.guards p in
@@ -533,14 +532,14 @@ let failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults =
       front,
       true )
 
-let add_failsafe ?limit ?(engine = Ts.Auto) ?(workers = 1) p ~spec ~invariant
+let add_failsafe ?limit ?(engine = Ts.Auto) ?workers:_ p ~spec ~invariant
     ~faults =
   Obs.span "synth.add_failsafe" ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
   let restricted, added, inv_states, _, weakened =
-    failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults
+    failsafe_core ?limit ~engine ~sspec p ~invariant ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
@@ -592,9 +591,9 @@ end)
    This is {!Fairness.trapped} on p over the span with region ¬target: a
    fixpoint-defined set, hence extensionally identical whichever engine
    built [ts_p].  It is returned as a bitset over the span's indices. *)
-let needs_recovery ?limit ~engine ~workers p ~target ts_span =
+let needs_recovery ?limit ~engine p ~target ts_span =
   Obs.span "synth.needs_recovery" @@ fun () ->
-  let ts_p = Ts.build_within ?limit ~engine ~workers p ~span:ts_span in
+  let ts_p = Ts.build_within ?limit ~engine p ~span:ts_span in
   let reached = Ts.pred_bitset ts_p target in
   let trapped =
     Fairness.trapped ts_p ~region:(fun i -> not (Bitset.get reached i))
@@ -828,12 +827,10 @@ let recovery_action ts_span move =
    outcome can only change when one of its neighbors acquires a rank,
    which is exactly when the frontier re-queues it; the ranks and chosen
    moves therefore coincide with those of a full rescan per level.
-   [workers] > 1 fans the per-candidate scans out over OCaml domains;
-   ranks are only written between phases, so the result is identical to
-   the sequential scan. *)
+   Ranks are only written once a level's scans are done. *)
 let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ~rank0
-    ~workers ~fault_ids ~allowed ~target p ts_span =
+    ~fault_ids ~allowed ~target p ts_span =
   Obs.span "synth.recovery"
     ~attrs:[ Attr.int "states" (Ts.num_states ts_span) ]
   @@ fun () ->
@@ -842,7 +839,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let rank = Array.make n unranked in
   let move = Array.make n (-1) in
   let neigh = Array.make n None in
-  let undo_fired = Atomic.make false in
+  let undo_fired = ref false in
   let is_fault = Array.make (Ts.num_actions ts_span) false in
   List.iter (fun a -> is_fault.(a) <- true) fault_ids;
   (* [undone i j]: the program has the span transition [j -> i].  The
@@ -855,15 +852,14 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
          false
   in
   let steps, outside = candidate_steps ~step_vars p ts_span in
-  let fill_neighbors i =
-    if neigh.(i) = None then begin
-      Detcor_robust.Budget.tick ();
-      neigh.(i) <- Some (steps i)
-    end
-  in
   let neighbors_of i =
-    fill_neighbors i;
-    match neigh.(i) with Some a -> a | None -> assert false
+    match neigh.(i) with
+    | Some a -> a
+    | None ->
+      Detcor_robust.Budget.tick ();
+      let a = steps i in
+      neigh.(i) <- Some a;
+      a
   in
   (* Symmetry fails at span states holding a value outside [p]'s declared
      domains: they see in-domain neighbors that cannot see them back, so
@@ -879,20 +875,6 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
         if outside i then acc := i :: !acc
       done;
       !acc
-  in
-  (* The engine's chunk runner, for both neighbor generation and
-     candidate scans.  Distinct iterations touch distinct array slots, so
-     the only sharing between domains is read-only — which also makes a
-     lost worker recoverable: its chunk reruns on this domain,
-     idempotently.  A tripped budget still cancels the whole build. *)
-  let parallel_iter arr f =
-    let len = Array.length arr in
-    if workers <= 1 || len < 64 then Array.iter f arr
-    else
-      ignore
-        (Ts.run_chunks ~site:"synth" ~workers ~lo:0 ~hi:len
-           ~expand:(fun k -> f arr.(k))
-           ~merge:(fun _ () -> ()))
   in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.recovery" in
   let frontier = ref [] in
@@ -919,7 +901,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
         frontier := i :: !frontier
       end
     done);
-  (* Captures fire from [fill_neighbors] ticks, which always run with
+  (* Captures fire from [neighbors_of] ticks, which always run with
      [level] pre-incremented for a level whose rank writes have not yet
      happened — so ranks-through-[level - 1] and the previous frontier
      are a consistent pair. *)
@@ -937,7 +919,6 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
      incr level;
      let lvl = !level in
      let front = Array.of_list !frontier in
-     parallel_iter front fill_neighbors;
      let candidates = ref [] in
      let enqueue i =
        if rank.(i) = unranked && queued.(i) <> lvl then begin
@@ -948,10 +929,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
      Array.iter (fun j -> Array.iter enqueue (neighbors_of j)) front;
      List.iter enqueue one_way;
      let cands = Array.of_list !candidates in
-     let chosen = Array.make (Array.length cands) (-1) in
-     let scan_slot k =
-       let i = cands.(k) in
-       fill_neighbors i;
+     let choose i =
        let nb = neighbors_of i in
        let len = Array.length nb in
        let rec first t =
@@ -960,15 +938,15 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
            let j = nb.(t) in
            if rank.(j) < lvl && allowed i j && not (banned i j) then
              if undone i j then begin
-               Atomic.set undo_fired true;
+               undo_fired := true;
                first (t + 1)
              end
              else j
            else first (t + 1)
        in
-       chosen.(k) <- first 0
+       first 0
      in
-     parallel_iter (Array.init (Array.length cands) (fun k -> k)) scan_slot;
+     let chosen = Array.map choose cands in
      let newly = ref [] in
      Array.iteri
        (fun k i ->
@@ -1015,7 +993,6 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let repair_pass ~relax =
     for i = 0 to n - 1 do
       if stalled.(i) && move.(i) < 0 then begin
-        fill_neighbors i;
         let nb = neighbors_of i in
         let len = Array.length nb in
         let rec first t =
@@ -1033,7 +1010,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
               && not (banned i j)
             then
               if undone i j then begin
-                Atomic.set undo_fired true;
+                undo_fired := true;
                 first (t + 1)
               end
               else j
@@ -1057,7 +1034,7 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   in
   ( { moves; action = recovery_action ts_span move; move_to = Array.get move },
     unrecoverable,
-    Atomic.get undo_fired )
+    !undo_fired )
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample-guided repair                                        *)
@@ -1183,7 +1160,7 @@ let repair_loop ~step_vars ~synth ~build ~verify ~index ~bans ~forces =
 (* Nonmasking                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
+let add_nonmasking ?limit ?(engine = Ts.Auto) ?workers:_ ?(step_vars = 1)
     p ~spec ~invariant ~faults =
   Obs.span "synth.add_nonmasking"
     ~attrs:[ Attr.str "program" (Program.name p) ]
@@ -1194,7 +1171,7 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
   else begin
     let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
     let ts_span =
-      Ts.build ?limit ~engine ~workers (Fault.compose p faults) ~from:init
+      Ts.build ?limit ~engine (Fault.compose p faults) ~from:init
     in
     let bans = Hashtbl.create 8 in
     let forces = Hashtbl.create 8 in
@@ -1210,7 +1187,7 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
       (not (Bitset.get bad_span j)) && not (bad_tr i j)
     in
     let needs =
-      needs_recovery ?limit ~engine ~workers p ~target:invariant ts_span
+      needs_recovery ?limit ~engine p ~target:invariant ts_span
     in
     let rank0 = gated_rank0 ts_span ~target:invariant needs in
     let fault_ids =
@@ -1218,8 +1195,7 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let synth ~use_undo ~step_vars =
       synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~repair_allowed
-        ~rank0 ~workers ~fault_ids
-        ~allowed:(fun _ _ -> true)
+        ~rank0 ~fault_ids ~allowed:(fun _ _ -> true)
         ~target:invariant p ts_span
     in
     let build recovery =
@@ -1256,14 +1232,14 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
    (default: the recomputed invariant), where every recovery step must
    itself avoid [mt] — the corrector must not break the detector's
    guarantee (Section 5). *)
-let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
+let add_masking ?limit ?(engine = Ts.Auto) ?workers:_ ?(step_vars = 1)
     ?target p ~spec ~invariant ~faults =
   Obs.span "synth.add_masking" ~attrs:[ Attr.str "program" (Program.name p) ]
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
   let restricted, added, inv_states, front, weakened =
-    failsafe_core ?limit ~engine ~workers ~sspec p ~invariant ~faults
+    failsafe_core ?limit ~engine ~sspec p ~invariant ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
@@ -1274,7 +1250,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let target = match target with Some t -> t | None -> invariant' in
     let ts_span =
-      Ts.build ?limit ~engine ~workers
+      Ts.build ?limit ~engine
         (Fault.compose restricted faults)
         ~from:inv_states
     in
@@ -1283,7 +1259,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     let banned i j = Hashtbl.length bans > 0 && Hashtbl.mem bans (i, j) in
     let forced i = Hashtbl.length forces > 0 && Hashtbl.mem forces i in
     let needs =
-      needs_recovery ?limit ~engine ~workers restricted ~target ts_span
+      needs_recovery ?limit ~engine restricted ~target ts_span
     in
     let rank0 = gated_rank0 ts_span ~target needs in
     (* Resolve ms/bad for every span state up front; an allowed step
@@ -1307,7 +1283,7 @@ let add_masking ?limit ?(engine = Ts.Auto) ?(workers = 1) ?(step_vars = 1)
     in
     let synth ~use_undo ~step_vars =
       synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~rank0
-        ~workers ~fault_ids:span_fault_ids ~allowed ~target restricted ts_span
+        ~fault_ids:span_fault_ids ~allowed ~target restricted ts_span
     in
     let build recovery =
       Program.add_actions restricted [ recovery.action ]

@@ -22,8 +22,8 @@
 
     Each phase has one implementation: the [ms]/[mt] fixpoints, detection
     guards, invariant recomputation and recovery layering run on integer
-    state indices (bitsets, reverse-CSR adjacency, frontier queues,
-    optional domain-parallel scans) over the {!Detcor_semantics.Ts} API,
+    state indices (bitsets, reverse-CSR adjacency, frontier queues) over
+    the {!Detcor_semantics.Ts} API,
     whichever engine built the explored system.  [?engine] only chooses
     that builder, so synthesis over the reference, packed and sharded
     builders yields identical programs and reports. *)
@@ -73,8 +73,7 @@ val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
     test are rank arithmetic, [rank + (c' - c) · stride] per changed
     variable, and build no state; on a system without one (the reference
     engine) the steps are {!neighbors} resolved through
-    {!Detcor_semantics.Ts.index_of}, and the test is [Some].  The result
-    is safe to call from several domains at once. *)
+    {!Detcor_semantics.Ts.index_of}, and the test is [Some]. *)
 val candidate_steps :
   step_vars:int ->
   Program.t ->
@@ -88,8 +87,9 @@ val candidate_steps :
     invariant-weakening search needs it; [limit] bounds the states each
     exploration visits.  [engine] chooses the {!Detcor_semantics.Ts}
     builder of every explored system (default [Auto]); the synthesis
-    algorithm is the same for all of them.  [workers] > 1 fans
-    exploration and recovery scans out over that many OCaml domains. *)
+    algorithm is the same for all of them.  [workers] is ignored:
+    synthesis is sequential, and the parameter remains only so that
+    existing callers that pass it still compile. *)
 val add_failsafe :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->
@@ -103,7 +103,8 @@ val add_failsafe :
 (** Add a ranked recovery corrector converging from the fault span back to
     the invariant.  [step_vars] bounds how many variables one ranked
     recovery step may write (default 1 — local corrections; the attempt
-    ladder escalates to 2 on its own when 1 cannot rank the span). *)
+    ladder escalates to 2 on its own when 1 cannot rank the span).
+    [workers] is ignored, as in {!add_failsafe}. *)
 val add_nonmasking :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->
@@ -117,7 +118,7 @@ val add_nonmasking :
 
 (** Fail-safe restriction (with the invariant-weakening fallback) followed
     by safety-respecting recovery to [target] (default: the recomputed
-    invariant). *)
+    invariant).  [workers] is ignored, as in {!add_failsafe}. *)
 val add_masking :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->

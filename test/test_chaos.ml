@@ -10,9 +10,7 @@
    is the fault, the snapshot the corrector, and "converged" means the
    resumed verdict is indistinguishable from an undisturbed run.
 
-   Two fault-injection workloads ride along: worker domains killed via
-   the [engine.worker] failpoint must degrade to sequential
-   recomputation with identical output, and a permanently failing
+   A fault-injection workload rides along: a permanently failing
    snapshot-write path must cost nothing but the insurance.
 
    Kill delays draw from the process-wide qcheck seed (pin QCHECK_SEED
@@ -115,28 +113,6 @@ let chaos_workload name args ~max_delay () =
 let ring5 = "../examples/dc/ring5.dc"
 let byz4 = "../examples/dc/byz4.dc"
 let reset10 = "../examples/dc/big/reset10.dc"
-
-(* Worker domains dying mid-chunk must not change a single output byte;
-   the run detects the loss, recomputes sequentially, and carries on. *)
-let test_worker_faults () =
-  let args = [ "verify"; ring5; "--tolerance"; "nonmasking" ] in
-  let expected_code, expected_out = baseline "verify" args in
-  List.iter
-    (fun prob ->
-      with_temp ".out" @@ fun out ->
-      let code =
-        exit_code "degraded verify"
-          (run_dcheck
-             ~env:
-               [| Fmt.str "DETCOR_FAILPOINTS=engine.worker=%s;seed=11" prob |]
-             (args @ [ "--workers"; "4" ])
-             ~out)
-      in
-      let label = Fmt.str "worker failures at p=%s" prob in
-      Alcotest.(check int) (label ^ ": exit code") expected_code code;
-      Alcotest.(check string) (label ^ ": output bytes") expected_out
-        (read_file out))
-    [ "0.3"; "1.0" ]
 
 (* A snapshot path that always fails to write costs only the insurance:
    the verdict, bytes and exit code are untouched, and no file appears. *)
@@ -257,8 +233,6 @@ let suite =
         (chaos_workload "simulate"
            [ "simulate"; ring5; "--runs"; "2000"; "--seed"; "7" ]
            ~max_delay:0.15);
-      Alcotest.test_case "worker faults leave output untouched" `Slow
-        test_worker_faults;
       Alcotest.test_case "snapshot write faults cost only insurance" `Slow
         test_snapshot_write_faults;
       Alcotest.test_case "SIGTERM parity: finalizers run, exit 143" `Slow

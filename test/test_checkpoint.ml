@@ -10,15 +10,11 @@
    End-to-end: a ring5 fault-span build interrupted twice by a state
    budget and resumed from its snapshot converges to a system
    structurally identical to the uninterrupted build, from which p over
-   the span derives as from the uninterrupted one, and a build whose
-   worker domains are all killed by an armed failpoint (a fault-span BFS,
-   a full-product build) degrades to sequential recomputation with the
-   same result. *)
+   the span derives as from the uninterrupted one. *)
 
 module Checkpoint = Detcor_robust.Checkpoint
 module Error = Detcor_robust.Error
 module Budget = Detcor_robust.Budget
-module Failpoint = Detcor_robust.Failpoint
 module Metrics = Detcor_obs.Metrics
 module Ts = Detcor_semantics.Ts
 module Tolerance = Detcor_core.Tolerance
@@ -370,34 +366,6 @@ let test_resume_derives () =
   Alcotest.(check (list string)) "same p enabled sets" (enabled p) (enabled p')
 
 (* ------------------------------------------------------------------ *)
-(* Worker-failure degradation.                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Both users of the parallel chunk runner: the BFS of a fault span and
-   the full-product build. *)
-let test_worker_degradation () =
-  let e = Lazy.force ring5 in
-  let degraded label ~sequential build =
-    let before = Metrics.counter_value_by_name "robust.worker_retries" in
-    Failpoint.seed 7;
-    Failpoint.set "engine.worker" 1.0;
-    let parallel = Fun.protect ~finally:Failpoint.clear build in
-    Alcotest.(check bool)
-      (label ^ ": degraded build identical")
-      true
-      (Util.ts_equal sequential parallel);
-    Alcotest.(check bool) (label ^ ": retries recorded") true
-      (Metrics.counter_value_by_name "robust.worker_retries" > before)
-  in
-  degraded "fault span" ~sequential:(ring5_span ()) (fun () ->
-      (Tolerance.fault_span ~workers:4 e.program ~faults:e.faults
-         ~from:e.invariant)
-        .ts_pf);
-  degraded "full product"
-    ~sequential:(Util.product ~workers:1 e.program)
-    (fun () -> Util.product ~workers:4 e.program)
-
-(* ------------------------------------------------------------------ *)
 (* Serve result-cache keying.                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -405,7 +373,8 @@ let test_worker_degradation () =
    of (kind, program source, argument vector).  Two laws: identical
    submissions share a key, and any difference in kind, source or any
    argument — including options the checkpoint fingerprint deliberately
-   ignores, like --workers — separates them. *)
+   ignores — separates them.  The argument vector is opaque here: no
+   option is parsed. *)
 
 module Proto = Detcor_serve.Proto
 
@@ -490,8 +459,6 @@ let suite =
         test_cache_key_options;
       Alcotest.test_case "interrupted build resumes to identical system"
         `Slow test_interrupted_resume;
-      Alcotest.test_case "worker failures degrade without changing results"
-        `Slow test_worker_degradation;
       Alcotest.test_case "resumed span derives the same p over it" `Slow
         test_resume_derives;
       Alcotest.test_case "version-1 snapshots refused" `Quick

@@ -1,6 +1,6 @@
 (* Unit tests for the packed state-space engine: layout round-trips, the
    bitset container, the predicate/guard caches, engine selection and
-   fallback, and determinism of the parallel build. *)
+   fallback. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -195,28 +195,6 @@ let test_index_of_foreign_state () =
     (List.init (Ts.num_states ts) Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel build determinism                                          *)
-(* ------------------------------------------------------------------ *)
-
-let same_system = Util.check_same_system
-
-let test_parallel_determinism () =
-  let cfg = Detcor_systems.Token_ring.make_config 5 in
-  let p = Detcor_systems.Token_ring.program cfg in
-  let sequential = Util.product ~workers:1 p in
-  let parallel = Util.product ~workers:4 p in
-  same_system "workers 4 = workers 1" sequential parallel;
-  Alcotest.(check bool) "parallel build is packed" true
-    (Ts.engine_of parallel = Ts.Packed)
-
-let test_parallel_matches_reference () =
-  let cfg = Detcor_systems.Token_ring.make_config 4 in
-  let p = Detcor_systems.Token_ring.program cfg in
-  let reference = Util.product ~engine:Ts.Reference p in
-  let parallel = Util.product ~workers:3 p in
-  same_system "parallel = reference" reference parallel
-
-(* ------------------------------------------------------------------ *)
 (* Full-product kernel gate                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,9 +373,6 @@ let suite =
       Alcotest.test_case "enabled cache coherence" `Quick test_enabled_cache_coherence;
       Alcotest.test_case "fallback on domain escape" `Quick test_fallback_on_escape;
       Alcotest.test_case "index_of" `Quick test_index_of_foreign_state;
-      Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
-      Alcotest.test_case "parallel matches reference" `Quick
-        test_parallel_matches_reference;
       Alcotest.test_case "rank forms refused on another layout" `Quick
         test_rank_forms_refused;
       Alcotest.test_case "full-product kernel gate" `Slow

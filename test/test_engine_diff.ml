@@ -6,11 +6,11 @@
    optional action that escapes its declared domain to exercise the
    reference fallback) drives three properties:
 
-   - every engine (auto, strict packed, sharded with 1 and 4 shards), each
-     with 1 and 3 workers, produces the reference engine's state arrays,
-     edge relations and initial states, whether built from explicit states
-     ([build]), from a predicate over the product space ([of_pred]) or
-     over the whole product ([full]);
+   - every engine (auto, strict packed, sharded with 1 and 4 shards)
+     produces the reference engine's state arrays, edge relations and
+     initial states, whether built from explicit states ([build]), from
+     a predicate over the product space ([of_pred]) or over the whole
+     product ([full]);
    - [Check] and [Graph] procedures report identical outcomes on both;
    - [index_of] inverts the numbering on every system, a layout system's
      states are its decoded ranks, and predicate and guard bitsets (of an
@@ -24,10 +24,10 @@
    distinct targets per action, [?] wildcards and cross-domain copies;
    increments that escape their domain and [%] by a zero variable), whose
    actions and predicates run compiled.  Each is checked against the
-   reference engine under every engine and worker count, and against an
-   interpreted twin (the same actions behind opaque closures) under the
-   same engine: identical systems, or the identical [Value.Type_error]
-   message, or the identical [Layout.escape_reason].  The same sources,
+   reference engine under every engine, and against an interpreted twin
+   (the same actions behind opaque closures) under the same engine:
+   identical systems, or the identical [Value.Type_error] message, or
+   the identical [Layout.escape_reason].  The same sources,
    with fault actions added, check that compiled actions' enabled sets
    read off the edge labels equal the guard sweeps, and that p over the
    span of p [] F derived from the span's rows equals p explored from
@@ -176,8 +176,8 @@ let state_gen =
       (pair bool bool)
       (triple (int_range 0 2) (int_range 0 3) (oneofl [ "p"; "q"; "bot" ])))
 
-(* A third of the seed lists are wide enough (24+ states) for a first
-   frontier that fans out over 3 workers. *)
+(* A third of the seed lists are wide (24+ states), for a wide first
+   frontier. *)
 let with_inits_gen =
   QCheck.Gen.(
     pair program_gen
@@ -232,11 +232,11 @@ let reference_direct ~preds reference =
            (List.init (Ts.num_actions reference) Fun.id))
     (List.init (Ts.num_states reference) Fun.id)
 
-(* [engines_agree ~reference ~seed make]: [make ~engine ~workers] builds
+(* [engines_agree ~reference ~seed make]: [make ~engine] builds
    [reference] under auto, strict packed, and sharded with K = 1 and
-   K = 4, each with 1 and 3 workers.  The strict engines may refuse the
-   program (Layout.Unrepresentable) only where auto fell back to the
-   reference engine.  Every system also answers its queries as the
+   K = 4.  The strict engines may refuse the program
+   (Layout.Unrepresentable) only where auto fell back to the reference
+   engine.  Every system also answers its queries as the
    reference does ([queries_agree]), for an opaque predicate and a
    state-set predicate drawn from [seed]. *)
 let engines_agree ~reference ~seed make =
@@ -252,7 +252,7 @@ let engines_agree ~reference ~seed make =
   let agree ts =
     equal_system reference ts && queries_agree ~reference ~preds ts
   in
-  let auto = make ~engine:Ts.Auto ~workers:1 in
+  let auto = make ~engine:Ts.Auto in
   let strict build =
     match build () with
     | ts -> agree ts
@@ -261,16 +261,13 @@ let engines_agree ~reference ~seed make =
   in
   reference_direct ~preds reference
   && queries_agree ~reference ~preds reference
+  && agree auto
+  && strict (fun () -> make ~engine:Ts.Packed)
   && List.for_all
-       (fun workers ->
-         agree (make ~engine:Ts.Auto ~workers)
-         && strict (fun () -> make ~engine:Ts.Packed ~workers)
-         && List.for_all
-              (fun shards ->
-                Util.with_shards ~shards (fun () ->
-                    strict (fun () -> make ~engine:Ts.Sharded ~workers)))
-              [ 1; 4 ])
-       [ 1; 3 ]
+       (fun shards ->
+         Util.with_shards ~shards (fun () ->
+             strict (fun () -> make ~engine:Ts.Sharded)))
+       [ 1; 4 ]
 
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 
@@ -293,8 +290,7 @@ let prop_build_identical =
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let packed = Ts.build ~engine:Ts.Auto p ~from in
-      engines_agree ~reference ~seed (fun ~engine ~workers ->
-          Ts.build ~engine ~workers p ~from)
+      engines_agree ~reference ~seed (fun ~engine -> Ts.build ~engine p ~from)
       && List.for_all
            (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
            (List.init (Ts.num_states reference) Fun.id))
@@ -316,7 +312,7 @@ let prop_of_pred_identical =
         (fun from ->
           engines_agree ~reference:(Ts.of_pred ~engine:Ts.Reference p ~from)
             ~seed:query
-            (fun ~engine ~workers -> Ts.of_pred ~engine ~workers p ~from))
+            (fun ~engine -> Ts.of_pred ~engine p ~from))
         [ pred_of_seed seed; Pred.true_ ])
 
 (* [build_within p ~span ?where] is [build p ~from:] of the span's states
@@ -624,42 +620,35 @@ let outcome_name = function
   | Type_error m -> "type error: " ^ m
   | Escaped r -> "escape: " ^ r
 
-(* [~text:false] compares only the kind of an escape: with several
-   workers the sharded engine raises whichever worker's escape lands
-   first, for the interpreted kernel as for the compiled one. *)
-let same ?(text = true) a b =
+let same a b =
   match (a, b) with
   | Built x, Built y -> equal_system x y
   | Type_error m, Type_error m' -> String.equal m m'
-  | Escaped r, Escaped r' -> (not text) || String.equal r r'
+  | Escaped r, Escaped r' -> String.equal r r'
   | _ -> false
 
 let explain what a b =
   QCheck.Test.fail_reportf "%s: %s vs %s" what (outcome_name a) (outcome_name b)
 
-(* [make program ~engine ~workers] under every engine and worker count:
-   [Auto] must reproduce the reference engine; the strict engines must
-   treat the compiled program exactly as its interpreted twin. *)
+(* [make program ~engine] under every engine: [Auto] must reproduce the
+   reference engine; the strict engines must treat the compiled program
+   exactly as its interpreted twin. *)
 let dsl_engines_agree p make =
   let twin = interpreted p in
-  let reference = run (fun () -> make p ~engine:Ts.Reference ~workers:1) in
-  List.for_all
-    (fun workers ->
-      let auto = run (fun () -> make p ~engine:Ts.Auto ~workers) in
-      (same reference auto || explain "auto vs reference" reference auto)
-      && List.for_all
-           (fun (engine, shards) ->
-             Util.with_shards ~shards (fun () ->
-                 let compiled = run (fun () -> make p ~engine ~workers) in
-                 let interp = run (fun () -> make twin ~engine ~workers) in
-                 let text = not (engine = Ts.Sharded && workers > 1) in
-                 same ~text compiled interp
-                 || explain
-                      (Fmt.str "%s (%d shards, %d workers): compiled vs interpreted"
-                         (Ts.engine_name engine) shards workers)
-                      compiled interp))
-           [ (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ])
-    [ 1; 3 ]
+  let reference = run (fun () -> make p ~engine:Ts.Reference) in
+  let auto = run (fun () -> make p ~engine:Ts.Auto) in
+  (same reference auto || explain "auto vs reference" reference auto)
+  && List.for_all
+       (fun (engine, shards) ->
+         Util.with_shards ~shards (fun () ->
+             let compiled = run (fun () -> make p ~engine) in
+             let interp = run (fun () -> make twin ~engine) in
+             same compiled interp
+             || explain
+                  (Fmt.str "%s (%d shards): compiled vs interpreted"
+                     (Ts.engine_name engine) shards)
+                  compiled interp))
+       [ (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ]
 
 let dsl_arb = QCheck.make ~print:Fun.id dsl_gen
 
@@ -684,15 +673,14 @@ let prop_dsl_constructions =
       let e = elaborate src in
       let layout = Option.get (Layout.of_program e.program) in
       let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
-      dsl_engines_agree e.program (fun p ~engine ~workers ->
-          Ts.build ~engine ~workers p ~from)
-      && dsl_engines_agree e.program (fun p ~engine ~workers ->
+      dsl_engines_agree e.program (fun p ~engine -> Ts.build ~engine p ~from)
+      && dsl_engines_agree e.program (fun p ~engine ->
              let from =
                if p == e.program then e.invariant else opaque_pred e.invariant
              in
-             Ts.of_pred ~engine ~workers p ~from)
-      && dsl_engines_agree e.program (fun p ~engine ~workers ->
-             Util.product ~engine ~workers p))
+             Ts.of_pred ~engine p ~from)
+      && dsl_engines_agree e.program (fun p ~engine ->
+             Util.product ~engine p))
 
 (* A random source with one or two fault actions: [action_src] lines
    declared as faults. *)
@@ -746,7 +734,7 @@ let enabled_agree p make =
                Ts.deadlocked ts i = Ts.deadlocked tw i
                || QCheck.Test.fail_reportf "%s: deadlocked at %d" where i)
              (List.init (Ts.num_states ts) Fun.id)
-      | a, b -> same ~text:false a b || explain "compiled vs interpreted" a b)
+      | a, b -> same a b || explain "compiled vs interpreted" a b)
     [ (Ts.Auto, 4); (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ]
 
 (* p over the span of p [] F, derived from the span's rows, against p

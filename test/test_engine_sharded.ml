@@ -6,8 +6,7 @@
    generators) plus the knobs unique to sharding:
 
    - reference = sharded on 200+ random programs, under a shard-count
-     sweep (K = 1, 2, 8) and 1 or 3 workers, for [build], [of_pred] and
-     [full];
+     sweep (K = 1, 2, 8), for [build], [of_pred] and [full];
    - a spill-forced mode (zero arena budget into a temp directory) that
      must spill at least once and still agree byte-for-byte;
    - escape programs: the sharded engine, like the strict packed engine,
@@ -51,28 +50,24 @@ let sharded_build f ~auto =
 
 let shards_arb =
   QCheck.make
-    ~print:(fun ((rp, inits), (k, workers)) ->
-      Fmt.str "%s from %d states, %d shards, %d workers"
+    ~print:(fun ((rp, inits), k) ->
+      Fmt.str "%s from %d states, %d shards"
         (Test_engine_diff.print_program rp)
-        (List.length inits) k workers)
-    QCheck.Gen.(
-      pair Test_engine_diff.with_inits_gen
-        (pair (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ])))
+        (List.length inits) k)
+    QCheck.Gen.(pair Test_engine_diff.with_inits_gen (oneofl [ 1; 2; 8 ]))
 
 (* K-sweep identity on explicit initials: numbering, edges, initials and
-   lookup all equal to the reference engine's, for 1, 2 and 8 shards, each
-   with 1 and 3 workers. *)
+   lookup all equal to the reference engine's, for 1, 2 and 8 shards. *)
 let prop_build_identical =
   Util.qtest ~count:210 "sharded build = reference build (K=1,2,8)" shards_arb
-    (fun ((rp, inits), (k, workers)) ->
+    (fun ((rp, inits), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let auto = Ts.build ~engine:Ts.Auto p ~from in
       with_shards ~shards:k (fun () ->
           match
-            sharded_build ~auto (fun () ->
-                Ts.build ~engine:Ts.Sharded ~workers p ~from)
+            sharded_build ~auto (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
           with
           | None -> true
           | Some sharded ->
@@ -84,20 +79,18 @@ let prop_build_identical =
 
 let pred_arb =
   QCheck.make
-    ~print:(fun ((rp, s), (k, workers)) ->
-      Fmt.str "%s from P%d, %d shards, %d workers"
-        (Test_engine_diff.print_program rp)
-        s k workers)
+    ~print:(fun ((rp, s), k) ->
+      Fmt.str "%s from P%d, %d shards" (Test_engine_diff.print_program rp) s k)
     QCheck.Gen.(
       pair
         (pair Test_engine_diff.program_gen (int_range 0 (1 lsl 20)))
-        (pair (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ])))
+        (oneofl [ 1; 2; 8 ]))
 
 (* The product-space surfaces: [of_pred] from a random predicate and
    [full], each against the reference engine. *)
 let prop_of_pred_identical =
   Util.qtest ~count:120 "sharded of_pred = reference of_pred" pred_arb
-    (fun ((rp, seed), (k, workers)) ->
+    (fun ((rp, seed), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed seed in
       let agree reference auto sharded =
@@ -109,16 +102,16 @@ let prop_of_pred_identical =
       agree
         (Ts.of_pred ~engine:Ts.Reference p ~from)
         (Ts.of_pred ~engine:Ts.Auto p ~from)
-        (fun () -> Ts.of_pred ~engine:Ts.Sharded ~workers p ~from)
+        (fun () -> Ts.of_pred ~engine:Ts.Sharded p ~from)
       && agree (Util.product ~engine:Ts.Reference p) (Util.product ~engine:Ts.Auto p)
-           (fun () -> Util.product ~engine:Ts.Sharded ~workers p))
+           (fun () -> Util.product ~engine:Ts.Sharded p))
 
 (* Spill-forced identity: a zero arena budget into a temp directory makes
    every sealed segment spill; results must not change, and any run that
    interned states must have spilled at least once. *)
 let prop_spill_forced =
   Util.qtest ~count:60 "spill-forced sharded build agrees and spills"
-    shards_arb (fun ((rp, inits), (k, workers)) ->
+    shards_arb (fun ((rp, inits), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
@@ -127,7 +120,7 @@ let prop_spill_forced =
           with_shards ~shards:k ~spill_dir:dir ~arena_mb:0 (fun () ->
               match
                 sharded_build ~auto (fun () ->
-                    Ts.build ~engine:Ts.Sharded ~workers p ~from)
+                    Ts.build ~engine:Ts.Sharded p ~from)
               with
               | None -> true
               | Some sharded -> (

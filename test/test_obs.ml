@@ -1,6 +1,6 @@
 (* Tests for the observability layer (Detcor_obs): span nesting and
    ordering, histogram bucketing, sink well-formedness (both file formats
-   parse back), counter atomicity under the parallel engine, the
+   parse back), counter atomicity across domains, the
    Auto-engine fallback diagnosis, and the regression that turning
    observability on does not change any checker verdict. *)
 
@@ -206,23 +206,6 @@ let test_counter_atomicity_domains () =
   Alcotest.(check int) "no lost increments across 4 domains"
     (per_domain * domains) (Metrics.counter_value c)
 
-let test_parallel_engine_counters () =
-  let cfg = Detcor_systems.Token_ring.make_config 5 in
-  let p = Detcor_systems.Token_ring.program cfg in
-  let delta f =
-    let name = "engine.parallel.states_expanded" in
-    let before = Metrics.counter_value_by_name name in
-    let r = f () in
-    (r, Metrics.counter_value_by_name name - before)
-  in
-  recording [] (fun () ->
-      let ts1, d1 = delta (fun () -> Util.product ~workers:4 p) in
-      let _, d2 = delta (fun () -> ignore (Util.product ~workers:4 p)) in
-      Alcotest.(check bool) "parallel slices expanded some states" true (d1 > 0);
-      Alcotest.(check bool) "each state expanded at most once" true
-        (d1 <= Ts.num_states ts1);
-      Alcotest.(check int) "deterministic across identical builds" d1 d2)
-
 (* ------------------------------------------------------------------ *)
 (* Auto-engine fallback diagnosis                                      *)
 (* ------------------------------------------------------------------ *)
@@ -313,8 +296,6 @@ let suite =
       Alcotest.test_case "chrome sink round-trips" `Quick test_chrome_roundtrip;
       Alcotest.test_case "counters atomic across domains" `Quick
         test_counter_atomicity_domains;
-      Alcotest.test_case "parallel engine counters" `Quick
-        test_parallel_engine_counters;
       Alcotest.test_case "auto fallback reason" `Quick test_fallback_reason;
       Alcotest.test_case "verdicts identical on/off" `Quick
         test_verdicts_identical;

@@ -15,7 +15,8 @@
    recovery-state counts, repair-iteration counts and verification
    reports, and — on failures — the same minimal unrecoverable state or
    report.  Together the properties run 300 random instances per test
-   execution, each over all four builders, plus a worker-count check. *)
+   execution, each over all four builders, plus a check that the ignored
+   [workers] parameter changes nothing. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -239,8 +240,9 @@ let prop_masking =
           Synthesize.add_masking ~engine ~step_vars:inst.step_vars p ~spec
             ~invariant ~faults))
 
-(* Parallel layering must not change the result: same synthesized system,
-   same report, whatever the worker count. *)
+(* [add_masking] ignores [workers] (synthesis is sequential; the
+   parameter stays for callers that still pass it): any value gives the
+   same synthesized system and the same report. *)
 let prop_workers =
   Util.qtest ~count:30 "add_masking: workers=4 = workers=1" instance_arb
     (fun inst ->
@@ -455,59 +457,6 @@ let test_front_oracle_corpus () =
          in
          Alcotest.(check bool) f true holds)
 
-(* Layering fans its neighbor and candidate scans out over OCaml domains
-   only on frontiers of 64 states or more, which the random instances
-   never reach and the corpus does (ring5's span holds 16,807 states).
-   Every transformation must give the same outcome with 3 workers as with
-   1: each domain builds its own per-state neighbor lists.  Programs are
-   compared by the reference-built fault span of their invariant, since
-   the corpus products are too large to build whole. *)
-let same_corpus_outcome ~faults r1 r3 =
-  match (r1, r3) with
-  | Ok (a : Synthesize.result), Ok (b : Synthesize.result) ->
-    let span (r : Synthesize.result) =
-      let init = Tolerance.init_states r.program ~invariant:r.invariant in
-      Ts.build ~engine:Ts.Reference (Fault.compose r.program faults) ~from:init
-    in
-    Util.ts_equal (span a) (span b)
-    && Program.name a.program = Program.name b.program
-    && Pred.name a.invariant = Pred.name b.invariant
-    && report_str a.report = report_str b.report
-    && List.map fst a.added_detectors = List.map fst b.added_detectors
-    && a.recovery_states = b.recovery_states
-    && a.repair_iterations = b.repair_iterations
-  | Error f1, Error f2 ->
-    let text f = Fmt.str "%a" Synthesize.pp_failure f in
-    text f1 = text f2
-  | _ -> false
-
-let test_workers_corpus () =
-  corpus_files ()
-  |> List.iter (fun f ->
-         let e =
-           Detcor_lang.Elaborate.load_file (Filename.concat corpus_dir f)
-         in
-         let p = e.program and spec = e.spec and invariant = e.invariant in
-         let faults = e.faults in
-         List.iter
-           (fun (tol, synth) ->
-             Alcotest.(check bool)
-               (Fmt.str "%s %s" f tol)
-               true
-               (same_corpus_outcome ~faults (synth 1) (synth 3)))
-           [
-             ( "failsafe",
-               fun workers ->
-                 Synthesize.add_failsafe ~workers p ~spec ~invariant ~faults );
-             ( "nonmasking",
-               fun workers ->
-                 Synthesize.add_nonmasking ~workers p ~spec ~invariant
-                   ~faults );
-             ( "masking",
-               fun workers ->
-                 Synthesize.add_masking ~workers p ~spec ~invariant ~faults );
-           ])
-
 let suite =
   ( "synthesis differential",
     [
@@ -518,6 +467,4 @@ let suite =
       prop_front_oracle;
       Alcotest.test_case "span-bounded front end = oracle on the corpus"
         `Slow test_front_oracle_corpus;
-      Alcotest.test_case "corpus synthesis: workers=3 = workers=1" `Slow
-        test_workers_corpus;
     ] )

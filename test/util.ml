@@ -36,8 +36,8 @@ let ts_equal a b =
 
 (* The system over [p]'s whole product: every state seeded, numbered by
    rank. *)
-let product ?limit ?engine ?workers p =
-  Detcor_semantics.Ts.of_pred ?limit ?engine ?workers p
+let product ?limit ?engine p =
+  Detcor_semantics.Ts.of_pred ?limit ?engine p
     ~from:Detcor_kernel.Pred.true_
 
 (* Install sharded-engine parameters for the duration of [f], restoring
