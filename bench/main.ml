@@ -894,20 +894,18 @@ let table_scale () =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
-  let with_shards f =
-    let saved_k, saved_dir, saved_mb = Ts.shard_defaults () in
-    Ts.set_shard_defaults ~shards:4 ~spill_dir:(Some spill_dir)
-      ~arena_budget_mb:512;
+  let with_spill f =
+    let saved_dir, saved_mb = Ts.spill_defaults () in
+    Ts.set_spill_defaults ~spill_dir:(Some spill_dir) ~arena_budget_mb:512;
     Fun.protect
       ~finally:(fun () ->
-        Ts.set_shard_defaults ~shards:saved_k ~spill_dir:saved_dir
-          ~arena_budget_mb:saved_mb)
+        Ts.set_spill_defaults ~spill_dir:saved_dir ~arena_budget_mb:saved_mb)
       f
   in
   let identity name ~tol p ~spec ~invariant ~faults =
     let run engine = Tolerance.check ~engine p ~spec ~invariant ~faults ~tol in
     let r_pk = run Ts.Auto in
-    let r_sh = with_shards (fun () -> run Ts.Sharded) in
+    let r_sh = with_spill (fun () -> run Ts.Sharded) in
     check (name ^ ": sharded verdict and span agree with packed") true
       (Tolerance.verdict r_pk = Tolerance.verdict r_sh
       && r_pk.Tolerance.span_size = r_sh.Tolerance.span_size);

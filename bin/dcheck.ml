@@ -230,7 +230,6 @@ let limit_arg =
 
 type engine_opts = {
   engine : Detcor_semantics.Ts.engine;
-  shards : int;
   spill_dir : string option;
   arena_mb : int;
 }
@@ -255,20 +254,10 @@ let engine_term =
           ~doc:
             "Exploration engine: $(b,auto) (packed with reference \
              fallback), $(b,packed), $(b,reference), or $(b,sharded) — \
-             the out-of-core engine whose state and edge arenas are \
-             hash-partitioned into shards that spill to disk under \
+             the out-of-core engine whose state and edge arenas are cut \
+             into one segment per BFS level, spilled to disk under \
              $(b,--spill-dir), for explorations past RAM.  All engines \
              produce identical verdicts and state numbering.")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard count for $(b,--engine sharded) (clamped to 1..64).  \
-             Shards are the spill and checkpoint unit; more shards mean \
-             finer-grained eviction.")
   in
   let spill_dir_arg =
     Arg.(
@@ -277,8 +266,10 @@ let engine_term =
       & info [ "spill-dir" ] ~docv:"DIR"
           ~doc:
             "Directory for the sharded engine's spill files (checksummed \
-             segment arenas, reloaded on demand).  Without it the sharded \
-             engine keeps all arenas resident.")
+             segment arenas, reloaded on demand).  A run removes the files \
+             it wrote when it exits, unless $(b,--checkpoint) is set: the \
+             snapshots refer to them.  Without it the sharded engine keeps \
+             all arenas resident.")
   in
   let arena_mb_arg =
     Arg.(
@@ -290,10 +281,8 @@ let engine_term =
              segments past it are spilled (least recently used first).  \
              Only enforced when $(b,--spill-dir) is set.")
   in
-  let make engine shards spill_dir arena_mb =
-    { engine; shards; spill_dir; arena_mb }
-  in
-  Term.(const make $ engine_arg $ shards_arg $ spill_dir_arg $ arena_mb_arg)
+  let make engine spill_dir arena_mb = { engine; spill_dir; arena_mb } in
+  Term.(const make $ engine_arg $ spill_dir_arg $ arena_mb_arg)
 
 let memory_budget_arg =
   Arg.(
@@ -307,8 +296,8 @@ let memory_budget_arg =
 (* Install the process-wide sharded-engine parameters and return the
    engine choice for the ?engine arguments downstream. *)
 let apply_engine eo =
-  Detcor_semantics.Ts.set_shard_defaults ~shards:eo.shards
-    ~spill_dir:eo.spill_dir ~arena_budget_mb:eo.arena_mb;
+  Detcor_semantics.Ts.set_spill_defaults ~spill_dir:eo.spill_dir
+    ~arena_budget_mb:eo.arena_mb;
   eo.engine
 
 (* Fingerprint fragment: everything in the engine options that affects
@@ -316,7 +305,6 @@ let apply_engine eo =
 let engine_params eo =
   [
     Detcor_semantics.Ts.engine_name eo.engine;
-    string_of_int eo.shards;
     (match eo.spill_dir with None -> "-" | Some d -> d);
     string_of_int eo.arena_mb;
   ]
@@ -651,9 +639,9 @@ let info_cmd =
     Fmt.pr "  engine:        %s@." (Ts.engine_name (Ts.engine_of ts));
     (match Ts.shard_stats ts with
     | None -> ()
-    | Some (k, spills, bytes, reloads) ->
-      Fmt.pr "  shards:        %d (%d spills, %d bytes spilled, %d reloads)@."
-        k spills bytes reloads);
+    | Some (spills, bytes, reloads) ->
+      Fmt.pr "  spill:         %d spills, %d bytes spilled, %d reloads@."
+        spills bytes reloads);
     (match Ts.fallback_reason ts with
     | None -> ()
     | Some reason ->

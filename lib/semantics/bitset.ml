@@ -108,26 +108,6 @@ let union_into ~into t =
          lor Char.code (Bytes.unsafe_get t.bits byte)))
   done
 
-(* 64-bit windows of the set, for word-parallel merges: [f w bits] with
-   [bits] covering indices [64w .. 64w+63] (the tail word is
-   zero-padded, consistent with the trailing-zero-bits invariant). *)
-let iter_words t f =
-  let n = Bytes.length t.bits in
-  let words = n lsr 3 in
-  for w = 0 to words - 1 do
-    f w (Bytes.get_int64_le t.bits (w lsl 3))
-  done;
-  if n land 7 <> 0 then begin
-    let bits = ref 0L in
-    for byte = n - 1 downto words lsl 3 do
-      bits :=
-        Int64.logor
-          (Int64.shift_left !bits 8)
-          (Int64.of_int (Char.code (Bytes.unsafe_get t.bits byte)))
-    done;
-    f words !bits
-  end
-
 (* Raw bit bytes, for snapshot payloads.  [of_string] pairs the bytes
    back with their logical length, which the string alone cannot carry. *)
 let to_string t = Bytes.to_string t.bits

@@ -24,11 +24,6 @@ val any : t -> bool
     time; the lengths must match. *)
 val union_into : into:t -> t -> unit
 
-(** [iter_words t f] calls [f w bits] for each 64-bit window of the
-    set, in index order; window [w] covers indices [64w .. 64w+63] and
-    the final window is zero-padded: the word-parallel view of the set. *)
-val iter_words : t -> (int -> int64 -> unit) -> unit
-
 (** The raw bit bytes, for snapshot payloads. *)
 val to_string : t -> string
 

@@ -1,9 +1,9 @@
-(* Hash-partitioned, disk-spillable state storage for the sharded engine.
+(* Level-segmented, disk-spillable state storage for the sharded engine.
 
    The packed engine interns every state and edge into one pair of RAM
    arenas, which caps explorations at what the heap holds.  This store
-   splits the same data by shard — [owner rank = rank mod k] — into
-   per-shard arenas made of level-aligned *segments*:
+   keeps the same data as a sequence of level-aligned *segments*, one
+   per BFS level:
 
    - a segment is created from the states one BFS level interns (its
      rank column), receives its CSR edges while the *next* level
@@ -14,19 +14,23 @@
      checksummed files under the spill directory (the [Checkpoint] file
      format, so truncation and corruption are detected on reload) and
      their arrays dropped; any later access reloads on demand;
-   - per-shard dedup is a [Rank_map] over local ranks [rank / k]: a
-     table while the shard is sparse in its slice of the product, a
-     direct array once it fills enough of it;
+   - dedup is one [Rank_map] over the layout space, as in the flat
+     store: a table while the store is sparse in the product, a direct
+     array once it fills enough of it;
    - the BFS interns each successor as it is found, in (source gid,
      successor position) order — exactly the interning order of the
      packed engine, which is what keeps the numbering byte-identical.
 
-   Global state ids (gids) are dense and assigned at interning; the
-   [loc] array maps gid -> (shard, local id).  Shards are also the
-   checkpoint unit: {!snapshot} captures the segment manifest (file
-   references once spilled, inline payloads otherwise), the open
-   per-shard rank columns, and the gid->shard map, from which
-   {!restore} rebuilds the dedup tables deterministically. *)
+   A state's global id (gid) is its position in the store: segments
+   hold consecutive gid ranges, so the segment of a gid is a binary
+   search on the segments' base gids.  Each store names its spill files
+   apart from every other store's (process id, a random process token
+   and a per-process store serial), and removes the files it wrote when
+   the process exits unless a checkpoint session that writes snapshots
+   was armed when it was created: those snapshots refer to the files.
+   {!snapshot} captures the segment manifest (file references once
+   spilled, inline payloads otherwise) and the open rank column, from
+   which {!restore} rebinds the dedup table in gid order. *)
 
 open Detcor_obs
 
@@ -34,8 +38,6 @@ let m_spills = Metrics.counter "engine.shard.spills"
 let m_spill_bytes = Metrics.counter "engine.shard.spill_bytes"
 let m_reloads = Metrics.counter "engine.shard.reloads"
 let m_spill_errors = Metrics.counter "engine.shard.spill_errors"
-
-let max_shards = 64
 
 (* Raised by {!intern} when the state count would exceed the limit; [Ts]
    converts it to its public [Too_large]. *)
@@ -182,7 +184,7 @@ end
 
 type seg = {
   seg_level : int;
-  base_lid : int; (* first local id covered *)
+  base : int; (* first gid covered *)
   count : int; (* states in the segment *)
   mutable edge_count : int;
   (* The arenas; all [||] while spilled. *)
@@ -204,7 +206,7 @@ let seg_bytes s = (8 * (s.count + 1 + s.count)) + (6 * s.edge_count)
 let ser_seg s =
   let vb = Vbuf.create (16 + (4 * s.count) + (4 * s.edge_count)) in
   Vbuf.put_u vb s.seg_level;
-  Vbuf.put_u vb s.base_lid;
+  Vbuf.put_u vb s.base;
   Vbuf.put_u vb s.count;
   Vbuf.put_u vb s.edge_count;
   let prev = ref 0 in
@@ -233,7 +235,7 @@ let deser_seg s data =
   let base = Vcur.get_u c in
   let count = Vcur.get_u c in
   let ecount = Vcur.get_u c in
-  if level <> s.seg_level || base <> s.base_lid || count <> s.count
+  if level <> s.seg_level || base <> s.base || count <> s.count
      || ecount <> s.edge_count
   then Detcor_robust.Error.snapshot ~path:"shard segment" "payload does not match its manifest";
   let ranks = Array.make count 0 in
@@ -263,38 +265,29 @@ let deser_seg s data =
   s.resident <- true
 
 (* ------------------------------------------------------------------ *)
-(* Shards.                                                             *)
+(* The store.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type shard = {
-  sid : int;
-  mutable segs : seg array; (* ascending base_lid *)
-  mutable hint : int; (* last segment index touched *)
-  mutable plids : int; (* local ids promoted into segments *)
-  mutable nlids : int; (* local ids interned in total *)
-  dedup : Rank_map.t; (* local rank [rank / k] -> gid *)
-  open_ranks : Ibuf.t; (* next level's ranks, not yet a segment *)
-  (* CSR accumulators of the segment currently receiving edges. *)
-  mutable cur : seg option;
-  cur_row : Ibuf.t;
-  cur_edges : Ebuf.t;
-  mutable cur_lid : int; (* segment-relative id whose edges are open *)
-}
-
 type t = {
-  k : int;
-  layout : Layout.t;
   limit : int;
   spill_dir : string option;
   arena_budget : int;
   fingerprint : string;
+  name : string; (* this store's part of its spill file names *)
+  keep_files : bool; (* a checkpoint snapshot may refer to the files *)
   on_intern : unit -> unit;
-  shards : shard array;
-  mutable loc : int array; (* gid -> lid * k + sid *)
+  mutable segs : seg array; (* ascending base *)
+  mutable hint : int; (* last segment index touched *)
+  dedup : Rank_map.t; (* rank -> gid *)
+  open_ranks : Ibuf.t; (* ranks of gids [sealed_n, n): the next level *)
+  (* CSR accumulators of the segment currently receiving edges. *)
+  mutable cur : seg option;
+  cur_row : Ibuf.t;
+  cur_edges : Ebuf.t;
+  mutable cur_rel : int; (* segment-relative id whose edges are open *)
   mutable n : int;
   mutable edges : int;
   mutable sealed_n : int; (* gids promoted into segments *)
-  mutable level : int;
   mutable resident_bytes : int;
   mutable clock : int;
   mutable spill_count : int;
@@ -302,38 +295,40 @@ type t = {
   mutable reload_count : int;
 }
 
-let make_shard ~k ~space sid =
-  {
-    sid;
-    segs = [||];
-    hint = 0;
-    plids = 0;
-    nlids = 0;
-    dedup = Rank_map.create ~space:(((space - 1) / k) + 1) ();
-    open_ranks = Ibuf.create 64;
-    cur = None;
-    cur_row = Ibuf.create 64;
-    cur_edges = Ebuf.create 64;
-    cur_lid = 0;
-  }
+(* Spill files written by stores whose files no snapshot refers to;
+   removed when the process exits. *)
+let doomed : string list ref = ref []
+let serial = ref 0
 
-let create ?(on_intern = fun () -> ()) ~k ~layout ~limit ~spill_dir
+let process_token =
+  lazy
+    (at_exit (fun () ->
+         List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) !doomed);
+     Fmt.str "%d-%06x" (Unix.getpid ())
+       (Random.State.bits (Random.State.make_self_init ()) land 0xffffff))
+
+let create ?(on_intern = fun () -> ()) ~layout ~limit ~spill_dir
     ~arena_budget ~fingerprint () =
-  let k = max 1 (min k max_shards) in
+  incr serial;
   {
-    k;
-    layout;
     limit;
     spill_dir;
     arena_budget;
     fingerprint;
+    name = Fmt.str "%s-%d" (Lazy.force process_token) !serial;
+    keep_files = Detcor_robust.Checkpoint.armed ();
     on_intern;
-    shards = Array.init k (make_shard ~k ~space:(Layout.space layout));
-    loc = Array.make 1024 0;
+    segs = [||];
+    hint = 0;
+    dedup = Rank_map.create ~space:(Layout.space layout) ();
+    open_ranks = Ibuf.create 64;
+    cur = None;
+    cur_row = Ibuf.create 64;
+    cur_edges = Ebuf.create 64;
+    cur_rel = 0;
     n = 0;
     edges = 0;
     sealed_n = 0;
-    level = 0;
     resident_bytes = 0;
     clock = 0;
     spill_count = 0;
@@ -341,7 +336,6 @@ let create ?(on_intern = fun () -> ()) ~k ~layout ~limit ~spill_dir
     reload_count = 0;
   }
 
-let k t = t.k
 let num_states t = t.n
 let num_edges t = t.edges
 let spill_stats t = (t.spill_count, t.spill_bytes, t.reload_count)
@@ -350,25 +344,22 @@ let spill_stats t = (t.spill_count, t.spill_bytes, t.reload_count)
 (* Spill and reload.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let seg_path t sid level =
+let seg_path t level =
   match t.spill_dir with
   | None -> Detcor_robust.Error.internal "Shard_store: spill without a directory"
-  | Some dir ->
-    Filename.concat dir
-      (Fmt.str "dcshard-%s-s%d-l%d.seg"
-         (String.sub t.fingerprint 0 (min 8 (String.length t.fingerprint)))
-         sid level)
+  | Some dir -> Filename.concat dir (Fmt.str "dcshard-%s-l%d.seg" t.name level)
 
 (* Drop a sealed segment's arrays, writing the spill file first if this
    is its first eviction.  A failed write keeps the segment resident —
    losing memory headroom must not fail the run (mirrors the snapshot
    write policy). *)
-let spill_seg t sid seg =
+let spill_seg t seg =
   (match seg.file with
   | Some _ -> ()
   | None ->
-    let path = seg_path t sid seg.seg_level in
+    let path = seg_path t seg.seg_level in
     let data = ser_seg seg in
+    if not t.keep_files then doomed := path :: !doomed;
     ignore
       (Detcor_robust.Checkpoint.write_file ~path ~fingerprint:t.fingerprint
          [| { Detcor_robust.Checkpoint.step = 0; kind = "shard.seg";
@@ -387,8 +378,8 @@ let spill_seg t sid seg =
   seg.resident <- false;
   t.resident_bytes <- t.resident_bytes - seg_bytes seg
 
-let try_spill_seg t sid seg =
-  match spill_seg t sid seg with
+let try_spill_seg t seg =
+  match spill_seg t seg with
   | () -> ()
   | exception (Sys_error _ | Detcor_robust.Failpoint.Injected _) ->
     if Obs.on () then Metrics.incr m_spill_errors
@@ -402,22 +393,17 @@ let maybe_evict ?keep t =
     while !continue do
       let victim = ref None in
       Array.iter
-        (fun sh ->
-          Array.iter
-            (fun seg ->
-              if
-                seg.sealed && seg.resident
-                && (match keep with Some s -> s != seg | None -> true)
-                && (match !victim with
-                   | None -> true
-                   | Some (_, v) -> seg.stamp < v.stamp)
-              then victim := Some (sh.sid, seg))
-            sh.segs)
-        t.shards;
+        (fun seg ->
+          if
+            seg.sealed && seg.resident
+            && (match keep with Some s -> s != seg | None -> true)
+            && (match !victim with None -> true | Some v -> seg.stamp < v.stamp)
+          then victim := Some seg)
+        t.segs;
       match !victim with
-      | Some (sid, seg) ->
+      | Some seg ->
         let before = t.resident_bytes in
-        try_spill_seg t sid seg;
+        try_spill_seg t seg;
         continue :=
           t.resident_bytes > t.arena_budget && t.resident_bytes < before
       | None -> continue := false
@@ -451,62 +437,45 @@ let ensure_resident t seg =
 (* Location and dedup.                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let shard_of t gid = t.loc.(gid) mod t.k
-let lid_of t gid = t.loc.(gid) / t.k
-
-(* The segment of a local id, by binary search with a per-shard hint:
-   both the expansion and the gid-order scans touch each shard's
-   local ids in ascending order, so the hint almost always hits. *)
-let seg_of_lid t sh lid =
-  let inside s = lid >= s.base_lid && lid < s.base_lid + s.count in
+(* The segment of a promoted gid, by binary search with a hint: both the
+   expansion and the gid-order scans touch gids in ascending order, so
+   the hint almost always hits. *)
+let seg_of t gid =
+  let segs = t.segs in
+  let inside s = gid >= s.base && gid < s.base + s.count in
   let found =
-    if sh.hint < Array.length sh.segs && inside sh.segs.(sh.hint) then
-      sh.segs.(sh.hint)
+    if t.hint < Array.length segs && inside segs.(t.hint) then segs.(t.hint)
     else begin
-      let lo = ref 0 and hi = ref (Array.length sh.segs - 1) in
+      let lo = ref 0 and hi = ref (Array.length segs - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi + 1) / 2 in
-        if sh.segs.(mid).base_lid <= lid then lo := mid else hi := mid - 1
+        if segs.(mid).base <= gid then lo := mid else hi := mid - 1
       done;
-      sh.hint <- !lo;
-      sh.segs.(!lo)
+      t.hint <- !lo;
+      segs.(!lo)
     end
   in
   ensure_resident t found;
   found
 
 let rank_of t gid =
-  let sh = t.shards.(shard_of t gid) in
-  let lid = lid_of t gid in
-  if lid >= sh.plids then sh.open_ranks.Ibuf.a.(lid - sh.plids)
+  if gid >= t.sealed_n then t.open_ranks.Ibuf.a.(gid - t.sealed_n)
   else begin
-    let seg = seg_of_lid t sh lid in
-    seg.ranks.(lid - seg.base_lid)
+    let seg = seg_of t gid in
+    seg.ranks.(gid - seg.base)
   end
 
-let find t rank =
-  if rank < 0 then -1
-  else Rank_map.find t.shards.(rank mod t.k).dedup (rank / t.k)
+let find t rank = if rank < 0 then -1 else Rank_map.find t.dedup rank
 
 let intern t rank =
-  let sid = rank mod t.k in
-  let sh = t.shards.(sid) in
-  let known = Rank_map.find sh.dedup (rank / t.k) in
+  let known = Rank_map.find t.dedup rank in
   if known >= 0 then known
   else begin
     if t.n >= t.limit then raise (Limit t.limit);
     let gid = t.n in
     t.n <- t.n + 1;
-    if gid >= Array.length t.loc then begin
-      let loc' = Array.make (2 * Array.length t.loc) 0 in
-      Array.blit t.loc 0 loc' 0 gid;
-      t.loc <- loc'
-    end;
-    let lid = sh.nlids in
-    sh.nlids <- sh.nlids + 1;
-    t.loc.(gid) <- (lid * t.k) + sid;
-    Ibuf.add sh.open_ranks rank;
-    Rank_map.add sh.dedup (rank / t.k) gid;
+    Ibuf.add t.open_ranks rank;
+    Rank_map.add t.dedup rank gid;
     Detcor_robust.Budget.count_state ();
     t.on_intern ();
     gid
@@ -516,80 +485,70 @@ let intern t rank =
 (* Level lifecycle.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Promote the open rank columns into fresh segments — the new frontier
-   — and return its gid range.  The segments stay resident while their
+(* Promote the open rank column into a fresh segment — the new frontier
+   — and return its gid range.  The segment stays resident while its
    CSR fills during the level about to run. *)
 let begin_level t =
   let lo = t.sealed_n in
-  Array.iter
-    (fun sh ->
-      let count = sh.open_ranks.Ibuf.len in
-      if count > 0 then begin
-        let seg =
-          {
-            seg_level = t.level;
-            base_lid = sh.plids;
-            count;
-            edge_count = 0;
-            ranks = Ibuf.to_array sh.open_ranks;
-            row = [||];
-            ea = Bytes.empty;
-            et = Bytes.empty;
-            sealed = false;
-            resident = true;
-            file = None;
-            stamp = 0;
-          }
-        in
-        touch t seg;
-        sh.segs <- Array.append sh.segs [| seg |];
-        sh.plids <- sh.plids + count;
-        sh.cur <- Some seg;
-        Ibuf.reset sh.open_ranks;
-        Ibuf.reset sh.cur_row;
-        Ibuf.add sh.cur_row 0;
-        Ebuf.reset sh.cur_edges;
-        sh.cur_lid <- 0
-      end
-      else sh.cur <- None)
-    t.shards;
+  let count = t.open_ranks.Ibuf.len in
+  if count > 0 then begin
+    let seg =
+      {
+        seg_level = Array.length t.segs;
+        base = lo;
+        count;
+        edge_count = 0;
+        ranks = Ibuf.to_array t.open_ranks;
+        row = [||];
+        ea = Bytes.empty;
+        et = Bytes.empty;
+        sealed = false;
+        resident = true;
+        file = None;
+        stamp = 0;
+      }
+    in
+    touch t seg;
+    t.segs <- Array.append t.segs [| seg |];
+    t.cur <- Some seg;
+    Ibuf.reset t.open_ranks;
+    Ibuf.reset t.cur_row;
+    Ibuf.add t.cur_row 0;
+    Ebuf.reset t.cur_edges;
+    t.cur_rel <- 0
+  end;
   t.sealed_n <- t.n;
-  t.level <- t.level + 1;
   (lo, t.n)
 
 let add_edge t ~src ~aid ~tgt =
-  let sh = t.shards.(shard_of t src) in
-  match sh.cur with
+  match t.cur with
   | None -> Detcor_robust.Error.internal "Shard_store.add_edge: no open segment"
   | Some seg ->
-    let rel = lid_of t src - seg.base_lid in
-    while sh.cur_lid < rel do
-      Ibuf.add sh.cur_row sh.cur_edges.Ebuf.len;
-      sh.cur_lid <- sh.cur_lid + 1
+    let rel = src - seg.base in
+    while t.cur_rel < rel do
+      Ibuf.add t.cur_row t.cur_edges.Ebuf.len;
+      t.cur_rel <- t.cur_rel + 1
     done;
-    Ebuf.add sh.cur_edges aid tgt;
+    Ebuf.add t.cur_edges aid tgt;
     t.edges <- t.edges + 1
 
-(* Seal the frontier segments: close the remaining CSR rows, freeze the
+(* Seal the frontier segment: close the remaining CSR rows, freeze the
    arrays, and let the eviction policy spill what no longer fits. *)
 let end_level t =
-  Array.iter
-    (fun sh ->
-      match sh.cur with
-      | None -> ()
-      | Some seg ->
-        while sh.cur_lid < seg.count do
-          Ibuf.add sh.cur_row sh.cur_edges.Ebuf.len;
-          sh.cur_lid <- sh.cur_lid + 1
-        done;
-        seg.row <- Ibuf.to_array sh.cur_row;
-        seg.ea <- Ebuf.labels sh.cur_edges;
-        seg.et <- Ebuf.targets sh.cur_edges;
-        seg.edge_count <- sh.cur_edges.Ebuf.len;
-        seg.sealed <- true;
-        t.resident_bytes <- t.resident_bytes + seg_bytes seg;
-        sh.cur <- None)
-    t.shards;
+  (match t.cur with
+  | None -> ()
+  | Some seg ->
+    while t.cur_rel < seg.count do
+      Ibuf.add t.cur_row t.cur_edges.Ebuf.len;
+      t.cur_rel <- t.cur_rel + 1
+    done;
+    seg.row <- Ibuf.to_array t.cur_row;
+    seg.ea <- Ebuf.labels t.cur_edges;
+    seg.et <- Ebuf.targets t.cur_edges;
+    seg.edge_count <- t.cur_edges.Ebuf.len;
+    seg.sealed <- true;
+    t.resident_bytes <- t.resident_bytes + seg_bytes seg;
+    t.cur <- None);
   maybe_evict t
 
 (* ------------------------------------------------------------------ *)
@@ -603,12 +562,10 @@ let iter_ranks t f =
   done
 
 let iter_out t gid f =
-  let sh = t.shards.(shard_of t gid) in
-  let lid = lid_of t gid in
-  if lid < sh.plids then begin
-    let seg = seg_of_lid t sh lid in
+  if gid < t.sealed_n then begin
+    let seg = seg_of t gid in
     if seg.sealed then begin
-      let rel = lid - seg.base_lid in
+      let rel = gid - seg.base in
       (* Capture the arenas before calling [f]: the callback may fault in
          another segment and evict this one, which swaps the fields to
          [||] — the captured arrays stay valid (spilling never mutates
@@ -621,14 +578,12 @@ let iter_out t gid f =
   end
 
 let out_degree t gid =
-  let sh = t.shards.(shard_of t gid) in
-  let lid = lid_of t gid in
-  if lid >= sh.plids then 0
+  if gid >= t.sealed_n then 0
   else begin
-    let seg = seg_of_lid t sh lid in
+    let seg = seg_of t gid in
     if not seg.sealed then 0
     else begin
-      let rel = lid - seg.base_lid in
+      let rel = gid - seg.base in
       seg.row.(rel + 1) - seg.row.(rel)
     end
   end
@@ -640,178 +595,112 @@ let iter_edges t f =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot and restore: shards as the checkpoint unit.                *)
+(* Snapshot and restore.                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* With a spill directory, force-spill every sealed segment (first
    spills write their file; re-spills just drop arrays) so the snapshot
    is a small manifest of file references plus the open, still-dirty
-   per-shard state; without one, segment payloads ride inline.  The
-   dedup maps are never serialized: the restore scan rebinds every rank
-   from the segment rank columns and the open columns, which rebuilds
-   them exactly.  (Spilling the dedup maps to a side file would be
-   unsound: the file would be overwritten at barriers newer than the
+   rank column; without one, segment payloads ride inline.  The dedup
+   map is never serialized: the restore scan rebinds every rank from
+   the segment rank columns and the open column, in gid order, which
+   rebuilds it exactly.  (Spilling the dedup map to a side file would
+   be unsound: the file would be overwritten at barriers newer than the
    manifest the resume loads, and a stale entry aliases an unknown state
    to a gid the resumed run never assigned instead of interning it.) *)
 let snapshot t =
   if t.spill_dir <> None then
-    Array.iter
-      (fun sh ->
-        Array.iter
-          (fun seg -> if seg.sealed && seg.resident then try_spill_seg t sh.sid seg)
-          sh.segs)
-      t.shards;
+    Array.iter (fun seg -> if seg.sealed && seg.resident then try_spill_seg t seg) t.segs;
   let vb = Vbuf.create 4096 in
-  Vbuf.put_u vb t.k;
-  Vbuf.put_u vb t.level;
   Vbuf.put_u vb t.n;
   Vbuf.put_u vb t.edges;
   Vbuf.put_u vb t.sealed_n;
   Vbuf.put_u vb t.spill_count;
   Vbuf.put_u vb t.spill_bytes;
+  Vbuf.put_u vb (Array.length t.segs);
   Array.iter
-    (fun sh ->
-      Vbuf.put_u vb sh.plids;
-      Vbuf.put_u vb (Array.length sh.segs);
-      Array.iter
-        (fun seg ->
-          Vbuf.put_u vb seg.seg_level;
-          Vbuf.put_u vb seg.base_lid;
-          Vbuf.put_u vb seg.count;
-          Vbuf.put_u vb seg.edge_count;
-          match seg.file with
-          | Some path ->
-            Vbuf.put_u vb 1;
-            Vbuf.put_raw vb path
-          | None ->
-            Vbuf.put_u vb 0;
-            Vbuf.put_raw vb (ser_seg seg))
-        sh.segs;
-      let prev = ref 0 in
-      Vbuf.put_u vb sh.open_ranks.Ibuf.len;
-      for i = 0 to sh.open_ranks.Ibuf.len - 1 do
-        let r = sh.open_ranks.Ibuf.a.(i) in
-        Vbuf.put_i vb (r - !prev);
-        prev := r
-      done)
-    t.shards;
-  (* gid -> owning shard, one byte each: with the per-shard rank
-     columns this is enough to replay the interning order. *)
-  let owners = Bytes.create t.n in
-  for gid = 0 to t.n - 1 do
-    Bytes.unsafe_set owners gid (Char.unsafe_chr (shard_of t gid))
+    (fun seg ->
+      Vbuf.put_u vb seg.count;
+      Vbuf.put_u vb seg.edge_count;
+      match seg.file with
+      | Some path ->
+        Vbuf.put_u vb 1;
+        Vbuf.put_raw vb path
+      | None ->
+        Vbuf.put_u vb 0;
+        Vbuf.put_raw vb (ser_seg seg))
+    t.segs;
+  let prev = ref 0 in
+  Vbuf.put_u vb t.open_ranks.Ibuf.len;
+  for i = 0 to t.open_ranks.Ibuf.len - 1 do
+    let r = t.open_ranks.Ibuf.a.(i) in
+    Vbuf.put_i vb (r - !prev);
+    prev := r
   done;
-  Vbuf.put_raw vb (Bytes.unsafe_to_string owners);
   Vbuf.contents vb
 
-let restore ?(on_intern = fun () -> ()) ~layout ~limit ~spill_dir
-    ~arena_budget ~fingerprint data =
+let restore ?on_intern ~layout ~limit ~spill_dir ~arena_budget ~fingerprint
+    data =
+  let corrupt what = Detcor_robust.Error.snapshot ~path:"shard snapshot" "%s" what in
   let c = Vcur.of_string data in
-  let k = Vcur.get_u c in
-  if k < 1 || k > max_shards then
-    Detcor_robust.Error.snapshot ~path:"shard snapshot" "invalid shard count %d" k;
   let t =
-    create ~on_intern ~k ~layout ~limit ~spill_dir ~arena_budget ~fingerprint ()
+    create ?on_intern ~layout ~limit ~spill_dir ~arena_budget ~fingerprint ()
   in
-  t.level <- Vcur.get_u c;
   t.n <- Vcur.get_u c;
   t.edges <- Vcur.get_u c;
   t.sealed_n <- Vcur.get_u c;
   t.spill_count <- Vcur.get_u c;
   t.spill_bytes <- Vcur.get_u c;
-  let open_ranks = Array.make k [||] in
+  let nsegs = Vcur.get_u c in
+  let base = ref 0 in
+  t.segs <-
+    Array.init nsegs (fun seg_level ->
+        let count = Vcur.get_u c in
+        let edge_count = Vcur.get_u c in
+        let tag = Vcur.get_u c in
+        let payload = Vcur.get_raw c in
+        let seg =
+          {
+            seg_level;
+            base = !base;
+            count;
+            edge_count;
+            ranks = [||];
+            row = [||];
+            ea = Bytes.empty;
+            et = Bytes.empty;
+            sealed = true;
+            resident = false;
+            file = (if tag = 1 then Some payload else None);
+            stamp = 0;
+          }
+        in
+        base := !base + count;
+        if tag = 0 then begin
+          deser_seg seg payload;
+          t.resident_bytes <- t.resident_bytes + seg_bytes seg
+        end;
+        seg);
+  if !base <> t.sealed_n then corrupt "segments do not cover the sealed states";
+  (* Rebind ranks in gid order: the sealed rank columns, then the open
+     one. *)
+  let gid = ref 0 in
+  let bind rank =
+    Detcor_robust.Budget.tick ();
+    Rank_map.add t.dedup rank !gid;
+    incr gid
+  in
   Array.iter
-    (fun sh ->
-      let plids = Vcur.get_u c in
-      let nsegs = Vcur.get_u c in
-      sh.segs <-
-        Array.init nsegs (fun _ ->
-            let seg_level = Vcur.get_u c in
-            let base_lid = Vcur.get_u c in
-            let count = Vcur.get_u c in
-            let edge_count = Vcur.get_u c in
-            let tag = Vcur.get_u c in
-            let payload = Vcur.get_raw c in
-            let seg =
-              {
-                seg_level;
-                base_lid;
-                count;
-                edge_count;
-                ranks = [||];
-                row = [||];
-                ea = Bytes.empty;
-                et = Bytes.empty;
-                sealed = true;
-                resident = false;
-                file = (if tag = 1 then Some payload else None);
-                stamp = 0;
-              }
-            in
-            if tag = 0 then begin
-              deser_seg seg payload;
-              t.resident_bytes <- t.resident_bytes + seg_bytes seg
-            end;
-            seg);
-      sh.plids <- plids;
-      sh.nlids <- plids;
-      let olen = Vcur.get_u c in
-      let ranks = Array.make olen 0 in
-      let prev = ref 0 in
-      for i = 0 to olen - 1 do
-        prev := !prev + Vcur.get_i c;
-        ranks.(i) <- !prev
-      done;
-      open_ranks.(sh.sid) <- ranks)
-    t.shards;
-  let owners = Vcur.get_raw c in
-  if String.length owners <> t.n then
-    Detcor_robust.Error.snapshot ~path:"shard snapshot" "owner map does not match";
-  (* Replay the interning order: assign local ids gid by gid, then walk
-     each shard's rank columns (sealed segments, then the open column)
-     to rebind rank -> gid in the dedup maps. *)
-  if t.n > Array.length t.loc then
-    t.loc <- Array.make (max t.n (2 * Array.length t.loc)) 0;
-  let counters = Array.make k 0 in
-  for gid = 0 to t.n - 1 do
-    let sid = Char.code (String.unsafe_get owners gid) in
-    if sid >= k then
-      Detcor_robust.Error.snapshot ~path:"shard snapshot" "owner map is corrupt";
-    counters.(sid) <- counters.(sid) + 1
+    (fun seg ->
+      ensure_resident t seg;
+      Array.iter bind seg.ranks)
+    t.segs;
+  let prev = ref 0 in
+  for _ = 1 to Vcur.get_u c do
+    prev := !prev + Vcur.get_i c;
+    Ibuf.add t.open_ranks !prev;
+    bind !prev
   done;
-  let shard_gids = Array.map (fun c -> Array.make (max c 1) 0) counters in
-  Array.fill counters 0 k 0;
-  for gid = 0 to t.n - 1 do
-    let sid = Char.code (String.unsafe_get owners gid) in
-    let lid = counters.(sid) in
-    counters.(sid) <- lid + 1;
-    t.loc.(gid) <- (lid * k) + sid;
-    shard_gids.(sid).(lid) <- gid
-  done;
-  Array.iter
-    (fun sh ->
-      let expect = counters.(sh.sid) in
-      let gids_of = shard_gids.(sh.sid) in
-      let lid = ref 0 in
-      let bind rank gid = Rank_map.add sh.dedup (rank / k) gid in
-      Array.iter
-        (fun seg ->
-          ensure_resident t seg;
-          for i = 0 to seg.count - 1 do
-            Detcor_robust.Budget.tick ();
-            bind seg.ranks.(i) gids_of.(!lid);
-            incr lid
-          done)
-        sh.segs;
-      Array.iter
-        (fun rank ->
-          Ibuf.add sh.open_ranks rank;
-          bind rank gids_of.(!lid);
-          incr lid;
-          sh.nlids <- sh.nlids + 1)
-        open_ranks.(sh.sid);
-      if !lid <> expect then
-        Detcor_robust.Error.snapshot ~path:"shard snapshot" "rank columns do not match")
-    t.shards;
+  if !gid <> t.n then corrupt "rank columns do not match";
   maybe_evict t;
   t

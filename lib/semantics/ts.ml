@@ -21,8 +21,8 @@
      actions run the interpreter and [Layout.pack_from];
    - the results land in a flat store (CSR arrays and a rank column,
      states interned by rank in a [Rank_map]) or in the shard store
-     ([Shard_store]: hash-partitioned arenas that spill to disk, each
-     shard interning through its own [Rank_map]).  Both stores run one
+     ([Shard_store]: one arena segment per BFS level, spilling to disk,
+     states interned in one [Rank_map] as well).  Both stores run one
      sequential breadth-first loop that interns each successor as it is
      found.
 
@@ -562,25 +562,26 @@ let build_packed ~limit k program seeds =
   ts
 
 (* ------------------------------------------------------------------ *)
-(* Shard store: hash-partitioned, disk-spillable arenas.               *)
+(* Shard store: level-segmented, disk-spillable arenas.                *)
 (* ------------------------------------------------------------------ *)
 
 (* Process-wide parameters for the sharded engine — threaded here rather
    than through every [?engine] signature in [Tolerance]/[Synthesize];
    [dcheck] sets them once from its flags before dispatching. *)
-let shard_params = ref (4, (None : string option), 512)
+let spill_params = ref ((None : string option), 512)
 
-let set_shard_defaults ~shards ~spill_dir ~arena_budget_mb =
-  shard_params := (max 1 shards, spill_dir, max 0 arena_budget_mb)
+let set_spill_defaults ~spill_dir ~arena_budget_mb =
+  spill_params := (spill_dir, max 0 arena_budget_mb)
 
-let shard_defaults () = !shard_params
+let set_shard_defaults ~shards:_ = set_spill_defaults
+let spill_defaults () = !spill_params
 
 (* BFS over the shard store.  The exploration order is identical to the
    flat BFS's — seeds interned in ascending rank order, frontier
    sources expanded in gid order, each successor interned as it is
    found — so the numbering, edge arrays and initials are byte-identical
    where both stores can run.  What changes is residency: state and CSR
-   arenas live in per-shard segments that spill to checksummed files
+   arenas live in per-level segments that spill to checksummed files
    under the configured directory once the resident bytes exceed the
    arena budget.
 
@@ -588,14 +589,12 @@ let shard_defaults () = !shard_params
    consistent at level barriers (mid-level, the open CSR accumulators
    are not serializable), so the capture closure returns the snapshot
    taken at the last completed barrier; resume restores the store there
-   and replays the lost level deterministically.  Spill files written
-   by the interrupted run are content-identical and are reused, never
-   rewritten. *)
+   and replays the lost level deterministically.  Spill files the
+   snapshot names are reused, never rewritten. *)
 let build_sharded ~limit kern program ~seeds =
   let layout = kern.k_layout in
   let limit = min limit max_states in
-  let shards, spill_dir, budget_mb = !shard_params in
-  let k = min shards Shard_store.max_shards in
+  let spill_dir, budget_mb = !spill_params in
   let arena_budget = budget_mb * 1024 * 1024 in
   let fingerprint =
     Detcor_robust.Checkpoint.digest
@@ -603,7 +602,6 @@ let build_sharded ~limit kern program ~seeds =
         "ts.shard";
         Program.name program;
         string_of_int (Layout.space layout);
-        string_of_int k;
       ]
   in
   let on_intern () =
@@ -618,7 +616,7 @@ let build_sharded ~limit kern program ~seeds =
         ~fingerprint data
     | None ->
       let store =
-        Shard_store.create ~on_intern ~k ~layout ~limit ~spill_dir
+        Shard_store.create ~on_intern ~layout ~limit ~spill_dir
           ~arena_budget ~fingerprint ()
       in
       Array.iter (fun r -> ignore (Shard_store.intern store r)) seeds;
@@ -644,7 +642,6 @@ let build_sharded ~limit kern program ~seeds =
          [
            ("states", Shard_store.num_states store);
            ("frontier", !frontier_width);
-           ("shards", k);
            ("spills", spills);
          ])
        (fun () ->
@@ -715,8 +712,7 @@ let fallback_reason ts = ts.fallback_reason
 let shard_stats ts =
   match ts.store with
   | Shards (_, store) ->
-    let spills, bytes, reloads = Shard_store.spill_stats store in
-    Some (Shard_store.k store, spills, bytes, reloads)
+    Some (Shard_store.spill_stats store)
   | Listed _ | Interned _ -> None
 
 (* Ranks are read from what each store keeps: a BFS store's rank column

@@ -24,9 +24,9 @@
       differential testing.  It is the only engine whose systems hold
       states.
     - {!Sharded}: the out-of-core engine for explorations past RAM — rank
-      and CSR arenas are hash-partitioned into shards whose level-aligned
+      and CSR arenas are cut into one segment per BFS level, and sealed
       segments spill to checksummed files under a spill directory (see
-      {!set_shard_defaults}), reloading on demand.  Exploration order is
+      {!set_spill_defaults}), reloading on demand.  Exploration order is
       identical to {!Packed}; only residency differs.
 
     On every engine, predicate and guard sets are cached in per-system
@@ -67,17 +67,20 @@ val max_actions : int
 val max_states : int
 
 (** Process-wide parameters of the {!Sharded} engine, set once by the
-    CLI before dispatching: shard count (clamped to
-    {!Shard_store.max_shards}), spill directory ([None] keeps all arenas
-    resident — no out-of-core behavior, just the sharded layout), and
+    CLI before dispatching: the spill directory ([None] keeps all arenas
+    resident — no out-of-core behavior, just the segmented layout), and
     the resident arena budget in MiB (enforced only when spilling is
     possible). *)
+val set_spill_defaults : spill_dir:string option -> arena_budget_mb:int -> unit
+
+(** {!set_spill_defaults} for callers written when the store was
+    partitioned into shards; [shards] is ignored. *)
 val set_shard_defaults :
   shards:int -> spill_dir:string option -> arena_budget_mb:int -> unit
 
 (** The current sharded-engine parameters:
-    [(shards, spill_dir, arena_budget_mb)]. *)
-val shard_defaults : unit -> int * string option * int
+    [(spill_dir, arena_budget_mb)]. *)
+val spill_defaults : unit -> string option * int
 
 (** [build program ~from] explores forward from the given initial states.
     Every recorded state is reachable from [from].
@@ -135,9 +138,9 @@ val engine_name : engine -> string
     escaped its declared domain).  [None] when no fallback happened. *)
 val fallback_reason : t -> string option
 
-(** For a sharded system, [(shard count, spills, spilled bytes,
-    reloads)]; [None] for the other engines. *)
-val shard_stats : t -> (int * int * int * int) option
+(** For a sharded system, [(spills, spilled bytes, reloads)]; [None]
+    for the other engines. *)
+val shard_stats : t -> (int * int * int) option
 
 val num_edges : t -> int
 

@@ -6,7 +6,8 @@
    optional action that escapes its declared domain to exercise the
    reference fallback) drives three properties:
 
-   - every engine (auto, strict packed, sharded with 1 and 4 shards)
+   - every engine (auto, strict packed, sharded resident and
+     spill-forced)
      produces the reference engine's state arrays, edge relations and
      initial states, whether built from explicit states ([build]), from
      a predicate over the product space ([of_pred]) or over the whole
@@ -233,8 +234,8 @@ let reference_direct ~preds reference =
     (List.init (Ts.num_states reference) Fun.id)
 
 (* [engines_agree ~reference ~seed make]: [make ~engine] builds
-   [reference] under auto, strict packed, and sharded with K = 1 and
-   K = 4.  The strict engines may refuse the program
+   [reference] under auto, strict packed, and sharded on its resident
+   and spill-forced legs.  The strict engines may refuse the program
    (Layout.Unrepresentable) only where auto fell back to the reference
    engine.  Every system also answers its queries as the
    reference does ([queries_agree]), for an opaque predicate and a
@@ -264,10 +265,10 @@ let engines_agree ~reference ~seed make =
   && agree auto
   && strict (fun () -> make ~engine:Ts.Packed)
   && List.for_all
-       (fun shards ->
-         Util.with_shards ~shards (fun () ->
+       (fun leg ->
+         Util.with_leg leg (fun () ->
              strict (fun () -> make ~engine:Ts.Sharded)))
-       [ 1; 4 ]
+       [ Util.Resident; Util.Spilled ]
 
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 
@@ -372,7 +373,6 @@ let prop_build_within =
       let attempt f =
         match f () with ts -> Some ts | exception Layout.Unrepresentable -> None
       in
-      Util.with_shards ~shards:4 @@ fun () ->
       List.for_all
         (fun engine ->
           let explore () = Ts.of_pred ~engine q ~from:(pred_of_seed s1) in
@@ -639,16 +639,20 @@ let dsl_engines_agree p make =
   let auto = run (fun () -> make p ~engine:Ts.Auto) in
   (same reference auto || explain "auto vs reference" reference auto)
   && List.for_all
-       (fun (engine, shards) ->
-         Util.with_shards ~shards (fun () ->
+       (fun (engine, leg) ->
+         Util.with_leg leg (fun () ->
              let compiled = run (fun () -> make p ~engine) in
              let interp = run (fun () -> make twin ~engine) in
              same compiled interp
              || explain
-                  (Fmt.str "%s (%d shards): compiled vs interpreted"
-                     (Ts.engine_name engine) shards)
+                  (Fmt.str "%s (%s): compiled vs interpreted"
+                     (Ts.engine_name engine) (Util.leg_name leg))
                   compiled interp))
-       [ (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ]
+       [
+         (Ts.Packed, Util.Resident);
+         (Ts.Sharded, Util.Resident);
+         (Ts.Sharded, Util.Spilled);
+       ]
 
 let dsl_arb = QCheck.make ~print:Fun.id dsl_gen
 
@@ -705,8 +709,8 @@ let enabled_agree p make =
   let twin = interpreted p in
   let obs = Detcor_obs.Obs.make ~sinks:[] () in
   List.for_all
-    (fun (engine, shards) ->
-      Util.with_shards ~shards @@ fun () ->
+    (fun (engine, leg) ->
+      Util.with_leg leg @@ fun () ->
       match
         (run (fun () -> make p ~engine), run (fun () -> make twin ~engine))
       with
@@ -717,7 +721,7 @@ let enabled_agree p make =
               List.init (Ts.num_actions ts) (Ts.enabled_bitset ts))
         in
         let swept = counter "engine.enabled_cache.misses" - misses in
-        let where = Fmt.str "%s, %d shards" (Ts.engine_name engine) shards in
+        let where = Fmt.str "%s, %s" (Ts.engine_name engine) (Util.leg_name leg) in
         (Ts.engine_of ts = Ts.Reference || swept = 0
         || QCheck.Test.fail_reportf "%s: %d guard sweeps" where swept)
         && List.for_all2
@@ -735,7 +739,12 @@ let enabled_agree p make =
                || QCheck.Test.fail_reportf "%s: deadlocked at %d" where i)
              (List.init (Ts.num_states ts) Fun.id)
       | a, b -> same a b || explain "compiled vs interpreted" a b)
-    [ (Ts.Auto, 4); (Ts.Packed, 4); (Ts.Sharded, 1); (Ts.Sharded, 4) ]
+    [
+      (Ts.Auto, Util.Resident);
+      (Ts.Packed, Util.Resident);
+      (Ts.Sharded, Util.Resident);
+      (Ts.Sharded, Util.Spilled);
+    ]
 
 (* p over the span of p [] F, derived from the span's rows, against p
    explored from the same states: over the whole span, over the
@@ -771,8 +780,7 @@ let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
          (List.init (Ts.num_actions within) Fun.id)
   in
   List.for_all
-    (fun (engine, shards) ->
-      Util.with_shards ~shards @@ fun () ->
+    (fun engine ->
       match run (fun () -> Ts.build ~engine pf ~from) with
       | Built span ->
         let every_other =
@@ -786,7 +794,7 @@ let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
             try agree ~engine span where with Value.Type_error _ -> true)
           [ None; Some e.invariant; Some every_other ]
       | _ -> true)
-    [ (Ts.Auto, 4); (Ts.Packed, 4); (Ts.Reference, 4); (Ts.Sharded, 4) ]
+    [ Ts.Auto; Ts.Packed; Ts.Reference; Ts.Sharded ]
 
 let prop_dsl_labels_and_derivation =
   Util.qtest ~count:80
@@ -832,11 +840,11 @@ let columns_agree (e : Detcor_lang.Elaborate.elaborated) from =
   match run (fun () -> Ts.build ~engine:Ts.Reference pf ~from) with
   | Built reference ->
     List.for_all
-      (fun (engine, shards) ->
-        Util.with_shards ~shards @@ fun () ->
+      (fun (engine, leg) ->
+        Util.with_leg leg @@ fun () ->
         match run (fun () -> Ts.build ~engine pf ~from) with
         | Built ts ->
-          let where = Fmt.str "%s, %d shards" (Ts.engine_name engine) shards in
+          let where = Fmt.str "%s, %s" (Ts.engine_name engine) (Util.leg_name leg) in
           let faults =
             Ts.action_ids_of_names ts (Detcor_core.Fault.action_names e.faults)
           in
@@ -860,11 +868,11 @@ let columns_agree (e : Detcor_lang.Elaborate.elaborated) from =
              || QCheck.Test.fail_reportf "%s: masked components" where)
         | _ -> true)
       [
-        (Ts.Auto, 4);
-        (Ts.Packed, 4);
-        (Ts.Reference, 4);
-        (Ts.Sharded, 1);
-        (Ts.Sharded, 4);
+        (Ts.Auto, Util.Resident);
+        (Ts.Packed, Util.Resident);
+        (Ts.Reference, Util.Resident);
+        (Ts.Sharded, Util.Resident);
+        (Ts.Sharded, Util.Spilled);
       ]
   | _ -> true
 
@@ -1042,9 +1050,7 @@ let prop_rank_steps =
           [
             (fun () -> Ts.build ~engine:Ts.Packed p ~from);
             (fun () -> Util.product ~engine:Ts.Packed p);
-            (fun () ->
-              Util.with_shards ~shards:4 (fun () ->
-                  Ts.build ~engine:Ts.Sharded p ~from));
+            (fun () -> Ts.build ~engine:Ts.Sharded p ~from);
           ]
       in
       let module S = Detcor_synthesis.Synthesize in

@@ -3,39 +3,30 @@
    The sharded engine promises the packed engine's exact numbering and
    verdicts with a different residency story, so the tests are the same
    shape as the packed differential (reusing its random-program
-   generators) plus the knobs unique to sharding:
+   generators) plus the knobs unique to the segmented store:
 
-   - reference = sharded on 200+ random programs, under a shard-count
-     sweep (K = 1, 2, 8), for [build], [of_pred] and [full];
+   - reference = sharded on 200+ random programs, on a resident and a
+     spill-forced leg, for [build], [of_pred] and [full];
    - a spill-forced mode (zero arena budget into a temp directory) that
-     must spill at least once and still agree byte-for-byte;
+     must spill at least once and still agree byte-for-byte, also with
+     two stores of one program spilling into one directory;
    - escape programs: the sharded engine, like the strict packed engine,
      refuses states outside the layout (Layout.Unrepresentable) exactly
      when the auto engine would have fallen back to the reference path;
-   - SIGKILL chaos through the dcheck CLI while spilling, resumed to a
-     byte-identical verdict (reusing the chaos harness);
-   - word-parallel Bitset bulk operations against their bit-at-a-time
+   - through the dcheck CLI: SIGKILL chaos while spilling, resumed to a
+     byte-identical verdict (reusing the chaos harness); spill-forced
+     verify byte-identical to [--engine auto]; no spill file left behind
+     by a run without a checkpoint;
+   - word-parallel Bitset union against its bit-at-a-time
      specification. *)
 
 open Detcor_semantics
 
 let equal_system = Util.ts_equal
 
-let with_shards = Util.with_shards
-
-let with_temp_dir k =
-  let dir = Filename.temp_file "detcor_shard" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-           (Sys.readdir dir)
-       with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> k dir)
+let with_spill = Util.with_spill
+let with_temp_dir = Util.with_temp_dir
+let legs = [ Util.Resident; Util.Spilled ]
 
 (* The sharded engine on an escaping exploration must behave like the
    strict packed engine: raise [Layout.Unrepresentable] precisely when
@@ -48,56 +39,61 @@ let sharded_build f ~auto =
       None
     else Alcotest.fail "sharded raised Unrepresentable but auto did not fall back"
 
-let shards_arb =
+let inits_arb =
   QCheck.make
-    ~print:(fun ((rp, inits), k) ->
-      Fmt.str "%s from %d states, %d shards"
+    ~print:(fun (rp, inits) ->
+      Fmt.str "%s from %d states"
         (Test_engine_diff.print_program rp)
-        (List.length inits) k)
-    QCheck.Gen.(pair Test_engine_diff.with_inits_gen (oneofl [ 1; 2; 8 ]))
+        (List.length inits))
+    Test_engine_diff.with_inits_gen
 
-(* K-sweep identity on explicit initials: numbering, edges, initials and
-   lookup all equal to the reference engine's, for 1, 2 and 8 shards. *)
+(* Identity on explicit initials, resident and spill-forced: numbering,
+   edges, initials and lookup all equal to the reference engine's. *)
 let prop_build_identical =
-  Util.qtest ~count:210 "sharded build = reference build (K=1,2,8)" shards_arb
-    (fun ((rp, inits), k) ->
+  Util.qtest ~count:210 "sharded build = reference build (resident, spill-forced)"
+    inits_arb (fun (rp, inits) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let auto = Ts.build ~engine:Ts.Auto p ~from in
-      with_shards ~shards:k (fun () ->
-          match
-            sharded_build ~auto (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
-          with
-          | None -> true
-          | Some sharded ->
-            equal_system reference sharded
-            && List.for_all
-                 (fun i ->
-                   Ts.index_of sharded (Ts.state reference i) = Some i)
-                 (List.init (Ts.num_states reference) Fun.id)))
+      List.for_all
+        (fun leg ->
+          Util.with_leg leg (fun () ->
+              match
+                sharded_build ~auto (fun () ->
+                    Ts.build ~engine:Ts.Sharded p ~from)
+              with
+              | None -> true
+              | Some sharded ->
+                equal_system reference sharded
+                && List.for_all
+                     (fun i ->
+                       Ts.index_of sharded (Ts.state reference i) = Some i)
+                     (List.init (Ts.num_states reference) Fun.id)))
+        legs)
 
 let pred_arb =
   QCheck.make
-    ~print:(fun ((rp, s), k) ->
-      Fmt.str "%s from P%d, %d shards" (Test_engine_diff.print_program rp) s k)
-    QCheck.Gen.(
-      pair
-        (pair Test_engine_diff.program_gen (int_range 0 (1 lsl 20)))
-        (oneofl [ 1; 2; 8 ]))
+    ~print:(fun (rp, s) ->
+      Fmt.str "%s from P%d" (Test_engine_diff.print_program rp) s)
+    QCheck.Gen.(pair Test_engine_diff.program_gen (int_range 0 (1 lsl 20)))
 
 (* The product-space surfaces: [of_pred] from a random predicate and
-   [full], each against the reference engine. *)
+   [full], each against the reference engine, resident and
+   spill-forced. *)
 let prop_of_pred_identical =
   Util.qtest ~count:120 "sharded of_pred = reference of_pred" pred_arb
-    (fun ((rp, seed), k) ->
+    (fun (rp, seed) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed seed in
       let agree reference auto sharded =
-        with_shards ~shards:k (fun () ->
-            match sharded_build ~auto sharded with
-            | None -> true
-            | Some sharded -> equal_system reference sharded)
+        List.for_all
+          (fun leg ->
+            Util.with_leg leg (fun () ->
+                match sharded_build ~auto sharded with
+                | None -> true
+                | Some sharded -> equal_system reference sharded))
+          legs
       in
       agree
         (Ts.of_pred ~engine:Ts.Reference p ~from)
@@ -111,13 +107,13 @@ let prop_of_pred_identical =
    interned states must have spilled at least once. *)
 let prop_spill_forced =
   Util.qtest ~count:60 "spill-forced sharded build agrees and spills"
-    shards_arb (fun ((rp, inits), k) ->
+    inits_arb (fun (rp, inits) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
       let reference = Ts.build ~engine:Ts.Reference p ~from in
       let auto = Ts.build ~engine:Ts.Auto p ~from in
       with_temp_dir (fun dir ->
-          with_shards ~shards:k ~spill_dir:dir ~arena_mb:0 (fun () ->
+          with_spill ~spill_dir:dir ~arena_mb:0 (fun () ->
               match
                 sharded_build ~auto (fun () ->
                     Ts.build ~engine:Ts.Sharded p ~from)
@@ -128,7 +124,7 @@ let prop_spill_forced =
                 &&
                 match Ts.shard_stats sharded with
                 | None -> false
-                | Some (_, spills, bytes, _) ->
+                | Some (spills, bytes, _) ->
                   Ts.num_states sharded = 0 || (spills > 0 && bytes > 0)))))
 
 (* Check procedures on a spilled system: predicates, reachability, SCCs
@@ -151,7 +147,7 @@ let prop_checks_on_spilled =
       let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
       let auto = Ts.of_pred ~engine:Ts.Auto p ~from in
       with_temp_dir (fun dir ->
-          with_shards ~shards:2 ~spill_dir:dir ~arena_mb:0 (fun () ->
+          with_spill ~spill_dir:dir ~arena_mb:0 (fun () ->
               match
                 sharded_build ~auto (fun () ->
                     Ts.of_pred ~engine:Ts.Sharded p ~from)
@@ -208,42 +204,94 @@ let prop_union_into =
       && (n = 0 || Bitset.equal into expect
           || Bitset.cardinal into = Bitset.cardinal expect))
 
-let prop_iter_words =
-  Util.qtest ~count:200 "Bitset.iter_words reconstructs the set" bitset_arb
-    (fun (n, seeds) ->
-      let a = Bitset.create n in
-      List.iter (fun s -> if n > 0 then Bitset.set a (s mod n)) seeds;
-      let rebuilt = Bitset.create n in
-      Bitset.iter_words a (fun w bits ->
-          for i = 0 to 63 do
-            if Int64.(logand (shift_right_logical bits i) 1L) = 1L then begin
-              let idx = (w * 64) + i in
-              if idx < n then Bitset.set rebuilt idx
-            end
-          done);
-      Bitset.equal a rebuilt)
+(* ------------------------------------------------------------------ *)
+(* Two stores of one program in one spill directory.                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A verify session builds two sharded systems of one program: p from
+   the invariant's states and p over the fault span.  Spill-forced into
+   one directory, each must read back its own segments — both are
+   compared, state by state and edge by edge, with their packed builds
+   only after both have spilled. *)
+let test_two_stores_one_dir () =
+  let e = Detcor_lang.Elaborate.load_file "../examples/dc/reset7.dc" in
+  let p = e.program in
+  let span =
+    Ts.of_pred ~engine:Ts.Packed
+      (Detcor_core.Fault.compose p e.faults)
+      ~from:e.invariant
+  in
+  let builds engine =
+    [
+      Ts.of_pred ~engine p ~from:e.invariant;
+      Ts.build ~engine p ~from:(Ts.states span);
+    ]
+  in
+  let packed = builds Ts.Packed in
+  with_temp_dir @@ fun dir ->
+  with_spill ~spill_dir:dir ~arena_mb:0 @@ fun () ->
+  let sharded = builds Ts.Sharded in
+  List.iteri
+    (fun i (a, b) ->
+      let label = Fmt.str "store %d" i in
+      (match Ts.shard_stats b with
+      | Some (spills, _, _) ->
+        Alcotest.(check bool) (label ^ ": spilled") true (spills > 0)
+      | None -> Alcotest.fail (label ^ ": not a sharded system"));
+      Util.check_same_system label a b)
+    (List.combine packed sharded)
 
 (* ------------------------------------------------------------------ *)
-(* SIGKILL chaos while spilling, through the CLI.                      *)
+(* Through the CLI: chaos, identity and spill-file cleanup.            *)
 (* ------------------------------------------------------------------ *)
 
 (* A sharded verify with a zero arena budget spills continuously; the
    chaos harness SIGKILLs it mid-run and resumes until terminal, and the
    resumed run must reproduce the undisturbed run's bytes exactly.
-   Spill files survive the kill (they are written atomically and their
-   content is deterministic), so resume re-binds them instead of
+   Spill files survive the kill (they are written atomically, and a
+   checkpointed run keeps them), so resume re-binds them instead of
    re-exploring. *)
 let test_chaos_spill () =
   with_temp_dir @@ fun dir ->
   Test_chaos.chaos_workload "sharded spill verify"
     [
       "verify"; "../examples/dc/reset7.dc"; "--tolerance"; "failsafe";
-      "--engine"; "sharded"; "--shards"; "3"; "--spill-dir"; dir;
+      "--engine"; "sharded"; "--spill-dir"; dir;
       "--shard-arena-mb"; "0";
     ]
     ~max_delay:0.3 ()
 
-(* The CLI must reject unknown engines and accept the sharded spelling. *)
+(* Spill-forced verify of every class prints [--engine auto]'s bytes and
+   exits with its code, and a run without [--checkpoint] leaves no spill
+   file behind (after spilling, as [info] reports). *)
+let test_cli_spill_forced () =
+  with_temp_dir @@ fun dir ->
+  let spill = [ "--engine"; "sharded"; "--spill-dir"; dir; "--shard-arena-mb"; "0" ] in
+  let empty label =
+    Alcotest.(check (array string)) (label ^ ": spill directory empty") [||]
+      (Sys.readdir dir)
+  in
+  List.iter
+    (fun model ->
+      let path = "../examples/dc/" ^ model ^ ".dc" in
+      let want = Test_chaos.baseline "auto" [ "verify"; path ] in
+      let got = Test_chaos.baseline "spill-forced" ([ "verify"; path ] @ spill) in
+      Alcotest.(check (pair int string)) (model ^ ": spill-forced = auto") want got;
+      empty model;
+      let code, info = Test_chaos.baseline "info" ([ "info"; path ] @ spill) in
+      Alcotest.(check int) (model ^ ": info exit code") 0 code;
+      let spills =
+        List.find_map
+          (fun line -> Scanf.sscanf_opt line " spill: %d spills" Fun.id)
+          (String.split_on_char '\n' info)
+      in
+      Alcotest.(check bool) (model ^ ": info spilled") true
+        (match spills with Some k -> k > 0 | None -> false);
+      empty (model ^ " info"))
+    [ "reset7"; "ring5" ]
+
+(* The CLI must reject unknown engines and options and accept the
+   sharded spelling. *)
 let test_cli_engine_flag () =
   let run args =
     Test_chaos.with_temp ".out" @@ fun out ->
@@ -258,7 +306,10 @@ let test_cli_engine_flag () =
        ]);
   Alcotest.(check bool)
     "unknown engine rejected" true
-    (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; "warp" ] <> 0)
+    (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; "warp" ] <> 0);
+  Alcotest.(check int)
+    "--shards is an unknown option" 2
+    (run [ "verify"; "../examples/dc/ring5.dc"; "--shards"; "4" ])
 
 let suite =
   ( "sharded engine",
@@ -268,7 +319,10 @@ let suite =
       prop_spill_forced;
       prop_checks_on_spilled;
       prop_union_into;
-      prop_iter_words;
+      Alcotest.test_case "two spill-forced stores of one program share a directory"
+        `Quick test_two_stores_one_dir;
       Alcotest.test_case "chaos: SIGKILL while spilling" `Slow test_chaos_spill;
+      Alcotest.test_case "cli: spill-forced verify = auto, no spill file left"
+        `Quick test_cli_spill_forced;
       Alcotest.test_case "cli: --engine flag" `Quick test_cli_engine_flag;
     ] )

@@ -7,8 +7,7 @@
    sparse safety specifications (bad states, sometimes bad transitions),
    random invariants and random variable-corruption faults drive the three
    transformations of {!Synthesize} over reference-, packed- and
-   sharded-built systems (the sharded engine with K=1 and with K=4
-   shards).  Every builder must yield exactly the reference builder's
+   sharded-built systems (the sharded engine resident and spill-forced).  Every builder must yield exactly the reference builder's
    outcome: same outcome constructor, extensionally identical synthesized
    programs (compared as fully built reference systems), identical
    recomputed (possibly weakened, under the same name) invariants,
@@ -201,12 +200,12 @@ let agree ~label p r_ref r =
    reference builder's. *)
 let across_engines p synth =
   let r_ref = synth Ts.Reference in
-  let sharded k =
-    Test_engine_sharded.with_shards ~shards:k (fun () -> synth Ts.Sharded)
+  let sharded leg =
+    Util.with_leg leg (fun () ->
+        agree ~label:("sharded " ^ Util.leg_name leg) p r_ref (synth Ts.Sharded))
   in
   agree ~label:"packed" p r_ref (synth Ts.Packed)
-  && agree ~label:"sharded K=1" p r_ref (sharded 1)
-  && agree ~label:"sharded K=4" p r_ref (sharded 4)
+  && sharded Util.Resident && sharded Util.Spilled
 
 let prop_failsafe =
   Util.qtest ~count:100 "add_failsafe: reference = packed = sharded"

@@ -42,14 +42,43 @@ let product ?limit ?engine p =
 
 (* Install sharded-engine parameters for the duration of [f], restoring
    the process-wide defaults afterwards (they are global state). *)
-let with_shards ?(shards = 4) ?spill_dir ?(arena_mb = 512) f =
+let with_spill ?spill_dir ?(arena_mb = 512) f =
   let module Ts = Detcor_semantics.Ts in
-  let k0, d0, m0 = Ts.shard_defaults () in
-  Ts.set_shard_defaults ~shards ~spill_dir ~arena_budget_mb:arena_mb;
+  let d0, m0 = Ts.spill_defaults () in
+  Ts.set_spill_defaults ~spill_dir ~arena_budget_mb:arena_mb;
+  Fun.protect
+    ~finally:(fun () -> Ts.set_spill_defaults ~spill_dir:d0 ~arena_budget_mb:m0)
+    f
+
+(* [with_temp_dir k]: [k dir] on a fresh directory, removed with its
+   files afterwards. *)
+let with_temp_dir k =
+  let dir = Filename.temp_file "detcor_shard" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
   Fun.protect
     ~finally:(fun () ->
-      Ts.set_shard_defaults ~shards:k0 ~spill_dir:d0 ~arena_budget_mb:m0)
-    f
+      (try
+         Array.iter
+           (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+           (Sys.readdir dir)
+       with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> k dir)
+
+(* The sharded engine's two residency legs: every arena resident, or
+   spill-forced (a zero arena budget into a fresh directory, so every
+   sealed segment spills and every later read of it reloads).  A system
+   built on the spill-forced leg must not be read after [f] returns: its
+   spill files are gone with the directory. *)
+type leg = Resident | Spilled
+
+let leg_name = function Resident -> "resident" | Spilled -> "spill-forced"
+
+let with_leg leg f =
+  match leg with
+  | Resident -> with_spill f
+  | Spilled -> with_temp_dir (fun dir -> with_spill ~spill_dir:dir ~arena_mb:0 f)
 
 (* Alcotest form of {!ts_equal}: one check per component, so a mismatch
    reports which part of the structure diverged. *)
