@@ -52,8 +52,11 @@
    per-action bitsets consulted by state index (false at unexplored
    product states; the semantic closure remains only for states outside
    the product), invariant recomputation is a counter-based deadlock
-   pruning worklist, and recovery layering ranks states in [int] arrays
-   with a frontier queue.  [?engine] only chooses the {!Ts} builder, so the
+   pruning worklist over the explored system's own edges, and recovery
+   layering ranks states in [int] arrays with an [int]-array frontier,
+   recomputing candidate steps into one reused buffer.  Every worklist,
+   frontier and buffer is allocated once per call, none per state.
+   [?engine] only chooses the {!Ts} builder, so the
    reference builder stays a differential oracle for the whole pipeline:
    synthesis over reference-, packed- and sharded-built systems yields
    identical programs, invariants and reports. *)
@@ -154,12 +157,23 @@ let bad_transition ts sspec =
 (* ms / mt                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A source column of 32-bit state ids, read and written unboxed and
+   unchecked: every offset is a CSR offset below the column's length. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
 (* [ms]: the states from which the fault actions alone can reach a safety
    violation — the backward fixpoint over fault edges seeded with the bad
    states and the sources of bad fault transitions ([bad_tr]).  Membership
-   lives in a bitset and predecessor iteration runs over the reverse
-   fault-edge CSR. *)
-let compute_ms ts_pf ~fault_ids ~bad ~bad_tr =
+   lives in a bitset, and predecessors come from a reverse fault-edge CSR
+   (pointers, and sources in a 32-bit column the GC never scans) built in
+   two edge sweeps.  The first, which counts in-edges, also seeds the
+   sources of bad fault transitions, so the (possibly expensive)
+   bad-transition predicate runs on fault edges from sources not yet
+   marked alone, and no third sweep is needed; when no state is marked,
+   the second, which fills the CSR, is skipped.  The worklist is one
+   [int] array: a state enters it once, when it is marked. *)
+let compute_ms ts_pf ~is_fault ~bad ~bad_tr =
   Obs.span "synth.compute_ms" @@ fun () ->
   let n = Ts.num_states ts_pf in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.ms" in
@@ -169,54 +183,89 @@ let compute_ms ts_pf ~fault_ids ~bad ~bad_tr =
        whole answer, no reverse CSR needed. *)
     Bitset.of_string n data
   | resumed ->
-    let is_fault = Array.make (Ts.num_actions ts_pf) false in
-    List.iter (fun i -> is_fault.(i) <- true) fault_ids;
-    let rev = Ts.reverse ~keep:(fun aid -> is_fault.(aid)) ts_pf in
-    let ms = ref (Bitset.create n) in
-    let queue = Queue.create () in
+    (* Mid-fixpoint state: membership bits plus the open frontier.
+       Seeding is subsumed — every seed is marked or processed. *)
+    let midway =
+      match resumed with
+      | Some (Detcor_robust.Checkpoint.Midway data) ->
+        Some (Marshal.from_string data 0 : string * int array)
+      | _ -> None
+    in
+    let ms =
+      match midway with
+      | Some (bits, _) -> Bitset.of_string n bits
+      | None -> Bitset.create n
+    in
+    let work = Array.make n 0 in
+    let head = ref 0 and tail = ref 0 in
     let add i =
-      if not (Bitset.get !ms i) then begin
-        Bitset.set !ms i;
-        Queue.add i queue
+      if not (Bitset.get ms i) then begin
+        Bitset.set ms i;
+        work.(!tail) <- i;
+        incr tail
       end
     in
-    (match resumed with
-    | Some (Detcor_robust.Checkpoint.Midway data) ->
-      (* Mid-fixpoint state: membership bits plus the open frontier.
-         Seeding is subsumed — every seed is marked or processed. *)
-      let bits, frontier = (Marshal.from_string data 0 : string * int array) in
-      ms := Bitset.of_string n bits;
-      Array.iter (fun i -> Queue.add i queue) frontier
-    | _ ->
-      (* Seed from bad fault transitions by walking the reverse CSR: it
-         holds exactly the fault edges, so the (possibly expensive)
-         bad-transition predicate runs on those alone rather than on
-         every product edge. *)
-      for j = 0 to n - 1 do
-        Ts.iter_in rev j (fun _aid i -> if bad_tr i j then add i)
-      done;
+    (* [ptr.(j + 1)] counts [j]'s fault in-edges; after the prefix sums
+       [ptr.(j)] is where they start, and the fill advances it to where
+       they end, so one shift restores the starts.  The counting sweep
+       also seeds the sources of bad fault transitions. *)
+    let ptr = Array.make (n + 1) 0 in
+    let seed = midway = None in
+    Ts.iter_edges ts_pf (fun i aid j ->
+        if is_fault.(aid) then begin
+          ptr.(j + 1) <- ptr.(j + 1) + 1;
+          if seed && (not (Bitset.get ms i)) && bad_tr i j then add i
+        end);
+    (match midway with
+    | Some (_, frontier) ->
+      Array.iter
+        (fun i ->
+          work.(!tail) <- i;
+          incr tail)
+        frontier
+    | None ->
       for i = 0 to n - 1 do
         if Bitset.get bad i then add i
       done);
-    (* The loop's only budget checkpoint is at its top, where the marked
-       set and the frontier are a closed pair — exactly what a capture
-       may persist. *)
-    Detcor_robust.Checkpoint.set_capture phase (fun () ->
-        Marshal.to_string
-          (Bitset.to_string !ms, Array.of_seq (Queue.to_seq queue))
-          []);
-    let processed = ref 0 in
-    Progress.with_phase "synth.ms"
-      (fun () -> [ ("iterations", !processed); ("queue", Queue.length queue) ])
-      (fun () ->
-        while not (Queue.is_empty queue) do
-          Detcor_robust.Budget.tick ();
-          let j = Queue.pop queue in
-          incr processed;
-          Ts.iter_in rev j (fun _ i -> add i)
-        done);
-    Detcor_robust.Checkpoint.complete phase (Bitset.to_string !ms);
-    !ms
+    (* With nothing marked left to propagate, [ms] is what is marked: no
+       predecessor is ever read, so the reverse CSR is not filled. *)
+    if !tail > 0 then begin
+      for j = 1 to n do
+        ptr.(j) <- ptr.(j) + ptr.(j - 1)
+      done;
+      let source = Bytes.create (4 * ptr.(n)) in
+      Ts.iter_edges ts_pf (fun i aid j ->
+          if is_fault.(aid) then begin
+            let k = ptr.(j) in
+            set32 source (4 * k) (Int32.of_int i);
+            ptr.(j) <- k + 1
+          end);
+      for j = n downto 1 do
+        ptr.(j) <- ptr.(j - 1)
+      done;
+      ptr.(0) <- 0;
+      (* The loop's only budget checkpoint is at its top, where the
+         marked set and the open worklist are a closed pair — exactly
+         what a capture may persist. *)
+      Detcor_robust.Checkpoint.set_capture phase (fun () ->
+          Marshal.to_string
+            (Bitset.to_string ms, Array.sub work !head (!tail - !head))
+            []);
+      Progress.with_phase "synth.ms"
+        (fun () -> [ ("iterations", !head); ("queue", !tail - !head) ])
+        (fun () ->
+          while !head < !tail do
+            Detcor_robust.Budget.tick ();
+            let j = work.(!head) in
+            incr head;
+            for k = ptr.(j) to ptr.(j + 1) - 1 do
+              add (Int32.to_int (get32 source (4 * k)))
+            done
+          done)
+    end;
+    Detcor_robust.Checkpoint.complete_with phase (fun () ->
+        Bitset.to_string ms);
+    ms
 
 (* [ms] membership of a state, by its index in the explored system [ts]
    over which [ms] was computed; a state outside [ts] was never analysed
@@ -272,37 +321,44 @@ let detection_guards ts_pf ~sspec ~bad ~bad_tr ~ms ~unexplored p =
       if k >= 0
          && (Bitset.get bad j || Bitset.get ms j || bad_tr i j)
       then Bitset.set bad_step.(k) i);
-  List.mapi
-    (fun k ac ->
-      let ok =
+  let oks =
+    Array.map
+      (fun bad_step ->
         Bitset.of_fn n (fun i ->
             (not (Bitset.get bad i))
             && (not (Bitset.get ms i))
-            && not (Bitset.get bad_step.(k) i))
-      in
-      let name = Fmt.str "wdp(%s)" (Action.name ac) in
-      let eval st =
-        match Ts.index_of ts_pf st with
-        | Some i -> Bitset.get ok i
-        | None ->
-          (not (unexplored st))
-          && (not (Safety.bad_state sspec st))
-          && List.for_all
-               (fun st' -> not (make_mt ts_pf ~ms ~sspec st st'))
-               (Action.execute ac st)
-      in
-      let guard =
-        match Ts.layout ts_pf with
-        | None -> Pred.make name eval
-        | Some layout ->
-          Pred.of_ranks name (Layout.signature layout)
-            (fun r ->
-              let i = Ts.index_of_rank ts_pf r in
-              i >= 0 && Bitset.get ok i)
-            eval
-      in
-      (ac, guard))
-    acts
+            && not (Bitset.get bad_step i)))
+      bad_step
+  in
+  let guards =
+    List.mapi
+      (fun k ac ->
+        let ok = oks.(k) in
+        let name = Fmt.str "wdp(%s)" (Action.name ac) in
+        let eval st =
+          match Ts.index_of ts_pf st with
+          | Some i -> Bitset.get ok i
+          | None ->
+            (not (unexplored st))
+            && (not (Safety.bad_state sspec st))
+            && List.for_all
+                 (fun st' -> not (make_mt ts_pf ~ms ~sspec st st'))
+                 (Action.execute ac st)
+        in
+        let guard =
+          match Ts.layout ts_pf with
+          | None -> Pred.make name eval
+          | Some layout ->
+            Pred.of_ranks name (Layout.signature layout)
+              (fun r ->
+                let i = Ts.index_of_rank ts_pf r in
+                i >= 0 && Bitset.get ok i)
+              eval
+        in
+        (ac, guard))
+      acts
+  in
+  (pos_of, oks, guards)
 
 let restrict_with guards p =
   let restricted =
@@ -317,112 +373,237 @@ let restrict_with guards p =
   let added = List.map (fun (name, g, _) -> (name, g)) restricted in
   (program, added)
 
+(* The fail-safe analysis of one explored [p [] F] system: [ms] and the
+   detection guards, by state index.  [pos_of.(aid)] is the position of
+   action [aid] among [p]'s actions ([-1] for a fault action), and
+   [ok.(k)] the detection guard of [p]'s [k]th action as a bitset. *)
+type front = {
+  ts : Ts.t;
+  ms : Bitset.t;
+  pos_of : int array;
+  ok : Bitset.t array;
+  guards : (Action.t * Pred.t) list;
+}
+
+(* [fault_actions ts faults]: per action id of [ts], whether it is one of
+   [faults]' actions. *)
+let fault_actions ts faults =
+  let is_fault = Array.make (Ts.num_actions ts) false in
+  List.iter
+    (fun aid -> is_fault.(aid) <- true)
+    (Ts.action_ids_of_names ts (Fault.action_names faults));
+  is_fault
+
+let analyse ts ~sspec ~faults ~unexplored p =
+  let bad = bad_states ts sspec in
+  let bad_tr = bad_transition ts sspec in
+  let ms = compute_ms ts ~is_fault:(fault_actions ts faults) ~bad ~bad_tr in
+  let pos_of, ok, guards =
+    detection_guards ts ~sspec ~bad ~bad_tr ~ms ~unexplored p
+  in
+  { ts; ms; pos_of; ok; guards }
+
+(* [closure_disabled ts ~program]: the test that no closure-built action
+   [aid] with [program.(aid)] is enabled at a state of [ts].  A state is a
+   deadlock of the program when its out-row holds no program edge and
+   this test holds: an action labelling an edge there is enabled, and a
+   compiled action is enabled only where it labels an edge (see
+   [Ts.enabled_bitset]), but a closure-built one can be enabled with no
+   edge.  So only closure-built actions' enabled sets are read, each swept
+   once, on first need: on a layout-built [ts] the actions that do not
+   compile against its layout, on a reference-built one every action. *)
+let closure_disabled ts ~program =
+  let closure_built =
+    lazy
+      (List.filter
+         (fun aid ->
+           program.(aid)
+           &&
+           match Ts.layout ts with
+           | None -> true
+           | Some layout -> Compiled.action layout (Ts.action ts aid) = None)
+         (List.init (Ts.num_actions ts) Fun.id))
+  in
+  fun i ->
+    List.for_all
+      (fun aid -> not (Ts.enabled ts i aid))
+      (Lazy.force closure_built)
+
 (* Recompute the invariant: start from a candidate set, then iteratively
    drop states that the restriction newly deadlocked (states that could
    move in [p] but cannot in the restricted program within the shrinking
-   set).  The candidates arrive in rank (= [State.compare]) order: the
+   set).  The candidates are [front] indices [cand.(0 .. m - 1)]: the
    original invariant states outside [ms] for plain recomputation, or the
-   whole ms-complement for the weakening search.
+   whole ms-complement for the weakening search.  Returns which of them
+   stay.
 
-   The greatest fixpoint runs as a deadlock-pruning worklist.  Each live
-   candidate counts its restricted successors inside the candidate set,
-   and dies when the count reaches zero.  A successor that escapes the
-   declared domains has no rank, so it never counts.  Per-occurrence
-   reverse lists make each pruning step O(in-degree) instead of a
-   whole-set rescan. *)
-let recompute_invariant ~layout p restricted candidates =
-  let states = Array.of_list candidates in
-  let n = Array.length states in
-  let local_of_rank =
-    Rank_map.create ~expect:n ~space:(Layout.space layout) ()
-  in
-  Array.iteri
-    (fun k st -> Rank_map.add local_of_rank (Layout.pack layout st) k)
-    states;
-  let always_keep = Array.make n false in
-  let succ = Array.make n [||] in
-  Array.iteri
-    (fun k st ->
-      Detcor_robust.Budget.tick ();
-      if Program.deadlocked p st then always_keep.(k) <- true
-      else
-        succ.(k) <-
-          Program.successors restricted st
-          |> List.filter_map (fun (_, st') ->
-                 match Layout.pack_opt layout st' with
-                 | Some r ->
-                   let k = Rank_map.find local_of_rank r in
-                   if k < 0 then None else Some k
-                 | None -> None)
-          |> Array.of_list)
-    states;
-  let cnt = Array.make n 0 in
-  let preds = Array.make n [] in
-  for k = 0 to n - 1 do
-    if not always_keep.(k) then
-      Array.iter
-        (fun j ->
-          cnt.(k) <- cnt.(k) + 1;
-          preds.(j) <- k :: preds.(j))
-        succ.(k)
+   The greatest fixpoint runs as a deadlock-pruning worklist over the
+   front's own rows: a restricted successor of candidate [i] is the target
+   of an edge of [i] labelled with [p]'s [k]th action where guard [k]
+   holds at [i] (the restricted action's guard is that detection guard and
+   [p]'s).  Each live candidate counts its restricted successors inside
+   the candidate set, and dies when the count reaches zero.  A successor
+   outside the candidate set never counts, in particular one that escapes
+   the declared domains.  A reverse CSR over the counted edges makes each
+   pruning step O(in-degree) instead of a whole-set rescan; it is filled
+   by a second walk of the candidates' rows, so nothing is allocated per
+   state. *)
+let recompute_invariant front cand m =
+  let ts = front.ts in
+  let local = Array.make (Ts.num_states ts) (-1) in
+  for k = 0 to m - 1 do
+    local.(cand.(k)) <- k
   done;
-  let alive = Array.make n true in
-  let queue = Queue.create () in
-  let killed = ref 0 in
+  let closure_disabled =
+    closure_disabled ts ~program:(Array.map (fun pos -> pos >= 0) front.pos_of)
+  in
+  let always_keep = Array.make m false in
+  let cnt = Array.make m 0 in
+  (* Pointers of the reverse CSR, counted then shifted as in [compute_ms]. *)
+  let ptr = Array.make (m + 1) 0 in
+  let preds = ref [||] in
+  let filling = ref false in
+  let src = ref 0 in
+  let labelled = ref false in
+  let on_edge aid j =
+    let pos = front.pos_of.(aid) in
+    if pos >= 0 then begin
+      labelled := true;
+      let l = local.(j) in
+      if l >= 0 && Bitset.get front.ok.(pos) cand.(!src) then
+        if !filling then begin
+          !preds.(ptr.(l)) <- !src;
+          ptr.(l) <- ptr.(l) + 1
+        end
+        else begin
+          cnt.(!src) <- cnt.(!src) + 1;
+          ptr.(l + 1) <- ptr.(l + 1) + 1
+        end
+    end
+  in
+  for k = 0 to m - 1 do
+    Detcor_robust.Budget.tick ();
+    src := k;
+    labelled := false;
+    Ts.iter_out ts cand.(k) on_edge;
+    if (not !labelled) && closure_disabled cand.(k) then
+      always_keep.(k) <- true
+  done;
+  for l = 1 to m do
+    ptr.(l) <- ptr.(l) + ptr.(l - 1)
+  done;
+  preds := Array.make ptr.(m) 0;
+  filling := true;
+  for k = 0 to m - 1 do
+    src := k;
+    Ts.iter_out ts cand.(k) on_edge
+  done;
+  for l = m downto 1 do
+    ptr.(l) <- ptr.(l - 1)
+  done;
+  ptr.(0) <- 0;
+  let preds = !preds in
+  let alive = Array.make m true in
+  let queue = Array.make m 0 in
+  let head = ref 0 and killed = ref 0 in
   let kill k =
     if alive.(k) then begin
       alive.(k) <- false;
-      incr killed;
-      Queue.add k queue
+      queue.(!killed) <- k;
+      incr killed
     end
   in
-  for k = 0 to n - 1 do
+  for k = 0 to m - 1 do
     if (not always_keep.(k)) && cnt.(k) = 0 then kill k
   done;
   (* The kill cascade is where closure under computation is enforced:
      heartbeats report how much of the candidate invariant has been
      discarded so far. *)
   Progress.with_phase "synth.prune"
-    (fun () -> [ ("killed", !killed); ("states", n) ])
+    (fun () -> [ ("killed", !killed); ("states", m) ])
     (fun () ->
-      while not (Queue.is_empty queue) do
+      while !head < !killed do
         Detcor_robust.Budget.tick ();
-        let j = Queue.pop queue in
-        List.iter
-          (fun k ->
-            if alive.(k) && not always_keep.(k) then begin
-              cnt.(k) <- cnt.(k) - 1;
-              if cnt.(k) = 0 then kill k
-            end)
-          preds.(j)
+        let j = queue.(!head) in
+        incr head;
+        for e = ptr.(j) to ptr.(j + 1) - 1 do
+          let k = preds.(e) in
+          if alive.(k) && not always_keep.(k) then begin
+            cnt.(k) <- cnt.(k) - 1;
+            if cnt.(k) = 0 then kill k
+          end
+        done
       done);
-  let out = ref [] in
-  for k = n - 1 downto 0 do
-    if alive.(k) then out := states.(k) :: !out
+  alive
+
+(* The recomputed invariant from candidates given as ascending ranks of
+   [p]'s [layout], fed by [iter]: the candidates are those with an index
+   in [front] and outside [ms], pruned by [recompute_invariant].  A rank
+   finds its index by [Ts.index_of_rank] when [front]'s layout has
+   [layout]'s signature; otherwise (a reference-built front, or faults
+   with auxiliary variables) through its state.  A candidate [front] does
+   not hold was never analysed, so it is none.  Returns the survivors'
+   states and ranks, ascending, and a state is built for survivors
+   only. *)
+let recompute front layout iter =
+  let ts = front.ts in
+  let index =
+    match Ts.layout ts with
+    | Some l when Layout.has_signature l (Layout.signature layout) ->
+      Ts.index_of_rank ts
+    | _ -> (
+      fun r ->
+        match Ts.index_of ts (Layout.unpack layout r) with
+        | Some i -> i
+        | None -> -1)
+  in
+  (* Distinct ranks have distinct indices: at most one candidate per
+     state of [front]. *)
+  let n = Ts.num_states ts in
+  let cand = Array.make n 0 and ranks = Array.make n 0 in
+  let m = ref 0 in
+  iter (fun r ->
+      let i = index r in
+      if i >= 0 && not (Bitset.get front.ms i) then begin
+        cand.(!m) <- i;
+        ranks.(!m) <- r;
+        incr m
+      end);
+  let alive = recompute_invariant front cand !m in
+  let states = ref [] and kept = ref [] in
+  for k = !m - 1 downto 0 do
+    if alive.(k) then begin
+      states := Layout.unpack layout ranks.(k) :: !states;
+      kept := ranks.(k) :: !kept
+    end
   done;
-  !out
+  (!states, Array.of_list !kept)
+
+(* The recomputed invariant as a predicate: membership of its state set,
+   with a rank form over [layout]'s signature (a lookup in a rank table),
+   so a sweep over a layout of that signature neither unpacks nor hashes
+   a state.  The state-set closure, built on first use, stays the
+   semantics everywhere else. *)
+let invariant_pred layout ~name states ranks =
+  let table =
+    Rank_map.create ~expect:(Array.length ranks) ~space:(Layout.space layout)
+      ()
+  in
+  Array.iteri (fun k r -> Rank_map.add table r k) ranks;
+  let members = lazy (Pred.fn (Pred.of_states ~name states)) in
+  Pred.of_ranks name (Layout.signature layout)
+    (fun r -> Rank_map.find table r >= 0)
+    (fun st -> Lazy.force members st)
 
 (* Widenings of the fail-safe front end from the fault span to what the
    non-bad states reach (see [failsafe_core]). *)
 let m_widenings = Metrics.counter "synth.widenings"
 
-(* The fail-safe analysis of one explored [p [] F] system: [ms] and the
-   detection guards, by state index. *)
-type front = { ts : Ts.t; ms : Bitset.t; guards : (Action.t * Pred.t) list }
-
-let analyse ts ~sspec ~faults ~unexplored p =
-  let fault_ids = Ts.action_ids_of_names ts (Fault.action_names faults) in
-  let bad = bad_states ts sspec in
-  let bad_tr = bad_transition ts sspec in
-  let ms = compute_ms ts ~fault_ids ~bad ~bad_tr in
-  { ts; ms; guards = detection_guards ts ~sspec ~bad ~bad_tr ~ms ~unexplored p }
-
-let not_ms front st = not (ms_at front.ts front.ms st)
-
 (* The fail-safe front end shared by [add_failsafe] and [add_masking]:
-   ms, the restricted program, and the recomputed invariant.  Returns the
-   analysis the masking path's recovery restriction probes, and whether
-   the invariant had to be weakened.
+   ms, the restricted program, and the recomputed invariant, named [name]
+   or, when the invariant had to be weakened, [name ^ "_weakened"].
+   Returns the analysis the masking path's recovery restriction probes
+   too.
 
    The analysis runs on the fault span R = Reach(S, p [] F) of the
    invariant states S, not on the whole product.  It is exact there:
@@ -454,7 +635,7 @@ let not_ms front st = not (ms_at front.ts front.ms st)
 
    [p]'s layout compiles whenever S could be enumerated: it only fails
    when the product space overflows the rank range. *)
-let failsafe_core ?limit ~engine ~sspec p ~invariant ~faults =
+let failsafe_core ?limit ~engine ~sspec ~name p ~invariant ~faults =
   let layout =
     match Layout.of_program p with
     | Some layout -> layout
@@ -485,11 +666,17 @@ let failsafe_core ?limit ~engine ~sspec p ~invariant ~faults =
   in
   let front = analyse reach ~sspec ~faults ~unexplored p in
   let restricted, added = restrict_with front.guards p in
+  let invariant states ranks weakened =
+    invariant_pred layout states ranks
+      ~name:(if weakened then name ^ "_weakened" else name)
+  in
   match
-    recompute_invariant ~layout p restricted (List.filter (not_ms front) init)
+    recompute front layout (fun f ->
+        List.iter (fun st -> f (Layout.pack layout st)) init)
   with
-  | _ :: _ as inv_states -> (restricted, added, inv_states, front, false)
-  | [] ->
+  | (_ :: _ as inv_states), ranks ->
+    (restricted, added, inv_states, invariant inv_states ranks false, front)
+  | [], _ ->
     (* With an expression for every bad-state predicate the seed
        enumeration prunes; an opaque specification keeps its closure. *)
     let not_bad =
@@ -522,15 +709,10 @@ let failsafe_core ?limit ~engine ~sspec p ~invariant ~faults =
         (front, restricted, added)
       end
     in
-    let acc = ref [] in
-    Compiled.iter_satisfying layout not_bad (fun rank ->
-        let st = Layout.unpack layout rank in
-        if not_ms front st then acc := st :: !acc);
-    ( restricted,
-      added,
-      recompute_invariant ~layout p restricted (List.rev !acc),
-      front,
-      true )
+    let inv_states, ranks =
+      recompute front layout (Compiled.iter_satisfying layout not_bad)
+    in
+    (restricted, added, inv_states, invariant inv_states ranks true, front)
 
 let add_failsafe ?limit ?(engine = Ts.Auto) ?workers:_ p ~spec ~invariant
     ~faults =
@@ -538,16 +720,12 @@ let add_failsafe ?limit ?(engine = Ts.Auto) ?workers:_ p ~spec ~invariant
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let restricted, added, inv_states, _, weakened =
-    failsafe_core ?limit ~engine ~sspec p ~invariant ~faults
+  let restricted, added, inv_states, invariant', _ =
+    failsafe_core ?limit ~engine ~sspec ~name:"S_failsafe" p ~invariant
+      ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
-    let invariant' =
-      Pred.of_states
-        ~name:(if weakened then "S_failsafe_weakened" else "S_failsafe")
-        inv_states
-    in
     let report =
       Tolerance.check_with ?limit ~engine restricted ~spec
         ~invariant:invariant' ~init:inv_states ~faults ~tol:Spec.Failsafe
@@ -623,43 +801,41 @@ let gated_rank0 ts_span ~target needs =
    corrections rather than global resets.  Backward layering from the
    target assigns each state a rank; the synthesized recovery action moves
    to a strictly smaller rank, so convergence is cycle-free by
-   construction.  The list order is the tie-breaking order of the layering
+   construction.  The order is the tie-breaking order of the layering
    (first qualifying candidate wins), so it must be deterministic; the
    two-variable composition is deduplicated because a second step over the
    same variable re-emits one-variable states (or the origin itself), and
-   different step orders reach the same state twice. *)
-let neighbors ~step_vars p st =
-  let decls = Program.var_decls p in
+   different step orders reach the same state twice.  The steps come as a
+   sequence, so a scan that stops at its first qualifying step builds no
+   state past it; each traversal deduplicates afresh. *)
+let neighbor_seq ~step_vars p st =
+  let decls = List.to_seq (Program.var_decls p) in
   let single_from base =
-    List.concat_map
+    Seq.flat_map
       (fun (x, d) ->
-        List.filter_map
+        Seq.filter_map
           (fun value ->
             if Value.equal (State.get base x) value then None
             else Some (State.set base x value))
-          (Domain.values d))
+          (List.to_seq (Domain.values d)))
       decls
   in
-  let single = single_from st in
-  if step_vars <= 1 then single
-  else begin
+  if step_vars <= 1 then single_from st
+  else fun () ->
     let seen = State_tbl.create 64 in
     State_tbl.replace seen st ();
-    let emit acc st' =
-      if State_tbl.mem seen st' then acc
-      else begin
-        State_tbl.replace seen st' ();
-        st' :: acc
-      end
+    let fresh st' =
+      (not (State_tbl.mem seen st'))
+      && begin
+           State_tbl.replace seen st' ();
+           true
+         end
     in
-    let acc = List.fold_left emit [] single in
-    let acc =
-      List.fold_left
-        (fun acc st1 -> List.fold_left emit acc (single_from st1))
-        acc single
-    in
-    List.rev acc
-  end
+    Seq.filter fresh
+      (Seq.append (single_from st) (Seq.flat_map single_from (single_from st)))
+      ()
+
+let neighbors ~step_vars p st = List.of_seq (neighbor_seq ~step_vars p st)
 
 (* [neighbors] by rank arithmetic on a layout-built span.  Each of [p]'s
    declared variables, in declaration order, is an axis: its stride and
@@ -697,64 +873,137 @@ let axes layout p =
   in
   all [] (Program.var_decls p)
 
-(* The span indices of the in-span neighbors of the state of rank [r], in
-   [neighbors] order.  Allocates its own list: worker domains call it
-   concurrently. *)
-let rank_neighbors axes ~step_vars ts r =
-  let acc = ref [] in
-  let emit r' =
-    let j = Ts.index_of_rank ts r' in
-    if j >= 0 then acc := j :: !acc
-  in
-  let code a = r / a.stride mod a.size in
-  let steps a c from f =
-    Array.iter
-      (fun c' -> if c' <> c then f (from + ((c' - c) * a.stride)))
-      a.codes
-  in
+(* Raised by [emit] when [stop] accepts a step. *)
+exception Stop
+
+(* [emit ts buf k stop r']: when [ts] holds the state of rank [r'], write
+   its index to [buf.(k)] and raise [Stop] if [stop] accepts it; the new
+   length. *)
+let emit ts buf k stop r' =
+  let j = Ts.index_of_rank ts r' in
+  if j < 0 then k
+  else begin
+    buf.(k) <- j;
+    if stop j then raise_notrace Stop;
+    k + 1
+  end
+
+(* Write the span indices of the in-span neighbors of the state of rank
+   [r] into [buf], in [neighbors] order, until [stop] accepts one.
+   Returns how many were written, or [lnot k] when [stop] accepted
+   [buf.(k)].  Plain loops over the axes, so nothing is allocated. *)
+let rank_neighbors axes ~step_vars ts r buf stop =
   let n = Array.length axes in
-  Array.iter (fun a -> steps a (code a) r emit) axes;
-  if step_vars > 1 then
+  let k = ref 0 in
+  try
     for x = 0 to n - 1 do
       let a = axes.(x) in
-      steps a (code a) r (fun r1 ->
-          for y = x + 1 to n - 1 do
-            let b = axes.(y) in
-            steps b (code b) r1 emit
-          done)
+      let c = r / a.stride mod a.size in
+      for t = 0 to Array.length a.codes - 1 do
+        let c' = a.codes.(t) in
+        if c' <> c then k := emit ts buf !k stop (r + ((c' - c) * a.stride))
+      done
     done;
-  Array.of_list (List.rev !acc)
+    if step_vars > 1 then
+      for x = 0 to n - 1 do
+        let a = axes.(x) in
+        let c = r / a.stride mod a.size in
+        for t = 0 to Array.length a.codes - 1 do
+          let c' = a.codes.(t) in
+          if c' <> c then begin
+            let r1 = r + ((c' - c) * a.stride) in
+            for y = x + 1 to n - 1 do
+              let b = axes.(y) in
+              let cb = r / b.stride mod b.size in
+              for u = 0 to Array.length b.codes - 1 do
+                let c'' = b.codes.(u) in
+                if c'' <> cb then
+                  k := emit ts buf !k stop (r1 + ((c'' - cb) * b.stride))
+              done
+            done
+          end
+        done
+      done;
+    !k
+  with Stop -> lnot !k
 
-(* [candidate_steps ~step_vars p ts]: for each state index of [ts], the
-   indices of its [neighbors] that [ts] holds, in order; and the test of
-   a state index holding a value outside [p]'s declared domains, [None]
-   when every declared domain covers its layout slot (then no state of
-   [ts] does).  Rank arithmetic on a layout-built system; the state-based
-   [neighbors] and domain test only for a system without layout ranks
-   (the reference engine). *)
+type steps = {
+  capacity : int;
+  fill : int -> int array -> int;
+  first : int -> int array -> (int -> bool) -> int;
+  outside : (int -> bool) option;
+}
+
+(* The most candidate steps a state of [p] can have: one per declared
+   value of each variable, plus one per pair of values of two distinct
+   variables when [step_vars] exceeds 1. *)
+let capacity ~step_vars p =
+  let sizes = List.map (fun (_, d) -> Domain.size d) (Program.var_decls p) in
+  let single = List.fold_left ( + ) 0 sizes in
+  let rec pairs acc = function
+    | [] -> acc
+    | s :: rest -> pairs (acc + (s * List.fold_left ( + ) 0 rest)) rest
+  in
+  if step_vars <= 1 then single else single + pairs 0 sizes
+
+(* [candidate_steps ~step_vars p ts]: [fill i buf] writes the indices of
+   state [i]'s [neighbors] that [ts] holds into [buf], in order, and
+   returns how many ([buf] needs [capacity] slots); [first i buf ok] is
+   the first of them that [ok] accepts ([-1]: none), enumerating no step
+   past it; [outside] tests a state index for a value outside [p]'s
+   declared domains, [None] when every declared domain covers its layout
+   slot (then no state of [ts] does).  Rank arithmetic on a layout-built
+   system; the state-based [neighbors] and domain test only for a system
+   without layout ranks (the reference engine). *)
 let candidate_steps ~step_vars p ts =
-  match Option.bind (Ts.layout ts) (fun layout -> axes layout p) with
-  | Some axes ->
-    let outside i =
-      let r = Ts.rank_of ts i in
-      Array.exists
-        (fun a -> not (Array.mem (r / a.stride mod a.size) a.codes))
-        axes
-    in
-    ( (fun i -> rank_neighbors axes ~step_vars ts (Ts.rank_of ts i)),
+  let capacity = capacity ~step_vars p in
+  let axes = Option.bind (Ts.layout ts) (fun layout -> axes layout p) in
+  let scan =
+    match axes with
+    | Some axes ->
+      fun i buf stop ->
+        rank_neighbors axes ~step_vars ts (Ts.rank_of ts i) buf stop
+    | None ->
+      fun i buf stop ->
+        let rec go k steps =
+          match steps () with
+          | Seq.Nil -> k
+          | Seq.Cons (st, rest) -> (
+            match Ts.index_of ts st with
+            | None -> go k rest
+            | Some j ->
+              buf.(k) <- j;
+              if stop j then lnot k else go (k + 1) rest)
+        in
+        go 0 (neighbor_seq ~step_vars p (Ts.state ts i))
+  in
+  let outside =
+    match axes with
+    | Some axes ->
       if Array.for_all (fun a -> Array.length a.codes = a.size) axes then None
-      else Some outside )
-  | None ->
-    let decls = Program.var_decls p in
-    let outside i =
-      let st = Ts.state ts i in
-      List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls
-    in
-    ( (fun i ->
-        neighbors ~step_vars p (Ts.state ts i)
-        |> List.filter_map (Ts.index_of ts)
-        |> Array.of_list),
-      Some outside )
+      else
+        Some
+          (fun i ->
+            let r = Ts.rank_of ts i in
+            Array.exists
+              (fun a -> not (Array.mem (r / a.stride mod a.size) a.codes))
+              axes)
+    | None ->
+      let decls = Program.var_decls p in
+      Some
+        (fun i ->
+          let st = Ts.state ts i in
+          List.exists (fun (x, d) -> not (Domain.mem (State.get st x) d)) decls)
+  in
+  {
+    capacity;
+    fill = (fun i buf -> scan i buf (fun _ -> false));
+    first =
+      (fun i buf ok ->
+        let k = scan i buf ok in
+        if k < 0 then buf.(lnot k) else -1);
+    outside;
+  }
 
 type recovery = {
   moves : int; (* states given a recovery transition *)
@@ -799,9 +1048,10 @@ let recovery_action ts_span move =
 
 (* [synthesize_recovery ~allowed ~target p ts_span]: rank the span states
    by backward BFS from the target set over allowed candidate steps, then
-   build the recovery action "move one layer closer".  Returns the states
-   that cannot reach the target (minimal first) and whether the anti-undo
-   veto rejected any otherwise-qualifying candidate.
+   build the recovery action "move one layer closer".  Returns the least
+   state (by [State.compare]) that cannot reach the target, if any, and
+   whether the anti-undo veto rejected any otherwise-qualifying
+   candidate.
 
    [banned] is the repair loop's hard edge veto.  [use_undo] additionally
    vetoes any step [s -> t] the program can immediately undo (the program
@@ -817,9 +1067,11 @@ let recovery_action ts_span move =
    recovery is unrestricted.
 
    Ranks and chosen moves live in [int] arrays indexed by span state, and
-   so do [banned], [forced] and [rank0].  Neighbor lists are resolved to
-   index arrays once (memoized; by rank arithmetic on a layout-built span,
-   see [candidate_steps]), and each
+   so do [banned], [forced] and [rank0].  A state's candidate steps are
+   recomputed into one reused buffer whenever they are needed (by rank
+   arithmetic on a layout-built span, see [candidate_steps]), not cached,
+   and the frontier, a level's candidates and their chosen moves are
+   preallocated [int] arrays: nothing is allocated per state.  Each
    level scans only the frontier — the unranked neighbors of the states
    ranked at the previous level — instead of rescanning the whole span.
    The candidate relation is symmetric on in-domain span states (a one-
@@ -827,10 +1079,13 @@ let recovery_action ts_span move =
    outcome can only change when one of its neighbors acquires a rank,
    which is exactly when the frontier re-queues it; the ranks and chosen
    moves therefore coincide with those of a full rescan per level.
-   Ranks are only written once a level's scans are done. *)
+   Ranks are only written once a level's scans are done, and the loop
+   stops once every state is ranked (then no state can be a candidate:
+   with every state self-convergent, the target's rank-0 seed is the
+   whole span). *)
 let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
     ?(use_undo = false) ?(forced = fun _ -> false) ?repair_allowed ~rank0
-    ~fault_ids ~allowed ~target p ts_span =
+    ~is_fault ~closure_disabled ~allowed ~target p ts_span =
   Obs.span "synth.recovery"
     ~attrs:[ Attr.int "states" (Ts.num_states ts_span) ]
   @@ fun () ->
@@ -838,28 +1093,45 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let unranked = max_int in
   let rank = Array.make n unranked in
   let move = Array.make n (-1) in
-  let neigh = Array.make n None in
   let undo_fired = ref false in
-  let is_fault = Array.make (Ts.num_actions ts_span) false in
-  List.iter (fun a -> is_fault.(a) <- true) fault_ids;
   (* [undone i j]: the program has the span transition [j -> i].  The
      span is closed under the composed program, so its non-fault edges
      are exactly the program's successor pairs: scan [j]'s out-edges. *)
+  let undo_to = ref 0 and undo_seen = ref false in
+  let on_undo_edge aid k =
+    if k = !undo_to && not is_fault.(aid) then undo_seen := true
+  in
   let undone i j =
     use_undo
-    && Ts.fold_out ts_span j
-         (fun found aid k -> found || (k = i && not is_fault.(aid)))
-         false
+    && begin
+         undo_to := i;
+         undo_seen := false;
+         Ts.iter_out ts_span j on_undo_edge;
+         !undo_seen
+       end
   in
-  let steps, outside = candidate_steps ~step_vars p ts_span in
-  let neighbors_of i =
-    match neigh.(i) with
-    | Some a -> a
-    | None ->
-      Detcor_robust.Budget.tick ();
-      let a = steps i in
-      neigh.(i) <- Some a;
-      a
+  let steps = candidate_steps ~step_vars p ts_span in
+  let buf = Array.make steps.capacity 0 in
+  (* [first_step i qualifies]: the first of [i]'s candidate steps [j] that
+     [qualifies i j], is not banned and is not undone ([-1]: none); a
+     vetoed undo is recorded.  The test reads its source and condition
+     from two cells, so it is allocated once. *)
+  let source = ref 0 and condition = ref (fun _ _ -> false) in
+  let accepts j =
+    let i = !source in
+    !condition i j
+    && (not (banned i j))
+    &&
+    if undone i j then begin
+      undo_fired := true;
+      false
+    end
+    else true
+  in
+  let first_step i qualifies =
+    source := i;
+    condition := qualifies;
+    steps.first i buf accepts
   in
   (* Symmetry fails at span states holding a value outside [p]'s declared
      domains: they see in-domain neighbors that cannot see them back, so
@@ -867,17 +1139,18 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
      a full rescan would.  A layout-built span whose slots the declared
      domains cover has none. *)
   let one_way =
-    match outside with
-    | None -> []
+    match steps.outside with
+    | None -> [||]
     | Some outside ->
       let acc = ref [] in
       for i = n - 1 downto 0 do
         if outside i then acc := i :: !acc
       done;
-      !acc
+      Array.of_list !acc
   in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"synth.recovery" in
-  let frontier = ref [] in
+  (* The frontier: the states ranked at the previous level. *)
+  let front = Array.make n 0 and front_len = ref 0 in
   let level = ref 0 in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Done data) ->
@@ -887,100 +1160,99 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   | Some (Detcor_robust.Checkpoint.Midway data) ->
     (* Ranks through level [ld] plus the frontier of states ranked [ld]:
        the layering loop continues from the next level. *)
-    let r, m, front, ld =
+    let r, m, f, ld =
       (Marshal.from_string data 0 : int array * int array * int array * int)
     in
     Array.blit r 0 rank 0 n;
     Array.blit m 0 move 0 n;
-    frontier := Array.to_list front;
+    Array.blit f 0 front 0 (Array.length f);
+    front_len := Array.length f;
     level := ld
   | None ->
-    for i = n - 1 downto 0 do
+    for i = 0 to n - 1 do
       if Bitset.get rank0 i then begin
         rank.(i) <- 0;
-        frontier := i :: !frontier
+        front.(!front_len) <- i;
+        incr front_len
       end
     done);
-  (* Captures fire from [neighbors_of] ticks, which always run with
-     [level] pre-incremented for a level whose rank writes have not yet
-     happened — so ranks-through-[level - 1] and the previous frontier
-     are a consistent pair. *)
+  (* Captures fire from the level's ticks, which run with [level]
+     pre-incremented for a level whose rank writes have not yet happened
+     and with [front] still holding the previous level's states — so
+     ranks-through-[level - 1] and that frontier are a consistent pair. *)
   Detcor_robust.Checkpoint.set_capture phase (fun () ->
       Marshal.to_string
-        (Array.copy rank, Array.copy move, Array.of_list !frontier, !level - 1)
+        (rank, move, Array.sub front 0 !front_len, !level - 1)
         []);
+  (* A level's candidates in queueing order, and the move each chose. *)
+  let cands = Array.make n 0 and chosen = Array.make n 0 in
+  let num_cands = ref 0 in
   let queued = Array.make n (-1) in
+  let enqueue i =
+    if rank.(i) = unranked && queued.(i) <> !level then begin
+      queued.(i) <- !level;
+      cands.(!num_cands) <- i;
+      incr num_cands
+    end
+  in
+  let descends i j = rank.(j) < !level && allowed i j in
   let ranked = ref 0 in
   Array.iter (fun r -> if r <> unranked then incr ranked) rank;
   (Progress.with_phase "synth.recovery"
      (fun () -> [ ("ranked", !ranked); ("levels", !level) ])
    @@ fun () ->
-   while !frontier <> [] do
+   while !front_len > 0 && !ranked < n do
      incr level;
-     let lvl = !level in
-     let front = Array.of_list !frontier in
-     let candidates = ref [] in
-     let enqueue i =
-       if rank.(i) = unranked && queued.(i) <> lvl then begin
-         queued.(i) <- lvl;
-         candidates := i :: !candidates
+     num_cands := 0;
+     for f = 0 to !front_len - 1 do
+       Detcor_robust.Budget.tick ();
+       let len = steps.fill front.(f) buf in
+       for t = 0 to len - 1 do
+         enqueue buf.(t)
+       done
+     done;
+     Array.iter enqueue one_way;
+     for c = 0 to !num_cands - 1 do
+       Detcor_robust.Budget.tick ();
+       chosen.(c) <- first_step cands.(c) descends
+     done;
+     front_len := 0;
+     for c = 0 to !num_cands - 1 do
+       if chosen.(c) >= 0 then begin
+         let i = cands.(c) in
+         rank.(i) <- !level;
+         move.(i) <- chosen.(c);
+         incr ranked;
+         front.(!front_len) <- i;
+         incr front_len
        end
-     in
-     Array.iter (fun j -> Array.iter enqueue (neighbors_of j)) front;
-     List.iter enqueue one_way;
-     let cands = Array.of_list !candidates in
-     let choose i =
-       let nb = neighbors_of i in
-       let len = Array.length nb in
-       let rec first t =
-         if t >= len then -1
-         else
-           let j = nb.(t) in
-           if rank.(j) < lvl && allowed i j && not (banned i j) then
-             if undone i j then begin
-               undo_fired := true;
-               first (t + 1)
-             end
-             else j
-           else first (t + 1)
-       in
-       first 0
-     in
-     let chosen = Array.map choose cands in
-     let newly = ref [] in
-     Array.iteri
-       (fun k i ->
-         if chosen.(k) >= 0 then begin
-           rank.(i) <- lvl;
-           move.(i) <- chosen.(k);
-           incr ranked;
-           newly := i :: !newly
-         end)
-       cands;
-     frontier := !newly
+     done
    done);
-  Detcor_robust.Checkpoint.complete phase (Marshal.to_string (rank, move) []);
+  (* The completed payload is the pure ranking, marshalled only by a save
+     that persists it; the repair pass below writes [move] again, so a
+     session keeps a copy.  The repair reruns deterministically on
+     resume. *)
+  let ranked_moves =
+    if Detcor_robust.Checkpoint.active () then Array.copy move else move
+  in
+  Detcor_robust.Checkpoint.complete_with phase (fun () ->
+      Marshal.to_string (rank, ranked_moves) []);
   (* Deadlock-target repair (see the function comment).  Both passes make
      per-state decisions that depend only on the precomputed [stalled]
-     set, so the iteration order is immaterial.  The completed checkpoint
-     holds the pure ranking, and the repair reruns deterministically on
-     resume. *)
+     set, so the iteration order is immaterial. *)
   let repair_allowed =
     match repair_allowed with Some f -> f | None -> allowed
   in
   (* [p] is deadlocked at span state [i] when none of the span's
-     non-fault actions (exactly [p]'s) is enabled there.  Their enabled
-     sets are fetched once, when a first state needs them. *)
-  let program_bits =
-    lazy
-      (List.filter_map
-         (fun aid ->
-           if is_fault.(aid) then None
-           else Some (Ts.enabled_bitset ts_span aid))
-         (List.init (Ts.num_actions ts_span) Fun.id))
-  in
+     non-fault actions (exactly [p]'s) is enabled there: its row holds no
+     program edge and no closure-built program action is enabled (see
+     [closure_disabled], built once per span by the caller). *)
+  let program_edge = ref false in
+  let on_edge aid _ = if not is_fault.(aid) then program_edge := true in
   let deadlocked i =
-    List.for_all (fun bits -> not (Bitset.get bits i)) (Lazy.force program_bits)
+    program_edge := false;
+    Ts.iter_out ts_span i on_edge;
+    (not !program_edge) && closure_disabled i
   in
   let stalled = Array.make n false in
   for i = 0 to n - 1 do
@@ -991,44 +1263,41 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   done;
   let target_bits = Ts.pred_bitset ts_span target in
   let repair_pass ~relax =
+    (* Destinations must satisfy the real target (not merely rank 0): a
+       repaired move starts inside the target region, and a step to a
+       self-convergent state outside it would break the invariant's
+       closure. *)
+    let qualifies i j =
+      Bitset.get target_bits j
+      && (relax || not stalled.(j))
+      && repair_allowed i j
+    in
     for i = 0 to n - 1 do
       if stalled.(i) && move.(i) < 0 then begin
-        let nb = neighbors_of i in
-        let len = Array.length nb in
-        let rec first t =
-          if t >= len then -1
-          else
-            let j = nb.(t) in
-            (* Destinations must satisfy the real target (not merely
-               rank 0): a repaired move starts inside the target region,
-               and a step to a self-convergent state outside it would
-               break the invariant's closure. *)
-            if
-              Bitset.get target_bits j
-              && (relax || not stalled.(j))
-              && repair_allowed i j
-              && not (banned i j)
-            then
-              if undone i j then begin
-                undo_fired := true;
-                first (t + 1)
-              end
-              else j
-            else first (t + 1)
-        in
-        let j = first 0 in
+        let j = first_step i qualifies in
         if j >= 0 then move.(i) <- j
       end
     done
   in
   repair_pass ~relax:false;
   repair_pass ~relax:true;
-  let unrecoverable = ref [] in
-  for i = n - 1 downto 0 do
-    if rank.(i) = unranked then
-      unrecoverable := Ts.state ts_span i :: !unrecoverable
+  (* The least unranked state: by rank on a layout-built span, whose rank
+     order is [State.compare] order (see [Layout]), so one state is
+     built; by [State.compare] on a reference-built span, which holds its
+     states. *)
+  let before =
+    match Ts.layout ts_span with
+    | Some _ -> fun i j -> Ts.rank_of ts_span i < Ts.rank_of ts_span j
+    | None ->
+      fun i j -> State.compare (Ts.state ts_span i) (Ts.state ts_span j) < 0
+  in
+  let least = ref (-1) in
+  for i = 0 to n - 1 do
+    if rank.(i) = unranked && (!least < 0 || before i !least) then least := i
   done;
-  let unrecoverable = List.sort State.compare !unrecoverable in
+  let unrecoverable =
+    if !least < 0 then None else Some (Ts.state ts_span !least)
+  in
   let moves =
     Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 move
   in
@@ -1062,14 +1331,14 @@ let attempt_ladder ~step_vars ~synth =
   in
   let rec go last = function
     | [] -> (
-      match last with Some (st :: _) -> Error st | _ -> assert false)
+      match last with Some st -> Error st | None -> assert false)
     | (use_undo, sv) :: rest -> (
       let recovery, unrecoverable, undo_fired =
         synth ~use_undo ~step_vars:sv
       in
       match unrecoverable with
-      | [] -> Ok recovery
-      | _ :: _ ->
+      | None -> Ok recovery
+      | Some _ ->
         (* Dropping the veto can only change the outcome if the veto
            rejected something. *)
         let rest =
@@ -1077,7 +1346,7 @@ let attempt_ladder ~step_vars ~synth =
             List.filter (fun (u, v) -> u || v <> sv) rest
           else rest
         in
-        go (Some unrecoverable) rest)
+        go unrecoverable rest)
   in
   go None attempts
 
@@ -1190,12 +1459,13 @@ let add_nonmasking ?limit ?(engine = Ts.Auto) ?workers:_ ?(step_vars = 1)
       needs_recovery ?limit ~engine p ~target:invariant ts_span
     in
     let rank0 = gated_rank0 ts_span ~target:invariant needs in
-    let fault_ids =
-      Ts.action_ids_of_names ts_span (Fault.action_names faults)
+    let is_fault = fault_actions ts_span faults in
+    let closure_disabled =
+      closure_disabled ts_span ~program:(Array.map not is_fault)
     in
     let synth ~use_undo ~step_vars =
       synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~repair_allowed
-        ~rank0 ~fault_ids ~allowed:(fun _ _ -> true)
+        ~rank0 ~is_fault ~closure_disabled ~allowed:(fun _ _ -> true)
         ~target:invariant p ts_span
     in
     let build recovery =
@@ -1238,16 +1508,12 @@ let add_masking ?limit ?(engine = Ts.Auto) ?workers:_ ?(step_vars = 1)
   @@ fun () ->
   surface_exhaustion @@ fun () ->
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let restricted, added, inv_states, front, weakened =
-    failsafe_core ?limit ~engine ~sspec p ~invariant ~faults
+  let restricted, added, inv_states, invariant', front =
+    failsafe_core ?limit ~engine ~sspec ~name:"S_masking" p ~invariant
+      ~faults
   in
   if inv_states = [] then Error Empty_invariant
   else begin
-    let invariant' =
-      Pred.of_states
-        ~name:(if weakened then "S_masking_weakened" else "S_masking")
-        inv_states
-    in
     let target = match target with Some t -> t | None -> invariant' in
     let ts_span =
       Ts.build ?limit ~engine
@@ -1278,12 +1544,13 @@ let add_masking ?limit ?(engine = Ts.Auto) ?workers:_ ?(step_vars = 1)
       && (not (Bitset.get ms_span j))
       && not (bad_tr i j)
     in
-    let span_fault_ids =
-      Ts.action_ids_of_names ts_span (Fault.action_names faults)
+    let is_fault = fault_actions ts_span faults in
+    let closure_disabled =
+      closure_disabled ts_span ~program:(Array.map not is_fault)
     in
     let synth ~use_undo ~step_vars =
       synthesize_recovery ~step_vars ~banned ~use_undo ~forced ~rank0
-        ~fault_ids:span_fault_ids ~allowed ~target restricted ts_span
+        ~is_fault ~closure_disabled ~allowed ~target restricted ts_span
     in
     let build recovery =
       Program.add_actions restricted [ recovery.action ]

@@ -22,8 +22,9 @@
 
     Each phase has one implementation: the [ms]/[mt] fixpoints, detection
     guards, invariant recomputation and recovery layering run on integer
-    state indices (bitsets, reverse-CSR adjacency, frontier queues) over
-    the {!Detcor_semantics.Ts} API,
+    state indices and layout ranks (bitsets, reverse-CSR adjacency,
+    [int]-array worklists and frontiers) over the {!Detcor_semantics.Ts}
+    API,
     whichever engine built the explored system.  [?engine] only chooses
     that builder, so synthesis over the reference, packed and sharded
     builders yields identical programs and reports. *)
@@ -64,21 +65,33 @@ type result = {
     The list order is the layering tie-break order (deterministic). *)
 val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
 
-(** [candidate_steps ~step_vars p ts] is, for each state index [i] of
-    [ts], the indices of [neighbors ~step_vars p (Ts.state ts i)] that
-    [ts] holds, in the same order; and the test of whether state [i]
-    holds a value outside [p]'s declared domains, [None] when every
-    declared domain of [p] covers its slot of [ts]'s layout (then no
-    state of [ts] does).  On a system with a layout the steps and the
-    test are rank arithmetic, [rank + (c' - c) · stride] per changed
-    variable, and build no state; on a system without one (the reference
-    engine) the steps are {!neighbors} resolved through
-    {!Detcor_semantics.Ts.index_of}, and the test is [Some]. *)
+(** A state's candidate recovery steps, by state index of one system. *)
+type steps = {
+  capacity : int;
+      (** no state has more candidate steps: the length [fill] needs *)
+  fill : int -> int array -> int;
+      (** [fill i buf] writes the indices of
+          [neighbors ~step_vars p (Ts.state ts i)] that [ts] holds into
+          [buf], from slot 0 and in the same order, and returns how many;
+          it allocates nothing on a system with a layout *)
+  first : int -> int array -> (int -> bool) -> int;
+      (** [first i buf ok]: the first index [fill i buf] would write that
+          [ok] accepts, or [-1]; it enumerates no step past that one, and
+          uses [buf] as [fill] does *)
+  outside : (int -> bool) option;
+      (** whether state [i] holds a value outside [p]'s declared domains;
+          [None] when every declared domain of [p] covers its slot of
+          [ts]'s layout (then no state of [ts] does) *)
+}
+
+(** [candidate_steps ~step_vars p ts]: the candidate steps of [ts]'s
+    states.  On a system with a layout the steps and the test are rank
+    arithmetic, [rank + (c' - c) · stride] per changed variable, and
+    build no state; on a system without one (the reference engine) the
+    steps are {!neighbors} resolved through
+    {!Detcor_semantics.Ts.index_of}, and [outside] is [Some]. *)
 val candidate_steps :
-  step_vars:int ->
-  Program.t ->
-  Detcor_semantics.Ts.t ->
-  (int -> int array) * (int -> bool) option
+  step_vars:int -> Program.t -> Detcor_semantics.Ts.t -> steps
 
 (** Strengthen every action with its weakest detection predicate for the
     [ms/mt]-extended safety specification; recompute the invariant.

@@ -10,7 +10,10 @@
    End-to-end: a ring5 fault-span build interrupted twice by a state
    budget and resumed from its snapshot converges to a system
    structurally identical to the uninterrupted build, from which p over
-   the span derives as from the uninterrupted one. *)
+   the span derives as from the uninterrupted one; and the synthesis
+   fixpoints [synth.recovery] and [synth.ms], interrupted mid-loop by a
+   budget tripping after a chosen number of checkpoints and resumed from
+   their [Midway] payloads, reach the uninterrupted outcome. *)
 
 module Checkpoint = Detcor_robust.Checkpoint
 module Error = Detcor_robust.Error
@@ -366,6 +369,169 @@ let test_resume_derives () =
   Alcotest.(check (list string)) "same p enabled sets" (enabled p) (enabled p')
 
 (* ------------------------------------------------------------------ *)
+(* Synthesis fixpoints interrupted mid-loop, resumed.                  *)
+(* ------------------------------------------------------------------ *)
+
+module Synthesize = Detcor_synthesis.Synthesize
+
+(* One run of [synth] under a session that writes [snap] (resuming
+   [resume] if given), with a fresh budget whose cooperative
+   checkpoints trip after [trip] slow-path calls (the tick hook's
+   cadence), as a budget running out there would.  Returns the outcome
+   and how many slow-path calls the run made. *)
+let synthesis_leg ?resume ?trip ~snap ~label synth =
+  let fingerprint = Checkpoint.digest [ "test"; "synthesis resume"; label ] in
+  Checkpoint.start ~interval:3600.0 ~write:snap ?resume ~fingerprint ();
+  let calls = ref 0 in
+  Budget.set_tick_hook (fun () ->
+      incr calls;
+      match trip with
+      | Some n when !calls > n ->
+        raise
+          (Error.Detcor_error
+             (Error.Resource
+                { Error.kind = Error.Time; spent = !calls; budget = n }))
+      | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Budget.set_tick_hook ignore;
+      Checkpoint.stop ())
+  @@ fun () ->
+  let outcome = Budget.with_budget (Budget.make ()) synth in
+  (outcome, !calls)
+
+(* The entry a snapshot holds for [step]: 0 none, 1 mid-loop, 2 done. *)
+let entry_state path step =
+  let _, entries = Checkpoint.read_file ~path in
+  match
+    Array.find_opt (fun (e : Checkpoint.entry) -> e.step = step) entries
+  with
+  | None -> 0
+  | Some e -> if e.complete then 2 else 1
+
+(* The smallest [n] in [lo, hi] where [pred] holds ([pred hi] does). *)
+let first_true pred lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if pred mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Two synthesis outcomes agree: same reports, names and counts, and
+   the synthesized programs [p [] F] explored from their recomputed
+   invariants are identical systems (recovery edges included). *)
+let same_synthesis ~faults a b =
+  let failure f = Fmt.str "%a" Synthesize.pp_failure f in
+  match (a, b) with
+  | Ok (a : Synthesize.result), Ok (b : Synthesize.result) ->
+    let span (r : Synthesize.result) =
+      Ts.build
+        (Detcor_core.Fault.compose r.program faults)
+        ~from:(Tolerance.init_states r.program ~invariant:r.invariant)
+    in
+    let report r = Fmt.str "%a" Tolerance.pp_report r in
+    report a.report = report b.report
+    && Detcor_kernel.Pred.name a.invariant = Detcor_kernel.Pred.name b.invariant
+    && a.recovery_states = b.recovery_states
+    && a.repair_iterations = b.repair_iterations
+    && List.map fst a.added_detectors = List.map fst b.added_detectors
+    && Util.ts_equal (span a) (span b)
+  | Error f, Error g -> failure f = failure g
+  | _ -> false
+
+(* Interrupt the first [kind] phase of [synth] mid-loop and resume it.
+   An uninterrupted run gives the outcome, the phase's step and the
+   number of slow-path calls.  Over trip points, the snapshot's entry
+   for that step goes from absent to mid-loop to done, so two binary
+   searches bracket the trip points inside the loop, and the midpoint
+   one interrupts it.  The run resumed from that [Midway] payload must
+   reach the uninterrupted outcome. *)
+let resume_midway ~label ~faults ~kind synth () =
+  with_temp @@ fun snap ->
+  with_temp @@ fun snap' ->
+  let label = label ^ " " ^ kind in
+  let expected, calls = synthesis_leg ~snap ~label synth in
+  let _, entries = Checkpoint.read_file ~path:snap in
+  let step =
+    match
+      List.find_opt
+        (fun (e : Checkpoint.entry) -> e.kind = kind)
+        (List.sort
+           (fun (a : Checkpoint.entry) b -> compare a.step b.step)
+           (Array.to_list entries))
+    with
+    | Some e -> e.step
+    | None -> Alcotest.fail (Fmt.str "%s: no %s phase" label kind)
+  in
+  let states = Hashtbl.create 16 in
+  let state n =
+    match Hashtbl.find_opt states n with
+    | Some st -> st
+    | None ->
+      ignore (synthesis_leg ~trip:n ~snap ~label synth);
+      let st = entry_state snap step in
+      Hashtbl.add states n st;
+      st
+  in
+  let enter = first_true (fun n -> state n >= 1) 0 calls in
+  let leave = first_true (fun n -> state n >= 2) enter calls in
+  if enter >= leave then
+    Alcotest.fail (Fmt.str "%s: no trip point inside the loop" label);
+  let trip = (enter + leave) / 2 in
+  let interrupted, _ = synthesis_leg ~trip ~snap ~label synth in
+  (match interrupted with
+  | Error (Synthesize.Exhausted _) -> ()
+  | _ -> Alcotest.fail (Fmt.str "%s: the trip did not interrupt" label));
+  Alcotest.(check int) (label ^ ": snapshot holds the phase mid-loop") 1
+    (entry_state snap step);
+  let resumed_before = Metrics.counter_value_by_name "robust.phases_resumed" in
+  let resumed, _ = synthesis_leg ~resume:snap ~snap:snap' ~label synth in
+  Alcotest.(check bool) (label ^ ": phases resumed") true
+    (Metrics.counter_value_by_name "robust.phases_resumed" > resumed_before);
+  Alcotest.(check bool) (label ^ ": resumed outcome = uninterrupted") true
+    (same_synthesis ~faults expected resumed)
+
+let byz4 = lazy (Detcor_lang.Elaborate.load_file "../examples/dc/byz4.dc")
+
+(* Every ring5 span state converges on its own, so its nonmasking
+   layering seeds rank 0 with the whole span and runs no level: the
+   layering cases are byz4's, whose spans rank in five or six levels. *)
+let midway_cases =
+  let nonmasking (e : Detcor_lang.Elaborate.elaborated) =
+    Synthesize.add_nonmasking e.program ~spec:e.spec ~invariant:e.invariant
+      ~faults:e.faults
+  in
+  let masking ?step_vars (e : Detcor_lang.Elaborate.elaborated) =
+    Synthesize.add_masking ?step_vars e.program ~spec:e.spec
+      ~invariant:e.invariant ~faults:e.faults
+  in
+  let failsafe (e : Detcor_lang.Elaborate.elaborated) =
+    Synthesize.add_failsafe e.program ~spec:e.spec ~invariant:e.invariant
+      ~faults:e.faults
+  in
+  List.map
+    (fun (label, model, kind, synth) ->
+      Alcotest.test_case
+        (Fmt.str "%s: %s interrupted mid-loop resumes" label kind)
+        `Slow
+        (fun () ->
+          let e = Lazy.force model in
+          resume_midway ~label ~faults:e.Detcor_lang.Elaborate.faults ~kind
+            (fun () -> synth e)
+            ()))
+    [
+      ("byz4 nonmasking", byz4, "synth.recovery", nonmasking);
+      ("byz4 masking", byz4, "synth.recovery", masking ?step_vars:None);
+      ("byz4 masking", byz4, "synth.ms", masking ?step_vars:None);
+      ("ring5 fail-safe", ring5, "synth.ms", failsafe);
+      ( "byz4 masking, step_vars 2",
+        byz4,
+        "synth.recovery",
+        masking ~step_vars:2 );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Serve result-cache keying.                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,4 +629,5 @@ let suite =
         test_resume_derives;
       Alcotest.test_case "version-1 snapshots refused" `Quick
         test_old_format_refused;
-    ] )
+    ]
+    @ midway_cases )

@@ -1032,11 +1032,14 @@ let test_reset10_enumeration () =
 
 (* Recovery layering's candidate steps by rank arithmetic against the
    state-based [Synthesize.neighbors], as ordered index lists, for one-
-   and two-variable steps.  The spans come from every store that keeps
-   layout ranks: a BFS store (its interning table), the full product
-   (identity ranks) and the sharded store.  The DSL declares its
-   variables in another order than the layout's slots, so the
-   declaration-order tie-break is exercised. *)
+   and two-variable steps, read through the buffer-filling [fill] into
+   one reused buffer of [capacity] slots.  The spans come from every
+   store that keeps layout ranks: a BFS store (its interning table), the
+   full product (identity ranks) and the sharded store.  The DSL declares
+   its variables in another order than the layout's slots, so the
+   declaration-order tie-break is exercised.  A reference-built span
+   covers the state-based path, including the states of a program whose
+   actions escape its declared domains. *)
 let prop_rank_steps =
   Util.qtest ~count:60 "rank-arithmetic candidate steps = neighbors" dsl_arb
     (fun src ->
@@ -1051,6 +1054,7 @@ let prop_rank_steps =
             (fun () -> Ts.build ~engine:Ts.Packed p ~from);
             (fun () -> Util.product ~engine:Ts.Packed p);
             (fun () -> Ts.build ~engine:Ts.Sharded p ~from);
+            (fun () -> Ts.build ~engine:Ts.Reference p ~from);
           ]
       in
       let module S = Detcor_synthesis.Synthesize in
@@ -1058,8 +1062,10 @@ let prop_rank_steps =
         (fun ts ->
           List.for_all
             (fun step_vars ->
-              let steps, outside = S.candidate_steps ~step_vars p ts in
-              (Option.is_none outside
+              let steps = S.candidate_steps ~step_vars p ts in
+              let buf = Array.make steps.capacity (-1) in
+              (Ts.layout ts = None
+              || Option.is_none steps.outside
               || QCheck.Test.fail_report "domains do not cover slots")
               && List.for_all
                    (fun i ->
@@ -1067,7 +1073,9 @@ let prop_rank_steps =
                        S.neighbors ~step_vars p (Ts.state ts i)
                        |> List.filter_map (Ts.index_of ts)
                      in
-                     let got = Array.to_list (steps i) in
+                     let got =
+                       Array.to_list (Array.sub buf 0 (steps.fill i buf))
+                     in
                      expected = got
                      || QCheck.Test.fail_reportf
                           "%s, step_vars %d, state %d: [%a] vs [%a]"
