@@ -5,7 +5,7 @@
    constructions of Section 6, and the theory itself.  This harness
    regenerates each of those artifacts as a claims table (experiments
    E1-E9 of DESIGN.md/EXPERIMENTS.md), then checks that the engine,
-   synthesis, monitoring, checkpoint, telemetry and sharded-engine paths
+   synthesis, monitoring, checkpoint, telemetry and shard-store paths
    agree with their reference paths (E10b-E16).  Every row prints
    [match] or [MISMATCH]; any mismatch exits 1.  Wall-clock timing of
    the toolkit lives in bench/perf; the only timings here are the three
@@ -874,18 +874,18 @@ let table_telemetry () =
   overhead_row "byz4" ~iters:20 byz4
 
 (* ------------------------------------------------------------------ *)
-(* E16 / Table 9h: the out-of-core sharded engine.                     *)
+(* E16 / Table 9h: the out-of-core shard store.                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Verdict and span agreement between the packed and sharded engines on
+(* Verdict and span agreement between the flat and shard stores on
    substrates too big for the per-property differential suite (Byzantine
-   n=7, distributed reset n=10), with the sharded engine spilling to
-   disk.  The engine's scale claim (a 16.7M-state ring12 fail-safe check
-   under a bounded arena, where the packed engine trips the same heap
+   n=7, distributed reset n=10), the shard store selected by a spill
+   directory.  The store's scale claim (a 16.7M-state ring12 fail-safe
+   check under a bounded arena, where the flat store trips the same heap
    budget) is gated on the shipped binary by CI's "Sharded big-substrate
    smoke run". *)
 let table_scale () =
-  section "Table 9h (E16): out-of-core sharded engine";
+  section "Table 9h (E16): out-of-core shard store";
   let module Ts = Detcor_semantics.Ts in
   let spill_dir =
     let d =
@@ -903,9 +903,9 @@ let table_scale () =
       f
   in
   let identity name ~tol p ~spec ~invariant ~faults =
-    let run engine = Tolerance.check ~engine p ~spec ~invariant ~faults ~tol in
-    let r_pk = run Ts.Auto in
-    let r_sh = with_spill (fun () -> run Ts.Sharded) in
+    let run () = Tolerance.check p ~spec ~invariant ~faults ~tol in
+    let r_pk = run () in
+    let r_sh = with_spill run in
     check (name ^ ": sharded verdict and span agree with packed") true
       (Tolerance.verdict r_pk = Tolerance.verdict r_sh
       && r_pk.Tolerance.span_size = r_sh.Tolerance.span_size);

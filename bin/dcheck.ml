@@ -129,18 +129,6 @@ let with_errors ~path k =
     Fmt.epr "dcheck: state budget exhausted (exploration exceeded --limit %d)@."
       n;
     3
-  | Detcor_semantics.Layout.Unrepresentable ->
-    (* Only the strict engines raise this: [auto] falls back instead. *)
-    let module Layout = Detcor_semantics.Layout in
-    let why =
-      match Layout.escape_reason () with
-      | Some e -> Fmt.str "%a" Layout.pp_escape e
-      | None -> "the product space overflows the packed rank range"
-    in
-    Fmt.epr "dcheck: the chosen engine needs a layout, but %s (use --engine \
-             auto|reference)@."
-      why;
-    2
   | Value.Type_error m ->
     Fmt.epr "dcheck: type error: %s@." m;
     2
@@ -237,9 +225,14 @@ type engine_opts = {
 let engine_conv =
   let parse = function
     | "auto" -> Ok Detcor_semantics.Ts.Auto
-    | "packed" -> Ok Detcor_semantics.Ts.Packed
     | "reference" -> Ok Detcor_semantics.Ts.Reference
-    | "sharded" -> Ok Detcor_semantics.Ts.Sharded
+    | ("packed" | "sharded") as s ->
+      Error
+        (`Msg
+          (Fmt.str
+             "engine %S was removed: auto picks the store; pass \
+              --spill-dir DIR for the out-of-core one"
+             s))
     | s -> Error (`Msg (Fmt.str "unknown engine %S" s))
   in
   let print ppf e = Fmt.string ppf (Detcor_semantics.Ts.engine_name e) in
@@ -252,12 +245,10 @@ let engine_term =
       & opt engine_conv Detcor_semantics.Ts.Auto
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Exploration engine: $(b,auto) (packed with reference \
-             fallback), $(b,packed), $(b,reference), or $(b,sharded) — \
-             the out-of-core engine whose state and edge arenas are cut \
-             into one segment per BFS level, spilled to disk under \
-             $(b,--spill-dir), for explorations past RAM.  All engines \
-             produce identical verdicts and state numbering.")
+            "Exploration engine: $(b,auto) (a packed store, out-of-core \
+             under $(b,--spill-dir), with reference fallback) or \
+             $(b,reference).  Both produce identical verdicts and state \
+             numbering.")
   in
   let spill_dir_arg =
     Arg.(
@@ -265,11 +256,12 @@ let engine_term =
       & opt (some string) None
       & info [ "spill-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory for the sharded engine's spill files (checksummed \
-             segment arenas, reloaded on demand).  A run removes the files \
-             it wrote when it exits, unless $(b,--checkpoint) is set: the \
-             snapshots refer to them.  Without it the sharded engine keeps \
-             all arenas resident.")
+            "Explore out of core: state and edge arenas are cut into one \
+             segment per BFS level, and sealed segments past \
+             $(b,--shard-arena-mb) spill to checksummed files in $(docv), \
+             reloaded on demand, for explorations past RAM.  A run removes \
+             the files it wrote when it exits, unless $(b,--checkpoint) is \
+             set: the snapshots refer to them.")
   in
   let arena_mb_arg =
     Arg.(
@@ -277,9 +269,9 @@ let engine_term =
       & opt nat_conv 512
       & info [ "shard-arena-mb" ] ~docv:"MB"
           ~doc:
-            "Resident arena budget of the sharded engine, in MiB; sealed \
+            "Resident arena budget of the out-of-core store, in MiB; sealed \
              segments past it are spilled (least recently used first).  \
-             Only enforced when $(b,--spill-dir) is set.")
+             Only read when $(b,--spill-dir) is set.")
   in
   let make engine spill_dir arena_mb = { engine; spill_dir; arena_mb } in
   Term.(const make $ engine_arg $ spill_dir_arg $ arena_mb_arg)
@@ -293,7 +285,7 @@ let memory_budget_arg =
           "Heap budget for the whole run, in MiB; exhaustion exits 3 (a \
            final checkpoint is still written when armed).")
 
-(* Install the process-wide sharded-engine parameters and return the
+(* Install the process-wide shard-store parameters and return the
    engine choice for the ?engine arguments downstream. *)
 let apply_engine eo =
   Detcor_semantics.Ts.set_spill_defaults ~spill_dir:eo.spill_dir
@@ -636,7 +628,7 @@ let info_cmd =
         (Fault.compose e.program e.faults)
         ~from:e.invariant
     in
-    Fmt.pr "  engine:        %s@." (Ts.engine_name (Ts.engine_of ts));
+    Fmt.pr "  engine:        %s@." (Ts.store_name ts);
     (match Ts.shard_stats ts with
     | None -> ()
     | Some (spills, bytes, reloads) ->
@@ -645,7 +637,7 @@ let info_cmd =
     (match Ts.fallback_reason ts with
     | None -> ()
     | Some reason ->
-      Fmt.pr "  WARNING: packed engine fell back to reference: %s@." reason);
+      Fmt.pr "  WARNING: layout store fell back to reference: %s@." reason);
     0
   in
   Cmd.v

@@ -48,8 +48,5 @@ let compose p f =
     (Fmt.str "(%s [] %s)" (Program.name p) f.name)
     (Program.parallel p fault_prog)
 
-(* Variables of [p [] F]: program variables plus aux fault variables. *)
-let composed_vars p f = Program.var_decls (compose p f)
-
 let pp ppf f =
   Fmt.pf ppf "fault-class %s (%d actions)" f.name (List.length f.actions)

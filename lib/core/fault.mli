@@ -24,5 +24,4 @@ val corrupt_variable : ?guard:Pred.t -> string -> Domain.t -> t
     only p-fair and p-maximal, which the tolerance checkers respect. *)
 val compose : Program.t -> t -> Program.t
 
-val composed_vars : Program.t -> t -> (string * Domain.t) list
 val pp : t Fmt.t

@@ -178,33 +178,15 @@ let liveness_under_faults ~ts_pf ~ts_p liveness =
 (* The invariant states.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The invariant states of the product space.  The reference engine keeps
-   the seed behaviour (materialize the product list, then filter); the
-   packed engines enumerate through the program's layout
-   ([Compiled.iter_satisfying]: an invariant with an expression prunes
-   slot prefixes it decides false, so the work tracks |S| rather than the
-   product), building only the states that satisfy it.  The span records
-   |S| ([states]) and the enumeration's visited nodes ([nodes]). *)
+(* The invariant states of the product space, enumerated as [Ts.of_pred]
+   enumerates its seeds ([Ts.satisfying_states]).  The span records |S|
+   ([states]) and the enumeration's visited nodes ([nodes]). *)
 let m_enum_nodes = Metrics.counter "engine.enum.nodes"
 
-let init_states ?(engine = Ts.Auto) p ~invariant =
+let init_states ?engine p ~invariant =
   Obs.span "tolerance.init_states" @@ fun () ->
   let nodes0 = Metrics.counter_value m_enum_nodes in
-  let reference () = List.filter (Pred.holds invariant) (Program.states p) in
-  let states =
-    match engine with
-    | Ts.Reference -> reference ()
-    | Ts.Packed | Ts.Auto | Ts.Sharded -> (
-      match Layout.of_program p with
-      | Some layout ->
-        let acc = ref [] in
-        Compiled.iter_satisfying layout invariant (fun rank ->
-            acc := Layout.unpack layout rank :: !acc);
-        List.rev !acc
-      | None ->
-        if engine = Ts.Auto then reference ()
-        else raise Layout.Unrepresentable)
-  in
+  let states = Ts.satisfying_states ?engine p invariant in
   if Obs.on () then
     Obs.annotate
       [

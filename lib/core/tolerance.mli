@@ -72,11 +72,8 @@ val refines_from :
   invariant:Pred.t ->
   Ts.t * Check.outcome
 
-(** The product-space states satisfying the invariant.  With the packed
-    engines they are enumerated through the program's {!Layout}
-    ({!Compiled.iter_satisfying}: an invariant with an expression prunes
-    the slot prefixes it decides) instead of filtered from the product
-    list.  Recorded as the [tolerance.init_states] span, annotated with
+(** The product-space states satisfying the invariant, enumerated as
+    {!Ts.of_pred} enumerates its seeds ({!Ts.satisfying_states}).  Recorded as the [tolerance.init_states] span, annotated with
     [states] (|S|) and [nodes] (the enumeration nodes visited). *)
 val init_states :
   ?engine:Ts.engine ->

@@ -109,8 +109,6 @@ let of_states ?(name = "<state-set>") states =
 
 (* Semantic comparisons are relative to an explicit universe of states. *)
 
-let holds_everywhere p universe = List.for_all p.eval universe
-
 let implies_on ~universe a b =
   List.for_all (fun st -> (not (a.eval st)) || b.eval st) universe
 

@@ -75,8 +75,6 @@ val disj : t list -> t
 (** [of_states states] is the predicate "member of [states]". *)
 val of_states : ?name:string -> State.t list -> t
 
-val holds_everywhere : t -> State.t list -> bool
-
 (** [implies_on ~universe a b] checks [a ⇒ b] over every state of the
     universe. *)
 val implies_on : universe:State.t list -> t -> t -> bool

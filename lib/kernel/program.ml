@@ -43,13 +43,6 @@ let variables p = List.map (fun vd -> vd.var_name) p.vars
 
 let var_decls p = List.map (fun vd -> (vd.var_name, vd.domain)) p.vars
 
-let domain_of p x =
-  let rec find = function
-    | [] -> None
-    | vd :: rest -> if String.equal vd.var_name x then Some vd.domain else find rest
-  in
-  find p.vars
-
 let find_action p name =
   List.find_opt (fun ac -> String.equal (Action.name ac) name) p.actions
 

@@ -13,7 +13,6 @@ val name : t -> string
 val actions : t -> Action.t list
 val variables : t -> string list
 val var_decls : t -> (string * Domain.t) list
-val domain_of : t -> string -> Domain.t option
 val find_action : t -> string -> Action.t option
 val with_name : string -> t -> t
 val add_actions : t -> Action.t list -> t

@@ -55,5 +55,3 @@ let level_int = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 (* [level_geq a b]: is [a] at least as severe as [b]? *)
 let level_geq a b = level_int a >= level_int b
-
-let pp_level ppf l = Fmt.string ppf (level_to_string l)

@@ -25,5 +25,3 @@ val level_of_string : string -> level option
 
 (** [level_geq a b]: is [a] at least as severe as [b]? *)
 val level_geq : level -> level -> bool
-
-val pp_level : Format.formatter -> level -> unit

@@ -70,14 +70,6 @@ let gauge name =
 
 let set_gauge g v = Atomic.set g.g_cell v
 
-let max_gauge g v =
-  (* Lock-free max: retry while we hold a smaller value. *)
-  let rec go () =
-    let cur = Atomic.get g.g_cell in
-    if v > cur && not (Atomic.compare_and_set g.g_cell cur v) then go ()
-  in
-  go ()
-
 let gauge_value g = Atomic.get g.g_cell
 
 (* Default buckets: 1-2-5 decades, wide enough for ns timings and for

@@ -17,9 +17,6 @@ val counter_value : counter -> int
 val gauge : string -> gauge
 val set_gauge : gauge -> int -> unit
 
-(** Raise the gauge to [v] if larger (lock-free compare-and-set loop). *)
-val max_gauge : gauge -> int -> unit
-
 val gauge_value : gauge -> int
 
 (** Register (or replace) a sampled gauge: [fn] runs at snapshot and

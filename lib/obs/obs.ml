@@ -73,16 +73,19 @@ let span ?(attrs = []) name f =
        Allocation is everything the mutator allocated inside the span
        (minor + direct-major, promotions excluded to avoid double
        counting); both deltas ride the End record as ordinary integer
-       attrs, which [Profile] already sums per span name. *)
-    let gc0 = Gc.quick_stat () in
+       attrs, which [Profile] already sums per span name.  Minor words
+       come from [Gc.minor_words], exact at any point: [quick_stat]'s
+       count only advances at a minor collection, so a span that
+       allocates less than the minor heap would read 0. *)
+    let gc0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
     Fun.protect
       ~finally:(fun () ->
         (match !stack with
         | top :: rest when top == fr -> stack := rest
         | _ -> () (* unbalanced exit: keep going, the trace stays readable *));
-        let gc1 = Gc.quick_stat () in
+        let gc1 = Gc.quick_stat () and minor1 = Gc.minor_words () in
         let alloc_words =
-          gc1.Gc.minor_words -. gc0.Gc.minor_words
+          minor1 -. minor0
           +. (gc1.Gc.major_words -. gc0.Gc.major_words)
           -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
         in

@@ -48,11 +48,12 @@ let magic = "DCSNAP01"
 
 (* Version 2: the [ts.bfs] payload holds its edge columns as [Bytes]
    (16-bit labels, 32-bit targets) where version 1 held [int array]s.
-   [Marshal] is not type-safe, so an older file is refused here rather
-   than misread.  Those columns are native-endian words, which [Marshal]
-   copies as raw bytes, so the file also records its writer's byte
-   order, and a host of the other order refuses it. *)
-let format_version = 2
+   Version 3: the [synth.recovery] payloads carry the anti-undo veto
+   flag.  [Marshal] is not type-safe, so an older file is refused here
+   rather than misread.  The edge columns are native-endian words, which
+   [Marshal] copies as raw bytes, so the file also records its writer's
+   byte order, and a host of the other order refuses it. *)
+let format_version = 3
 
 type entry = { step : int; kind : string; complete : bool; data : string }
 
@@ -302,9 +303,6 @@ let pulse () =
   | Some s when s.write_path <> None && on_owner s ->
     if Int64.sub (Obs.now_ns ()) s.last_save_ns >= min_gap s then save s
   | _ -> ()
-
-let save_now () =
-  match !current with Some s when on_owner s -> save s | _ -> ()
 
 let stop () =
   (match !current with Some s when on_owner s -> save s | _ -> ());

@@ -52,10 +52,6 @@ val armed : unit -> bool
     No-op when disarmed or on a non-owner domain. *)
 val pulse : unit -> unit
 
-(** Save unconditionally (e.g. when a budget trip is about to become
-    exit code 3).  Write failures are swallowed as usual. *)
-val save_now : unit -> unit
-
 val default_interval : float
 
 (** {1 Phases} *)
@@ -82,7 +78,7 @@ val set_capture : phase -> (unit -> string) -> unit
 
 (** Record the phase's final payload and deregister its capture.  Not
     calling this (e.g. when unwinding on a budget trip) leaves the
-    capture registered, which is what lets the final {!save_now}
+    capture registered, which is what lets the final save of {!stop}
     persist mid-loop state. *)
 val complete : phase -> string -> unit
 

@@ -71,10 +71,6 @@ let violation ts (v : Check.violation) =
           })
         (to_state ts first))
 
-let of_outcome ts = function
-  | Check.Holds | Check.Unknown _ -> None
-  | Check.Fails v -> violation ts v
-
 let pp ppf e =
   Fmt.pf ppf "@[<v>%s:@,%a%a@]" e.description Trace.pp e.prefix
     Fmt.(

@@ -15,5 +15,4 @@ val to_state : Ts.t -> State.t -> Trace.t option
 (** Witness for a violation found on this system. *)
 val violation : Ts.t -> Check.violation -> t option
 
-val of_outcome : Ts.t -> Check.outcome -> t option
 val pp : t Fmt.t

@@ -1,6 +1,6 @@
-(* Level-segmented, disk-spillable state storage for the sharded engine.
+(* Level-segmented, disk-spillable state storage: the out-of-core store.
 
-   The packed engine interns every state and edge into one pair of RAM
+   The flat store interns every state and edge into one pair of RAM
    arenas, which caps explorations at what the heap holds.  This store
    keeps the same data as a sequence of level-aligned *segments*, one
    per BFS level:
@@ -19,7 +19,7 @@
      array once it fills enough of it;
    - the BFS interns each successor as it is found, in (source gid,
      successor position) order — exactly the interning order of the
-     packed engine, which is what keeps the numbering byte-identical.
+     flat store, which is what keeps the numbering byte-identical.
 
    A state's global id (gid) is its position in the store: segments
    hold consecutive gid ranges, so the segment of a gid is a binary
@@ -270,7 +270,7 @@ let deser_seg s data =
 
 type t = {
   limit : int;
-  spill_dir : string option;
+  spill_dir : string;
   arena_budget : int;
   fingerprint : string;
   name : string; (* this store's part of its spill file names *)
@@ -345,9 +345,7 @@ let spill_stats t = (t.spill_count, t.spill_bytes, t.reload_count)
 (* ------------------------------------------------------------------ *)
 
 let seg_path t level =
-  match t.spill_dir with
-  | None -> Detcor_robust.Error.internal "Shard_store: spill without a directory"
-  | Some dir -> Filename.concat dir (Fmt.str "dcshard-%s-l%d.seg" t.name level)
+  Filename.concat t.spill_dir (Fmt.str "dcshard-%s-l%d.seg" t.name level)
 
 (* Drop a sealed segment's arrays, writing the spill file first if this
    is its first eviction.  A failed write keeps the segment resident —
@@ -388,27 +386,25 @@ let try_spill_seg t seg =
    fit the budget again.  [keep] protects the segment the caller is
    about to read. *)
 let maybe_evict ?keep t =
-  if t.spill_dir <> None then begin
-    let continue = ref (t.resident_bytes > t.arena_budget) in
-    while !continue do
-      let victim = ref None in
-      Array.iter
-        (fun seg ->
-          if
-            seg.sealed && seg.resident
-            && (match keep with Some s -> s != seg | None -> true)
-            && (match !victim with None -> true | Some v -> seg.stamp < v.stamp)
-          then victim := Some seg)
-        t.segs;
-      match !victim with
-      | Some seg ->
-        let before = t.resident_bytes in
-        try_spill_seg t seg;
-        continue :=
-          t.resident_bytes > t.arena_budget && t.resident_bytes < before
-      | None -> continue := false
-    done
-  end
+  let continue = ref (t.resident_bytes > t.arena_budget) in
+  while !continue do
+    let victim = ref None in
+    Array.iter
+      (fun seg ->
+        if
+          seg.sealed && seg.resident
+          && (match keep with Some s -> s != seg | None -> true)
+          && (match !victim with None -> true | Some v -> seg.stamp < v.stamp)
+        then victim := Some seg)
+      t.segs;
+    match !victim with
+    | Some seg ->
+      let before = t.resident_bytes in
+      try_spill_seg t seg;
+      continue :=
+        t.resident_bytes > t.arena_budget && t.resident_bytes < before
+    | None -> continue := false
+  done
 
 let touch t seg =
   t.clock <- t.clock + 1;
@@ -598,10 +594,10 @@ let iter_edges t f =
 (* Snapshot and restore.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* With a spill directory, force-spill every sealed segment (first
-   spills write their file; re-spills just drop arrays) so the snapshot
-   is a small manifest of file references plus the open, still-dirty
-   rank column; without one, segment payloads ride inline.  The dedup
+(* Force-spill every sealed segment (first spills write their file;
+   re-spills just drop arrays) so the snapshot is a small manifest of
+   file references plus the open, still-dirty rank column; a segment
+   whose spill write failed rides inline.  The dedup
    map is never serialized: the restore scan rebinds every rank from
    the segment rank columns and the open column, in gid order, which
    rebuilds it exactly.  (Spilling the dedup map to a side file would
@@ -609,8 +605,7 @@ let iter_edges t f =
    manifest the resume loads, and a stale entry aliases an unknown state
    to a gid the resumed run never assigned instead of interning it.) *)
 let snapshot t =
-  if t.spill_dir <> None then
-    Array.iter (fun seg -> if seg.sealed && seg.resident then try_spill_seg t seg) t.segs;
+  Array.iter (fun seg -> if seg.sealed && seg.resident then try_spill_seg t seg) t.segs;
   let vb = Vbuf.create 4096 in
   Vbuf.put_u vb t.n;
   Vbuf.put_u vb t.edges;

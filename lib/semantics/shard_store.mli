@@ -1,5 +1,5 @@
-(** Level-segmented, disk-spillable state storage for the sharded
-    engine of {!Ts}.
+(** Level-segmented, disk-spillable state storage: the out-of-core
+    store of {!Ts}, used when a spill directory is set.
 
     States (as {!Layout} ranks) live in one sequence of level-aligned
     segments: a segment's rank column fills when a BFS level is
@@ -10,7 +10,7 @@
     directory and reloaded on demand, keeping the resident arena bytes
     under a budget.  A state's global id is its position in the store,
     assigned as the BFS interns successors, in (source gid, successor
-    position) order, which reproduces the packed engine's numbering
+    position) order, which reproduces the flat store's numbering
     exactly.  Dedup is one {!Rank_map} over the layout space.
 
     Every store names its spill files apart from every other store's,
@@ -28,15 +28,15 @@ type t
 exception Limit of int
 
 (** [create ~layout ~limit ~spill_dir ~arena_budget ~fingerprint ()]: an
-    empty store.  [arena_budget] bounds resident sealed-segment bytes —
-    only enforced when [spill_dir] is given.  [fingerprint] is written
+    empty store spilling under the directory [spill_dir].  [arena_budget]
+    bounds resident sealed-segment bytes.  [fingerprint] is written
     into every spill file and checked on reload.  [on_intern] runs once
     per newly interned state (the live-metrics hook). *)
 val create :
   ?on_intern:(unit -> unit) ->
   layout:Layout.t ->
   limit:int ->
-  spill_dir:string option ->
+  spill_dir:string ->
   arena_budget:int ->
   fingerprint:string ->
   unit ->
@@ -87,9 +87,9 @@ val out_degree : t -> int -> int
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 
 (** Serialize the store at a level barrier: the segment manifest (file
-    references for spilled segments — all sealed segments, when a spill
-    directory is set — inline payloads otherwise), the open column and
-    counters. *)
+    references for spilled segments, which are all sealed segments whose
+    spill write succeeded; inline payloads otherwise), the open column
+    and counters. *)
 val snapshot : t -> string
 
 (** Rebuild a store from {!snapshot} output.  Sealed arenas are reread
@@ -100,7 +100,7 @@ val restore :
   ?on_intern:(unit -> unit) ->
   layout:Layout.t ->
   limit:int ->
-  spill_dir:string option ->
+  spill_dir:string ->
   arena_budget:int ->
   fingerprint:string ->
   string ->

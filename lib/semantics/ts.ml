@@ -9,10 +9,13 @@
    of another explored system when it cannot derive (below) — runs one
    pipeline:
 
-   - one dispatcher ([construct]) picks the store for the requested engine
-     and owns the [Auto] fallback;
+   - one dispatcher ([construct]) picks the store — the flat one, the
+     shard store when a spill directory is set, the reference path when
+     no layout holds the states — and owns the fallback;
    - one seed enumerator ([seed_ranks]) yields the seeds as ascending,
      duplicate-free [Layout] ranks (rank order is [State.compare] order);
+     its predicate enumeration also lists a program's invariant states
+     ([satisfying_states]);
    - one successor kernel ([successors]) yields (action, successor rank)
      for a source state of known rank, in action order.  Actions built
      from update lists (every guarded-command program) run compiled
@@ -119,7 +122,7 @@ module State_table = Hashtbl.Make (struct
   let hash = State.hash
 end)
 
-type engine = Auto | Packed | Reference | Sharded
+type engine = Auto | Reference
 
 (* How a system holds its states.  A layout-built store keeps ranks only
    and decodes a state on demand; the reference engine keeps the states
@@ -565,9 +568,10 @@ let build_packed ~limit k program seeds =
 (* Shard store: level-segmented, disk-spillable arenas.                *)
 (* ------------------------------------------------------------------ *)
 
-(* Process-wide parameters for the sharded engine — threaded here rather
+(* Process-wide parameters of the shard store — threaded here rather
    than through every [?engine] signature in [Tolerance]/[Synthesize];
-   [dcheck] sets them once from its flags before dispatching. *)
+   [dcheck] sets them once from its flags before dispatching.  A spill
+   directory is what selects the store. *)
 let spill_params = ref ((None : string option), 512)
 
 let set_spill_defaults ~spill_dir ~arena_budget_mb =
@@ -591,10 +595,10 @@ let spill_defaults () = !spill_params
    taken at the last completed barrier; resume restores the store there
    and replays the lost level deterministically.  Spill files the
    snapshot names are reused, never rewritten. *)
-let build_sharded ~limit kern program ~seeds =
+let build_sharded ~limit ~spill_dir kern program ~seeds =
   let layout = kern.k_layout in
   let limit = min limit max_states in
-  let spill_dir, budget_mb = !spill_params in
+  let budget_mb = snd !spill_params in
   let arena_budget = budget_mb * 1024 * 1024 in
   let fingerprint =
     Detcor_robust.Checkpoint.digest
@@ -701,11 +705,11 @@ let layout ts =
   | Listed _ -> None
   | Interned (layout, _, _) | Shards (layout, _) -> Some layout
 
-let engine_of ts =
+let store_name ts =
   match ts.store with
-  | Shards _ -> Sharded
-  | Interned _ -> Packed
-  | Listed _ -> Reference
+  | Shards _ -> "sharded"
+  | Interned _ -> "packed"
+  | Listed _ -> "reference"
 
 let fallback_reason ts = ts.fallback_reason
 
@@ -941,17 +945,23 @@ let seed_states program = function
   | Within (span, keep) -> within_states span keep
   | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
 
+let satisfying_states ?(engine = Auto) program pred =
+  let seeds = Satisfying pred in
+  match (engine, Layout.of_program program) with
+  | Auto, Some layout ->
+    Array.fold_right
+      (fun r acc -> Layout.unpack layout r :: acc)
+      (seed_ranks ~limit:max_int layout seeds)
+      []
+  | Reference, _ | Auto, None -> seed_states program seeds
+
 (* ------------------------------------------------------------------ *)
 (* The dispatcher.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let default_engine = Auto
 
-let engine_name = function
-  | Auto -> "auto"
-  | Packed -> "packed"
-  | Reference -> "reference"
-  | Sharded -> "sharded"
+let engine_name = function Auto -> "auto" | Reference -> "reference"
 
 let overflow_reason = "product space size overflows the packed rank range"
 
@@ -970,16 +980,19 @@ let fell_back reason ts =
   end;
   ts
 
+let ran_compiled ts aid = ts.compiled.(aid)
+
 let count_compiled ts =
   Array.fold_left (fun n c -> if c then n + 1 else n) 0 ts.compiled
 
 (* Every construction: refuse a program with more actions than a label
-   column holds, pick the store for [engine], seed it, and annotate the
-   [ts.build] span, on completion, with the size of what was built and
-   how many of its actions ran compiled.
-   [Auto] runs the flat store and falls back to the reference engine when
-   the product overflows the rank range or a state steps outside the
-   declared domains; [Packed] and [Sharded] raise instead. *)
+   column holds, pick the store, seed it, and annotate the [ts.build]
+   span, on completion, with the size of what was built and how many of
+   its actions ran compiled.
+   [Auto] runs the flat store, or the shard store when a spill directory
+   is set, and falls back to the reference engine when the product
+   overflows the rank range or a state steps outside the declared
+   domains. *)
 let construct op ~limit ~engine program seeds =
   let num_actions = List.length (Program.actions program) in
   if num_actions > max_actions then
@@ -1004,23 +1017,21 @@ let construct op ~limit ~engine program seeds =
     closure_guards := k.closure_guards;
     k
   in
-  let flat layout =
-    build_packed ~limit (kernel layout) program
-      (seed_ranks ~limit layout seeds)
+  let ranked layout =
+    let seeds = seed_ranks ~limit layout seeds in
+    let kern = kernel layout in
+    match fst !spill_params with
+    | None -> build_packed ~limit kern program seeds
+    | Some spill_dir -> build_sharded ~limit ~spill_dir kern program ~seeds
   in
   let ts =
     match engine with
     | Reference -> reference ()
-    | Auto | Packed | Sharded -> (
-      match (engine, Layout.of_program program) with
-      | Auto, None -> fell_back overflow_reason (reference ())
-      | _, None -> raise Layout.Unrepresentable
-      | Sharded, Some layout ->
-        build_sharded ~limit (kernel layout) program
-          ~seeds:(seed_ranks ~limit layout seeds)
-      | Packed, Some layout -> flat layout
-      | _, Some layout -> (
-        try flat layout
+    | Auto -> (
+      match Layout.of_program program with
+      | None -> fell_back overflow_reason (reference ())
+      | Some layout -> (
+        try ranked layout
         with Layout.Unrepresentable ->
           fell_back (escape_message ()) (reference ())))
   in
@@ -1218,8 +1229,7 @@ let prefix_of actions span =
    edge rows restricted to those actions are [program]'s successors. *)
 let derivable ~engine program span =
   match (engine, span.store) with
-  | (Auto | Packed), Interned (a, _, _)
-    when prefix_of (Program.actions program) span ->
+  | Auto, Interned (a, _, _) when prefix_of (Program.actions program) span ->
     Option.bind (Layout.of_program program) (fun layout ->
         if Layout.has_signature layout (Layout.signature a) then Some layout
         else None)

@@ -10,24 +10,27 @@
     edge.  Those widths bound every system: see {!max_actions} and
     {!max_states}.
 
-    Three engines build the same structure and produce identical state
-    numbering, edges and initials:
+    Three stores hold the same structure, with identical state
+    numbering, edges and initials ({!store_name} says which built a
+    system).  {!Auto} picks one from what it observes:
 
-    - {!Packed} (chosen by {!Auto} whenever the program's declared domains
-      cover the explored states): a {!Layout} packs each state into a
-      single integer rank, interned in a {!Rank_map}.  The system keeps
-      ranks only: {!state} decodes a rank on demand and {!index_of}
-      packs a state and looks its rank up.
-    - {!Reference}: the seed list-based path (map-keyed interning of the
-      states themselves), kept as the fallback for programs whose actions
-      step outside their declared domains and as the oracle for
-      differential testing.  It is the only engine whose systems hold
-      states.
-    - {!Sharded}: the out-of-core engine for explorations past RAM — rank
-      and CSR arenas are cut into one segment per BFS level, and sealed
-      segments spill to checksummed files under a spill directory (see
-      {!set_spill_defaults}), reloading on demand.  Exploration order is
-      identical to {!Packed}; only residency differs.
+    - [packed], the flat store (whenever the program's declared domains
+      cover the explored states and no spill directory is set): a
+      {!Layout} packs each state into a single integer rank, interned in
+      a {!Rank_map}.  The system keeps ranks only: {!state} decodes a
+      rank on demand and {!index_of} packs a state and looks its rank up.
+    - [sharded], the out-of-core store (the same condition, with a spill
+      directory set by {!set_spill_defaults}): rank and CSR arenas are
+      cut into one segment per BFS level, and sealed segments spill to
+      checksummed files under the spill directory past the arena budget,
+      reloading on demand.  Exploration order is the flat store's; only
+      residency differs.
+    - [reference]: the seed list-based path (map-keyed interning of the
+      states themselves), the fallback for programs whose product
+      overflows the rank range or whose actions step outside their
+      declared domains ({!fallback_reason} says which), and, forced by
+      {!Reference}, the oracle for differential testing.  It is the only
+      store whose systems hold states.
 
     On every engine, predicate and guard sets are cached in per-system
     bitsets, so {!holds_at} and {!enabled} answer in O(1) after one
@@ -44,12 +47,11 @@ open Detcor_kernel
 
 type t
 
-(** Engine selection: [Auto] uses the packed engine and falls back to the
-    reference engine when the program's states do not fit a {!Layout};
-    [Packed] insists (raising {!Layout.Unrepresentable} otherwise);
-    [Reference] forces the seed path; [Sharded] (never chosen by [Auto])
-    forces the out-of-core engine and, like [Packed], requires a layout. *)
-type engine = Auto | Packed | Reference | Sharded
+(** Engine selection: [Auto] uses a layout store (the shard store when a
+    spill directory is set, the flat one otherwise) and falls back to
+    the reference engine when the program's states do not fit a
+    {!Layout}; [Reference] forces the seed path. *)
+type engine = Auto | Reference
 
 exception Too_large of int
 
@@ -66,11 +68,11 @@ val max_actions : int
     its [limit]. *)
 val max_states : int
 
-(** Process-wide parameters of the {!Sharded} engine, set once by the
-    CLI before dispatching: the spill directory ([None] keeps all arenas
-    resident — no out-of-core behavior, just the segmented layout), and
-    the resident arena budget in MiB (enforced only when spilling is
-    possible). *)
+(** Process-wide parameters of the shard store, set once by the CLI
+    before dispatching: the spill directory ([Some] makes {!Auto} build
+    every layout-held system in the shard store spilling there; [None]
+    keeps {!Auto} on the flat store), and the resident arena budget in
+    MiB. *)
 val set_spill_defaults : spill_dir:string option -> arena_budget_mb:int -> unit
 
 (** {!set_spill_defaults} for callers written when the store was
@@ -78,8 +80,7 @@ val set_spill_defaults : spill_dir:string option -> arena_budget_mb:int -> unit
 val set_shard_defaults :
   shards:int -> spill_dir:string option -> arena_budget_mb:int -> unit
 
-(** The current sharded-engine parameters:
-    [(spill_dir, arena_budget_mb)]. *)
+(** The current shard-store parameters: [(spill_dir, arena_budget_mb)]. *)
 val spill_defaults : unit -> string option * int
 
 (** [build program ~from] explores forward from the given initial states.
@@ -94,8 +95,8 @@ val build :
     [build program ~from] of the same states.
 
     The system is derived from [span]'s edge rows, with no action run,
-    when [engine] is [Auto] or [Packed], [span] is a flat {!Packed}
-    system, [program]'s layout has [span]'s signature and [program]'s
+    when [engine] is [Auto], [span] is a flat-store system,
+    [program]'s layout has [span]'s signature and [program]'s
     actions are a physical prefix of [span]'s ([Fault.compose] gives
     [p [] F] exactly that): a breadth-first walk of the span's rows with
     the other actions' edges dropped, through the same builder.  Its
@@ -115,6 +116,15 @@ val build_within :
 val of_pred :
   ?limit:int -> ?engine:engine -> Program.t -> from:Pred.t -> t
 
+(** [satisfying_states program pred]: the product states satisfying
+    [pred], in [State.compare] order — the states {!of_pred} seeds from.
+    Under [Auto] they are enumerated through [program]'s {!Layout}, with
+    slot prefixes an expression decides false pruned, so the work tracks
+    the satisfying set rather than the product; under [Reference], or
+    when the product overflows the rank range, the product list is
+    filtered. *)
+val satisfying_states : ?engine:engine -> Program.t -> Pred.t -> State.t list
+
 val program : t -> Program.t
 val num_states : t -> int
 val state : t -> int -> State.t
@@ -124,12 +134,12 @@ val actions : t -> Action.t array
 val num_actions : t -> int
 val action : t -> int -> Action.t
 
-(** The layout compiled for this system, when the packed engine built it. *)
+(** The layout compiled for this system, when a layout store built it. *)
 val layout : t -> Layout.t option
 
-(** Which engine actually built this system ({!Packed}, {!Reference} or
-    {!Sharded}). *)
-val engine_of : t -> engine
+(** Which store actually built this system: ["packed"] (flat),
+    ["sharded"] (out-of-core) or ["reference"]. *)
+val store_name : t -> string
 
 val engine_name : engine -> string
 
@@ -138,8 +148,8 @@ val engine_name : engine -> string
     escaped its declared domain).  [None] when no fallback happened. *)
 val fallback_reason : t -> string option
 
-(** For a sharded system, [(spills, spilled bytes, reloads)]; [None]
-    for the other engines. *)
+(** For a shard-store system, [(spills, spilled bytes, reloads)]; [None]
+    for the other stores. *)
 val shard_stats : t -> (int * int * int) option
 
 val num_edges : t -> int
@@ -177,7 +187,7 @@ val index_of : t -> State.t -> int option
 
 (** {1 Layout ranks}
 
-    On a system built with a {!layout} (packed or sharded), every state
+    On a system built with a {!layout} (flat or shard store), every state
     has a mixed-radix rank under that layout.  These read the builder's
     own data (rank columns and {!Rank_map} interning table, or the shard
     store's columns) and build no state, so synthesis keys its
@@ -234,6 +244,12 @@ val pred_bitset : t -> Pred.t -> Bitset.t
     [engine.enabled_cache].  A closure-built action, and every action of
     a {!Reference} system, has its guard swept, a miss. *)
 val enabled_bitset : t -> int -> Bitset.t
+
+(** [ran_compiled ts aid]: action [aid] ran compiled when [ts] was built,
+    so its guard holds exactly where it labels an edge (see
+    {!enabled_bitset}).  False for a closure-built action, and for every
+    action of a {!Reference} system. *)
+val ran_compiled : t -> int -> bool
 
 (** [enabled ts i aid]: guard of action [aid] true at state [i]. *)
 val enabled : t -> int -> int -> bool

@@ -57,7 +57,6 @@ let compile ?program preds =
   in
   { preds; fns; layout; packed }
 
-let num_preds t = Array.length t.preds
 let pred_names t = Array.map Pred.name t.preds
 let is_packed t = t.packed <> None
 let layout t = t.layout

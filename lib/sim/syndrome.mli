@@ -30,7 +30,6 @@ type t
     state is evaluated directly. *)
 val compile : ?program:Program.t -> Pred.t list -> t
 
-val num_preds : t -> int
 val pred_names : t -> string array
 
 (** Did compilation produce a rank-memoized evaluator? *)

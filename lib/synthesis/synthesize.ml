@@ -410,24 +410,16 @@ let analyse ts ~sspec ~faults ~unexplored p =
    compiled action is enabled only where it labels an edge (see
    [Ts.enabled_bitset]), but a closure-built one can be enabled with no
    edge.  So only closure-built actions' enabled sets are read, each swept
-   once, on first need: on a layout-built [ts] the actions that do not
-   compile against its layout, on a reference-built one every action. *)
+   once, on first need: the actions that did not run compiled when [ts]
+   was built ({!Ts.ran_compiled}), every action on a reference-built
+   one. *)
 let closure_disabled ts ~program =
   let closure_built =
-    lazy
-      (List.filter
-         (fun aid ->
-           program.(aid)
-           &&
-           match Ts.layout ts with
-           | None -> true
-           | Some layout -> Compiled.action layout (Ts.action ts aid) = None)
-         (List.init (Ts.num_actions ts) Fun.id))
+    List.filter
+      (fun aid -> program.(aid) && not (Ts.ran_compiled ts aid))
+      (List.init (Ts.num_actions ts) Fun.id)
   in
-  fun i ->
-    List.for_all
-      (fun aid -> not (Ts.enabled ts i aid))
-      (Lazy.force closure_built)
+  fun i -> List.for_all (fun aid -> not (Ts.enabled ts i aid)) closure_built
 
 (* Recompute the invariant: start from a candidate set, then iteratively
    drop states that the restriction newly deadlocked (states that could
@@ -1152,22 +1144,30 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   (* The frontier: the states ranked at the previous level. *)
   let front = Array.make n 0 and front_len = ref 0 in
   let level = ref 0 in
+  (* Both payloads carry [undo_fired]: the attempt ladder reads it to
+     decide whether the relaxed attempt runs, so a resumed layering must
+     report the veto it had fired. *)
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Done data) ->
-    let r, m = (Marshal.from_string data 0 : int array * int array) in
+    let r, m, fired =
+      (Marshal.from_string data 0 : int array * int array * bool)
+    in
     Array.blit r 0 rank 0 n;
-    Array.blit m 0 move 0 n
+    Array.blit m 0 move 0 n;
+    undo_fired := fired
   | Some (Detcor_robust.Checkpoint.Midway data) ->
     (* Ranks through level [ld] plus the frontier of states ranked [ld]:
        the layering loop continues from the next level. *)
-    let r, m, f, ld =
-      (Marshal.from_string data 0 : int array * int array * int array * int)
+    let r, m, f, ld, fired =
+      (Marshal.from_string data 0
+        : int array * int array * int array * int * bool)
     in
     Array.blit r 0 rank 0 n;
     Array.blit m 0 move 0 n;
     Array.blit f 0 front 0 (Array.length f);
     front_len := Array.length f;
-    level := ld
+    level := ld;
+    undo_fired := fired
   | None ->
     for i = 0 to n - 1 do
       if Bitset.get rank0 i then begin
@@ -1179,10 +1179,12 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   (* Captures fire from the level's ticks, which run with [level]
      pre-incremented for a level whose rank writes have not yet happened
      and with [front] still holding the previous level's states — so
-     ranks-through-[level - 1] and that frontier are a consistent pair. *)
+     ranks-through-[level - 1] and that frontier are a consistent pair.
+     The veto flag only ever turns on, and the replayed level turns it on
+     again wherever the interrupted one did. *)
   Detcor_robust.Checkpoint.set_capture phase (fun () ->
       Marshal.to_string
-        (rank, move, Array.sub front 0 !front_len, !level - 1)
+        (rank, move, Array.sub front 0 !front_len, !level - 1, !undo_fired)
         []);
   (* A level's candidates in queueing order, and the move each chose. *)
   let cands = Array.make n 0 and chosen = Array.make n 0 in
@@ -1235,8 +1237,9 @@ let synthesize_recovery ?(step_vars = 1) ?(banned = fun _ _ -> false)
   let ranked_moves =
     if Detcor_robust.Checkpoint.active () then Array.copy move else move
   in
+  let fired = !undo_fired in
   Detcor_robust.Checkpoint.complete_with phase (fun () ->
-      Marshal.to_string (rank, ranked_moves) []);
+      Marshal.to_string (rank, ranked_moves, fired) []);
   (* Deadlock-target repair (see the function comment).  Both passes make
      per-state decisions that depend only on the precomputed [stalled]
      set, so the iteration order is immaterial. *)

@@ -25,9 +25,10 @@
     state indices and layout ranks (bitsets, reverse-CSR adjacency,
     [int]-array worklists and frontiers) over the {!Detcor_semantics.Ts}
     API,
-    whichever engine built the explored system.  [?engine] only chooses
-    that builder, so synthesis over the reference, packed and sharded
-    builders yields identical programs and reports. *)
+    whichever engine built the explored system.  [?engine] (with the
+    spill directory of {!Detcor_semantics.Ts.set_spill_defaults}) only
+    chooses that builder, so synthesis over the reference, packed and
+    sharded builders yields identical programs and reports. *)
 
 open Detcor_kernel
 open Detcor_spec

@@ -215,31 +215,39 @@ let write_versioned ?(big_endian = Sys.big_endian) ~path ~version
       Printf.fprintf oc "DCSNAP01%016x%016Lx%s" (String.length payload)
         (fnv64 payload) payload)
 
-(* Version 1 held a [ts.bfs] payload's edge columns as [int array]s; this
-   binary reads [Bytes] there, and [Marshal] would not notice.  A version-1
-   file is refused with the located version error, by [read_file] and by a
-   resuming session; the same file written as version 2 is read, unless
-   it records the other byte order (its columns are native-endian). *)
+(* Version 1 held a [ts.bfs] payload's edge columns as [int array]s, and
+   version 2 a [synth.recovery] payload without the veto flag; this
+   binary reads [Bytes] and the flag there, and [Marshal] would not
+   notice.  An older file is refused with the located version error, by
+   [read_file] and by a resuming session; the same file written as
+   version 3 is read, unless it records the other byte order (its
+   columns are native-endian). *)
 let test_old_format_refused () =
   with_temp @@ fun path ->
   let fingerprint = Checkpoint.digest [ "version 1" ] in
   let entries =
     [| { Checkpoint.step = 0; kind = "ts.bfs"; complete = true; data = "" } |]
   in
-  write_versioned ~path ~version:2 ~fingerprint entries;
-  Alcotest.(check bool) "version 2 read back" true
+  write_versioned ~path ~version:3 ~fingerprint entries;
+  Alcotest.(check bool) "version 3 read back" true
     (Checkpoint.read_file ~path = (fingerprint, entries));
-  write_versioned ~path ~version:1 ~fingerprint entries;
-  (match Checkpoint.read_file ~path with
-  | _ -> Alcotest.fail "version 1 accepted"
-  | exception Error.Detcor_error (Error.Snapshot s) ->
-    Alcotest.(check string) "located at the file" path s.path;
-    Alcotest.(check string) "names both versions"
-      "format version 1 (this binary reads 2)" s.msg);
-  expect_snapshot_error "resume from version 1" (fun () ->
-      Checkpoint.start ~resume:path ~fingerprint ());
-  Alcotest.(check bool) "no session left behind" false (Checkpoint.active ());
-  write_versioned ~big_endian:(not Sys.big_endian) ~path ~version:2
+  List.iter
+    (fun version ->
+      write_versioned ~path ~version ~fingerprint entries;
+      (match Checkpoint.read_file ~path with
+      | _ -> Alcotest.failf "version %d accepted" version
+      | exception Error.Detcor_error (Error.Snapshot s) ->
+        Alcotest.(check string) "located at the file" path s.path;
+        Alcotest.(check string) "names both versions"
+          (Fmt.str "format version %d (this binary reads 3)" version)
+          s.msg);
+      expect_snapshot_error
+        (Fmt.str "resume from version %d" version)
+        (fun () -> Checkpoint.start ~resume:path ~fingerprint ());
+      Alcotest.(check bool) "no session left behind" false
+        (Checkpoint.active ()))
+    [ 1; 2 ];
+  write_versioned ~big_endian:(not Sys.big_endian) ~path ~version:3
     ~fingerprint entries;
   expect_snapshot_error "other byte order" (fun () ->
       Checkpoint.read_file ~path)
@@ -409,6 +417,14 @@ let entry_state path step =
   | None -> 0
   | Some e -> if e.complete then 2 else 1
 
+(* The steps a snapshot holds for phases of [kind], ascending. *)
+let steps_of_kind path kind =
+  let _, entries = Checkpoint.read_file ~path in
+  List.sort compare
+    (List.filter_map
+       (fun (e : Checkpoint.entry) -> if e.kind = kind then Some e.step else None)
+       (Array.to_list entries))
+
 (* The smallest [n] in [lo, hi] where [pred] holds ([pred hi] does). *)
 let first_true pred lo hi =
   let lo = ref lo and hi = ref hi in
@@ -452,17 +468,10 @@ let resume_midway ~label ~faults ~kind synth () =
   with_temp @@ fun snap' ->
   let label = label ^ " " ^ kind in
   let expected, calls = synthesis_leg ~snap ~label synth in
-  let _, entries = Checkpoint.read_file ~path:snap in
   let step =
-    match
-      List.find_opt
-        (fun (e : Checkpoint.entry) -> e.kind = kind)
-        (List.sort
-           (fun (a : Checkpoint.entry) b -> compare a.step b.step)
-           (Array.to_list entries))
-    with
-    | Some e -> e.step
-    | None -> Alcotest.fail (Fmt.str "%s: no %s phase" label kind)
+    match steps_of_kind snap kind with
+    | step :: _ -> step
+    | [] -> Alcotest.fail (Fmt.str "%s: no %s phase" label kind)
   in
   let states = Hashtbl.create 16 in
   let state n =
@@ -493,6 +502,64 @@ let resume_midway ~label ~faults ~kind synth () =
     (same_synthesis ~faults expected resumed)
 
 let byz4 = lazy (Detcor_lang.Elaborate.load_file "../examples/dc/byz4.dc")
+
+(* A layering resumed [Done] reports the anti-undo veto it ended with.
+   In [veto_src] the invariant's states (a, b = 0, 0) rank 0 and those
+   at 0, 1 and 1, 0 rank 1.  A state at 1, 1 has one-variable steps to
+   both, and the program undoes each ([up]), so the first nonmasking
+   layering (veto on) leaves those states unrecoverable after the veto
+   rejected a step, and the attempt ladder runs the relaxed layering
+   next, as the following [synth.recovery] step.  The repair pass, which
+   reruns on resume, cannot set the flag again: no invariant state is a
+   deadlock ([spin]).  A run interrupted just after the first layering
+   completes must resume onto the same ladder: the same phases with the
+   same payloads as the uninterrupted run, and its outcome.  A resumed
+   flag of false would skip the relaxed layering and run a two-variable
+   one in its step.  [c] only multiplies the states, so that the run
+   ticks often enough to be interrupted between the two layerings. *)
+let veto_src =
+  "program veto\n\
+   var a : 0..1\n\
+   var b : 0..1\n\
+   var c : 0..127\n\
+   invariant a = 0 && b = 0\n\
+   action up: a != b -> a := 1, b := 1\n\
+   action spin: a = 0 && b = 0 -> c := c\n\
+   fault f: a = 0 && b = 0 -> a := ?, b := ?\n"
+
+let test_resume_after_vetoed_layering () =
+  let e = Detcor_lang.Elaborate.load_string veto_src in
+  let synth () =
+    Synthesize.add_nonmasking e.program ~spec:e.spec ~invariant:e.invariant
+      ~faults:e.faults
+  in
+  let label = "vetoed layering" in
+  with_temp @@ fun snap ->
+  with_temp @@ fun snap' ->
+  let expected, calls = synthesis_leg ~snap ~label synth in
+  let _, phases = Checkpoint.read_file ~path:snap in
+  let first, relaxed =
+    match steps_of_kind snap "synth.recovery" with
+    | first :: relaxed :: _ when relaxed = first + 1 -> (first, relaxed)
+    | _ -> Alcotest.fail "the first layering is not followed by another"
+  in
+  let done_at n =
+    ignore (synthesis_leg ~trip:n ~snap ~label synth);
+    entry_state snap first = 2
+  in
+  let trip = first_true done_at 0 calls in
+  let interrupted, _ = synthesis_leg ~trip ~snap ~label synth in
+  (match interrupted with
+  | Error (Synthesize.Exhausted _) -> ()
+  | _ -> Alcotest.fail "the trip did not interrupt");
+  Alcotest.(check int) "first layering done" 2 (entry_state snap first);
+  Alcotest.(check bool) "relaxed layering not done" true
+    (entry_state snap relaxed < 2);
+  let resumed, _ = synthesis_leg ~resume:snap ~snap:snap' ~label synth in
+  Alcotest.(check bool) "resumed phases = uninterrupted" true
+    (snd (Checkpoint.read_file ~path:snap') = phases);
+  Alcotest.(check bool) "resumed outcome = uninterrupted" true
+    (same_synthesis ~faults:e.faults expected resumed)
 
 (* Every ring5 span state converges on its own, so its nonmasking
    layering seeds rank 0 with the whole span and runs no level: the
@@ -629,5 +696,8 @@ let suite =
         test_resume_derives;
       Alcotest.test_case "version-1 snapshots refused" `Quick
         test_old_format_refused;
+      Alcotest.test_case
+        "nonmasking resumed after a vetoed layering completes" `Quick
+        test_resume_after_vetoed_layering;
     ]
     @ midway_cases )

@@ -115,7 +115,7 @@ let test_bitset () =
 
 let test_pred_cache_coherence () =
   let ts = Util.product program in
-  Alcotest.(check bool) "packed engine used" true (Ts.engine_of ts = Ts.Packed);
+  Alcotest.(check bool) "no fallback" true (Ts.fallback_reason ts = None);
   let pred =
     Pred.make "a && n>0" (fun st ->
         Value.as_bool (State.get st "a") && Value.as_int (State.get st "n") > 0)
@@ -172,16 +172,24 @@ let escaping =
           (fun st -> State.set st "n" (Value.int (Value.as_int (State.get st "n") + 1)));
       ]
 
+(* Auto falls back with the escape as its reason, with or without a
+   spill directory (the shard store refuses the escape as the flat store
+   does). *)
 let test_fallback_on_escape () =
   let from = [ State.of_list [ ("n", Value.int 0) ] ] in
-  let auto = Ts.build ~limit:100 escaping ~from in
-  Alcotest.(check bool) "auto falls back to reference" true
-    (Ts.engine_of auto = Ts.Reference);
   let reference = Ts.build ~limit:100 ~engine:Ts.Reference escaping ~from in
-  Alcotest.(check int) "same states as reference" (Ts.num_states reference)
-    (Ts.num_states auto);
-  Alcotest.check_raises "packed engine refuses" Layout.Unrepresentable
-    (fun () -> ignore (Ts.build ~limit:100 ~engine:Ts.Packed escaping ~from))
+  let falls_back label =
+    let auto = Ts.build ~limit:100 escaping ~from in
+    Alcotest.(check string) (label ^ ": auto falls back to reference")
+      "reference" (Ts.store_name auto);
+    Alcotest.(check (option string)) (label ^ ": the escape is the reason")
+      (Some "variable n escaped its declared domain (value 3)")
+      (Ts.fallback_reason auto);
+    Alcotest.(check bool) (label ^ ": same system as reference") true
+      (Util.ts_equal reference auto)
+  in
+  falls_back "in RAM";
+  Util.with_leg Util.Spilled (fun () -> falls_back "spill dir")
 
 let test_index_of_foreign_state () =
   let ts = Util.product program in
@@ -275,10 +283,10 @@ let test_rank_forms_refused () =
       compiles (compiled moves);
     Alcotest.(check bool) (label ^ ": restricted compiles") compiles
       (compiled restricted);
-    let ts = Util.product ~engine:Ts.Packed p in
-    let ts' =
-      Util.product ~engine:Ts.Packed (with_actions [ twin; twin_restricted ])
-    in
+    let ts = Util.product p in
+    let ts' = Util.product (with_actions [ twin; twin_restricted ]) in
+    Alcotest.(check bool) (label ^ ": no fallback") true
+      (Ts.fallback_reason ts = None && Ts.fallback_reason ts' = None);
     Alcotest.(check bool) (label ^ ": successors") true (Util.ts_equal ts ts');
     Alcotest.(check bool) (label ^ ": pred bitset") true
       (Bitset.equal (Ts.pred_bitset ts ranked)
@@ -299,9 +307,10 @@ let test_rank_forms_refused () =
     ~compiles:false
 
 (* Action ids are 16-bit edge labels.  A program with one action more
-   than that is refused before anything is built, on every engine, with
-   an error that names the ceiling: its last id would otherwise wrap to
-   0.  At the ceiling itself the last action keeps its own id. *)
+   than that is refused before anything is built, on every engine and
+   store, with an error that names the ceiling: its last id would
+   otherwise wrap to 0.  At the ceiling itself the last action keeps its
+   own id. *)
 let test_action_ceiling () =
   let flips k =
     List.init k (fun i ->
@@ -314,12 +323,12 @@ let test_action_ceiling () =
       ~actions:(flips k)
   in
   let from = [ State.of_list [ ("a", Value.bool false) ] ] in
-  let engines = [ Ts.Auto; Ts.Packed; Ts.Reference; Ts.Sharded ] in
   Alcotest.(check int) "ceiling" 65_535 Ts.max_actions;
   let over = program (Ts.max_actions + 1) in
   List.iter
-    (fun engine ->
-      let name = Ts.engine_name engine in
+    (fun ((engine, leg) as b) ->
+      let name = Util.build_name b in
+      Util.with_leg leg @@ fun () ->
       match Ts.build ~engine over ~from with
       | ts ->
         Alcotest.failf "%s: built %d actions" name (Ts.num_actions ts)
@@ -331,16 +340,17 @@ let test_action_ceiling () =
           (name ^ ": names the ceiling: " ^ msg)
           true
           (Util.contains msg "65536 actions exceed the ceiling of 65535"))
-    engines;
+    Util.builds;
   let at = program Ts.max_actions in
   List.iter
-    (fun engine ->
+    (fun ((engine, leg) as b) ->
+      Util.with_leg leg @@ fun () ->
       let ts = Ts.build ~engine at ~from in
       let last = List.nth (Ts.edges_of ts 0) (Ts.max_actions - 1) in
       Alcotest.(check (pair int int))
-        (Ts.engine_name engine ^ ": last edge")
+        (Util.build_name b ^ ": last edge")
         (Ts.max_actions - 1, 1) last)
-    engines
+    Util.builds
 
 (* The heap budget is also consulted between ticks, where a build's heap
    peaks ([Ts.finish], with its blocks and final columns both live):

@@ -233,11 +233,11 @@ let reference_direct ~preds reference =
            (List.init (Ts.num_actions reference) Fun.id))
     (List.init (Ts.num_states reference) Fun.id)
 
-(* [engines_agree ~reference ~seed make]: [make ~engine] builds
-   [reference] under auto, strict packed, and sharded on its resident
-   and spill-forced legs.  The strict engines may refuse the program
-   (Layout.Unrepresentable) only where auto fell back to the reference
-   engine.  Every system also answers its queries as the
+(* [engines_agree ~reference ~seed make]: [make ~engine:Auto] builds
+   [reference] in RAM and with a spill directory, on its resident and
+   spill-forced legs.  A system without a layout says why it fell back,
+   and the shard store falls back exactly where the flat store does,
+   for the same reason.  Every system also answers its queries as the
    reference does ([queries_agree]), for an opaque predicate and a
    state-set predicate drawn from [seed]. *)
 let engines_agree ~reference ~seed make =
@@ -254,20 +254,16 @@ let engines_agree ~reference ~seed make =
     equal_system reference ts && queries_agree ~reference ~preds ts
   in
   let auto = make ~engine:Ts.Auto in
-  let strict build =
-    match build () with
-    | ts -> agree ts
-    | exception Layout.Unrepresentable ->
-      Ts.engine_of auto = Ts.Reference && Ts.fallback_reason auto <> None
+  let like_auto ts =
+    agree ts
+    && (Ts.layout ts = None) = (Ts.fallback_reason ts <> None)
+    && Ts.fallback_reason ts = Ts.fallback_reason auto
   in
   reference_direct ~preds reference
   && queries_agree ~reference ~preds reference
-  && agree auto
-  && strict (fun () -> make ~engine:Ts.Packed)
+  && like_auto auto
   && List.for_all
-       (fun leg ->
-         Util.with_leg leg (fun () ->
-             strict (fun () -> make ~engine:Ts.Sharded)))
+       (fun leg -> Util.with_leg leg (fun () -> like_auto (make ~engine:Ts.Auto)))
        [ Util.Resident; Util.Spilled ]
 
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
@@ -370,29 +366,19 @@ let prop_build_within =
     (fun ((rq, rp), (s1, s2)) ->
       let q = build_program rq and p = build_program rp in
       let where = Option.map pred_of_seed s2 in
-      let attempt f =
-        match f () with ts -> Some ts | exception Layout.Unrepresentable -> None
-      in
       List.for_all
-        (fun engine ->
-          let explore () = Ts.of_pred ~engine q ~from:(pred_of_seed s1) in
-          match attempt explore with
-          | None -> engine = Ts.Sharded
-          | Some span -> (
-            let from =
-              match where with
-              | None -> Ts.states span
-              | Some w -> List.filter (Pred.holds w) (Ts.states span)
-            in
-            match
-              ( attempt (fun () -> Ts.build ~engine p ~from),
-                attempt (fun () -> Ts.build_within ~engine ?where p ~span) )
-            with
-            | Some built, Some within ->
-              equal_system built within && ranks_invert p within
-            | None, None -> true
-            | _ -> false))
-        [ Ts.Auto; Ts.Reference; Ts.Sharded ])
+        (fun (engine, leg) ->
+          Util.with_leg leg @@ fun () ->
+          let span = Ts.of_pred ~engine q ~from:(pred_of_seed s1) in
+          let from =
+            match where with
+            | None -> Ts.states span
+            | Some w -> List.filter (Pred.holds w) (Ts.states span)
+          in
+          let built = Ts.build ~engine p ~from in
+          let within = Ts.build_within ~engine ?where p ~span in
+          equal_system built within && ranks_invert p within)
+        Util.builds)
 
 let prop_checks_identical =
   let arb =
@@ -603,35 +589,40 @@ let interpreted p =
              (fun st -> Action.execute ac st))
          (Program.actions p))
 
-type outcome = Built of Ts.t | Type_error of string | Escaped of string
+type outcome = Built of Ts.t | Type_error of string
 
 let run f =
   match f () with
   | ts -> Built ts
   | exception Value.Type_error m -> Type_error m
-  | exception Layout.Unrepresentable ->
-    Escaped
-      (match Layout.escape_reason () with
-      | Some e -> Fmt.str "%a" Layout.pp_escape e
-      | None -> "?")
 
 let outcome_name = function
-  | Built ts -> Fmt.str "built %a" Ts.pp_stats ts
+  | Built ts ->
+    Fmt.str "built %a%s" Ts.pp_stats ts
+      (match Ts.fallback_reason ts with
+      | Some r -> ", fell back: " ^ r
+      | None -> "")
   | Type_error m -> "type error: " ^ m
-  | Escaped r -> "escape: " ^ r
 
 let same a b =
   match (a, b) with
   | Built x, Built y -> equal_system x y
   | Type_error m, Type_error m' -> String.equal m m'
-  | Escaped r, Escaped r' -> String.equal r r'
   | _ -> false
+
+(* [same], and a fallback of one for the same reason as the other's. *)
+let same_fallback a b =
+  same a b
+  &&
+  match (a, b) with
+  | Built x, Built y -> Ts.fallback_reason x = Ts.fallback_reason y
+  | _ -> true
 
 let explain what a b =
   QCheck.Test.fail_reportf "%s: %s vs %s" what (outcome_name a) (outcome_name b)
 
 (* [make program ~engine] under every engine: [Auto] must reproduce the
-   reference engine; the strict engines must treat the compiled program
+   reference engine, and on every store treat the compiled program
    exactly as its interpreted twin. *)
 let dsl_engines_agree p make =
   let twin = interpreted p in
@@ -639,20 +630,15 @@ let dsl_engines_agree p make =
   let auto = run (fun () -> make p ~engine:Ts.Auto) in
   (same reference auto || explain "auto vs reference" reference auto)
   && List.for_all
-       (fun (engine, leg) ->
+       (fun ((_, leg) as b) ->
          Util.with_leg leg (fun () ->
-             let compiled = run (fun () -> make p ~engine) in
-             let interp = run (fun () -> make twin ~engine) in
-             same compiled interp
+             let compiled = run (fun () -> make p ~engine:Ts.Auto) in
+             let interp = run (fun () -> make twin ~engine:Ts.Auto) in
+             same_fallback compiled interp
              || explain
-                  (Fmt.str "%s (%s): compiled vs interpreted"
-                     (Ts.engine_name engine) (Util.leg_name leg))
+                  (Fmt.str "%s: compiled vs interpreted" (Util.build_name b))
                   compiled interp))
-       [
-         (Ts.Packed, Util.Resident);
-         (Ts.Sharded, Util.Resident);
-         (Ts.Sharded, Util.Spilled);
-       ]
+       [ (Ts.Auto, Util.In_ram); (Ts.Auto, Util.Resident); (Ts.Auto, Util.Spilled) ]
 
 let dsl_arb = QCheck.make ~print:Fun.id dsl_gen
 
@@ -721,8 +707,8 @@ let enabled_agree p make =
               List.init (Ts.num_actions ts) (Ts.enabled_bitset ts))
         in
         let swept = counter "engine.enabled_cache.misses" - misses in
-        let where = Fmt.str "%s, %s" (Ts.engine_name engine) (Util.leg_name leg) in
-        (Ts.engine_of ts = Ts.Reference || swept = 0
+        let where = Util.build_name (engine, leg) in
+        (Ts.layout ts = None || swept = 0
         || QCheck.Test.fail_reportf "%s: %d guard sweeps" where swept)
         && List.for_all2
              (fun aid bits ->
@@ -738,25 +724,20 @@ let enabled_agree p make =
                Ts.deadlocked ts i = Ts.deadlocked tw i
                || QCheck.Test.fail_reportf "%s: deadlocked at %d" where i)
              (List.init (Ts.num_states ts) Fun.id)
-      | a, b -> same a b || explain "compiled vs interpreted" a b)
-    [
-      (Ts.Auto, Util.Resident);
-      (Ts.Packed, Util.Resident);
-      (Ts.Sharded, Util.Resident);
-      (Ts.Sharded, Util.Spilled);
-    ]
+      | a, b -> same_fallback a b || explain "compiled vs interpreted" a b)
+    [ (Ts.Auto, Util.In_ram); (Ts.Auto, Util.Resident); (Ts.Auto, Util.Spilled) ]
 
 (* p over the span of p [] F, derived from the span's rows, against p
    explored from the same states: over the whole span, over the
    invariant's states and over every other span state (a strict subset
    of two or more).  The derivation must happen exactly where the span
-   is a flat store; the reference and sharded spans keep exploring. *)
+   is a flat store; the reference and shard-store spans keep exploring. *)
 let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
   let p = e.program in
   let pf = Detcor_core.Fault.compose p e.faults in
-  let agree ~engine span where =
+  let agree ~b:((engine, _) as b) span where =
     let label =
-      Fmt.str "%s span, where %s" (Ts.engine_name engine)
+      Fmt.str "%s span, where %s" (Util.build_name b)
         (match where with Some w -> Pred.name w | None -> "-")
     in
     let derived0 = counter "engine.derived" in
@@ -768,7 +749,7 @@ let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
       | Some w -> List.filter (Pred.holds w) (Ts.states span)
     in
     let built = Ts.build ~engine p ~from in
-    (derived = Bool.to_int (Ts.engine_of span = Ts.Packed)
+    (derived = Bool.to_int (Ts.store_name span = "packed")
     || QCheck.Test.fail_reportf "%s: %d derivations" label derived)
     && (Util.ts_equal built within
        || QCheck.Test.fail_reportf "%s: derived system differs" label)
@@ -780,7 +761,8 @@ let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
          (List.init (Ts.num_actions within) Fun.id)
   in
   List.for_all
-    (fun engine ->
+    (fun ((engine, leg) as b) ->
+      Util.with_leg leg @@ fun () ->
       match run (fun () -> Ts.build ~engine pf ~from) with
       | Built span ->
         let every_other =
@@ -791,10 +773,10 @@ let derived_agree (e : Detcor_lang.Elaborate.elaborated) from =
           (fun where ->
             (* An invariant dividing by a zero variable raises on both
                paths. *)
-            try agree ~engine span where with Value.Type_error _ -> true)
+            try agree ~b span where with Value.Type_error _ -> true)
           [ None; Some e.invariant; Some every_other ]
       | _ -> true)
-    [ Ts.Auto; Ts.Packed; Ts.Reference; Ts.Sharded ]
+    Util.builds
 
 let prop_dsl_labels_and_derivation =
   Util.qtest ~count:80
@@ -844,7 +826,7 @@ let columns_agree (e : Detcor_lang.Elaborate.elaborated) from =
         Util.with_leg leg @@ fun () ->
         match run (fun () -> Ts.build ~engine pf ~from) with
         | Built ts ->
-          let where = Fmt.str "%s, %s" (Ts.engine_name engine) (Util.leg_name leg) in
+          let where = Util.build_name (engine, leg) in
           let faults =
             Ts.action_ids_of_names ts (Detcor_core.Fault.action_names e.faults)
           in
@@ -867,13 +849,7 @@ let columns_agree (e : Detcor_lang.Elaborate.elaborated) from =
               = components ~mask:every_other reference
              || QCheck.Test.fail_reportf "%s: masked components" where)
         | _ -> true)
-      [
-        (Ts.Auto, Util.Resident);
-        (Ts.Packed, Util.Resident);
-        (Ts.Reference, Util.Resident);
-        (Ts.Sharded, Util.Resident);
-        (Ts.Sharded, Util.Spilled);
-      ]
+      Util.builds
   | _ -> true
 
 let prop_dsl_columns =
@@ -971,14 +947,17 @@ let prop_dsl_sweeps =
       let layout = Option.get (Layout.of_program e.program) in
       let sweeps p inv =
         match
-          let ts = Util.product ~engine:Ts.Packed p in
-          Bitset.to_string (Ts.pred_bitset ts inv)
-          :: List.init (Ts.num_actions ts) (fun aid ->
-                 Bitset.to_string (Ts.enabled_bitset ts aid))
+          let ts = Util.product p in
+          match Ts.fallback_reason ts with
+          | Some reason -> Error reason
+          | None ->
+            Ok
+              (Bitset.to_string (Ts.pred_bitset ts inv)
+              :: List.init (Ts.num_actions ts) (fun aid ->
+                     Bitset.to_string (Ts.enabled_bitset ts aid)))
         with
-        | bits -> Ok bits
+        | sweeps -> sweeps
         | exception Value.Type_error m -> Error m
-        | exception Layout.Unrepresentable -> Error "escape"
       in
       let init engine =
         match Detcor_core.Tolerance.init_states ~engine e.program ~invariant:e.invariant with
@@ -1047,19 +1026,8 @@ let prop_rank_steps =
       let p = e.program in
       let layout = Option.get (Layout.of_program p) in
       let from = List.init 12 (fun i -> Layout.unpack layout (i * 23)) in
-      let systems =
-        List.filter_map
-          (fun make -> match run make with Built ts -> Some ts | _ -> None)
-          [
-            (fun () -> Ts.build ~engine:Ts.Packed p ~from);
-            (fun () -> Util.product ~engine:Ts.Packed p);
-            (fun () -> Ts.build ~engine:Ts.Sharded p ~from);
-            (fun () -> Ts.build ~engine:Ts.Reference p ~from);
-          ]
-      in
       let module S = Detcor_synthesis.Synthesize in
-      List.for_all
-        (fun ts ->
+      let agree ts =
           List.for_all
             (fun step_vars ->
               let steps = S.candidate_steps ~step_vars p ts in
@@ -1079,12 +1047,22 @@ let prop_rank_steps =
                      expected = got
                      || QCheck.Test.fail_reportf
                           "%s, step_vars %d, state %d: [%a] vs [%a]"
-                          (Ts.engine_name (Ts.engine_of ts)) step_vars i
+                          (Ts.store_name ts) step_vars i
                           Fmt.(list ~sep:sp int) expected
                           Fmt.(list ~sep:sp int) got)
                    (List.init (Ts.num_states ts) Fun.id))
-            [ 1; 2 ])
-        systems)
+            [ 1; 2 ]
+      in
+      List.for_all
+        (fun (leg, make) ->
+          Util.with_leg leg (fun () ->
+              match run make with Built ts -> agree ts | _ -> true))
+        [
+          (Util.In_ram, fun () -> Ts.build p ~from);
+          (Util.In_ram, fun () -> Util.product p);
+          (Util.Spilled, fun () -> Ts.build p ~from);
+          (Util.In_ram, fun () -> Ts.build ~engine:Ts.Reference p ~from);
+        ])
 
 (* Two updates escape in the same step, listed against slot order ([n]
    before [g]): the diagnosis names the lower slot, [g], as [Layout.pack]
@@ -1100,10 +1078,8 @@ let test_escape_lowest_slot () =
        action both: n = 2 -> n := n + 1, g := s\n"
   in
   let escape p =
-    match Ts.of_pred ~engine:Ts.Packed p ~from:(opaque_pred e.invariant) with
-    | _ -> "no escape"
-    | exception Layout.Unrepresentable ->
-      Fmt.str "%a" Layout.pp_escape (Option.get (Layout.escape_reason ()))
+    Option.value ~default:"no escape"
+      (Ts.fallback_reason (Ts.of_pred p ~from:(opaque_pred e.invariant)))
   in
   Alcotest.(check string) "interpreted"
     "variable g escaped its declared domain (value bot)"

@@ -1,22 +1,23 @@
-(* Differential and chaos tests for the out-of-core sharded engine.
+(* Differential and chaos tests for the out-of-core shard store, which a
+   spill directory selects.
 
-   The sharded engine promises the packed engine's exact numbering and
+   The shard store promises the flat store's exact numbering and
    verdicts with a different residency story, so the tests are the same
-   shape as the packed differential (reusing its random-program
+   shape as the engine differential (reusing its random-program
    generators) plus the knobs unique to the segmented store:
 
-   - reference = sharded on 200+ random programs, on a resident and a
-     spill-forced leg, for [build], [of_pred] and [full];
+   - reference = shard store on 200+ random programs, on a resident and
+     a spill-forced leg, for [build], [of_pred] and [full];
    - a spill-forced mode (zero arena budget into a temp directory) that
      must spill at least once and still agree byte-for-byte, also with
      two stores of one program spilling into one directory;
-   - escape programs: the sharded engine, like the strict packed engine,
-     refuses states outside the layout (Layout.Unrepresentable) exactly
-     when the auto engine would have fallen back to the reference path;
+   - escape programs: under a spill directory [Auto] falls back to the
+     reference path exactly where it does in RAM, for the same reason;
    - through the dcheck CLI: SIGKILL chaos while spilling, resumed to a
      byte-identical verdict (reusing the chaos harness); spill-forced
-     verify byte-identical to [--engine auto]; no spill file left behind
-     by a run without a checkpoint;
+     verify byte-identical to the default run, also on a domain escape;
+     no spill file left behind by a run without a checkpoint; the
+     removed engine names refused;
    - word-parallel Bitset union against its bit-at-a-time
      specification. *)
 
@@ -28,16 +29,14 @@ let with_spill = Util.with_spill
 let with_temp_dir = Util.with_temp_dir
 let legs = [ Util.Resident; Util.Spilled ]
 
-(* The sharded engine on an escaping exploration must behave like the
-   strict packed engine: raise [Layout.Unrepresentable] precisely when
-   the auto engine downgraded to the reference path. *)
-let sharded_build f ~auto =
-  match f () with
-  | ts -> Some ts
-  | exception Layout.Unrepresentable ->
-    if Ts.engine_of auto = Ts.Reference && Ts.fallback_reason auto <> None then
-      None
-    else Alcotest.fail "sharded raised Unrepresentable but auto did not fall back"
+(* A system [Auto] built under a spill directory: on the shard store,
+   unless [auto], built in RAM, fell back to the reference path — then
+   it fell back too, for the same reason. *)
+let on_shards ts ~auto =
+  match Ts.fallback_reason auto with
+  | None -> Ts.store_name ts = "sharded"
+  | Some _ as reason ->
+    Ts.store_name ts = "reference" && Ts.fallback_reason ts = reason
 
 let inits_arb =
   QCheck.make
@@ -59,17 +58,12 @@ let prop_build_identical =
       List.for_all
         (fun leg ->
           Util.with_leg leg (fun () ->
-              match
-                sharded_build ~auto (fun () ->
-                    Ts.build ~engine:Ts.Sharded p ~from)
-              with
-              | None -> true
-              | Some sharded ->
-                equal_system reference sharded
-                && List.for_all
-                     (fun i ->
-                       Ts.index_of sharded (Ts.state reference i) = Some i)
-                     (List.init (Ts.num_states reference) Fun.id)))
+              let sharded = Ts.build p ~from in
+              on_shards sharded ~auto
+              && equal_system reference sharded
+              && List.for_all
+                   (fun i -> Ts.index_of sharded (Ts.state reference i) = Some i)
+                   (List.init (Ts.num_states reference) Fun.id)))
         legs)
 
 let pred_arb =
@@ -86,21 +80,17 @@ let prop_of_pred_identical =
     (fun (rp, seed) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed seed in
-      let agree reference auto sharded =
+      let agree make =
+        let reference = make Ts.Reference and auto = make Ts.Auto in
         List.for_all
           (fun leg ->
             Util.with_leg leg (fun () ->
-                match sharded_build ~auto sharded with
-                | None -> true
-                | Some sharded -> equal_system reference sharded))
+                let sharded = make Ts.Auto in
+                on_shards sharded ~auto && equal_system reference sharded))
           legs
       in
-      agree
-        (Ts.of_pred ~engine:Ts.Reference p ~from)
-        (Ts.of_pred ~engine:Ts.Auto p ~from)
-        (fun () -> Ts.of_pred ~engine:Ts.Sharded p ~from)
-      && agree (Util.product ~engine:Ts.Reference p) (Util.product ~engine:Ts.Auto p)
-           (fun () -> Util.product ~engine:Ts.Sharded p))
+      agree (fun engine -> Ts.of_pred ~engine p ~from)
+      && agree (fun engine -> Util.product ~engine p))
 
 (* Spill-forced identity: a zero arena budget into a temp directory makes
    every sealed segment spill; results must not change, and any run that
@@ -114,18 +104,14 @@ let prop_spill_forced =
       let auto = Ts.build ~engine:Ts.Auto p ~from in
       with_temp_dir (fun dir ->
           with_spill ~spill_dir:dir ~arena_mb:0 (fun () ->
-              match
-                sharded_build ~auto (fun () ->
-                    Ts.build ~engine:Ts.Sharded p ~from)
-              with
-              | None -> true
-              | Some sharded -> (
-                equal_system reference sharded
-                &&
-                match Ts.shard_stats sharded with
-                | None -> false
-                | Some (spills, bytes, _) ->
-                  Ts.num_states sharded = 0 || (spills > 0 && bytes > 0)))))
+              let sharded = Ts.build p ~from in
+              on_shards sharded ~auto
+              && equal_system reference sharded
+              &&
+              match Ts.shard_stats sharded with
+              | None -> Ts.fallback_reason sharded <> None
+              | Some (spills, bytes, _) ->
+                Ts.num_states sharded = 0 || (spills > 0 && bytes > 0))))
 
 (* Check procedures on a spilled system: predicates, reachability, SCCs
    and safety answers must match the reference engine even when every
@@ -148,12 +134,9 @@ let prop_checks_on_spilled =
       let auto = Ts.of_pred ~engine:Ts.Auto p ~from in
       with_temp_dir (fun dir ->
           with_spill ~spill_dir:dir ~arena_mb:0 (fun () ->
-              match
-                sharded_build ~auto (fun () ->
-                    Ts.of_pred ~engine:Ts.Sharded p ~from)
-              with
-              | None -> true
-              | Some sharded ->
+              let sharded = Ts.of_pred p ~from in
+              on_shards sharded ~auto
+              &&
                 let p1 = Test_engine_diff.pred_of_seed s2
                 and p2 = Test_engine_diff.pred_of_seed (s2 lxor 0x2a) in
                 let same f =
@@ -208,36 +191,31 @@ let prop_union_into =
 (* Two stores of one program in one spill directory.                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A verify session builds two sharded systems of one program: p from
-   the invariant's states and p over the fault span.  Spill-forced into
-   one directory, each must read back its own segments — both are
-   compared, state by state and edge by edge, with their packed builds
+(* A verify session builds two shard-store systems of one program: p
+   from the invariant's states and p over the fault span.  Spill-forced
+   into one directory, each must read back its own segments — both are
+   compared, state by state and edge by edge, with their flat builds
    only after both have spilled. *)
 let test_two_stores_one_dir () =
   let e = Detcor_lang.Elaborate.load_file "../examples/dc/reset7.dc" in
   let p = e.program in
   let span =
-    Ts.of_pred ~engine:Ts.Packed
-      (Detcor_core.Fault.compose p e.faults)
-      ~from:e.invariant
+    Ts.of_pred (Detcor_core.Fault.compose p e.faults) ~from:e.invariant
   in
-  let builds engine =
-    [
-      Ts.of_pred ~engine p ~from:e.invariant;
-      Ts.build ~engine p ~from:(Ts.states span);
-    ]
+  let builds () =
+    [ Ts.of_pred p ~from:e.invariant; Ts.build p ~from:(Ts.states span) ]
   in
-  let packed = builds Ts.Packed in
+  let packed = builds () in
   with_temp_dir @@ fun dir ->
   with_spill ~spill_dir:dir ~arena_mb:0 @@ fun () ->
-  let sharded = builds Ts.Sharded in
+  let sharded = builds () in
   List.iteri
     (fun i (a, b) ->
       let label = Fmt.str "store %d" i in
       (match Ts.shard_stats b with
       | Some (spills, _, _) ->
         Alcotest.(check bool) (label ^ ": spilled") true (spills > 0)
-      | None -> Alcotest.fail (label ^ ": not a sharded system"));
+      | None -> Alcotest.fail (label ^ ": not a shard-store system"));
       Util.check_same_system label a b)
     (List.combine packed sharded)
 
@@ -245,7 +223,7 @@ let test_two_stores_one_dir () =
 (* Through the CLI: chaos, identity and spill-file cleanup.            *)
 (* ------------------------------------------------------------------ *)
 
-(* A sharded verify with a zero arena budget spills continuously; the
+(* A verify with a zero arena budget spills continuously; the
    chaos harness SIGKILLs it mid-run and resumes until terminal, and the
    resumed run must reproduce the undisturbed run's bytes exactly.
    Spill files survive the kill (they are written atomically, and a
@@ -256,17 +234,16 @@ let test_chaos_spill () =
   Test_chaos.chaos_workload "sharded spill verify"
     [
       "verify"; "../examples/dc/reset7.dc"; "--tolerance"; "failsafe";
-      "--engine"; "sharded"; "--spill-dir"; dir;
-      "--shard-arena-mb"; "0";
+      "--spill-dir"; dir; "--shard-arena-mb"; "0";
     ]
     ~max_delay:0.3 ()
 
-(* Spill-forced verify of every class prints [--engine auto]'s bytes and
+(* Spill-forced verify of every class prints the default run's bytes and
    exits with its code, and a run without [--checkpoint] leaves no spill
    file behind (after spilling, as [info] reports). *)
 let test_cli_spill_forced () =
   with_temp_dir @@ fun dir ->
-  let spill = [ "--engine"; "sharded"; "--spill-dir"; dir; "--shard-arena-mb"; "0" ] in
+  let spill = [ "--spill-dir"; dir; "--shard-arena-mb"; "0" ] in
   let empty label =
     Alcotest.(check (array string)) (label ^ ": spill directory empty") [||]
       (Sys.readdir dir)
@@ -287,26 +264,61 @@ let test_cli_spill_forced () =
       in
       Alcotest.(check bool) (model ^ ": info spilled") true
         (match spills with Some k -> k > 0 | None -> false);
+      Alcotest.(check bool) (model ^ ": info names the shard store") true
+        (Util.contains info "engine:        sharded");
       empty (model ^ " info"))
     [ "reset7"; "ring5" ]
 
-(* The CLI must reject unknown engines and options and accept the
-   sharded spelling. *)
+(* A program whose actions leave their declared domains, run with a
+   spill directory, falls back to the reference engine and prints the
+   default run's bytes, as verify, synthesize and info. *)
+let test_cli_escape_falls_back () =
+  with_temp_dir @@ fun dir ->
+  Test_chaos.with_temp ".dc" @@ fun path ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        "program esc\nvar x : 0..2\ninvariant x = 0\n\
+         action inc: x < 3 -> x := x + 1\n");
+  List.iter
+    (fun cmd ->
+      let want = Test_chaos.baseline "default" [ cmd; path ] in
+      let got =
+        Test_chaos.baseline "spill-forced"
+          [ cmd; path; "--spill-dir"; dir; "--shard-arena-mb"; "0" ]
+      in
+      Alcotest.(check (pair int string)) (cmd ^ ": spill dir = default") want got;
+      Alcotest.(check bool) (cmd ^ ": not a usage error") true (fst got <> 2))
+    [ "verify"; "synthesize"; "info" ];
+  let _, info = Test_chaos.baseline "info" [ "info"; path; "--spill-dir"; dir ] in
+  Alcotest.(check bool) "info names the fallback" true
+    (Util.contains info "engine:        reference"
+    && Util.contains info "fell back to reference: variable x escaped")
+
+(* The CLI must reject unknown and removed engines and unknown options,
+   and run out of core with a spill directory alone. *)
 let test_cli_engine_flag () =
   let run args =
     Test_chaos.with_temp ".out" @@ fun out ->
     Test_chaos.exit_code "engine flag" (Test_chaos.run_dcheck args ~out)
   in
-  Alcotest.(check int)
-    "sharded verify exits 0" 0
-    (run
-       [
-         "verify"; "../examples/dc/ring5.dc"; "--tolerance"; "nonmasking";
-         "--engine"; "sharded";
-       ]);
+  with_temp_dir (fun dir ->
+      Alcotest.(check int)
+        "out-of-core verify exits 0" 0
+        (run
+           [
+             "verify"; "../examples/dc/ring5.dc"; "--tolerance"; "nonmasking";
+             "--spill-dir"; dir;
+           ]));
   Alcotest.(check bool)
     "unknown engine rejected" true
     (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; "warp" ] <> 0);
+  List.iter
+    (fun engine ->
+      Alcotest.(check int)
+        ("--engine " ^ engine ^ " is a usage error")
+        2
+        (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; engine ]))
+    [ "packed"; "sharded" ];
   Alcotest.(check int)
     "--shards is an unknown option" 2
     (run [ "verify"; "../examples/dc/ring5.dc"; "--shards"; "4" ])
@@ -324,5 +336,7 @@ let suite =
       Alcotest.test_case "chaos: SIGKILL while spilling" `Slow test_chaos_spill;
       Alcotest.test_case "cli: spill-forced verify = auto, no spill file left"
         `Quick test_cli_spill_forced;
+      Alcotest.test_case "cli: a domain escape under --spill-dir falls back"
+        `Quick test_cli_escape_falls_back;
       Alcotest.test_case "cli: --engine flag" `Quick test_cli_engine_flag;
     ] )

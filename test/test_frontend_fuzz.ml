@@ -252,8 +252,8 @@ let test_exit_codes () =
     close_out oc;
     Alcotest.(check int) "parse error -> 2" 2 (run_dcheck [ "verify"; tmp ]);
     Sys.remove tmp;
-    (* A strict engine on a program whose actions leave their declared
-       domains: a usage error, not an internal one. *)
+    (* A removed engine name is a usage error, on any program (here one
+       whose actions leave their declared domains). *)
     let tmp = Filename.temp_file "dcheck_escape" ".dc" in
     let oc = open_out tmp in
     output_string oc

@@ -54,6 +54,32 @@ let test_span_nesting () =
       (List.mem (Attr.str "k" "v") e_out.attrs)
   | rs -> Alcotest.failf "unexpected record sequence (%d records)" (List.length rs)
 
+(* A span's [alloc_words] counts what it allocated even when no minor
+   collection falls inside it: a 1,000-element list is 3,000 words. *)
+let test_span_alloc_words () =
+  let sink, records = Sink.memory () in
+  let list =
+    recording [ sink ] (fun () ->
+        Obs.span "alloc" (fun () -> List.init 1_000 Fun.id))
+  in
+  ignore (Sys.opaque_identity list);
+  let words =
+    List.find_map
+      (function
+        | Sink.End { name = "alloc"; attrs; _ } ->
+          List.find_map
+            (function "alloc_words", Attr.Int n -> Some n | _ -> None)
+            attrs
+        | _ -> None)
+      (records ())
+  in
+  match words with
+  | Some n ->
+    Alcotest.(check bool)
+      (Fmt.str "alloc_words %d >= 3000" n)
+      true (n >= 3_000)
+  | None -> Alcotest.fail "no alloc_words on the span's end record"
+
 let test_span_exception () =
   let sink, records = Sink.memory () in
   (try
@@ -229,8 +255,8 @@ let test_fallback_reason () =
         Ts.build ~engine:Ts.Auto escaping_program
           ~from:[ State.of_list [ ("n", Value.int 0) ] ])
   in
-  Alcotest.(check bool) "fell back to the reference engine" true
-    (Ts.engine_of ts = Ts.Reference);
+  Alcotest.(check string) "fell back to the reference engine" "reference"
+    (Ts.store_name ts);
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -288,6 +314,8 @@ let suite =
     [
       Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
       Alcotest.test_case "span survives exceptions" `Quick test_span_exception;
+      Alcotest.test_case "span counts allocation between collections" `Quick
+        test_span_alloc_words;
       Alcotest.test_case "disabled context is inert" `Quick test_disabled_is_inert;
       Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
       Alcotest.test_case "metrics snapshot parses" `Quick

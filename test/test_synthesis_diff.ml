@@ -196,16 +196,15 @@ let agree ~label p r_ref r =
     QCheck.Test.fail_reportf "builders disagree: reference=%s %s=%s"
       (outcome_tag r_ref) label (outcome_tag r)
 
-(* Run [synth] once per builder and compare each outcome with the
-   reference builder's. *)
+(* Run [synth] once per builder (the flat store, and the shard store on
+   both legs) and compare each outcome with the reference builder's. *)
 let across_engines p synth =
   let r_ref = synth Ts.Reference in
-  let sharded leg =
-    Util.with_leg leg (fun () ->
-        agree ~label:("sharded " ^ Util.leg_name leg) p r_ref (synth Ts.Sharded))
-  in
-  agree ~label:"packed" p r_ref (synth Ts.Packed)
-  && sharded Util.Resident && sharded Util.Spilled
+  List.for_all
+    (fun leg ->
+      Util.with_leg leg (fun () ->
+          agree ~label:(Util.leg_name leg) p r_ref (synth Ts.Auto)))
+    [ Util.In_ram; Util.Resident; Util.Spilled ]
 
 let prop_failsafe =
   Util.qtest ~count:100 "add_failsafe: reference = packed = sharded"
@@ -250,11 +249,11 @@ let prop_workers =
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
       let seq =
-        Synthesize.add_masking ~engine:Ts.Packed ~workers:1
+        Synthesize.add_masking ~workers:1
           ~step_vars:inst.step_vars p ~spec ~invariant ~faults
       in
       let par =
-        Synthesize.add_masking ~engine:Ts.Packed ~workers:4
+        Synthesize.add_masking ~workers:4
           ~step_vars:inst.step_vars p ~spec ~invariant ~faults
       in
       agree ~label:"workers=4" p seq par)

@@ -40,8 +40,10 @@ let product ?limit ?engine p =
   Detcor_semantics.Ts.of_pred ?limit ?engine p
     ~from:Detcor_kernel.Pred.true_
 
-(* Install sharded-engine parameters for the duration of [f], restoring
-   the process-wide defaults afterwards (they are global state). *)
+(* Install shard-store parameters for the duration of [f], restoring
+   the process-wide defaults afterwards (they are global state).  With a
+   [spill_dir], every [Auto] build in [f] that a layout holds runs on
+   the shard store. *)
 let with_spill ?spill_dir ?(arena_mb = 512) f =
   let module Ts = Detcor_semantics.Ts in
   let d0, m0 = Ts.spill_defaults () in
@@ -66,19 +68,34 @@ let with_temp_dir k =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> k dir)
 
-(* The sharded engine's two residency legs: every arena resident, or
-   spill-forced (a zero arena budget into a fresh directory, so every
-   sealed segment spills and every later read of it reloads).  A system
-   built on the spill-forced leg must not be read after [f] returns: its
-   spill files are gone with the directory. *)
-type leg = Resident | Spilled
+(* Where an [Auto] build runs: in RAM (the flat store), or on one of the
+   shard store's two residency legs, both selected by a fresh spill
+   directory: every arena resident under a budget no test reaches, or
+   spill-forced (a zero arena budget, so every sealed segment spills and
+   every later read of it reloads).  A system built on a shard leg must
+   not be read after [f] returns: its directory is gone. *)
+type leg = In_ram | Resident | Spilled
 
-let leg_name = function Resident -> "resident" | Spilled -> "spill-forced"
+let leg_name = function
+  | In_ram -> "in RAM"
+  | Resident -> "resident"
+  | Spilled -> "spill-forced"
 
 let with_leg leg f =
   match leg with
-  | Resident -> with_spill f
-  | Spilled -> with_temp_dir (fun dir -> with_spill ~spill_dir:dir ~arena_mb:0 f)
+  | In_ram -> f ()
+  | Resident | Spilled ->
+    let arena_mb = if leg = Resident then 1 lsl 20 else 0 in
+    with_temp_dir (fun dir -> with_spill ~spill_dir:dir ~arena_mb f)
+
+(* The ways a system is built: the reference engine, and [Auto] on each
+   leg. *)
+let builds =
+  Detcor_semantics.Ts.
+    [ (Reference, In_ram); (Auto, In_ram); (Auto, Resident); (Auto, Spilled) ]
+
+let build_name (engine, leg) =
+  Fmt.str "%s, %s" (Detcor_semantics.Ts.engine_name engine) (leg_name leg)
 
 (* Alcotest form of {!ts_equal}: one check per component, so a mismatch
    reports which part of the structure diverged. *)
