@@ -15,6 +15,15 @@ let create length =
 
 let length t = t.length
 
+(* Every byte set, then the bits past [length] cleared: they are
+   invariantly zero (see [any]). *)
+let full length =
+  let t = create length in
+  Bytes.fill t.bits 0 (length lsr 3) '\xff';
+  if length land 7 <> 0 then
+    Bytes.set t.bits (length lsr 3) (Char.chr ((1 lsl (length land 7)) - 1));
+  t
+
 let check t i =
   if i < 0 || i >= t.length then
     Detcor_robust.Error.internal "Bitset: index %d out of bounds [0,%d)" i t.length

@@ -5,6 +5,9 @@ type t
 
 val create : int -> t
 
+(** [full n] is the bitset [{ i < n }], filled a byte at a time. *)
+val full : int -> t
+
 (** [of_fn n f] is the bitset [{ i < n | f i }]. *)
 val of_fn : int -> (int -> bool) -> t
 

@@ -204,43 +204,58 @@ let safety_parts ts ~bad_states ~bad_pairs =
    Violated iff from some reachable [p ∧ ¬q] state there is a fair maximal
    computation confined to [¬q]: either it reaches a deadlock inside [¬q],
    or it is an infinite fair run inside [¬q].  The reach is forward-closed
-   within [¬q], so it is the fair-SCC mask as it stands.
+   within [¬q], so it is the fair-SCC mask as it stands.  When every [¬q]
+   state is a start (every [eventually], every [true ~> q]) the reach is
+   [¬q] itself and is not walked.
 
    [~via] takes the starts and the reach in [via] and the deadlocks and
    fair SCCs in [ts]: with [via] = p [] F and [ts] = p over the same
    states, a finite p [] F prefix inside [¬q] then a p-deadlock or p-fair
-   run inside [¬q] — leads-to under finitely many faults (Assumption 2). *)
+   run inside [¬q] — leads-to under finitely many faults (Assumption 2).
+
+   The witness is the lowest deadlocked state of the region, else the
+   first fair SCC of the region's subgraph as {!Fairness.fair_sccs} lists
+   it. *)
 let leads_to ?via ts p q =
   Obs.span "check.leads_to" @@ fun () ->
   let via = Option.value via ~default:ts in
   let p_bits = Ts.pred_bitset via p and q_bits = Ts.pred_bitset via q in
   let not_q i = not (Bitset.get q_bits i) in
-  let starts = ref [] in
-  for i = Ts.num_states via - 1 downto 0 do
-    if Bitset.get p_bits i && not_q i then starts := i :: !starts
+  let any_start = ref false and covered = ref true in
+  for i = 0 to Ts.num_states via - 1 do
+    if not_q i then
+      if Bitset.get p_bits i then any_start := true else covered := false
   done;
-  let starts = !starts in
-  if starts = [] then Holds
+  if not !any_start then Holds
   else begin
-    let reach = Graph.reachable ~mask:not_q via ~from:starts in
+    let reached =
+      if !covered then not_q
+      else begin
+        let starts = ref [] in
+        for i = Ts.num_states via - 1 downto 0 do
+          if Bitset.get p_bits i && not_q i then starts := i :: !starts
+        done;
+        Array.get (Graph.reachable ~mask:not_q via ~from:!starts)
+      end
+    in
     let n = Ts.num_states ts in
     let region =
-      if via == ts then reach
+      if via == ts then Bitset.of_fn n reached
       else
         let to_via = Ts.index_map ~src:ts ~dst:via in
-        Array.init n (fun i ->
+        Bitset.of_fn n (fun i ->
             let j = to_via i in
-            j >= 0 && reach.(j))
+            j >= 0 && reached j)
     in
     let rec deadlock i =
       if i >= n then None
-      else if region.(i) && Ts.deadlocked ts i then Some i
+      else if Bitset.get region i && Ts.deadlocked ts i then Some i
       else deadlock (i + 1)
     in
     match deadlock 0 with
     | Some i -> Fails (Deadlock (Ts.state ts i))
     | None -> (
-      match Fairness.fair_sccs ~mask:(Array.get region) ts with
+      match Fairness.fair_sccs ~mask:(Bitset.get region) ts with
       | scc :: _ -> Fails (Fair_cycle (List.map (Ts.state ts) scc.members))
       | [] -> Holds)
   end

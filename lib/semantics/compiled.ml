@@ -286,6 +286,18 @@ let rec pred layout p =
     | Some a -> Option.map (conj a) (pred layout b))
   | None, None, None -> None
 
+(* The slots [pred layout p]'s test reads from the slot codes: an
+   expression's variables (a compiled expression reads no other slot), none
+   for a rank form, both operands' for a conjunction. *)
+let slots_read layout p =
+  let rec go p =
+    match (Pred.expr p, Pred.ranked p, Pred.operands p) with
+    | Some e, _, _ -> List.filter_map (Layout.slot layout) (Expr.variables e)
+    | None, Some _, _ | None, None, None -> []
+    | None, None, Some (a, b) -> go a @ go b
+  in
+  Array.of_list (List.sort_uniq Int.compare (go p))
+
 (* ------------------------------------------------------------------ *)
 (* Enumerating a predicate's states.                                   *)
 (* ------------------------------------------------------------------ *)

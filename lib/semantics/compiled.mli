@@ -37,6 +37,12 @@ val holds : test -> codes:int array -> rank:int -> bool
     (an opaque closure, a rank form of another signature). *)
 val pred : Layout.t -> Pred.t -> test option
 
+(** [slots_read layout p]: the slots, ascending, whose codes the test
+    {!pred} compiles for [p] reads (the variables of its expressions; none
+    for a rank form or a constant).  Codes of other slots may hold
+    anything when the test runs.  Meaningful where {!pred} is [Some]. *)
+val slots_read : Layout.t -> Pred.t -> int array
+
 (** [iter_satisfying layout p f] calls [f rank] for every rank of the
     product space whose state satisfies [p], in ascending rank order
     ({!State.compare} order).  Builds no state.

@@ -27,7 +27,23 @@ type scc = {
       (** single state with no self-loop — cannot host an infinite run *)
 }
 
-(** Tarjan's algorithm on the masked subgraph. *)
+(** [decompose ?inside ts]: Tarjan's algorithm, iterative, on the
+    subgraph induced by the states of [inside] (the whole graph without
+    it), roots in ascending state order.  Each state's row is read once,
+    through {!Ts.with_out_row}, so every store serves it. *)
+val decompose : ?inside:Bitset.t -> Ts.t -> Ts.components
+
+(** The decomposition of [ts]'s whole graph, {!decompose}d once per
+    system and cached on it ({!Ts.components}); the first call runs in a
+    [graph.components] span (attributes [states], [components],
+    [nontrivial]) and bumps the [graph.decompositions] counter. *)
+val decomposition : Ts.t -> Ts.components
+
+(** Component [c] of a decomposition as an {!scc}. *)
+val scc_of : Ts.components -> int -> scc
+
+(** The SCCs of the masked subgraph, as {!decompose} completes them: the
+    cached {!decomposition} without a mask. *)
 val sccs : ?mask:(int -> bool) -> Ts.t -> scc list
 
 (** Component id per node ([-1] outside the mask), plus the components. *)

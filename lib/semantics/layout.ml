@@ -278,6 +278,12 @@ let decode t rank codes =
     Array.unsafe_set codes k (code_of_rank t k rank)
   done
 
+let decode_slots t rank codes slots =
+  for s = 0 to Array.length slots - 1 do
+    let k = Array.unsafe_get slots s in
+    Array.unsafe_set codes k (code_of_rank t k rank)
+  done
+
 (* [codes] of rank r becomes the codes of rank r + 1: an odometer step,
    no division. *)
 let advance t codes =

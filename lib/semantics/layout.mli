@@ -114,6 +114,11 @@ val escape : escape -> 'a
     (of length {!num_vars}). *)
 val decode : t -> int -> int array -> unit
 
+(** [decode_slots t rank codes slots] writes only the codes of the slots
+    listed in [slots]; the other entries of [codes] are left as they
+    are. *)
+val decode_slots : t -> int -> int array -> int array -> unit
+
 (** [iter_codes t f] calls [f rank codes] for every rank of the product
     space in ascending order, through one code buffer that is overwritten
     after each call. *)

@@ -159,7 +159,19 @@ let target col k = Int32.to_int (get32 col (4 * k))
 let set_label col k aid = set16 col (2 * k) aid
 let set_target col k j = set32 col (4 * k) (Int32.of_int j)
 
+(* A strongly-connected-component decomposition of a system's graph, or
+   of the subgraph a state set induces ([Graph.decompose]); a system
+   caches the one of its whole graph. *)
+type components = {
+  component : int array;
+  count : int;
+  members : int array;
+  first : int array;
+  cyclic : Bitset.t;
+}
+
 type t = {
+  uid : int; (* distinct per system of the process *)
   program : Program.t;
   actions : Action.t array;
   (* CSR adjacency: edges of state [i] occupy [row_ptr.(i) .. row_ptr.(i+1))
@@ -177,6 +189,10 @@ type t = {
   all_compiled : bool; (* then [deadlocked] is an empty edge row *)
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
   enabled_cache : Bitset.t option array; (* per action id *)
+  mutable components : components option; (* the whole graph's SCCs *)
+  (* For a system derived from a span's rows: the span's [uid], and the
+     span index of each state. *)
+  derivation : (int * int array) option;
   (* Set when [Auto] dispatch fell back to the reference engine: the
      diagnosed reason (domain escape, product overflow).  Surfaced by
      `dcheck info` and the Obs metrics. *)
@@ -335,9 +351,13 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let make_system ~program ~actions ~initials ~store ~compiled
+let next_uid = ref 0
+
+let make_system ?derivation ~program ~actions ~initials ~store ~compiled
     (row_ptr, edge_action, edge_target) =
+  incr next_uid;
   {
+    uid = !next_uid;
     program;
     actions;
     row_ptr;
@@ -349,11 +369,13 @@ let make_system ~program ~actions ~initials ~store ~compiled
     all_compiled = Array.for_all Fun.id compiled;
     pred_cache = Hashtbl.create 16;
     enabled_cache = Array.make (Array.length actions) None;
+    components = None;
+    derivation;
     fallback_reason = None;
   }
 
-let finish ?(counter = m_builds) b ~program ~actions ~initials ~store ~compiled
-    =
+let finish ?(counter = m_builds) ?derivation b ~program ~actions ~initials
+    ~store ~compiled =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   count_build counter ~states:n ~edges:b.elen;
@@ -363,7 +385,7 @@ let finish ?(counter = m_builds) b ~program ~actions ~initials ~store ~compiled
   (* The build's heap peaks here, between ticks: the blocks are still
      live next to the columns they were copied into. *)
   Detcor_robust.Budget.check ();
-  make_system ~program ~actions ~initials ~store ~compiled columns
+  make_system ?derivation ~program ~actions ~initials ~store ~compiled columns
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the seed list-based path.                         *)
@@ -826,11 +848,13 @@ let fold_out ts i f init =
   !acc
 
 (* The index in [dst] of each state of [src], [-1] when [dst] does not
-   hold it: by rank when both systems have layouts of one signature (no
+   hold it: read off the derivation when [src] was derived from [dst]'s
+   rows, by rank when both systems have layouts of one signature (no
    state is built or hashed), otherwise by state. *)
 let index_map ~src ~dst =
-  match (layout src, layout dst) with
-  | Some a, Some b when Layout.has_signature b (Layout.signature a) ->
+  match (src.derivation, layout src, layout dst) with
+  | Some (span, old), _, _ when span = dst.uid -> Array.get old
+  | _, Some a, Some b when Layout.has_signature b (Layout.signature a) ->
     fun i -> index_of_rank dst (rank_of src i)
   | _ -> (
     fun i -> match index_of dst (state src i) with Some j -> j | None -> -1)
@@ -939,11 +963,17 @@ let rec seed_ranks ~limit target = function
         buf := rank :: !buf);
     Array.of_list (List.rev !buf)
 
-(* The reference engine's seed list: the same set, unranked. *)
+(* The reference engine's seed list: the same set, unranked.  The
+   product is filtered as it is enumerated, so only the satisfying states
+   are ever held. *)
 let seed_states program = function
   | States from -> from
   | Within (span, keep) -> within_states span keep
-  | Satisfying pred -> List.filter (Pred.holds pred) (Program.states program)
+  | Satisfying pred ->
+    List.rev
+      (Program.fold_states
+         (fun acc st -> if Pred.holds pred st then st :: acc else acc)
+         [] program)
 
 let satisfying_states ?(engine = Auto) program pred =
   let seeds = Satisfying pred in
@@ -1101,33 +1131,42 @@ let iter_in rev j f =
 (* ------------------------------------------------------------------ *)
 
 (* One sweep of [pred] over every state, in id order.  On a layout-built
-   system a predicate that compiles runs on each state's rank, decoded
-   into slot codes unless only its rank form reads them; any other is
-   evaluated on each rank decoded into one scratch buffer.  Neither
-   allocates per visit, and spilled segments stream through.  The
-   reference engine evaluates it on its own states. *)
+   system a predicate that compiles runs on each state's rank, with only
+   the slots its expression reads decoded into slot codes; one that reads
+   no slot and no rank (a constant: the [true] of every [eventually]) runs
+   once and fills the set.  Any other is evaluated on each rank decoded
+   into one scratch buffer.  None allocates per visit, and spilled
+   segments stream through.  The reference engine evaluates it on its own
+   states. *)
 let sweep ts pred =
-  let bits = Bitset.create (num_states ts) in
-  (match ts.store with
+  let n = num_states ts in
+  let bits = Bitset.create n in
+  match ts.store with
   | Listed (states, _) ->
     Array.iteri
       (fun i st -> if Pred.holds pred st then Bitset.set bits i)
-      states
+      states;
+    bits
   | Interned (layout, _, _) | Shards (layout, _) -> (
     match Compiled.pred layout pred with
     | Some (Compiled.Ranks test) ->
-      iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i)
-    | Some t ->
+      iter_ranks ts (fun i rank -> if test rank then Bitset.set bits i);
+      bits
+    | Some t -> (
       let codes = Array.make (Layout.num_vars layout) 0 in
-      iter_ranks ts (fun i rank ->
-          Layout.decode layout rank codes;
-          if Compiled.holds t ~codes ~rank then Bitset.set bits i)
+      match (t, Compiled.slots_read layout pred) with
+      | Compiled.Codes f, [||] -> if n > 0 && f codes then Bitset.full n else bits
+      | t, slots ->
+        iter_ranks ts (fun i rank ->
+            Layout.decode_slots layout rank codes slots;
+            if Compiled.holds t ~codes ~rank then Bitset.set bits i);
+        bits)
     | None ->
       let sc = Layout.scratch layout in
       iter_ranks ts (fun i rank ->
           Layout.unpack_into layout sc rank;
-          if Pred.holds pred (State.scratch_view sc) then Bitset.set bits i)));
-  bits
+          if Pred.holds pred (State.scratch_view sc) then Bitset.set bits i);
+      bits)
 
 (* [pred_bitset ts pred]: the bitset of states satisfying [pred], swept
    once per predicate instance and cached. *)
@@ -1144,6 +1183,14 @@ let pred_bitset ts pred =
     bits
 
 let holds_at ts pred i = Bitset.get (pred_bitset ts pred) i
+
+let components ts decompose =
+  match ts.components with
+  | Some c -> c
+  | None ->
+    let c = decompose ts in
+    ts.components <- Some c;
+    c
 
 (* Fill the enabled cache of every compiled action at once, in one pass
    over the edges.  A compiled action's guard holds at [i] exactly when
@@ -1284,7 +1331,9 @@ let derive ~limit ~layout program ~span ~keep =
     close_row b i
   done;
   let ts =
-    finish ~counter:m_derived b ~program
+    finish ~counter:m_derived
+      ~derivation:(span.uid, Array.sub old 0 b.count)
+      b ~program
       ~actions:(Array.sub span.actions 0 np)
       ~initials:(List.init (Array.length seeds) Fun.id)
       ~store:(Interned (layout, keys b, index))

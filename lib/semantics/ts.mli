@@ -164,8 +164,10 @@ val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val out_degree : t -> int -> int
 
-(** A lent row of out-edge targets, read by {!row_target}. *)
-type row
+(** A lent row of out-edge targets, read by {!row_target}: a target
+    column, one native-endian 32-bit state id per edge, so a walk may
+    also read it with the [%caml_bytes_get32u] primitive at [4 * e]. *)
+type row = private Bytes.t
 
 (** [with_out_row ts i k]: [k row lo hi], where the targets of [i]'s
     out-edges, in edge order, are [row_target row lo] to
@@ -205,9 +207,11 @@ val rank_of : t -> int -> int
 val index_of_rank : t -> int -> int
 
 (** [index_map ~src ~dst]: the index in [dst] of each state of [src], or
-    [-1] when [dst] does not hold it.  By rank when both systems have
-    layouts of one signature (no state is built or hashed), by state
-    otherwise. *)
+    [-1] when [dst] does not hold it.  Read off the derivation when [src]
+    was derived from [dst]'s rows ({!build_within}: the derived system
+    keeps the span index of each of its states), by rank when both
+    systems have layouts of one signature (no state is built or hashed),
+    by state otherwise. *)
 val index_map : src:t -> dst:t -> int -> int
 val action_id : t -> string -> int option
 
@@ -262,4 +266,31 @@ val deadlocked : t -> int -> bool
 val satisfying : t -> Pred.t -> int list
 
 val holds_at : t -> Pred.t -> int -> bool
+
+(** {1 Strongly connected components} *)
+
+(** An SCC decomposition of a system's graph, or of the subgraph a state
+    set induces (see {!Graph.decompose}), held in columns. *)
+type components = {
+  component : int array;
+      (** the component of each state, [-1] outside the decomposed set;
+          ids in the order Tarjan's algorithm completes them, roots taken
+          in ascending state order *)
+  count : int;
+  members : int array;
+      (** the decomposed states grouped by component, in id order, each
+          group in discovery order *)
+  first : int array;
+      (** component [c]'s members are [members.(first.(c))] to
+          [members.(first.(c + 1) - 1)]; [count + 1] entries *)
+  cyclic : Bitset.t;
+      (** the components that can host an infinite run: two or more
+          members, or one with a self-loop *)
+}
+
+(** [components ts decompose]: the decomposition of [ts]'s whole graph,
+    computed by [decompose] on the first call and cached on [ts], as
+    {!pred_bitset} caches predicates.  The cached value is shared: do not
+    mutate it. *)
+val components : t -> (t -> components) -> components
 val pp_stats : t Fmt.t

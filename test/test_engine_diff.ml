@@ -138,16 +138,16 @@ let program_gen =
 let print_program rp =
   Fmt.str "{actions=%d escape=%b}" (List.length rp.acts) rp.escape
 
-let build_action i = function
+let build_action ?(prefix = "a") i = function
   | Assign (seed, assigns) ->
-    Action.deterministic (Fmt.str "a%d" i) (pred_of_seed seed) (fun st ->
-        List.fold_left apply_assign st assigns)
+    Action.deterministic (Fmt.str "%s%d" prefix i) (pred_of_seed seed)
+      (fun st -> List.fold_left apply_assign st assigns)
   | Choose (seed, x, y) ->
-    Action.choose (Fmt.str "a%d" i) (pred_of_seed seed)
+    Action.choose (Fmt.str "%s%d" prefix i) (pred_of_seed seed)
       [ (fun st -> apply_assign st x); (fun st -> apply_assign st y) ]
   | Corrupt (seed, v) ->
     let x, d = List.nth vars v in
-    Action.corrupt (Fmt.str "a%d" i) (pred_of_seed seed) x d
+    Action.corrupt (Fmt.str "%s%d" prefix i) (pred_of_seed seed) x d
 
 (* The escape action drives [n] beyond its declared domain (bounded at 5 so
    exploration terminates): the packed engine must detect it and fall back
@@ -437,6 +437,174 @@ let prop_trapped_vs_leads_to =
               = not (Check.holds (Check.leads_to ts at (Pred.not_ r))))
             (List.init (Ts.num_states ts) Fun.id))
         [ Ts.Reference; Ts.Auto ])
+
+(* Liveness from the cached decomposition against the per-call oracle
+   ([Util.Oracle]), on every store: p [] F is [p]'s actions then random
+   fault actions (so p over its span derives from the span's rows), and
+   each system is asked leads-to from a random predicate and from [true]
+   (the reach walked, and skipped), alone and [~via] the span; [trapped]
+   and the fair SCCs of a random region, and of the whole system. *)
+let liveness_arb =
+  QCheck.make
+    ~print:(fun (((rp, faults), inits), (s1, s2)) ->
+      Fmt.str "%s faults=%d from %d states P%d ~> P%d" (print_program rp)
+        (List.length faults) (List.length inits) s1 s2)
+    QCheck.Gen.(
+      pair
+        (pair
+           (pair program_gen (list_size (int_range 0 3) action_gen))
+           (list_size (int_range 1 6) state_gen))
+        (pair (int_range 0 (1 lsl 20)) (int_range 0 (1 lsl 20))))
+
+let prop_liveness_oracle =
+  Util.qtest ~count:60 "leads-to, trapped, fair SCCs = per-call oracle"
+    liveness_arb (fun (((rp, faults), inits), (s1, s2)) ->
+      let p = build_program rp in
+      let pf =
+        Program.make ~name:"diff_pf" ~vars
+          ~actions:
+            (Program.actions p @ List.mapi (build_action ~prefix:"f") faults)
+      in
+      let from = pred_of_seed s1 and q = pred_of_seed s2 in
+      List.for_all
+        (fun (engine, leg) ->
+          Util.with_leg leg @@ fun () ->
+          let where = Util.build_name (engine, leg) in
+          let ts_pf = Ts.build ~engine pf ~from:inits in
+          let ts_p = Ts.build_within ~engine p ~span:ts_pf in
+          let agree what ~via ts p q =
+            outcome_str (Check.leads_to ?via ts p q)
+            = outcome_str (Util.Oracle.leads_to ?via ts p q)
+            || QCheck.Test.fail_reportf "%s: leads_to %s" where what
+          in
+          let members sccs = List.map (fun (c : Graph.scc) -> c.members) sccs in
+          let regions_agree what ts =
+            let region = Ts.holds_at ts q in
+            (Fairness.trapped ts ~region = Util.Oracle.trapped ts ~region
+            || QCheck.Test.fail_reportf "%s: trapped on %s" where what)
+            && (members (Fairness.fair_sccs ~mask:region ts)
+                = members (Util.Oracle.fair_sccs ~mask:region ts)
+               || QCheck.Test.fail_reportf "%s: masked fair SCCs on %s" where
+                    what)
+            && (members (Fairness.fair_sccs ts)
+                = members (Util.Oracle.fair_sccs ts)
+               || QCheck.Test.fail_reportf "%s: fair SCCs on %s" where what)
+          in
+          List.for_all
+            (fun (what, ts) ->
+              agree what ~via:None ts from q
+              && agree what ~via:None ts Pred.true_ q
+              && regions_agree what ts)
+            [ ("p [] F", ts_pf); ("p", ts_p) ]
+          && agree "~via" ~via:(Some ts_pf) ts_p from q
+          && agree "~via, from true" ~via:(Some ts_pf) ts_p Pred.true_ q)
+        Util.builds)
+
+(* The lemma the liveness checks rest on, by brute force: every SCC of
+   the subgraph a region induces lies inside one SCC of the whole graph,
+   and a state whose SCC is trivial in the whole graph stays trivial in
+   the region's. *)
+let prop_region_sccs_inside =
+  let n = 6 in
+  let arb =
+    QCheck.pair (Util.graph_arb n) (QCheck.int_range 0 ((1 lsl n) - 1))
+  in
+  Util.qtest ~count:200 "SCCs of G[R] lie inside SCCs of G" arb
+    (fun (edges, bits) ->
+      (* [path.(i).(j)]: a path of one or more edges from node i to j. *)
+      let path = Array.make_matrix n n false in
+      List.iter (fun (i, j) -> path.(i).(j) <- true) edges;
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if path.(i).(k) && path.(k).(j) then path.(i).(j) <- true
+          done
+        done
+      done;
+      let same i j = i = j || (path.(i).(j) && path.(j).(i)) in
+      let ts = Util.product (Util.graph_program n edges) in
+      let node i = Value.as_int (State.get (Ts.state ts i) "node") in
+      let in_region i = (bits lsr node i) land 1 = 1 in
+      List.for_all
+        (fun (c : Graph.scc) ->
+          let nodes = List.map node c.members in
+          List.for_all (fun i -> List.for_all (same i) nodes) nodes
+          && (c.trivial || List.length nodes > 1 || path.(List.hd nodes).(List.hd nodes)))
+        (Graph.sccs ~mask:in_region ts))
+
+(* A swept predicate is [Pred.holds] state by state: random expressions
+   over the five variables (constants among them) run compiled on layout
+   systems, with only the slots they read decoded, or, for a constant,
+   once. *)
+let expr_gen =
+  QCheck.Gen.(
+    let atom =
+      oneof
+        [
+          map Expr.bool bool;
+          return (Expr.var "a");
+          return (Expr.not_ (Expr.var "b"));
+          map (fun k -> Expr.eq (Expr.var "n") (Expr.int k)) (int_range 0 2);
+          map (fun k -> Expr.lt (Expr.var "m") (Expr.int k)) (int_range 0 3);
+          map
+            (fun s -> Expr.neq (Expr.var "s") (Expr.sym s))
+            (oneofl [ "p"; "q"; "bot" ]);
+          map
+            (fun k ->
+              Expr.eq
+                (Expr.mod_ (Expr.add (Expr.var "n") (Expr.var "m")) (Expr.int 3))
+                (Expr.int k))
+            (int_range 0 2);
+        ]
+    in
+    fix
+      (fun self depth ->
+        if depth = 0 then atom
+        else
+          frequency
+            [
+              (2, atom);
+              (1, map Expr.not_ (self (depth - 1)));
+              (1, map2 (fun a b -> Expr.and_ [ a; b ]) (self (depth - 1)) (self (depth - 1)));
+              (1, map2 (fun a b -> Expr.or_ [ a; b ]) (self (depth - 1)) (self (depth - 1)));
+            ])
+      3)
+
+let prop_sweeps_holds =
+  let arb =
+    QCheck.make
+      ~print:(fun ((rp, inits), es) ->
+        Fmt.str "%s from %d states: %a" (print_program rp) (List.length inits)
+          Fmt.(list ~sep:(any " | ") Expr.pp)
+          es)
+      QCheck.Gen.(
+        pair
+          (pair program_gen (list_size (int_range 1 6) state_gen))
+          (list_size (int_range 1 4) expr_gen))
+  in
+  Util.qtest ~count:60 "pred_bitset sweep = Pred.holds" arb
+    (fun ((rp, inits), es) ->
+      let p = build_program rp in
+      let preds =
+        Pred.true_ :: Pred.false_ :: List.map (fun e -> Pred.of_expr e) es
+      in
+      List.for_all
+        (fun (engine, leg) ->
+          Util.with_leg leg @@ fun () ->
+          List.for_all
+            (fun ts ->
+              List.for_all
+                (fun pred ->
+                  let bits = Ts.pred_bitset ts pred in
+                  List.for_all
+                    (fun i ->
+                      Bitset.get bits i = Pred.holds pred (Ts.state ts i)
+                      || QCheck.Test.fail_reportf "%s: %s at state %d"
+                           (Util.build_name (engine, leg)) (Pred.name pred) i)
+                    (List.init (Ts.num_states ts) Fun.id))
+                preds)
+            [ Ts.build ~engine p ~from:inits; Util.product ~engine p ])
+        Util.builds)
 
 (* ------------------------------------------------------------------ *)
 (* Random guarded-command sources: the compiled kernel                 *)
@@ -1095,6 +1263,9 @@ let suite =
       prop_build_within;
       prop_checks_identical;
       prop_trapped_vs_leads_to;
+      prop_liveness_oracle;
+      prop_region_sccs_inside;
+      prop_sweeps_holds;
       prop_dsl_constructions;
       prop_dsl_sweeps;
       prop_rank_steps;

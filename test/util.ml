@@ -201,3 +201,158 @@ let qtest ?(count = 200) name arb law =
         raise e)
   in
   Alcotest.test_case name `Quick run
+
+(* ------------------------------------------------------------------ *)
+(* The per-call liveness procedures: the oracle of the decomposition.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Liveness as it was decided before systems cached one SCC
+   decomposition: every call runs Tarjan's algorithm afresh on the
+   masked subgraph, roots ascending, and keeps member lists.
+   [Graph.sccs], [Fairness.fair_sccs], [Fairness.trapped] and
+   [Check.leads_to] must answer exactly as these do, witnesses and their
+   order included. *)
+module Oracle = struct
+  open Detcor_semantics
+
+  (* Tarjan's algorithm, iterative, restricted to the masked subgraph.  A
+     call-stack frame holds its node and the node's lent row of targets
+     with a cursor into it; a node popped into its component gets index
+     [max_int], so it can no longer lower a lowlink. *)
+  let sccs ?(mask = fun _ -> true) ts =
+    let n = Ts.num_states ts in
+    let index = Array.make n (-1) in
+    let lowlink = Array.make n 0 in
+    let stack = Array.make n 0 and sp = ref 0 in
+    let frame_node = Array.make n 0 and frame_row = Array.make n Ts.empty_row in
+    let frame_pos = Array.make n 0 and frame_stop = Array.make n 0 in
+    let depth = ref 0 in
+    let set_row row lo hi =
+      frame_row.(!depth) <- row;
+      frame_pos.(!depth) <- lo;
+      frame_stop.(!depth) <- hi
+    in
+    let counter = ref 0 in
+    let components = ref [] in
+    let enter v =
+      index.(v) <- !counter;
+      lowlink.(v) <- !counter;
+      incr counter;
+      stack.(!sp) <- v;
+      incr sp;
+      frame_node.(!depth) <- v;
+      Ts.with_out_row ts v set_row;
+      incr depth
+    in
+    let visit root =
+      enter root;
+      while !depth > 0 do
+        let top = !depth - 1 in
+        let v = frame_node.(top) and e = frame_pos.(top) in
+        if e < frame_stop.(top) then begin
+          frame_pos.(top) <- e + 1;
+          let w = Ts.row_target frame_row.(top) e in
+          if mask w then
+            if index.(w) = -1 then enter w
+            else if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
+        end
+        else begin
+          depth := top;
+          frame_row.(top) <- Ts.empty_row;
+          if top > 0 then begin
+            let parent = frame_node.(top - 1) in
+            if lowlink.(v) < lowlink.(parent) then
+              lowlink.(parent) <- lowlink.(v)
+          end;
+          if lowlink.(v) = index.(v) then begin
+            let members = ref [] in
+            let continue_ = ref true in
+            while !continue_ do
+              decr sp;
+              let w = stack.(!sp) in
+              index.(w) <- max_int;
+              members := w :: !members;
+              if w = v then continue_ := false
+            done;
+            components := !members :: !components
+          end
+        end
+      done
+    in
+    for i = 0 to n - 1 do
+      if mask i && index.(i) = -1 then visit i
+    done;
+    let rec self_loop v row e hi =
+      e < hi && (Ts.row_target row e = v || self_loop v row (e + 1) hi)
+    in
+    let make_scc id members =
+      let trivial =
+        match members with
+        | [ v ] -> not (Ts.with_out_row ts v (self_loop v))
+        | _ -> false
+      in
+      { Graph.id; members; trivial }
+    in
+    List.mapi make_scc (List.rev !components)
+
+  let fair ts (scc : Graph.scc) =
+    (not scc.trivial)
+    &&
+    let inside v = List.mem v scc.members in
+    List.for_all
+      (fun aid ->
+        (not (List.for_all (fun v -> Ts.enabled ts v aid) scc.members))
+        || List.exists
+             (fun v ->
+               List.exists
+                 (fun (a, w) -> a = aid && inside w)
+                 (Ts.edges_of ts v))
+             scc.members)
+      (List.init (Ts.num_actions ts) Fun.id)
+
+  let fair_sccs ?mask ts = List.filter (fair ts) (sccs ?mask ts)
+
+  let trapped ts ~region =
+    let stuck =
+      List.filter
+        (fun i -> region i && Ts.deadlocked ts i)
+        (List.init (Ts.num_states ts) Fun.id)
+      @ List.concat_map
+          (fun (c : Graph.scc) -> c.members)
+          (fair_sccs ~mask:region ts)
+    in
+    Graph.co_reachable ~mask:region ts ~target:stuck
+
+  let leads_to ?via ts p q =
+    let via = Option.value via ~default:ts in
+    let not_q i = not (Ts.holds_at via q i) in
+    let starts =
+      List.filter
+        (fun i -> Ts.holds_at via p i && not_q i)
+        (List.init (Ts.num_states via) Fun.id)
+    in
+    if starts = [] then Check.Holds
+    else
+      let reach = Graph.reachable ~mask:not_q via ~from:starts in
+      (* By state, so the derivation's index column is checked too. *)
+      let to_via i =
+        if via == ts then i
+        else Option.value ~default:(-1) (Ts.index_of via (Ts.state ts i))
+      in
+      let region i =
+        let j = to_via i in
+        j >= 0 && reach.(j)
+      in
+      let n = Ts.num_states ts in
+      match
+        List.find_opt
+          (fun i -> region i && Ts.deadlocked ts i)
+          (List.init n Fun.id)
+      with
+      | Some i -> Check.Fails (Check.Deadlock (Ts.state ts i))
+      | None -> (
+        match fair_sccs ~mask:region ts with
+        | scc :: _ ->
+          Check.Fails (Check.Fair_cycle (List.map (Ts.state ts) scc.members))
+        | [] -> Check.Holds)
+end
