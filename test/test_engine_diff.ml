@@ -1263,9 +1263,6 @@ let suite =
       prop_build_within;
       prop_checks_identical;
       prop_trapped_vs_leads_to;
-      prop_liveness_oracle;
-      prop_region_sccs_inside;
-      prop_sweeps_holds;
       prop_dsl_constructions;
       prop_dsl_sweeps;
       prop_rank_steps;
@@ -1275,4 +1272,7 @@ let suite =
         test_escape_lowest_slot;
       prop_dsl_labels_and_derivation;
       prop_dsl_columns;
+      prop_liveness_oracle;
+      prop_region_sccs_inside;
+      prop_sweeps_holds;
     ] )
