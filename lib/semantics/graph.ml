@@ -104,9 +104,7 @@ let m_decompositions = Detcor_obs.Metrics.counter "graph.decompositions"
 
 (* A lent row's target at edge offset [e], read with the primitive (no
    call per edge, whatever the build profile). *)
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-
-let target (row : Ts.row) e = Int32.to_int (get32 (row :> Bytes.t) (4 * e))
+let target (row : Ts.row) e = Int32.to_int (Csr.get32 (row :> Bytes.t) (4 * e))
 
 (* Tarjan's algorithm, iterative to survive deep graphs, on the subgraph
    induced by [inside] (the whole graph without it), roots taken in

@@ -5,10 +5,10 @@
    keeps the same data as a sequence of level-aligned *segments*, one
    per BFS level:
 
-   - a segment is created from the states one BFS level interns (its
-     rank column), receives its CSR edges while the *next* level
-     expands those states, and is then sealed — one level in
-     arrears, so a sealed segment is immutable forever after;
+   - a segment is one [Csr] builder: its keys are the ranks one BFS
+     level interns, it receives its CSR edges while the *next* level
+     expands those states, and is then sealed into exact columns — one
+     level in arrears, so a sealed segment is immutable forever after;
    - sealed segments are the spill unit: when the resident arena bytes
      exceed the budget, least-recently-used segments are written once to
      checksummed files under the spill directory (the [Checkpoint] file
@@ -17,9 +17,11 @@
    - dedup is one [Rank_map] over the layout space, as in the flat
      store: a table while the store is sparse in the product, a direct
      array once it fills enough of it;
-   - the BFS interns each successor as it is found, in (source gid,
-     successor position) order — exactly the interning order of the
-     flat store, which is what keeps the numbering byte-identical.
+   - [Ts]'s exploration loop drives it as it drives the flat store
+     ({!find}, {!add}, {!begin_level}, whose builder takes the level's
+     rows, {!end_level}), interning each successor as it is found, in
+     (source gid, successor position) order, which is what keeps the
+     numbering byte-identical.
 
    A state's global id (gid) is its position in the store: segments
    hold consecutive gid ranges, so the segment of a gid is a binary
@@ -39,114 +41,27 @@ let m_spill_bytes = Metrics.counter "engine.shard.spill_bytes"
 let m_reloads = Metrics.counter "engine.shard.reloads"
 let m_spill_errors = Metrics.counter "engine.shard.spill_errors"
 
-(* Raised by {!intern} when the state count would exceed the limit; [Ts]
-   converts it to its public [Too_large]. *)
-exception Limit of int
-
 (* ------------------------------------------------------------------ *)
-(* Growable int buffers and varint coding.                             *)
+(* Varint coding.                                                      *)
 (* ------------------------------------------------------------------ *)
-
-module Ibuf = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create n = { a = Array.make (max n 8) 0; len = 0 }
-
-  let add b v =
-    if b.len = Array.length b.a then begin
-      let a' = Array.make (2 * Array.length b.a) 0 in
-      Array.blit b.a 0 a' 0 b.len;
-      b.a <- a'
-    end;
-    b.a.(b.len) <- v;
-    b.len <- b.len + 1
-
-  let to_array b = Array.sub b.a 0 b.len
-  let reset b = b.len <- 0
-end
-
-(* Edge columns, laid out as [Ts]'s: action ids as native-endian 16-bit
-   words, target gids as 32-bit words, 6 bytes an edge in [Bytes] the GC
-   never scans.  [Ts] refuses more actions or states than they hold. *)
-external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-
-let label col e = get16 col (2 * e)
-let target col e = Int32.to_int (get32 col (4 * e))
-
-(* A growable pair of edge columns: the open segment's CSR edges. *)
-module Ebuf = struct
-  type t = { mutable ea : Bytes.t; mutable et : Bytes.t; mutable len : int }
-
-  let create n = { ea = Bytes.create (2 * n); et = Bytes.create (4 * n); len = 0 }
-
-  let add b aid tgt =
-    if 2 * b.len = Bytes.length b.ea then begin
-      let grow col width =
-        let col' = Bytes.create (2 * Bytes.length col) in
-        Bytes.blit col 0 col' 0 (width * b.len);
-        col'
-      in
-      b.ea <- grow b.ea 2;
-      b.et <- grow b.et 4
-    end;
-    set16 b.ea (2 * b.len) aid;
-    set32 b.et (4 * b.len) (Int32.of_int tgt);
-    b.len <- b.len + 1
-
-  let labels b = Bytes.sub b.ea 0 (2 * b.len)
-  let targets b = Bytes.sub b.et 0 (4 * b.len)
-  let reset b = b.len <- 0
-end
 
 (* LEB128-style varints over the full 63-bit int range (logical shifts,
-   so negative ints terminate in at most 10 bytes); signed values go
-   through zigzag so small deltas of either sign stay short. *)
-module Vbuf = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+   so negative ints terminate in at most 10 bytes), written to a
+   [Buffer]; signed values go through zigzag so small deltas of either
+   sign stay short. *)
+let rec put_u b v =
+  let byte = v land 0x7f and rest = v lsr 7 in
+  if rest = 0 then Buffer.add_char b (Char.unsafe_chr byte)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (byte lor 0x80));
+    put_u b rest
+  end
 
-  let create n = { buf = Bytes.create (max n 32); len = 0 }
+let put_i b v = put_u b ((v lsl 1) lxor (v asr 62))
 
-  let ensure b extra =
-    if b.len + extra > Bytes.length b.buf then begin
-      let cap = ref (2 * Bytes.length b.buf) in
-      while b.len + extra > !cap do
-        cap := 2 * !cap
-      done;
-      let buf' = Bytes.create !cap in
-      Bytes.blit b.buf 0 buf' 0 b.len;
-      b.buf <- buf'
-    end
-
-  let put_u b v =
-    ensure b 10;
-    let v = ref v in
-    let continue = ref true in
-    while !continue do
-      let byte = !v land 0x7f in
-      v := !v lsr 7;
-      if !v = 0 then begin
-        Bytes.unsafe_set b.buf b.len (Char.unsafe_chr byte);
-        continue := false
-      end
-      else Bytes.unsafe_set b.buf b.len (Char.unsafe_chr (byte lor 0x80));
-      b.len <- b.len + 1
-    done
-
-  let zigzag v = (v lsl 1) lxor (v asr 62)
-  let put_i b v = put_u b (zigzag v)
-
-  let put_raw b s =
-    let n = String.length s in
-    put_u b n;
-    ensure b n;
-    Bytes.blit_string s 0 b.buf b.len n;
-    b.len <- b.len + n
-
-  let contents b = Bytes.sub_string b.buf 0 b.len
-end
+let put_raw b s =
+  put_u b (String.length s);
+  Buffer.add_string b s
 
 module Vcur = struct
   type t = { data : string; mutable pos : int }
@@ -200,33 +115,36 @@ type seg = {
 
 let seg_bytes s = (8 * (s.count + 1 + s.count)) + (6 * s.edge_count)
 
-(* Segment payload: self-describing varint columns.  Ranks and targets
+(* Edge columns are read and written with [Csr]'s primitives, which are
+   no call per edge in any build profile.
+
+   Segment payload: self-describing varint columns.  Ranks and targets
    are delta-coded (interning order makes neighbouring values close);
    row offsets are nondecreasing so their deltas are plain varints. *)
 let ser_seg s =
-  let vb = Vbuf.create (16 + (4 * s.count) + (4 * s.edge_count)) in
-  Vbuf.put_u vb s.seg_level;
-  Vbuf.put_u vb s.base;
-  Vbuf.put_u vb s.count;
-  Vbuf.put_u vb s.edge_count;
+  let vb = Buffer.create (16 + (4 * s.count) + (4 * s.edge_count)) in
+  put_u vb s.seg_level;
+  put_u vb s.base;
+  put_u vb s.count;
+  put_u vb s.edge_count;
   let prev = ref 0 in
   for i = 0 to s.count - 1 do
-    Vbuf.put_i vb (s.ranks.(i) - !prev);
+    put_i vb (s.ranks.(i) - !prev);
     prev := s.ranks.(i)
   done;
   for i = 1 to s.count do
-    Vbuf.put_u vb (s.row.(i) - s.row.(i - 1))
+    put_u vb (s.row.(i) - s.row.(i - 1))
   done;
   for i = 0 to s.edge_count - 1 do
-    Vbuf.put_u vb (label s.ea i)
+    put_u vb (Csr.get16 s.ea (2 * i))
   done;
   prev := 0;
   for i = 0 to s.edge_count - 1 do
-    let j = target s.et i in
-    Vbuf.put_i vb (j - !prev);
+    let j = Int32.to_int (Csr.get32 s.et (4 * i)) in
+    put_i vb (j - !prev);
     prev := j
   done;
-  Vbuf.contents vb
+  Buffer.contents vb
 
 (* Decode a segment payload into the (already sized) metadata record. *)
 let deser_seg s data =
@@ -248,15 +166,15 @@ let deser_seg s data =
   for i = 1 to count do
     row.(i) <- row.(i - 1) + Vcur.get_u c
   done;
-  let ea = Bytes.create (2 * ecount) in
+  let ea = Csr.labels ecount in
   for i = 0 to ecount - 1 do
-    set16 ea (2 * i) (Vcur.get_u c)
+    Csr.set16 ea (2 * i) (Vcur.get_u c)
   done;
-  let et = Bytes.create (4 * ecount) in
+  let et = Csr.targets ecount in
   prev := 0;
   for i = 0 to ecount - 1 do
     prev := !prev + Vcur.get_i c;
-    set32 et (4 * i) (Int32.of_int !prev)
+    Csr.set32 et (4 * i) (Int32.of_int !prev)
   done;
   s.ranks <- ranks;
   s.row <- row;
@@ -269,22 +187,17 @@ let deser_seg s data =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  limit : int;
   spill_dir : string;
   arena_budget : int;
   fingerprint : string;
   name : string; (* this store's part of its spill file names *)
   keep_files : bool; (* a checkpoint snapshot may refer to the files *)
-  on_intern : unit -> unit;
   mutable segs : seg array; (* ascending base *)
   mutable hint : int; (* last segment index touched *)
   dedup : Rank_map.t; (* rank -> gid *)
-  open_ranks : Ibuf.t; (* ranks of gids [sealed_n, n): the next level *)
-  (* CSR accumulators of the segment currently receiving edges. *)
-  mutable cur : seg option;
-  cur_row : Ibuf.t;
-  cur_edges : Ebuf.t;
-  mutable cur_rel : int; (* segment-relative id whose edges are open *)
+  mutable next : int Csr.t; (* ranks of gids [sealed_n, n): the next level *)
+  (* The segment receiving edges, and its builder. *)
+  mutable cur : (seg * int Csr.t) option;
   mutable n : int;
   mutable edges : int;
   mutable sealed_n : int; (* gids promoted into segments *)
@@ -307,25 +220,19 @@ let process_token =
      Fmt.str "%d-%06x" (Unix.getpid ())
        (Random.State.bits (Random.State.make_self_init ()) land 0xffffff))
 
-let create ?(on_intern = fun () -> ()) ~layout ~limit ~spill_dir
-    ~arena_budget ~fingerprint () =
+let create ~layout ~spill_dir ~arena_budget ~fingerprint () =
   incr serial;
   {
-    limit;
     spill_dir;
     arena_budget;
     fingerprint;
     name = Fmt.str "%s-%d" (Lazy.force process_token) !serial;
     keep_files = Detcor_robust.Checkpoint.armed ();
-    on_intern;
     segs = [||];
     hint = 0;
     dedup = Rank_map.create ~space:(Layout.space layout) ();
-    open_ranks = Ibuf.create 64;
+    next = Csr.create ();
     cur = None;
-    cur_row = Ibuf.create 64;
-    cur_edges = Ebuf.create 64;
-    cur_rel = 0;
     n = 0;
     edges = 0;
     sealed_n = 0;
@@ -455,7 +362,7 @@ let seg_of t gid =
   found
 
 let rank_of t gid =
-  if gid >= t.sealed_n then t.open_ranks.Ibuf.a.(gid - t.sealed_n)
+  if gid >= t.sealed_n then Csr.key t.next (gid - t.sealed_n)
   else begin
     let seg = seg_of t gid in
     seg.ranks.(gid - seg.base)
@@ -463,38 +370,32 @@ let rank_of t gid =
 
 let find t rank = if rank < 0 then -1 else Rank_map.find t.dedup rank
 
-let intern t rank =
-  let known = Rank_map.find t.dedup rank in
-  if known >= 0 then known
-  else begin
-    if t.n >= t.limit then raise (Limit t.limit);
-    let gid = t.n in
-    t.n <- t.n + 1;
-    Ibuf.add t.open_ranks rank;
-    Rank_map.add t.dedup rank gid;
-    Detcor_robust.Budget.count_state ();
-    t.on_intern ();
-    gid
-  end
+let add t rank =
+  let gid = t.n in
+  t.n <- gid + 1;
+  ignore (Csr.add t.next rank);
+  Rank_map.add t.dedup rank gid;
+  gid
 
 (* ------------------------------------------------------------------ *)
 (* Level lifecycle.                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Promote the open rank column into a fresh segment — the new frontier
-   — and return its gid range.  The segment stays resident while its
-   CSR fills during the level about to run. *)
+   — and return its builder.  The segment stays resident while its
+   builder fills during the level about to run. *)
 let begin_level t =
-  let lo = t.sealed_n in
-  let count = t.open_ranks.Ibuf.len in
-  if count > 0 then begin
+  let lo = t.sealed_n and b = t.next in
+  t.sealed_n <- t.n;
+  if Csr.count b = 0 then None
+  else begin
     let seg =
       {
         seg_level = Array.length t.segs;
         base = lo;
-        count;
+        count = Csr.count b;
         edge_count = 0;
-        ranks = Ibuf.to_array t.open_ranks;
+        ranks = Csr.keys b;
         row = [||];
         ea = Bytes.empty;
         et = Bytes.empty;
@@ -506,42 +407,23 @@ let begin_level t =
     in
     touch t seg;
     t.segs <- Array.append t.segs [| seg |];
-    t.cur <- Some seg;
-    Ibuf.reset t.open_ranks;
-    Ibuf.reset t.cur_row;
-    Ibuf.add t.cur_row 0;
-    Ebuf.reset t.cur_edges;
-    t.cur_rel <- 0
-  end;
-  t.sealed_n <- t.n;
-  (lo, t.n)
+    t.cur <- Some (seg, b);
+    t.next <- Csr.create ();
+    Some b
+  end
 
-let add_edge t ~src ~aid ~tgt =
-  match t.cur with
-  | None -> Detcor_robust.Error.internal "Shard_store.add_edge: no open segment"
-  | Some seg ->
-    let rel = src - seg.base in
-    while t.cur_rel < rel do
-      Ibuf.add t.cur_row t.cur_edges.Ebuf.len;
-      t.cur_rel <- t.cur_rel + 1
-    done;
-    Ebuf.add t.cur_edges aid tgt;
-    t.edges <- t.edges + 1
-
-(* Seal the frontier segment: close the remaining CSR rows, freeze the
-   arrays, and let the eviction policy spill what no longer fits. *)
+(* Seal the frontier segment into exact columns, and let the eviction
+   policy spill what no longer fits. *)
 let end_level t =
   (match t.cur with
   | None -> ()
-  | Some seg ->
-    while t.cur_rel < seg.count do
-      Ibuf.add t.cur_row t.cur_edges.Ebuf.len;
-      t.cur_rel <- t.cur_rel + 1
-    done;
-    seg.row <- Ibuf.to_array t.cur_row;
-    seg.ea <- Ebuf.labels t.cur_edges;
-    seg.et <- Ebuf.targets t.cur_edges;
-    seg.edge_count <- t.cur_edges.Ebuf.len;
+  | Some (seg, b) ->
+    let row, ea, et = Csr.columns b in
+    seg.row <- row;
+    seg.ea <- ea;
+    seg.et <- et;
+    seg.edge_count <- Csr.edges b;
+    t.edges <- t.edges + Csr.edges b;
     seg.sealed <- true;
     t.resident_bytes <- t.resident_bytes + seg_bytes seg;
     t.cur <- None);
@@ -568,21 +450,22 @@ let iter_out t gid f =
          their contents, it only drops the references). *)
       let row = seg.row and ea = seg.ea and et = seg.et in
       for e = row.(rel) to row.(rel + 1) - 1 do
-        f (label ea e) (target et e)
+        f (Csr.get16 ea (2 * e)) (Int32.to_int (Csr.get32 et (4 * e)))
       done
     end
   end
 
-let out_degree t gid =
-  if gid >= t.sealed_n then 0
-  else begin
+(* The segment's own target column is lent, valid after an eviction
+   for the reason [iter_out] gives. *)
+let with_out_row t gid k =
+  if gid < t.sealed_n then begin
     let seg = seg_of t gid in
-    if not seg.sealed then 0
-    else begin
+    if seg.sealed then
       let rel = gid - seg.base in
-      seg.row.(rel + 1) - seg.row.(rel)
-    end
+      k seg.et seg.row.(rel) seg.row.(rel + 1)
+    else k Bytes.empty 0 0
   end
+  else k Bytes.empty 0 0
 
 let iter_edges t f =
   for gid = 0 to t.n - 1 do
@@ -606,40 +489,39 @@ let iter_edges t f =
    to a gid the resumed run never assigned instead of interning it.) *)
 let snapshot t =
   Array.iter (fun seg -> if seg.sealed && seg.resident then try_spill_seg t seg) t.segs;
-  let vb = Vbuf.create 4096 in
-  Vbuf.put_u vb t.n;
-  Vbuf.put_u vb t.edges;
-  Vbuf.put_u vb t.sealed_n;
-  Vbuf.put_u vb t.spill_count;
-  Vbuf.put_u vb t.spill_bytes;
-  Vbuf.put_u vb (Array.length t.segs);
+  let vb = Buffer.create 4096 in
+  put_u vb t.n;
+  put_u vb t.edges;
+  put_u vb t.sealed_n;
+  put_u vb t.spill_count;
+  put_u vb t.spill_bytes;
+  put_u vb (Array.length t.segs);
   Array.iter
     (fun seg ->
-      Vbuf.put_u vb seg.count;
-      Vbuf.put_u vb seg.edge_count;
+      put_u vb seg.count;
+      put_u vb seg.edge_count;
       match seg.file with
       | Some path ->
-        Vbuf.put_u vb 1;
-        Vbuf.put_raw vb path
+        put_u vb 1;
+        put_raw vb path
       | None ->
-        Vbuf.put_u vb 0;
-        Vbuf.put_raw vb (ser_seg seg))
+        put_u vb 0;
+        put_raw vb (ser_seg seg))
     t.segs;
   let prev = ref 0 in
-  Vbuf.put_u vb t.open_ranks.Ibuf.len;
-  for i = 0 to t.open_ranks.Ibuf.len - 1 do
-    let r = t.open_ranks.Ibuf.a.(i) in
-    Vbuf.put_i vb (r - !prev);
+  put_u vb (Csr.count t.next);
+  for i = 0 to Csr.count t.next - 1 do
+    let r = Csr.key t.next i in
+    put_i vb (r - !prev);
     prev := r
   done;
-  Vbuf.contents vb
+  Buffer.contents vb
 
-let restore ?on_intern ~layout ~limit ~spill_dir ~arena_budget ~fingerprint
-    data =
+let restore ~layout ~spill_dir ~arena_budget ~fingerprint data =
   let corrupt what = Detcor_robust.Error.snapshot ~path:"shard snapshot" "%s" what in
   let c = Vcur.of_string data in
   let t =
-    create ?on_intern ~layout ~limit ~spill_dir ~arena_budget ~fingerprint ()
+    create ~layout ~spill_dir ~arena_budget ~fingerprint ()
   in
   t.n <- Vcur.get_u c;
   t.edges <- Vcur.get_u c;
@@ -693,7 +575,7 @@ let restore ?on_intern ~layout ~limit ~spill_dir ~arena_budget ~fingerprint
   let prev = ref 0 in
   for _ = 1 to Vcur.get_u c do
     prev := !prev + Vcur.get_i c;
-    Ibuf.add t.open_ranks !prev;
+    ignore (Csr.add t.next !prev);
     bind !prev
   done;
   if !gid <> t.n then corrupt "rank columns do not match";

@@ -2,16 +2,19 @@
     store of {!Ts}, used when a spill directory is set.
 
     States (as {!Layout} ranks) live in one sequence of level-aligned
-    segments: a segment's rank column fills when a BFS level is
-    interned, its CSR edges fill while the next level expands those
-    states, and the sealed result is the spill unit —
+    segments, each filled through one {!Csr} builder: a segment's rank
+    column fills when a BFS level is interned, its CSR edges fill while
+    the next level expands those states, and the sealed result is the
+    spill unit —
     least-recently-used sealed segments are written once to checksummed
     files (the {!Detcor_robust.Checkpoint} file format) under the spill
     directory and reloaded on demand, keeping the resident arena bytes
     under a budget.  A state's global id is its position in the store,
-    assigned as the BFS interns successors, in (source gid, successor
-    position) order, which reproduces the flat store's numbering
-    exactly.  Dedup is one {!Rank_map} over the layout space.
+    assigned as [Ts]'s exploration loop adds successors, in (source gid,
+    successor position) order, which reproduces the flat store's
+    numbering exactly.  Dedup is one {!Rank_map} over the layout space.
+    The store counts no state against a limit or a budget: its caller
+    does, before {!add}.
 
     Every store names its spill files apart from every other store's,
     in this process and in others, and removes the files it wrote when
@@ -24,18 +27,12 @@
 
 type t
 
-(** Raised by {!intern} when the state count would exceed the limit. *)
-exception Limit of int
-
-(** [create ~layout ~limit ~spill_dir ~arena_budget ~fingerprint ()]: an
+(** [create ~layout ~spill_dir ~arena_budget ~fingerprint ()]: an
     empty store spilling under the directory [spill_dir].  [arena_budget]
     bounds resident sealed-segment bytes.  [fingerprint] is written
-    into every spill file and checked on reload.  [on_intern] runs once
-    per newly interned state (the live-metrics hook). *)
+    into every spill file and checked on reload. *)
 val create :
-  ?on_intern:(unit -> unit) ->
   layout:Layout.t ->
-  limit:int ->
   spill_dir:string ->
   arena_budget:int ->
   fingerprint:string ->
@@ -48,28 +45,23 @@ val num_edges : t -> int
 (** (spill count, spilled bytes, reload count) so far. *)
 val spill_stats : t -> int * int * int
 
-(** Intern a rank, returning its gid (new or already known).  New
-    states are appended to the open column — part of the next frontier.
-    @raise Limit when the state count would exceed the limit. *)
-val intern : t -> int -> int
-
 (** The gid of a rank, or [-1] when it is not interned. *)
 val find : t -> int -> int
+
+(** [add t rank]: a new state of a rank {!find} does not know, appended
+    to the open column (part of the next frontier); its gid. *)
+val add : t -> int -> int
 
 (** The rank of a gid (reloading its segment if spilled). *)
 val rank_of : t -> int -> int
 
-(** Promote the open column into a fresh frontier segment and return
-    the frontier's gid range [(lo, hi)]; empty when exploration is
-    done. *)
-val begin_level : t -> int * int
+(** Promote the open column into a fresh frontier segment: [Some b],
+    where the builder [b] holds the frontier's ranks as its keys, in gid
+    order, and takes their rows and edges, which the caller fills
+    ({!Csr.fill_rows}); [None] when exploration is done. *)
+val begin_level : t -> int Csr.t option
 
-(** Append an edge to the frontier segment's CSR.  Sources must arrive
-    in nondecreasing gid order within a level — the BFS's expansion
-    order. *)
-val add_edge : t -> src:int -> aid:int -> tgt:int -> unit
-
-(** Seal the frontier segment (closing its CSR rows) and spill past the
+(** Seal the frontier segment, every row closed, and spill past the
     arena budget. *)
 val end_level : t -> unit
 
@@ -80,7 +72,12 @@ val iter_ranks : t -> (int -> int -> unit) -> unit
     order. *)
 val iter_out : t -> int -> (int -> int -> unit) -> unit
 
-val out_degree : t -> int -> int
+(** [with_out_row t gid k]: [k targets lo hi], where the out-edge
+    targets of [gid] are edges [lo] to [hi - 1] of the target column
+    [targets]: the segment's own, which stays valid after the segment is
+    evicted (spilling drops the store's reference, never the
+    contents). *)
+val with_out_row : t -> int -> (Bytes.t -> int -> int -> 'a) -> 'a
 
 (** [iter_edges t f]: [f src aid tgt] over all edges, sources
     ascending. *)
@@ -97,9 +94,7 @@ val snapshot : t -> string
     files named in the manifest are reused as-is, never rewritten.
     @raise Detcor_robust.Error.Detcor_error on any defect. *)
 val restore :
-  ?on_intern:(unit -> unit) ->
   layout:Layout.t ->
-  limit:int ->
   spill_dir:string ->
   arena_budget:int ->
   fingerprint:string ->

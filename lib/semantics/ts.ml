@@ -22,20 +22,25 @@
      ([Compiled]): guards read slot codes and successor ranks are
      computed arithmetically, with no successor state; closure-built
      actions run the interpreter and [Layout.pack_from];
-   - the results land in a flat store (CSR arrays and a rank column,
-     states interned by rank in a [Rank_map]) or in the shard store
-     ([Shard_store]: one arena segment per BFS level, spilling to disk,
-     states interned in one [Rank_map] as well).  Both stores run one
-     sequential breadth-first loop that interns each successor as it is
-     found.
+   - one exploration loop ([explore]) runs every store: seed, then
+     expand each BFS level in id order, interning each successor as it
+     is found, ticking the budget, recording the level's width and
+     counting the system.  It takes a successor source — the kernel
+     over ranks, the interpreter over states, or the rows of a flat
+     span (a derivation) — and a store: the flat store (CSR columns and
+     a rank column, states interned by rank in a [Rank_map]), the
+     reference store (the states themselves, in a hash table), or the
+     shard store ([Shard_store]: one segment per BFS level, spilling to
+     disk, states interned in one [Rank_map] as well).
 
-   Edges live in two compact columns the GC never scans: action ids as
-   16-bit and target ids as 32-bit native-endian words in [Bytes].  A BFS
-   builder appends edges to blocks of those columns and concatenates them
-   once, at the end, into columns of exact length; the reverse CSR uses
-   the same columns.  The widths are ceilings: a system has at most
-   [max_actions] actions and [max_states] states, and is refused, never
-   wrapped, past either.
+   Edges live in two compact columns the GC never scans ([Csr]): action
+   ids as 16-bit and target ids as 32-bit native-endian words in
+   [Bytes].  Every store fills [Csr] builders — one per system in RAM,
+   one per level segment on the shard store — which append edges to
+   blocks of those columns and concatenate them once, at the end, into
+   columns of exact length; the reverse CSR uses the same columns.  The
+   widths are ceilings: a system has at most [max_actions] actions and
+   [max_states] states, and is refused, never wrapped, past either.
 
    A layout-built system keeps ranks only: [state] decodes a rank on
    demand, and [index_of] packs a state and looks its rank up.  The
@@ -57,13 +62,13 @@
    rank decoded into one scratch buffer.  Checkers fetch each bitset
    once, hoisted out of their loops, and read it directly.
 
-   [build_reference], the seed list-based path (map-keyed interning of the
-   states themselves), stays as the fallback for programs whose actions
-   step outside their declared domains and as the oracle of the
+   [build_reference], the seed list-based path (state-keyed interning of
+   the states themselves), stays as the fallback for programs whose
+   actions step outside their declared domains and as the oracle of the
    differential tests; it is the only store that holds [State.t]s.  Every
-   engine numbers seeds in [State.compare] order and expands states in id
-   order, so all produce identical state numbering, edge arrays and
-   initials. *)
+   store numbers seeds in [State.compare] order and runs the one loop,
+   so all produce identical state numbering, edge arrays, initials and
+   exploration metrics. *)
 
 open Detcor_kernel
 open Detcor_obs
@@ -137,27 +142,13 @@ type store =
       (* the out-of-core store; the flat CSR arrays are then empty and
          every accessor dispatches *)
 
-(* ------------------------------------------------------------------ *)
-(* Edge columns.                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A label column holds action ids as native-endian 16-bit words, a
-   target column state ids as 32-bit words: 6 bytes an edge in [Bytes],
-   which the GC never scans.  The unchecked primitives read and write
-   them unboxed; every index is a CSR offset below the column's length. *)
-external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-
+(* An edge is 6 bytes in two [Bytes] columns ([Csr]): a 16-bit action
+   id and a 32-bit target id, read here through the column primitives,
+   with no call per edge. *)
 let max_actions = 0xFFFF
 let max_states = 0x7FFF_FFFF
-let labels n = Bytes.create (2 * n)
-let targets n = Bytes.create (4 * n)
-let label col k = get16 col (2 * k)
-let target col k = Int32.to_int (get32 col (4 * k))
-let set_label col k aid = set16 col (2 * k) aid
-let set_target col k j = set32 col (4 * k) (Int32.of_int j)
+let label col k = Csr.get16 col (2 * k)
+let target col k = Int32.to_int (Csr.get32 col (4 * k))
 
 (* A strongly-connected-component decomposition of a system's graph, or
    of the subgraph a state set induces ([Graph.decompose]); a system
@@ -203,154 +194,6 @@ exception Too_large of int
 
 let default_limit = 2_000_000
 
-(* ------------------------------------------------------------------ *)
-(* Growable buffers shared by every builder.                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Edge rows grow in blocks of the two columns: the open block fills, is
-   sealed, and the next one opens twice as large, up to [max_block]
-   edges.  No edge is copied while the build runs; [finish] concatenates
-   the blocks once into columns of exact length. *)
-let first_block = 4096
-let max_block = 32_768
-
-(* [keys.(i)] identifies state [i]: its rank in a BFS store, the state
-   itself on the reference path. *)
-type 'k builder = {
-  mutable keys : 'k array;
-  mutable count : int;
-  mutable ea : Bytes.t; (* the open block's label column *)
-  mutable et : Bytes.t; (* the open block's target column *)
-  mutable fill : int; (* edges in the open block *)
-  mutable room : int; (* edges the open block holds *)
-  mutable sealed_ea : Bytes.t list; (* full blocks, newest first *)
-  mutable sealed_et : Bytes.t list;
-  mutable elen : int; (* edges in all blocks *)
-  mutable rows : int array; (* rows.(i+1) = end offset of state i's edges *)
-  mutable expanded : int; (* states with closed rows: 0..expanded-1 *)
-  limit : int; (* at most [max_states] *)
-}
-
-let new_builder ~limit =
-  {
-    keys = [||];
-    count = 0;
-    ea = labels first_block;
-    et = targets first_block;
-    fill = 0;
-    room = first_block;
-    sealed_ea = [];
-    sealed_et = [];
-    elen = 0;
-    rows = [| 0 |];
-    expanded = 0;
-    limit = min limit max_states;
-  }
-
-(* Add one more state, counted against the limit (never above
-   [max_states], the ids a target column holds), the live counter and the
-   budget. *)
-let add_state b key =
-  let i = b.count in
-  if i >= b.limit then raise (Too_large b.limit);
-  if Obs.on () || Progress.armed () then live_state_interned ();
-  Detcor_robust.Budget.count_state ();
-  b.count <- i + 1;
-  let cap = Array.length b.keys in
-  if i >= cap then begin
-    let cap' = max 1024 (2 * cap) in
-    let keys' = Array.make cap' key in
-    Array.blit b.keys 0 keys' 0 cap;
-    b.keys <- keys';
-    let rows' = Array.make (cap' + 1) 0 in
-    Array.blit b.rows 0 rows' 0 (cap + 1);
-    b.rows <- rows'
-  end;
-  b.keys.(i) <- key;
-  i
-
-(* The keys of the states added so far. *)
-let keys b = Array.sub b.keys 0 b.count
-
-let seal b =
-  b.sealed_ea <- b.ea :: b.sealed_ea;
-  b.sealed_et <- b.et :: b.sealed_et;
-  let size = min max_block (2 * b.room) in
-  b.ea <- labels size;
-  b.et <- targets size;
-  b.room <- size;
-  b.fill <- 0
-
-let push_edge b aid j =
-  if b.fill = b.room then seal b;
-  set_label b.ea b.fill aid;
-  set_target b.et b.fill j;
-  b.fill <- b.fill + 1;
-  b.elen <- b.elen + 1
-
-(* The first [len] bytes of one column, given its sealed blocks (newest
-   first) and its open block, as one column of exact length. *)
-let column sealed open_ len =
-  let out = Bytes.create len and pos = ref 0 in
-  List.iter
-    (fun block ->
-      let k = min (Bytes.length block) (len - !pos) in
-      Bytes.blit block 0 out !pos k;
-      pos := !pos + k)
-    (List.rev (open_ :: sealed));
-  out
-
-let label_column b len = column b.sealed_ea b.ea (2 * len)
-let target_column b len = column b.sealed_et b.et (4 * len)
-
-(* Mark the end of state [i]'s edge row (states are expanded in id order).
-   [expanded] trails it: everything below is a consistent CSR prefix, which
-   is exactly what a checkpoint capture may persist. *)
-let close_row b i =
-  b.rows.(i + 1) <- b.elen;
-  b.expanded <- i + 1
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint payloads for the packed BFS.                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A capture persists the closed-row CSR prefix plus the packed rank of
-   every state interned so far.  Captures fire from [Budget] checkpoints:
-   at those points states [0..count) are fully written and edges beyond
-   [rows.(expanded)] belong to a half-expanded row, so the prefix below
-   is consistent by construction.  Restoring re-interns the
-   ranks in id order and resumes expansion at [expanded]; everything
-   downstream is deterministic, so the finished system is byte-identical
-   to an uninterrupted build. *)
-type build_snap = {
-  s_ranks : int array; (* rank of state i *)
-  s_rows : int array; (* rows.(0 .. expanded) *)
-  s_ea : Bytes.t; (* the closed edges' label column *)
-  s_et : Bytes.t; (* and their target column *)
-  s_expanded : int;
-}
-
-let snap_of_builder b =
-  let closed = b.rows.(b.expanded) in
-  {
-    s_ranks = keys b;
-    s_rows = Array.sub b.rows 0 (b.expanded + 1);
-    s_ea = label_column b closed;
-    s_et = target_column b closed;
-    s_expanded = b.expanded;
-  }
-
-(* The snapshot's closed edges become the first sealed block. *)
-let restore_edges b snap =
-  let closed = snap.s_rows.(snap.s_expanded) in
-  if closed > 0 then begin
-    b.sealed_ea <- [ snap.s_ea ];
-    b.sealed_et <- [ snap.s_et ]
-  end;
-  b.elen <- closed;
-  Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
-  b.expanded <- snap.s_expanded
-
 let next_uid = ref 0
 
 let make_system ?derivation ~program ~actions ~initials ~store ~compiled
@@ -374,62 +217,101 @@ let make_system ?derivation ~program ~actions ~initials ~store ~compiled
     fallback_reason = None;
   }
 
-let finish ?(counter = m_builds) ?derivation b ~program ~actions ~initials
-    ~store ~compiled =
-  let n = b.count in
-  if Obs.on () || Progress.armed () then live_flush ();
-  count_build counter ~states:n ~edges:b.elen;
-  let columns =
-    (Array.sub b.rows 0 (n + 1), label_column b b.elen, target_column b b.elen)
-  in
+(* A system from a store in RAM: its builder's columns. *)
+let finish ?derivation csr ~program ~actions ~initials ~store ~compiled =
+  let columns = Csr.columns csr in
   (* The build's heap peaks here, between ticks: the blocks are still
      live next to the columns they were copied into. *)
   Detcor_robust.Budget.check ();
   make_system ?derivation ~program ~actions ~initials ~store ~compiled columns
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine: the seed list-based path.                         *)
+(* The exploration loop.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let build_reference ~limit program ~from =
-  let actions = Array.of_list (Program.actions program) in
-  let index = State_table.create 1024 in
-  let b = new_builder ~limit in
-  let intern st =
-    match State_table.find_opt index st with
-    | Some i -> i
-    | None ->
-      let i = add_state b st in
-      State_table.add index st i;
-      i
+(* What an exploration fills: a store's side of the loop, over keys of
+   type ['k]:
+   - [intern k]: the id of the state of key [k]; a new key takes the
+     next id and joins the next frontier;
+   - [level ()]: open the next BFS level, [None] once every state is
+     expanded.  [Some b]: the level's states are those of the builder
+     [b] whose rows are open, which the loop fills
+     ([Csr.fill_rows]).  [barrier ()] closes the level. *)
+type 'k sink = {
+  intern : 'k -> int;
+  level : unit -> 'k Csr.t option;
+  barrier : unit -> unit;
+  states : unit -> int;
+  edges : unit -> int;
+}
+
+(* One more state, for a store that holds [n]: counted against the limit
+   (never above [max_states], the ids a target column holds), the live
+   counter and the budget. *)
+let admit ~limit n =
+  if n >= limit || n >= max_states then
+    raise (Too_large (Int.min limit max_states));
+  if Obs.on () || Progress.armed () then live_state_interned ();
+  Detcor_robust.Budget.count_state ()
+
+(* A new state of key [k] in a store in RAM. *)
+let add ~limit csr k =
+  admit ~limit (Csr.count csr);
+  Csr.add csr k
+
+(* A store in RAM: one builder for the whole system, its keys numbered by
+   [intern].  A level is the states added since the last one. *)
+let in_ram csr intern =
+  {
+    intern;
+    level =
+      (fun () -> if Csr.closed csr < Csr.count csr then Some csr else None);
+    barrier = ignore;
+    states = (fun () -> Csr.count csr);
+    edges = (fun () -> Csr.edges csr);
+  }
+
+(* The breadth-first loop of every store: the seeded store's levels in
+   order, each state's successors, as [expand key emit] yields them
+   (action id and successor key, in edge order), interned as they are
+   found.  It ticks the budget once per state, records each level's
+   width ([engine.frontier_width], [ts.frontier]), runs in the
+   [engine.bfs] progress phase ([readings] adds to its readings), and
+   counts the system in [counter]. *)
+let explore ?(counter = m_builds) ?(readings = fun () -> []) s expand =
+  let width = ref 0 in
+  let rec levels depth =
+    match s.level () with
+    | None -> ()
+    | Some b ->
+      width := Csr.count b - Csr.closed b;
+      if Obs.on () then begin
+        Metrics.observe h_frontier !width;
+        Obs.event "ts.frontier" ~level:Attr.Debug
+          ~attrs:[ Attr.int "depth" depth; Attr.int "width" !width ]
+      end;
+      Csr.fill_rows b s.intern (fun k emit ->
+          Detcor_robust.Budget.tick ();
+          expand k emit);
+      s.barrier ();
+      levels (depth + 1)
   in
-  let initials = List.map intern (List.sort_uniq State.compare from) in
-  (* Expansion in id order is exactly the seed's FIFO breadth-first order:
-     every new state receives the next id and is appended. *)
-  let cursor = ref 0 in
   Progress.with_phase "engine.bfs"
-    (fun () ->
-      [ ("states", b.count); ("frontier", b.count - !cursor) ])
-    (fun () ->
-      while !cursor < b.count do
-        Detcor_robust.Budget.tick ();
-        let i = !cursor in
-        let st = b.keys.(i) in
-        Array.iteri
-          (fun aid ac ->
-            List.iter
-              (fun st' -> push_edge b aid (intern st'))
-              (Action.execute ac st))
-          actions;
-        close_row b i;
-        incr cursor
-      done);
-  finish b ~program ~actions ~initials ~store:(Listed (keys b, index))
-    ~compiled:(Array.make (Array.length actions) false)
+    (fun () -> ("states", s.states ()) :: ("frontier", !width) :: readings ())
+    (fun () -> levels 0);
+  if Obs.on () || Progress.armed () then live_flush ();
+  count_build counter ~states:(s.states ()) ~edges:(s.edges ())
 
 (* ------------------------------------------------------------------ *)
-(* The construction pipeline: the successor kernel.                   *)
+(* Successor sources.                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* The reference engine's source: each action run by the interpreter on
+   the state itself. *)
+let expand_states actions st emit =
+  Array.iteri
+    (fun aid ac -> List.iter (fun st' -> emit aid st') (Action.execute ac st))
+    actions
 
 (* A program's actions compiled against its layout: [compiled.(aid)] is
    [Some] for an action whose update list compiled, [None] for a
@@ -464,14 +346,6 @@ let kernel layout program =
         compiled;
   }
 
-(* A slot-code buffer for [successors]; one per build. *)
-let codes_buffer k = Array.make (Layout.num_vars k.k_layout) 0
-
-(* Load [codes] with the slot codes of [rank], when compiled actions read
-   them. *)
-let decode k rank codes =
-  if k.num_compiled > 0 then Layout.decode k.k_layout rank codes
-
 (* [f aid rank'] for each statement outcome [st'] of action [aid];
    top-level, so the kernel allocates no closure per action. *)
 let rec emit layout ~rank st aid f = function
@@ -482,12 +356,11 @@ let rec emit layout ~rank st aid f = function
 
 (* The successor kernel: [f aid rank'] for every successor of the state
    [st] of rank [rank], in action order and then statement order — the
-   edge order of every engine.  [codes] holds the slot codes of [rank]
-   (see [decode]); [st] is only read by interpreted actions and closure
-   guards ([k.needs_state]).  No closure or allocation of its own per
-   edge. *)
+   edge order of every engine.  [codes] holds the slot codes of [rank],
+   loaded when compiled actions read them; [st] is only read by
+   interpreted actions and closure guards ([k.needs_state]).  No closure
+   or allocation of its own per edge. *)
 let successors k ~codes ~rank st f =
-  Detcor_robust.Budget.tick ();
   for aid = 0 to Array.length k.k_actions - 1 do
     match Array.unsafe_get k.k_compiled aid with
     | Some c -> Compiled.successors c ~codes ~rank st aid f
@@ -495,30 +368,63 @@ let successors k ~codes ~rank st f =
       emit k.k_layout ~rank st aid f (Action.execute k.k_actions.(aid) st)
   done
 
-(* The source state of [rank] for [successors]: decoded only when some
-   action reads it. *)
-let source k rank =
-  if k.needs_state then Layout.unpack k.k_layout rank else State.empty
+(* The source of the layout stores: the successor kernel over ranks, with
+   one slot-code buffer per build, decoding the source state only when
+   some action reads it. *)
+let expand_ranks k =
+  let codes = Array.make (Layout.num_vars k.k_layout) 0 in
+  fun rank emit ->
+    if k.num_compiled > 0 then Layout.decode k.k_layout rank codes;
+    let st =
+      if k.needs_state then Layout.unpack k.k_layout rank else State.empty
+    in
+    successors k ~codes ~rank st emit
 
 (* ------------------------------------------------------------------ *)
-(* Flat store: rank-interned BFS.                                      *)
+(* The stores.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Breadth-first exploration from the seed ranks, interning states by
-   rank in a [Rank_map], expanding frontiers in id order.  The builder's
-   keys are the rank column: no state is built unless an action reads
-   its source. *)
+(* The reference store: the states themselves, interned in a table. *)
+let build_reference ~limit program ~from =
+  let actions = Array.of_list (Program.actions program) in
+  let index = State_table.create 1024 and csr = Csr.create () in
+  let intern st =
+    match State_table.find_opt index st with
+    | Some i -> i
+    | None ->
+      let i = add ~limit csr st in
+      State_table.add index st i;
+      i
+  in
+  let seeds = List.sort_uniq State.compare from in
+  List.iter (fun st -> ignore (intern st)) seeds;
+  explore (in_ram csr intern) (expand_states actions);
+  finish csr ~program ~actions
+    ~initials:(List.init (List.length seeds) Fun.id)
+    ~store:(Listed (Csr.keys csr, index))
+    ~compiled:(Array.make (Array.length actions) false)
+
+(* The flat store: ranks interned in a [Rank_map], the builder's keys
+   the rank column.
+
+   Its [ts.bfs] checkpoint persists the builder's closed prefix
+   ([Csr.snapshot]): captures fire from [Budget] checkpoints, at which
+   states [0..count) are fully written and edges beyond the closed rows
+   belong to a half-expanded row.  Restoring re-interns the ranks in id
+   order and resumes expansion at the first open row; everything
+   downstream is deterministic, so the finished system is byte-identical
+   to an uninterrupted build. *)
 let build_packed ~limit k program seeds =
   let layout = k.k_layout in
   let index =
     Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
   in
-  let b = new_builder ~limit in
+  let csr = Csr.create () in
   let intern rank =
     let i = Rank_map.find index rank in
     if i >= 0 then i
     else begin
-      let i = add_state b rank in
+      let i = add ~limit csr rank in
       Rank_map.add index rank i;
       i
     end
@@ -529,41 +435,21 @@ let build_packed ~limit k program seeds =
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
   | Some (Detcor_robust.Checkpoint.Done data) ->
-    let snap : build_snap = Marshal.from_string data 0 in
+    let snap : int Csr.snap = Marshal.from_string data 0 in
     (* Re-intern in id order: the snapshot's rank sequence is the
        discovery order, so ids land exactly where they were.  The seeds
        already occupy the prefix. *)
     Array.iteri
-      (fun i rank -> if i >= b.count then ignore (intern rank))
-      snap.s_ranks;
-    restore_edges b snap
+      (fun i rank -> if i >= Csr.count csr then ignore (intern rank))
+      snap.s_keys;
+    Csr.restore csr snap
   | None -> ());
-  let capture () = Marshal.to_string (snap_of_builder b) [] in
-  Detcor_robust.Checkpoint.set_capture phase capture;
-  let codes = codes_buffer k in
-  let on_edge aid r = push_edge b aid (intern r) in
-  let level = ref 0 in
-  Progress.with_phase "engine.bfs"
-    (fun () -> [ ("states", b.count); ("frontier", b.count - b.expanded) ])
-    (fun () ->
-      while b.expanded < b.count do
-        let lo = b.expanded and hi = b.count in
-        if Obs.on () then begin
-          Metrics.observe h_frontier (hi - lo);
-          Obs.event "ts.frontier" ~level:Attr.Debug
-            ~attrs:[ Attr.int "depth" !level; Attr.int "width" (hi - lo) ];
-          incr level
-        end;
-        for i = lo to hi - 1 do
-          let rank = b.keys.(i) in
-          decode k rank codes;
-          successors k ~codes ~rank (source k rank) on_edge;
-          close_row b i
-        done
-      done);
-  let ranks = keys b in
+  Detcor_robust.Checkpoint.set_capture phase (fun () ->
+      Marshal.to_string (Csr.snapshot csr) []);
+  explore (in_ram csr intern) (expand_ranks k);
+  let ranks = Csr.keys csr in
   let ts =
-    finish b ~program ~actions:k.k_actions
+    finish csr ~program ~actions:k.k_actions
       ~initials:(List.init (Array.length seeds) Fun.id)
       ~store:(Interned (layout, ranks, index))
       ~compiled:(Array.map Option.is_some k.k_compiled)
@@ -574,21 +460,17 @@ let build_packed ~limit k program seeds =
   if Detcor_robust.Checkpoint.active () then begin
     let snap =
       {
-        s_ranks = ranks;
+        Csr.s_keys = ranks;
         s_rows = ts.row_ptr;
         s_ea = ts.edge_action;
         s_et = ts.edge_target;
-        s_expanded = b.count;
+        s_closed = Array.length ranks;
       }
     in
     Detcor_robust.Checkpoint.complete_with phase (fun () ->
         Marshal.to_string snap [])
   end;
   ts
-
-(* ------------------------------------------------------------------ *)
-(* Shard store: level-segmented, disk-spillable arenas.                *)
-(* ------------------------------------------------------------------ *)
 
 (* Process-wide parameters of the shard store — threaded here rather
    than through every [?engine] signature in [Tolerance]/[Synthesize];
@@ -602,26 +484,20 @@ let set_spill_defaults ~spill_dir ~arena_budget_mb =
 let set_shard_defaults ~shards:_ = set_spill_defaults
 let spill_defaults () = !spill_params
 
-(* BFS over the shard store.  The exploration order is identical to the
-   flat BFS's — seeds interned in ascending rank order, frontier
-   sources expanded in gid order, each successor interned as it is
-   found — so the numbering, edge arrays and initials are byte-identical
-   where both stores can run.  What changes is residency: state and CSR
-   arenas live in per-level segments that spill to checksummed files
-   under the configured directory once the resident bytes exceed the
-   arena budget.
+(* The shard store: the same exploration, so the numbering, edge arrays
+   and initials are the flat store's, over level segments that spill to
+   checksummed files under the spill directory once the resident bytes
+   exceed the arena budget.
 
-   Checkpointing: the store itself is the capture.  Snapshots are only
-   consistent at level barriers (mid-level, the open CSR accumulators
-   are not serializable), so the capture closure returns the snapshot
-   taken at the last completed barrier; resume restores the store there
-   and replays the lost level deterministically.  Spill files the
-   snapshot names are reused, never rewritten. *)
-let build_sharded ~limit ~spill_dir kern program ~seeds =
-  let layout = kern.k_layout in
-  let limit = min limit max_states in
-  let budget_mb = snd !spill_params in
-  let arena_budget = budget_mb * 1024 * 1024 in
+   Its [ts.shard] checkpoint is the store itself.  Snapshots are only
+   consistent at level barriers (mid-level, the open segment's builder
+   is not serializable), so the capture returns the snapshot taken at
+   the last barrier; resume restores the store there and replays the
+   lost level deterministically.  Spill files the snapshot names are
+   reused, never rewritten. *)
+let build_sharded ~limit ~spill_dir k program seeds =
+  let layout = k.k_layout in
+  let arena_budget = snd !spill_params * 1024 * 1024 in
   let fingerprint =
     Detcor_robust.Checkpoint.digest
       [
@@ -630,80 +506,52 @@ let build_sharded ~limit ~spill_dir kern program ~seeds =
         string_of_int (Layout.space layout);
       ]
   in
-  let on_intern () =
-    if Obs.on () || Progress.armed () then live_state_interned ()
-  in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.shard" in
+  let resumed = Detcor_robust.Checkpoint.resume_data phase in
   let store =
-    match Detcor_robust.Checkpoint.resume_data phase with
+    match resumed with
     | Some (Detcor_robust.Checkpoint.Midway data)
     | Some (Detcor_robust.Checkpoint.Done data) ->
-      Shard_store.restore ~on_intern ~layout ~limit ~spill_dir ~arena_budget
-        ~fingerprint data
+      Shard_store.restore ~layout ~spill_dir ~arena_budget ~fingerprint data
     | None ->
-      let store =
-        Shard_store.create ~on_intern ~layout ~limit ~spill_dir
-          ~arena_budget ~fingerprint ()
-      in
-      Array.iter (fun r -> ignore (Shard_store.intern store r)) seeds;
-      store
+      Shard_store.create ~layout ~spill_dir ~arena_budget ~fingerprint ()
   in
+  let intern rank =
+    let g = Shard_store.find store rank in
+    if g >= 0 then g
+    else begin
+      admit ~limit (Shard_store.num_states store);
+      Shard_store.add store rank
+    end
+  in
+  if resumed = None then Array.iter (fun rank -> ignore (intern rank)) seeds;
   (* Barrier snapshots cost a full manifest walk; only maintain them
      when a checkpoint session wants captures. *)
   let track = Detcor_robust.Checkpoint.active () in
   let latest = ref (if track then Shard_store.snapshot store else "") in
   Detcor_robust.Checkpoint.set_capture phase (fun () -> !latest);
-  let frontier_width = ref 0 in
-  let level = ref 0 in
-  let codes = codes_buffer kern in
-  let src = ref 0 in
-  let on_edge aid rank =
-    let tgt = Shard_store.intern store rank in
-    Shard_store.add_edge store ~src:!src ~aid ~tgt
+  let segments =
+    {
+      intern;
+      level = (fun () -> Shard_store.begin_level store);
+      barrier =
+        (fun () ->
+          Shard_store.end_level store;
+          if track then latest := Shard_store.snapshot store);
+      states = (fun () -> Shard_store.num_states store);
+      edges = (fun () -> Shard_store.num_edges store);
+    }
   in
-  (try
-     Progress.with_phase "engine.bfs"
-       (fun () ->
-         let spills, _, _ = Shard_store.spill_stats store in
-         [
-           ("states", Shard_store.num_states store);
-           ("frontier", !frontier_width);
-           ("spills", spills);
-         ])
-       (fun () ->
-         let continue = ref true in
-         while !continue do
-           let lo, hi = Shard_store.begin_level store in
-           if lo >= hi then continue := false
-           else begin
-             frontier_width := hi - lo;
-             if Obs.on () then begin
-               Metrics.observe h_frontier (hi - lo);
-               Obs.event "ts.frontier" ~level:Attr.Debug
-                 ~attrs:
-                   [ Attr.int "depth" !level; Attr.int "width" (hi - lo) ];
-               incr level
-             end;
-             for g = lo to hi - 1 do
-               let rank = Shard_store.rank_of store g in
-               src := g;
-               decode kern rank codes;
-               successors kern ~codes ~rank (source kern rank) on_edge
-             done;
-             Shard_store.end_level store;
-             if track then latest := Shard_store.snapshot store
-           end
-         done)
-   with Shard_store.Limit n -> raise (Too_large n));
-  Detcor_robust.Checkpoint.complete phase
-    (if track then !latest else "");
-  if Obs.on () || Progress.armed () then live_flush ();
-  count_build m_builds ~states:(Shard_store.num_states store)
-    ~edges:(Shard_store.num_edges store);
-  make_system ~program ~actions:kern.k_actions
+  let readings () =
+    let spills, _, _ = Shard_store.spill_stats store in
+    [ ("spills", spills) ]
+  in
+  explore ~readings segments (expand_ranks k);
+  Detcor_robust.Checkpoint.complete phase (if track then !latest else "");
+  make_system ~program ~actions:k.k_actions
     ~initials:(List.init (Array.length seeds) Fun.id)
     ~store:(Shards (layout, store))
-    ~compiled:(Array.map Option.is_some kern.k_compiled)
+    ~compiled:(Array.map Option.is_some k.k_compiled)
     ([| 0 |], Bytes.empty, Bytes.empty)
 
 (* ------------------------------------------------------------------ *)
@@ -819,13 +667,8 @@ let iter_out ts i f =
       f (label ts.edge_action k) (target ts.edge_target k)
     done
 
-let out_degree ts i =
-  match ts.store with
-  | Shards (_, store) -> Shard_store.out_degree store i
-  | Listed _ | Interned _ -> ts.row_ptr.(i + 1) - ts.row_ptr.(i)
-
-(* A row is a target column: the flat store lends its own, the shard
-   store a copy of the row, filled from the segment. *)
+(* A row is a target column, lent by the store: the flat store's own,
+   or the row's segment's. *)
 type row = Bytes.t
 
 let row_target = target
@@ -833,12 +676,7 @@ let empty_row = Bytes.empty
 
 let with_out_row ts i k =
   match ts.store with
-  | Shards (_, store) ->
-    let row = targets (Shard_store.out_degree store i) and e = ref 0 in
-    Shard_store.iter_out store i (fun _ j ->
-        set_target row !e j;
-        incr e);
-    k row 0 !e
+  | Shards (_, store) -> Shard_store.with_out_row store i k
   | Listed _ | Interned _ ->
     k ts.edge_target ts.row_ptr.(i) ts.row_ptr.(i + 1)
 
@@ -1052,7 +890,7 @@ let construct op ~limit ~engine program seeds =
     let kern = kernel layout in
     match fst !spill_params with
     | None -> build_packed ~limit kern program seeds
-    | Some spill_dir -> build_sharded ~limit ~spill_dir kern program ~seeds
+    | Some spill_dir -> build_sharded ~limit ~spill_dir kern program seeds
   in
   let ts =
     match engine with
@@ -1109,13 +947,14 @@ let reverse ?(keep = fun _ -> true) ts =
     counts.(j) <- counts.(j) + counts.(j - 1)
   done;
   let rev_ptr = Array.copy counts in
-  let rev_action = labels counts.(n) and rev_source = targets counts.(n) in
+  let rev_action = Csr.labels counts.(n)
+  and rev_source = Csr.targets counts.(n) in
   let cursor = counts in
   iter_edges ts (fun i aid j ->
       if Array.unsafe_get kept aid then begin
         let k = cursor.(j) in
-        set_label rev_action k aid;
-        set_target rev_source k i;
+        Csr.set16 rev_action (2 * k) aid;
+        Csr.set32 rev_source (4 * k) (Int32.of_int i);
         cursor.(j) <- k + 1
       end);
   { rev_ptr; rev_action; rev_source }
@@ -1245,7 +1084,8 @@ let rec disabled_from ts i aid =
 (* With every action compiled, a state is deadlocked exactly when its edge
    row is empty. *)
 let deadlocked ts i =
-  if ts.all_compiled then out_degree ts i = 0 else disabled_from ts i 0
+  if ts.all_compiled then with_out_row ts i (fun _ lo hi -> lo = hi)
+  else disabled_from ts i 0
 
 let satisfying ts pred =
   let bits = pred_bitset ts pred in
@@ -1282,13 +1122,14 @@ let derivable ~engine program span =
         else None)
   | _ -> None
 
-(* [program] over [span], derived from the span's rows: a breadth-first
-   walk of the rows with the edges of the other actions dropped, from the
-   kept span states in rank order.  It runs the builder of [build_packed]
-   (numbering, limit, budget and live counter alike), so the system is
-   [build_within]'s exploration, byte for byte, at the cost of one pass
-   over the rows it keeps.  [fresh] maps a span id to its new id, [old]
-   back. *)
+(* [program] over [span], derived from the span's rows: the exploration
+   loop over a store in RAM keyed by span index, whose source is the
+   span's rows with the edges of the other actions dropped, from the
+   kept span states in rank order.  Numbering, limit, budget and live
+   counter are an exploration's, so the system is [build_within]'s
+   exploration, byte for byte, at the cost of one pass over the rows it
+   keeps.  The builder's keys map each new id back to its span index,
+   [fresh] the other way. *)
 let derive ~limit ~layout program ~span ~keep =
   Obs.span "ts.derive" ~attrs:[ Attr.str "program" (Program.name program) ]
   @@ fun () ->
@@ -1302,41 +1143,33 @@ let derive ~limit ~layout program ~span ~keep =
   let index =
     Rank_map.create ~expect:(Array.length seeds) ~space:(Layout.space layout) ()
   in
-  let b = new_builder ~limit in
-  let n = num_states span in
-  let fresh = Array.make n (-1) and old = Array.make n 0 in
+  let csr = Csr.create () and fresh = Array.make (num_states span) (-1) in
   let intern j =
     let i = fresh.(j) in
     if i >= 0 then i
     else begin
-      let i = add_state b ranks.(j) in
+      let i = add ~limit csr j in
       Rank_map.add index ranks.(j) i;
       fresh.(j) <- i;
-      old.(i) <- j;
       i
     end
   in
   Array.iter (fun r -> ignore (intern (index_of_rank span r))) seeds;
   (* A row lists its edges in action order, so [program]'s come first. *)
-  while b.expanded < b.count do
-    Detcor_robust.Budget.tick ();
-    let i = b.expanded in
-    let j = old.(i) in
+  let expand j emit =
     let k = ref span.row_ptr.(j) and hi = span.row_ptr.(j + 1) in
     while !k < hi && label span.edge_action !k < np do
-      push_edge b (label span.edge_action !k)
-        (intern (target span.edge_target !k));
+      emit (label span.edge_action !k) (target span.edge_target !k);
       incr k
-    done;
-    close_row b i
-  done;
+    done
+  in
+  explore ~counter:m_derived (in_ram csr intern) expand;
+  let old = Csr.keys csr in
   let ts =
-    finish ~counter:m_derived
-      ~derivation:(span.uid, Array.sub old 0 b.count)
-      b ~program
+    finish ~derivation:(span.uid, old) csr ~program
       ~actions:(Array.sub span.actions 0 np)
       ~initials:(List.init (Array.length seeds) Fun.id)
-      ~store:(Interned (layout, keys b, index))
+      ~store:(Interned (layout, Array.map (Array.get ranks) old, index))
       ~compiled:(Array.sub span.compiled 0 np)
   in
   if Obs.on () then

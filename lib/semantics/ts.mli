@@ -6,9 +6,9 @@
     convergence, leads-to, fairness, safety) run on this structure.
 
     The edge columns, forward and reverse, are compact [Bytes] the GC
-    never scans: an action id takes 16 bits and a state id 32, 6 bytes an
-    edge.  Those widths bound every system: see {!max_actions} and
-    {!max_states}.
+    never scans ({!Csr}): an action id takes 16 bits and a state id 32, 6
+    bytes an edge.  Those widths bound every system: see {!max_actions}
+    and {!max_states}.
 
     Three stores hold the same structure, with identical state
     numbering, edges and initials ({!store_name} says which built a
@@ -31,6 +31,11 @@
       declared domains ({!fallback_reason} says which), and, forced by
       {!Reference}, the oracle for differential testing.  It is the only
       store whose systems hold states.
+
+    Every store is filled by one breadth-first loop, with one {!Csr}
+    builder per system or per segment, so a system's numbering and its
+    exploration metrics ([engine.states_visited], the
+    [engine.frontier_width] histogram) do not depend on the store.
 
     On every engine, predicate and guard sets are cached in per-system
     bitsets, so {!holds_at} and {!enabled} answer in O(1) after one
@@ -99,7 +104,7 @@ val build :
     [program]'s layout has [span]'s signature and [program]'s
     actions are a physical prefix of [span]'s ([Fault.compose] gives
     [p [] F] exactly that): a breadth-first walk of the span's rows with
-    the other actions' edges dropped, through the same builder.  Its
+    the other actions' edges dropped, through the same loop.  Its
     states count toward [engine.states_visited], [limit] and the state
     budget as explored ones do; it runs in a [ts.derive] span and bumps
     [engine.derived] instead of [engine.builds].  Otherwise [program] is
@@ -162,8 +167,6 @@ val edges_of : t -> int -> (int * int) list
     of state [i], in edge order, without allocating. *)
 val iter_out : t -> int -> (int -> int -> unit) -> unit
 
-val out_degree : t -> int -> int
-
 (** A lent row of out-edge targets, read by {!row_target}: a target
     column, one native-endian 32-bit state id per edge, so a walk may
     also read it with the [%caml_bytes_get32u] primitive at [4 * e]. *)
@@ -171,10 +174,12 @@ type row = private Bytes.t
 
 (** [with_out_row ts i k]: [k row lo hi], where the targets of [i]'s
     out-edges, in edge order, are [row_target row lo] to
-    [row_target row (hi - 1)].  For walks that suspend between edges: the
-    flat store lends its own target column, the shard store a copy of
-    the row, so a held row costs one segment lookup and pins no evicted
-    arena. *)
+    [row_target row (hi - 1)].  For walks that suspend between edges:
+    every store lends its own target column, the flat store's or the
+    segment's on the shard store, so a row costs one segment lookup and
+    no allocation.  A held row stays valid after its segment is evicted;
+    it then keeps that segment's target column (4 bytes an edge) alive
+    until it is dropped. *)
 val with_out_row : t -> int -> (row -> int -> int -> 'a) -> 'a
 
 (** [row_target row e]: the target at offset [e] of a lent row; [e] must

@@ -157,11 +157,6 @@ let bad_transition ts sspec =
 (* ms / mt                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A source column of 32-bit state ids, read and written unboxed and
-   unchecked: every offset is a CSR offset below the column's length. *)
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-
 (* [ms]: the states from which the fault actions alone can reach a safety
    violation — the backward fixpoint over fault edges seeded with the bad
    states and the sources of bad fault transitions ([bad_tr]).  Membership
@@ -233,11 +228,11 @@ let compute_ms ts_pf ~is_fault ~bad ~bad_tr =
       for j = 1 to n do
         ptr.(j) <- ptr.(j) + ptr.(j - 1)
       done;
-      let source = Bytes.create (4 * ptr.(n)) in
+      let source = Csr.targets ptr.(n) in
       Ts.iter_edges ts_pf (fun i aid j ->
           if is_fault.(aid) then begin
             let k = ptr.(j) in
-            set32 source (4 * k) (Int32.of_int i);
+            Csr.set32 source (4 * k) (Int32.of_int i);
             ptr.(j) <- k + 1
           end);
       for j = n downto 1 do
@@ -259,7 +254,7 @@ let compute_ms ts_pf ~is_fault ~bad ~bad_tr =
             let j = work.(!head) in
             incr head;
             for k = ptr.(j) to ptr.(j + 1) - 1 do
-              add (Int32.to_int (get32 source (4 * k)))
+              add (Int32.to_int (Csr.get32 source (4 * k)))
             done
           done)
     end;

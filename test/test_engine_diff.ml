@@ -1255,6 +1255,64 @@ let test_escape_lowest_slot () =
   Alcotest.(check string) "compiled"
     "variable g escaped its declared domain (value bot)" (escape e.program)
 
+(* An exploration's metrics do not depend on the store or on the path
+   that built the system: under an Obs context, [build_within p ~span]
+   moves [engine.states_visited] and the [engine.frontier_width]
+   histogram (count and sum) exactly as [build p ~from] of the same
+   states does, on every engine and leg.  The span is p with another
+   random program's actions appended, as p [] F is, so a flat span
+   derives p from its rows. *)
+let prop_exploration_metrics =
+  let arb =
+    QCheck.make
+      ~print:(fun ((rp, rq), (s1, s2)) ->
+        Fmt.str "%s over the span of it with %s from P%d, where %s"
+          (print_program rp) (print_program rq) s1
+          (match s2 with Some s -> Fmt.str "P%d" s | None -> "-"))
+      QCheck.Gen.(
+        pair
+          (pair program_gen program_gen)
+          (pair (int_range 0 (1 lsl 20)) (opt (int_range 0 (1 lsl 20)))))
+  in
+  Util.qtest ~count:60 "build_within and build record the same exploration"
+    arb (fun ((rp, rq), (s1, s2)) ->
+      let p = build_program rp in
+      let span_program =
+        Program.add_actions p (List.mapi (build_action ~prefix:"f") rq.acts)
+      in
+      let where = Option.map pred_of_seed s2 in
+      let frontier = Detcor_obs.Metrics.histogram "engine.frontier_width" in
+      let measure build =
+        let states = counter "engine.states_visited"
+        and levels = Detcor_obs.Metrics.histogram_count frontier
+        and width = Detcor_obs.Metrics.histogram_sum frontier in
+        ignore (build ());
+        ( counter "engine.states_visited" - states,
+          Detcor_obs.Metrics.histogram_count frontier - levels,
+          Detcor_obs.Metrics.histogram_sum frontier - width )
+      in
+      let obs = Detcor_obs.Obs.make ~sinks:[] () in
+      List.for_all
+        (fun ((engine, leg) as b) ->
+          Util.with_leg leg @@ fun () ->
+          Detcor_obs.Obs.with_ctx obs @@ fun () ->
+          let span = Ts.of_pred ~engine span_program ~from:(pred_of_seed s1) in
+          let from =
+            match where with
+            | None -> Ts.states span
+            | Some w -> List.filter (Pred.holds w) (Ts.states span)
+          in
+          let (s, c, w) as built = measure (fun () -> Ts.build ~engine p ~from) in
+          let (s', c', w') as within =
+            measure (fun () -> Ts.build_within ~engine ?where p ~span)
+          in
+          built = within
+          || QCheck.Test.fail_reportf
+               "%s: build visits %d states in %d levels of total width %d, \
+                build_within %d in %d of %d"
+               (Util.build_name b) s c w s' c' w')
+        Util.builds)
+
 let suite =
   ( "engine differential",
     [
@@ -1275,4 +1333,5 @@ let suite =
       prop_liveness_oracle;
       prop_region_sccs_inside;
       prop_sweeps_holds;
+      prop_exploration_metrics;
     ] )
